@@ -2,9 +2,10 @@
 
 Jet (truncated Taylor) arithmetic, curvature of metrics given in
 coordinates, extrinsic/intrinsic geometry of immersed submanifolds, the
-scalar conformal invariants built from them, conformal-change verification,
-Gauss–Bonnet-type integral checks, and renormalized area of explicit
-hyperbolic models.
+scalar conformal invariants and extrinsic Q-curvatures built from them
+(including the pointwise Pfaffian + defect + divergence split of the
+critical Q-curvature), and conformal-change verification of all of these
+at a point.
 """
 
 from .conformal import (
@@ -17,23 +18,18 @@ from .conformal import (
     rescale,
 )
 from .jets import BudgetError, Jets, compose, jet_of, max_jet_order
-from .tensors import LabeledTensor, Slot, contract, sym_antisym
 
 __all__ = [
     "BudgetError",
     "ConformalFactor",
     "Jets",
-    "LabeledTensor",
     "LinearizationReport",
-    "Slot",
     "check_invariance",
     "check_q_transformation",
     "compose",
-    "contract",
     "jet_of",
     "linear_independence_witness",
     "linearize",
     "max_jet_order",
     "rescale",
-    "sym_antisym",
 ]

@@ -19,21 +19,22 @@ g_{ad} g_{bc}`` and positive scalar curvature.
 from __future__ import annotations
 
 import math
+from functools import cached_property
 from itertools import permutations
 
 import numpy as np
 
 from .fields import MetricField
 from .jets import Jets, constant, jet_einsum, jet_trace, jets_stack
-from .tensors import LabeledTensor
 
 __all__ = [
     "CurvaturePack",
-    "christoffel",
     "christoffel_jets",
     "curvature_pack",
-    "ambient_cov_deriv",
+    "connection_deriv",
     "cov_deriv_jets",
+    "levi_civita_connection",
+    "raise_both",
     "riemann_jets",
     "inverse_metric_jets",
     "ambient_identity_residuals",
@@ -78,42 +79,59 @@ def riemann_jets(G: Jets, Gamma: Jets, dim: int) -> Jets:
     return jet_einsum("abce,ed->abcd", rm_ud, G)
 
 
-def cov_deriv_jets(T: Jets, variances, Gamma: Jets, dim: int) -> Jets:
+def connection_deriv(T: Jets, connections, nvars: int) -> Jets:
     """Covariant derivative of a tensor jet batch; new slot comes first.
+
+    ``connections`` holds one ``(A, variance)`` pair per batch axis of
+    ``T``, with the connection in the layout ``A[a, slot, z]``: a "down"
+    slot subtracts ``A[a, b, z] T_z``, an "up" slot adds ``A[a, z, b] T_z``.
+    """
+    letters = "bcdefghij"[: len(connections)]
+    parts = jets_stack([T.deriv(a) for a in range(nvars)])
+    for j, (A, var) in enumerate(connections):
+        tsub = letters[:j] + "z" + letters[j + 1:]
+        if var == "down":
+            parts = parts - jet_einsum(
+                f"a{letters[j]}z,{tsub}->a{letters}", A, T)
+        else:
+            parts = parts + jet_einsum(
+                f"az{letters[j]},{tsub}->a{letters}", A, T)
+    return parts
+
+
+def levi_civita_connection(Gamma: Jets) -> Jets:
+    """Christoffel symbols ``Gamma[c, a, b]`` in the ``A[a, b, c]`` layout."""
+    return jet_trace(Gamma, "cab->abc")
+
+
+def cov_deriv_jets(T: Jets, variances, Gamma: Jets, dim: int) -> Jets:
+    """Levi-Civita covariant derivative; new slot comes first.
 
     ``variances`` lists "up"/"down" per batch axis of ``T``; every slot is
     corrected with the supplied connection components.
     """
-    letters = "bcdefghij"[: len(variances)]
-    parts = jets_stack([T.deriv(a) for a in range(dim)])
-    for j, var in enumerate(variances):
-        rest = letters
-        if var == "down":
-            tsub = rest[:j] + "z" + rest[j + 1:]
-            corr = jet_einsum(f"za{rest[j]},{tsub}->a{rest}", Gamma, T)
-            parts = parts - corr
-        else:
-            tsub = rest[:j] + "z" + rest[j + 1:]
-            corr = jet_einsum(f"{rest[j]}az,{tsub}->a{rest}", Gamma, T)
-            parts = parts + corr
-    return parts
+    A = levi_civita_connection(Gamma)
+    return connection_deriv(T, [(A, var) for var in variances], dim)
+
+
+def raise_both(T: Jets, g_up: Jets) -> Jets:
+    """Both indices of a 2-tensor raised with the inverse metric ``g_up``."""
+    up1 = jet_einsum("ac,cb->ab", g_up, T)
+    return jet_einsum("bd,ad->ab", g_up, up1)
 
 
 class CurvaturePack:
     """All ambient curvature objects at one evaluation point, as jets.
 
-    Tensors are exposed both as raw ``Jets`` (lowercase attributes) and as
-    ``LabeledTensor`` wrappers (capitalized properties) for contraction with
-    slot checking.  Covariant derivatives of Weyl/Cotton/Schouten are
-    computed lazily and cached.
+    Covariant derivatives of Riemann, Weyl, Cotton and Schouten are
+    computed on first access and cached.
     """
 
-    def __init__(self, G: Jets, dim: int, basepoint=None):
+    def __init__(self, G: Jets, dim: int):
         n = self.dim = dim
         if n < 3:
             raise ValueError("ambient curvature needs dimension >= 3 "
                              "(Schouten undefined below)")
-        self.basepoint = basepoint
         self.g = G
         self.g_up = inverse_metric_jets(G)
         self.gamma = christoffel_jets(G, self.g_up, n)
@@ -135,158 +153,31 @@ class CurvaturePack:
         dC = self.dcotton
         self.bach = (jet_einsum("ec,ecab->ab", self.g_up, dC)
                      + jet_einsum("acbd,cd->ab", self.weyl,
-                                  self._raise2(self.schouten)))
-
-    def _raise2(self, T: Jets) -> Jets:
-        up1 = jet_einsum("ac,cb->ab", self.g_up, T)
-        return jet_einsum("bd,ad->ab", self.g_up, up1)
+                                  raise_both(self.schouten, self.g_up)))
 
     def cov_deriv(self, T: Jets, variances) -> Jets:
         return cov_deriv_jets(T, variances, self.gamma, self.dim)
 
-    @property
+    @cached_property
     def dschouten(self) -> Jets:
-        if not hasattr(self, "_dP"):
-            self._dP = self.cov_deriv(self.schouten, ["down"] * 2)
-        return self._dP
+        return self.cov_deriv(self.schouten, ["down"] * 2)
 
-    @property
-    def ddschouten(self) -> Jets:
-        if not hasattr(self, "_ddP"):
-            self._ddP = self.cov_deriv(self.dschouten, ["down"] * 3)
-        return self._ddP
-
-    @property
+    @cached_property
     def dcotton(self) -> Jets:
-        if not hasattr(self, "_dC"):
-            self._dC = self.cov_deriv(self.cotton, ["down"] * 3)
-        return self._dC
+        return self.cov_deriv(self.cotton, ["down"] * 3)
 
-    @property
+    @cached_property
     def dweyl(self) -> Jets:
-        if not hasattr(self, "_dW"):
-            self._dW = self.cov_deriv(self.weyl, ["down"] * 4)
-        return self._dW
+        return self.cov_deriv(self.weyl, ["down"] * 4)
 
-    @property
+    @cached_property
     def driemann(self) -> Jets:
-        if not hasattr(self, "_dRm"):
-            self._dRm = self.cov_deriv(self.rm, ["down"] * 4)
-        return self._dRm
-
-    # -- labeled wrappers ----------------------------------------------
-
-    def _wrap(self, data: Jets, variances) -> LabeledTensor:
-        slots = [("ambient", v, self.dim) for v in variances]
-        return LabeledTensor(slots, data, basepoint=self.basepoint)
-
-    @property
-    def metrics(self):
-        return {"ambient": (self.g, self.g_up)}
-
-    @property
-    def Gamma(self):
-        return self._wrap(self.gamma, ["up", "down", "down"])
-
-    @property
-    def Rm(self):
-        return self._wrap(self.rm, ["down"] * 4)
-
-    @property
-    def Ric(self):
-        return self._wrap(self.ric, ["down"] * 2)
-
-    @property
-    def Scal(self):
-        return LabeledTensor([], self.scal, basepoint=self.basepoint)
-
-    @property
-    def Jtrace(self):
-        return LabeledTensor([], self.jtrace, basepoint=self.basepoint)
-
-    @property
-    def Weyl(self):
-        return self._wrap(self.weyl, ["down"] * 4)
-
-    @property
-    def Schouten(self):
-        return self._wrap(self.schouten, ["down"] * 2)
-
-    @property
-    def Cotton(self):
-        return self._wrap(self.cotton, ["down"] * 3)
-
-    @property
-    def Bach(self):
-        return self._wrap(self.bach, ["down"] * 2)
-
-    @property
-    def dW(self):
-        return self._wrap(self.dweyl, ["down"] * 5)
-
-    @property
-    def dC(self):
-        return self._wrap(self.dcotton, ["down"] * 4)
-
-    @property
-    def dP(self):
-        return self._wrap(self.dschouten, ["down"] * 3)
-
-    @property
-    def ddP(self):
-        return self._wrap(self.ddschouten, ["down"] * 4)
+        return self.cov_deriv(self.rm, ["down"] * 4)
 
 
-def christoffel(g: MetricField, p) -> LabeledTensor:
-    """Connection components ``Gamma^c_{ab}`` at ``p`` (slot order c, a, b)."""
-    G = g.jets(p, 2)
-    Ginv = inverse_metric_jets(G)
-    gam = christoffel_jets(G, Ginv, g.dim)
-    return LabeledTensor(
-        [("ambient", "up", g.dim)] + [("ambient", "down", g.dim)] * 2,
-        gam, basepoint=tuple(np.atleast_1d(p)),
-    )
-
-
-def curvature_pack(g: MetricField, p, depth: int = 0, order: int = 4,
-                   param: bool = False) -> CurvaturePack:
-    """Assemble the curvature pack of ``g`` at ``p``.
-
-    ``depth`` pre-computes covariant derivatives: 1 adds nabla W, nabla C,
-    nabla P; 2 adds the second Schouten derivative.  (They are lazy anyway;
-    the argument exists to make the cost explicit at call sites.)
-    """
-    G = g.jets(p, order, param=param)
-    pack = CurvaturePack(G, g.dim, basepoint=tuple(np.atleast_1d(p)))
-    if depth >= 1:
-        pack.dweyl, pack.dcotton, pack.dschouten  # noqa: B018
-    if depth >= 2:
-        pack.ddschouten  # noqa: B018
-    return pack
-
-
-def ambient_cov_deriv(field, g: MetricField, p, order: int = 3) -> LabeledTensor:
-    """Covariant derivative of an evaluable ambient tensor field at ``p``.
-
-    ``field`` is either a ``LabeledTensor`` whose data is jets (all slots
-    ambient), or a callable of the coordinate jets returning one.  The
-    result prepends one ambient "down" derivative slot.
-    """
-    if callable(field) and not isinstance(field, LabeledTensor):
-        from .jets import variables
-
-        field = field(variables(p, order))
-    if not isinstance(field.data, Jets):
-        raise ValueError("ambient_cov_deriv needs jet-valued tensor data")
-    for s in field.slots:
-        if s.kind != "ambient":
-            raise ValueError("ambient_cov_deriv only handles ambient slots")
-    G = g.jets(p, field.data.order)
-    Ginv = inverse_metric_jets(G)
-    gam = christoffel_jets(G, Ginv, g.dim)
-    out = cov_deriv_jets(field.data, [s.variance for s in field.slots], gam, g.dim)
-    slots = [("ambient", "down", g.dim)] + list(field.slots)
-    return LabeledTensor(slots, out, basepoint=field.basepoint)
+def curvature_pack(g: MetricField, p) -> CurvaturePack:
+    """Assemble the curvature pack of ``g`` at ``p`` from order-4 jets."""
+    return CurvaturePack(g.jets(p, 4), g.dim)
 
 
 # -- identity residuals --------------------------------------------------

@@ -43,6 +43,7 @@ The checks bundled here certify, on top of individual variations:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from types import SimpleNamespace
 
 import numpy as np
@@ -56,7 +57,14 @@ from .fields import (
 )
 from .invariants import (
     REGISTRY,
+    _deflection_dot_weyl,
+    _deflection_norm2,
+    _div_shape_deflection,
     _mean_shape_cubic,
+    _shape_normal_gram,
+    _up2,
+    _w_ntnt_trace,
+    _w_tn_trace,
     available,
     evaluate,
     extrinsic_paneitz_apply,
@@ -202,9 +210,14 @@ def _gap(a, b) -> float:
 class _Engine:
     """Shared pack plumbing for one (metric, patch, point, Upsilon) setup.
 
-    Builds the base pack, the nilpotent-parameter pack and, lazily, the
-    pair of finite-parameter packs used for central differences, so a
-    batch of reports doesn't rebuild them per quantity.
+    Builds, each on first use, the base pack, the nilpotent-parameter pack
+    and the pair of finite-parameter packs used for central differences,
+    so a batch of reports doesn't rebuild them per quantity.
+
+    A variation is taken of ``operator(pack, exp(operand_weight t Upsilon)
+    evaluator(pack))`` compensated by ``exp(-weight t Upsilon)``, where
+    ``weight`` is the stored weight of the result.  Without an operator it
+    is the variation of ``evaluator`` itself.
     """
 
     def __init__(self, metric, patch, point, upsilon, *, order=4,
@@ -216,20 +229,19 @@ class _Engine:
         self.order = order
         self.param_order = order if param_order is None else param_order
         self.step = step
-        self.base = SubmanifoldPack(metric, patch, self.point, order=order)
-        self._param = None
         self._finite = {}
-        self._restr = None
 
     # --- packs ---
-    @property
+    @cached_property
+    def base(self) -> SubmanifoldPack:
+        return SubmanifoldPack(self.metric, self.patch, self.point,
+                               order=self.order)
+
+    @cached_property
     def param(self) -> SubmanifoldPack:
-        if self._param is None:
-            ghat = conformally_rescaled(self.metric, self.upsilon, t=None)
-            self._param = SubmanifoldPack(
-                ghat, self.patch, self.point,
-                order=self.param_order, param=True)
-        return self._param
+        ghat = conformally_rescaled(self.metric, self.upsilon, t=None)
+        return SubmanifoldPack(ghat, self.patch, self.point,
+                               order=self.param_order, param=True)
 
     def finite(self, t: float) -> SubmanifoldPack:
         if t not in self._finite:
@@ -238,48 +250,59 @@ class _Engine:
                 ghat, self.patch, self.point, order=self.order)
         return self._finite[t]
 
+    def _upsilon_on(self, pack) -> Jets:
+        return self.upsilon([pack.chart_jets[a] for a in range(pack.n)])
+
     # --- restriction data of Upsilon on the base pack ---
-    @property
+    @cached_property
     def restriction(self) -> SimpleNamespace:
-        if self._restr is None:
-            p = self.base
-            n = p.n
-            u_y = self.upsilon([p.chart_jets[a] for a in range(n)])
-            xv = variables(p.x_point, p.order)
-            u_x = self.upsilon(xv)
-            du_x = jets_stack([u_x.deriv(a) for a in range(n)])
-            du_y = p.pull(du_x)
-            grad = p.tangential_gradient(u_y)
-            amb = p.ambient
-            hess_x = amb.cov_deriv(amb.cov_deriv(u_x, []), ["down"])
-            self._restr = SimpleNamespace(
-                u_y=u_y,
-                u_x=u_x,
-                grad=grad,
-                grad_up=jet_einsum("ab,b->a", p.induced_inv, grad),
-                normal=jet_einsum("ra,a->r", p.normal_frame, du_y),
-                ambient_up=jet_einsum("ab,b->a", p.metric_inv_y, du_y),
-                hessian=p.tangential_cov_deriv(grad, [("tangent", "down")]),
-                ambient_hessian=p.pull(hess_x),
-                laplacian=p.tangential_laplacian(u_y),
-            )
-        return self._restr
+        p = self.base
+        n = p.n
+        u_y = self._upsilon_on(p)
+        xv = variables(p.x_point, p.order)
+        u_x = self.upsilon(xv)
+        du_x = jets_stack([u_x.deriv(a) for a in range(n)])
+        du_y = p.pull(du_x)
+        grad = p.tangential_gradient(u_y)
+        amb = p.ambient
+        hess_x = amb.cov_deriv(amb.cov_deriv(u_x, []), ["down"])
+        return SimpleNamespace(
+            u_y=u_y,
+            u_x=u_x,
+            grad=grad,
+            grad_up=jet_einsum("ab,b->a", p.induced_inv, grad),
+            normal=jet_einsum("ra,a->r", p.normal_frame, du_y),
+            ambient_up=jet_einsum("ab,b->a", p.metric_inv_y, du_y),
+            hessian=p.tangential_cov_deriv(grad, [("tangent", "down")]),
+            ambient_hessian=p.pull(hess_x),
+            laplacian=p.tangential_laplacian(u_y),
+        )
 
-    # --- tensor mode ---
-    def nilpotent(self, evaluator, weight: float) -> np.ndarray:
+    # --- variations ---
+    @staticmethod
+    def _apply(pack, tu, evaluator, operator, operand_weight) -> Jets:
+        out = evaluator(pack)
+        if operator is None:
+            return out
+        return operator(pack, (float(operand_weight) * tu).exp() * out)
+
+    def nilpotent(self, evaluator, weight: float, operator=None,
+                  operand_weight: float = 0.0) -> np.ndarray:
         pp = self.param
-        u = self.upsilon([pp.chart_jets[a] for a in range(pp.n)])
-        comp = ((-float(weight)) * (pp.chart_jets[pp.n] * u)).exp()
-        return np.asarray((comp * evaluator(pp)).deriv(pp.k).value)
+        tu = pp.chart_jets[pp.n] * self._upsilon_on(pp)
+        out = self._apply(pp, tu, evaluator, operator, operand_weight)
+        comp = ((-float(weight)) * tu).exp()
+        return np.asarray((comp * out).deriv(pp.k).value)
 
-    def central(self, evaluator, weight: float) -> np.ndarray:
+    def central(self, evaluator, weight: float, operator=None,
+                operand_weight: float = 0.0) -> np.ndarray:
         vals = []
         for s in (self.step, -self.step):
             ph = self.finite(s)
-            upt = float(self.upsilon(
-                [ph.chart_jets[a] for a in range(ph.n)]).value)
-            vals.append(np.exp(-weight * s * upt)
-                        * np.asarray(evaluator(ph).value))
+            u = self._upsilon_on(ph)
+            out = self._apply(ph, s * u, evaluator, operator, operand_weight)
+            vals.append(np.exp(-weight * s * float(u.value))
+                        * np.asarray(out.value))
         return (vals[0] - vals[1]) / (2.0 * self.step)
 
     def first_variation(self, evaluator, weight: float):
@@ -294,38 +317,16 @@ class _Engine:
         except BudgetError:
             return self.central(evaluator, weight), "central-difference"
 
-    # --- operator mode: apply_fn(pack, operand) with operand_fn(pack) ---
-    def nilpotent_operator(self, apply_fn, operand_fn, *, operand_weight,
-                           operator_weight, slots_in=0, slots_out=0):
-        pp = self.param
-        u = self.upsilon([pp.chart_jets[a] for a in range(pp.n)])
-        tu = pp.chart_jets[pp.n] * u
-        pre = (float(operand_weight - slots_in) * tu).exp()
-        post = (float(slots_out - operand_weight - operator_weight) * tu).exp()
-        out = post * apply_fn(pp, pre * operand_fn(pp))
-        return np.asarray(out.deriv(pp.k).value)
-
-    def central_operator(self, apply_fn, operand_fn, *, operand_weight,
-                         operator_weight, slots_in=0, slots_out=0):
-        vals = []
-        for s in (self.step, -self.step):
-            ph = self.finite(s)
-            u = self.upsilon([ph.chart_jets[a] for a in range(ph.n)])
-            pre = (float(operand_weight - slots_in) * s * u).exp()
-            out = apply_fn(ph, pre * operand_fn(ph))
-            post = np.exp(float(slots_out - operand_weight - operator_weight)
-                          * s * float(u.value))
-            vals.append(post * np.asarray(out.value))
-        return (vals[0] - vals[1]) / (2.0 * self.step)
-
     # --- report assembly ---
-    def report(self, name, evaluator, weight, *, analytic=None,
+    def report(self, name, evaluator, weight, *, operator=None,
+               operand_weight=0.0, analytic=None,
                method="nilpotent-parameter", cross_check=True):
+        args = (evaluator, weight, operator, operand_weight)
         if method == "nilpotent-parameter":
-            numeric = self.nilpotent(evaluator, weight)
-            other = self.central(evaluator, weight) if cross_check else None
+            numeric = self.nilpotent(*args)
+            other = self.central(*args) if cross_check else None
         elif method == "central-difference":
-            numeric = self.central(evaluator, weight)
+            numeric = self.central(*args)
             other = None
         else:
             raise ValueError(f"unknown linearization method {method!r}")
@@ -336,29 +337,6 @@ class _Engine:
             residual = _gap(numeric, analytic)
         return LinearizationReport(
             quantity=name, method=method, numeric=numeric,
-            analytic=analytic, residual=residual, method_gap=gap,
-            flagged=bool(gap is not None and gap > METHOD_FLAG_TOL))
-
-    def operator_report(self, name, apply_fn, operand_fn, *, operand_weight,
-                        operator_weight, slots_in=0, slots_out=0,
-                        analytic=None, cross_check=True):
-        numeric = self.nilpotent_operator(
-            apply_fn, operand_fn, operand_weight=operand_weight,
-            operator_weight=operator_weight, slots_in=slots_in,
-            slots_out=slots_out)
-        gap = None
-        if cross_check:
-            other = self.central_operator(
-                apply_fn, operand_fn, operand_weight=operand_weight,
-                operator_weight=operator_weight, slots_in=slots_in,
-                slots_out=slots_out)
-            gap = _gap(numeric, other)
-        residual = None
-        if analytic is not None:
-            analytic = np.asarray(analytic, dtype=float)
-            residual = _gap(numeric, analytic)
-        return LinearizationReport(
-            quantity=name, method="nilpotent-parameter", numeric=numeric,
             analytic=analytic, residual=residual, method_gap=gap,
             flagged=bool(gap is not None and gap > METHOD_FLAG_TOL))
 
@@ -526,39 +504,35 @@ def derivative_law_reports(scene: Scene, upsilon=None, *, seed=0,
     law = ((w - 1.0) * np.einsum("a,b->ab", gl, tau)
            - np.einsum("b,a->ab", gl, tau)
            + np.dot(gu, tau) * h)
-    reports = [eng.operator_report(
-        "tangential_derivative[one-form]",
-        lambda q, t: q.tangential_cov_deriv(t, [("tangent", "down")]),
-        _probe_tangent_form, operand_weight=w, operator_weight=0.0,
-        analytic=law, cross_check=cross_check)]
+    reports = [eng.report(
+        "tangential_derivative[one-form]", _probe_tangent_form, w,
+        operator=lambda q, t: q.tangential_cov_deriv(
+            t, [("tangent", "down")]),
+        operand_weight=w, analytic=law, cross_check=cross_check)]
 
+    # the orthonormal normal slot lowers both stored weights by one
     sig = np.asarray(_probe_normal_form(p).value)
     law = (w - 1.0) * np.einsum("a,r->ar", gl, sig)
-    reports.append(eng.operator_report(
-        "tangential_derivative[normal-form]",
-        lambda q, t: q.tangential_cov_deriv(t, [("normal", "down")]),
-        _probe_normal_form, operand_weight=w, operator_weight=0.0,
-        slots_in=1, slots_out=1, analytic=law, cross_check=cross_check))
-
-    def _div(q, t):
-        d = q.tangential_cov_deriv(t, [("tangent", "down")])
-        return jet_einsum("ab,ab->", q.induced_inv, d)
+    reports.append(eng.report(
+        "tangential_derivative[normal-form]", _probe_normal_form, w - 1.0,
+        operator=lambda q, t: q.tangential_cov_deriv(
+            t, [("normal", "down")]),
+        operand_weight=w - 1.0, analytic=law, cross_check=cross_check))
 
     law = (k + w - 2.0) * np.dot(gu, tau)
-    reports.append(eng.operator_report(
-        "tangential_divergence", _div, _probe_tangent_form,
-        operand_weight=w, operator_weight=-2.0, analytic=law,
-        cross_check=cross_check))
+    reports.append(eng.report(
+        "tangential_divergence", _probe_tangent_form, w - 2.0,
+        operator=SubmanifoldPack.divergence, operand_weight=w,
+        analytic=law, cross_check=cross_check))
 
     phi = _probe_scalar(p)
     dphi = np.asarray(p.tangential_gradient(phi).value)
     law = ((k + 2.0 * w - 2.0) * np.dot(gu, dphi)
            + w * float(r.laplacian.value) * float(phi.value))
-    reports.append(eng.operator_report(
-        "tangential_laplacian",
-        lambda q, t: q.tangential_laplacian(t), _probe_scalar,
-        operand_weight=w, operator_weight=-2.0, analytic=law,
-        cross_check=cross_check))
+    reports.append(eng.report(
+        "tangential_laplacian", _probe_scalar, w - 2.0,
+        operator=SubmanifoldPack.tangential_laplacian, operand_weight=w,
+        analytic=law, cross_check=cross_check))
     return reports
 
 
@@ -800,15 +774,6 @@ def check_homogeneity(scene: Scene, *, cs=(2.0, 1.0 / 3.0),
 # -- quartic building blocks: divergence-shaped variations -------------------------
 
 
-def _div_vec(p, V: Jets) -> Jets:
-    dV = p.tangential_cov_deriv(V, [("tangent", "down")])
-    return jet_einsum("ab,ab->", p.induced_inv, dV)
-
-
-def _laplacian_of(p, attr: str) -> Jets:
-    return p.tangential_laplacian(getattr(p, attr))
-
-
 def _double_div_fialkow(p) -> Jets:
     d1 = p.tangential_cov_deriv(
         p.fialkow, [("tangent", "down"), ("tangent", "down")])
@@ -817,21 +782,16 @@ def _double_div_fialkow(p) -> Jets:
     return jet_einsum("bd,bd->", t1, p.induced_inv)
 
 
-def _div_shape_deflection(p) -> Jets:
-    dup = jet_einsum("ab,br->ar", p.induced_inv, p.normal_deflection)
-    return _div_vec(p, jet_einsum("br,abr->a", dup, p.second_tracefree))
-
-
 def _div_shape_weyl_full(p) -> Jets:
     V = jet_einsum("bcr,abcr->a", p.second_tracefree_up,
                    p.block("weyl", "tttn"))
-    return _div_vec(p, V)
+    return p.divergence(V)
 
 
 def _div_shape_weyl_trace(p) -> Jets:
     wtr = jet_einsum("bgrd,gd->br", p.block("weyl", "ttnt"), p.induced_inv)
     lm = jet_einsum("bc,acr->abr", p.induced_inv, p.second_tracefree)
-    return _div_vec(p, jet_einsum("abr,br->a", lm, wtr))
+    return p.divergence(jet_einsum("abr,br->a", lm, wtr))
 
 
 def quartic_term_reports(scene: Scene, upsilon=None, *, seed=0,
@@ -858,12 +818,12 @@ def quartic_term_reports(scene: Scene, upsilon=None, *, seed=0,
     u = r.u_y
 
     lap2 = p.tangential_laplacian(r.laplacian)
-    rhs1 = -lap2 - 2.0 * _div_vec(p, gl * p.intrinsic_jtrace)
-    rhs2 = _div_vec(p, jet_einsum("ab,b->a", p.fialkow, gu) * 2.0
-                    - gl * p.fialkow_trace)
-    rhs3 = -_div_vec(p, jet_einsum("ab,b->a", p.tracefree_square, gu))
-    rhs4 = -2.0 * _div_vec(p, gl * p.tracefree_norm2)
-    rhs5 = -2.0 * _div_vec(p, gl * p.fialkow_trace)
+    rhs1 = -lap2 - 2.0 * p.divergence(gl * p.intrinsic_jtrace)
+    rhs2 = p.divergence(jet_einsum("ab,b->a", p.fialkow, gu) * 2.0
+                        - gl * p.fialkow_trace)
+    rhs3 = -p.divergence(jet_einsum("ab,b->a", p.tracefree_square, gu))
+    rhs4 = -2.0 * p.divergence(gl * p.tracefree_norm2)
+    rhs5 = -2.0 * p.divergence(gl * p.fialkow_trace)
 
     rows = [
         ("laplacian_intrinsic_jtrace",
@@ -913,50 +873,19 @@ def _pnn_trace(p) -> Jets:
     return jet_trace(_pnn(p), "rr->")
 
 
-def _wtn(p) -> Jets:
-    return jet_einsum("abrc,bc->ar", p.block("weyl", "ttnt"), p.induced_inv)
-
-
-def _wnn(p) -> Jets:
-    return jet_einsum("rasb,ab->rs", p.block("weyl", "ntnt"), p.induced_inv)
-
-
-def _schouten_bar_up(p) -> Jets:
-    hi = p.induced_inv
-    return jet_einsum("ac,cb->ab", hi,
-                      jet_einsum("cd,db->cb", p.intrinsic_schouten, hi))
-
-
-def _deflection_up(p) -> Jets:
-    return jet_einsum("ab,br->ar", p.induced_inv, p.normal_deflection)
-
-
-def _shape_pair_normal(p) -> Jets:
-    return jet_einsum("abr,abs->rs", p.second_tracefree_up,
-                      p.second_tracefree)
-
-
 def _mean_outer(p) -> Jets:
     return jet_einsum("r,s->rs", p.mean_curvature, p.mean_curvature)
 
 
+def _normal_div(p, X: Jets) -> Jets:
+    """``h^{ab} nabla_a X_{b r}`` for a tangent-normal 2-tensor ``X``."""
+    dX = p.tangential_cov_deriv(X, [("tangent", "down"), ("normal", "down")])
+    return jet_einsum("ab,abr->r", p.induced_inv, dX)
+
+
 def _laplacian_mean(p) -> Jets:
-    dH = p.tangential_cov_deriv(p.mean_curvature, [("normal", "down")])
-    ddH = p.tangential_cov_deriv(
-        dH, [("tangent", "down"), ("normal", "down")])
-    return jet_einsum("ab,abr->r", p.induced_inv, ddH)
-
-
-def _div_deflection(p) -> Jets:
-    dD = p.tangential_cov_deriv(
-        p.normal_deflection, [("tangent", "down"), ("normal", "down")])
-    return jet_einsum("ab,abr->r", p.induced_inv, dD)
-
-
-def _div_weyl_trace(p) -> Jets:
-    dW = p.tangential_cov_deriv(
-        _wtn(p), [("tangent", "down"), ("normal", "down")])
-    return jet_einsum("ab,abr->r", p.induced_inv, dW)
+    return _normal_div(p, p.tangential_cov_deriv(
+        p.mean_curvature, [("normal", "down")]))
 
 
 def _cotton_trace_normal(p) -> Jets:
@@ -979,36 +908,36 @@ def _build_strata() -> tuple[StratumElement, ...]:
     rows = [
         # stratum 0: only the restriction of Upsilon enters
         (0, "fialkow_dot_intrinsic_schouten",
-         lambda p: jet_einsum("ab,ab->", p.fialkow, _schouten_bar_up(p))),
-        (0, "weyl_trace_dot_deflection",
-         lambda p: jet_einsum("ar,ar->", _wtn(p), _deflection_up(p))),
+         lambda p: jet_einsum("ab,ab->", p.fialkow,
+                              _up2(p, "intrinsic_schouten"))),
+        (0, "weyl_trace_dot_deflection", _deflection_dot_weyl),
         (0, "tracefree_norm2_jbar",
          lambda p: p.tracefree_norm2 * p.intrinsic_jtrace),
         (0, "tracefree_square_dot_intrinsic_schouten",
          lambda p: jet_einsum("ab,ab->", p.tracefree_square,
-                              _schouten_bar_up(p))),
+                              _up2(p, "intrinsic_schouten"))),
         (0, "jbar_squared",
          lambda p: p.intrinsic_jtrace * p.intrinsic_jtrace),
         (0, "intrinsic_schouten_norm2",
          lambda p: jet_einsum("ab,ab->", p.intrinsic_schouten,
-                              _schouten_bar_up(p))),
+                              _up2(p, "intrinsic_schouten"))),
         (0, "fialkow_trace_jbar",
          lambda p: p.fialkow_trace * p.intrinsic_jtrace),
-        (0, "deflection_norm2",
-         lambda p: jet_einsum("ar,ar->", _deflection_up(p),
-                              p.normal_deflection)),
+        (0, "deflection_norm2", _deflection_norm2),
         # stratum 1: first normal derivatives enter through H
         (1, "mean_dot_laplacian_mean",
          lambda p: jet_einsum("r,r->", H(p), _laplacian_mean(p))),
         (1, "mean_dot_div_deflection",
-         lambda p: jet_einsum("r,r->", H(p), _div_deflection(p))),
+         lambda p: jet_einsum("r,r->", H(p),
+                              _normal_div(p, p.normal_deflection))),
         (1, "mean_dot_div_weyl_trace",
-         lambda p: jet_einsum("r,r->", H(p), _div_weyl_trace(p))),
+         lambda p: jet_einsum("r,r->", H(p),
+                              _normal_div(p, _w_tn_trace(p)))),
         (1, "mean_norm4", lambda p: p.mean_norm2 * p.mean_norm2),
         (1, "mean_norm2_tracefree_norm2",
          lambda p: p.mean_norm2 * p.tracefree_norm2),
         (1, "mean_shape_square_mean",
-         lambda p: jet_einsum("rs,rs->", _shape_pair_normal(p),
+         lambda p: jet_einsum("rs,rs->", _shape_normal_gram(p),
                               _mean_outer(p))),
         (1, "mean_norm2_jbar", lambda p: p.mean_norm2 * p.intrinsic_jtrace),
         (1, "fialkow_trace_mean_norm2",
@@ -1021,7 +950,7 @@ def _build_strata() -> tuple[StratumElement, ...]:
          lambda p: jet_einsum("r,r->", H(p), jet_einsum(
              "abr,ab->r", p.second_tracefree_up, p.intrinsic_schouten))),
         (1, "mean_mean_weyl_normal_trace",
-         lambda p: jet_einsum("rs,rs->", _mean_outer(p), _wnn(p))),
+         lambda p: jet_einsum("rs,rs->", _mean_outer(p), _w_ntnt_trace(p))),
         (1, "mean_shape_weyl_mixed",
          lambda p: jet_einsum("r,r->", H(p), jet_einsum(
              "abs,arbs->r", p.second_tracefree_up,
@@ -1032,7 +961,7 @@ def _build_strata() -> tuple[StratumElement, ...]:
         (2, "fialkow_trace_normal_schouten_trace",
          lambda p: p.fialkow_trace * _pnn_trace(p)),
         (2, "normal_schouten_dot_weyl_normal_trace",
-         lambda p: jet_einsum("rs,rs->", _pnn(p), _wnn(p))),
+         lambda p: jet_einsum("rs,rs->", _pnn(p), _w_ntnt_trace(p))),
         (2, "mean_norm2_normal_schouten_trace",
          lambda p: p.mean_norm2 * _pnn_trace(p)),
         (2, "tracefree_norm2_normal_schouten_trace",
@@ -1040,7 +969,7 @@ def _build_strata() -> tuple[StratumElement, ...]:
         (2, "mean_mean_normal_schouten",
          lambda p: jet_einsum("rs,rs->", _mean_outer(p), _pnn(p))),
         (2, "shape_square_normal_schouten",
-         lambda p: jet_einsum("rs,rs->", _shape_pair_normal(p), _pnn(p))),
+         lambda p: jet_einsum("rs,rs->", _shape_normal_gram(p), _pnn(p))),
         (2, "jbar_normal_schouten_trace",
          lambda p: p.intrinsic_jtrace * _pnn_trace(p)),
         (2, "normal_schouten_trace_squared",
@@ -1101,30 +1030,23 @@ def check_strata_vanishing(scene: Scene, *, seed: int = 0,
     ``0..j`` must then have vanishing first variation.  A generic factor
     rides along so the claim is not vacuous.
     """
+    def magnitudes(ups, depth):
+        eng = _engine_for(scene, ups, step=step)
+        mags = {}
+        for el in QUARTIC_STRATA:
+            if el.stratum <= depth:
+                rep = eng.report(el.name, el.evaluate, -4.0,
+                                 method=el.method, cross_check=False)
+                mags[el.name] = float(np.max(np.abs(rep.numeric)))
+        return mags
+
     strata = sorted({el.stratum for el in QUARTIC_STRATA})
     rows = {}
     for j in strata:
         ups = transverse_vanishing_upsilon(scene, j, seed=seed + 10 * j)
-        eng = _engine_for(scene, ups, step=step)
-        mags = {}
-        for el in QUARTIC_STRATA:
-            if el.stratum > j:
-                continue
-            if el.method == "central-difference":
-                val = eng.central(el.evaluate, -4.0)
-            else:
-                val = eng.nilpotent(el.evaluate, -4.0)
-            mags[el.name] = float(np.max(np.abs(val)))
-        rows[j] = mags
-    generic = {}
-    eng = _engine_for(scene, random_upsilon(scene.patch.n, seed=seed + 77),
-                      step=step)
-    for el in QUARTIC_STRATA:
-        if el.method == "central-difference":
-            val = eng.central(el.evaluate, -4.0)
-        else:
-            val = eng.nilpotent(el.evaluate, -4.0)
-        generic[el.name] = float(np.max(np.abs(val)))
+        rows[j] = magnitudes(ups, j)
+    generic = magnitudes(random_upsilon(scene.patch.n, seed=seed + 77),
+                         strata[-1])
     return {"vanishing": rows, "generic": generic}
 
 

@@ -229,16 +229,9 @@ class Jets:
 
     # -- arithmetic ---------------------------------------------------
 
-    def _lift(self, other):
-        """Coerce ``other`` to coefficient form in this space (constants only)."""
-        arr = np.asarray(other, dtype=float)
-        out = np.zeros(arr.shape + (self.space.size,))
-        out[..., 0] = arr
-        return Jets(self.space, out)
-
     def _align(self, other):
         if not isinstance(other, Jets):
-            other = self._lift(other)
+            other = constant(other, self.space)
         r = min(self.order, other.order)
         a, b = self.truncate(r), other.truncate(r)
         if a.space is not b.space:
@@ -396,7 +389,7 @@ def variables(point, order: int, param: bool = False):
     return out
 
 
-def jets_stack(items, axis: int = 0) -> Jets:
+def jets_stack(items) -> Jets:
     """Stack scalar/batched jets (same space) into one batched ``Jets``."""
     items = list(items)
     spc = None
@@ -407,16 +400,9 @@ def jets_stack(items, axis: int = 0) -> Jets:
             break
     if spc is None:
         raise ValueError("jets_stack needs at least one Jets entry")
-    coeffs = []
-    for it in items:
-        if isinstance(it, Jets):
-            coeffs.append(it.truncate(order).coeffs)
-        else:
-            arr = np.asarray(it, dtype=float)
-            c = np.zeros(arr.shape + (spc.size,))
-            c[..., 0] = arr
-            coeffs.append(c)
-    return Jets(spc, np.stack(coeffs, axis=axis))
+    coeffs = [it.truncate(order).coeffs if isinstance(it, Jets)
+              else constant(it, spc).coeffs for it in items]
+    return Jets(spc, np.stack(coeffs))
 
 
 def jet_of(fn, point, order: int) -> Jets:

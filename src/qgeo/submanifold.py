@@ -30,8 +30,11 @@ import numpy as np
 
 from .ambient import (
     CurvaturePack,
+    _rel,
     christoffel_jets,
+    connection_deriv,
     inverse_metric_jets,
+    levi_civita_connection,
     riemann_jets,
 )
 from .fields import GeometryError, ImmersedPatch, MetricField
@@ -54,9 +57,11 @@ class SubmanifoldPack:
     """Frames, forms, and curvature blocks of one immersed patch at a point.
 
     Heavy pieces are cached properties, so a pack only pays for what is
-    actually read.  ``order`` is the ambient metric jet order; the chart map
-    is expanded at ``order + 1``.  With ``param=True`` every jet carries the
-    extra first-order parameter variable used for conformal linearization.
+    actually read; quantities keyed at run time (frame projections,
+    contractions built by the invariants) go through :meth:`memo`.
+    ``order`` is the ambient metric jet order; the chart map is expanded at
+    ``order + 1``.  With ``param=True`` every jet carries the extra
+    first-order parameter variable used for conformal linearization.
     """
 
     def __init__(self, metric: MetricField, patch: ImmersedPatch, point=None,
@@ -79,10 +84,14 @@ class SubmanifoldPack:
         self.x_point = self.chart_jets.value[: self.n]
         self.pull = Composer(self.chart_jets)
         self.ambient = CurvaturePack(
-            metric.jets(self.x_point, order, param=param), self.n,
-            basepoint=tuple(self.x_point),
-        )
-        self._blocks = {}
+            metric.jets(self.x_point, order, param=param), self.n)
+        self._memo = {}
+
+    def memo(self, key, build):
+        """The cached ``build()`` under ``key``, built on first request."""
+        if key not in self._memo:
+            self._memo[key] = build()
+        return self._memo[key]
 
     # -- composed ambient fields (y-space jets along the patch) ---------
 
@@ -277,38 +286,27 @@ class SubmanifoldPack:
         with the induced Christoffel symbols, normal slots with the normal
         connection.
         """
-        letters = "bcdefghij"[: len(slots)]
-        parts = jets_stack([T.deriv(i) for i in range(self.k)])
-        for j, (kind, var) in enumerate(slots):
-            lj = letters[j]
-            tsub = letters[:j] + "z" + letters[j + 1:]
+        connections = []
+        for kind, var in slots:
             if kind == "tangent":
-                gam = self.induced_christoffel
-                if var == "down":
-                    parts = parts - jet_einsum(
-                        f"za{lj},{tsub}->a{letters}", gam, T)
-                else:
-                    parts = parts + jet_einsum(
-                        f"{lj}az,{tsub}->a{letters}", gam, T)
+                A = levi_civita_connection(self.induced_christoffel)
             elif kind == "normal":
-                om = self.normal_connection
-                if var == "down":
-                    parts = parts - jet_einsum(
-                        f"a{lj}z,{tsub}->a{letters}", om, T)
-                else:
-                    parts = parts + jet_einsum(
-                        f"az{lj},{tsub}->a{letters}", om, T)
+                A = self.normal_connection
             else:
                 raise ValueError(f"unknown slot kind {kind!r}")
-        return parts
+            connections.append((A, var))
+        return connection_deriv(T, connections, self.k)
 
     def tangential_gradient(self, u: Jets) -> Jets:
         return self.tangential_cov_deriv(u, [])
 
+    def divergence(self, V: Jets) -> Jets:
+        """``h^{ab} nabla_a V_b`` for a down tangent-vector field."""
+        dV = self.tangential_cov_deriv(V, [("tangent", "down")])
+        return jet_einsum("ab,ab->", self.induced_inv, dV)
+
     def tangential_laplacian(self, u: Jets) -> Jets:
-        dd = self.tangential_cov_deriv(
-            self.tangential_gradient(u), [("tangent", "down")])
-        return jet_einsum("ab,ab->", self.induced_inv, dd)
+        return self.divergence(self.tangential_gradient(u))
 
     # -- projections of ambient tensors -----------------------------------
 
@@ -343,10 +341,8 @@ class SubmanifoldPack:
 
     def block(self, name: str, pattern: str) -> Jets:
         """Cached frame projection of a named ambient tensor along the patch."""
-        key = (name, pattern)
-        if key not in self._blocks:
-            self._blocks[key] = self.project(self._named(name), pattern)
-        return self._blocks[key]
+        return self.memo((name, pattern),
+                         lambda: self.project(self._named(name), pattern))
 
     @cached_property
     def weyl_partial_trace(self) -> Jets:
@@ -517,15 +513,8 @@ def projected_ambient_deriv(pack: SubmanifoldPack, name: str,
 # -- residual suites -------------------------------------------------------
 
 
-def _rel(resid: np.ndarray, *refs: np.ndarray) -> float:
-    scale = 1.0 + max((float(np.max(np.abs(x))) for x in refs), default=0.0)
-    return float(np.max(np.abs(resid))) / scale
-
-
 def _relj(resid: Jets, *refs: Jets) -> float:
-    scale = 1.0 + max(
-        (float(np.max(np.abs(x.coeffs))) for x in refs), default=0.0)
-    return float(np.max(np.abs(resid.coeffs))) / scale
+    return _rel(resid.coeffs, *(x.coeffs for x in refs))
 
 
 def frame_residuals(pack: SubmanifoldPack) -> dict:

@@ -22,10 +22,11 @@ from qgeo.fields import GeometryError, conformally_rescaled
 from qgeo.scenes import (
     affine_plane,
     equatorial_sphere,
+    random_polynomial_metric,
     random_scene,
     scene_by_name,
 )
-from qgeo.submanifold import submanifold_pack
+from qgeo.submanifold import SubmanifoldPack, submanifold_pack
 
 
 @lru_cache(maxsize=None)
@@ -250,7 +251,26 @@ def test_minimal_einstein_specializations_spheres(k, n, radius):
 
 
 def test_flux_sign_is_calibrated():
-    assert inv.paneitz_flux_sign() in (1.0, -1.0)
+    # e^{4u} Q4[e^{2u} h] = Q4[h] + P4[u] on a randomized 4-manifold holds
+    # with the shipped flux sign and fails with the opposite one
+    g = random_polynomial_metric(5, seed=424, amplitude=0.04)
+    patch = affine_plane(4, 5).patch
+    y0 = np.full(4, 0.02)
+
+    def upsilon(xs):
+        return 0.15 * xs[0] - 0.1 * xs[1] * xs[2] + 0.07 * xs[3] ** 2
+
+    base = SubmanifoldPack(g, patch, y0)
+    resc = SubmanifoldPack(conformally_rescaled(g, upsilon, t=1.0), patch, y0)
+    u = upsilon([base.chart_jets[a] for a in range(5)])
+    law = (4.0 * u).exp() * inv.intrinsic_q4(resc) - inv.intrinsic_q4(base)
+    lap2 = base.tangential_laplacian(base.tangential_laplacian(u))
+    flux = (inv.intrinsic_paneitz_apply(base, u) - lap2) * inv.PANEITZ_FLUX_SIGN
+    assert inv.PANEITZ_FLUX_SIGN == 1.0
+    shipped = abs(float((law - lap2 - flux).value))
+    flipped = abs(float((law - lap2 + flux).value))
+    assert shipped < 1e-8, f"law residual with sign +1: {shipped:.3e}"
+    assert flipped > 1e-4, f"law residual with sign -1: {flipped:.3e}"
 
 
 def test_operator_reduces_to_bilaplacian_on_flat_plane():

@@ -224,6 +224,20 @@ def test_tangential_derivative_two_routes(name, pattern):
             f"{sc.name} {name}/{pattern}: routes differ by {num/den:.3e}")
 
 
+@pytest.mark.parametrize("k,n", [(2, 4), (3, 5), (4, 6)])
+def test_induced_metric_is_parallel(k, n):
+    # metric compatibility of the induced connection as whole jets, through
+    # both the lowered and the raised branch of the derivative loop
+    for seed in (0, 1):
+        p = submanifold_pack(random_scene(k, n, seed=seed))
+        for T, var in ((p.induced, "down"), (p.induced_inv, "up")):
+            d = p.tangential_cov_deriv(T, [("tangent", var)] * 2)
+            res = float(np.max(np.abs(d.coeffs)))
+            assert res < 1e-12, f"seed {seed}, {var}: residual {res:.3e}"
+        with pytest.raises(ValueError, match="unknown slot kind"):
+            p.tangential_cov_deriv(p.induced, [("ambient", "down")] * 2)
+
+
 # -- invariance properties ---------------------------------------------------
 
 
