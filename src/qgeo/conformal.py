@@ -590,6 +590,7 @@ def check_tangential_dependence(scene: Scene, upsilon=None, *, seed=0,
 
     normal_only = transverse_vanishing_upsilon(scene, 0, seed=seed + 101)
     eng0 = _engine_for(scene, normal_only)
+    eng0.base = eng.base  # same metric, patch and point: Upsilon-independent
     silent = _lemma_reports(eng0, False)
     tangential_zero = max(float(np.max(np.abs(rep.numeric)))
                           for rep in silent)

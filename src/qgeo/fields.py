@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .jets import Jets, _multi_indices, constant, jet_mul, jets_stack, variables
+from .jets import Jets, _multi_indices, constant, jets_stack, monomial_table, variables
 
 __all__ = [
     "GeometryError",
@@ -32,34 +32,6 @@ __all__ = [
 
 class GeometryError(ValueError):
     """A geometric precondition failed (degenerate metric or immersion)."""
-
-
-def monomial_table(xs, mindex) -> np.ndarray:
-    """Jet coefficients of every monomial ``x^alpha`` for alpha in ``mindex``.
-
-    ``xs`` is a list of scalar jets sharing one space; the table has shape
-    (len(mindex), space.size) and is built one degree at a time with a
-    batched recurrence ``x^alpha = x^(alpha - e_j) * x_j``.
-    """
-    spc = xs[0].space
-    M = len(mindex)
-    table = np.zeros((M, spc.size))
-    table[0, 0] = 1.0
-    pos = {tuple(m): q for q, m in enumerate(mindex)}
-    deg = mindex.sum(axis=1)
-    for d in range(1, int(deg.max(initial=0)) + 1):
-        level = np.nonzero(deg == d)[0]
-        firsts = np.array([int(np.nonzero(mindex[q])[0][0]) for q in level])
-        for j in np.unique(firsts):
-            rows = level[firsts == j]
-            prev = []
-            for q in rows:
-                alpha = mindex[q].copy()
-                alpha[j] -= 1
-                prev.append(pos[tuple(alpha)])
-            prod = jet_mul(Jets(spc, table[prev]), xs[j])
-            table[rows] = prod.coeffs
-    return table
 
 
 class Polynomial:
@@ -81,7 +53,7 @@ class Polynomial:
             )
 
     def __call__(self, xs) -> Jets:
-        table = monomial_table(xs[: self.nvars], self.mindex)
+        table = monomial_table(jets_stack(xs[: self.nvars]), self.mindex)
         return Jets(xs[0].space, self.coeffs @ table)
 
     def coefficient(self, alpha) -> np.ndarray:

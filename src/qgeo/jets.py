@@ -108,9 +108,10 @@ class JetSpace:
         return int(np.searchsorted(self.degree, order + 1))
 
     def mul_tables(self):
-        """(i_idx, j_idx, scatter) with scatter a (npairs, size) CSR matrix.
+        """(i_idx, j_idx, scatter) with scatter a (size, npairs) CSR matrix.
 
-        ``c = (a[i_idx] * b[j_idx]) @ scatter`` is the truncated product.
+        ``c = scatter @ (a[i_idx] * b[j_idx])`` is the truncated product of
+        coefficient vectors ``a`` and ``b``.
         """
         if self._mul is None:
             m = self.mindex
@@ -121,7 +122,7 @@ class JetSpace:
                 (self._pos[tuple(s)] for s in sums[ii, jj]), dtype=np.int64, count=len(ii)
             )
             scatter = sparse.csr_matrix(
-                (np.ones(len(kk)), (np.arange(len(kk)), kk)), shape=(len(kk), self.size)
+                (np.ones(len(kk)), (kk, np.arange(len(kk)))), shape=(self.size, len(kk))
             )
             self._mul = (ii, jj, scatter)
         return self._mul
@@ -232,11 +233,7 @@ class Jets:
     def _align(self, other):
         if not isinstance(other, Jets):
             other = constant(other, self.space)
-        r = min(self.order, other.order)
-        a, b = self.truncate(r), other.truncate(r)
-        if a.space is not b.space:
-            raise ValueError("jets from incompatible spaces")
-        return a, b
+        return _common(self, other)
 
     def __add__(self, other):
         a, b = self._align(other)
@@ -392,14 +389,11 @@ def variables(point, order: int, param: bool = False):
 def jets_stack(items) -> Jets:
     """Stack scalar/batched jets (same space) into one batched ``Jets``."""
     items = list(items)
-    spc = None
-    order = min(it.order for it in items if isinstance(it, Jets))
-    for it in items:
-        if isinstance(it, Jets):
-            spc = it.truncate(order).space
-            break
-    if spc is None:
+    jets = [it for it in items if isinstance(it, Jets)]
+    if not jets:
         raise ValueError("jets_stack needs at least one Jets entry")
+    order = min(it.order for it in jets)
+    spc = jets[0].truncate(order).space
     coeffs = [it.truncate(order).coeffs if isinstance(it, Jets)
               else constant(it, spc).coeffs for it in items]
     return Jets(spc, np.stack(coeffs))
@@ -422,29 +416,76 @@ def jet_of(fn, point, order: int) -> Jets:
 _CHUNK = 1 << 23  # float64 budget per gathered intermediate
 
 
-def jet_mul(a: Jets, b: Jets) -> Jets:
-    """Elementwise (broadcasting) truncated product of two jet batches."""
+def _common(a: Jets, b: Jets) -> tuple[Jets, Jets]:
     r = min(a.order, b.order)
     a = a.truncate(r)
     b = b.truncate(r)
     if a.space is not b.space:
         raise ValueError("jets from incompatible spaces")
-    ii, jj, scatter = a.space.mul_tables()
-    npairs = len(ii)
-    batch = np.broadcast_shapes(a.batch, b.batch)
-    nbatch = int(np.prod(batch, initial=1))
-    if nbatch * npairs <= _CHUNK:
-        prod = a.coeffs[..., ii] * b.coeffs[..., jj]
-        flat = prod.reshape(-1, npairs) @ scatter
-        return Jets(a.space, np.asarray(flat).reshape(batch + (a.space.size,)))
-    out = np.zeros(batch + (a.space.size,))
-    flat_out = out.reshape(-1, a.space.size)
-    step = max(1, _CHUNK // max(nbatch, 1))
-    for lo in range(0, npairs, step):
+    return a, b
+
+
+@functools.lru_cache(maxsize=1024)
+def _plan(sa: str, sb: str, rhs: str, shape_a: tuple, shape_b: tuple):
+    """Operand layouts and result shape of the product ``sa,sb->rhs``.
+
+    Letters split into shared (both operands and the output), left and
+    right free (one operand and the output) and contracted (both operands
+    only).
+    """
+    if not (all(len(set(s)) == len(s) for s in (sa, sb, rhs))
+            and set(sa) ^ set(sb) <= set(rhs) <= set(sa) | set(sb)):
+        raise ValueError(f"jet_einsum {sa},{sb}->{rhs}: each letter must appear at "
+                         "most once per term and in at least two of the three terms")
+    shared = "".join(c for c in rhs if c in sa and c in sb)
+    left = "".join(c for c in rhs if c not in sb)
+    right = "".join(c for c in rhs if c not in sa)
+    summed = "".join(c for c in sa if c in sb and c not in rhs)
+    dims = dict(zip(sa, shape_a))
+    dims.update(zip(sb, shape_b))
+    S, L, R, C = (math.prod(dims[c] for c in g) for g in (shared, left, right, summed))
+    out = shared + left + right
+    return ((len(sa),) + tuple(sa.index(c) for c in shared + left + summed),
+            (len(sb),) + tuple(sb.index(c) for c in shared + summed + right),
+            np.matmul if summed else np.multiply, (-1, S, L, C), (-1, S, C, R),
+            max(S * L * C, S * C * R, S * L * R),
+            tuple(dims[c] for c in out), tuple(1 + out.index(c) for c in rhs) + (0,))
+
+
+def _product(spc: JetSpace, sa: str, sb: str, rhs: str, a: np.ndarray,
+             b: np.ndarray) -> Jets:
+    """Gather-combine-scatter kernel behind ``jet_mul`` and ``jet_einsum``.
+
+    ``a`` and ``b`` (coefficients last, batch axes labelled ``sa`` and
+    ``sb``) go coefficient axis first, laid out ``(coeff, shared, left,
+    contracted)`` and ``(coeff, shared, contracted, right)``.  Per chunk of
+    coefficient pairs ``(i, j)``, rows ``i`` and ``j`` are gathered and
+    combined by a batched matmul (an elementwise product when nothing is
+    contracted); the left-applied CSR scatter sums pairs into coefficients.
+    """
+    axes_a, axes_b, op, shape_x, shape_y, width, out_shape, perm = _plan(
+        sa, sb, rhs, a.shape[:-1], b.shape[:-1])
+    A, B = a.transpose(axes_a), b.transpose(axes_b)
+    ii, jj, scatter = spc.mul_tables()
+    step = max(1, _CHUNK // width)
+    flat = 0.0
+    for lo in range(0, len(ii), step):
         sl = slice(lo, lo + step)
-        prod = a.coeffs[..., ii[sl]] * b.coeffs[..., jj[sl]]
-        flat_out += prod.reshape(-1, prod.shape[-1]) @ scatter[sl]
-    return Jets(a.space, out)
+        x = A.take(ii[sl], axis=0).reshape(shape_x)
+        y = B.take(jj[sl], axis=0).reshape(shape_y)
+        part = scatter if step >= len(ii) else scatter[:, sl]
+        flat = flat + part @ op(x, y).reshape(len(x), -1)
+    return Jets(spc, flat.reshape((spc.size,) + out_shape).transpose(perm))
+
+
+def jet_mul(a: Jets, b: Jets) -> Jets:
+    """Elementwise (broadcasting) truncated product of two jet batches."""
+    a, b = _common(a, b)
+    if a.batch != b.batch:
+        shape = np.broadcast_shapes(a.batch, b.batch) + (a.space.size,)
+        a, b = (Jets(j.space, np.broadcast_to(j.coeffs, shape)) for j in (a, b))
+    s = "abcdefghijklmnopqrstuvwxyz"[: len(a.batch)]
+    return _product(a.space, s, s, s, a.coeffs, b.coeffs)
 
 
 def jet_trace(a: Jets, subscripts: str) -> Jets:
@@ -457,43 +498,37 @@ def jet_einsum(subscripts: str, a: Jets, b: Jets) -> Jets:
     """Two-operand einsum where each element is a truncated jet product.
 
     ``jet_einsum('aec,ecb->ab', A, B)`` contracts like ``np.einsum`` but with
-    jet multiplication at each element.  Contracted letters must appear once
-    in each operand; free letters at most once per operand.
+    jet multiplication at each element.  Each letter appears at most once
+    per term, and in at least two of the three terms.
     """
     lhs, _, rhs = subscripts.partition("->")
     sa, sb = lhs.split(",")
-    r = min(a.order, b.order)
-    a = a.truncate(r)
-    b = b.truncate(r)
-    if a.space is not b.space:
-        raise ValueError("jets from incompatible spaces")
-    ii, jj, scatter = a.space.mul_tables()
-    npairs = len(ii)
-    dims = {}
-    for s, arr in ((sa, a), (sb, b)):
-        for letter, d in zip(s, arr.batch):
-            dims[letter] = d
-    out_shape = tuple(dims[letter] for letter in rhs)
-    # chunk over the pair axis so neither the gathered operands nor the
-    # elementwise product intermediate exceed the budget
-    free = int(np.prod(out_shape, initial=1))
-    na = int(np.prod(a.batch, initial=1))
-    nb = int(np.prod(b.batch, initial=1))
-    widest = max(free, na, nb)
-    pax = next(c for c in "pqzyxwvuPQZYXWVU" if c not in lhs and c not in rhs)
-    spec = f"{sa}{pax},{sb}{pax}->{rhs}{pax}"
-    if widest * npairs <= _CHUNK:
-        prod = np.einsum(spec, a.coeffs[..., ii], b.coeffs[..., jj])
-        flat = prod.reshape(-1, npairs) @ scatter
-        return Jets(a.space, np.asarray(flat).reshape(out_shape + (a.space.size,)))
-    out = np.zeros(out_shape + (a.space.size,))
-    flat_out = out.reshape(-1, a.space.size)
-    step = max(1, _CHUNK // max(widest, 1))
-    for lo in range(0, npairs, step):
-        sl = slice(lo, lo + step)
-        prod = np.einsum(spec, a.coeffs[..., ii[sl]], b.coeffs[..., jj[sl]])
-        flat_out += prod.reshape(-1, prod.shape[-1]) @ scatter[sl]
-    return Jets(a.space, out)
+    a, b = _common(a, b)
+    return _product(a.space, sa, sb, rhs, a.coeffs, b.coeffs)
+
+
+def monomial_table(x: Jets, mindex) -> np.ndarray:
+    """Jet coefficients of every monomial ``x^alpha`` for alpha in ``mindex``.
+
+    ``x`` is a batch of scalar jets, shape ``(nvars,)``; the table has shape
+    (len(mindex), space.size) and is built one degree at a time with a
+    batched recurrence ``x^alpha = x^(alpha - e_j) * x_j``, ``j`` the first
+    variable of ``alpha``.
+    """
+    table = np.zeros((len(mindex), x.space.size))
+    table[0, 0] = 1.0
+    deg = mindex.sum(axis=1)
+    first = np.argmax(mindex > 0, axis=1)
+    # rows of alpha - e_first, found by a mixed-radix key of each multi-index
+    radix = int(deg.max(initial=0)) + 1
+    weights = radix ** np.arange(mindex.shape[1])
+    keys = mindex @ weights
+    srt = np.argsort(keys)
+    prev = srt[np.searchsorted(keys, keys - weights[first], sorter=srt)]
+    for d in range(1, radix):
+        rows = np.nonzero(deg == d)[0]
+        table[rows] = jet_mul(Jets(x.space, table[prev[rows]]), x[first[rows]]).coeffs
+    return table
 
 
 class Composer:
@@ -513,20 +548,10 @@ class Composer:
     def _tables(self, msrc: JetSpace, r: int) -> np.ndarray:
         key = (id(msrc), r)
         if key not in self._mons:
-            tgt = self.coords.truncate(r).space
-            disp = self.coords.truncate(r).coeffs.copy()
+            coords = self.coords.truncate(r)
+            disp = coords.coeffs.copy()
             disp[:, 0] = 0.0  # nilpotent displacements u_i - u_i(0)
-            nil = Jets(tgt, disp)
-            mons = np.zeros((msrc.size, tgt.size))
-            mons[0, 0] = 1.0
-            for pos in range(1, msrc.size):
-                alpha = msrc.mindex[pos]
-                j = int(np.nonzero(alpha)[0][0])
-                prev = alpha.copy()
-                prev[j] -= 1
-                m = jet_mul(Jets(tgt, mons[msrc.position(prev)]), nil[j])
-                mons[pos] = m.coeffs
-            self._mons[key] = mons
+            self._mons[key] = monomial_table(Jets(coords.space, disp), msrc.mindex)
         return self._mons[key]
 
     def __call__(self, f: Jets) -> Jets:

@@ -189,6 +189,22 @@ def test_trace_adjusted_laws_and_tangential_dependence(k, n, seed):
     assert out["schouten_pullback_zero"] < 1e-12
 
 
+def test_tangential_battery_shares_the_base_pack(monkeypatch):
+    # the base pack does not depend on Upsilon, so both engines of the
+    # battery use one: 7 pack builds on this scene, not 8
+    builds = []
+    init = SubmanifoldPack.__init__
+
+    def counting_init(self, *args, **kwargs):
+        builds.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(SubmanifoldPack, "__init__", counting_init)
+    out = cf.check_tangential_dependence(random_scene(4, 5, 2))
+    assert len(builds) == 7
+    assert out["tangential_zero_max"] < 1e-7
+
+
 def test_linearize_mean_curvature_flat_oracle():
     # flat plane, factor = third coordinate: the normal gradient is the
     # constant unit covector, so the mean-curvature variation is -1

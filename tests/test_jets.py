@@ -1,5 +1,6 @@
 """Jet arithmetic against finite differences and closed-form Taylor data."""
 
+import itertools
 import math
 
 import numpy as np
@@ -16,6 +17,7 @@ from qgeo.jets import (
     jet_mul,
     jet_of,
     jet_trace,
+    jets_stack,
     max_jet_order,
     space,
     variables,
@@ -207,6 +209,121 @@ def test_chunked_products_match_unchunked(monkeypatch):
     assert np.allclose(jet_mul(A, B).coeffs, full_m.coeffs)
 
 
+def naive_mul(spc, a, b):
+    """Truncated product of two coefficient vectors, monomial by monomial."""
+    out = np.zeros(spc.size)
+    for i, alpha in enumerate(spc.mindex):
+        for j, beta in enumerate(spc.mindex):
+            gamma = tuple(alpha + beta)
+            if sum(gamma) <= spc.order and all(g <= c for g, c in zip(gamma, spc.caps)):
+                out[spc.position(gamma)] += a[i] * b[j]
+    return out
+
+
+def loop_einsum(subscripts, A, B):
+    """``jet_einsum`` by explicit loops over every letter, one scalar
+    ``jet_mul`` per term."""
+    lhs, _, rhs = subscripts.partition("->")
+    sa, sb = lhs.split(",")
+    dims = dict(zip(sa, A.batch))
+    dims.update(zip(sb, B.batch))
+    letters = sorted(dims)
+    out = np.zeros(tuple(dims[c] for c in rhs) + (A.space.size,))
+    for idx in itertools.product(*(range(dims[c]) for c in letters)):
+        at = dict(zip(letters, idx))
+        term = jet_mul(A[tuple(at[c] for c in sa)], B[tuple(at[c] for c in sb)])
+        out[tuple(at[c] for c in rhs)] += term.coeffs
+    return out
+
+
+def test_scalar_jet_mul_matches_naive_product():
+    rng = np.random.default_rng(5)
+    for spc in (space(3, 3), variables([0.0, 0.0], 3, param=True)[0].space):
+        a, b = rng.normal(size=(2, spc.size))
+        got = jet_mul(Jets(spc, a), Jets(spc, b)).coeffs
+        assert np.allclose(got, naive_mul(spc, a, b), rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize("subscripts, shape_a, shape_b", [
+    ("ab,ab->ab", (2, 3), (2, 3)),      # shared output letters
+    ("ab,ab->", (2, 3), (2, 3)),        # everything contracted
+    ("ab,bc->ac", (2, 3), (3, 2)),      # one contracted letter
+    ("abc,bcd->da", (2, 3, 2), (3, 2, 3)),  # two contracted letters
+    ("abc,b->ca", (2, 3, 2), (3,)),     # left-only free letters
+    ("b,bcd->dc", (3,), (3, 2, 3)),     # right-only free letters
+    ("ab,cb->acb", (2, 3), (2, 3)),     # free both sides plus shared
+    ("zp,pq->qz", (2, 3), (3, 2)),      # letters z and p
+    ("pz,zb->pb", (3, 2), (2, 2)),
+])
+def test_jet_einsum_matches_jet_mul_loops(subscripts, shape_a, shape_b):
+    rng = np.random.default_rng(17)
+    spc = space(2, 3)
+    A = Jets(spc, rng.normal(size=shape_a + (spc.size,)))
+    B = Jets(spc, rng.normal(size=shape_b + (spc.size,)))
+    got = jet_einsum(subscripts, A, B)
+    assert np.allclose(got.coeffs, loop_einsum(subscripts, A, B), rtol=0, atol=1e-12)
+
+
+def test_jet_einsum_rejects_diagonals_and_one_sided_sums():
+    spc = space(2, 2)
+    A = Jets(spc, np.ones((2, 2, spc.size)))
+    for subscripts in ("aa,ab->b", "ab,b->", "ab,ab->c", "ab,ab->aa"):
+        with pytest.raises(ValueError, match="at most once per term"):
+            jet_einsum(subscripts, A, A)
+
+
+def test_jet_einsum_on_nilpotent_space():
+    rng = np.random.default_rng(19)
+    spc = variables([0.0, 0.0, 0.0], 3, param=True)[0].space
+    assert spc.caps[-1] == 1
+    A = Jets(spc, rng.normal(size=(3, 2, spc.size)))
+    B = Jets(spc, rng.normal(size=(2, 3, spc.size)))
+    for subscripts in ("ab,bc->ac", "ab,ba->", "ab,ba->ab"):
+        got = jet_einsum(subscripts, A, B)
+        assert np.allclose(got.coeffs, loop_einsum(subscripts, A, B), rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("shape_a, shape_b", [
+    ((), (4, 4)), ((4, 4), ()), ((4, 1), (1, 3)), ((3,), (2, 3)), ((2, 1, 3), (4, 1)),
+])
+def test_jet_mul_broadcasts_like_numpy(shape_a, shape_b):
+    rng = np.random.default_rng(23)
+    spc = space(2, 3)
+    A = Jets(spc, rng.normal(size=shape_a + (spc.size,)))
+    B = Jets(spc, rng.normal(size=shape_b + (spc.size,)))
+    batch = np.broadcast_shapes(shape_a, shape_b)
+    ca = np.broadcast_to(A.coeffs, batch + (spc.size,))
+    cb = np.broadcast_to(B.coeffs, batch + (spc.size,))
+    want = np.zeros(batch + (spc.size,))
+    for idx in np.ndindex(*batch):
+        want[idx] = jet_mul(Jets(spc, ca[idx]), Jets(spc, cb[idx])).coeffs
+    got = jet_mul(A, B)
+    assert got.batch == batch
+    assert np.allclose(got.coeffs, want, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("nvars, order, npairs", [
+    (1, 4, 15), (2, 3, 35), (4, 4, 495), (5, 2, 66), (7, 3, 680),
+])
+def test_pair_count_of_uncapped_space(nvars, order, npairs):
+    # pairs (alpha, beta) with |alpha| + |beta| <= r are the monomials of
+    # degree <= r in 2 nvars variables
+    spc = space(nvars, order)
+    ii, jj, scatter = spc.mul_tables()
+    assert len(ii) == len(jj) == npairs == math.comb(2 * nvars + order, order)
+    assert scatter.shape == (spc.size, npairs)
+    assert scatter.nnz == npairs
+
+
+def test_jets_stack_needs_a_jet():
+    for items in ([1.0, 2.0], []):
+        with pytest.raises(ValueError, match="at least one Jets entry"):
+            jets_stack(items)
+    x, = variables([0.5], 2)
+    mixed = jets_stack([2.0, x])
+    assert np.array_equal(mixed.coeffs[0], constant(2.0, x.space).coeffs)
+
+
 def test_jet_trace_reorders_batch():
     rng = np.random.default_rng(3)
     spc = space(2, 2)
@@ -232,8 +349,6 @@ def test_compose_chain_rule():
 
     order = 3
     y = [jet_of(inner0, point, order), jet_of(inner1, point, order)]
-    from qgeo.jets import jets_stack
-
     F = jet_of(lambda ys: ys[0].exp() * ys[1],
                [y[0].value, y[1].value], order)
     got = compose(F, jets_stack(y))
