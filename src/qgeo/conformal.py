@@ -8,9 +8,14 @@ rescaled by ``exp(2 t Upsilon)``?  The response is probed two ways,
   jet variable ``t`` with ``t^2 = 0``, so the first variation pops out as
   an exact coefficient (no truncation error at all);
 * ``central-difference``: the quantity is evaluated at ``t = +/-step``
-  on ordinary packs and differenced, which also works when the exact
-  route would exhaust the jet budget (fourth-derivative quantities at
-  the default pack order).
+  on ordinary packs and differenced.
+
+No caller picks between them: the jet budget does.  Every variation is
+tried on the nilpotent route first, and only a quantity whose parameter
+coefficient would need jets beyond the budget (fourth-derivative
+quantities at the default pack order) raises ``BudgetError`` and is
+differenced instead.  ``LinearizationReport.method`` records the route
+each variation took.
 
 Stored components mix a coordinate tangent frame with an orthonormal
 normal frame.  Re-running Gram-Schmidt against ``exp(2 t Upsilon) g``
@@ -112,8 +117,6 @@ METHOD_AGREEMENT_TOL = 1e-6
 #: a gap above this marks the report as unreliable.
 METHOD_FLAG_TOL = 1e-5
 
-_DEFAULT_STEP = 1e-4
-
 
 # -- conformal factors ---------------------------------------------------------
 
@@ -141,18 +144,18 @@ class ConformalFactor:
         """The scalar's ambient jet expansion at ``x_point``."""
         return self.fn(variables(np.asarray(x_point, dtype=float), order))
 
-    def verify(self, x_point, *, order: int = 4, tol: float = 1e-10) -> bool:
+    def verify(self, x_point) -> bool:
         """Check the ``vanishing_order`` tag against the jet coefficients.
 
         Only a necessary condition is tested (coefficients of total degree
-        up to the tag must vanish at ``x_point``), which is exactly what the
-        stratified checks below consume.
+        up to the tag must vanish at ``x_point`` to within 1e-10), which is
+        exactly what the stratified checks below consume.
         """
         if self.vanishing_order is None:
             return True
-        u = self.jets(x_point, order=max(order, self.vanishing_order))
+        u = self.jets(x_point, order=max(4, self.vanishing_order))
         low = np.abs(u.coeffs[..., u.space.degree <= self.vanishing_order])
-        return bool(low.size == 0 or float(low.max()) <= tol)
+        return bool(low.size == 0 or float(low.max()) <= 1e-10)
 
 
 def _as_factor(upsilon) -> ConformalFactor:
@@ -178,10 +181,12 @@ def rescale(metric: MetricField, upsilon, t: float = 0.0) -> MetricField:
 class LinearizationReport:
     """First conformal variation of one stored quantity.
 
-    ``numeric`` holds the variation computed by ``method``; ``analytic``
-    and ``residual`` are populated when a closed-form law is available.
-    ``method_gap`` compares the nilpotent-parameter and central-difference
-    routes whenever both ran; a gap above ``METHOD_FLAG_TOL`` sets
+    ``numeric`` holds the variation and ``method`` the route the jet
+    budget sent it down (``"nilpotent-parameter"``, or
+    ``"central-difference"`` after a ``BudgetError``); ``analytic`` and
+    ``residual`` are populated when a closed-form law is available.
+    ``method_gap`` compares the two routes when a nilpotent variation was
+    cross-checked by differencing; a gap above ``METHOD_FLAG_TOL`` sets
     ``flagged``.
     """
 
@@ -212,7 +217,10 @@ class _Engine:
 
     Builds, each on first use, the base pack, the nilpotent-parameter pack
     and the pair of finite-parameter packs used for central differences,
-    so a batch of reports doesn't rebuild them per quantity.
+    so a batch of reports doesn't rebuild them per quantity.  Base and
+    finite packs carry the default pack order; ``param_order`` sets the
+    order of the parameter pack, and with it which quantities fit the jet
+    budget on the nilpotent route (:meth:`variation`).
 
     A variation is taken of ``operator(pack, exp(operand_weight t Upsilon)
     evaluator(pack))`` compensated by ``exp(-weight t Upsilon)``, where
@@ -220,22 +228,20 @@ class _Engine:
     is the variation of ``evaluator`` itself.
     """
 
-    def __init__(self, metric, patch, point, upsilon, *, order=4,
-                 param_order=None, step=_DEFAULT_STEP):
+    def __init__(self, metric, patch, point, upsilon, *, param_order=4,
+                 step=1e-4):
         self.metric = metric
         self.patch = patch
         self.point = None if point is None else np.asarray(point, dtype=float)
         self.upsilon = _as_factor(upsilon)
-        self.order = order
-        self.param_order = order if param_order is None else param_order
+        self.param_order = param_order
         self.step = step
         self._finite = {}
 
     # --- packs ---
     @cached_property
     def base(self) -> SubmanifoldPack:
-        return SubmanifoldPack(self.metric, self.patch, self.point,
-                               order=self.order)
+        return SubmanifoldPack(self.metric, self.patch, self.point)
 
     @cached_property
     def param(self) -> SubmanifoldPack:
@@ -246,8 +252,7 @@ class _Engine:
     def finite(self, t: float) -> SubmanifoldPack:
         if t not in self._finite:
             ghat = conformally_rescaled(self.metric, self.upsilon, t=t)
-            self._finite[t] = SubmanifoldPack(
-                ghat, self.patch, self.point, order=self.order)
+            self._finite[t] = SubmanifoldPack(ghat, self.patch, self.point)
         return self._finite[t]
 
     def _upsilon_on(self, pack) -> Jets:
@@ -305,32 +310,34 @@ class _Engine:
                         * np.asarray(out.value))
         return (vals[0] - vals[1]) / (2.0 * self.step)
 
-    def first_variation(self, evaluator, weight: float):
-        """Nilpotent variation, falling back to differencing on budget walls.
+    def variation(self, evaluator, weight: float, operator=None,
+                  operand_weight: float = 0.0) -> tuple[np.ndarray, str]:
+        """The first variation and the method that produced it.
 
-        Quantities consuming four ambient metric derivatives push the
-        parameter coefficient past the default jet order; those come back
-        through central differences, and the method used is reported.
+        The nilpotent route runs first.  Only when the parameter
+        coefficient would need jets beyond the budget (four ambient metric
+        derivatives at the default order) does it raise ``BudgetError``,
+        and the quantity is differenced instead.
         """
+        args = (evaluator, weight, operator, operand_weight)
         try:
-            return self.nilpotent(evaluator, weight), "nilpotent-parameter"
+            return self.nilpotent(*args), "nilpotent-parameter"
         except BudgetError:
-            return self.central(evaluator, weight), "central-difference"
+            return self.central(*args), "central-difference"
 
     # --- report assembly ---
     def report(self, name, evaluator, weight, *, operator=None,
-               operand_weight=0.0, analytic=None,
-               method="nilpotent-parameter", cross_check=True):
+               operand_weight=0.0, analytic=None, cross_check=False):
+        """A :class:`LinearizationReport` of one :meth:`variation`.
+
+        With ``cross_check`` a nilpotent variation is also differenced and
+        the gap between the two routes recorded.
+        """
         args = (evaluator, weight, operator, operand_weight)
-        if method == "nilpotent-parameter":
-            numeric = self.nilpotent(*args)
-            other = self.central(*args) if cross_check else None
-        elif method == "central-difference":
-            numeric = self.central(*args)
-            other = None
-        else:
-            raise ValueError(f"unknown linearization method {method!r}")
-        gap = None if other is None else _gap(numeric, other)
+        numeric, method = self.variation(*args)
+        gap = None
+        if cross_check and method == "nilpotent-parameter":
+            gap = _gap(numeric, self.central(*args))
         residual = None
         if analytic is not None:
             analytic = np.asarray(analytic, dtype=float)
@@ -341,26 +348,27 @@ class _Engine:
             flagged=bool(gap is not None and gap > METHOD_FLAG_TOL))
 
 
-def _engine_for(scene: Scene, upsilon, **kw) -> _Engine:
+def _engine_for(scene: Scene, upsilon, seed, **kw) -> _Engine:
+    """The engine of ``scene`` for ``upsilon`` (random from ``seed`` if None)."""
+    if upsilon is None:
+        upsilon = random_upsilon(scene.patch.n, seed=seed)
     return _Engine(scene.metric, scene.patch, scene.point, upsilon, **kw)
 
 
 def linearize(evaluator, metric, patch, upsilon, weight, *, point=None,
-              order=4, method="nilpotent-parameter", step=_DEFAULT_STEP,
-              cross_check=True, analytic=None,
-              name="quantity") -> LinearizationReport:
+              analytic=None, name="quantity") -> LinearizationReport:
     """First conformal variation of ``evaluator``'s stored components.
 
     ``evaluator`` maps a :class:`SubmanifoldPack` to a jet tensor;
     ``weight`` is the exponent of its stored components under rescale
     (abstract all-lowered homogeneity minus the number of orthonormal
-    normal slots).  The nilpotent-parameter route is exact; central
-    differences at ``t = +/-step`` provide the cross-check and the
-    fallback when the exact route would need jets beyond the budget.
+    normal slots).  The nilpotent-parameter route is exact and is
+    cross-checked by central differences at ``t = +/-1e-4``, which also
+    stand in for it when it would need jets beyond the budget.
     """
-    eng = _Engine(metric, patch, point, upsilon, order=order, step=step)
+    eng = _Engine(metric, patch, point, upsilon)
     return eng.report(name, evaluator, weight, analytic=analytic,
-                      method=method, cross_check=cross_check)
+                      cross_check=True)
 
 
 # -- ambient transformation laws -----------------------------------------------
@@ -369,8 +377,8 @@ _WEYL_PATTERNS = ("tttt", "tttn", "ttnn", "tntn")
 _SCHOUTEN_PATTERNS = ("tt", "tn", "nn")
 
 
-def ambient_law_reports(scene: Scene, upsilon=None, *, seed=0,
-                        cross_check=False) -> list[LinearizationReport]:
+def ambient_law_reports(scene: Scene, upsilon=None, *,
+                        seed=0) -> list[LinearizationReport]:
     """Variation laws for the ambient curvature family along the patch.
 
     The Weyl tensor is conformally invariant, the Schouten tensor picks
@@ -379,78 +387,66 @@ def ambient_law_reports(scene: Scene, upsilon=None, *, seed=0,
     ``n != 4``) a gradient contraction of the Cotton tensor.  Stored
     weights follow the normal-slot count of each projection pattern.
     """
-    if upsilon is None:
-        upsilon = random_upsilon(scene.patch.n, seed=seed)
-    eng = _engine_for(scene, upsilon)
+    eng = _engine_for(scene, upsilon, seed)
     p, r = eng.base, eng.restriction
     n = p.n
     reports = []
     for pat in _WEYL_PATTERNS:
         reports.append(eng.report(
             f"weyl[{pat}]", lambda q, pat=pat: q.block("weyl", pat),
-            2.0 - pat.count("n"), analytic=0.0, cross_check=cross_check))
+            2.0 - pat.count("n"), analytic=0.0))
     hess = r.ambient_hessian
     for pat in _SCHOUTEN_PATTERNS:
         analytic = -np.asarray(p.project(hess, pat).value)
         reports.append(eng.report(
             f"schouten[{pat}]", lambda q, pat=pat: q.block("schouten", pat),
-            -float(pat.count("n")), analytic=analytic,
-            cross_check=cross_check))
+            -float(pat.count("n")), analytic=analytic))
     wu = jet_einsum("abcd,d->abc", p.weyl_y, r.ambient_up)
     for pat in ("ttt", "ttn"):
         analytic = -np.asarray(p.project(wu, pat).value)
         reports.append(eng.report(
             f"cotton[{pat}]", lambda q, pat=pat: q.block("cotton", pat),
-            -float(pat.count("n")), analytic=analytic,
-            cross_check=cross_check))
+            -float(pat.count("n")), analytic=analytic))
     cu = jet_einsum("gab,g->ab", p.cotton_y, r.ambient_up)
     csym = (cu + jet_trace(cu, "ab->ba")) * 0.5
     analytic = 2.0 * (n - 4) * np.asarray(p.project(csym, "tt").value)
     reports.append(eng.report(
         "bach[tt]", lambda q: q.project(q.bach_y, "tt"), -2.0,
-        analytic=analytic, method="central-difference"))
+        analytic=analytic))
     return reports
 
 
 # -- submanifold transformation laws -------------------------------------------
 
 
-def submanifold_law_reports(scene: Scene, upsilon=None, *, seed=0,
-                            cross_check=False) -> list[LinearizationReport]:
+def submanifold_law_reports(scene: Scene, upsilon=None, *,
+                            seed=0) -> list[LinearizationReport]:
     """Variation laws for the second fundamental form family.
 
     The full form varies by ``-Upsilon_normal g``, its trace-free part
     and the normal-bundle curvature are invariant, and the mean
     curvature varies by minus the normal gradient.
     """
-    if upsilon is None:
-        upsilon = random_upsilon(scene.patch.n, seed=seed)
-    eng = _engine_for(scene, upsilon)
+    eng = _engine_for(scene, upsilon, seed)
     p, r = eng.base, eng.restriction
     normal = np.asarray(r.normal.value)
     induced = np.asarray(p.induced.value)
     reports = [
         eng.report("second_fundamental",
                    lambda q: q.second_fundamental, 1.0,
-                   analytic=-np.einsum("ab,r->abr", induced, normal),
-                   cross_check=cross_check),
+                   analytic=-np.einsum("ab,r->abr", induced, normal)),
         eng.report("second_tracefree",
-                   lambda q: q.second_tracefree, 1.0, analytic=0.0,
-                   cross_check=cross_check),
+                   lambda q: q.second_tracefree, 1.0, analytic=0.0),
         eng.report("mean_curvature",
-                   lambda q: q.mean_curvature, -1.0, analytic=-normal,
-                   cross_check=cross_check),
+                   lambda q: q.mean_curvature, -1.0, analytic=-normal),
         eng.report("normal_curvature",
-                   lambda q: q.normal_curvature, 0.0, analytic=0.0,
-                   cross_check=cross_check),
+                   lambda q: q.normal_curvature, 0.0, analytic=0.0),
         eng.report("induced_metric",
-                   lambda q: q.induced, 2.0, analytic=0.0,
-                   cross_check=cross_check),
+                   lambda q: q.induced, 2.0, analytic=0.0),
     ]
     if scene.patch.k >= 3:
         reports.append(eng.report(
-            "fialkow", lambda q: q.fialkow, 0.0, analytic=0.0,
-            cross_check=cross_check))
+            "fialkow", lambda q: q.fialkow, 0.0, analytic=0.0))
     return reports
 
 
@@ -481,20 +477,18 @@ def _probe_normal_form(pack) -> Jets:
     return jets_stack(comps)
 
 
-def derivative_law_reports(scene: Scene, upsilon=None, *, seed=0,
-                           operand_weight: float = 1.3,
-                           cross_check=True) -> list[LinearizationReport]:
+def derivative_law_reports(scene: Scene, upsilon=None, *,
+                           seed=0) -> list[LinearizationReport]:
     """Variation laws of the induced connection and Laplacian.
 
-    Probes the tangential covariant derivative on weighted one-forms
-    (tangential and normal-bundle valued), the divergence, and the
-    Laplacian on scalars, against their closed-form lower-order terms.
+    Probes the tangential covariant derivative on one-forms of stored
+    weight 1.3 (tangential and normal-bundle valued), the divergence, and
+    the Laplacian on scalars, against their closed-form lower-order terms.
+    Every variation is cross-checked by central differences.
     """
-    if upsilon is None:
-        upsilon = random_upsilon(scene.patch.n, seed=seed)
-    eng = _engine_for(scene, upsilon)
+    eng = _engine_for(scene, upsilon, seed)
     p, r = eng.base, eng.restriction
-    w = float(operand_weight)
+    w = 1.3  # generic, so no weight-dependent term of a law drops out
     k = p.k
     gl = np.asarray(r.grad.value)
     gu = np.asarray(r.grad_up.value)
@@ -508,7 +502,7 @@ def derivative_law_reports(scene: Scene, upsilon=None, *, seed=0,
         "tangential_derivative[one-form]", _probe_tangent_form, w,
         operator=lambda q, t: q.tangential_cov_deriv(
             t, [("tangent", "down")]),
-        operand_weight=w, analytic=law, cross_check=cross_check)]
+        operand_weight=w, analytic=law, cross_check=True)]
 
     # the orthonormal normal slot lowers both stored weights by one
     sig = np.asarray(_probe_normal_form(p).value)
@@ -517,13 +511,13 @@ def derivative_law_reports(scene: Scene, upsilon=None, *, seed=0,
         "tangential_derivative[normal-form]", _probe_normal_form, w - 1.0,
         operator=lambda q, t: q.tangential_cov_deriv(
             t, [("normal", "down")]),
-        operand_weight=w - 1.0, analytic=law, cross_check=cross_check))
+        operand_weight=w - 1.0, analytic=law, cross_check=True))
 
     law = (k + w - 2.0) * np.dot(gu, tau)
     reports.append(eng.report(
         "tangential_divergence", _probe_tangent_form, w - 2.0,
         operator=SubmanifoldPack.divergence, operand_weight=w,
-        analytic=law, cross_check=cross_check))
+        analytic=law, cross_check=True))
 
     phi = _probe_scalar(p)
     dphi = np.asarray(p.tangential_gradient(phi).value)
@@ -532,48 +526,47 @@ def derivative_law_reports(scene: Scene, upsilon=None, *, seed=0,
     reports.append(eng.report(
         "tangential_laplacian", _probe_scalar, w - 2.0,
         operator=SubmanifoldPack.tangential_laplacian, operand_weight=w,
-        analytic=law, cross_check=cross_check))
+        analytic=law, cross_check=True))
     return reports
 
 
 # -- trace-adjusted tensors and their tangential dependence ----------------------
 
 
-def _lemma_reports(eng: _Engine, cross_check: bool) -> list[LinearizationReport]:
+def _lemma_reports(eng: _Engine) -> list[LinearizationReport]:
     p, r = eng.base, eng.restriction
     n = p.n
     gu = np.asarray(r.grad_up.value)
     reports = [eng.report(
         "mixed_schouten", lambda q: q.mc_schouten, 0.0,
-        analytic=-np.asarray(r.hessian.value), cross_check=cross_check)]
+        analytic=-np.asarray(r.hessian.value))]
     w4 = p.block("weyl", "tttt")
     analytic = -np.einsum(
         "abcz,z->abc", np.asarray(w4.value), gu)
     reports.append(eng.report(
         "mixed_cotton[ttt]", lambda q: q.block("mc_cotton", "ttt"), 0.0,
-        analytic=analytic, cross_check=cross_check))
+        analytic=analytic))
     wtr = jet_einsum("bd,bade->ae", p.induced_inv, w4)
     analytic = -np.einsum("ae,e->a", np.asarray(wtr.value), gu)
     reports.append(eng.report(
         "mixed_cotton_trace", lambda q: q.mc_cotton_trace, -2.0,
-        analytic=analytic, cross_check=cross_check))
+        analytic=analytic))
     c3 = p.block("mc_cotton", "ttt")
     csym = (c3 + jet_trace(c3, "gab->gba")) * 0.5
     analytic = 2.0 * (n - 4) * np.einsum(
         "g,gab->ab", gu, np.asarray(csym.value))
     reports.append(eng.report(
-        "mixed_bach", lambda q: q.mc_bach, -2.0, analytic=analytic,
-        method="central-difference"))
+        "mixed_bach", lambda q: q.mc_bach, -2.0, analytic=analytic))
     analytic = -np.einsum(
         "b,abr->ar", gu, np.asarray(p.second_tracefree.value))
     reports.append(eng.report(
         "normal_deflection", lambda q: q.normal_deflection, -1.0,
-        analytic=analytic, cross_check=cross_check))
+        analytic=analytic))
     return reports
 
 
-def check_tangential_dependence(scene: Scene, upsilon=None, *, seed=0,
-                                cross_check=False) -> dict:
+def check_tangential_dependence(scene: Scene, upsilon=None, *,
+                                seed=0) -> dict:
     """Laws for the trace-adjusted tensors plus their key dependence claim.
 
     The five mixed quantities (Schouten, Cotton, Cotton trace, Bach,
@@ -583,15 +576,13 @@ def check_tangential_dependence(scene: Scene, upsilon=None, *, seed=0,
     trace-adjusted Schouten variation vanishes identically as soon as the
     pullback of ``Upsilon`` does.
     """
-    if upsilon is None:
-        upsilon = random_upsilon(scene.patch.n, seed=seed)
-    eng = _engine_for(scene, upsilon)
-    reports = _lemma_reports(eng, cross_check)
+    eng = _engine_for(scene, upsilon, seed)
+    reports = _lemma_reports(eng)
 
     normal_only = transverse_vanishing_upsilon(scene, 0, seed=seed + 101)
-    eng0 = _engine_for(scene, normal_only)
+    eng0 = _engine_for(scene, normal_only, seed)
     eng0.base = eng.base  # same metric, patch and point: Upsilon-independent
-    silent = _lemma_reports(eng0, False)
+    silent = _lemma_reports(eng0)
     tangential_zero = max(float(np.max(np.abs(rep.numeric)))
                           for rep in silent)
     schouten_zero = float(np.max(np.abs(
@@ -622,60 +613,36 @@ CONFORMALLY_INVARIANT = (
 )
 
 
-def check_invariance(scene: Scene, upsilon=None, *, seed=0,
-                     ts=(0.1, -0.07), names=None,
-                     nilpotent: bool = True) -> dict:
+def check_invariance(scene: Scene, upsilon=None, *, seed=0) -> dict:
     """Finite-rescale covariance of the registered scalar invariants.
 
     For each invariant of weight ``w`` the rescaled evaluation must equal
-    ``exp(w t Upsilon)`` times the original, for every finite ``t``
-    probed; with ``nilpotent=True`` the exact first variation of the
-    compensated quantity is checked to vanish as well.  A few non-scalar
-    sanity quantities ride along.
+    ``exp(w t Upsilon)`` times the original at ``t = 0.1`` and
+    ``t = -0.07``, and the first variation of the compensated quantity
+    must vanish; ``variation_method`` records the route the jet budget
+    gave it.  A few non-scalar sanity quantities ride along.
     """
-    if upsilon is None:
-        upsilon = random_upsilon(scene.patch.n, seed=seed)
-    eng = _engine_for(scene, upsilon)
+    eng = _engine_for(scene, upsilon, seed)
     p0 = eng.base
     k = p0.k
-    if names is None:
-        names = [nm for nm in CONFORMALLY_INVARIANT
-                 if nm in available(k, p0.n)]
+    rows = [(nm, lambda q, nm=nm: evaluate(q, nm), REGISTRY[nm].weight_at(k))
+            for nm in CONFORMALLY_INVARIANT if nm in available(k, p0.n)]
+    rows += [("tracefree_norm2", lambda q: q.tracefree_norm2, -2.0),
+             ("normal_curvature", lambda q: q.normal_curvature, 0.0)]
+    if k >= 3:
+        rows.append(("fialkow", lambda q: q.fialkow, 0.0))
     upt = float(eng.restriction.u_y.value)
     out = {}
-    for nm in names:
-        w = REGISTRY[nm].weight_at(k)
-        base = float(evaluate(p0, nm).value)
-        worst = 0.0
-        for t in ts:
-            hat = float(evaluate(eng.finite(t), nm).value)
-            worst = max(worst, abs(np.exp(-w * t * upt) * hat - base))
-        row = {"finite": worst, "weight": w}
-        if nilpotent:
-            val, method = eng.first_variation(
-                lambda q, nm=nm: evaluate(q, nm), float(w))
-            row["variation"] = float(np.max(np.abs(val)))
-            row["variation_method"] = method
-        out[nm] = row
-
-    sanity = {
-        "tracefree_norm2": (lambda q: q.tracefree_norm2, -2.0),
-        "normal_curvature": (lambda q: q.normal_curvature, 0.0),
-    }
-    if scene.patch.k >= 3:
-        sanity["fialkow"] = (lambda q: q.fialkow, 0.0)
-    for nm, (ev, w) in sanity.items():
+    for nm, ev, w in rows:
         base = np.asarray(ev(p0).value)
-        worst = 0.0
-        for t in ts:
-            hat = np.asarray(ev(eng.finite(t)).value)
-            worst = max(worst, _gap(np.exp(-w * t * upt) * hat, base))
-        row = {"finite": worst, "weight": w}
-        if nilpotent:
-            val, method = eng.first_variation(ev, w)
-            row["variation"] = float(np.max(np.abs(val)))
-            row["variation_method"] = method
-        out[nm] = row
+        finite = max(
+            _gap(np.exp(-w * t * upt) * np.asarray(ev(eng.finite(t)).value),
+                 base)
+            for t in (0.1, -0.07))
+        val, method = eng.variation(ev, float(w))
+        out[nm] = {"finite": finite, "weight": w,
+                   "variation": float(np.max(np.abs(val))),
+                   "variation_method": method}
     return out
 
 
@@ -686,15 +653,15 @@ def _q_name(k: int) -> str:
     return "extrinsic_q2" if k == 2 else "extrinsic_q4"
 
 
-def check_q_transformation(scenes=None, upsilons=None, *, t: float = 1.0,
-                           seed: int = 0) -> dict:
+def check_q_transformation(scenes=None, *, seed: int = 0) -> dict:
     """The change rule of the extrinsic Q-curvatures at a full rescale.
 
-    For each scene and factor, ``exp(k t Upsilon) Q_hat`` must equal
-    ``Q + P(t Upsilon)`` with ``P`` the matching extrinsic operator; the
-    operator must also kill constants exactly.  Defaults cover flat and
-    curved surfaces plus curved four-folds, including a round-sphere
-    scene probed with a localized bump.
+    For each scene and factor, ``exp(k Upsilon) Q_hat`` must equal
+    ``Q + P(Upsilon)`` with ``P`` the matching extrinsic operator; the
+    operator must also kill constants exactly.  Each scene is probed with
+    two random factors, and an equatorial sphere also with a localized
+    bump.  Default scenes cover flat and curved surfaces plus curved
+    four-folds, including a round-sphere scene.
     """
     if scenes is None:
         scenes = [
@@ -708,19 +675,15 @@ def check_q_transformation(scenes=None, upsilons=None, *, t: float = 1.0,
     for sc in scenes:
         p0 = SubmanifoldPack(sc.metric, sc.patch, sc.point)
         k, n = p0.k, p0.n
-        ups_list = upsilons
-        if ups_list is None:
-            ups_list = [random_upsilon(n, seed=seed + 7),
-                        random_upsilon(n, seed=seed + 8, degree=3)]
-            if sc.name.startswith("equatorial"):
-                ups_list.append(_bump_factor(0.3))
+        ups_list = [random_upsilon(n, seed=seed + 7),
+                    random_upsilon(n, seed=seed + 8, degree=3)]
+        if sc.name.startswith("equatorial"):
+            ups_list.append(_bump_factor(0.3))
         qname = _q_name(k)
-        u0 = None
         worst = 0.0
         for ups in ups_list:
-            ups = _as_factor(ups)
-            u0 = ups([p0.chart_jets[a] for a in range(n)]) * t
-            ghat = rescale(sc.metric, ups, t)
+            u0 = ups([p0.chart_jets[a] for a in range(n)])
+            ghat = rescale(sc.metric, ups, 1.0)
             ph = SubmanifoldPack(ghat, sc.patch, sc.point)
             lhs = (np.exp(k * float(u0.value))
                    * float(evaluate(ph, qname).value))
@@ -746,17 +709,18 @@ def _bump_factor(amplitude: float) -> ConformalFactor:
 # -- uniform scalings --------------------------------------------------------------
 
 
-def check_homogeneity(scene: Scene, *, cs=(2.0, 1.0 / 3.0),
-                      names=None) -> dict:
-    """Pure scalings ``g -> c^2 g`` hit every invariant at its exact weight."""
+def check_homogeneity(scene: Scene) -> dict:
+    """Pure scalings ``g -> c^2 g`` hit every invariant at its exact weight.
+
+    Probed at ``c = 2`` and ``c = 1/3`` on every available invariant.
+    """
     p0 = SubmanifoldPack(scene.metric, scene.patch, scene.point)
     k = p0.k
-    if names is None:
-        names = sorted(available(k, p0.n))
+    names = sorted(available(k, p0.n))
     base = {nm: float(evaluate(p0, nm).value) for nm in names}
     scal0 = float(p0.ambient.scal.value)
     out = {}
-    for c in cs:
+    for c in (2.0, 1.0 / 3.0):
         const = ConformalFactor(
             lambda xs, c=c: 0.0 * xs[0] + float(np.log(c)),
             name=f"log({c:g})")
@@ -796,27 +760,21 @@ def _div_shape_weyl_trace(p) -> Jets:
 
 
 def quartic_term_reports(scene: Scene, upsilon=None, *, seed=0,
-                         order: int | None = None) -> list[LinearizationReport]:
+                         order: int = 4) -> list[LinearizationReport]:
     """First variations of the seven fourth-order scalar summands.
 
     Each summand's variation is an exact tangential divergence (or
     vanishes outright); this is the pointwise mechanism that lets the
     quartic Q-curvature integrate to a conformal invariant on a closed
-    four-fold.  Summands needing four metric derivatives run through
-    central differences unless ``order >= 5`` is requested (which needs
-    the jet budget raised accordingly).
+    four-fold.  ``order`` is the order of the nilpotent-parameter pack.
+    At the default order the three summands needing four metric
+    derivatives exceed the jet budget and are differenced; at
+    ``order=5`` (with the budget raised accordingly) every summand takes
+    the exact route.  Each report's ``method`` says which ran.
     """
-    if upsilon is None:
-        upsilon = random_upsilon(scene.patch.n, seed=seed)
-    heavy_method = "central-difference"
-    kw = {}
-    if order is not None and order >= 5:
-        heavy_method = "nilpotent-parameter"
-        kw["param_order"] = order
-    eng = _engine_for(scene, upsilon, **kw)
+    eng = _engine_for(scene, upsilon, seed, param_order=order)
     p, r = eng.base, eng.restriction
     gu, gl = r.grad_up, r.grad
-    u = r.u_y
 
     lap2 = p.tangential_laplacian(r.laplacian)
     rhs1 = -lap2 - 2.0 * p.divergence(gl * p.intrinsic_jtrace)
@@ -828,28 +786,20 @@ def quartic_term_reports(scene: Scene, upsilon=None, *, seed=0,
 
     rows = [
         ("laplacian_intrinsic_jtrace",
-         lambda q: q.tangential_laplacian(q.intrinsic_jtrace),
-         rhs1, heavy_method),
-        ("double_divergence_fialkow", _double_div_fialkow, rhs2,
-         heavy_method),
-        ("div_shape_deflection", _div_shape_deflection, rhs3,
-         "nilpotent-parameter"),
+         lambda q: q.tangential_laplacian(q.intrinsic_jtrace), rhs1),
+        ("double_divergence_fialkow", _double_div_fialkow, rhs2),
+        ("div_shape_deflection", _div_shape_deflection, rhs3),
         ("laplacian_tracefree_norm2",
-         lambda q: q.tangential_laplacian(q.tracefree_norm2), rhs4,
-         "nilpotent-parameter"),
+         lambda q: q.tangential_laplacian(q.tracefree_norm2), rhs4),
         ("laplacian_fialkow_trace",
-         lambda q: q.tangential_laplacian(q.fialkow_trace), rhs5,
-         heavy_method),
-        ("div_shape_weyl_full", _div_shape_weyl_full, 0.0,
-         "nilpotent-parameter"),
-        ("div_shape_weyl_trace", _div_shape_weyl_trace, 0.0,
-         "nilpotent-parameter"),
+         lambda q: q.tangential_laplacian(q.fialkow_trace), rhs5),
+        ("div_shape_weyl_full", _div_shape_weyl_full, 0.0),
+        ("div_shape_weyl_trace", _div_shape_weyl_trace, 0.0),
     ]
     reports = []
-    for name, ev, rhs, method in rows:
+    for name, ev, rhs in rows:
         analytic = rhs if isinstance(rhs, float) else float(rhs.value)
-        reports.append(eng.report(name, ev, -4.0, analytic=analytic,
-                                  method=method, cross_check=False))
+        reports.append(eng.report(name, ev, -4.0, analytic=analytic))
     return reports
 
 
@@ -863,7 +813,6 @@ class StratumElement:
     stratum: int
     name: str
     evaluate: object = field(repr=False)
-    method: str = "nilpotent-parameter"
 
 
 def _pnn(p) -> Jets:
@@ -901,7 +850,7 @@ def _normal_gradient_jtrace(p) -> Jets:
 def _ambient_laplacian_jtrace(p) -> Jets:
     a = p.ambient
     ddJ = a.cov_deriv(a.cov_deriv(a.jtrace, []), ["down"])
-    return jet_einsum("ab,ab->", a.g_up, ddJ)
+    return p.pull(jet_einsum("ab,ab->", a.g_up, ddJ))
 
 
 def _build_strata() -> tuple[StratumElement, ...]:
@@ -980,14 +929,11 @@ def _build_strata() -> tuple[StratumElement, ...]:
         # stratum 3: normal gradient of the ambient trace
         (3, "mean_normal_grad_ambient_jtrace",
          lambda p: jet_einsum("r,r->", H(p), _normal_gradient_jtrace(p))),
+        # stratum 4: four ambient metric derivatives, so at the default
+        # order its variation hits the jet budget and is differenced
+        (4, "ambient_laplacian_jtrace", _ambient_laplacian_jtrace),
     ]
-    out = [StratumElement(s, nm, ev) for s, nm, ev in rows]
-    # stratum 4 needs four ambient metric derivatives, beyond the default
-    # nilpotent budget, so it is differenced.
-    out.append(StratumElement(4, "ambient_laplacian_jtrace",
-                              _ambient_laplacian_jtrace,
-                              method="central-difference"))
-    return tuple(out)
+    return tuple(StratumElement(s, nm, ev) for s, nm, ev in rows)
 
 
 #: weight -4 quartic scalars with the depth of transverse jet they consume
@@ -1022,22 +968,21 @@ def transverse_vanishing_upsilon(scene: Scene, vanish_to: int, *,
                            vanishing_order=vanish_to)
 
 
-def check_strata_vanishing(scene: Scene, *, seed: int = 0,
-                           step: float = 3e-5) -> dict:
+def check_strata_vanishing(scene: Scene, *, seed: int = 0) -> dict:
     """Stratified vanishing of the quartic building-block variations.
 
     For each depth ``j`` the scene is probed with a factor whose
     transverse jet vanishes through order ``j``; every element in strata
     ``0..j`` must then have vanishing first variation.  A generic factor
-    rides along so the claim is not vacuous.
+    rides along so the claim is not vacuous.  Differenced variations use
+    the step ``3e-5``.
     """
     def magnitudes(ups, depth):
-        eng = _engine_for(scene, ups, step=step)
+        eng = _engine_for(scene, ups, seed, step=3e-5)
         mags = {}
         for el in QUARTIC_STRATA:
             if el.stratum <= depth:
-                rep = eng.report(el.name, el.evaluate, -4.0,
-                                 method=el.method, cross_check=False)
+                rep = eng.report(el.name, el.evaluate, -4.0)
                 mags[el.name] = float(np.max(np.abs(rep.numeric)))
         return mags
 
@@ -1099,8 +1044,7 @@ def _normalized_gram(vectors) -> tuple[np.ndarray, float]:
     return G, float(np.linalg.det(G))
 
 
-def linear_independence_witness(n: int, *, params=None,
-                                points=_WITNESS_POINTS) -> list[dict]:
+def linear_independence_witness(n: int, *, params=None) -> list[dict]:
     """Gram-matrix certification that the building blocks are independent.
 
     For each parameter sample the witness metric is evaluated at several
@@ -1125,7 +1069,7 @@ def linear_independence_witness(n: int, *, params=None,
         divs = {"div_shape_weyl_full": []}
         if n >= 6:
             divs["div_shape_weyl_trace"] = []
-        for pt in points:
+        for pt in _WITNESS_POINTS:
             p = SubmanifoldPack(g, patch, list(pt))
             h = np.asarray(p.induced.value)
             tens["fialkow"].append(np.asarray(p.fialkow.value).ravel())

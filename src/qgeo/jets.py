@@ -103,10 +103,6 @@ class JetSpace:
     def position(self, alpha) -> int:
         return self._pos[tuple(int(a) for a in alpha)]
 
-    def truncation_size(self, order: int) -> int:
-        """How many coefficients the degree <= order prefix holds."""
-        return int(np.searchsorted(self.degree, order + 1))
-
     def mul_tables(self):
         """(i_idx, j_idx, scatter) with scatter a (size, npairs) CSR matrix.
 

@@ -143,14 +143,23 @@ def test_rescale_components_scale_pointwise(t, seed):
 
 # -- exact transformation laws --------------------------------------------------
 
+NILPOTENT, CENTRAL = "nilpotent-parameter", "central-difference"
+#: quartic summands needing four metric derivatives: differenced at the
+#: default order
+HEAVY_QUARTIC = {"laplacian_intrinsic_jtrace", "double_divergence_fialkow",
+                 "laplacian_fialkow_trace"}
+
 
 @pytest.mark.parametrize("k,n,seed", [(3, 5, 4), (4, 6, 11)])
 def test_ambient_laws(k, n, seed):
     reps = cf.ambient_law_reports(scene(k, n, seed), seed=seed + 1)
     for r in reps:
+        # Bach consumes four metric derivatives: past the jet budget
+        want = CENTRAL if r.quantity == "bach[tt]" else NILPOTENT
+        assert r.method == want, f"{r.quantity}: {r.method}"
         assert r.residual is not None
         assert r.residual < 1e-6, f"{r.quantity}: residual {r.residual}"
-        if r.method == "nilpotent-parameter":
+        if r.method == NILPOTENT:
             assert r.residual < 1e-12, f"{r.quantity} should be exact"
 
 
@@ -160,6 +169,7 @@ def test_submanifold_laws(k, n, seed):
     names = {r.quantity for r in reps}
     assert "second_fundamental" in names and "mean_curvature" in names
     for r in reps:
+        assert r.method == NILPOTENT, f"{r.quantity}: {r.method}"
         assert r.residual < 1e-12, f"{r.quantity}: residual {r.residual}"
 
 
@@ -168,6 +178,7 @@ def test_derivative_operator_laws(k, n, seed):
     reps = cf.derivative_law_reports(scene(k, n, seed), seed=seed + 2)
     assert len(reps) == 4
     for r in reps:
+        assert r.method == NILPOTENT, f"{r.quantity}: {r.method}"
         assert r.residual < 1e-12, f"{r.quantity}: residual {r.residual}"
         assert r.method_gap is not None and r.method_gap < 1e-6, (
             f"{r.quantity}: methods disagree by {r.method_gap}")
@@ -182,6 +193,8 @@ def test_trace_adjusted_laws_and_tangential_dependence(k, n, seed):
         "mixed_schouten", "mixed_cotton[ttt]", "mixed_cotton_trace",
         "mixed_bach", "normal_deflection"}
     for r in by_name.values():
+        want = CENTRAL if r.quantity == "mixed_bach" else NILPOTENT
+        assert r.method == want, f"{r.quantity}: {r.method}"
         assert r.residual < 1e-6, f"{r.quantity}: residual {r.residual}"
     # a factor vanishing along the patch kills every variation ...
     assert out["tangential_zero_max"] < 1e-7
@@ -213,6 +226,7 @@ def test_linearize_mean_curvature_flat_oracle():
         lambda q: q.mean_curvature, sc.metric, sc.patch,
         lambda xs: 1.0 * xs[2], -1.0, point=sc.point,
         name="mean_curvature", analytic=np.array([-1.0]))
+    assert rep.method == NILPOTENT
     assert rep.residual < 1e-14, f"residual {rep.residual}"
     assert rep.method_gap < 1e-9
     assert rep.ok()
@@ -226,11 +240,14 @@ def test_methods_agree_on_all_registered_quantities(monkeypatch):
     sc = scene(4, 6, 21)
     ups = random_upsilon(6, seed=2)
     eng = cf._Engine(sc.metric, sc.patch, sc.point, ups, param_order=5)
-    names = [nm for nm in cf.CONFORMALLY_INVARIANT if nm in available(4, 6)]
-    for nm in names:
+    quantities = [(nm, lambda q, nm=nm: evaluate(q, nm))
+                  for nm in cf.CONFORMALLY_INVARIANT if nm in available(4, 6)]
+    # the quartic strata elements, stratum 4 included
+    quantities += [(el.name, el.evaluate) for el in cf.QUARTIC_STRATA]
+    for nm, ev in quantities:
         w = -4.0
-        nil = eng.nilpotent(lambda q, nm=nm: evaluate(q, nm), w)
-        cen = eng.central(lambda q, nm=nm: evaluate(q, nm), w)
+        nil = eng.nilpotent(ev, w)
+        cen = eng.central(ev, w)
         gap = float(np.max(np.abs(nil - cen)))
         assert gap < 1e-6, f"{nm}: nilpotent vs central {gap}"
 
@@ -243,6 +260,9 @@ def test_heavy_quartic_terms_agree_across_methods(monkeypatch):
     diffed = cf.quartic_term_reports(sc, seed=3)
     for a, b in zip(exact, diffed):
         assert a.quantity == b.quantity
+        assert a.method == NILPOTENT, f"{a.quantity}: {a.method}"
+        want = CENTRAL if b.quantity in HEAVY_QUARTIC else NILPOTENT
+        assert b.method == want, f"{b.quantity}: {b.method}"
         gap = float(np.max(np.abs(a.numeric - b.numeric)))
         assert gap < 1e-6, f"{a.quantity}: order-5 vs central {gap}"
         assert a.residual < 1e-12, f"{a.quantity}: exact residual {a.residual}"
@@ -267,6 +287,14 @@ def test_invariance_covers_the_registered_subset():
     assert expected <= set(out)
     # sanity tensors ride along
     assert {"tracefree_norm2", "fialkow", "normal_curvature"} <= set(out)
+    # the invariants consuming four metric derivatives are differenced
+    diffed = {nm for nm, row in out.items()
+              if row["variation_method"] == CENTRAL}
+    assert diffed == {"fialkow_quartic", "weyl_trace_quartic",
+                      "weyl_trace_quartic_scaled", "gauss_bonnet_defect",
+                      "anomaly_quartic_b"}
+    assert all(row["variation_method"] == NILPOTENT
+               for nm, row in out.items() if nm not in diffed)
 
 
 # -- Q-curvature transformation ---------------------------------------------------
@@ -305,6 +333,8 @@ def test_quartic_term_variations_are_divergences(seed):
     reps = cf.quartic_term_reports(scene(4, 6, seed), seed=seed + 1)
     assert len(reps) == 7
     for r in reps:
+        want = CENTRAL if r.quantity in HEAVY_QUARTIC else NILPOTENT
+        assert r.method == want, f"{r.quantity}: {r.method}"
         assert r.residual < 1e-6, f"{r.quantity}: residual {r.residual}"
 
 
