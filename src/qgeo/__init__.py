@@ -15,7 +15,6 @@ from .conformal import (
     check_q_transformation,
     linear_independence_witness,
     linearize,
-    rescale,
 )
 from .jets import BudgetError, Jets, compose, jet_of, max_jet_order
 
@@ -31,5 +30,4 @@ __all__ = [
     "linear_independence_witness",
     "linearize",
     "max_jet_order",
-    "rescale",
 ]

@@ -94,7 +94,6 @@ from .submanifold import SubmanifoldPack
 __all__ = [
     "ConformalFactor",
     "LinearizationReport",
-    "rescale",
     "linearize",
     "ambient_law_reports",
     "submanifold_law_reports",
@@ -134,15 +133,10 @@ class ConformalFactor:
     """
 
     fn: object
-    name: str = "upsilon"
     vanishing_order: int | None = None
 
     def __call__(self, xs):
         return self.fn(xs)
-
-    def jets(self, x_point, order: int = 4) -> Jets:
-        """The scalar's ambient jet expansion at ``x_point``."""
-        return self.fn(variables(np.asarray(x_point, dtype=float), order))
 
     def verify(self, x_point) -> bool:
         """Check the ``vanishing_order`` tag against the jet coefficients.
@@ -153,25 +147,10 @@ class ConformalFactor:
         """
         if self.vanishing_order is None:
             return True
-        u = self.jets(x_point, order=max(4, self.vanishing_order))
+        order = max(4, self.vanishing_order)
+        u = self.fn(variables(np.asarray(x_point, dtype=float), order))
         low = np.abs(u.coeffs[..., u.space.degree <= self.vanishing_order])
         return bool(low.size == 0 or float(low.max()) <= 1e-10)
-
-
-def _as_factor(upsilon) -> ConformalFactor:
-    if isinstance(upsilon, ConformalFactor):
-        return upsilon
-    return ConformalFactor(upsilon)
-
-
-def rescale(metric: MetricField, upsilon, t: float = 0.0) -> MetricField:
-    """The metric ``exp(2 t Upsilon) g`` at a finite parameter value.
-
-    ``t = 0`` returns a field with identical components; a constant
-    ``Upsilon = log(c)`` with ``t = 1`` scales the metric by ``c**2`` and
-    scalar curvature by ``c**-2``.
-    """
-    return conformally_rescaled(metric, _as_factor(upsilon), t=float(t))
 
 
 # -- reports -------------------------------------------------------------------
@@ -222,6 +201,11 @@ class _Engine:
     order of the parameter pack, and with it which quantities fit the jet
     budget on the nilpotent route (:meth:`variation`).
 
+    ``Upsilon`` (any callable on a list of coordinate jets) is restricted
+    to each pack's chart jets once, by :meth:`_upsilon_on`, and the result
+    kept on the engine: a pack's restriction depends on the factor, and
+    engines with different factors may share one base pack.
+
     A variation is taken of ``operator(pack, exp(operand_weight t Upsilon)
     evaluator(pack))`` compensated by ``exp(-weight t Upsilon)``, where
     ``weight`` is the stored weight of the result.  Without an operator it
@@ -233,10 +217,11 @@ class _Engine:
         self.metric = metric
         self.patch = patch
         self.point = None if point is None else np.asarray(point, dtype=float)
-        self.upsilon = _as_factor(upsilon)
+        self.upsilon = upsilon
         self.param_order = param_order
         self.step = step
         self._finite = {}
+        self._restricted = {}
 
     # --- packs ---
     @cached_property
@@ -256,7 +241,11 @@ class _Engine:
         return self._finite[t]
 
     def _upsilon_on(self, pack) -> Jets:
-        return self.upsilon([pack.chart_jets[a] for a in range(pack.n)])
+        """``Upsilon`` on ``pack``'s chart jets, evaluated once per pack."""
+        if pack not in self._restricted:
+            self._restricted[pack] = self.upsilon(
+                [pack.chart_jets[a] for a in range(pack.n)])
+        return self._restricted[pack]
 
     # --- restriction data of Upsilon on the base pack ---
     @cached_property
@@ -277,7 +266,7 @@ class _Engine:
             grad=grad,
             grad_up=jet_einsum("ab,b->a", p.induced_inv, grad),
             normal=jet_einsum("ra,a->r", p.normal_frame, du_y),
-            ambient_up=jet_einsum("ab,b->a", p.metric_inv_y, du_y),
+            ambient_up=jet_einsum("ab,b->a", p.pulled("g_up"), du_y),
             hessian=p.tangential_cov_deriv(grad, [("tangent", "down")]),
             ambient_hessian=p.pull(hess_x),
             laplacian=p.tangential_laplacian(u_y),
@@ -355,6 +344,17 @@ def _engine_for(scene: Scene, upsilon, seed, **kw) -> _Engine:
     return _Engine(scene.metric, scene.patch, scene.point, upsilon, **kw)
 
 
+def _engines_sharing_base(scene: Scene, upsilons, seed=0) -> list[_Engine]:
+    """One engine of ``scene`` per factor, all on the first one's base pack.
+
+    The base pack does not depend on ``Upsilon``, so it is built once.
+    """
+    engines = [_engine_for(scene, ups, seed) for ups in upsilons]
+    for eng in engines[1:]:
+        eng.base = engines[0].base
+    return engines
+
+
 def linearize(evaluator, metric, patch, upsilon, weight, *, point=None,
               analytic=None, name="quantity") -> LinearizationReport:
     """First conformal variation of ``evaluator``'s stored components.
@@ -401,17 +401,17 @@ def ambient_law_reports(scene: Scene, upsilon=None, *,
         reports.append(eng.report(
             f"schouten[{pat}]", lambda q, pat=pat: q.block("schouten", pat),
             -float(pat.count("n")), analytic=analytic))
-    wu = jet_einsum("abcd,d->abc", p.weyl_y, r.ambient_up)
+    wu = jet_einsum("abcd,d->abc", p.pulled("weyl"), r.ambient_up)
     for pat in ("ttt", "ttn"):
         analytic = -np.asarray(p.project(wu, pat).value)
         reports.append(eng.report(
             f"cotton[{pat}]", lambda q, pat=pat: q.block("cotton", pat),
             -float(pat.count("n")), analytic=analytic))
-    cu = jet_einsum("gab,g->ab", p.cotton_y, r.ambient_up)
+    cu = jet_einsum("gab,g->ab", p.pulled("cotton"), r.ambient_up)
     csym = (cu + jet_trace(cu, "ab->ba")) * 0.5
     analytic = 2.0 * (n - 4) * np.asarray(p.project(csym, "tt").value)
     reports.append(eng.report(
-        "bach[tt]", lambda q: q.project(q.bach_y, "tt"), -2.0,
+        "bach[tt]", lambda q: q.block("bach", "tt"), -2.0,
         analytic=analytic))
     return reports
 
@@ -576,12 +576,9 @@ def check_tangential_dependence(scene: Scene, upsilon=None, *,
     trace-adjusted Schouten variation vanishes identically as soon as the
     pullback of ``Upsilon`` does.
     """
-    eng = _engine_for(scene, upsilon, seed)
-    reports = _lemma_reports(eng)
-
     normal_only = transverse_vanishing_upsilon(scene, 0, seed=seed + 101)
-    eng0 = _engine_for(scene, normal_only, seed)
-    eng0.base = eng.base  # same metric, patch and point: Upsilon-independent
+    eng, eng0 = _engines_sharing_base(scene, [upsilon, normal_only], seed)
+    reports = _lemma_reports(eng)
     silent = _lemma_reports(eng0)
     tangential_zero = max(float(np.max(np.abs(rep.numeric)))
                           for rep in silent)
@@ -673,22 +670,21 @@ def check_q_transformation(scenes=None, *, seed: int = 0) -> dict:
         ]
     results = {}
     for sc in scenes:
-        p0 = SubmanifoldPack(sc.metric, sc.patch, sc.point)
-        k, n = p0.k, p0.n
+        k, n = sc.patch.k, sc.patch.n
         ups_list = [random_upsilon(n, seed=seed + 7),
                     random_upsilon(n, seed=seed + 8, degree=3)]
         if sc.name.startswith("equatorial"):
             ups_list.append(_bump_factor(0.3))
+        engines = _engines_sharing_base(sc, ups_list)
+        p0 = engines[0].base
         qname = _q_name(k)
+        q0 = float(evaluate(p0, qname).value)
         worst = 0.0
-        for ups in ups_list:
-            u0 = ups([p0.chart_jets[a] for a in range(n)])
-            ghat = rescale(sc.metric, ups, 1.0)
-            ph = SubmanifoldPack(ghat, sc.patch, sc.point)
+        for eng in engines:
+            u0 = eng._upsilon_on(p0)
             lhs = (np.exp(k * float(u0.value))
-                   * float(evaluate(ph, qname).value))
-            rhs = (float(evaluate(p0, qname).value)
-                   + float(extrinsic_paneitz_apply(p0, u0).value))
+                   * float(evaluate(eng.finite(1.0), qname).value))
+            rhs = q0 + float(extrinsic_paneitz_apply(p0, u0).value)
             worst = max(worst, abs(lhs - rhs))
         one = 0.0 * p0.chart_jets[0] + 1.0
         const_residual = abs(float(extrinsic_paneitz_apply(p0, one).value))
@@ -697,13 +693,13 @@ def check_q_transformation(scenes=None, *, seed: int = 0) -> dict:
     return results
 
 
-def _bump_factor(amplitude: float) -> ConformalFactor:
+def _bump_factor(amplitude: float):
     def fn(xs):
         s = None
         for x in xs:
             s = x * x if s is None else s + x * x
         return amplitude * (-s).exp()
-    return ConformalFactor(fn, name=f"bump({amplitude:g})")
+    return fn
 
 
 # -- uniform scalings --------------------------------------------------------------
@@ -714,18 +710,17 @@ def check_homogeneity(scene: Scene) -> dict:
 
     Probed at ``c = 2`` and ``c = 1/3`` on every available invariant.
     """
-    p0 = SubmanifoldPack(scene.metric, scene.patch, scene.point)
+    cs = (2.0, 1.0 / 3.0)
+    engines = _engines_sharing_base(
+        scene, [lambda xs, c=c: 0.0 * xs[0] + float(np.log(c)) for c in cs])
+    p0 = engines[0].base
     k = p0.k
     names = sorted(available(k, p0.n))
     base = {nm: float(evaluate(p0, nm).value) for nm in names}
     scal0 = float(p0.ambient.scal.value)
     out = {}
-    for c in (2.0, 1.0 / 3.0):
-        const = ConformalFactor(
-            lambda xs, c=c: 0.0 * xs[0] + float(np.log(c)),
-            name=f"log({c:g})")
-        ph = SubmanifoldPack(rescale(scene.metric, const, 1.0),
-                             scene.patch, scene.point)
+    for c, eng in zip(cs, engines):
+        ph = eng.finite(1.0)
         worst = 0.0
         for nm in names:
             w = REGISTRY[nm].weight_at(k)
@@ -964,8 +959,7 @@ def transverse_vanishing_upsilon(scene: Scene, vanish_to: int, *,
             out = out * rho
         return out
 
-    return ConformalFactor(fn, name=f"vanishing({vanish_to})",
-                           vanishing_order=vanish_to)
+    return ConformalFactor(fn, vanishing_order=vanish_to)
 
 
 def check_strata_vanishing(scene: Scene, *, seed: int = 0) -> dict:

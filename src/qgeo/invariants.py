@@ -67,24 +67,16 @@ def _raise_t(p, T: Jets, axis: int) -> Jets:
     return jet_einsum(f"z{src},{letters}->{out}", p.induced_inv, T)
 
 
-def _l0_up(p) -> Jets:
-    return p.second_tracefree_up
-
-
 def _l0_mixed(p) -> Jets:
     # second slot raised: L0[a, ^b, r]
     return p.memo("l0_mixed", lambda: jet_einsum(
         "acr,cb->abr", p.second_tracefree, p.induced_inv))
 
 
-def _w_ttnt(p) -> Jets:
-    return p.block("weyl", "ttnt")
-
-
 def _w_tn_trace(p) -> Jets:
     """``W[a, r] = W_{a b r}{}^{b}`` (tangent, normal)."""
     return p.memo("w_tn_trace", lambda: jet_einsum(
-        "abrc,bc->ar", _w_ttnt(p), p.induced_inv))
+        "abrc,bc->ar", p.block("weyl", "ttnt"), p.induced_inv))
 
 
 def _deflection_up(p) -> Jets:
@@ -133,7 +125,7 @@ def _deflection_dot_weyl(p) -> Jets:
 def _shape_dot_mc_cotton(p) -> Jets:
     """``L0^{a b r} C_{a r b}`` against the corrected Cotton block."""
     return p.memo("shape_dot_mc_cotton", lambda: jet_einsum(
-        "abr,arb->", _l0_up(p), p.block("mc_cotton", "tnt")))
+        "abr,arb->", p.second_tracefree_up, p.block("mc_cotton", "tnt")))
 
 
 def _fialkow_norm2(p) -> Jets:
@@ -171,7 +163,7 @@ def div_shape_weyl_a(p: SubmanifoldPack, route: str = "divergence") -> Jets:
     moved onto the Weyl factor.  The two must agree identically.
     """
     k = p.k
-    l0u, w4 = _l0_up(p), _w_ttnt(p)
+    l0u, w4 = p.second_tracefree_up, p.block("weyl", "ttnt")
     coupling = _shape_dot_mc_cotton(p)
     if route == "divergence":
         V = jet_einsum("bcr,abrc->a", l0u, w4)
@@ -200,7 +192,7 @@ def div_shape_weyl_b(p: SubmanifoldPack, route: str = "divergence") -> Jets:
     if route == "expanded":
         dwtn = p.tangential_cov_deriv(
             wtn, [("tangent", "down"), ("normal", "down")])
-        t1 = jet_einsum("abr,abr->", _l0_up(p), dwtn)
+        t1 = jet_einsum("abr,abr->", p.second_tracefree_up, dwtn)
         return t1 - 3.0 * _deflection_dot_weyl(p) - _wtn_square(p)
     raise ValueError(f"unknown route {route!r}")
 
@@ -526,18 +518,6 @@ def factored_paneitz_apply(p: SubmanifoldPack, phi: Jets,
 # -- comparison invariants -----------------------------------------------------
 
 
-def _w_tttt(p) -> Jets:
-    return p.block("weyl", "tttt")
-
-
-def _w_ttnn(p) -> Jets:
-    return p.block("weyl", "ttnn")
-
-
-def _w_tntn(p) -> Jets:
-    return p.block("weyl", "tntn")
-
-
 def _w_ntnt_trace(p) -> Jets:
     """``W[r, s] = W_{r a s}{}^{a}`` (normal, normal)."""
     return p.memo("w_ntnt_trace", lambda: jet_einsum(
@@ -554,7 +534,7 @@ def _wtn_square(p) -> Jets:
 
 def _w_ttnt_norm2(p) -> Jets:
     def build():
-        w4 = _w_ttnt(p)
+        w4 = p.block("weyl", "ttnt")
         w4u = _raise_t(p, _raise_t(p, _raise_t(p, w4, 0), 1), 3)
         return jet_einsum("abrc,abrc->", w4, w4u)
     return p.memo("w_ttnt_norm2", build)
@@ -563,24 +543,25 @@ def _w_ttnt_norm2(p) -> Jets:
 def _shape_pair_weyl_tttt(p) -> Jets:
     """``L0^{a c r} L0^{b d}{}_r W_{a b c d}``."""
     def build():
-        T = jet_einsum("abcd,acr->bdr", _w_tttt(p), _l0_up(p))
-        return jet_einsum("bdr,bdr->", T, _l0_up(p))
+        l0u = p.second_tracefree_up
+        T = jet_einsum("abcd,acr->bdr", p.block("weyl", "tttt"), l0u)
+        return jet_einsum("bdr,bdr->", T, l0u)
     return p.memo("shape_pair_weyl_tttt", build)
 
 
 def _shape_pair_weyl_ttnn(p) -> Jets:
     """``L0^{g a r} L0_g{}^{b s} W_{a b r s}``."""
     def build():
-        T = jet_einsum("gar,gbs->abrs", _l0_up(p), _l0_mixed(p))
-        return jet_einsum("abrs,abrs->", _w_ttnn(p), T)
+        T = jet_einsum("gar,gbs->abrs", p.second_tracefree_up, _l0_mixed(p))
+        return jet_einsum("abrs,abrs->", p.block("weyl", "ttnn"), T)
     return p.memo("shape_pair_weyl_ttnn", build)
 
 
 def _shape_pair_weyl_tntn(p) -> Jets:
     """``L0^{g a r} L0_g{}^{b s} W_{a r b s}``."""
     def build():
-        T = jet_einsum("gar,gbs->arbs", _l0_up(p), _l0_mixed(p))
-        return jet_einsum("arbs,arbs->", _w_tntn(p), T)
+        T = jet_einsum("gar,gbs->arbs", p.second_tracefree_up, _l0_mixed(p))
+        return jet_einsum("arbs,arbs->", p.block("weyl", "tntn"), T)
     return p.memo("shape_pair_weyl_tntn", build)
 
 
@@ -597,7 +578,7 @@ def _shape_square_weyl_trace(p) -> Jets:
 def _shape_normal_gram(p) -> Jets:
     """``M[r, s] = L0^{a b r} L0_{a b s}`` (symmetric normal 2-tensor)."""
     return p.memo("shape_normal_gram", lambda: jet_einsum(
-        "abr,abs->rs", _l0_up(p), p.second_tracefree))
+        "abr,abs->rs", p.second_tracefree_up, p.second_tracefree))
 
 
 def _shape_gram_weyl_nn(p) -> Jets:
@@ -610,7 +591,8 @@ def _shape_gram_weyl_nn(p) -> Jets:
 def _shape_quartic_alt(p) -> Jets:
     """``L0^{a b r} L0^{g d}{}_r L0_{a g s} L0_{b d}{}^s``."""
     def build():
-        X1 = jet_einsum("abr,gdr->abgd", _l0_up(p), _l0_up(p))
+        l0u = p.second_tracefree_up
+        X1 = jet_einsum("abr,gdr->abgd", l0u, l0u)
         X2 = jet_einsum("ags,bds->agbd", p.second_tracefree,
                         p.second_tracefree)
         return jet_einsum("abgd,agbd->", X1, X2)
@@ -642,7 +624,7 @@ def _mean_shape_cubic(p) -> Jets:
 def _mean_contracted_shape(p) -> Jets:
     """``T[a, b] = H^r L0^{a b}{}_r`` with both tangent slots up."""
     return p.memo("mean_contracted_shape", lambda: jet_einsum(
-        "abr,r->ab", _l0_up(p), p.mean_curvature))
+        "abr,r->ab", p.second_tracefree_up, p.mean_curvature))
 
 
 def _mean_shape_weyl_trace(p) -> Jets:
@@ -678,7 +660,7 @@ def willmore_quartic(p: SubmanifoldPack, route: str = "general") -> Jets:
     if route == "hypersurface":
         if k != 4 or n != 5:
             raise GeometryError("the specialized display is the (4, 5) case")
-        l0, l0u, lm = p.second_tracefree, _l0_up(p), _l0_mixed(p)
+        l0, l0u, lm = p.second_tracefree, p.second_tracefree_up, _l0_mixed(p)
         dl = p.tangential_cov_deriv(
             l0, [("tangent", "down")] * 2 + [("normal", "down")])
         ddl = p.tangential_cov_deriv(
@@ -704,9 +686,9 @@ def _shape_dot_dweyl_trace(p) -> Jets:
     """``L0^{a b r} X_{r a b}`` with the projected ambient derivative
     ``X[r, a, b] = (ambient nabla)_r W_{a c b}{}^{c}``."""
     def build():
-        dw = p.project(p.dweyl_y, "ntttt")
+        dw = p.project(p.pulled("dweyl"), "ntttt")
         X = jet_einsum("racbd,cd->rab", dw, p.induced_inv)
-        return jet_einsum("abr,rab->", _l0_up(p), X)
+        return jet_einsum("abr,rab->", p.second_tracefree_up, X)
     return p.memo("shape_dot_dweyl_trace", build)
 
 
@@ -714,10 +696,10 @@ def _ambient_ricci_pieces(p):
     """Ambient scalar curvature, normal Ricci trace, and the tangential
     Ricci block with both indices raised, along the patch."""
     def build():
-        ric = p.pull(p.ambient.ric)
+        ric = p.pulled("ric")
         ric_nn = jet_trace(p.project(ric, "nn"), "rr->")
         ric_tt_up = raise_both(p.project(ric, "tt"), p.induced_inv)
-        return p.pull(p.ambient.scal), ric_nn, ric_tt_up
+        return p.pulled("scal"), ric_nn, ric_tt_up
     return p.memo("ambient_ricci_pieces", build)
 
 
@@ -790,14 +772,14 @@ def transverse_weyl_quartic_b(p: SubmanifoldPack,
     if route == "hypersurface":
         if n != k + 1:
             raise GeometryError("the specialized display is codimension one")
-        dp = p.project(p.dschouten_y, "ntt")
-        t1 = -jet_einsum("abr,rab->", _l0_up(p), dp)
+        dp = p.project(p.pulled("dschouten"), "ntt")
+        t1 = -jet_einsum("abr,rab->", p.second_tracefree_up, dp)
         t2 = -jet_einsum("rs,rs->", _shape_normal_gram(p),
                          p.block("schouten", "nn"))
         dH = p.tangential_cov_deriv(p.mean_curvature, [("normal", "up")])
         ddH = p.tangential_cov_deriv(
             dH, [("tangent", "down"), ("normal", "up")])
-        t3 = jet_einsum("abr,abr->", _l0_up(p), ddH)
+        t3 = jet_einsum("abr,abr->", p.second_tracefree_up, ddH)
         t4 = jet_einsum("ab,ab->", _mean_contracted_shape(p),
                         p.intrinsic_schouten)
         dd = p.tangential_cov_deriv(
@@ -859,8 +841,8 @@ def _ambient_pair_weyl_squares(p):
     """The three tangent/ambient mixed Weyl squares used by the second
     anomaly invariant: (W_{a b c d} two slots projected)^2 variants."""
     def build():
-        e, wy, gup, hi = (p.tangent_frame, p.weyl_y, p.metric_inv_y,
-                          p.induced_inv)
+        e, wy, gup, hi = (p.tangent_frame, p.pulled("weyl"),
+                          p.pulled("g_up"), p.induced_inv)
         # S1: first two slots tangential
         A = jet_einsum("ia,abcd->ibcd", e, wy)
         A = jet_einsum("jb,ibcd->ijcd", e, A)
@@ -917,7 +899,7 @@ def anomaly_quartic_b(p: SubmanifoldPack, route: str = "general") -> Jets:
         ddn = jet_trace(ddw_y, "rrabcd->abcd")
         ddn = jet_einsum("abcd,ac->bd", ddn, p.induced_inv)
         lap_n_wd = jet_einsum("bd,bd->", ddn, p.induced_inv)
-        dw_y = p.project(p.dweyl_y, "ntttt")
+        dw_y = p.project(p.pulled("dweyl"), "ntttt")
         dwd = jet_einsum("rabcd,ac->rbd", dw_y, p.induced_inv)
         dwd = jet_einsum("rbd,bd->r", dwd, p.induced_inv)
         h_dwd = jet_einsum("r,r->", p.mean_curvature, dwd)

@@ -16,6 +16,13 @@ Conventions (matching the ambient module's curvature signs):
   normal-bundle curvature uses the same commutator convention as the
   tangential one.
 
+Ambient tensors reach the patch through one accessor,
+:meth:`SubmanifoldPack.pulled`: a :class:`~qgeo.ambient.CurvaturePack`
+attribute, named as on that class, composed with the chart map and kept in
+the pack's memo, so each ambient tensor is pulled back at most once per
+pack.  Frame projections of them (:meth:`SubmanifoldPack.block`) are
+memoized the same way.
+
 Tensors with the ``mc_`` prefix are mean-curvature corrected: ambient
 curvature components combined with ``H`` so that a conformal rescaling
 changes them only through tangential derivatives of the factor.  They are
@@ -57,8 +64,9 @@ class SubmanifoldPack:
     """Frames, forms, and curvature blocks of one immersed patch at a point.
 
     Heavy pieces are cached properties, so a pack only pays for what is
-    actually read; quantities keyed at run time (frame projections,
-    contractions built by the invariants) go through :meth:`memo`.
+    actually read; quantities keyed at run time (pulled-back ambient
+    tensors, frame projections, contractions built by the invariants) go
+    through :meth:`memo`.
     ``order`` is the ambient metric jet order; the chart map is expanded at
     ``order + 1``.  With ``param=True`` every jet carries the extra
     first-order parameter variable used for conformal linearization.
@@ -93,55 +101,11 @@ class SubmanifoldPack:
             self._memo[key] = build()
         return self._memo[key]
 
-    # -- composed ambient fields (y-space jets along the patch) ---------
-
-    @cached_property
-    def metric_y(self) -> Jets:
-        return self.pull(self.ambient.g)
-
-    @cached_property
-    def metric_inv_y(self) -> Jets:
-        return self.pull(self.ambient.g_up)
-
-    @cached_property
-    def christoffel_y(self) -> Jets:
-        return self.pull(self.ambient.gamma)
-
-    @cached_property
-    def riemann_y(self) -> Jets:
-        return self.pull(self.ambient.rm)
-
-    @cached_property
-    def schouten_y(self) -> Jets:
-        return self.pull(self.ambient.schouten)
-
-    @cached_property
-    def jtrace_y(self) -> Jets:
-        return self.pull(self.ambient.jtrace)
-
-    @cached_property
-    def weyl_y(self) -> Jets:
-        return self.pull(self.ambient.weyl)
-
-    @cached_property
-    def cotton_y(self) -> Jets:
-        return self.pull(self.ambient.cotton)
-
-    @cached_property
-    def bach_y(self) -> Jets:
-        return self.pull(self.ambient.bach)
-
-    @cached_property
-    def dweyl_y(self) -> Jets:
-        return self.pull(self.ambient.dweyl)
-
-    @cached_property
-    def dschouten_y(self) -> Jets:
-        return self.pull(self.ambient.dschouten)
-
-    @cached_property
-    def dcotton_y(self) -> Jets:
-        return self.pull(self.ambient.dcotton)
+    def pulled(self, name: str) -> Jets:
+        """The ambient tensor ``name`` of :attr:`ambient` composed along the
+        patch (y-space jets), pulled back once per pack."""
+        return self.memo(("pulled", name),
+                         lambda: self.pull(getattr(self.ambient, name)))
 
     # -- frames ----------------------------------------------------------
 
@@ -154,7 +118,7 @@ class SubmanifoldPack:
     @cached_property
     def induced(self) -> Jets:
         """Pulled-back metric ``h[i, j]`` on the patch."""
-        u = jet_einsum("ia,ab->ib", self.tangent_frame, self.metric_y)
+        u = jet_einsum("ia,ab->ib", self.tangent_frame, self.pulled("g"))
         return jet_einsum("ib,jb->ij", u, self.tangent_frame)
 
     @cached_property
@@ -165,7 +129,7 @@ class SubmanifoldPack:
     def tangent_projector(self) -> Jets:
         """Projection ``P[a, b]`` (one index up, one down) onto the tangent."""
         u = jet_einsum("ia,ij->ja", self.tangent_frame, self.induced_inv)
-        v = jet_einsum("jc,cb->jb", self.tangent_frame, self.metric_y)
+        v = jet_einsum("jc,cb->jb", self.tangent_frame, self.pulled("g"))
         return jet_einsum("ja,jb->ab", u, v)
 
     @cached_property
@@ -180,18 +144,16 @@ class SubmanifoldPack:
         n, k = self.n, self.k
         cand = (constant(np.eye(n), self.tangent_projector.space)
                 - jet_trace(self.tangent_projector, "ab->ba"))
-        gval = self.metric_y.value
-        score = np.einsum("ba,ac,bc->b", cand.value, gval, cand.value)
+        g = self.pulled("g")
+        score = np.einsum("ba,ac,bc->b", cand.value, g.value, cand.value)
         picks = sorted(range(n), key=lambda b: (-score[b], b))[: n - k]
         frame = []
         for b in picks:
             w = cand[b]
             for prev in frame:
-                coef = jet_einsum(
-                    "a,a->", jet_einsum("a,ab->b", w, self.metric_y), prev)
+                coef = jet_einsum("a,a->", jet_einsum("a,ab->b", w, g), prev)
                 w = w - coef * prev
-            norm2 = jet_einsum(
-                "a,a->", jet_einsum("a,ab->b", w, self.metric_y), w)
+            norm2 = jet_einsum("a,a->", jet_einsum("a,ab->b", w, g), w)
             if norm2.value <= 1e-20:
                 raise GeometryError(
                     f"{self.patch.name}: degenerate normal candidates at "
@@ -203,14 +165,15 @@ class SubmanifoldPack:
     @cached_property
     def normal_coframe(self) -> Jets:
         """Metric-lowered normal frame ``N[r, a] g[a, b]``."""
-        return jet_einsum("ra,ab->rb", self.normal_frame, self.metric_y)
+        return jet_einsum("ra,ab->rb", self.normal_frame, self.pulled("g"))
 
     # -- fundamental forms ------------------------------------------------
 
     @cached_property
     def _gamma_frame(self) -> Jets:
         """Connection contracted once with the frame: ``Gamma^z_{ab} e^a``."""
-        return jet_einsum("zab,ia->zib", self.christoffel_y, self.tangent_frame)
+        return jet_einsum("zab,ia->zib", self.pulled("gamma"),
+                          self.tangent_frame)
 
     @cached_property
     def second_fundamental(self) -> Jets:
@@ -330,19 +293,14 @@ class SubmanifoldPack:
             out = jet_einsum(f"{lhs},z{lhs[m]}->{res}", out, frame)
         return out
 
-    def _named(self, name: str) -> Jets:
-        return {
-            "riemann": self.riemann_y,
-            "weyl": self.weyl_y,
-            "cotton": self.cotton_y,
-            "schouten": self.schouten_y,
-            "mc_cotton": self.mc_cotton_ambient,
-        }[name]
-
     def block(self, name: str, pattern: str) -> Jets:
-        """Cached frame projection of a named ambient tensor along the patch."""
-        return self.memo((name, pattern),
-                         lambda: self.project(self._named(name), pattern))
+        """Cached frame projection along the patch of the ambient tensor
+        ``name`` (a :class:`CurvaturePack` attribute) or of ``"mc_cotton"``."""
+        def build():
+            T = (self.mc_cotton_ambient if name == "mc_cotton"
+                 else self.pulled(name))
+            return self.project(T, pattern)
+        return self.memo((name, pattern), build)
 
     @cached_property
     def weyl_partial_trace(self) -> Jets:
@@ -431,8 +389,10 @@ class SubmanifoldPack:
     @cached_property
     def mc_cotton_ambient(self) -> Jets:
         """Ambient-slotted Cotton tensor corrected by the mean curvature."""
-        wn = jet_einsum("abcz,rz->abcr", self.weyl_y, self.normal_frame)
-        return self.cotton_y - jet_einsum("abcr,r->abc", wn, self.mean_curvature)
+        wn = jet_einsum("abcz,rz->abcr", self.pulled("weyl"),
+                        self.normal_frame)
+        return self.pulled("cotton") - jet_einsum("abcr,r->abc", wn,
+                                                  self.mean_curvature)
 
     @cached_property
     def mc_cotton_trace_ambient(self) -> Jets:
@@ -451,7 +411,7 @@ class SubmanifoldPack:
     def mc_bach(self) -> Jets:
         """Tangential block of the fourth-order obstruction, corrected by H."""
         n = self.n
-        b_tt = self.project(self.bach_y, "tt")
+        b_tt = self.block("bach", "tt")
         c_ntt = self.block("cotton", "ntt")
         c_sym = (c_ntt + jet_trace(c_ntt, "rab->rba")) * 0.5
         term2 = jet_einsum("rab,r->ab", c_sym, self.mean_curvature) * 2.0
@@ -491,9 +451,8 @@ def projected_ambient_deriv(pack: SubmanifoldPack, name: str,
     projected blocks — the two routes share no code, which makes the
     comparison a real consistency check.
     """
-    dfield = {"weyl": pack.dweyl_y, "schouten": pack.dschouten_y,
-              "cotton": pack.dcotton_y}[name]
-    field = pack._named(name)
+    dfield = pack.pulled("d" + name)
+    field = pack.pulled(name)
     r = len(pattern)
     out = pack.project(dfield, "t" + pattern)
     let = _LET[1:r + 1]
@@ -520,7 +479,7 @@ def _relj(resid: Jets, *refs: Jets) -> float:
 def frame_residuals(pack: SubmanifoldPack) -> dict:
     """Whole-jet residuals of the frame algebra (not just point values)."""
     e, nf = pack.tangent_frame, pack.normal_frame
-    g = pack.metric_y
+    g = pack.pulled("g")
     out = {}
     mixed = jet_einsum("ib,rb->ir", jet_einsum("ia,ab->ib", e, g), nf)
     out["tangent_normal_orthogonal"] = _relj(mixed, e)
@@ -557,7 +516,7 @@ def gauss_codazzi_residuals(pack: SubmanifoldPack) -> dict:
     H = pack.mean_curvature.value
     out = {}
 
-    rm_tttt = pack.block("riemann", "tttt").value
+    rm_tttt = pack.block("rm", "tttt").value
     rmbar = pack.intrinsic_riemann.value
     ll1 = np.einsum("acr,bdr->abcd", L, L)
     ll2 = np.einsum("adr,bcr->abcd", L, L)
@@ -566,11 +525,11 @@ def gauss_codazzi_residuals(pack: SubmanifoldPack) -> dict:
     dL = pack.tangential_cov_deriv(
         pack.second_fundamental,
         [("tangent", "down"), ("tangent", "down"), ("normal", "down")]).value
-    rm_ttnt = pack.block("riemann", "ttnt").value
+    rm_ttnt = pack.block("rm", "ttnt").value
     cod = (dL - dL.transpose(1, 0, 2, 3)).transpose(0, 1, 3, 2)
     out["codazzi"] = _rel(rm_ttnt - cod, rm_ttnt, dL)
 
-    rm_ttnn = pack.block("riemann", "ttnn").value
+    rm_ttnn = pack.block("rm", "ttnn").value
     rperp = pack.normal_curvature.value
     u = np.einsum("cd,dar->car", hi, L)
     nl1 = np.einsum("car,cbs->abrs", u, L)
@@ -601,9 +560,9 @@ def gauss_codazzi_residuals(pack: SubmanifoldPack) -> dict:
         w_ttnn - rperp + m1 - m2, w_ttnn, rperp, m1)
 
     if k >= 2:
-        j_amb = float(pack.jtrace_y.value)
+        j_amb = float(pack.pulled("jtrace").value)
         jbar = float(pack.intrinsic_jtrace.value)
-        p_nn = pack.project(pack.schouten_y, "nn").value
+        p_nn = pack.project(pack.pulled("schouten"), "nn").value
         gg = float(pack.fialkow_trace.value)
         h2 = float(np.einsum("r,r->", H, H))
         out["conformal_scalar_trace"] = _rel(

@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qgeo.conformal as cf
-from qgeo.fields import flat_metric, sphere_chart_metric
+from qgeo.fields import conformally_rescaled, flat_metric, sphere_chart_metric
 from qgeo.invariants import available, evaluate
 from qgeo.jets import variables
 from qgeo.scenes import affine_plane, random_scene, random_upsilon
@@ -102,7 +102,7 @@ def test_witness_needs_a_normal_direction():
 def test_rescale_at_zero_is_identity():
     g = random_scene(2, 4, seed=7).metric
     ups = random_upsilon(4, seed=3)
-    gh = cf.rescale(g, ups, 0.0)
+    gh = conformally_rescaled(g, ups, t=0.0)
     pt = np.array([0.2, -0.1, 0.3, 0.05])
     diff = float(np.max(np.abs(g.jets(pt, 3).coeffs - gh.jets(pt, 3).coeffs)))
     assert diff == 0.0, f"t=0 changed the components by {diff}"
@@ -117,7 +117,7 @@ def test_rescale_recovers_round_sphere_chart():
             s = sum(x * x for x in xs)
             return float(np.log(2.0 * r2)) - (r2 + s).log()
 
-        gh = cf.rescale(flat_metric(3), ups, 1.0)
+        gh = conformally_rescaled(flat_metric(3), ups, t=1.0)
         gs = sphere_chart_metric(3, radius=radius)
         pt = np.array([0.3, -0.2, 0.4])
         a = gh.jets(pt, 3)
@@ -135,7 +135,7 @@ def test_rescale_components_scale_pointwise(t, seed):
     xv = variables(pt, 2)
     factor = (2.0 * t * ups(xv)).exp()
     base = g.jets(pt, 2)
-    scaled = cf.rescale(g, ups, t).jets(pt, 2)
+    scaled = conformally_rescaled(g, ups, t=t).jets(pt, 2)
     manual = factor * base
     diff = float(np.max(np.abs(scaled.coeffs - manual.coeffs)))
     assert diff < 1e-12, f"t={t}: {diff}"
@@ -216,6 +216,26 @@ def test_tangential_battery_shares_the_base_pack(monkeypatch):
     out = cf.check_tangential_dependence(random_scene(4, 5, 2))
     assert len(builds) == 7
     assert out["tangential_zero_max"] < 1e-7
+
+
+@pytest.mark.parametrize("battery,calls", [
+    (cf.check_invariance, 10),
+    (cf.ambient_law_reports, 8),
+    (cf.quartic_term_reports, 8),
+])
+def test_upsilon_is_restricted_once_per_pack(battery, calls):
+    # one call per pack build of a rescaled metric and one per restriction
+    # to a pack's chart jets, plus the ambient expansion of the restriction
+    # data: Upsilon is not re-evaluated per report
+    ups = random_upsilon(5, seed=4)
+    seen = []
+
+    def counting(xs):
+        seen.append(len(xs))
+        return ups(xs)
+
+    battery(random_scene(4, 5, 2), counting)
+    assert len(seen) == calls
 
 
 def test_linearize_mean_curvature_flat_oracle():

@@ -9,12 +9,16 @@ contraction) are checked as residuals on randomized curved scenes across
 every supported (k, n) pair.
 """
 
+from functools import cached_property
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qgeo.ambient import CurvaturePack
 from qgeo.fields import GeometryError, ImmersedPatch, flat_metric, graph_patch
+from qgeo.jets import Jets
 from qgeo.scenes import random_scene, scene_by_name
 from qgeo.submanifold import (
     SubmanifoldPack,
@@ -222,6 +226,23 @@ def test_tangential_derivative_two_routes(name, pattern):
         den = max(np.max(np.abs(via_a)), np.max(np.abs(via_b)), 1.0)
         assert num / den < 1e-12, (
             f"{sc.name} {name}/{pattern}: routes differ by {num/den:.3e}")
+
+
+@pytest.mark.parametrize("k,n", [(2, 4), (4, 6)])
+def test_pulled_is_one_cached_pullback_per_ambient_tensor(k, n):
+    p = submanifold_pack(random_scene(k, n, seed=5))
+    names = {nm for nm, v in vars(CurvaturePack).items()
+             if isinstance(v, cached_property)}
+    names |= {nm for nm, v in vars(p.ambient).items() if isinstance(v, Jets)}
+    assert {"g", "g_up", "gamma", "rm", "ric", "scal", "jtrace", "schouten",
+            "weyl", "cotton", "bach", "dschouten", "dcotton", "dweyl",
+            "driemann"} <= names
+    for nm in sorted(names):
+        got = p.pulled(nm)
+        fresh = p.pull(getattr(p.ambient, nm))
+        assert got.space is fresh.space, nm
+        assert np.array_equal(got.coeffs, fresh.coeffs), nm
+        assert p.pulled(nm) is got, nm
 
 
 @pytest.mark.parametrize("k,n", [(2, 4), (3, 5), (4, 6)])
