@@ -45,12 +45,13 @@ def inverse_metric_jets(G: Jets) -> Jets:
     """Jet-valued inverse of a metric component batch (n, n).
 
     Newton iteration ``X <- X (2 I - G X)`` doubles the correct Taylor
-    degree each step, so ceil(log2(order+1)) steps suffice.
+    degree each step, so ceil(log2(top_degree+1)) steps suffice (one more
+    degree than the order on a parameter space).
     """
     n = G.batch[0]
     X = constant(np.linalg.inv(G.value), G.space)
     two_eye = constant(2.0 * np.eye(n), G.space)
-    steps = max(1, int(np.ceil(np.log2(G.order + 1))))
+    steps = max(1, int(np.ceil(np.log2(G.space.top_degree + 1))))
     for _ in range(steps):
         X = jet_einsum("ab,bc->ac", X, two_eye - jet_einsum("ab,bc->ac", G, X))
     return X

@@ -2,20 +2,14 @@
 
 Everything in this module answers one question: how do the stored
 components of a geometric quantity respond when the ambient metric is
-rescaled by ``exp(2 t Upsilon)``?  The response is probed two ways,
-
-* ``nilpotent-parameter``: the rescale factor is expanded along an extra
-  jet variable ``t`` with ``t^2 = 0``, so the first variation pops out as
-  an exact coefficient (no truncation error at all);
-* ``central-difference``: the quantity is evaluated at ``t = +/-step``
-  on ordinary packs and differenced.
-
-No caller picks between them: the jet budget does.  Every variation is
-tried on the nilpotent route first, and only a quantity whose parameter
-coefficient would need jets beyond the budget (fourth-derivative
-quantities at the default pack order) raises ``BudgetError`` and is
-differenced instead.  ``LinearizationReport.method`` records the route
-each variation took.
+rescaled by ``exp(2 t Upsilon)``?  Every variation is taken on the
+nilpotent-parameter route: the rescale factor is expanded along an extra
+jet variable ``t`` with ``t^2 = 0``, so the first variation pops out as an
+exact coefficient (no truncation error at all).  ``t`` has degree 0 in the
+jet order, so the parameter pack carries the ``t^1`` coefficient at the
+full pack order and fourth-derivative quantities stay exact.  Central
+differences at ``t = +/-1e-4`` on ordinary packs are kept only as the
+independent cross-check of ``cross_check=True`` reports.
 
 Stored components mix a coordinate tangent frame with an orthonormal
 normal frame.  Re-running Gram-Schmidt against ``exp(2 t Upsilon) g``
@@ -75,7 +69,6 @@ from .invariants import (
     extrinsic_paneitz_apply,
 )
 from .jets import (
-    BudgetError,
     Jets,
     jet_einsum,
     jet_trace,
@@ -115,6 +108,8 @@ __all__ = [
 METHOD_AGREEMENT_TOL = 1e-6
 #: a gap above this marks the report as unreliable.
 METHOD_FLAG_TOL = 1e-5
+#: parameter step of the central-difference cross-check
+_STEP = 1e-4
 
 
 # -- conformal factors ---------------------------------------------------------
@@ -160,17 +155,14 @@ class ConformalFactor:
 class LinearizationReport:
     """First conformal variation of one stored quantity.
 
-    ``numeric`` holds the variation and ``method`` the route the jet
-    budget sent it down (``"nilpotent-parameter"``, or
-    ``"central-difference"`` after a ``BudgetError``); ``analytic`` and
-    ``residual`` are populated when a closed-form law is available.
-    ``method_gap`` compares the two routes when a nilpotent variation was
-    cross-checked by differencing; a gap above ``METHOD_FLAG_TOL`` sets
+    ``numeric`` holds the exact (nilpotent-parameter) variation;
+    ``analytic`` and ``residual`` are populated when a closed-form law is
+    available.  ``method_gap`` compares it with central differences when
+    the report was cross-checked; a gap above ``METHOD_FLAG_TOL`` sets
     ``flagged``.
     """
 
     quantity: str
-    method: str
     numeric: np.ndarray
     analytic: np.ndarray | None = None
     residual: float | None = None
@@ -195,11 +187,9 @@ class _Engine:
     """Shared pack plumbing for one (metric, patch, point, Upsilon) setup.
 
     Builds, each on first use, the base pack, the nilpotent-parameter pack
-    and the pair of finite-parameter packs used for central differences,
-    so a batch of reports doesn't rebuild them per quantity.  Base and
-    finite packs carry the default pack order; ``param_order`` sets the
-    order of the parameter pack, and with it which quantities fit the jet
-    budget on the nilpotent route (:meth:`variation`).
+    and the finite-parameter packs (finite rescales and the central
+    differences of the cross-check), so a batch of reports doesn't rebuild
+    them per quantity.  Every pack carries the default pack order.
 
     ``Upsilon`` (any callable on a list of coordinate jets) is restricted
     to each pack's chart jets once, by :meth:`_upsilon_on`, and the result
@@ -212,14 +202,11 @@ class _Engine:
     is the variation of ``evaluator`` itself.
     """
 
-    def __init__(self, metric, patch, point, upsilon, *, param_order=4,
-                 step=1e-4):
+    def __init__(self, metric, patch, point, upsilon):
         self.metric = metric
         self.patch = patch
         self.point = None if point is None else np.asarray(point, dtype=float)
         self.upsilon = upsilon
-        self.param_order = param_order
-        self.step = step
         self._finite = {}
         self._restricted = {}
 
@@ -231,8 +218,7 @@ class _Engine:
     @cached_property
     def param(self) -> SubmanifoldPack:
         ghat = conformally_rescaled(self.metric, self.upsilon, t=None)
-        return SubmanifoldPack(ghat, self.patch, self.point,
-                               order=self.param_order, param=True)
+        return SubmanifoldPack(ghat, self.patch, self.point, param=True)
 
     def finite(self, t: float) -> SubmanifoldPack:
         if t not in self._finite:
@@ -282,6 +268,8 @@ class _Engine:
 
     def nilpotent(self, evaluator, weight: float, operator=None,
                   operand_weight: float = 0.0) -> np.ndarray:
+        """The exact first variation: the ``t^1`` coefficient on the
+        parameter pack."""
         pp = self.param
         tu = pp.chart_jets[pp.n] * self._upsilon_on(pp)
         out = self._apply(pp, tu, evaluator, operator, operand_weight)
@@ -291,57 +279,42 @@ class _Engine:
     def central(self, evaluator, weight: float, operator=None,
                 operand_weight: float = 0.0) -> np.ndarray:
         vals = []
-        for s in (self.step, -self.step):
+        for s in (_STEP, -_STEP):
             ph = self.finite(s)
             u = self._upsilon_on(ph)
             out = self._apply(ph, s * u, evaluator, operator, operand_weight)
             vals.append(np.exp(-weight * s * float(u.value))
                         * np.asarray(out.value))
-        return (vals[0] - vals[1]) / (2.0 * self.step)
-
-    def variation(self, evaluator, weight: float, operator=None,
-                  operand_weight: float = 0.0) -> tuple[np.ndarray, str]:
-        """The first variation and the method that produced it.
-
-        The nilpotent route runs first.  Only when the parameter
-        coefficient would need jets beyond the budget (four ambient metric
-        derivatives at the default order) does it raise ``BudgetError``,
-        and the quantity is differenced instead.
-        """
-        args = (evaluator, weight, operator, operand_weight)
-        try:
-            return self.nilpotent(*args), "nilpotent-parameter"
-        except BudgetError:
-            return self.central(*args), "central-difference"
+        return (vals[0] - vals[1]) / (2.0 * _STEP)
 
     # --- report assembly ---
     def report(self, name, evaluator, weight, *, operator=None,
                operand_weight=0.0, analytic=None, cross_check=False):
-        """A :class:`LinearizationReport` of one :meth:`variation`.
+        """A :class:`LinearizationReport` of one :meth:`nilpotent` variation.
 
-        With ``cross_check`` a nilpotent variation is also differenced and
-        the gap between the two routes recorded.
+        With ``cross_check`` the variation is also differenced and the gap
+        between the two routes recorded.
         """
         args = (evaluator, weight, operator, operand_weight)
-        numeric, method = self.variation(*args)
+        numeric = self.nilpotent(*args)
         gap = None
-        if cross_check and method == "nilpotent-parameter":
+        if cross_check:
             gap = _gap(numeric, self.central(*args))
         residual = None
         if analytic is not None:
             analytic = np.asarray(analytic, dtype=float)
             residual = _gap(numeric, analytic)
         return LinearizationReport(
-            quantity=name, method=method, numeric=numeric,
+            quantity=name, numeric=numeric,
             analytic=analytic, residual=residual, method_gap=gap,
             flagged=bool(gap is not None and gap > METHOD_FLAG_TOL))
 
 
-def _engine_for(scene: Scene, upsilon, seed, **kw) -> _Engine:
+def _engine_for(scene: Scene, upsilon, seed) -> _Engine:
     """The engine of ``scene`` for ``upsilon`` (random from ``seed`` if None)."""
     if upsilon is None:
         upsilon = random_upsilon(scene.patch.n, seed=seed)
-    return _Engine(scene.metric, scene.patch, scene.point, upsilon, **kw)
+    return _Engine(scene.metric, scene.patch, scene.point, upsilon)
 
 
 def _engines_sharing_base(scene: Scene, upsilons, seed=0) -> list[_Engine]:
@@ -363,8 +336,7 @@ def linearize(evaluator, metric, patch, upsilon, weight, *, point=None,
     ``weight`` is the exponent of its stored components under rescale
     (abstract all-lowered homogeneity minus the number of orthonormal
     normal slots).  The nilpotent-parameter route is exact and is
-    cross-checked by central differences at ``t = +/-1e-4``, which also
-    stand in for it when it would need jets beyond the budget.
+    cross-checked by central differences at ``t = +/-1e-4``.
     """
     eng = _Engine(metric, patch, point, upsilon)
     return eng.report(name, evaluator, weight, analytic=analytic,
@@ -616,8 +588,7 @@ def check_invariance(scene: Scene, upsilon=None, *, seed=0) -> dict:
     For each invariant of weight ``w`` the rescaled evaluation must equal
     ``exp(w t Upsilon)`` times the original at ``t = 0.1`` and
     ``t = -0.07``, and the first variation of the compensated quantity
-    must vanish; ``variation_method`` records the route the jet budget
-    gave it.  A few non-scalar sanity quantities ride along.
+    must vanish.  A few non-scalar sanity quantities ride along.
     """
     eng = _engine_for(scene, upsilon, seed)
     p0 = eng.base
@@ -636,10 +607,9 @@ def check_invariance(scene: Scene, upsilon=None, *, seed=0) -> dict:
             _gap(np.exp(-w * t * upt) * np.asarray(ev(eng.finite(t)).value),
                  base)
             for t in (0.1, -0.07))
-        val, method = eng.variation(ev, float(w))
+        val = eng.nilpotent(ev, float(w))
         out[nm] = {"finite": finite, "weight": w,
-                   "variation": float(np.max(np.abs(val))),
-                   "variation_method": method}
+                   "variation": float(np.max(np.abs(val)))}
     return out
 
 
@@ -754,20 +724,17 @@ def _div_shape_weyl_trace(p) -> Jets:
     return p.divergence(jet_einsum("abr,br->a", lm, wtr))
 
 
-def quartic_term_reports(scene: Scene, upsilon=None, *, seed=0,
-                         order: int = 4) -> list[LinearizationReport]:
+def quartic_term_reports(scene: Scene, upsilon=None, *,
+                         seed=0) -> list[LinearizationReport]:
     """First variations of the seven fourth-order scalar summands.
 
     Each summand's variation is an exact tangential divergence (or
     vanishes outright); this is the pointwise mechanism that lets the
     quartic Q-curvature integrate to a conformal invariant on a closed
-    four-fold.  ``order`` is the order of the nilpotent-parameter pack.
-    At the default order the three summands needing four metric
-    derivatives exceed the jet budget and are differenced; at
-    ``order=5`` (with the budget raised accordingly) every summand takes
-    the exact route.  Each report's ``method`` says which ran.
+    four-fold.  Every variation is exact, the three summands needing four
+    metric derivatives included.
     """
-    eng = _engine_for(scene, upsilon, seed, param_order=order)
+    eng = _engine_for(scene, upsilon, seed)
     p, r = eng.base, eng.restriction
     gu, gl = r.grad_up, r.grad
 
@@ -924,8 +891,7 @@ def _build_strata() -> tuple[StratumElement, ...]:
         # stratum 3: normal gradient of the ambient trace
         (3, "mean_normal_grad_ambient_jtrace",
          lambda p: jet_einsum("r,r->", H(p), _normal_gradient_jtrace(p))),
-        # stratum 4: four ambient metric derivatives, so at the default
-        # order its variation hits the jet budget and is differenced
+        # stratum 4: four ambient metric derivatives
         (4, "ambient_laplacian_jtrace", _ambient_laplacian_jtrace),
     ]
     return tuple(StratumElement(s, nm, ev) for s, nm, ev in rows)
@@ -968,11 +934,10 @@ def check_strata_vanishing(scene: Scene, *, seed: int = 0) -> dict:
     For each depth ``j`` the scene is probed with a factor whose
     transverse jet vanishes through order ``j``; every element in strata
     ``0..j`` must then have vanishing first variation.  A generic factor
-    rides along so the claim is not vacuous.  Differenced variations use
-    the step ``3e-5``.
+    rides along so the claim is not vacuous.
     """
     def magnitudes(ups, depth):
-        eng = _engine_for(scene, ups, seed, step=3e-5)
+        eng = _engine_for(scene, ups, seed)
         mags = {}
         for el in QUARTIC_STRATA:
             if el.stratum <= depth:

@@ -44,7 +44,7 @@ class Polynomial:
     def __init__(self, nvars: int, degree: int, coeffs):
         self.nvars = nvars
         self.degree = degree
-        self.mindex = _multi_indices(nvars, degree, (degree,) * nvars)
+        self.mindex = _multi_indices(nvars, degree)
         self.coeffs = np.asarray(coeffs, dtype=float)
         if self.coeffs.shape[-1] != len(self.mindex):
             raise ValueError(

@@ -6,11 +6,14 @@ sqrt, ...) is exact on polynomial inputs up to the truncation order, so any
 derived quantity computed through jet arithmetic carries *exact* derivatives
 (to round-off), with no finite-difference noise.
 
-Storage is dense over the multi-index set ``{a : |a| <= order, a_i <= cap_i}``
-ordered by total degree then lexicographically, so truncating to a lower
-order is a prefix slice.  Per-variable caps exist so that a formal
-perturbation parameter can be carried to first order only (a nilpotent
-variable), which is how conformal linearization is realized.
+Storage is dense over the multi-indices of total degree ``<= order``,
+ordered by degree then lexicographically, so truncating to a lower order
+is a prefix slice.  A *parameter space* appends one formal variable ``t``
+with ``t^2 = 0`` (a nilpotent variable), which is how conformal
+linearization is realized.  ``t`` has degree 0 in this grading: the order
+bounds the spatial degree only, so the ``t^1`` coefficient carries as many
+spatial derivatives as the ``t^0`` one, and differentiating along ``t``
+keeps the order.
 
 The ``Jets`` class is batched: ``coeffs`` has shape ``batch + (ncoeffs,)``,
 and a whole tensor of jets (e.g. all metric components) is a single
@@ -52,8 +55,17 @@ class BudgetError(RuntimeError):
 
 
 def max_jet_order() -> int:
-    """The jet-order budget, from ``QGEO_JET_ORDER_MAX`` (default 5)."""
-    raw = os.environ.get("QGEO_JET_ORDER_MAX", "")
+    """The jet-order budget, from ``QGEO_JET_ORDER_MAX`` (default 5).
+
+    It bounds the spatial order only: the parameter ``t`` of a parameter
+    space has degree 0 and is not counted.  The variable is read on every
+    call and parsed once per distinct value.
+    """
+    return _parse_order_max(os.environ.get("QGEO_JET_ORDER_MAX", ""))
+
+
+@functools.lru_cache(maxsize=8)
+def _parse_order_max(raw: str) -> int:
     if not raw.strip():
         return DEFAULT_ORDER_MAX
     try:
@@ -65,32 +77,36 @@ def max_jet_order() -> int:
     return value
 
 
-def _multi_indices(nvars: int, order: int, caps: tuple[int, ...]) -> np.ndarray:
-    """All multi-indices with total degree <= order, per-variable <= caps.
+def _multi_indices(nvars: int, order: int, param: bool = False) -> np.ndarray:
+    """All multi-indices of degree <= order (``t`` of degree 0 and <= 1).
 
-    Ordered by total degree, then lexicographically, so the set for a lower
-    order is a prefix of the set for a higher order (same caps).
+    With ``param`` the last of the ``nvars`` variables is the parameter.
+    Ordered by degree, then lexicographically, so the set for a lower
+    order is a prefix of the set for a higher order.
     """
-    rows = []
-    for alpha in _iproduct(*(range(min(c, order) + 1) for c in caps)):
-        if sum(alpha) <= order:
-            rows.append(alpha)
-    arr = np.array(rows, dtype=np.int64).reshape(len(rows), nvars)
-    keys = [tuple(arr[i]) for i in range(len(arr))]
-    srt = sorted(range(len(keys)), key=lambda i: (sum(keys[i]), keys[i]))
-    return arr[srt]
+    ranges = [range(order + 1)] * (nvars - param) + [range(2)] * param
+    rows = [alpha for alpha in _iproduct(*ranges)
+            if sum(alpha[: nvars - param]) <= order]
+    rows.sort(key=lambda alpha: (sum(alpha[: nvars - param]), alpha))
+    return np.array(rows, dtype=np.int64).reshape(len(rows), nvars)
 
 
 class JetSpace:
-    """Coefficient layout plus cached multiplication/derivative tables."""
+    """Coefficient layout plus cached multiplication/derivative tables.
 
-    def __init__(self, nvars: int, order: int, caps: tuple[int, ...]):
+    ``degree`` is the degree of each stored monomial in the grading above
+    (spatial degree), ``top_degree`` the largest total degree of one, so a
+    jet without constant term vanishes at power ``top_degree + 1``.
+    """
+
+    def __init__(self, nvars: int, order: int, param: bool):
         self.nvars = nvars
         self.order = order
-        self.caps = caps
-        self.mindex = _multi_indices(nvars, order, caps)
+        self.param = param
+        self.top_degree = order + param
+        self.mindex = _multi_indices(nvars, order, param)
         self.size = len(self.mindex)
-        self.degree = self.mindex.sum(axis=1)
+        self.degree = self.mindex[:, : nvars - param].sum(axis=1)
         self._pos = {tuple(m): i for i, m in enumerate(self.mindex)}
         # factorial weights: partial derivative = alpha! * Taylor coefficient
         self.factorials = np.array(
@@ -99,6 +115,11 @@ class JetSpace:
         )
         self._mul = None
         self._derivs = {}
+
+    @property
+    def caps(self) -> tuple[int, ...]:
+        """The largest exponent of each variable (1 for the parameter)."""
+        return (self.order,) * (self.nvars - self.param) + (1,) * self.param
 
     def position(self, alpha) -> int:
         return self._pos[tuple(int(a) for a in alpha)]
@@ -110,12 +131,14 @@ class JetSpace:
         coefficient vectors ``a`` and ``b``.
         """
         if self._mul is None:
-            m = self.mindex
-            sums = m[:, None, :] + m[None, :, :]  # (M, M, nvars)
-            ok = (sums.sum(axis=2) <= self.order) & (sums <= np.array(self.caps)).all(axis=2)
+            m, deg = self.mindex, self.degree
+            ok = deg[:, None] + deg[None, :] <= self.order
+            if self.param:
+                ok &= m[:, None, -1] + m[None, :, -1] <= 1
             ii, jj = np.nonzero(ok)
             kk = np.fromiter(
-                (self._pos[tuple(s)] for s in sums[ii, jj]), dtype=np.int64, count=len(ii)
+                (self._pos[tuple(s)] for s in m[ii] + m[jj]), dtype=np.int64,
+                count=len(ii)
             )
             scatter = sparse.csr_matrix(
                 (np.ones(len(kk)), (kk, np.arange(len(kk)))), shape=(self.size, len(kk))
@@ -124,9 +147,16 @@ class JetSpace:
         return self._mul
 
     def deriv_tables(self, var: int):
-        """(src, scale): coefficient gather realizing d/dx_var into order-1 space."""
+        """(target, src, scale): coefficient gather realizing d/dx_var.
+
+        The target space has order one less, except along the parameter,
+        whose derivative keeps the order.
+        """
         if var not in self._derivs:
-            target = space(self.nvars, self.order - 1, self.caps)
+            if self.param and var == self.nvars - 1:
+                target = self
+            else:
+                target = space(self.nvars, self.order - 1, self.param)
             src = np.zeros(target.size, dtype=np.int64)
             scale = np.zeros(target.size)
             for t, alpha in enumerate(target.mindex):
@@ -136,17 +166,20 @@ class JetSpace:
                 if pos is not None:
                     src[t] = pos
                     scale[t] = alpha[var] + 1
-            self._derivs[var] = (src, scale)
+            self._derivs[var] = (target, src, scale)
         return self._derivs[var]
 
 
 @functools.lru_cache(maxsize=None)
-def _space_cached(nvars: int, order: int, caps: tuple[int, ...]) -> JetSpace:
-    return JetSpace(nvars, order, caps)
+def _space_cached(nvars: int, order: int, param: bool) -> JetSpace:
+    return JetSpace(nvars, order, param)
 
 
-def space(nvars: int, order: int, caps=None) -> JetSpace:
-    """Get (cached) the jet space for ``nvars`` variables at ``order``."""
+def space(nvars: int, order: int, param: bool = False) -> JetSpace:
+    """Get (cached) the jet space for ``nvars`` variables at ``order``.
+
+    With ``param`` the last variable is the first-order parameter ``t``.
+    """
     if order < 0:
         raise BudgetError("jet budget exhausted (a derivative was requested "
                           "beyond the available Taylor order)")
@@ -154,10 +187,7 @@ def space(nvars: int, order: int, caps=None) -> JetSpace:
         raise BudgetError(
             f"jet order {order} exceeds QGEO_JET_ORDER_MAX={max_jet_order()}"
         )
-    if caps is None:
-        caps = (order,) * nvars
-    caps = tuple(min(int(c), order) for c in caps)
-    return _space_cached(nvars, order, caps)
+    return _space_cached(nvars, order, bool(param))
 
 
 class Jets:
@@ -203,17 +233,17 @@ class Jets:
     def truncate(self, order: int) -> "Jets":
         if order >= self.order:
             return self
-        sub = space(self.space.nvars, order, self.space.caps)
+        sub = space(self.space.nvars, order, self.space.param)
         return Jets(sub, self.coeffs[..., : sub.size])
 
     def deriv(self, var: int) -> "Jets":
-        """Partial derivative with respect to variable ``var`` (order drops by 1)."""
-        if self.order == 0:
-            raise BudgetError(
-                "jet budget exhausted: cannot differentiate an order-0 jet"
-            )
-        target = space(self.space.nvars, self.order - 1, self.space.caps)
-        src, scale = self.space.deriv_tables(var)
+        """Partial derivative along variable ``var``.
+
+        The order drops by one, except along the parameter of a parameter
+        space; differentiating an order-0 jet spatially raises
+        ``BudgetError``.
+        """
+        target, src, scale = self.space.deriv_tables(var)
         return Jets(target, self.coeffs[..., src] * scale)
 
     def __getitem__(self, key) -> "Jets":
@@ -284,7 +314,9 @@ class Jets:
         """Apply a scalar function given its derivatives at the jet values.
 
         ``derivs[m]`` must hold the m-th derivative of the function,
-        evaluated at ``self.value`` (shape = batch), for m = 0..order.
+        evaluated at ``self.value`` (shape = batch), for m = 0..top with
+        ``top = space.top_degree``: on a parameter space ``t x^order``
+        first appears in ``nil^(order + 1)``.
         """
         nil_coeffs = self.coeffs.copy()
         nil_coeffs[..., 0] = 0.0
@@ -293,21 +325,21 @@ class Jets:
         out[..., 0] = derivs[0]
         acc = Jets(self.space, out)
         term = None
-        for m in range(1, self.order + 1):
+        for m in range(1, self.space.top_degree + 1):
             term = nil if term is None else jet_mul(term, nil)
             acc = acc + term * (np.asarray(derivs[m]) / math.factorial(m))
         return acc
 
     def exp(self) -> "Jets":
         e = np.exp(self.value)
-        return self._series([e] * (self.order + 1))
+        return self._series([e] * (self.space.top_degree + 1))
 
     def log(self) -> "Jets":
         v = self.value
         if np.any(v <= 0):
             raise FloatingPointError("log of non-positive jet value")
         derivs = [np.log(v)]
-        for m in range(1, self.order + 1):
+        for m in range(1, self.space.top_degree + 1):
             derivs.append(((-1.0) ** (m - 1)) * math.factorial(m - 1) / v**m)
         return self._series(derivs)
 
@@ -317,7 +349,7 @@ class Jets:
             raise FloatingPointError("sqrt of non-positive jet value")
         derivs = [np.sqrt(v)]
         coef = 0.5
-        for m in range(1, self.order + 1):
+        for m in range(1, self.space.top_degree + 1):
             derivs.append(coef * v ** (0.5 - m))
             coef *= 0.5 - m
         return self._series(derivs)
@@ -327,19 +359,19 @@ class Jets:
         if np.any(v == 0):
             raise ZeroDivisionError("reciprocal of jet with zero value")
         derivs = [1.0 / v]
-        for m in range(1, self.order + 1):
+        for m in range(1, self.space.top_degree + 1):
             derivs.append(((-1.0) ** m) * math.factorial(m) / v ** (m + 1))
         return self._series(derivs)
 
     def sin(self) -> "Jets":
         v = self.value
         table = [np.sin(v), np.cos(v), -np.sin(v), -np.cos(v)]
-        return self._series([table[m % 4] for m in range(self.order + 1)])
+        return self._series([table[m % 4] for m in range(self.space.top_degree + 1)])
 
     def cos(self) -> "Jets":
         v = self.value
         table = [np.cos(v), -np.sin(v), -np.cos(v), np.sin(v)]
-        return self._series([table[m % 4] for m in range(self.order + 1)])
+        return self._series([table[m % 4] for m in range(self.space.top_degree + 1)])
 
     def __repr__(self):
         return (f"Jets(nvars={self.space.nvars}, order={self.order}, "
@@ -362,22 +394,19 @@ def variables(point, order: int, param: bool = False):
     Returns a list of scalar jets, one per coordinate.  With ``param=True``
     one extra first-order nilpotent variable is appended to the space (and
     returned last) — the formal parameter used for conformal linearization.
+    It has degree 0, so even an order-0 parameter space holds it.
     """
     point = np.asarray(point, dtype=float)
     n = len(point)
-    if param:
-        spc = space(n + 1, order, caps=(order,) * n + (1,))
-    else:
-        spc = space(n, order)
+    spc = space(n + param, order, param)
     out = []
-    for i in range(n + (1 if param else 0)):
+    for i in range(spc.nvars):
         c = np.zeros(spc.size)
         if i < n:
             c[0] = point[i]
-        if order >= 1:
-            e = np.zeros(spc.nvars, dtype=np.int64)
-            e[i] = 1
-            c[spc.position(e)] = 1.0
+        unit = tuple(int(j == i) for j in range(spc.nvars))
+        if unit in spc._pos:
+            c[spc._pos[unit]] = 1.0
         out.append(Jets(spc, c))
     return out
 
@@ -534,7 +563,10 @@ class Composer:
     space whose values equal the basepoint at which the composed jets were
     expanded (e.g. the immersion map's component jets).  The monomial tables
     are cached per (source space, order), so pulling many ambient tensors
-    back along one immersion is a single matmul each.
+    back along one immersion is a single matmul each.  On a parameter
+    space no displacement but the parameter's own may have a pure ``t``
+    term (one of degree 0), or source monomials beyond the order would
+    contribute.
     """
 
     def __init__(self, coords: Jets):

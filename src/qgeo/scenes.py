@@ -173,7 +173,7 @@ def random_polynomial_metric(n: int, seed: int, amplitude: float = 0.05,
     """
     rng = np.random.default_rng(seed)
     top = max(degrees)
-    mindex = _multi_indices(n, top, (top,) * n)
+    mindex = _multi_indices(n, top)
     M = len(mindex)
     coeffs = rng.uniform(-amplitude, amplitude, size=(n, n, M))
     coeffs = 0.5 * (coeffs + coeffs.transpose(1, 0, 2))
@@ -187,7 +187,7 @@ def random_upsilon(n: int, seed: int, degree: int = 4,
                    amplitude: float = 0.3) -> Polynomial:
     """Random polynomial conformal factor of total degree <= ``degree``."""
     rng = np.random.default_rng(seed)
-    M = len(_multi_indices(n, degree, (degree,) * n))
+    M = len(_multi_indices(n, degree))
     return Polynomial(n, degree, rng.uniform(-amplitude, amplitude, size=M))
 
 
@@ -202,7 +202,7 @@ def random_scene(k: int, n: int, seed: int, metric_amplitude: float = 0.05,
     rng = np.random.default_rng(seed)
     g = random_polynomial_metric(n, seed=int(rng.integers(2**31)),
                                  amplitude=metric_amplitude)
-    mindex = _multi_indices(k, 4, (4,) * k)
+    mindex = _multi_indices(k, 4)
     hc = rng.uniform(-height_amplitude, height_amplitude,
                      size=(n - k, len(mindex)))
     hc[:, mindex.sum(axis=1) == 0] = 0.0

@@ -6,9 +6,11 @@ scalars, rational in the parameters and the ambient dimension), and a
 round-sphere chart is an explicit conformal rescale of the flat chart.
 Everything else is pinned structurally: exact transformation laws must be
 reproduced by the nilpotent-parameter coefficient to machine precision,
-nilpotent and central-difference routes must agree on every registered
-quantity, and the stratified vanishing of the quartic building blocks
-must be sharp (dead strata at zero, living strata visibly nonzero).
+fourth-derivative quantities (Bach tensors, the heavy quartic summands and
+invariants) included, the nilpotent route must agree with the independent
+central-difference cross-check on every registered quantity, and the
+stratified vanishing of the quartic building blocks must be sharp (dead
+strata at zero, living strata visibly nonzero).
 """
 
 from functools import lru_cache
@@ -143,24 +145,25 @@ def test_rescale_components_scale_pointwise(t, seed):
 
 # -- exact transformation laws --------------------------------------------------
 
-NILPOTENT, CENTRAL = "nilpotent-parameter", "central-difference"
-#: quartic summands needing four metric derivatives: differenced at the
-#: default order
+#: quartic summands needing four metric derivatives
 HEAVY_QUARTIC = {"laplacian_intrinsic_jtrace", "double_divergence_fialkow",
                  "laplacian_fialkow_trace"}
+#: registered invariants needing four metric derivatives
+HEAVY_INVARIANTS = {"fialkow_quartic", "weyl_trace_quartic",
+                    "weyl_trace_quartic_scaled", "gauss_bonnet_defect",
+                    "anomaly_quartic_b"}
 
 
 @pytest.mark.parametrize("k,n,seed", [(3, 5, 4), (4, 6, 11)])
 def test_ambient_laws(k, n, seed):
     reps = cf.ambient_law_reports(scene(k, n, seed), seed=seed + 1)
+    by_name = {r.quantity: r for r in reps}
     for r in reps:
-        # Bach consumes four metric derivatives: past the jet budget
-        want = CENTRAL if r.quantity == "bach[tt]" else NILPOTENT
-        assert r.method == want, f"{r.quantity}: {r.method}"
         assert r.residual is not None
-        assert r.residual < 1e-6, f"{r.quantity}: residual {r.residual}"
-        if r.method == NILPOTENT:
-            assert r.residual < 1e-12, f"{r.quantity} should be exact"
+        assert r.residual < 1e-12, f"{r.quantity}: residual {r.residual}"
+    # exact, Bach's four metric derivatives included (differencing leaves
+    # 7e-13 to 1e-12 on these scenes)
+    assert by_name["bach[tt]"].residual < 1e-13
 
 
 @pytest.mark.parametrize("k,n,seed", [(3, 5, 4), (4, 6, 11), (2, 5, 8)])
@@ -169,7 +172,6 @@ def test_submanifold_laws(k, n, seed):
     names = {r.quantity for r in reps}
     assert "second_fundamental" in names and "mean_curvature" in names
     for r in reps:
-        assert r.method == NILPOTENT, f"{r.quantity}: {r.method}"
         assert r.residual < 1e-12, f"{r.quantity}: residual {r.residual}"
 
 
@@ -178,7 +180,6 @@ def test_derivative_operator_laws(k, n, seed):
     reps = cf.derivative_law_reports(scene(k, n, seed), seed=seed + 2)
     assert len(reps) == 4
     for r in reps:
-        assert r.method == NILPOTENT, f"{r.quantity}: {r.method}"
         assert r.residual < 1e-12, f"{r.quantity}: residual {r.residual}"
         assert r.method_gap is not None and r.method_gap < 1e-6, (
             f"{r.quantity}: methods disagree by {r.method_gap}")
@@ -193,9 +194,10 @@ def test_trace_adjusted_laws_and_tangential_dependence(k, n, seed):
         "mixed_schouten", "mixed_cotton[ttt]", "mixed_cotton_trace",
         "mixed_bach", "normal_deflection"}
     for r in by_name.values():
-        want = CENTRAL if r.quantity == "mixed_bach" else NILPOTENT
-        assert r.method == want, f"{r.quantity}: {r.method}"
         assert r.residual < 1e-6, f"{r.quantity}: residual {r.residual}"
+    # four metric derivatives, still exact (differencing leaves 6e-13 on
+    # the (3, 5) scene)
+    assert by_name["mixed_bach"].residual < 1e-13
     # a factor vanishing along the patch kills every variation ...
     assert out["tangential_zero_max"] < 1e-7
     # ... and the trace-adjusted Schouten variation dies identically
@@ -204,7 +206,8 @@ def test_trace_adjusted_laws_and_tangential_dependence(k, n, seed):
 
 def test_tangential_battery_shares_the_base_pack(monkeypatch):
     # the base pack does not depend on Upsilon, so both engines of the
-    # battery use one: 7 pack builds on this scene, not 8
+    # battery use one; with every variation exact, the other two builds
+    # are the engines' parameter packs
     builds = []
     init = SubmanifoldPack.__init__
 
@@ -214,14 +217,14 @@ def test_tangential_battery_shares_the_base_pack(monkeypatch):
 
     monkeypatch.setattr(SubmanifoldPack, "__init__", counting_init)
     out = cf.check_tangential_dependence(random_scene(4, 5, 2))
-    assert len(builds) == 7
+    assert len(builds) == 3
     assert out["tangential_zero_max"] < 1e-7
 
 
 @pytest.mark.parametrize("battery,calls", [
-    (cf.check_invariance, 10),
-    (cf.ambient_law_reports, 8),
-    (cf.quartic_term_reports, 8),
+    (cf.check_invariance, 6),
+    (cf.ambient_law_reports, 4),
+    (cf.quartic_term_reports, 4),
 ])
 def test_upsilon_is_restricted_once_per_pack(battery, calls):
     # one call per pack build of a rescaled metric and one per restriction
@@ -246,7 +249,6 @@ def test_linearize_mean_curvature_flat_oracle():
         lambda q: q.mean_curvature, sc.metric, sc.patch,
         lambda xs: 1.0 * xs[2], -1.0, point=sc.point,
         name="mean_curvature", analytic=np.array([-1.0]))
-    assert rep.method == NILPOTENT
     assert rep.residual < 1e-14, f"residual {rep.residual}"
     assert rep.method_gap < 1e-9
     assert rep.ok()
@@ -255,11 +257,10 @@ def test_linearize_mean_curvature_flat_oracle():
 # -- method agreement on every registered quantity ------------------------------
 
 
-def test_methods_agree_on_all_registered_quantities(monkeypatch):
-    monkeypatch.setenv("QGEO_JET_ORDER_MAX", "6")
+def test_methods_agree_on_all_registered_quantities():
     sc = scene(4, 6, 21)
     ups = random_upsilon(6, seed=2)
-    eng = cf._Engine(sc.metric, sc.patch, sc.point, ups, param_order=5)
+    eng = cf._Engine(sc.metric, sc.patch, sc.point, ups)
     quantities = [(nm, lambda q, nm=nm: evaluate(q, nm))
                   for nm in cf.CONFORMALLY_INVARIANT if nm in available(4, 6)]
     # the quartic strata elements, stratum 4 included
@@ -273,19 +274,17 @@ def test_methods_agree_on_all_registered_quantities(monkeypatch):
 
 
 def test_heavy_quartic_terms_agree_across_methods(monkeypatch):
-    # fourth-derivative summands: exact route at raised order vs differencing
-    monkeypatch.setenv("QGEO_JET_ORDER_MAX", "6")
-    sc = scene(4, 6, 13)
-    exact = cf.quartic_term_reports(sc, seed=3, order=5)
-    diffed = cf.quartic_term_reports(sc, seed=3)
-    for a, b in zip(exact, diffed):
-        assert a.quantity == b.quantity
-        assert a.method == NILPOTENT, f"{a.quantity}: {a.method}"
-        want = CENTRAL if b.quantity in HEAVY_QUARTIC else NILPOTENT
-        assert b.method == want, f"{b.quantity}: {b.method}"
-        gap = float(np.max(np.abs(a.numeric - b.numeric)))
-        assert gap < 1e-6, f"{a.quantity}: order-5 vs central {gap}"
-        assert a.residual < 1e-12, f"{a.quantity}: exact residual {a.residual}"
+    # fourth-derivative summands at the default order: the exact route
+    # against differencing, by cross-checking every report of the battery
+    report = cf._Engine.report
+    monkeypatch.setattr(cf._Engine, "report", lambda self, *a, **kw: report(
+        self, *a, **{**kw, "cross_check": True}))
+    reps = cf.quartic_term_reports(scene(4, 6, 13), seed=3)
+    assert HEAVY_QUARTIC <= {r.quantity for r in reps}
+    for r in reps:
+        assert r.method_gap < 1e-6, f"{r.quantity}: vs central {r.method_gap}"
+        assert not r.flagged
+        assert r.residual < 1e-12, f"{r.quantity}: exact residual {r.residual}"
 
 
 # -- pointwise conformal invariance ----------------------------------------------
@@ -307,14 +306,10 @@ def test_invariance_covers_the_registered_subset():
     assert expected <= set(out)
     # sanity tensors ride along
     assert {"tracefree_norm2", "fialkow", "normal_curvature"} <= set(out)
-    # the invariants consuming four metric derivatives are differenced
-    diffed = {nm for nm, row in out.items()
-              if row["variation_method"] == CENTRAL}
-    assert diffed == {"fialkow_quartic", "weyl_trace_quartic",
-                      "weyl_trace_quartic_scaled", "gauss_bonnet_defect",
-                      "anomaly_quartic_b"}
-    assert all(row["variation_method"] == NILPOTENT
-               for nm, row in out.items() if nm not in diffed)
+    # the invariants consuming four metric derivatives vary exactly too
+    assert HEAVY_INVARIANTS <= set(out)
+    for nm in HEAVY_INVARIANTS:
+        assert out[nm]["variation"] < 1e-12, f"{nm}: {out[nm]['variation']}"
 
 
 # -- Q-curvature transformation ---------------------------------------------------
@@ -353,9 +348,9 @@ def test_quartic_term_variations_are_divergences(seed):
     reps = cf.quartic_term_reports(scene(4, 6, seed), seed=seed + 1)
     assert len(reps) == 7
     for r in reps:
-        want = CENTRAL if r.quantity in HEAVY_QUARTIC else NILPOTENT
-        assert r.method == want, f"{r.quantity}: {r.method}"
         assert r.residual < 1e-6, f"{r.quantity}: residual {r.residual}"
+        if r.quantity in HEAVY_QUARTIC:
+            assert r.residual < 1e-12, f"{r.quantity} should be exact"
 
 
 def test_strata_vanishing_is_sharp():

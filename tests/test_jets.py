@@ -139,11 +139,76 @@ def test_deriv_shifts_multi_index():
 
 
 def test_truncation_is_prefix():
-    xs = variables([0.3, 0.4], 4)
-    f = (xs[0] + xs[1]).exp()
-    g = f.truncate(2)
-    assert g.order == 2
-    assert np.array_equal(g.coeffs, f.coeffs[: g.space.size])
+    for param in (False, True):
+        xs = variables([0.3, 0.4], 4, param=param)
+        f = (xs[0] + xs[-1] * xs[1]).exp()
+        g = f.truncate(2)
+        assert g.order == 2
+        assert g.space is space(len(xs), 2, param)
+        assert np.array_equal(g.coeffs, f.coeffs[: g.space.size])
+        # the lower-order jet of the same function is the same prefix
+        ys = variables([0.3, 0.4], 2, param=param)
+        assert np.allclose(g.coeffs, (ys[0] + ys[-1] * ys[1]).exp().coeffs,
+                           rtol=0, atol=1e-15)
+
+
+def test_parameter_has_degree_zero():
+    # order 0 still holds t, and d/dt keeps the order
+    x, t = variables([0.6], 0, param=True)
+    assert t.space.size == 2
+    assert np.array_equal(t.coeffs, [0.0, 1.0])
+    f = (x + t).exp()
+    assert np.allclose(f.coeffs, [math.exp(0.6)] * 2)
+    assert f.deriv(1).space is f.space
+    assert float(f.deriv(1).value) == pytest.approx(math.exp(0.6))
+    with pytest.raises(BudgetError):
+        f.deriv(0)
+    # at order 2: t * x^2 is stored, t^2 and x^3 are not
+    spc = variables([0.0], 2, param=True)[0].space
+    assert [tuple(m) for m in spc.mindex] == [
+        (0, 0), (0, 1), (1, 0), (1, 1), (2, 0), (2, 1)]
+    assert spc.order == 2 and spc.top_degree == 3
+
+
+def _split_parameter(f, plain):
+    """The t^0 and t^1 parts of a parameter-space jet, on ``plain``."""
+    rows = {tuple(m): i for i, m in enumerate(f.space.mindex)}
+    parts = []
+    for t in (0, 1):
+        idx = [rows[tuple(m) + (t,)] for m in plain.mindex]
+        parts.append(Jets(plain, f.coeffs[..., idx]))
+    return parts
+
+
+@pytest.mark.parametrize("order", [1, 3])
+def test_series_on_parameter_space(order):
+    # exp(f0 + t f1) = exp(f0) + t f1 exp(f0): the t x^order term comes
+    # from the (order + 1)-th power of the nilpotent part
+    rng = np.random.default_rng(order)
+    *xs, t = variables([0.2, -0.1], order, param=True)
+    plain = space(2, order)
+    f = Jets(xs[0].space, rng.normal(size=xs[0].space.size))
+    f0, f1 = _split_parameter(f, plain)
+    e0, e1 = _split_parameter(f.exp(), plain)
+    assert np.allclose(e0.coeffs, f0.exp().coeffs, rtol=0, atol=1e-12)
+    assert np.allclose(e1.coeffs, (f1 * f0.exp()).coeffs, rtol=0, atol=1e-12)
+    r0, r1 = _split_parameter(f.reciprocal(), plain)
+    assert np.allclose(r1.coeffs, (-f1 / (f0 * f0)).coeffs, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("order", [1, 3])
+def test_inverse_metric_on_parameter_space(order):
+    from qgeo.ambient import inverse_metric_jets
+
+    rng = np.random.default_rng(10 + order)
+    spc = variables([0.0, 0.0, 0.0], order, param=True)[0].space
+    coeffs = rng.normal(scale=0.3, size=(3, 3, spc.size))
+    coeffs = coeffs + coeffs.transpose(1, 0, 2)
+    coeffs[..., 0] += 2.0 * np.eye(3)
+    G = Jets(spc, coeffs)
+    X = inverse_metric_jets(G)
+    resid = jet_einsum("ab,bc->ac", G, X) - constant(np.eye(3), spc)
+    assert float(np.max(np.abs(resid.coeffs))) < 1e-12
 
 
 def test_budget_errors():
@@ -159,9 +224,22 @@ def test_order_cap_env(monkeypatch):
     assert max_jet_order() == 3
     with pytest.raises(BudgetError):
         variables([0.0], 4)
+    # the budget bounds the spatial order only
+    assert variables([0.0], 3, param=True)[0].order == 3
     monkeypatch.setenv("QGEO_JET_ORDER_MAX", "oops")
     with pytest.raises(BudgetError):
         max_jet_order()
+    # every change of the variable takes effect, back and forth
+    for raw, want in (("6", 6), ("3", 3), ("6", 6), (" ", 5), ("3", 3)):
+        monkeypatch.setenv("QGEO_JET_ORDER_MAX", raw)
+        assert max_jet_order() == want
+        if want < 4:
+            with pytest.raises(BudgetError):
+                space(2, 4)
+        else:
+            assert space(2, 4).order == 4
+    monkeypatch.delenv("QGEO_JET_ORDER_MAX")
+    assert max_jet_order() == 5
 
 
 def test_jet_mul_agrees_with_direct_jet():
@@ -210,12 +288,17 @@ def test_chunked_products_match_unchunked(monkeypatch):
 
 
 def naive_mul(spc, a, b):
-    """Truncated product of two coefficient vectors, monomial by monomial."""
+    """Truncated product of two coefficient vectors, monomial by monomial.
+
+    On a parameter space the last variable ``t`` has degree 0 and ``t^2``
+    vanishes; the spatial degree is bounded by the order.
+    """
+    nx = spc.nvars - spc.param
     out = np.zeros(spc.size)
     for i, alpha in enumerate(spc.mindex):
         for j, beta in enumerate(spc.mindex):
             gamma = tuple(alpha + beta)
-            if sum(gamma) <= spc.order and all(g <= c for g, c in zip(gamma, spc.caps)):
+            if sum(gamma[:nx]) <= spc.order and (not spc.param or gamma[-1] <= 1):
                 out[spc.position(gamma)] += a[i] * b[j]
     return out
 
@@ -275,7 +358,8 @@ def test_jet_einsum_rejects_diagonals_and_one_sided_sums():
 def test_jet_einsum_on_nilpotent_space():
     rng = np.random.default_rng(19)
     spc = variables([0.0, 0.0, 0.0], 3, param=True)[0].space
-    assert spc.caps[-1] == 1
+    assert spc.param and spc.degree.max() == 3
+    assert spc.mindex[:, -1].max() == 1 and spc.mindex[:, :3].sum(axis=1).max() == 3
     A = Jets(spc, rng.normal(size=(3, 2, spc.size)))
     B = Jets(spc, rng.normal(size=(2, 3, spc.size)))
     for subscripts in ("ab,bc->ac", "ab,ba->", "ab,ba->ab"):
@@ -361,12 +445,13 @@ def test_nilpotent_parameter_linearizes():
     xs = variables([0.6], 3, param=True)
     x, t = xs
     f = (x + t).exp()
-    assert t.space.caps[-1] == 1
     assert np.allclose((t * t).coeffs, 0.0)
     e = math.exp(0.6)
     assert f.coeff([0, 0]) == pytest.approx(e)
     assert f.coeff([0, 1]) == pytest.approx(e)        # d/dt at t=0
     assert f.coeff([2, 1]) == pytest.approx(e / 2.0)  # x^2 t coefficient
+    # t has degree 0: the t coefficient keeps the full spatial order
+    assert f.coeff([3, 1]) == pytest.approx(e / 6.0)
 
 
 def test_division_and_power():

@@ -1,7 +1,9 @@
-"""Public names: every name a module exports must resolve on it."""
+"""Public names: every name a module exports must resolve on it, and
+every console script the project declares must import."""
 
 import importlib
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -20,3 +22,15 @@ def test_module_exports_resolve(module):
     mod = importlib.import_module(f"qgeo.{module}")
     missing = [nm for nm in mod.__all__ if not hasattr(mod, nm)]
     assert not missing, f"qgeo.{module}.__all__ names {missing}"
+
+
+def test_console_scripts_import():
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    scripts = tomllib.loads(pyproject.read_text())["project"].get("scripts", {})
+    for name, target in scripts.items():
+        module, _, attr = target.partition(":")
+        obj = importlib.import_module(module)
+        for part in attr.split("."):
+            obj = getattr(obj, part)
+        assert callable(obj), f"script {name}: {target} is not callable"
