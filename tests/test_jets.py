@@ -185,14 +185,16 @@ def test_series_on_parameter_space(order):
     # exp(f0 + t f1) = exp(f0) + t f1 exp(f0): the t x^order term comes
     # from the (order + 1)-th power of the nilpotent part
     rng = np.random.default_rng(order)
-    *xs, t = variables([0.2, -0.1], order, param=True)
+    spc = variables([0.2, -0.1], order, param=True)[0].space
     plain = space(2, order)
-    f = Jets(xs[0].space, rng.normal(size=xs[0].space.size))
+    coeffs = rng.normal(size=spc.size)
+    coeffs[0] = 1.5  # away from the pole of the reciprocal
+    f = Jets(spc, coeffs)
     f0, f1 = _split_parameter(f, plain)
     e0, e1 = _split_parameter(f.exp(), plain)
     assert np.allclose(e0.coeffs, f0.exp().coeffs, rtol=0, atol=1e-12)
     assert np.allclose(e1.coeffs, (f1 * f0.exp()).coeffs, rtol=0, atol=1e-12)
-    r0, r1 = _split_parameter(f.reciprocal(), plain)
+    _, r1 = _split_parameter(f.reciprocal(), plain)
     assert np.allclose(r1.coeffs, (-f1 / (f0 * f0)).coeffs, rtol=0, atol=1e-12)
 
 
