@@ -20,6 +20,8 @@ slots obeys ``stored_hat = exp((h - j) t Upsilon) stored``.  The
 ``weight`` argument taken throughout is that stored exponent ``h - j``;
 the first variation of a quantity with an exact weight is recovered as
 the ``t``-coefficient of ``exp(-weight * t * Upsilon) * stored_hat``.
+With ``t^2 = 0`` that exponential is exactly ``1 - weight * t * Upsilon``,
+so the coefficient is ``d_t stored_hat - weight * Upsilon * stored``.
 
 The checks bundled here certify, on top of individual variations:
 
@@ -199,7 +201,10 @@ class _Engine:
     A variation is taken of ``operator(pack, exp(operand_weight t Upsilon)
     evaluator(pack))`` compensated by ``exp(-weight t Upsilon)``, where
     ``weight`` is the stored weight of the result.  Without an operator it
-    is the variation of ``evaluator`` itself.
+    is the variation of ``evaluator`` itself.  On the parameter pack
+    ``t^2 = 0``, so ``exp(w t Upsilon) = 1 + w t Upsilon`` exactly: the
+    nilpotent route forms no jet exponential, and needs ``Upsilon`` on
+    the pack's chart jets only for an operator's operand.
     """
 
     def __init__(self, metric, patch, point, upsilon):
@@ -258,23 +263,43 @@ class _Engine:
             laplacian=p.tangential_laplacian(u_y),
         )
 
+    @cached_property
+    def _upsilon_at_point(self) -> float:
+        """``Upsilon`` at the attachment point (order-0 coordinate jets)."""
+        return float(self.upsilon(variables(self.param.x_point, 0)).value)
+
     # --- variations ---
     @staticmethod
-    def _apply(pack, tu, evaluator, operator, operand_weight) -> Jets:
+    def _apply(pack, evaluator, operator, scale) -> Jets:
+        """``evaluator`` on ``pack``, then ``operator`` on ``scale() *`` it.
+
+        ``scale`` returns the operand's rescale factor
+        ``exp(operand_weight t Upsilon)`` in the caller's form and is called
+        only when there is an operator.
+        """
         out = evaluator(pack)
         if operator is None:
             return out
-        return operator(pack, (float(operand_weight) * tu).exp() * out)
+        return operator(pack, scale() * out)
 
     def nilpotent(self, evaluator, weight: float, operator=None,
                   operand_weight: float = 0.0) -> np.ndarray:
         """The exact first variation: the ``t^1`` coefficient on the
-        parameter pack."""
+        parameter pack.
+
+        With ``t^2 = 0`` the operand scale is ``1 + operand_weight t
+        Upsilon`` and the compensated coefficient is ``d_t out - weight
+        Upsilon(x0) out``, both exact.
+        """
         pp = self.param
-        tu = pp.chart_jets[pp.n] * self._upsilon_on(pp)
-        out = self._apply(pp, tu, evaluator, operator, operand_weight)
-        comp = ((-float(weight)) * tu).exp()
-        return np.asarray((comp * out).deriv(pp.k).value)
+
+        def scale():
+            tu = pp.chart_jets[pp.n] * self._upsilon_on(pp)
+            return 1.0 + float(operand_weight) * tu
+
+        out = self._apply(pp, evaluator, operator, scale)
+        return np.asarray(out.deriv(pp.k).value
+                          - float(weight) * self._upsilon_at_point * out.value)
 
     def central(self, evaluator, weight: float, operator=None,
                 operand_weight: float = 0.0) -> np.ndarray:
@@ -282,7 +307,8 @@ class _Engine:
         for s in (_STEP, -_STEP):
             ph = self.finite(s)
             u = self._upsilon_on(ph)
-            out = self._apply(ph, s * u, evaluator, operator, operand_weight)
+            out = self._apply(ph, evaluator, operator,
+                              lambda: (float(operand_weight) * (s * u)).exp())
             vals.append(np.exp(-weight * s * float(u.value))
                         * np.asarray(out.value))
         return (vals[0] - vals[1]) / (2.0 * _STEP)

@@ -7,13 +7,29 @@ geometry layers consume.  The evaluation protocol passes the full list of
 coordinate jets (with the optional trailing first-order linearization
 parameter appended), and plain fields use only their own ``dim`` leading
 entries.
+
+A ``Polynomial`` is re-centred at the input values by a Taylor shift, so
+on *coordinate variables* (the first ``nvars`` variables of a jet space,
+as ``variables`` returns them) its jet is the shifted coefficient vector
+itself, laid into the space without a single jet product.
 """
 
 from __future__ import annotations
 
+import functools
+import math
+
 import numpy as np
 
-from .jets import Jets, _multi_indices, constant, jets_stack, monomial_table, variables
+from .jets import (
+    JetSpace,
+    Jets,
+    _multi_indices,
+    constant,
+    jets_stack,
+    monomial_table,
+    variables,
+)
 
 __all__ = [
     "GeometryError",
@@ -34,11 +50,61 @@ class GeometryError(ValueError):
     """A geometric precondition failed (degenerate metric or immersion)."""
 
 
+@functools.lru_cache(maxsize=None)
+def _shift_pairs(nvars: int, degree: int):
+    """Index data of the Taylor shift of a polynomial of degree <= ``degree``.
+
+    Over the pairs ``alpha >= beta`` (componentwise) of its monomials:
+    the rows of ``alpha``, ``beta`` and ``alpha - beta``, and the binomial
+    weight ``C(alpha, beta) = prod_i C(alpha_i, beta_i)``.
+    """
+    mindex = _multi_indices(nvars, degree)
+    above = np.ones((len(mindex),) * 2, dtype=bool)
+    for i in range(nvars):
+        above &= mindex[:, None, i] >= mindex[None, :, i]
+    ia, ib = np.nonzero(above)
+    radix = (degree + 1) ** np.arange(nvars)
+    keys = mindex @ radix
+    srt = np.argsort(keys)
+    idiff = srt[np.searchsorted(keys, (mindex[ia] - mindex[ib]) @ radix, sorter=srt)]
+    comb = np.array([[math.comb(a, b) for b in range(degree + 1)]
+                     for a in range(degree + 1)], dtype=float)
+    return ia, ib, idiff, comb[mindex[ia], mindex[ib]].prod(axis=1)
+
+
+@functools.lru_cache(maxsize=None)
+def _coordinate_layout(nvars: int, degree: int, spc: JetSpace):
+    """Where a polynomial in the first ``nvars`` variables of ``spc`` lands.
+
+    Returns the rows of the monomials of degree <= ``degree`` that ``spc``
+    stores (with zero exponents for its other variables, ``t`` included),
+    their positions in ``spc``, and the displacement ``x_i - x_i(0)`` of
+    each of the ``nvars`` coordinate variables: its unit monomial, or 0
+    where ``spc`` stores none (order 0, or ``i`` beyond its variables).
+    """
+    def position(m):
+        if any(m[spc.nvars:]):
+            return None
+        return spc._pos.get(tuple(m[: spc.nvars]) + (0,) * (spc.nvars - nvars))
+
+    hits = [(q, position(m))
+            for q, m in enumerate(_multi_indices(nvars, degree).tolist())]
+    keep, pos = np.array([h for h in hits if h[1] is not None]).T
+    units = np.zeros((nvars, spc.size))
+    for i, m in enumerate(np.eye(nvars, dtype=np.int64).tolist()):
+        if position(m) is not None:
+            units[i, position(m)] = 1.0
+    return keep, pos, units
+
+
 class Polynomial:
-    """Dense polynomial, evaluable on coordinate jets in one batched matmul.
+    """Dense polynomial, evaluable on jets by a Taylor shift.
 
     ``coeffs[..., q]`` multiplies the graded-lex monomial ``mindex[q]``; the
-    leading axes become the batch shape of the returned jets.
+    leading axes become the batch shape of the returned jets.  Evaluation
+    re-centres the coefficients at the input values ``x0``; on coordinate
+    variables (the jets ``variables`` returns, in a space that may hold
+    more variables and the parameter ``t``) that is the whole jet.
     """
 
     def __init__(self, nvars: int, degree: int, coeffs):
@@ -52,9 +118,43 @@ class Polynomial:
                 f"got {self.coeffs.shape[-1]}"
             )
 
+    def _shifted(self, x0: np.ndarray) -> np.ndarray:
+        """Coefficients of the same polynomial in the powers of ``x - x0``.
+
+        The Taylor shift ``c'_beta = sum_{alpha >= beta} c_alpha
+        C(alpha, beta) x0^(alpha - beta)``, one matmul.
+        """
+        ia, ib, idiff, binom = _shift_pairs(self.nvars, self.degree)
+        powers = np.prod(x0 ** self.mindex, axis=1)
+        table = np.zeros((len(self.mindex),) * 2)
+        table[ia, ib] = binom * powers[idiff]
+        return self.coeffs @ table
+
     def __call__(self, xs) -> Jets:
-        table = monomial_table(jets_stack(xs[: self.nvars]), self.mindex)
-        return Jets(xs[0].space, self.coeffs @ table)
+        """The polynomial of the jets ``xs[:nvars]``, in their space.
+
+        Re-centred at the jets' values, the polynomial is a polynomial in
+        their displacements.  On coordinate variables the displacements
+        are the unit monomials, so the shifted coefficients are the jet;
+        any other input (e.g. chart jets of an immersion) multiplies them
+        into the displacement powers, which vanish beyond the space's top
+        degree.
+        """
+        x = jets_stack(xs[: self.nvars])
+        if x.batch != (self.nvars,):
+            raise ValueError(f"need {self.nvars} scalar jets, got batch {x.batch}")
+        spc = x.space
+        shifted = self._shifted(x.value)
+        disp = x.coeffs.copy()
+        disp[:, 0] = 0.0
+        keep, pos, units = _coordinate_layout(self.nvars, self.degree, spc)
+        if np.array_equal(disp, units):
+            out = np.zeros(shifted.shape[:-1] + (spc.size,))
+            out[..., pos] = shifted[..., keep]
+            return Jets(spc, out)
+        live = int(np.count_nonzero(self.mindex.sum(axis=1) <= spc.top_degree))
+        table = monomial_table(Jets(spc, disp), self.mindex[:live])
+        return Jets(spc, shifted[..., :live] @ table)
 
     def coefficient(self, alpha) -> np.ndarray:
         q = [tuple(m) for m in self.mindex].index(tuple(alpha))
@@ -221,7 +321,8 @@ def conformally_rescaled(g: MetricField, upsilon, t: float | None = None,
     ``t`` a float gives a finite rescale.  ``t=None`` multiplies by the
     trailing first-order linearization parameter instead, so the returned
     field must be evaluated with ``param=True``; first-order coefficients in
-    the parameter are then exact conformal variations.
+    the parameter are then exact conformal variations.  There ``t^2 = 0``,
+    so the factor is exactly ``1 + 2 t Upsilon``.
     """
 
     def fn(xs):
@@ -233,10 +334,8 @@ def conformally_rescaled(g: MetricField, upsilon, t: float | None = None,
                     "nilpotent rescale needs the linearization parameter "
                     "(evaluate with param=True)"
                 )
-            scale = xs[-1]
-        else:
-            scale = t
-        return (2.0 * scale * ups).exp() * base
+            return (1.0 + 2.0 * xs[-1] * ups) * base
+        return (2.0 * t * ups).exp() * base
 
     return MetricField(g.dim, fn, name=name or f"rescaled({g.name})")
 

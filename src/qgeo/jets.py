@@ -231,9 +231,14 @@ class Jets:
         return self.coeffs[..., pos] * self.space.factorials[pos]
 
     def truncate(self, order: int) -> "Jets":
+        """The jet to a lower order (a prefix slice; never raises the order).
+
+        The sub-space comes from the space cache without ``space()``'s
+        budget check: a lower order cannot exceed a budget the jet met.
+        """
         if order >= self.order:
             return self
-        sub = space(self.space.nvars, order, self.space.param)
+        sub = _space_cached(self.space.nvars, order, self.space.param)
         return Jets(sub, self.coeffs[..., : sub.size])
 
     def deriv(self, var: int) -> "Jets":
@@ -456,7 +461,8 @@ def _plan(sa: str, sb: str, rhs: str, shape_a: tuple, shape_b: tuple):
 
     Letters split into shared (both operands and the output), left and
     right free (one operand and the output) and contracted (both operands
-    only).
+    only).  With neither contracted nor right-free letters the elementwise
+    product has the left gather's shape and may overwrite it.
     """
     if not (all(len(set(s)) == len(s) for s in (sa, sb, rhs))
             and set(sa) ^ set(sb) <= set(rhs) <= set(sa) | set(sb)):
@@ -472,8 +478,8 @@ def _plan(sa: str, sb: str, rhs: str, shape_a: tuple, shape_b: tuple):
     out = shared + left + right
     return ((len(sa),) + tuple(sa.index(c) for c in shared + left + summed),
             (len(sb),) + tuple(sb.index(c) for c in shared + summed + right),
-            np.matmul if summed else np.multiply, (-1, S, L, C), (-1, S, C, R),
-            max(S * L * C, S * C * R, S * L * R),
+            np.matmul if summed else np.multiply, not summed and R == 1,
+            (-1, S, L, C), (-1, S, C, R), max(S * L * C, S * C * R, S * L * R),
             tuple(dims[c] for c in out), tuple(1 + out.index(c) for c in rhs) + (0,))
 
 
@@ -486,9 +492,11 @@ def _product(spc: JetSpace, sa: str, sb: str, rhs: str, a: np.ndarray,
     contracted)`` and ``(coeff, shared, contracted, right)``.  Per chunk of
     coefficient pairs ``(i, j)``, rows ``i`` and ``j`` are gathered and
     combined by a batched matmul (an elementwise product when nothing is
-    contracted); the left-applied CSR scatter sums pairs into coefficients.
+    contracted, written into the fresh gather of ``a`` when nothing is
+    right-free either); the left-applied CSR scatter sums pairs into
+    coefficients.
     """
-    axes_a, axes_b, op, shape_x, shape_y, width, out_shape, perm = _plan(
+    axes_a, axes_b, op, in_place, shape_x, shape_y, width, out_shape, perm = _plan(
         sa, sb, rhs, a.shape[:-1], b.shape[:-1])
     A, B = a.transpose(axes_a), b.transpose(axes_b)
     ii, jj, scatter = spc.mul_tables()
@@ -499,7 +507,8 @@ def _product(spc: JetSpace, sa: str, sb: str, rhs: str, a: np.ndarray,
         x = A.take(ii[sl], axis=0).reshape(shape_x)
         y = B.take(jj[sl], axis=0).reshape(shape_y)
         part = scatter if step >= len(ii) else scatter[:, sl]
-        flat = flat + part @ op(x, y).reshape(len(x), -1)
+        xy = op(x, y, out=x) if in_place else op(x, y)
+        flat = flat + part @ xy.reshape(len(x), -1)
     return Jets(spc, flat.reshape((spc.size,) + out_shape).transpose(perm))
 
 

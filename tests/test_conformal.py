@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 import qgeo.conformal as cf
 from qgeo.fields import conformally_rescaled, flat_metric, sphere_chart_metric
 from qgeo.invariants import available, evaluate
-from qgeo.jets import variables
+from qgeo.jets import Jets, variables
 from qgeo.scenes import affine_plane, random_scene, random_upsilon
 from qgeo.submanifold import SubmanifoldPack
 
@@ -239,6 +239,29 @@ def test_upsilon_is_restricted_once_per_pack(battery, calls):
 
     battery(random_scene(4, 5, 2), counting)
     assert len(seen) == calls
+
+
+def test_linear_rescale_is_the_exponential_on_the_parameter_pack():
+    # t^2 = 0 on the parameter pack, so exp(w t Upsilon) = 1 + w t Upsilon
+    # to the last bit
+    sc = scene(4, 5, 2)
+    eng = cf._Engine(sc.metric, sc.patch, sc.point, random_upsilon(5, seed=4))
+    pp = eng.param
+    tu = pp.chart_jets[pp.n] * eng._upsilon_on(pp)
+    for w in (2.0, -4.0, 1.3):
+        assert np.array_equal((w * tu).exp().coeffs, (1.0 + w * tu).coeffs)
+
+
+def test_nilpotent_route_forms_no_exponential(monkeypatch):
+    calls = []
+    exp = Jets.exp
+    monkeypatch.setattr(Jets, "exp", lambda self: calls.append(1) or exp(self))
+    sc = random_scene(4, 5, 2)
+    eng = cf._Engine(sc.metric, sc.patch, sc.point, random_upsilon(5, seed=4))
+    eng.param
+    rep = eng.report("mean_curvature", lambda q: q.mean_curvature, -1.0)
+    assert rep.numeric.shape == (1,)
+    assert calls == []
 
 
 def test_linearize_mean_curvature_flat_oracle():

@@ -1,0 +1,92 @@
+"""Polynomial fields: the Taylor-shift evaluation against a naive oracle.
+
+The oracle sums ``c_alpha x^alpha`` with one ``jet_mul`` per factor, so it
+shares nothing with ``Polynomial.__call__`` but the jet product.  Inputs
+cover both evaluation paths: coordinate variables (of a plain space, of a
+parameter space, and the leading variables of a larger space), and
+composite chart jets of an immersion, also with a polynomial degree above
+the jet order and above the jet budget.
+"""
+
+from functools import lru_cache
+
+import numpy as np
+import pytest
+
+import qgeo.jets as jets
+from qgeo.fields import Polynomial
+from qgeo.jets import constant, jet_mul, variables
+from qgeo.scenes import random_scene
+
+
+def naive(poly, xs):
+    spc = xs[0].space
+    out = constant(np.zeros(poly.coeffs.shape[:-1]), spc)
+    for q, alpha in enumerate(poly.mindex):
+        mono = constant(1.0, spc)
+        for i, e in enumerate(alpha):
+            for _ in range(e):
+                mono = jet_mul(mono, xs[i])
+        out = out + mono * poly.coeffs[..., q]
+    return out
+
+
+def random_polynomial(nvars, degree, seed=0):
+    size = len(jets._multi_indices(nvars, degree))
+    rng = np.random.default_rng(seed)
+    return Polynomial(nvars, degree, rng.uniform(-1.0, 1.0, (2, size)))
+
+
+@lru_cache(maxsize=None)
+def chart(order, param=False):
+    sc = random_scene(4, 5, 3)
+    X = sc.patch.jets(sc.point + 0.3, order, param=param)
+    return [X[a] for a in range(sc.patch.n)]
+
+
+POINT = np.array([0.41, -0.37, 0.28, 0.52, -0.45])
+
+CASES = {
+    "coordinates": (3, 4, lambda: variables(POINT[:3], 4)),
+    "parameter-space": (3, 4, lambda: variables(POINT[:3], 4, param=True)),
+    "leading-k-of-n": (2, 4, lambda: variables(POINT, 4)),
+    "composite": (5, 4, lambda: chart(4)),
+    "composite-parameter": (5, 4, lambda: chart(5, param=True)),
+    "degree-above-order": (3, 4, lambda: variables(POINT[:3], 2)),
+    "composite-degree-above-order": (5, 4, lambda: chart(2)),
+    "degree-above-budget": (4, 6, lambda: variables(POINT[:4], 3)),
+    "composite-degree-above-budget": (5, 6, lambda: chart(3)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_polynomial_matches_naive_sum(case):
+    nvars, degree, inputs = CASES[case]
+    xs = inputs()
+    poly = random_polynomial(nvars, degree, seed=len(case))
+    got, want = poly(xs), naive(poly, xs)
+    assert got.space is want.space
+    assert got.batch == (2,)
+    gap = float(np.max(np.abs(got.coeffs - want.coeffs)))
+    assert gap < 1e-13, f"{case}: {gap}"
+
+
+def test_coordinate_inputs_make_no_jet_products(monkeypatch):
+    composite = chart(4)
+    calls = []
+    kernel = jets._product
+    monkeypatch.setattr(jets, "_product",
+                        lambda *args: calls.append(args[1:4]) or kernel(*args))
+    for case in ("coordinates", "parameter-space", "leading-k-of-n",
+                 "degree-above-order", "degree-above-budget"):
+        nvars, degree, inputs = CASES[case]
+        random_polynomial(nvars, degree)(inputs())
+    assert calls == []
+    # composite inputs do multiply: the displacement powers are jets
+    random_polynomial(5, 4)(composite)
+    assert calls
+
+
+def test_polynomial_needs_one_jet_per_variable():
+    with pytest.raises(ValueError):
+        random_polynomial(3, 2)(variables(POINT[:2], 2))

@@ -244,6 +244,22 @@ def test_order_cap_env(monkeypatch):
     assert max_jet_order() == 5
 
 
+def test_truncation_survives_a_shrunk_budget(monkeypatch):
+    # a lower order cannot breach a budget the jet already met, so a
+    # truncation never re-reads the variable; building still does
+    f = jets_stack(variables([0.3, -0.2], 4))
+    for raw in ("3", "1"):
+        monkeypatch.setenv("QGEO_JET_ORDER_MAX", raw)
+        low = f.truncate(2)
+        assert low.order == 2
+        assert np.array_equal(low.coeffs, f.coeffs[..., : low.space.size])
+        with pytest.raises(BudgetError):
+            space(2, 4)
+    # a spatial derivative of an order-0 jet still hits the budget
+    with pytest.raises(BudgetError):
+        f.truncate(0).deriv(0)
+
+
 def test_jet_mul_agrees_with_direct_jet():
     point = [0.37, -0.21]
 
