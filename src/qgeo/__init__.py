@@ -16,7 +16,7 @@ from .conformal import (
     linear_independence_witness,
     linearize,
 )
-from .jets import BudgetError, Jets, compose, jet_of, max_jet_order
+from .jets import BudgetError, Jets, compose, jet_of
 
 __all__ = [
     "BudgetError",
@@ -29,5 +29,4 @@ __all__ = [
     "jet_of",
     "linear_independence_witness",
     "linearize",
-    "max_jet_order",
 ]

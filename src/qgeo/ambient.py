@@ -25,7 +25,7 @@ from itertools import permutations
 import numpy as np
 
 from .fields import MetricField
-from .jets import Jets, constant, jet_einsum, jet_trace, jets_stack
+from .jets import PACK_ORDER, Jets, constant, jet_einsum, jet_trace, jets_stack
 
 __all__ = [
     "CurvaturePack",
@@ -177,8 +177,8 @@ class CurvaturePack:
 
 
 def curvature_pack(g: MetricField, p) -> CurvaturePack:
-    """Assemble the curvature pack of ``g`` at ``p`` from order-4 jets."""
-    return CurvaturePack(g.jets(p, 4), g.dim)
+    """Assemble the curvature pack of ``g`` at ``p`` from ``PACK_ORDER`` jets."""
+    return CurvaturePack(g.jets(p, PACK_ORDER), g.dim)
 
 
 # -- identity residuals --------------------------------------------------

@@ -71,6 +71,7 @@ from .invariants import (
     extrinsic_paneitz_apply,
 )
 from .jets import (
+    PACK_ORDER,
     Jets,
     jet_einsum,
     jet_trace,
@@ -121,9 +122,9 @@ _STEP = 1e-4
 class ConformalFactor:
     """An ambient scalar ``Upsilon`` driving a conformal rescale.
 
-    ``fn`` maps a list of ambient coordinate jets to a scalar jet, so the
-    same object can be evaluated on chart restrictions, on ambient
-    variables, or at finite parameter values.  ``vanishing_order`` is an
+    ``fn`` maps a list of ambient coordinate jets to a scalar jet; the
+    batteries evaluate it on coordinate variables and pull the result back
+    along the chart like any ambient tensor.  ``vanishing_order`` is an
     optional tag promising that every derivative of ``Upsilon`` through
     that total order vanishes at the attachment point; :meth:`verify`
     checks the promise on the actual jet coefficients.
@@ -144,7 +145,7 @@ class ConformalFactor:
         """
         if self.vanishing_order is None:
             return True
-        order = max(4, self.vanishing_order)
+        order = max(PACK_ORDER, self.vanishing_order)
         u = self.fn(variables(np.asarray(x_point, dtype=float), order))
         low = np.abs(u.coeffs[..., u.space.degree <= self.vanishing_order])
         return bool(low.size == 0 or float(low.max()) <= 1e-10)
@@ -191,12 +192,13 @@ class _Engine:
     Builds, each on first use, the base pack, the nilpotent-parameter pack
     and the finite-parameter packs (finite rescales and the central
     differences of the cross-check), so a batch of reports doesn't rebuild
-    them per quantity.  Every pack carries the default pack order.
+    them per quantity.  Every pack carries ``PACK_ORDER``.
 
-    ``Upsilon`` (any callable on a list of coordinate jets) is restricted
-    to each pack's chart jets once, by :meth:`_upsilon_on`, and the result
-    kept on the engine: a pack's restriction depends on the factor, and
-    engines with different factors may share one base pack.
+    ``Upsilon`` (any callable on a list of coordinate jets) is evaluated on
+    the ambient coordinate variables at each pack's point and pulled back
+    by ``pack.pull`` like every ambient tensor, once per pack, and both
+    jets are kept on the engine (:meth:`_upsilon_jets`): engines with
+    different factors may share one base pack.
 
     A variation is taken of ``operator(pack, exp(operand_weight t Upsilon)
     evaluator(pack))`` compensated by ``exp(-weight t Upsilon)``, where
@@ -231,29 +233,31 @@ class _Engine:
             self._finite[t] = SubmanifoldPack(ghat, self.patch, self.point)
         return self._finite[t]
 
-    def _upsilon_on(self, pack) -> Jets:
-        """``Upsilon`` on ``pack``'s chart jets, evaluated once per pack."""
+    def _upsilon_jets(self, pack) -> tuple[Jets, Jets]:
+        """``Upsilon`` on the ambient coordinate variables at ``pack``'s
+        point and its pullback to the pack, built once per pack."""
         if pack not in self._restricted:
-            self._restricted[pack] = self.upsilon(
-                [pack.chart_jets[a] for a in range(pack.n)])
+            xs = variables(pack.x_point, pack.order, param=pack.param)
+            u_x = self.upsilon(xs[: pack.n])
+            self._restricted[pack] = (u_x, pack.pull(u_x))
         return self._restricted[pack]
+
+    def _upsilon_on(self, pack) -> Jets:
+        """``Upsilon`` pulled back to ``pack`` (order ``pack.order``)."""
+        return self._upsilon_jets(pack)[1]
 
     # --- restriction data of Upsilon on the base pack ---
     @cached_property
     def restriction(self) -> SimpleNamespace:
         p = self.base
         n = p.n
-        u_y = self._upsilon_on(p)
-        xv = variables(p.x_point, p.order)
-        u_x = self.upsilon(xv)
+        u_x, u_y = self._upsilon_jets(p)
         du_x = jets_stack([u_x.deriv(a) for a in range(n)])
         du_y = p.pull(du_x)
         grad = p.tangential_gradient(u_y)
         amb = p.ambient
         hess_x = amb.cov_deriv(amb.cov_deriv(u_x, []), ["down"])
         return SimpleNamespace(
-            u_y=u_y,
-            u_x=u_x,
             grad=grad,
             grad_up=jet_einsum("ab,b->a", p.induced_inv, grad),
             normal=jet_einsum("ra,a->r", p.normal_frame, du_y),
@@ -265,8 +269,8 @@ class _Engine:
 
     @cached_property
     def _upsilon_at_point(self) -> float:
-        """``Upsilon`` at the attachment point (order-0 coordinate jets)."""
-        return float(self.upsilon(variables(self.param.x_point, 0)).value)
+        """``Upsilon(x0)``, the value of its pullback to the parameter pack."""
+        return float(self._upsilon_on(self.param).value)
 
     # --- variations ---
     @staticmethod
@@ -625,7 +629,7 @@ def check_invariance(scene: Scene, upsilon=None, *, seed=0) -> dict:
              ("normal_curvature", lambda q: q.normal_curvature, 0.0)]
     if k >= 3:
         rows.append(("fialkow", lambda q: q.fialkow, 0.0))
-    upt = float(eng.restriction.u_y.value)
+    upt = eng._upsilon_at_point
     out = {}
     for nm, ev, w in rows:
         base = np.asarray(ev(p0).value)

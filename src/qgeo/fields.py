@@ -11,7 +11,9 @@ entries.
 A ``Polynomial`` is re-centred at the input values by a Taylor shift, so
 on *coordinate variables* (the first ``nvars`` variables of a jet space,
 as ``variables`` returns them) its jet is the shifted coefficient vector
-itself, laid into the space without a single jet product.
+itself, laid into the space without a single jet product.  Composite
+inputs (e.g. an immersion's chart jets) go through ``compose``, like
+every other jet that changes space.
 """
 
 from __future__ import annotations
@@ -25,9 +27,9 @@ from .jets import (
     JetSpace,
     Jets,
     _multi_indices,
+    compose,
     constant,
     jets_stack,
-    monomial_table,
     variables,
 )
 
@@ -104,7 +106,8 @@ class Polynomial:
     leading axes become the batch shape of the returned jets.  Evaluation
     re-centres the coefficients at the input values ``x0``; on coordinate
     variables (the jets ``variables`` returns, in a space that may hold
-    more variables and the parameter ``t``) that is the whole jet.
+    more variables and the parameter ``t``) that is the whole jet.  Any
+    other input is composed with that jet by ``compose``.
     """
 
     def __init__(self, nvars: int, degree: int, coeffs):
@@ -136,25 +139,22 @@ class Polynomial:
         Re-centred at the jets' values, the polynomial is a polynomial in
         their displacements.  On coordinate variables the displacements
         are the unit monomials, so the shifted coefficients are the jet;
-        any other input (e.g. chart jets of an immersion) multiplies them
-        into the displacement powers, which vanish beyond the space's top
-        degree.
+        any other input (e.g. chart jets of an immersion) composes the jet
+        on coordinate variables at the same values with the inputs.
         """
         x = jets_stack(xs[: self.nvars])
         if x.batch != (self.nvars,):
             raise ValueError(f"need {self.nvars} scalar jets, got batch {x.batch}")
         spc = x.space
-        shifted = self._shifted(x.value)
         disp = x.coeffs.copy()
         disp[:, 0] = 0.0
         keep, pos, units = _coordinate_layout(self.nvars, self.degree, spc)
-        if np.array_equal(disp, units):
-            out = np.zeros(shifted.shape[:-1] + (spc.size,))
-            out[..., pos] = shifted[..., keep]
-            return Jets(spc, out)
-        live = int(np.count_nonzero(self.mindex.sum(axis=1) <= spc.top_degree))
-        table = monomial_table(Jets(spc, disp), self.mindex[:live])
-        return Jets(spc, shifted[..., :live] @ table)
+        if not np.array_equal(disp, units):
+            return compose(self(variables(x.value, x.order)), x)
+        shifted = self._shifted(x.value)
+        out = np.zeros(shifted.shape[:-1] + (spc.size,))
+        out[..., pos] = shifted[..., keep]
+        return Jets(spc, out)
 
     def coefficient(self, alpha) -> np.ndarray:
         q = [tuple(m) for m in self.mindex].index(tuple(alpha))
@@ -262,10 +262,9 @@ def flat_metric(n: int) -> MetricField:
     return MetricField(n, lambda xs: np.eye(n), name="flat")
 
 
-def conformal_metric(n: int, log_factor, base: MetricField | None = None,
-                     name: str = "conformal") -> MetricField:
-    """Metric e^{2f} g0 with f = ``log_factor(xs)`` (g0 flat by default)."""
-    g0 = base if base is not None else flat_metric(n)
+def conformal_metric(n: int, log_factor, name: str = "conformal") -> MetricField:
+    """Metric e^{2f} g0 with f = ``log_factor(xs)`` and g0 flat."""
+    g0 = flat_metric(n)
 
     def fn(xs):
         return (2.0 * log_factor(xs[:n])).exp() * g0(xs)

@@ -15,6 +15,10 @@ bounds the spatial degree only, so the ``t^1`` coefficient carries as many
 spatial derivatives as the ``t^0`` one, and differentiating along ``t``
 keeps the order.
 
+The jet orders are constants, ``ORDER_MAX`` for every space and
+``PACK_ORDER`` for submanifold packs.  Jets reach another space only
+through ``Composer``, which re-expands them along coordinate jets.
+
 The ``Jets`` class is batched: ``coeffs`` has shape ``batch + (ncoeffs,)``,
 and a whole tensor of jets (e.g. all metric components) is a single
 ``Jets`` with ``batch == (n, n)``.  ``jet_einsum`` contracts such batches
@@ -25,7 +29,6 @@ from __future__ import annotations
 
 import functools
 import math
-import os
 from itertools import product as _iproduct
 
 import numpy as np
@@ -35,6 +38,8 @@ __all__ = [
     "BudgetError",
     "JetSpace",
     "Jets",
+    "ORDER_MAX",
+    "PACK_ORDER",
     "space",
     "variables",
     "constant",
@@ -44,37 +49,16 @@ __all__ = [
     "jet_einsum",
     "jet_trace",
     "compose",
-    "max_jet_order",
 ]
 
-DEFAULT_ORDER_MAX = 5
+#: the jet budget: the largest spatial order of a space (``t`` has degree 0)
+ORDER_MAX = 5
+#: the ambient metric jet order of a submanifold pack (its chart map's is 5)
+PACK_ORDER = 4
 
 
 class BudgetError(RuntimeError):
-    """Raised when a computation would exceed the configured jet order."""
-
-
-def max_jet_order() -> int:
-    """The jet-order budget, from ``QGEO_JET_ORDER_MAX`` (default 5).
-
-    It bounds the spatial order only: the parameter ``t`` of a parameter
-    space has degree 0 and is not counted.  The variable is read on every
-    call and parsed once per distinct value.
-    """
-    return _parse_order_max(os.environ.get("QGEO_JET_ORDER_MAX", ""))
-
-
-@functools.lru_cache(maxsize=8)
-def _parse_order_max(raw: str) -> int:
-    if not raw.strip():
-        return DEFAULT_ORDER_MAX
-    try:
-        value = int(raw)
-    except ValueError:
-        raise BudgetError(f"QGEO_JET_ORDER_MAX must be an integer, got {raw!r}")
-    if value < 0:
-        raise BudgetError(f"QGEO_JET_ORDER_MAX must be >= 0, got {value}")
-    return value
+    """Raised when a computation would exceed the jet-order budget."""
 
 
 def _multi_indices(nvars: int, order: int, param: bool = False) -> np.ndarray:
@@ -179,14 +163,14 @@ def space(nvars: int, order: int, param: bool = False) -> JetSpace:
     """Get (cached) the jet space for ``nvars`` variables at ``order``.
 
     With ``param`` the last variable is the first-order parameter ``t``.
+    Every space, truncations included, comes from here; an order below 0
+    or above ``ORDER_MAX`` raises ``BudgetError``.
     """
     if order < 0:
         raise BudgetError("jet budget exhausted (a derivative was requested "
                           "beyond the available Taylor order)")
-    if order > max_jet_order():
-        raise BudgetError(
-            f"jet order {order} exceeds QGEO_JET_ORDER_MAX={max_jet_order()}"
-        )
+    if order > ORDER_MAX:
+        raise BudgetError(f"jet order {order} exceeds ORDER_MAX={ORDER_MAX}")
     return _space_cached(nvars, order, bool(param))
 
 
@@ -231,14 +215,10 @@ class Jets:
         return self.coeffs[..., pos] * self.space.factorials[pos]
 
     def truncate(self, order: int) -> "Jets":
-        """The jet to a lower order (a prefix slice; never raises the order).
-
-        The sub-space comes from the space cache without ``space()``'s
-        budget check: a lower order cannot exceed a budget the jet met.
-        """
+        """The jet to a lower order (a prefix slice; never raises the order)."""
         if order >= self.order:
             return self
-        sub = _space_cached(self.space.nvars, order, self.space.param)
+        sub = space(self.space.nvars, order, self.space.param)
         return Jets(sub, self.coeffs[..., : sub.size])
 
     def deriv(self, var: int) -> "Jets":
@@ -572,10 +552,11 @@ class Composer:
     space whose values equal the basepoint at which the composed jets were
     expanded (e.g. the immersion map's component jets).  The monomial tables
     are cached per (source space, order), so pulling many ambient tensors
-    back along one immersion is a single matmul each.  On a parameter
-    space no displacement but the parameter's own may have a pure ``t``
-    term (one of degree 0), or source monomials beyond the order would
-    contribute.
+    back along one immersion is a single matmul each.  Source monomials
+    beyond the order are dropped, which is exact when every displacement
+    has spatial degree >= 1.  On a parameter target a pure ``t`` term has
+    degree 0, so only the displacement of the source's own parameter may
+    carry one; any other raises ``ValueError`` when its table is built.
     """
 
     def __init__(self, coords: Jets):
@@ -586,9 +567,18 @@ class Composer:
         key = (id(msrc), r)
         if key not in self._mons:
             coords = self.coords.truncate(r)
+            tgt = coords.space
             disp = coords.coeffs.copy()
             disp[:, 0] = 0.0  # nilpotent displacements u_i - u_i(0)
-            self._mons[key] = monomial_table(Jets(coords.space, disp), msrc.mindex)
+            if tgt.param:
+                t_pos = tgt.position((0,) * (tgt.nvars - 1) + (1,))
+                pure_t = np.flatnonzero(disp[: msrc.nvars - msrc.param, t_pos])
+                if len(pure_t):
+                    raise ValueError(
+                        f"compose: coordinate jets {pure_t.tolist()} have a pure t "
+                        f"term, so source monomials beyond order {r} would "
+                        "contribute; only the source's own parameter may")
+            self._mons[key] = monomial_table(Jets(tgt, disp), msrc.mindex)
         return self._mons[key]
 
     def __call__(self, f: Jets) -> Jets:

@@ -164,22 +164,20 @@ def cylinder_r_x_s3(point=(0.2, 1.1, 0.9, 0.7)) -> Scene:
 # -- random generators ---------------------------------------------------
 
 
-def random_polynomial_metric(n: int, seed: int, amplitude: float = 0.05,
-                             degrees=(2, 3, 4)) -> MetricField:
+def random_polynomial_metric(n: int, seed: int,
+                             amplitude: float = 0.05) -> MetricField:
     """g = delta + Q(x) with symmetric random polynomial perturbation.
 
     Coefficients are uniform in [-amplitude, amplitude] on the monomials of
-    the listed total degrees, symmetrized over the component pair.
+    total degree 2 through 4, symmetrized over the component pair.
     """
     rng = np.random.default_rng(seed)
-    top = max(degrees)
-    mindex = _multi_indices(n, top)
-    M = len(mindex)
-    coeffs = rng.uniform(-amplitude, amplitude, size=(n, n, M))
+    mindex = _multi_indices(n, 4)
+    coeffs = rng.uniform(-amplitude, amplitude, size=(n, n, len(mindex)))
     coeffs = 0.5 * (coeffs + coeffs.transpose(1, 0, 2))
-    coeffs *= np.isin(mindex.sum(axis=1), list(degrees))
+    coeffs *= mindex.sum(axis=1) >= 2
     coeffs[:, :, 0] += np.eye(n)
-    poly = Polynomial(n, top, coeffs)
+    poly = Polynomial(n, 4, coeffs)
     return MetricField(n, poly, name=f"random-metric(n={n},seed={seed})")
 
 
@@ -191,20 +189,18 @@ def random_upsilon(n: int, seed: int, degree: int = 4,
     return Polynomial(n, degree, rng.uniform(-amplitude, amplitude, size=M))
 
 
-def random_scene(k: int, n: int, seed: int, metric_amplitude: float = 0.05,
-                 height_amplitude: float = 0.1) -> Scene:
+def random_scene(k: int, n: int, seed: int) -> Scene:
     """Random polynomial metric with a random polynomial graph immersion.
 
-    The graph heights carry linear through quartic terms so the tangent
-    frame is generically tilted; the evaluation point is drawn near the
-    chart origin where positive definiteness is guaranteed.
+    The metric perturbation has amplitude 0.05 and the graph heights carry
+    linear through quartic terms of amplitude 0.1, so the tangent frame is
+    generically tilted; the evaluation point is drawn near the chart
+    origin where positive definiteness is guaranteed.
     """
     rng = np.random.default_rng(seed)
-    g = random_polynomial_metric(n, seed=int(rng.integers(2**31)),
-                                 amplitude=metric_amplitude)
+    g = random_polynomial_metric(n, seed=int(rng.integers(2**31)))
     mindex = _multi_indices(k, 4)
-    hc = rng.uniform(-height_amplitude, height_amplitude,
-                     size=(n - k, len(mindex)))
+    hc = rng.uniform(-0.1, 0.1, size=(n - k, len(mindex)))
     hc[:, mindex.sum(axis=1) == 0] = 0.0
     heights = Polynomial(k, 4, hc)
 

@@ -45,7 +45,15 @@ from .ambient import (
     riemann_jets,
 )
 from .fields import GeometryError, ImmersedPatch, MetricField
-from .jets import Composer, Jets, constant, jet_einsum, jet_trace, jets_stack
+from .jets import (
+    PACK_ORDER,
+    Composer,
+    Jets,
+    constant,
+    jet_einsum,
+    jet_trace,
+    jets_stack,
+)
 
 __all__ = [
     "SubmanifoldPack",
@@ -67,13 +75,14 @@ class SubmanifoldPack:
     actually read; quantities keyed at run time (pulled-back ambient
     tensors, frame projections, contractions built by the invariants) go
     through :meth:`memo`.
-    ``order`` is the ambient metric jet order; the chart map is expanded at
-    ``order + 1``.  With ``param=True`` every jet carries the extra
-    first-order parameter variable used for conformal linearization.
+    ``order`` is the ambient metric jet order, ``PACK_ORDER``; the chart map
+    (whose ``Composer`` is :attr:`pull`) is expanded at ``order + 1``.  With
+    ``param=True`` every jet carries the extra first-order parameter
+    variable used for conformal linearization.
     """
 
     def __init__(self, metric: MetricField, patch: ImmersedPatch, point=None,
-                 *, order: int = 4, param: bool = False):
+                 *, param: bool = False):
         if patch.n != metric.dim:
             raise GeometryError(
                 f"patch maps into dimension {patch.n}, metric has {metric.dim}"
@@ -85,14 +94,14 @@ class SubmanifoldPack:
         self.k = patch.k
         self.n = patch.n
         self.param = param
-        self.order = order
+        self.order = PACK_ORDER
         self.point = (np.asarray(patch.basepoint, dtype=float)
                       if point is None else np.asarray(point, dtype=float))
-        self.chart_jets = patch.jets(self.point, order + 1, param=param)
+        self.chart_jets = patch.jets(self.point, PACK_ORDER + 1, param=param)
         self.x_point = self.chart_jets.value[: self.n]
         self.pull = Composer(self.chart_jets)
         self.ambient = CurvaturePack(
-            metric.jets(self.x_point, order, param=param), self.n)
+            metric.jets(self.x_point, PACK_ORDER, param=param), self.n)
         self._memo = {}
 
     def memo(self, key, build):
@@ -432,12 +441,11 @@ class SubmanifoldPack:
         return out
 
 
-def submanifold_pack(scene, *, order: int = 4, param: bool = False,
+def submanifold_pack(scene, *, param: bool = False,
                      metric: MetricField | None = None) -> SubmanifoldPack:
     """Build the pack for a scene (optionally overriding its metric)."""
     g = scene.metric if metric is None else metric
-    return SubmanifoldPack(g, scene.patch, scene.point, order=order,
-                           param=param)
+    return SubmanifoldPack(g, scene.patch, scene.point, param=param)
 
 
 def projected_ambient_deriv(pack: SubmanifoldPack, name: str,

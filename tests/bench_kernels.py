@@ -8,14 +8,15 @@ Needs ``pytest-benchmark`` (the ``test`` extra).  The file name is outside
 the ``test_*.py`` pattern, so the test suite does not collect it.  Inputs
 are those of a ``random_scene(4, 5)`` parameter pack: the rescaled
 metric's polynomial on coordinate variables, the conformal factor on the
-immersion's chart jets, a product on the (4+1)-variable order-5 chart
-space, and one pullback of the metric jets along the chart.
+same variables pulled back along the chart (the route of the conformal
+batteries), a product on the (4+1)-variable order-5 chart space, and one
+pullback of the metric jets along the chart.
 """
 
 import numpy as np
 import pytest
 
-from qgeo.jets import Composer, Jets, jet_mul, space, variables
+from qgeo.jets import PACK_ORDER, Composer, Jets, jet_mul, space, variables
 from qgeo.scenes import random_scene, random_upsilon
 
 SCENE = random_scene(4, 5, seed=3)
@@ -23,21 +24,24 @@ SCENE = random_scene(4, 5, seed=3)
 
 @pytest.fixture(scope="module")
 def chart():
-    """Chart jets of the order-4 parameter pack (order 5, 4 + 1 variables)."""
-    return SCENE.patch.jets(SCENE.point, 5, param=True)
+    """Chart jets of the parameter pack (order ``PACK_ORDER + 1``, 4 + 1
+    variables)."""
+    return SCENE.patch.jets(SCENE.point, PACK_ORDER + 1, param=True)
 
 
 def test_polynomial_on_coordinates(benchmark, chart):
-    xs = variables(chart.value[: SCENE.n], 4, param=True)
+    xs = variables(chart.value[: SCENE.n], PACK_ORDER, param=True)
     out = benchmark(SCENE.metric.fn, xs)
     assert out.batch == (SCENE.n, SCENE.n)
 
 
-def test_polynomial_on_chart_jets(benchmark, chart):
+def test_upsilon_pulled_to_the_chart(benchmark, chart):
     ups = random_upsilon(SCENE.n, seed=4)
-    xs = [chart[a] for a in range(SCENE.n)]
-    out = benchmark(ups, xs)
-    assert out.space is chart.space
+    xs = variables(chart.value[: SCENE.n], PACK_ORDER, param=True)
+    pull = Composer(chart)
+    pull(ups(xs[: SCENE.n]))  # a pack builds this table once, for pulled("g")
+    out = benchmark(lambda: pull(ups(xs[: SCENE.n])))
+    assert out.space is chart.truncate(PACK_ORDER).space
 
 
 def test_jet_mul_on_parameter_space(benchmark):
@@ -49,7 +53,7 @@ def test_jet_mul_on_parameter_space(benchmark):
 
 
 def test_composer_pull(benchmark, chart):
-    metric = SCENE.metric.jets(chart.value[: SCENE.n], 4, param=True)
+    metric = SCENE.metric.jets(chart.value[: SCENE.n], PACK_ORDER, param=True)
     pull = Composer(chart)
     pull(metric)  # the monomial tables are built once per composer
     out = benchmark(pull, metric)

@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 import qgeo.conformal as cf
 from qgeo.fields import conformally_rescaled, flat_metric, sphere_chart_metric
 from qgeo.invariants import available, evaluate
-from qgeo.jets import Jets, variables
+from qgeo.jets import PACK_ORDER, Jets, variables
 from qgeo.scenes import affine_plane, random_scene, random_upsilon
 from qgeo.submanifold import SubmanifoldPack
 
@@ -222,14 +222,15 @@ def test_tangential_battery_shares_the_base_pack(monkeypatch):
 
 
 @pytest.mark.parametrize("battery,calls", [
-    (cf.check_invariance, 6),
-    (cf.ambient_law_reports, 4),
-    (cf.quartic_term_reports, 4),
+    (cf.check_invariance, 4),
+    (cf.ambient_law_reports, 3),
+    (cf.quartic_term_reports, 3),
 ])
 def test_upsilon_is_restricted_once_per_pack(battery, calls):
-    # one call per pack build of a rescaled metric and one per restriction
-    # to a pack's chart jets, plus the ambient expansion of the restriction
-    # data: Upsilon is not re-evaluated per report
+    # one call per pack build of a rescaled metric and one per pack that
+    # reads Upsilon, on the ambient coordinate variables at its point (the
+    # base pack for the restriction data, the parameter pack for
+    # Upsilon(x0)): Upsilon is not re-evaluated per report
     ups = random_upsilon(5, seed=4)
     seen = []
 
@@ -239,6 +240,26 @@ def test_upsilon_is_restricted_once_per_pack(battery, calls):
 
     battery(random_scene(4, 5, 2), counting)
     assert len(seen) == calls
+
+
+@pytest.mark.parametrize("factor", ["random", "transverse", "bump"])
+def test_pulled_upsilon_is_the_chart_evaluation(factor):
+    # Upsilon reaches a pack like every ambient tensor: evaluated on the
+    # ambient coordinate variables, then pulled back along the chart; that
+    # is Upsilon of the chart jets to the pack order, and its value is
+    # Upsilon(x0) to the last bit
+    sc = scene(4, 5, 2)
+    ups = {"random": random_upsilon(5, seed=4),
+           "transverse": cf.transverse_vanishing_upsilon(sc, 1),
+           "bump": cf._bump_factor(0.3)}[factor]
+    eng = cf._Engine(sc.metric, sc.patch, sc.point, ups)
+    for pack in (eng.base, eng.param):
+        got = eng._upsilon_on(pack)
+        chart = [pack.chart_jets[a] for a in range(pack.n)]
+        want = ups(chart).truncate(PACK_ORDER)
+        assert got.space is want.space
+        assert float(np.max(np.abs(got.coeffs - want.coeffs))) < 1e-13
+        assert float(got.value) == float(ups(variables(pack.x_point, 0)).value)
 
 
 def test_linear_rescale_is_the_exponential_on_the_parameter_pack():

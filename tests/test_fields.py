@@ -5,7 +5,8 @@ shares nothing with ``Polynomial.__call__`` but the jet product.  Inputs
 cover both evaluation paths: coordinate variables (of a plain space, of a
 parameter space, and the leading variables of a larger space), and
 composite chart jets of an immersion, also with a polynomial degree above
-the jet order and above the jet budget.
+the jet order and above the jet budget.  Composite inputs go through
+``compose``, which rejects the one layout its truncation cannot serve.
 """
 
 from functools import lru_cache
@@ -15,7 +16,7 @@ import pytest
 
 import qgeo.jets as jets
 from qgeo.fields import Polynomial
-from qgeo.jets import constant, jet_mul, variables
+from qgeo.jets import compose, constant, jet_mul, jets_stack, variables
 from qgeo.scenes import random_scene
 
 
@@ -90,3 +91,24 @@ def test_coordinate_inputs_make_no_jet_products(monkeypatch):
 def test_polynomial_needs_one_jet_per_variable():
     with pytest.raises(ValueError):
         random_polynomial(3, 2)(variables(POINT[:2], 2))
+
+
+def test_pure_t_displacements_are_rejected():
+    # t has degree 0 on a parameter space, so a pure t term in a
+    # displacement would need source monomials beyond the order
+    x, y, t = variables(POINT[:2], 3, param=True)
+    xs = [x + 0.5 * t, x * y]
+    poly = random_polynomial(2, 4)
+    with pytest.raises(ValueError, match="pure t"):
+        poly(xs)
+    with pytest.raises(ValueError, match="pure t"):
+        compose(poly(variables(POINT[:2], 3)), jets_stack(xs))
+    # the source's own parameter may carry one, as on a parameter pack
+
+    def fn(zs):
+        return (zs[0] * zs[1] + zs[2] * zs[0]).exp()
+
+    coords = [x * y + x, x - 0.3 * y, t]
+    pulled = compose(fn(variables([c.value for c in coords[:2]], 3, param=True)),
+                     jets_stack(coords))
+    assert np.max(np.abs(pulled.coeffs - fn(coords).coeffs)) < 1e-13

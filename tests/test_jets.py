@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qgeo.jets import (
+    ORDER_MAX,
     BudgetError,
     Jets,
     compose,
@@ -18,7 +19,6 @@ from qgeo.jets import (
     jet_of,
     jet_trace,
     jets_stack,
-    max_jet_order,
     space,
     variables,
 )
@@ -215,49 +215,13 @@ def test_inverse_metric_on_parameter_space(order):
 
 def test_budget_errors():
     with pytest.raises(BudgetError):
-        space(2, max_jet_order() + 1)
+        space(2, ORDER_MAX + 1)
+    # the budget bounds the spatial order only
+    assert space(3, ORDER_MAX, param=True).order == ORDER_MAX
+    assert variables([0.0, 0.0], ORDER_MAX, param=True)[-1].order == ORDER_MAX
     x, = variables([1.0], 1)
     with pytest.raises(BudgetError):
         x.deriv(0).deriv(0)
-
-
-def test_order_cap_env(monkeypatch):
-    monkeypatch.setenv("QGEO_JET_ORDER_MAX", "3")
-    assert max_jet_order() == 3
-    with pytest.raises(BudgetError):
-        variables([0.0], 4)
-    # the budget bounds the spatial order only
-    assert variables([0.0], 3, param=True)[0].order == 3
-    monkeypatch.setenv("QGEO_JET_ORDER_MAX", "oops")
-    with pytest.raises(BudgetError):
-        max_jet_order()
-    # every change of the variable takes effect, back and forth
-    for raw, want in (("6", 6), ("3", 3), ("6", 6), (" ", 5), ("3", 3)):
-        monkeypatch.setenv("QGEO_JET_ORDER_MAX", raw)
-        assert max_jet_order() == want
-        if want < 4:
-            with pytest.raises(BudgetError):
-                space(2, 4)
-        else:
-            assert space(2, 4).order == 4
-    monkeypatch.delenv("QGEO_JET_ORDER_MAX")
-    assert max_jet_order() == 5
-
-
-def test_truncation_survives_a_shrunk_budget(monkeypatch):
-    # a lower order cannot breach a budget the jet already met, so a
-    # truncation never re-reads the variable; building still does
-    f = jets_stack(variables([0.3, -0.2], 4))
-    for raw in ("3", "1"):
-        monkeypatch.setenv("QGEO_JET_ORDER_MAX", raw)
-        low = f.truncate(2)
-        assert low.order == 2
-        assert np.array_equal(low.coeffs, f.coeffs[..., : low.space.size])
-        with pytest.raises(BudgetError):
-            space(2, 4)
-    # a spatial derivative of an order-0 jet still hits the budget
-    with pytest.raises(BudgetError):
-        f.truncate(0).deriv(0)
 
 
 def test_jet_mul_agrees_with_direct_jet():
