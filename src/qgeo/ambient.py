@@ -13,7 +13,9 @@ conventions are:
 * Bach ``B_{ab} = nabla^c C_{cab} + W_{acbd} P^{cd}``
 
 With these choices the unit round sphere has ``R_{abcd} = g_{ac} g_{bd} -
-g_{ad} g_{bc}`` and positive scalar curvature.
+g_{ad} g_{bc}`` and positive scalar curvature.  A product summed with a
+derivative is formed at the derivative's order, so no dropped coefficient
+is computed.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ __all__ = [
     "raise_both",
     "riemann_jets",
     "inverse_metric_jets",
+    "weyl_jets",
     "ambient_identity_residuals",
 ]
 
@@ -44,39 +47,38 @@ __all__ = [
 def inverse_metric_jets(G: Jets) -> Jets:
     """Jet-valued inverse of a metric component batch (n, n).
 
-    Newton iteration ``X <- X (2 I - G X)`` doubles the correct Taylor
-    degree each step, so ceil(log2(top_degree+1)) steps suffice (one more
-    degree than the order on a parameter space).
+    Newton's step ``X <- X (2 I - G X)`` doubles the degree through which
+    ``X`` is exact, to ``2^s - 1`` after step ``s``; so step ``s`` updates
+    in place only that prefix of ``X`` (order 4: orders 1, 3, 4), until it
+    covers ``top_degree`` (one more than the order on a parameter space).
     """
-    n = G.batch[0]
+    two_eye = 2.0 * np.eye(G.batch[0])
     X = constant(np.linalg.inv(G.value), G.space)
-    two_eye = constant(2.0 * np.eye(n), G.space)
-    steps = max(1, int(np.ceil(np.log2(G.space.top_degree + 1))))
-    for _ in range(steps):
-        X = jet_einsum("ab,bc->ac", X, two_eye - jet_einsum("ab,bc->ac", G, X))
+    exact = 0
+    while exact < G.space.top_degree:
+        exact = 2 * exact + 1
+        Gs, Xs = G.truncate(exact), X.truncate(exact)
+        Xs.coeffs[...] = jet_einsum("ab,bc->ac", Xs, two_eye
+                                    - jet_einsum("ab,bc->ac", Gs, Xs)).coeffs
     return X
-
-
-def metric_gradient(G: Jets, dim: int) -> Jets:
-    """Coordinate derivatives of the metric: ``dG[c, a, b] = d_c g_{ab}``."""
-    return jets_stack([G.deriv(c) for c in range(dim)])
 
 
 def christoffel_jets(G: Jets, Ginv: Jets, dim: int) -> Jets:
     """Levi-Civita connection components ``Gamma[c, a, b] = Gamma^c_{ab}``."""
-    dG = metric_gradient(G, dim)
+    dG = jets_stack([G.deriv(c) for c in range(dim)])  # d_c g_{ab}
     S = (jet_trace(dG, "adb->dab") + jet_trace(dG, "bda->dab") - dG)
     return 0.5 * jet_einsum("cd,dab->cab", Ginv, S)
 
 
 def riemann_jets(G: Jets, Gamma: Jets, dim: int) -> Jets:
-    """Fully lowered curvature ``R_{abcd}`` from metric/connection jets."""
+    """Lowered ``R_{abcd}`` at the order of ``d Gamma`` (and ``Gamma Gamma``)."""
     dGam = jets_stack([Gamma.deriv(a) for a in range(dim)])
+    Gam = Gamma.truncate(dGam.order)
     # R_{abc}{}^d = -d_a Gamma^d_{bc} + d_b Gamma^d_{ac}
     #              + Gamma^e_{ac} Gamma^d_{be} - Gamma^e_{bc} Gamma^d_{ae}
     rm_ud = (-jet_trace(dGam, "adbc->abcd") + jet_trace(dGam, "bdac->abcd")
-             + jet_einsum("eac,dbe->abcd", Gamma, Gamma)
-             - jet_einsum("ebc,dae->abcd", Gamma, Gamma))
+             + jet_einsum("eac,dbe->abcd", Gam, Gam)
+             - jet_einsum("ebc,dae->abcd", Gam, Gam))
     return jet_einsum("abce,ed->abcd", rm_ud, G)
 
 
@@ -86,9 +88,11 @@ def connection_deriv(T: Jets, connections, nvars: int) -> Jets:
     ``connections`` holds one ``(A, variance)`` pair per batch axis of
     ``T``, with the connection in the layout ``A[a, slot, z]``: a "down"
     slot subtracts ``A[a, b, z] T_z``, an "up" slot adds ``A[a, z, b] T_z``.
+    The corrections are formed at the order of ``d T``.
     """
     letters = "bcdefghij"[: len(connections)]
     parts = jets_stack([T.deriv(a) for a in range(nvars)])
+    T = T.truncate(parts.order)
     for j, (A, var) in enumerate(connections):
         tsub = letters[:j] + "z" + letters[j + 1:]
         if var == "down":
@@ -113,6 +117,14 @@ def cov_deriv_jets(T: Jets, variances, Gamma: Jets, dim: int) -> Jets:
     """
     A = levi_civita_connection(Gamma)
     return connection_deriv(T, [(A, var) for var in variances], dim)
+
+
+def weyl_jets(rm: Jets, P: Jets, g: Jets) -> Jets:
+    """Weyl ``Rm - P (Kulkarni-Nomizu) g``: one product ``X = P_{ac} g_{bd}``,
+    whose transposes ``X_{badc}``, ``X_{abdc}``, ``X_{bacd}`` are the rest."""
+    X = jet_einsum("ac,bd->abcd", P, g)
+    return (rm - X - jet_trace(X, "badc->abcd") + jet_trace(X, "abdc->abcd")
+            + jet_trace(X, "bacd->abcd"))
 
 
 def raise_both(T: Jets, g_up: Jets) -> Jets:
@@ -143,18 +155,13 @@ class CurvaturePack:
         self.schouten = (self.ric - jet_einsum(",ab->ab", self.jtrace, G)) * (
             1.0 / (n - 2)
         )
-        P, g = self.schouten, G
-        self.weyl = (self.rm
-                     - jet_einsum("ac,bd->abcd", P, g)
-                     - jet_einsum("bd,ac->abcd", P, g)
-                     + jet_einsum("ad,bc->abcd", P, g)
-                     + jet_einsum("bc,ad->abcd", P, g))
+        self.weyl = weyl_jets(self.rm, self.schouten, G)
         dP = self.dschouten
         self.cotton = dP - jet_trace(dP, "bac->abc")
         dC = self.dcotton
+        P_up = raise_both(self.schouten.truncate(dC.order), self.g_up)
         self.bach = (jet_einsum("ec,ecab->ab", self.g_up, dC)
-                     + jet_einsum("acbd,cd->ab", self.weyl,
-                                  raise_both(self.schouten, self.g_up)))
+                     + jet_einsum("acbd,cd->ab", self.weyl, P_up))
 
     def cov_deriv(self, T: Jets, variances) -> Jets:
         return cov_deriv_jets(T, variances, self.gamma, self.dim)

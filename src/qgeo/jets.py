@@ -61,18 +61,21 @@ class BudgetError(RuntimeError):
     """Raised when a computation would exceed the jet-order budget."""
 
 
+@functools.lru_cache(maxsize=None)
 def _multi_indices(nvars: int, order: int, param: bool = False) -> np.ndarray:
     """All multi-indices of degree <= order (``t`` of degree 0 and <= 1).
 
     With ``param`` the last of the ``nvars`` variables is the parameter.
     Ordered by degree, then lexicographically, so the set for a lower
-    order is a prefix of the set for a higher order.
+    order is a prefix of the set for a higher order.  Cached, so read-only.
     """
     ranges = [range(order + 1)] * (nvars - param) + [range(2)] * param
     rows = [alpha for alpha in _iproduct(*ranges)
             if sum(alpha[: nvars - param]) <= order]
     rows.sort(key=lambda alpha: (sum(alpha[: nvars - param]), alpha))
-    return np.array(rows, dtype=np.int64).reshape(len(rows), nvars)
+    out = np.array(rows, dtype=np.int64).reshape(len(rows), nvars)
+    out.flags.writeable = False
+    return out
 
 
 class JetSpace:
@@ -397,16 +400,19 @@ def variables(point, order: int, param: bool = False):
 
 
 def jets_stack(items) -> Jets:
-    """Stack scalar/batched jets (same space) into one batched ``Jets``."""
+    """Stack jets (at their lowest order) and constants into one ``Jets``;
+    jets of different spaces raise ``ValueError``."""
     items = list(items)
     jets = [it for it in items if isinstance(it, Jets)]
     if not jets:
         raise ValueError("jets_stack needs at least one Jets entry")
     order = min(it.order for it in jets)
     spc = jets[0].truncate(order).space
-    coeffs = [it.truncate(order).coeffs if isinstance(it, Jets)
-              else constant(it, spc).coeffs for it in items]
-    return Jets(spc, np.stack(coeffs))
+    items = [it.truncate(order) if isinstance(it, Jets) else constant(it, spc)
+             for it in items]
+    if any(it.space is not spc for it in items):
+        raise ValueError("jets from incompatible spaces")
+    return Jets(spc, np.stack([it.coeffs for it in items]))
 
 
 def jet_of(fn, point, order: int) -> Jets:

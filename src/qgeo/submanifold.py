@@ -43,6 +43,7 @@ from .ambient import (
     inverse_metric_jets,
     levi_civita_connection,
     riemann_jets,
+    weyl_jets,
 )
 from .fields import GeometryError, ImmersedPatch, MetricField
 from .jets import (
@@ -238,14 +239,14 @@ class SubmanifoldPack:
         """``omega[i, r, s] = g(nabla_{e_i} n_r, n^s)`` (antisymmetric in r, s)."""
         dN = jets_stack([self.normal_frame.deriv(i) for i in range(self.k)])
         covN = dN + jet_einsum("zib,rb->irz", self._gamma_frame,
-                               self.normal_frame)
+                               self.normal_frame.truncate(dN.order))
         return jet_einsum("irz,sz->irs", covN, self.normal_coframe)
 
     @cached_property
     def normal_curvature(self) -> Jets:
         """Normal-bundle curvature ``Rperp[i, j, r, s]`` (commutator convention)."""
-        om = self.normal_connection
-        dom = jets_stack([om.deriv(i) for i in range(self.k)])
+        dom = jets_stack([self.normal_connection.deriv(i) for i in range(self.k)])
+        om = self.normal_connection.truncate(dom.order)
         return (jet_trace(dom, "jirs->ijrs") - dom
                 + jet_einsum("irz,jzs->ijrs", om, om)
                 - jet_einsum("jrz,izs->ijrs", om, om))
@@ -353,12 +354,8 @@ class SubmanifoldPack:
     def intrinsic_weyl(self) -> Jets:
         if self.k < 3:
             raise GeometryError("intrinsic trace decomposition needs k >= 3")
-        P, h = self.intrinsic_schouten, self.induced
-        return (self.intrinsic_riemann
-                - jet_einsum("ac,bd->abcd", P, h)
-                - jet_einsum("bd,ac->abcd", P, h)
-                + jet_einsum("ad,bc->abcd", P, h)
-                + jet_einsum("bc,ad->abcd", P, h))
+        return weyl_jets(self.intrinsic_riemann, self.intrinsic_schouten,
+                         self.induced)
 
     # -- conformally organized tensors ------------------------------------
 

@@ -10,16 +10,21 @@ are those of a ``random_scene(4, 5)`` parameter pack: the rescaled
 metric's polynomial on coordinate variables, the conformal factor on the
 same variables pulled back along the chart (the route of the conformal
 batteries), a product on the (4+1)-variable order-5 chart space, and one
-pullback of the metric jets along the chart.
+pullback of the metric jets along the chart.  The last two build the
+ambient curvature pack and the inverse metric from the order-4 metric jets
+of ``t4-in-s7`` (n = 7) at one node of the Gauss-Bonnet angle grid.
 """
 
 import numpy as np
 import pytest
 
+from qgeo.ambient import CurvaturePack, inverse_metric_jets
 from qgeo.jets import PACK_ORDER, Composer, Jets, jet_mul, space, variables
-from qgeo.scenes import random_scene, random_upsilon
+from qgeo.scenes import random_scene, random_upsilon, t4_in_s7
 
 SCENE = random_scene(4, 5, seed=3)
+# a node of the 4^4 angle grid on T^4 (grid step pi/2)
+NODE = t4_in_s7(point=(0.3, 0.3 + np.pi / 2, 0.3 + np.pi, 0.3 + 3 * np.pi / 2))
 
 
 @pytest.fixture(scope="module")
@@ -58,3 +63,20 @@ def test_composer_pull(benchmark, chart):
     pull(metric)  # the monomial tables are built once per composer
     out = benchmark(pull, metric)
     assert out.batch == (SCENE.n, SCENE.n)
+
+
+@pytest.fixture(scope="module")
+def node_metric():
+    """Order-``PACK_ORDER`` ambient metric jets of ``t4-in-s7`` at ``NODE``."""
+    x = NODE.patch.jets(NODE.point, PACK_ORDER + 1).value[: NODE.n]
+    return NODE.metric.jets(x, PACK_ORDER)
+
+
+def test_curvature_pack_on_t4_in_s7(benchmark, node_metric):
+    pack = benchmark(CurvaturePack, node_metric, NODE.n)
+    assert pack.bach.batch == (NODE.n, NODE.n)
+
+
+def test_inverse_metric_jets(benchmark, node_metric):
+    out = benchmark(inverse_metric_jets, node_metric)
+    assert out.space is node_metric.space

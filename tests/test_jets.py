@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from qgeo.jets import (
     ORDER_MAX,
+    _multi_indices,
     BudgetError,
     Jets,
     compose,
@@ -198,19 +199,25 @@ def test_series_on_parameter_space(order):
     assert np.allclose(r1.coeffs, (-f1 / (f0 * f0)).coeffs, rtol=0, atol=1e-12)
 
 
-@pytest.mark.parametrize("order", [1, 3])
-def test_inverse_metric_on_parameter_space(order):
+@pytest.mark.parametrize("param", [False, True])
+@pytest.mark.parametrize("order", range(ORDER_MAX + 1))
+def test_inverse_metric_jets(order, param):
+    # the doubling Newton schedule runs its early steps on truncations of
+    # G; the whole jet must still be the inverse, in G's own space.  The
+    # rounding of G X grows with X's coefficients (up to 1e5 at order 5
+    # with t), so the residual is bounded relative to them.
     from qgeo.ambient import inverse_metric_jets
 
     rng = np.random.default_rng(10 + order)
-    spc = variables([0.0, 0.0, 0.0], order, param=True)[0].space
+    spc = variables([0.0, 0.0, 0.0], order, param=param)[0].space
     coeffs = rng.normal(scale=0.3, size=(3, 3, spc.size))
     coeffs = coeffs + coeffs.transpose(1, 0, 2)
     coeffs[..., 0] += 2.0 * np.eye(3)
     G = Jets(spc, coeffs)
     X = inverse_metric_jets(G)
+    assert X.space is G.space
     resid = jet_einsum("ab,bc->ac", G, X) - constant(np.eye(3), spc)
-    assert float(np.max(np.abs(resid.coeffs))) < 1e-12
+    assert float(np.max(np.abs(resid.coeffs))) < 1e-13 * np.max(np.abs(X.coeffs))
 
 
 def test_budget_errors():
@@ -388,6 +395,30 @@ def test_jets_stack_needs_a_jet():
     x, = variables([0.5], 2)
     mixed = jets_stack([2.0, x])
     assert np.array_equal(mixed.coeffs[0], constant(2.0, x.space).coeffs)
+
+
+def test_jets_stack_rejects_mixed_spaces():
+    # both spaces hold 6 coefficients, so a stack would read t as y
+    plain = variables([0.1, 0.2], 2)[0]
+    param = variables([0.3], 2, param=True)[1]
+    assert plain.space.size == param.space.size
+    for pair in ([plain, param], [param, plain],
+                 [variables([0.1, 0.2], 3)[0], param]):
+        with pytest.raises(ValueError, match="incompatible spaces"):
+            jets_stack(pair)
+    with pytest.raises(ValueError, match="incompatible spaces"):
+        jet_mul(plain, param)
+    # jets of one space at different orders still stack, at the lower one
+    x3, y3 = variables([0.1, 0.2], 3)
+    assert jets_stack([x3, y3.truncate(1)]).space is space(2, 1)
+
+
+def test_multi_indices_are_cached_and_read_only():
+    table = _multi_indices(5, 4, True)
+    assert table is _multi_indices(5, 4, True)
+    assert space(5, 4, param=True).mindex is table
+    with pytest.raises(ValueError):
+        table[0, 0] = 1
 
 
 def test_jet_trace_reorders_batch():

@@ -16,9 +16,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qgeo.ambient import CurvaturePack
+from qgeo import ambient, jets
+from qgeo.ambient import (
+    CurvaturePack,
+    connection_deriv,
+    levi_civita_connection,
+    riemann_jets,
+)
 from qgeo.fields import GeometryError, ImmersedPatch, flat_metric, graph_patch
-from qgeo.jets import Jets
+from qgeo.jets import Jets, jet_einsum
 from qgeo.scenes import random_scene, scene_by_name
 from qgeo.submanifold import (
     SubmanifoldPack,
@@ -322,3 +328,75 @@ def test_degenerate_immersion_rejected():
                                              0.0 * ys[0], 0.0 * ys[0]])
     with pytest.raises(GeometryError, match="rank"):
         SubmanifoldPack(flat_metric(5), squash)
+
+
+# -- products run only to the order their result keeps ----------------------
+
+
+def _record_product_orders(monkeypatch):
+    """Record the jet order of every product kernel call, in call order."""
+    orders = []
+    kernel = jets._product
+    monkeypatch.setattr(jets, "_product",
+                        lambda spc, *args: orders.append(spc.order)
+                        or kernel(spc, *args))
+    return orders
+
+
+def test_products_run_at_the_order_they_keep(monkeypatch):
+    scene = random_scene(4, 6, 2)
+    p = SubmanifoldPack(scene.metric, scene.patch)
+    amb = p.ambient
+    orders = _record_product_orders(monkeypatch)
+
+    # each site sums its products with a derivative one order below its input
+    connection_deriv(amb.schouten, [(levi_civita_connection(amb.gamma), "down")] * 2,
+                     p.n)
+    assert max(orders) == amb.schouten.order - 1
+    orders.clear()
+    riemann_jets(amb.g, amb.gamma, p.n)
+    assert max(orders) == amb.gamma.order - 1
+    for prior, site in [("normal_frame", "normal_connection"),
+                        ("normal_connection", "normal_curvature")]:
+        order = getattr(p, prior).order
+        p.normal_coframe, p._gamma_frame  # build the other inputs unrecorded
+        orders.clear()
+        getattr(p, site)
+        assert max(orders) == order - 1, site
+
+    # a whole ambient pack: the Bach term, the last thing it builds after
+    # nabla C, runs at the order of nabla C, and only the last Newton step of
+    # the inverse runs at the metric's order (the parent ran all three there)
+    derivs_done = []
+    inner = ambient.connection_deriv
+
+    def marked(*args):
+        out = inner(*args)
+        derivs_done.append(len(orders))
+        return out
+
+    monkeypatch.setattr(ambient, "connection_deriv", marked)
+    orders.clear()
+    pack = CurvaturePack(amb.g, p.n)
+    assert amb.g.order == 4 and pack.dcotton.order == 0
+    assert max(orders[derivs_done[-1]:]) == pack.dcotton.order
+    assert orders.count(4) == 2
+
+
+def _weyl_four_products(rm, P, g):
+    return (rm
+            - jet_einsum("ac,bd->abcd", P, g)
+            - jet_einsum("bd,ac->abcd", P, g)
+            + jet_einsum("ad,bc->abcd", P, g)
+            + jet_einsum("bc,ad->abcd", P, g))
+
+
+def test_weyl_from_one_product_is_the_four_product_form():
+    p = submanifold_pack(random_scene(4, 6, 2))
+    amb = p.ambient
+    for weyl, want in [
+            (amb.weyl, _weyl_four_products(amb.rm, amb.schouten, amb.g)),
+            (p.intrinsic_weyl, _weyl_four_products(
+                p.intrinsic_riemann, p.intrinsic_schouten, p.induced))]:
+        assert weyl.space is want.space
+        assert np.array_equal(weyl.coeffs, want.coeffs)
