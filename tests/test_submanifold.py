@@ -366,7 +366,7 @@ def test_products_run_at_the_order_they_keep(monkeypatch):
 
     # a whole ambient pack: the Bach term, the last thing it builds after
     # nabla C, runs at the order of nabla C, and only the last Newton step of
-    # the inverse runs at the metric's order (the parent ran all three there)
+    # the inverse runs at the metric's order
     derivs_done = []
     inner = ambient.connection_deriv
 
