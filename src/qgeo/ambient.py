@@ -15,7 +15,8 @@ conventions are:
 With these choices the unit round sphere has ``R_{abcd} = g_{ac} g_{bd} -
 g_{ad} g_{bc}`` and positive scalar curvature.  A product summed with a
 derivative is formed at the derivative's order, so no dropped coefficient
-is computed.
+is computed: Riemann from the product-free first-kind ``Gamma_{d,ab}`` and
+one ``Gamma Gamma`` product, the inverse metric to the order it is read.
 """
 
 from __future__ import annotations
@@ -49,8 +50,8 @@ def inverse_metric_jets(G: Jets) -> Jets:
 
     Newton's step ``X <- X (2 I - G X)`` doubles the degree through which
     ``X`` is exact, to ``2^s - 1`` after step ``s``; so step ``s`` updates
-    in place only that prefix of ``X`` (order 4: orders 1, 3, 4), until it
-    covers ``top_degree`` (one more than the order on a parameter space).
+    in place only that prefix of ``X`` (the pack's order 3: orders 1, 3),
+    until it covers ``top_degree`` (one more on a parameter space).
     """
     two_eye = 2.0 * np.eye(G.batch[0])
     X = constant(np.linalg.inv(G.value), G.space)
@@ -63,23 +64,30 @@ def inverse_metric_jets(G: Jets) -> Jets:
     return X
 
 
+def _first_kind(G: Jets, dim: int) -> Jets:
+    """Christoffel symbols of the first kind ``Gamma[d, a, b] = Gamma_{d,ab}``."""
+    dG = jets_stack([G.deriv(c) for c in range(dim)])  # d_c g_{ab}
+    return 0.5 * (jet_trace(dG, "adb->dab") + jet_trace(dG, "bda->dab") - dG)
+
+
 def christoffel_jets(G: Jets, Ginv: Jets, dim: int) -> Jets:
     """Levi-Civita connection components ``Gamma[c, a, b] = Gamma^c_{ab}``."""
-    dG = jets_stack([G.deriv(c) for c in range(dim)])  # d_c g_{ab}
-    S = (jet_trace(dG, "adb->dab") + jet_trace(dG, "bda->dab") - dG)
-    return 0.5 * jet_einsum("cd,dab->cab", Ginv, S)
+    return jet_einsum("cd,dab->cab", Ginv, _first_kind(G, dim))
 
 
 def riemann_jets(G: Jets, Gamma: Jets, dim: int) -> Jets:
-    """Lowered ``R_{abcd}`` at the order of ``d Gamma`` (and ``Gamma Gamma``)."""
-    dGam = jets_stack([Gamma.deriv(a) for a in range(dim)])
-    Gam = Gamma.truncate(dGam.order)
-    # R_{abc}{}^d = -d_a Gamma^d_{bc} + d_b Gamma^d_{ac}
-    #              + Gamma^e_{ac} Gamma^d_{be} - Gamma^e_{bc} Gamma^d_{ae}
-    rm_ud = (-jet_trace(dGam, "adbc->abcd") + jet_trace(dGam, "bdac->abcd")
-             + jet_einsum("eac,dbe->abcd", Gam, Gam)
-             - jet_einsum("ebc,dae->abcd", Gam, Gam))
-    return jet_einsum("abce,ed->abcd", rm_ud, G)
+    """Lowered ``R_{abcd}`` at the order of ``d Gamma``, from one product.
+
+    ``R_{abcd} = Y_{abcd} - Y_{bacd}`` with ``Y_{abcd} = Gamma_{e,ad}
+    Gamma^e_{bc} - d_a Gamma_{d,bc}`` (first kind ``Gamma_{d,ab}``): the
+    lowered ``R_{abc}{}^e g_{ed}`` expanded with ``d_a g_{ed} = Gamma_{e,ad}
+    + Gamma_{d,ae}``.
+    """
+    first = _first_kind(G, dim)
+    dfirst = jets_stack([first.deriv(a) for a in range(dim)])
+    Y = (jet_einsum("ead,ebc->abcd", first.truncate(dfirst.order), Gamma)
+         - jet_trace(dfirst, "adbc->abcd"))
+    return Y - jet_trace(Y, "bacd->abcd")
 
 
 def connection_deriv(T: Jets, connections, nvars: int) -> Jets:
@@ -137,7 +145,8 @@ class CurvaturePack:
     """All ambient curvature objects at one evaluation point, as jets.
 
     Covariant derivatives of Riemann, Weyl, Cotton and Schouten are
-    computed on first access and cached.
+    computed on first access and cached.  The inverse metric ``g_up`` has
+    order ``G.order - 1``, the highest order any consumer reads.
     """
 
     def __init__(self, G: Jets, dim: int):
@@ -146,7 +155,7 @@ class CurvaturePack:
             raise ValueError("ambient curvature needs dimension >= 3 "
                              "(Schouten undefined below)")
         self.g = G
-        self.g_up = inverse_metric_jets(G)
+        self.g_up = inverse_metric_jets(G.truncate(G.order - 1))
         self.gamma = christoffel_jets(G, self.g_up, n)
         self.rm = riemann_jets(G, self.gamma, n)
         self.ric = jet_einsum("acbd,cd->ab", self.rm, self.g_up)

@@ -535,36 +535,32 @@ def derivative_law_reports(scene: Scene, upsilon=None, *,
 # -- trace-adjusted tensors and their tangential dependence ----------------------
 
 
-def _lemma_reports(eng: _Engine) -> list[LinearizationReport]:
+#: name, evaluator and weight of each mixed quantity, as in :func:`_lemma_laws`
+_LEMMA_ROWS = (
+    ("mixed_schouten", lambda q: q.mc_schouten, 0.0),
+    ("mixed_cotton[ttt]", lambda q: q.block("mc_cotton", "ttt"), 0.0),
+    ("mixed_cotton_trace", lambda q: q.mc_cotton_trace, -2.0),
+    ("mixed_bach", lambda q: q.mc_bach, -2.0),
+    ("normal_deflection", lambda q: q.normal_deflection, -1.0),
+)
+
+
+def _lemma_laws(eng: _Engine) -> list[np.ndarray]:
+    """The analytic variation of each :data:`_LEMMA_ROWS` quantity."""
     p, r = eng.base, eng.restriction
     n = p.n
     gu = np.asarray(r.grad_up.value)
-    reports = [eng.report(
-        "mixed_schouten", lambda q: q.mc_schouten, 0.0,
-        analytic=-np.asarray(r.hessian.value))]
     w4 = p.block("weyl", "tttt")
-    analytic = -np.einsum(
-        "abcz,z->abc", np.asarray(w4.value), gu)
-    reports.append(eng.report(
-        "mixed_cotton[ttt]", lambda q: q.block("mc_cotton", "ttt"), 0.0,
-        analytic=analytic))
     wtr = jet_einsum("bd,bade->ae", p.induced_inv, w4)
-    analytic = -np.einsum("ae,e->a", np.asarray(wtr.value), gu)
-    reports.append(eng.report(
-        "mixed_cotton_trace", lambda q: q.mc_cotton_trace, -2.0,
-        analytic=analytic))
     c3 = p.block("mc_cotton", "ttt")
     csym = (c3 + jet_trace(c3, "gab->gba")) * 0.5
-    analytic = 2.0 * (n - 4) * np.einsum(
-        "g,gab->ab", gu, np.asarray(csym.value))
-    reports.append(eng.report(
-        "mixed_bach", lambda q: q.mc_bach, -2.0, analytic=analytic))
-    analytic = -np.einsum(
-        "b,abr->ar", gu, np.asarray(p.second_tracefree.value))
-    reports.append(eng.report(
-        "normal_deflection", lambda q: q.normal_deflection, -1.0,
-        analytic=analytic))
-    return reports
+    return [
+        -np.asarray(r.hessian.value),
+        -np.einsum("abcz,z->abc", np.asarray(w4.value), gu),
+        -np.einsum("ae,e->a", np.asarray(wtr.value), gu),
+        2.0 * (n - 4) * np.einsum("g,gab->ab", gu, np.asarray(csym.value)),
+        -np.einsum("b,abr->ar", gu, np.asarray(p.second_tracefree.value)),
+    ]
 
 
 def check_tangential_dependence(scene: Scene, upsilon=None, *,
@@ -576,20 +572,18 @@ def check_tangential_dependence(scene: Scene, upsilon=None, *,
     ``Upsilon``; re-running the battery with ``Upsilon`` vanishing along
     the submanifold must therefore kill every variation, and the
     trace-adjusted Schouten variation vanishes identically as soon as the
-    pullback of ``Upsilon`` does.
+    pullback of ``Upsilon`` does (the re-run needs no laws).
     """
     normal_only = transverse_vanishing_upsilon(scene, 0, seed=seed + 101)
     eng, eng0 = _engines_sharing_base(scene, [upsilon, normal_only], seed)
-    reports = _lemma_reports(eng)
-    silent = _lemma_reports(eng0)
-    tangential_zero = max(float(np.max(np.abs(rep.numeric)))
-                          for rep in silent)
-    schouten_zero = float(np.max(np.abs(
-        eng0.nilpotent(lambda q: q.mc_schouten, 0.0))))
+    reports = [eng.report(nm, ev, w, analytic=law)
+               for (nm, ev, w), law in zip(_LEMMA_ROWS, _lemma_laws(eng))]
+    silent = [float(np.max(np.abs(eng0.nilpotent(ev, w))))
+              for _, ev, w in _LEMMA_ROWS]
     return {
         "reports": reports,
-        "tangential_zero_max": tangential_zero,
-        "schouten_pullback_zero": schouten_zero,
+        "tangential_zero_max": max(silent),
+        "schouten_pullback_zero": silent[0],
     }
 
 

@@ -24,6 +24,8 @@ import math
 import numpy as np
 
 from .jets import (
+    PACK_ORDER,
+    Composer,
     JetSpace,
     Jets,
     _multi_indices,
@@ -217,9 +219,21 @@ class ImmersedPatch:
             np.zeros(k) if basepoint is None else np.asarray(basepoint, dtype=float)
         )
         self.name = name
+        self._charts = {}
 
     def __call__(self, ys):
         return self.fn(ys)
+
+    def chart(self, point, param: bool = False) -> tuple[Jets, Composer]:
+        """Chart jets at ``point`` to ``PACK_ORDER + 1`` and their ``Composer``,
+        shared by every pack at the point (the chart map has no metric).
+        The last chart per ``param`` value is kept, so a patch holds at most
+        two."""
+        key = np.asarray(point, dtype=float).tobytes()
+        if self._charts.get(param, (None,))[0] != key:
+            X = self.jets(point, PACK_ORDER + 1, param=param)
+            self._charts[param] = (key, X, Composer(X))
+        return self._charts[param][1:]
 
     def jets(self, point, order: int, param: bool = False) -> Jets:
         """Ambient coordinate jets along the patch, shape (n,) or (n+1,).
@@ -264,10 +278,9 @@ def flat_metric(n: int) -> MetricField:
 
 def conformal_metric(n: int, log_factor, name: str = "conformal") -> MetricField:
     """Metric e^{2f} g0 with f = ``log_factor(xs)`` and g0 flat."""
-    g0 = flat_metric(n)
 
     def fn(xs):
-        return (2.0 * log_factor(xs[:n])).exp() * g0(xs)
+        return (2.0 * log_factor(xs[:n])).exp() * np.eye(n)
 
     return MetricField(n, fn, name=name)
 

@@ -48,7 +48,6 @@ from .ambient import (
 from .fields import GeometryError, ImmersedPatch, MetricField
 from .jets import (
     PACK_ORDER,
-    Composer,
     Jets,
     constant,
     jet_einsum,
@@ -77,9 +76,10 @@ class SubmanifoldPack:
     tensors, frame projections, contractions built by the invariants) go
     through :meth:`memo`.
     ``order`` is the ambient metric jet order, ``PACK_ORDER``; the chart map
-    (whose ``Composer`` is :attr:`pull`) is expanded at ``order + 1``.  With
-    ``param=True`` every jet carries the extra first-order parameter
-    variable used for conformal linearization.
+    (whose ``Composer`` is :attr:`pull`) is expanded at ``order + 1`` by
+    :meth:`ImmersedPatch.chart`, so every pack at one patch point shares
+    the chart and its tables.  With ``param=True`` every jet carries the
+    extra first-order parameter variable used for conformal linearization.
     """
 
     def __init__(self, metric: MetricField, patch: ImmersedPatch, point=None,
@@ -98,9 +98,8 @@ class SubmanifoldPack:
         self.order = PACK_ORDER
         self.point = (np.asarray(patch.basepoint, dtype=float)
                       if point is None else np.asarray(point, dtype=float))
-        self.chart_jets = patch.jets(self.point, PACK_ORDER + 1, param=param)
+        self.chart_jets, self.pull = patch.chart(self.point, param)
         self.x_point = self.chart_jets.value[: self.n]
-        self.pull = Composer(self.chart_jets)
         self.ambient = CurvaturePack(
             metric.jets(self.x_point, PACK_ORDER, param=param), self.n)
         self._memo = {}

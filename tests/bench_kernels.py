@@ -10,15 +10,16 @@ are those of a ``random_scene(4, 5)`` parameter pack: the rescaled
 metric's polynomial on coordinate variables, the conformal factor on the
 same variables pulled back along the chart (the route of the conformal
 batteries), a product on the (4+1)-variable order-5 chart space, and one
-pullback of the metric jets along the chart.  The last two build the
-ambient curvature pack and the inverse metric from the order-4 metric jets
-of ``t4-in-s7`` (n = 7) at one node of the Gauss-Bonnet angle grid.
+pullback of the metric jets along the chart.  The last three build the
+ambient curvature pack, the inverse metric and the Riemann tensor from the
+order-4 metric jets of ``t4-in-s7`` (n = 7) at one node of the
+Gauss-Bonnet angle grid.
 """
 
 import numpy as np
 import pytest
 
-from qgeo.ambient import CurvaturePack, inverse_metric_jets
+from qgeo.ambient import CurvaturePack, inverse_metric_jets, riemann_jets
 from qgeo.jets import PACK_ORDER, Composer, Jets, jet_mul, space, variables
 from qgeo.scenes import random_scene, random_upsilon, t4_in_s7
 
@@ -80,3 +81,9 @@ def test_curvature_pack_on_t4_in_s7(benchmark, node_metric):
 def test_inverse_metric_jets(benchmark, node_metric):
     out = benchmark(inverse_metric_jets, node_metric)
     assert out.space is node_metric.space
+
+
+def test_riemann_jets_on_t4_in_s7(benchmark, node_metric):
+    gamma = CurvaturePack(node_metric, NODE.n).gamma
+    out = benchmark(riemann_jets, node_metric, gamma, NODE.n)
+    assert out.batch == (NODE.n,) * 4

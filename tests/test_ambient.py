@@ -20,7 +20,9 @@ from qgeo.fields import (
     hyperbolic_half_space_metric,
     sphere_chart_metric,
 )
-from qgeo.scenes import random_polynomial_metric
+from qgeo.jets import PACK_ORDER, jet_einsum
+from qgeo.scenes import random_polynomial_metric, random_scene
+from qgeo.submanifold import submanifold_pack
 
 
 def test_flat_metric_is_flat():
@@ -168,6 +170,19 @@ def test_metric_is_parallel():
     dginv = pack.cov_deriv(pack.g_up, ["up", "up"])
     assert np.max(np.abs(dg.coeffs)) < 1e-12
     assert np.max(np.abs(dginv.coeffs)) < 1e-12
+
+
+def test_inverse_metric_to_the_order_it_is_read():
+    # every consumer reads g_up at most one order below the metric, so the
+    # pack keeps it there: an exact inverse as a whole jet of that order
+    sc = random_scene(4, 5, 2)
+    for param in (False, True):
+        amb = submanifold_pack(sc, param=param).ambient
+        assert amb.g_up.order == PACK_ORDER - 1
+        assert amb.g_up.space.param == param
+        resid = jet_einsum("ab,bc->ac", amb.g, amb.g_up) - np.eye(5)
+        assert resid.order == PACK_ORDER - 1
+        assert float(np.max(np.abs(resid.coeffs))) < 1e-13
 
 
 def test_weyl_scales_conformally():

@@ -13,7 +13,7 @@ stratified vanishing of the quartic building blocks must be sharp (dead
 strata at zero, living strata visibly nonzero).
 """
 
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 import pytest
@@ -21,7 +21,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qgeo.conformal as cf
-from qgeo.fields import conformally_rescaled, flat_metric, sphere_chart_metric
+from qgeo import jets
+from qgeo.fields import (
+    ImmersedPatch,
+    conformally_rescaled,
+    flat_metric,
+    sphere_chart_metric,
+)
 from qgeo.invariants import available, evaluate
 from qgeo.jets import PACK_ORDER, Jets, variables
 from qgeo.scenes import affine_plane, random_scene, random_upsilon
@@ -219,6 +225,41 @@ def test_tangential_battery_shares_the_base_pack(monkeypatch):
     out = cf.check_tangential_dependence(random_scene(4, 5, 2))
     assert len(builds) == 3
     assert out["tangential_zero_max"] < 1e-7
+
+
+def test_silent_tangential_run_builds_no_restriction(monkeypatch):
+    # the factor-vanishing re-run needs the variations only, not the laws
+    built = []
+    restriction = cf._Engine.restriction
+
+    def counting(self):
+        built.append(self)
+        return restriction.func(self)
+
+    counted = cached_property(counting)
+    counted.__set_name__(cf._Engine, "restriction")
+    monkeypatch.setattr(cf._Engine, "restriction", counted)
+    cf.check_tangential_dependence(random_scene(4, 5, 2))
+    assert len(built) == 1
+
+
+def test_batteries_at_one_point_share_two_charts(monkeypatch):
+    # the chart map does not depend on the metric: the base, finite and
+    # parameter packs of all four batteries at one point share the plain
+    # and the parameter chart, and their Composer tables
+    charts, tables = [], []
+    chart_jets, monomial_table = ImmersedPatch.jets, jets.monomial_table
+    monkeypatch.setattr(ImmersedPatch, "jets", lambda self, *a, **kw: (
+        charts.append(a) or chart_jets(self, *a, **kw)))
+    monkeypatch.setattr(jets, "monomial_table", lambda *a: (
+        tables.append(a) or monomial_table(*a)))
+    sc = random_scene(4, 5, 2)
+    cf.check_invariance(sc, seed=2)
+    cf.check_tangential_dependence(sc, seed=2)
+    cf.check_strata_vanishing(sc, seed=2)
+    cf.check_q_transformation(scenes=[sc], seed=2)
+    assert len(charts) == 2
+    assert len(tables) <= 10
 
 
 @pytest.mark.parametrize("battery,calls", [

@@ -24,7 +24,7 @@ from qgeo.ambient import (
     riemann_jets,
 )
 from qgeo.fields import GeometryError, ImmersedPatch, flat_metric, graph_patch
-from qgeo.jets import Jets, jet_einsum
+from qgeo.jets import Jets, jet_einsum, jet_trace, jets_stack
 from qgeo.scenes import random_scene, scene_by_name
 from qgeo.submanifold import (
     SubmanifoldPack,
@@ -355,7 +355,7 @@ def test_products_run_at_the_order_they_keep(monkeypatch):
     assert max(orders) == amb.schouten.order - 1
     orders.clear()
     riemann_jets(amb.g, amb.gamma, p.n)
-    assert max(orders) == amb.gamma.order - 1
+    assert orders == [amb.gamma.order - 1]  # one Gamma Gamma product
     for prior, site in [("normal_frame", "normal_connection"),
                         ("normal_connection", "normal_curvature")]:
         order = getattr(p, prior).order
@@ -365,8 +365,8 @@ def test_products_run_at_the_order_they_keep(monkeypatch):
         assert max(orders) == order - 1, site
 
     # a whole ambient pack: the Bach term, the last thing it builds after
-    # nabla C, runs at the order of nabla C, and only the last Newton step of
-    # the inverse runs at the metric's order
+    # nabla C, runs at the order of nabla C, and no product (the inverse
+    # metric's Newton steps included) runs at the metric's order
     derivs_done = []
     inner = ambient.connection_deriv
 
@@ -380,7 +380,7 @@ def test_products_run_at_the_order_they_keep(monkeypatch):
     pack = CurvaturePack(amb.g, p.n)
     assert amb.g.order == 4 and pack.dcotton.order == 0
     assert max(orders[derivs_done[-1]:]) == pack.dcotton.order
-    assert orders.count(4) == 2
+    assert orders.count(4) == 0
 
 
 def _weyl_four_products(rm, P, g):
@@ -400,3 +400,50 @@ def test_weyl_from_one_product_is_the_four_product_form():
                 p.intrinsic_riemann, p.intrinsic_schouten, p.induced))]:
         assert weyl.space is want.space
         assert np.array_equal(weyl.coeffs, want.coeffs)
+
+
+def _riemann_three_products(G, Gamma, dim):
+    # R_{abc}^d from d Gamma and two Gamma Gamma products, lowered by a third
+    dGam = jets_stack([Gamma.deriv(a) for a in range(dim)])
+    Gam = Gamma.truncate(dGam.order)
+    rm_ud = (-jet_trace(dGam, "adbc->abcd") + jet_trace(dGam, "bdac->abcd")
+             + jet_einsum("eac,dbe->abcd", Gam, Gam)
+             - jet_einsum("ebc,dae->abcd", Gam, Gam))
+    return jet_einsum("abce,ed->abcd", rm_ud, G)
+
+
+@pytest.mark.parametrize("n", [5, 6, 7])
+def test_riemann_from_one_product_is_the_three_product_form(n):
+    p = submanifold_pack(random_scene(4, n, 0))
+    amb = p.ambient
+    for rm, want in [
+            (amb.rm, _riemann_three_products(amb.g, amb.gamma, n)),
+            (p.intrinsic_riemann, _riemann_three_products(
+                p.induced, p.induced_christoffel, p.k))]:
+        assert rm.space is want.space
+        gap = float(np.max(np.abs(rm.coeffs - want.coeffs)))
+        assert gap <= 1e-14 * float(np.max(np.abs(want.coeffs)))
+
+
+# -- one chart per patch point -------------------------------------------------
+
+
+def test_packs_at_one_point_share_the_chart():
+    sc = random_scene(4, 5, 3)
+    points = [sc.point, sc.point + 0.01, sc.point - 0.02]
+    packs = {(i, param): SubmanifoldPack(sc.metric, sc.patch, pt, param=param)
+             for i, pt in enumerate(points) for param in (False, True)}
+    # the last chart per parameter flag, whatever the number of points
+    assert len(sc.patch._charts) <= 2
+    last = SubmanifoldPack(flat_metric(5), sc.patch, points[-1])
+    assert last.pull is packs[2, False].pull
+    assert last.chart_jets is packs[2, False].chart_jets
+    assert packs[2, True].pull is not last.pull
+
+    # a revisited point: the kept chart is rebuilt, equal to a fresh patch's
+    fresh = ImmersedPatch(sc.patch.k, sc.patch.n, sc.patch.fn)
+    for param in (False, True):
+        again = SubmanifoldPack(sc.metric, sc.patch, points[0], param=param)
+        want = SubmanifoldPack(sc.metric, fresh, points[0], param=param)
+        assert np.array_equal(again.chart_jets.coeffs, want.chart_jets.coeffs)
+        assert again.scalar_summary() == want.scalar_summary()
