@@ -70,20 +70,20 @@ def _first_kind(G: Jets, dim: int) -> Jets:
     return 0.5 * (jet_trace(dG, "adb->dab") + jet_trace(dG, "bda->dab") - dG)
 
 
-def christoffel_jets(G: Jets, Ginv: Jets, dim: int) -> Jets:
-    """Levi-Civita connection components ``Gamma[c, a, b] = Gamma^c_{ab}``."""
-    return jet_einsum("cd,dab->cab", Ginv, _first_kind(G, dim))
+def christoffel_jets(first: Jets, Ginv: Jets) -> Jets:
+    """Levi-Civita connection components ``Gamma[c, a, b] = Gamma^c_{ab}``
+    from the first-kind symbols ``first`` of :func:`_first_kind`."""
+    return jet_einsum("cd,dab->cab", Ginv, first)
 
 
-def riemann_jets(G: Jets, Gamma: Jets, dim: int) -> Jets:
+def riemann_jets(first: Jets, Gamma: Jets, dim: int) -> Jets:
     """Lowered ``R_{abcd}`` at the order of ``d Gamma``, from one product.
 
     ``R_{abcd} = Y_{abcd} - Y_{bacd}`` with ``Y_{abcd} = Gamma_{e,ad}
-    Gamma^e_{bc} - d_a Gamma_{d,bc}`` (first kind ``Gamma_{d,ab}``): the
-    lowered ``R_{abc}{}^e g_{ed}`` expanded with ``d_a g_{ed} = Gamma_{e,ad}
-    + Gamma_{d,ae}``.
+    Gamma^e_{bc} - d_a Gamma_{d,bc}`` (first kind ``first[d, a, b] =
+    Gamma_{d,ab}``): the lowered ``R_{abc}{}^e g_{ed}`` expanded with
+    ``d_a g_{ed} = Gamma_{e,ad} + Gamma_{d,ae}``.
     """
-    first = _first_kind(G, dim)
     dfirst = jets_stack([first.deriv(a) for a in range(dim)])
     Y = (jet_einsum("ead,ebc->abcd", first.truncate(dfirst.order), Gamma)
          - jet_trace(dfirst, "adbc->abcd"))
@@ -91,24 +91,19 @@ def riemann_jets(G: Jets, Gamma: Jets, dim: int) -> Jets:
 
 
 def connection_deriv(T: Jets, connections, nvars: int) -> Jets:
-    """Covariant derivative of a tensor jet batch; new slot comes first.
+    """Covariant derivative of an all-lowered tensor jet batch; new slot
+    comes first.
 
-    ``connections`` holds one ``(A, variance)`` pair per batch axis of
-    ``T``, with the connection in the layout ``A[a, slot, z]``: a "down"
-    slot subtracts ``A[a, b, z] T_z``, an "up" slot adds ``A[a, z, b] T_z``.
-    The corrections are formed at the order of ``d T``.
+    ``connections`` holds one connection per batch axis of ``T``, in the
+    layout ``A[a, slot, z]``; each slot subtracts ``A[a, b, z] T_z``.  The
+    corrections are formed at the order of ``d T``.
     """
     letters = "bcdefghij"[: len(connections)]
     parts = jets_stack([T.deriv(a) for a in range(nvars)])
     T = T.truncate(parts.order)
-    for j, (A, var) in enumerate(connections):
+    for j, A in enumerate(connections):
         tsub = letters[:j] + "z" + letters[j + 1:]
-        if var == "down":
-            parts = parts - jet_einsum(
-                f"a{letters[j]}z,{tsub}->a{letters}", A, T)
-        else:
-            parts = parts + jet_einsum(
-                f"az{letters[j]},{tsub}->a{letters}", A, T)
+        parts = parts - jet_einsum(f"a{letters[j]}z,{tsub}->a{letters}", A, T)
     return parts
 
 
@@ -117,14 +112,11 @@ def levi_civita_connection(Gamma: Jets) -> Jets:
     return jet_trace(Gamma, "cab->abc")
 
 
-def cov_deriv_jets(T: Jets, variances, Gamma: Jets, dim: int) -> Jets:
-    """Levi-Civita covariant derivative; new slot comes first.
-
-    ``variances`` lists "up"/"down" per batch axis of ``T``; every slot is
-    corrected with the supplied connection components.
-    """
+def cov_deriv_jets(T: Jets, Gamma: Jets, dim: int) -> Jets:
+    """Levi-Civita covariant derivative of an all-lowered tensor; new slot
+    comes first."""
     A = levi_civita_connection(Gamma)
-    return connection_deriv(T, [(A, var) for var in variances], dim)
+    return connection_deriv(T, [A] * len(T.batch), dim)
 
 
 def weyl_jets(rm: Jets, P: Jets, g: Jets) -> Jets:
@@ -156,8 +148,9 @@ class CurvaturePack:
                              "(Schouten undefined below)")
         self.g = G
         self.g_up = inverse_metric_jets(G.truncate(G.order - 1))
-        self.gamma = christoffel_jets(G, self.g_up, n)
-        self.rm = riemann_jets(G, self.gamma, n)
+        first = _first_kind(G, n)
+        self.gamma = christoffel_jets(first, self.g_up)
+        self.rm = riemann_jets(first, self.gamma, n)
         self.ric = jet_einsum("acbd,cd->ab", self.rm, self.g_up)
         self.scal = jet_einsum("ab,ab->", self.ric, self.g_up)
         self.jtrace = self.scal * (1.0 / (2.0 * (n - 1)))
@@ -172,24 +165,24 @@ class CurvaturePack:
         self.bach = (jet_einsum("ec,ecab->ab", self.g_up, dC)
                      + jet_einsum("acbd,cd->ab", self.weyl, P_up))
 
-    def cov_deriv(self, T: Jets, variances) -> Jets:
-        return cov_deriv_jets(T, variances, self.gamma, self.dim)
+    def cov_deriv(self, T: Jets) -> Jets:
+        return cov_deriv_jets(T, self.gamma, self.dim)
 
     @cached_property
     def dschouten(self) -> Jets:
-        return self.cov_deriv(self.schouten, ["down"] * 2)
+        return self.cov_deriv(self.schouten)
 
     @cached_property
     def dcotton(self) -> Jets:
-        return self.cov_deriv(self.cotton, ["down"] * 3)
+        return self.cov_deriv(self.cotton)
 
     @cached_property
     def dweyl(self) -> Jets:
-        return self.cov_deriv(self.weyl, ["down"] * 4)
+        return self.cov_deriv(self.weyl)
 
     @cached_property
     def driemann(self) -> Jets:
-        return self.cov_deriv(self.rm, ["down"] * 4)
+        return self.cov_deriv(self.rm)
 
 
 def curvature_pack(g: MetricField, p) -> CurvaturePack:

@@ -256,13 +256,13 @@ class _Engine:
         du_y = p.pull(du_x)
         grad = p.tangential_gradient(u_y)
         amb = p.ambient
-        hess_x = amb.cov_deriv(amb.cov_deriv(u_x, []), ["down"])
+        hess_x = amb.cov_deriv(amb.cov_deriv(u_x))
         return SimpleNamespace(
             grad=grad,
             grad_up=jet_einsum("ab,b->a", p.induced_inv, grad),
-            normal=jet_einsum("ra,a->r", p.normal_frame, du_y),
+            normal=p.project(du_y, "n"),
             ambient_up=jet_einsum("ab,b->a", p.pulled("g_up"), du_y),
-            hessian=p.tangential_cov_deriv(grad, [("tangent", "down")]),
+            hessian=p.tangential_cov_deriv(grad, "t"),
             ambient_hessian=p.pull(hess_x),
             laplacian=p.tangential_laplacian(u_y),
         )
@@ -502,8 +502,7 @@ def derivative_law_reports(scene: Scene, upsilon=None, *,
            + np.dot(gu, tau) * h)
     reports = [eng.report(
         "tangential_derivative[one-form]", _probe_tangent_form, w,
-        operator=lambda q, t: q.tangential_cov_deriv(
-            t, [("tangent", "down")]),
+        operator=lambda q, t: q.tangential_cov_deriv(t, "t"),
         operand_weight=w, analytic=law, cross_check=True)]
 
     # the orthonormal normal slot lowers both stored weights by one
@@ -511,8 +510,7 @@ def derivative_law_reports(scene: Scene, upsilon=None, *,
     law = (w - 1.0) * np.einsum("a,r->ar", gl, sig)
     reports.append(eng.report(
         "tangential_derivative[normal-form]", _probe_normal_form, w - 1.0,
-        operator=lambda q, t: q.tangential_cov_deriv(
-            t, [("normal", "down")]),
+        operator=lambda q, t: q.tangential_cov_deriv(t, "n"),
         operand_weight=w - 1.0, analytic=law, cross_check=True))
 
     law = (k + w - 2.0) * np.dot(gu, tau)
@@ -729,11 +727,7 @@ def check_homogeneity(scene: Scene) -> dict:
 
 
 def _double_div_fialkow(p) -> Jets:
-    d1 = p.tangential_cov_deriv(
-        p.fialkow, [("tangent", "down"), ("tangent", "down")])
-    d2 = p.tangential_cov_deriv(d1, [("tangent", "down")] * 3)
-    t1 = jet_einsum("bacd,ac->bd", d2, p.induced_inv)
-    return jet_einsum("bd,bd->", t1, p.induced_inv)
+    return p.divergence(p.divergence(p.fialkow, "tt"))
 
 
 def _div_shape_weyl_full(p) -> Jets:
@@ -813,29 +807,22 @@ def _mean_outer(p) -> Jets:
     return jet_einsum("r,s->rs", p.mean_curvature, p.mean_curvature)
 
 
-def _normal_div(p, X: Jets) -> Jets:
-    """``h^{ab} nabla_a X_{b r}`` for a tangent-normal 2-tensor ``X``."""
-    dX = p.tangential_cov_deriv(X, [("tangent", "down"), ("normal", "down")])
-    return jet_einsum("ab,abr->r", p.induced_inv, dX)
-
-
 def _laplacian_mean(p) -> Jets:
-    return _normal_div(p, p.tangential_cov_deriv(
-        p.mean_curvature, [("normal", "down")]))
+    return p.divergence(p.tangential_cov_deriv(p.mean_curvature, "n"), "tn")
 
 
 def _cotton_trace_normal(p) -> Jets:
-    return jet_einsum("rb,b->r", p.normal_frame, p.mc_cotton_trace_ambient)
+    return p.project(p.mc_cotton_trace_ambient, "n")
 
 
 def _normal_gradient_jtrace(p) -> Jets:
     dJ = jets_stack([p.ambient.jtrace.deriv(a) for a in range(p.n)])
-    return jet_einsum("ra,a->r", p.normal_frame, p.pull(dJ))
+    return p.project(p.pull(dJ), "n")
 
 
 def _ambient_laplacian_jtrace(p) -> Jets:
     a = p.ambient
-    ddJ = a.cov_deriv(a.cov_deriv(a.jtrace, []), ["down"])
+    ddJ = a.cov_deriv(a.cov_deriv(a.jtrace))
     return p.pull(jet_einsum("ab,ab->", a.g_up, ddJ))
 
 
@@ -865,10 +852,10 @@ def _build_strata() -> tuple[StratumElement, ...]:
          lambda p: jet_einsum("r,r->", H(p), _laplacian_mean(p))),
         (1, "mean_dot_div_deflection",
          lambda p: jet_einsum("r,r->", H(p),
-                              _normal_div(p, p.normal_deflection))),
+                              p.divergence(p.normal_deflection, "tn"))),
         (1, "mean_dot_div_weyl_trace",
          lambda p: jet_einsum("r,r->", H(p),
-                              _normal_div(p, _w_tn_trace(p)))),
+                              p.divergence(_w_tn_trace(p), "tn"))),
         (1, "mean_norm4", lambda p: p.mean_norm2 * p.mean_norm2),
         (1, "mean_norm2_tracefree_norm2",
          lambda p: p.mean_norm2 * p.tracefree_norm2),

@@ -326,8 +326,8 @@ def hyperbolic_half_space_metric(n: int) -> MetricField:
     return conformal_metric(n, log_factor, name="hyperbolic-half-space")
 
 
-def conformally_rescaled(g: MetricField, upsilon, t: float | None = None,
-                         name: str | None = None) -> MetricField:
+def conformally_rescaled(g: MetricField, upsilon,
+                         t: float | None = None) -> MetricField:
     """The rescaled metric e^{2 t Upsilon} g.
 
     ``t`` a float gives a finite rescale.  ``t=None`` multiplies by the
@@ -349,7 +349,7 @@ def conformally_rescaled(g: MetricField, upsilon, t: float | None = None,
             return (1.0 + 2.0 * xs[-1] * ups) * base
         return (2.0 * t * ups).exp() * base
 
-    return MetricField(g.dim, fn, name=name or f"rescaled({g.name})")
+    return MetricField(g.dim, fn, name=f"rescaled({g.name})")
 
 
 def graph_patch(k: int, n: int, heights, basepoint=None,

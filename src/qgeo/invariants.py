@@ -59,14 +59,6 @@ __all__ = [
 # -- shared contraction helpers ---------------------------------------------
 
 
-def _raise_t(p, T: Jets, axis: int) -> Jets:
-    """Raise one tangent slot with the induced inverse metric."""
-    letters = "abcdef"[: len(T.batch)]
-    src = letters[axis]
-    out = letters[:axis] + "z" + letters[axis + 1:]
-    return jet_einsum(f"z{src},{letters}->{out}", p.induced_inv, T)
-
-
 def _l0_mixed(p) -> Jets:
     # second slot raised: L0[a, ^b, r]
     return p.memo("l0_mixed", lambda: jet_einsum(
@@ -169,11 +161,7 @@ def div_shape_weyl_a(p: SubmanifoldPack, route: str = "divergence") -> Jets:
         V = jet_einsum("bcr,abrc->a", l0u, w4)
         return p.divergence(V) + (k - 4) * coupling
     if route == "expanded":
-        dw = p.tangential_cov_deriv(
-            w4, [("tangent", "down")] * 2 + [("normal", "down"),
-                                             ("tangent", "down")])
-        divw = jet_einsum("ea,eabrc->brc", p.induced_inv, dw)
-        t1 = jet_einsum("bcr,brc->", l0u, divw)
+        t1 = jet_einsum("bcr,brc->", l0u, p.divergence(w4, "ttnt"))
         t2 = 0.5 * _w_ttnt_norm2(p)
         return t1 + t2 + _deflection_dot_weyl(p) + (k - 4) * coupling
     raise ValueError(f"unknown route {route!r}")
@@ -190,8 +178,7 @@ def div_shape_weyl_b(p: SubmanifoldPack, route: str = "divergence") -> Jets:
         V = jet_einsum("abr,br->a", _l0_mixed(p), wtn)
         return p.divergence(V) + (k - 4) * _deflection_dot_weyl(p)
     if route == "expanded":
-        dwtn = p.tangential_cov_deriv(
-            wtn, [("tangent", "down"), ("normal", "down")])
+        dwtn = p.tangential_cov_deriv(wtn, "tn")
         t1 = jet_einsum("abr,abr->", p.second_tracefree_up, dwtn)
         return t1 - 3.0 * _deflection_dot_weyl(p) - _wtn_square(p)
     raise ValueError(f"unknown route {route!r}")
@@ -410,13 +397,8 @@ def q4_divergence_flux(p: SubmanifoldPack) -> Jets:
 
 
 def _intrinsic_weyl_norm2(p) -> Jets:
-    def build():
-        W = p.intrinsic_weyl
-        Wu = W
-        for ax in range(4):
-            Wu = _raise_t(p, Wu, ax)
-        return jet_einsum("abcd,abcd->", W, Wu)
-    return p.memo("intrinsic_weyl_norm2", build)
+    return p.memo("intrinsic_weyl_norm2",
+                  lambda: p.norm2(p.intrinsic_weyl, "tttt"))
 
 
 def intrinsic_pfaffian(p: SubmanifoldPack) -> Jets:
@@ -525,19 +507,12 @@ def _w_ntnt_trace(p) -> Jets:
 
 
 def _wtn_square(p) -> Jets:
-    def build():
-        wtn = _w_tn_trace(p)
-        wtnu = jet_einsum("ab,br->ar", p.induced_inv, wtn)
-        return jet_einsum("ar,ar->", wtn, wtnu)
-    return p.memo("wtn_square", build)
+    return p.memo("wtn_square", lambda: p.norm2(_w_tn_trace(p), "tn"))
 
 
 def _w_ttnt_norm2(p) -> Jets:
-    def build():
-        w4 = p.block("weyl", "ttnt")
-        w4u = _raise_t(p, _raise_t(p, _raise_t(p, w4, 0), 1), 3)
-        return jet_einsum("abrc,abrc->", w4, w4u)
-    return p.memo("w_ttnt_norm2", build)
+    return p.memo("w_ttnt_norm2",
+                  lambda: p.norm2(p.block("weyl", "ttnt"), "ttnt"))
 
 
 def _shape_pair_weyl_tttt(p) -> Jets:
@@ -660,15 +635,10 @@ def willmore_quartic(p: SubmanifoldPack, route: str = "general") -> Jets:
     if route == "hypersurface":
         if k != 4 or n != 5:
             raise GeometryError("the specialized display is the (4, 5) case")
-        l0, l0u, lm = p.second_tracefree, p.second_tracefree_up, _l0_mixed(p)
-        dl = p.tangential_cov_deriv(
-            l0, [("tangent", "down")] * 2 + [("normal", "down")])
-        ddl = p.tangential_cov_deriv(
-            dl, [("tangent", "down")] * 3 + [("normal", "down")])
-        lap_l0 = jet_einsum("fe,feabr->abr", p.induced_inv, ddl)
+        l0u = p.second_tracefree_up
+        lap_l0 = p.divergence(_d_shape(p), "tttn")
         t1 = 0.5 * jet_einsum("abr,abr->", l0u, lap_l0)
-        div_l0 = jet_einsum("eg,egbr->br", p.induced_inv, dl)
-        V = jet_einsum("abr,br->a", lm, div_l0)
+        V = jet_einsum("abr,br->a", _l0_mixed(p), _div_shape(p))
         t2 = (4.0 / 3.0) * p.divergence(V)
         t3 = 1.5 * p.tangential_laplacian(p.tracefree_norm2)
         t4 = -3.5 * p.intrinsic_jtrace * p.tracefree_norm2
@@ -703,14 +673,22 @@ def _ambient_ricci_pieces(p):
     return p.memo("ambient_ricci_pieces", build)
 
 
+def _d_shape(p) -> Jets:
+    """``nabla_c L0_{a b r}`` (pattern ``"tttn"``)."""
+    return p.memo("d_shape", lambda: p.tangential_cov_deriv(
+        p.second_tracefree, "ttn"))
+
+
 def _div_shape(p) -> Jets:
-    """``X[b, r] = nabla^a L0_{a b r}``."""
-    def build():
-        dl = p.tangential_cov_deriv(
-            p.second_tracefree,
-            [("tangent", "down")] * 2 + [("normal", "down")])
-        return jet_einsum("eg,egbr->br", p.induced_inv, dl)
-    return p.memo("div_shape", build)
+    """``X[b, r] = nabla^a L0_{a b r}``, the trace of :func:`_d_shape`."""
+    return p.memo("div_shape", lambda: jet_einsum(
+        "ab,abcr->cr", p.induced_inv, _d_shape(p)))
+
+
+def _double_div_shape_square(p) -> Jets:
+    """``nabla^b nabla^a (L0^2)_{a b}``."""
+    return p.memo("double_div_shape_square", lambda: p.divergence(
+        p.divergence(p.tracefree_square, "tt")))
 
 
 def transverse_weyl_quartic_a(p: SubmanifoldPack,
@@ -739,14 +717,9 @@ def transverse_weyl_quartic_a(p: SubmanifoldPack,
         if n != k + 1:
             raise GeometryError("the specialized display is codimension one")
         lap_l2 = p.tangential_laplacian(p.tracefree_norm2)
-        dd = p.tangential_cov_deriv(
-            p.tracefree_square, [("tangent", "down")] * 2)
-        first = jet_einsum("ea,eab->b", p.induced_inv, dd)
-        double_div = p.divergence(first)
+        double_div = _double_div_shape_square(p)
         t3 = _shape_dot_dweyl_trace(p)
-        ds = _div_shape(p)
-        dsu = _raise_t(p, ds, 0)
-        t4 = (k - 2) / (k - 1) ** 2 * jet_einsum("br,br->", ds, dsu)
+        t4 = (k - 2) / (k - 1) ** 2 * p.norm2(_div_shape(p), "tn")
         t5 = -(k - 2) / (k - 3) * jet_einsum(
             "ab,ab->", _up2(p, "tracefree_square"), p.intrinsic_schouten)
         t6 = -2.0 * _mean_shape_weyl_trace(p)
@@ -776,16 +749,12 @@ def transverse_weyl_quartic_b(p: SubmanifoldPack,
         t1 = -jet_einsum("abr,rab->", p.second_tracefree_up, dp)
         t2 = -jet_einsum("rs,rs->", _shape_normal_gram(p),
                          p.block("schouten", "nn"))
-        dH = p.tangential_cov_deriv(p.mean_curvature, [("normal", "up")])
-        ddH = p.tangential_cov_deriv(
-            dH, [("tangent", "down"), ("normal", "up")])
+        dH = p.tangential_cov_deriv(p.mean_curvature, "n")
+        ddH = p.tangential_cov_deriv(dH, "tn")
         t3 = jet_einsum("abr,abr->", p.second_tracefree_up, ddH)
         t4 = jet_einsum("ab,ab->", _mean_contracted_shape(p),
                         p.intrinsic_schouten)
-        dd = p.tangential_cov_deriv(
-            p.tracefree_square, [("tangent", "down")] * 2)
-        first = jet_einsum("ea,eab->b", p.induced_inv, dd)
-        t5 = -p.divergence(first) / (k - 3)
+        t5 = -_double_div_shape_square(p) / (k - 3)
         t6 = ((k - 5) / (2.0 * (k - 3) * (k - 6))
               * p.tangential_laplacian(p.tracefree_norm2))
         t7 = (-p.intrinsic_jtrace * p.tracefree_norm2
@@ -795,9 +764,7 @@ def transverse_weyl_quartic_b(p: SubmanifoldPack,
         t9 = -(k - 3) / (k - 2) * _mean_shape_cubic(p)
         t10 = (k - 3) / (k - 2) * _mean_shape_weyl_trace(p)
         t11 = -1.5 * p.mean_norm2 * p.tracefree_norm2
-        ds = _div_shape(p)
-        dsu = _raise_t(p, ds, 0)
-        t12 = k / (k - 1) ** 2 * jet_einsum("br,br->", ds, dsu)
+        t12 = k / (k - 1) ** 2 * p.norm2(_div_shape(p), "tn")
         return t1 + t2 + t3 + t4 + t5 + t6 + t7 + t8 + t9 + t10 + t11 + t12
     raise ValueError(f"unknown route {route!r}")
 
@@ -841,32 +808,11 @@ def _ambient_pair_weyl_squares(p):
     """The three tangent/ambient mixed Weyl squares used by the second
     anomaly invariant: (W_{a b c d} two slots projected)^2 variants."""
     def build():
-        e, wy, gup, hi = (p.tangent_frame, p.pulled("weyl"),
-                          p.pulled("g_up"), p.induced_inv)
-        # S1: first two slots tangential
-        A = jet_einsum("ia,abcd->ibcd", e, wy)
-        A = jet_einsum("jb,ibcd->ijcd", e, A)
-        Au = jet_einsum("ik,kjcd->ijcd", hi, A)
-        Au = jet_einsum("jl,ilcd->ijcd", hi, Au)
-        Au = jet_einsum("ce,ijed->ijcd", gup, Au)
-        Au = jet_einsum("df,ijcf->ijcd", gup, Au)
-        s1 = jet_einsum("ijcd,ijcd->", A, Au)
-        # S2: slots one and three tangential
-        B = jet_einsum("ia,acbd->icbd", e, wy)
-        B = jet_einsum("jb,icbd->icjd", e, B)
-        Bu = jet_einsum("ik,kcjd->icjd", hi, B)
-        Bu = jet_einsum("jl,icld->icjd", hi, Bu)
-        Bu = jet_einsum("ce,iejd->icjd", gup, Bu)
-        Bu = jet_einsum("df,icjf->icjd", gup, Bu)
-        s2 = jet_einsum("icjd,icjd->", B, Bu)
-        # S3: trace over tangential slots two and four, squared
-        C = jet_einsum("ia,cadb->cidb", e, wy)
-        C = jet_einsum("jb,cidb->cidj", e, C)
-        Z = jet_einsum("cidj,ij->cd", C, hi)
-        Zu = jet_einsum("ce,ed->cd", gup, Z)
-        Zu = jet_einsum("df,cf->cd", gup, Zu)
-        s3 = jet_einsum("cd,cd->", Z, Zu)
-        return s1, s2, s3
+        wy = p.pulled("weyl")
+        Z = jet_einsum("cidj,ij->cd", p.project(wy, "atat"), p.induced_inv)
+        return (p.norm2(p.project(wy, "ttaa"), "ttaa"),
+                p.norm2(p.project(wy, "tata"), "tata"),
+                p.norm2(Z, "aa"))
     return p.memo("ambient_pair_weyl_squares", build)
 
 
@@ -894,7 +840,7 @@ def anomaly_quartic_b(p: SubmanifoldPack, route: str = "general") -> Jets:
         if k != 4:
             raise GeometryError("the specialized display is the k = 4 case")
         Wd = p.weyl_double_trace
-        ddw = p.ambient.cov_deriv(p.ambient.dweyl, ["down"] * 5)
+        ddw = p.ambient.cov_deriv(p.ambient.dweyl)
         ddw_y = p.project(p.pull(ddw), "nntttt")
         ddn = jet_trace(ddw_y, "rrabcd->abcd")
         ddn = jet_einsum("abcd,ac->bd", ddn, p.induced_inv)
@@ -904,8 +850,8 @@ def anomaly_quartic_b(p: SubmanifoldPack, route: str = "general") -> Jets:
         dwd = jet_einsum("rbd,bd->r", dwd, p.induced_inv)
         h_dwd = jet_einsum("r,r->", p.mean_curvature, dwd)
         scal, ric_nn, ric_tt_up = _ambient_ricci_pieces(p)
-        dH = p.tangential_cov_deriv(p.mean_curvature, [("normal", "up")])
-        dH_up = _raise_t(p, dH, 0)
+        dH = p.tangential_cov_deriv(p.mean_curvature, "n")
+        dH_up = jet_einsum("za,ar->zr", p.induced_inv, dH)
         cho = (lap_n_wd / 3.0
                + (n - 10) / 3.0 * h_dwd
                - (n - 4) / (n - 1) * scal * Wd

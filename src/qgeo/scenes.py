@@ -2,8 +2,8 @@
 
 A scene bundles everything the geometry layers need at one evaluation point:
 the ambient metric field, the immersion chart, the submanifold basepoint,
-and bookkeeping flags (minimal / Einstein / totally geodesic with the
-Einstein constant normalized by ``Ric = lambda (n-1) g``).
+and, for Einstein backgrounds, the Einstein constant normalized by
+``Ric = lambda (n-1) g``.
 
 Random scenes are generated from fixed seeds with polynomial data, so every
 test stream is reproducible.
@@ -11,7 +11,7 @@ test stream is reproducible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -47,7 +47,6 @@ class Scene:
     metric: MetricField
     patch: ImmersedPatch
     point: np.ndarray
-    flags: frozenset = field(default_factory=frozenset)
     einstein_lambda: float | None = None
 
     @property
@@ -65,7 +64,6 @@ def affine_plane(k: int, n: int, point=None) -> Scene:
                         name=f"plane({k},{n})")
     pt = np.zeros(k) if point is None else np.asarray(point, dtype=float)
     return Scene(f"affine-plane-{k}-{n}", flat_metric(n), patch, pt,
-                 frozenset({"minimal", "einstein", "totally-geodesic"}),
                  einstein_lambda=0.0)
 
 
@@ -82,7 +80,6 @@ def equatorial_sphere(k: int, n: int, radius: float = 1.0,
                         name=f"equatorial-s{k}-in-s{n}")
     pt = np.full(k, 0.1) if point is None else np.asarray(point, dtype=float)
     return Scene(f"equatorial-s{k}-in-s{n}(R={radius:g})", g, patch, pt,
-                 frozenset({"minimal", "einstein", "totally-geodesic"}),
                  einstein_lambda=1.0 / radius**2)
 
 
@@ -104,7 +101,7 @@ def clifford_torus(point=(0.4, 0.9)) -> Scene:
 
     patch = ImmersedPatch(2, 3, fn, basepoint=point, name="clifford-torus")
     return Scene("clifford-torus", g, patch, np.asarray(point, dtype=float),
-                 frozenset({"minimal", "einstein"}), einstein_lambda=1.0)
+                 einstein_lambda=1.0)
 
 
 def s2xs2_in_s5(point=(1.0, 0.5, 1.2, 0.8)) -> Scene:
@@ -125,7 +122,7 @@ def s2xs2_in_s5(point=(1.0, 0.5, 1.2, 0.8)) -> Scene:
 
     patch = ImmersedPatch(4, 5, fn, basepoint=point, name="s2xs2-in-s5")
     return Scene("s2xs2-in-s5", g, patch, np.asarray(point, dtype=float),
-                 frozenset({"minimal", "einstein"}), einstein_lambda=1.0)
+                 einstein_lambda=1.0)
 
 
 def t4_in_s7(point=(0.3, 0.8, 1.3, 1.9)) -> Scene:
@@ -140,7 +137,7 @@ def t4_in_s7(point=(0.3, 0.8, 1.3, 1.9)) -> Scene:
 
     patch = ImmersedPatch(4, 7, fn, basepoint=point, name="t4-in-s7")
     return Scene("t4-in-s7", g, patch, np.asarray(point, dtype=float),
-                 frozenset({"minimal", "einstein"}), einstein_lambda=1.0)
+                 einstein_lambda=1.0)
 
 
 def cylinder_r_x_s3(point=(0.2, 1.1, 0.9, 0.7)) -> Scene:
@@ -158,7 +155,7 @@ def cylinder_r_x_s3(point=(0.2, 1.1, 0.9, 0.7)) -> Scene:
 
     patch = ImmersedPatch(4, 5, fn, basepoint=point, name="cylinder-rxs3")
     return Scene("cylinder-rxs3", flat_metric(5), patch,
-                 np.asarray(point, dtype=float), frozenset())
+                 np.asarray(point, dtype=float))
 
 
 # -- random generators ---------------------------------------------------
@@ -210,7 +207,7 @@ def random_scene(k: int, n: int, seed: int) -> Scene:
 
     patch = ImmersedPatch(k, n, fn, name=f"random-graph({k},{n})")
     pt = rng.uniform(-0.05, 0.05, size=k)
-    return Scene(f"random-{k}-{n}-seed{seed}", g, patch, pt, frozenset())
+    return Scene(f"random-{k}-{n}-seed{seed}", g, patch, pt)
 
 
 # -- catalog -------------------------------------------------------------

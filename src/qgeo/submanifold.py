@@ -16,6 +16,15 @@ Conventions (matching the ambient module's curvature signs):
   normal-bundle curvature uses the same commutator convention as the
   tangential one.
 
+Every pack operation that walks tensor slots (:meth:`SubmanifoldPack.project`,
+:meth:`~SubmanifoldPack.norm2`, :meth:`~SubmanifoldPack.tangential_cov_deriv`
+and :meth:`~SubmanifoldPack.divergence`) names them with one pattern string,
+one letter per slot: ``'t'`` a coordinate tangent slot, ``'n'`` an
+orthonormal normal slot, ``'a'`` an ambient coordinate slot.  Every slot is
+lowered.  Normal slots need no variance: the frame is orthonormal and the
+normal connection antisymmetric, so a raised normal slot has the same
+components and the same covariant derivative as the lowered one.
+
 Ambient tensors reach the patch through one accessor,
 :meth:`SubmanifoldPack.pulled`: a :class:`~qgeo.ambient.CurvaturePack`
 attribute, named as on that class, composed with the chart map and kept in
@@ -37,6 +46,7 @@ import numpy as np
 
 from .ambient import (
     CurvaturePack,
+    _first_kind,
     _rel,
     christoffel_jets,
     connection_deriv,
@@ -66,6 +76,14 @@ __all__ = [
 ]
 
 _LET = "abcdef"
+
+
+def _check_pattern(pattern: str, T: Jets, kinds: str) -> None:
+    """Raise unless ``pattern`` names each slot of ``T`` by one of ``kinds``."""
+    if len(pattern) != len(T.batch) or not set(pattern) <= set(kinds):
+        raise ValueError(
+            f"pattern {pattern!r} does not name the {len(T.batch)} slots of "
+            f"this tensor with letters of {kinds!r}")
 
 
 class SubmanifoldPack:
@@ -127,8 +145,7 @@ class SubmanifoldPack:
     @cached_property
     def induced(self) -> Jets:
         """Pulled-back metric ``h[i, j]`` on the patch."""
-        u = jet_einsum("ia,ab->ib", self.tangent_frame, self.pulled("g"))
-        return jet_einsum("ib,jb->ij", u, self.tangent_frame)
+        return self.project(self.pulled("g"), "tt")
 
     @cached_property
     def induced_inv(self) -> Jets:
@@ -230,8 +247,17 @@ class SubmanifoldPack:
     # -- connections on the patch -----------------------------------------
 
     @cached_property
+    def _induced_first_kind(self) -> Jets:
+        return _first_kind(self.induced, self.k)
+
+    @cached_property
     def induced_christoffel(self) -> Jets:
-        return christoffel_jets(self.induced, self.induced_inv, self.k)
+        return christoffel_jets(self._induced_first_kind, self.induced_inv)
+
+    @cached_property
+    def _tangent_connection(self) -> Jets:
+        """:attr:`induced_christoffel` in the ``A[a, slot, z]`` layout."""
+        return levi_civita_connection(self.induced_christoffel)
 
     @cached_property
     def normal_connection(self) -> Jets:
@@ -250,32 +276,30 @@ class SubmanifoldPack:
                 + jet_einsum("irz,jzs->ijrs", om, om)
                 - jet_einsum("jrz,izs->ijrs", om, om))
 
-    def tangential_cov_deriv(self, T: Jets, slots) -> Jets:
-        """Covariant y-derivative of a mixed-slot tensor; new slot first.
+    def tangential_cov_deriv(self, T: Jets, pattern: str) -> Jets:
+        """Covariant y-derivative of a tensor on the patch; new slot first.
 
-        ``slots`` lists ``(kind, variance)`` pairs — kind "tangent" or
-        "normal" — one per batch axis of ``T``.  Tangent slots are corrected
-        with the induced Christoffel symbols, normal slots with the normal
-        connection.
+        ``pattern`` names the slots of ``T`` with ``'t'`` and ``'n'`` (module
+        docstring).  Tangent slots are corrected with the induced
+        Christoffel symbols, normal slots with the normal connection.
         """
-        connections = []
-        for kind, var in slots:
-            if kind == "tangent":
-                A = levi_civita_connection(self.induced_christoffel)
-            elif kind == "normal":
-                A = self.normal_connection
-            else:
-                raise ValueError(f"unknown slot kind {kind!r}")
-            connections.append((A, var))
+        _check_pattern(pattern, T, "tn")
+        connections = [self._tangent_connection if ch == "t"
+                       else self.normal_connection for ch in pattern]
         return connection_deriv(T, connections, self.k)
 
     def tangential_gradient(self, u: Jets) -> Jets:
-        return self.tangential_cov_deriv(u, [])
+        return self.tangential_cov_deriv(u, "")
 
-    def divergence(self, V: Jets) -> Jets:
-        """``h^{ab} nabla_a V_b`` for a down tangent-vector field."""
-        dV = self.tangential_cov_deriv(V, [("tangent", "down")])
-        return jet_einsum("ab,ab->", self.induced_inv, dV)
+    def divergence(self, T: Jets, pattern: str = "t") -> Jets:
+        """``h^{ab} nabla_a T_{b...}``: the covariant derivative of ``T``
+        traced against its first slot, which ``pattern`` must name ``'t'``."""
+        if not pattern.startswith("t"):
+            raise ValueError(
+                f"pattern {pattern!r}: a divergence needs a tangent first slot")
+        rest = _LET[2:len(pattern) + 1]
+        return jet_einsum(f"ab,ab{rest}->{rest}", self.induced_inv,
+                          self.tangential_cov_deriv(T, pattern))
 
     def tangential_laplacian(self, u: Jets) -> Jets:
         return self.divergence(self.tangential_gradient(u))
@@ -283,24 +307,37 @@ class SubmanifoldPack:
     # -- projections of ambient tensors -----------------------------------
 
     def project(self, T: Jets, pattern: str) -> Jets:
-        """Contract all-down ambient slots onto the frames.
+        """Contract the slots of an all-lowered ambient tensor onto the frames.
 
-        ``pattern`` has one character per slot: 't' contracts with the
-        tangent frame (giving a down tangent index), 'n' with the normal
-        frame (giving a down normal index).
+        ``pattern`` names one slot per letter: ``'t'`` contracts it with the
+        tangent frame, ``'n'`` with the normal frame, and ``'a'`` leaves it
+        ambient.
         """
+        _check_pattern(pattern, T, "tna")
+        lhs = _LET[:len(pattern)]
         out = T
-        r = len(pattern)
-        if len(out.batch) != r:
-            raise ValueError(
-                f"pattern {pattern!r} does not match tensor rank {len(out.batch)}"
-            )
         for m, ch in enumerate(pattern):
-            lhs = _LET[:r]
+            if ch == "a":
+                continue
             res = lhs[:m] + "z" + lhs[m + 1:]
-            frame = {"t": self.tangent_frame, "n": self.normal_frame}[ch]
+            frame = self.tangent_frame if ch == "t" else self.normal_frame
             out = jet_einsum(f"{lhs},z{lhs[m]}->{res}", out, frame)
         return out
+
+    def norm2(self, T: Jets, pattern: str) -> Jets:
+        """``T . T`` for a tensor whose slots ``pattern`` names: ``'t'``
+        slots raised by :attr:`induced_inv`, ``'a'`` slots by the pulled
+        ``g_up``, ``'n'`` slots contracted as they are."""
+        _check_pattern(pattern, T, "tna")
+        lhs = _LET[:len(pattern)]
+        up = T
+        for m, ch in enumerate(pattern):
+            if ch == "n":
+                continue
+            inv = self.induced_inv if ch == "t" else self.pulled("g_up")
+            res = lhs[:m] + "z" + lhs[m + 1:]
+            up = jet_einsum(f"z{lhs[m]},{lhs}->{res}", inv, up)
+        return jet_einsum(f"{lhs},{lhs}->", T, up)
 
     def block(self, name: str, pattern: str) -> Jets:
         """Cached frame projection along the patch of the ambient tensor
@@ -325,7 +362,8 @@ class SubmanifoldPack:
 
     @cached_property
     def intrinsic_riemann(self) -> Jets:
-        return riemann_jets(self.induced, self.induced_christoffel, self.k)
+        return riemann_jets(self._induced_first_kind,
+                            self.induced_christoffel, self.k)
 
     @cached_property
     def intrinsic_ricci(self) -> Jets:
@@ -381,7 +419,7 @@ class SubmanifoldPack:
     def normal_deflection(self) -> Jets:
         """``D[i, r]``: tangential-normal ambient trace adjustment minus
         the tangential derivative of the mean curvature."""
-        dH = self.tangential_cov_deriv(self.mean_curvature, [("normal", "up")])
+        dH = self.tangential_cov_deriv(self.mean_curvature, "n")
         return self.block("schouten", "tn") - dH
 
     @cached_property
@@ -394,23 +432,20 @@ class SubmanifoldPack:
     @cached_property
     def mc_cotton_ambient(self) -> Jets:
         """Ambient-slotted Cotton tensor corrected by the mean curvature."""
-        wn = jet_einsum("abcz,rz->abcr", self.pulled("weyl"),
-                        self.normal_frame)
+        wn = self.project(self.pulled("weyl"), "aaan")
         return self.pulled("cotton") - jet_einsum("abcr,r->abc", wn,
                                                   self.mean_curvature)
 
     @cached_property
     def mc_cotton_trace_ambient(self) -> Jets:
         """Tangential trace of the corrected Cotton, one ambient slot free."""
-        u = jet_einsum("abc,ia->ibc", self.mc_cotton_ambient, self.tangent_frame)
-        u2 = jet_einsum("ibc,jc->ibj", u, self.tangent_frame)
-        return jet_einsum("ij,ibj->b", self.induced_inv, u2)
+        u = self.project(self.mc_cotton_ambient, "tat")
+        return jet_einsum("ij,ibj->b", self.induced_inv, u)
 
     @cached_property
     def mc_cotton_trace(self) -> Jets:
         """Tangential projection of ``mc_cotton_trace_ambient``."""
-        return jet_einsum("b,ib->i", self.mc_cotton_trace_ambient,
-                          self.tangent_frame)
+        return self.project(self.mc_cotton_trace_ambient, "t")
 
     @cached_property
     def mc_bach(self) -> Jets:
@@ -526,9 +561,7 @@ def gauss_codazzi_residuals(pack: SubmanifoldPack) -> dict:
     ll2 = np.einsum("adr,bcr->abcd", L, L)
     out["gauss"] = _rel(rm_tttt - rmbar + ll1 - ll2, rm_tttt, rmbar, ll1)
 
-    dL = pack.tangential_cov_deriv(
-        pack.second_fundamental,
-        [("tangent", "down"), ("tangent", "down"), ("normal", "down")]).value
+    dL = pack.tangential_cov_deriv(pack.second_fundamental, "ttn").value
     rm_ttnt = pack.block("rm", "ttnt").value
     cod = (dL - dL.transpose(1, 0, 2, 3)).transpose(0, 1, 3, 2)
     out["codazzi"] = _rel(rm_ttnt - cod, rm_ttnt, dL)
@@ -542,9 +575,7 @@ def gauss_codazzi_residuals(pack: SubmanifoldPack) -> dict:
 
     # conformal versions
     w_ttnt = pack.block("weyl", "ttnt").value
-    dL0 = pack.tangential_cov_deriv(
-        pack.second_tracefree,
-        [("tangent", "down"), ("tangent", "down"), ("normal", "down")]).value
+    dL0 = pack.tangential_cov_deriv(pack.second_tracefree, "ttn").value
     D = pack.normal_deflection.value
     lhs = w_ttnt
     t1 = (dL0 - dL0.transpose(1, 0, 2, 3)).transpose(0, 1, 3, 2)
@@ -606,17 +637,16 @@ def divergence_identity_residuals(pack: SubmanifoldPack) -> dict:
     L0 = pack.second_tracefree.value
     D = pack.normal_deflection.value
     mc_t = pack.mc_cotton_trace.value
-    tt = [("tangent", "down"), ("tangent", "down")]
     out = {}
 
-    d_mp = pack.tangential_cov_deriv(pack.mc_schouten, tt).value
+    d_mp = pack.tangential_cov_deriv(pack.mc_schouten, "tt").value
     lhs = np.einsum("cb,cab->a", hi, d_mp)
     tr = jet_einsum("ab,ab->", pack.induced_inv, pack.mc_schouten)
     grad_tr = pack.tangential_gradient(tr).value
     dl = np.einsum("cb,cr,bar->a", hi, D, L0)
     out["div_mc_schouten"] = _rel(lhs - grad_tr - mc_t + dl, lhs, grad_tr, mc_t)
 
-    d_sq = pack.tangential_cov_deriv(pack.tracefree_square, tt).value
+    d_sq = pack.tangential_cov_deriv(pack.tracefree_square, "tt").value
     lhs = np.einsum("cb,cab->a", hi, d_sq)
     grad_n2 = pack.tangential_gradient(pack.tracefree_norm2).value
     w_ttnt = pack.block("weyl", "ttnt").value
@@ -630,7 +660,7 @@ def divergence_identity_residuals(pack: SubmanifoldPack) -> dict:
         lhs - 0.5 * grad_n2 + (k - 2) * term_d + term_w1 + term_w2,
         lhs, grad_n2, term_w1, term_w2)
 
-    d_wpt = pack.tangential_cov_deriv(pack.weyl_partial_trace, tt).value
+    d_wpt = pack.tangential_cov_deriv(pack.weyl_partial_trace, "tt").value
     lhs = np.einsum("cb,cab->a", hi, d_wpt)
     grad_w2 = pack.tangential_gradient(pack.weyl_double_trace).value
     l0_mixed = np.einsum("be,aer->abr", hi, L0)
@@ -651,23 +681,15 @@ def simons_residual(pack: SubmanifoldPack) -> float:
     hi = pack.induced_inv.value
     L0 = pack.second_tracefree.value
     l0uu = pack.second_tracefree_up.value
-    tnd = [("tangent", "down"), ("tangent", "down"), ("normal", "down")]
-
-    ddL0 = pack.tangential_cov_deriv(
-        pack.tangential_cov_deriv(pack.second_tracefree, tnd),
-        [("tangent", "down")] + tnd).value
-    lap = np.einsum("cd,cdabr->abr", hi, ddL0)
+    lap = pack.divergence(
+        pack.tangential_cov_deriv(pack.second_tracefree, "ttn"), "tttn").value
     lhs = np.einsum("abr,abr->", l0uu, lap)
 
-    dD = pack.tangential_cov_deriv(
-        pack.normal_deflection, [("tangent", "down"), ("normal", "down")]).value
+    dD = pack.tangential_cov_deriv(pack.normal_deflection, "tn").value
     dwc = pack.tangential_cov_deriv(
         jet_einsum("cd,bcrd->br", pack.induced_inv,
-                   pack.block("weyl", "ttnt")),
-        [("tangent", "down"), ("normal", "down")]).value
-    d_wttnt = pack.tangential_cov_deriv(pack.block("weyl", "ttnt"),
-                                        tnd + [("tangent", "down")]).value
-    w4div = np.einsum("dc,dcarb->arb", hi, d_wttnt)
+                   pack.block("weyl", "ttnt")), "tn").value
+    w4div = pack.divergence(pack.block("weyl", "ttnt"), "ttnt").value
 
     jbar = float(pack.intrinsic_jtrace.value)
     pbar_uu = np.einsum("ac,bd,cd->ab", hi, hi, pack.intrinsic_schouten.value)

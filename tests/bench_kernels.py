@@ -19,7 +19,12 @@ Gauss-Bonnet angle grid.
 import numpy as np
 import pytest
 
-from qgeo.ambient import CurvaturePack, inverse_metric_jets, riemann_jets
+from qgeo.ambient import (
+    CurvaturePack,
+    _first_kind,
+    inverse_metric_jets,
+    riemann_jets,
+)
 from qgeo.jets import PACK_ORDER, Composer, Jets, jet_mul, space, variables
 from qgeo.scenes import random_scene, random_upsilon, t4_in_s7
 
@@ -85,5 +90,6 @@ def test_inverse_metric_jets(benchmark, node_metric):
 
 def test_riemann_jets_on_t4_in_s7(benchmark, node_metric):
     gamma = CurvaturePack(node_metric, NODE.n).gamma
-    out = benchmark(riemann_jets, node_metric, gamma, NODE.n)
+    first = _first_kind(node_metric, NODE.n)
+    out = benchmark(riemann_jets, first, gamma, NODE.n)
     assert out.batch == (NODE.n,) * 4

@@ -200,6 +200,25 @@ def test_anomaly_critical_displays(k, n):
           inv.anomaly_quartic_b(p, "critical"))
 
 
+@pytest.mark.parametrize("k,n", [(2, 5), (4, 6)])
+def test_ambient_pair_weyl_squares_reference(k, n):
+    # numpy on the point values, one einsum per square, against the pack's
+    # frame projections and norms
+    p = random_pack(k, n, 3)
+    W = p.pulled("weyl").value
+    e, hi = p.tangent_frame.value, p.induced_inv.value
+    gi = p.pulled("g_up").value
+    A = np.einsum("ia,jb,abcd->ijcd", e, e, W)
+    s1 = np.einsum("ijcd,ik,jl,ce,df,klef->", A, hi, hi, gi, gi, A)
+    B = np.einsum("ia,jc,abcd->ibjd", e, e, W)
+    s2 = np.einsum("ibjd,ik,jl,be,df,kelf->", B, hi, hi, gi, gi, B)
+    Z = np.einsum("ib,jd,abcd,ij->ac", e, e, W, hi)
+    s3 = np.einsum("ac,ae,cf,ef->", Z, gi, gi, Z)
+    got = [float(s.value) for s in inv._ambient_pair_weyl_squares(p)]
+    assert min(abs(s1), abs(s2), abs(s3)) > 1e-6
+    np.testing.assert_allclose(got, [s1, s2, s3], rtol=1e-12)
+
+
 def test_hypersurface_displays_on_cylinder():
     # concrete non-minimal hypersurface with closed-form shape operator
     p = catalog_pack("cylinder-rxs3")

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qgeo import ambient, jets
+from qgeo import ambient, jets, submanifold
 from qgeo.ambient import (
     CurvaturePack,
     connection_deriv,
@@ -224,9 +224,7 @@ def test_tangential_derivative_two_routes(name, pattern):
     # connections.  They must agree identically.
     for sc in [random_scene(3, 6, seed=11), random_scene(4, 5, seed=3)]:
         p = submanifold_pack(sc)
-        slots = [("tangent" if c == "t" else "normal", "down")
-                 for c in pattern]
-        via_b = p.tangential_cov_deriv(p.block(name, pattern), slots).value
+        via_b = p.tangential_cov_deriv(p.block(name, pattern), pattern).value
         via_a = projected_ambient_deriv(p, name, pattern).value
         num = np.max(np.abs(via_a - via_b))
         den = max(np.max(np.abs(via_a)), np.max(np.abs(via_b)), 1.0)
@@ -253,16 +251,54 @@ def test_pulled_is_one_cached_pullback_per_ambient_tensor(k, n):
 
 @pytest.mark.parametrize("k,n", [(2, 4), (3, 5), (4, 6)])
 def test_induced_metric_is_parallel(k, n):
-    # metric compatibility of the induced connection as whole jets, through
-    # both the lowered and the raised branch of the derivative loop
+    # metric compatibility of the induced connection as whole jets
     for seed in (0, 1):
         p = submanifold_pack(random_scene(k, n, seed=seed))
-        for T, var in ((p.induced, "down"), (p.induced_inv, "up")):
-            d = p.tangential_cov_deriv(T, [("tangent", var)] * 2)
-            res = float(np.max(np.abs(d.coeffs)))
-            assert res < 1e-12, f"seed {seed}, {var}: residual {res:.3e}"
-        with pytest.raises(ValueError, match="unknown slot kind"):
-            p.tangential_cov_deriv(p.induced, [("ambient", "down")] * 2)
+        d = p.tangential_cov_deriv(p.induced, "tt")
+        res = float(np.max(np.abs(d.coeffs)))
+        assert res < 1e-12, f"seed {seed}: residual {res:.3e}"
+        with pytest.raises(ValueError, match="pattern 'aa'"):
+            p.tangential_cov_deriv(p.induced, "aa")
+
+
+def test_slot_patterns_are_checked():
+    # every slot-walking operation rejects a pattern that does not name each
+    # slot of its tensor with a letter it accepts, and names that pattern
+    p = submanifold_pack(random_scene(3, 5, seed=2))
+    L0 = p.second_tracefree
+    for op, pattern in [(p.tangential_cov_deriv, "tta"),
+                        (p.tangential_cov_deriv, "tt"),
+                        (p.divergence, "tta"), (p.divergence, "ttnn"),
+                        (p.divergence, "ntn"), (p.project, "ttx"),
+                        (p.norm2, "tt")]:
+        with pytest.raises(ValueError, match=f"pattern '{pattern}'"):
+            op(L0, pattern)
+
+
+def test_ambient_slots_project_to_themselves():
+    p = submanifold_pack(random_scene(2, 4, seed=3))
+    for name in ("jtrace", "g", "cotton", "weyl"):
+        T = p.pulled(name)
+        out = p.project(T, "a" * len(T.batch))
+        assert np.array_equal(out.coeffs, T.coeffs), name
+
+
+def test_first_kind_symbols_built_once_per_metric(monkeypatch):
+    # the Christoffel symbols and Riemann share one set of first-kind
+    # symbols, of the ambient metric and of the induced one
+    built = []
+    inner = ambient._first_kind
+
+    def counted(G, dim):
+        built.append(G)
+        return inner(G, dim)
+
+    for module in (ambient, submanifold):
+        monkeypatch.setattr(module, "_first_kind", counted)
+    p = submanifold_pack(random_scene(4, 6, seed=2))
+    p.intrinsic_riemann, p.induced_christoffel
+    assert len(built) == 2
+    assert built[0] is p.ambient.g and built[1] is p.induced
 
 
 # -- invariance properties ---------------------------------------------------
@@ -350,11 +386,12 @@ def test_products_run_at_the_order_they_keep(monkeypatch):
     orders = _record_product_orders(monkeypatch)
 
     # each site sums its products with a derivative one order below its input
-    connection_deriv(amb.schouten, [(levi_civita_connection(amb.gamma), "down")] * 2,
+    connection_deriv(amb.schouten, [levi_civita_connection(amb.gamma)] * 2,
                      p.n)
     assert max(orders) == amb.schouten.order - 1
+    first = ambient._first_kind(amb.g, p.n)
     orders.clear()
-    riemann_jets(amb.g, amb.gamma, p.n)
+    riemann_jets(first, amb.gamma, p.n)
     assert orders == [amb.gamma.order - 1]  # one Gamma Gamma product
     for prior, site in [("normal_frame", "normal_connection"),
                         ("normal_connection", "normal_curvature")]:
