@@ -13,6 +13,7 @@ each scalar to its validity range in (k, n).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable
 
@@ -120,6 +121,26 @@ def _shape_dot_mc_cotton(p) -> Jets:
         "abr,arb->", p.second_tracefree_up, p.block("mc_cotton", "tnt")))
 
 
+def _laplacian(p, name: str) -> Jets:
+    """Tangential Laplacian of the pack scalar ``name``."""
+    return p.memo(("laplacian", name), lambda: p.tangential_laplacian(getattr(p, name)))
+
+
+def _fialkow_flux_div(p) -> Jets:
+    """``nabla^a (C_a - D^{b r} L0_{a b r})``, the Fialkow quartic's flux."""
+    return p.memo("fialkow_flux_div", lambda: p.divergence(
+        p.mc_cotton_trace - _shape_times_deflection(p)))
+
+
+def _per_pack(fn):
+    """``fn(p, ...)`` built once per pack and arguments, keyed by its name."""
+    @functools.wraps(fn)
+    def cached(p, *args, **kwargs):
+        key = (fn.__name__,) + args + tuple(sorted(kwargs.items()))
+        return p.memo(key, lambda: fn(p, *args, **kwargs))
+    return cached
+
+
 def _fialkow_norm2(p) -> Jets:
     return p.memo("fialkow_norm2", lambda: jet_einsum(
         "ab,ab->", p.fialkow, _up2(p, "fialkow")))
@@ -147,6 +168,7 @@ def _inv_n4(n: int) -> float:
 # -- the two divergence-type invariants --------------------------------------
 
 
+@_per_pack
 def div_shape_weyl_a(p: SubmanifoldPack, route: str = "divergence") -> Jets:
     """Weight -4 invariant coupling the trace-free shape to the Weyl tensor.
 
@@ -167,6 +189,7 @@ def div_shape_weyl_a(p: SubmanifoldPack, route: str = "divergence") -> Jets:
     raise ValueError(f"unknown route {route!r}")
 
 
+@_per_pack
 def div_shape_weyl_b(p: SubmanifoldPack, route: str = "divergence") -> Jets:
     """Weight -4 companion built from the normal-traced Weyl block.
 
@@ -194,9 +217,8 @@ def fialkow_quartic_parts(p: SubmanifoldPack):
         raise GeometryError("parts decomposition needs k >= 2")
     G = p.fialkow_trace
     Ptr = _mc_schouten_trace(p)
-    part1 = (k - 1) * (-p.tangential_laplacian(G) + (k - 4) * G * Ptr)
-    flux = p.mc_cotton_trace - _shape_times_deflection(p)
-    part2 = (p.divergence(flux)
+    part1 = (k - 1) * (-_laplacian(p, "fialkow_trace") + (k - 4) * G * Ptr)
+    part2 = (_fialkow_flux_div(p)
              + 0.5 * (k - 4) * _inv_n4(n) * _mc_bach_trace(p)
              - 0.5 * (k - 4) * _deflection_norm2(p))
     body = p.tracefree_square - p.weyl_partial_trace
@@ -207,6 +229,7 @@ def fialkow_quartic_parts(p: SubmanifoldPack):
     return part1, part2, part3
 
 
+@_per_pack
 def fialkow_quartic(p: SubmanifoldPack, route: str = "direct",
                     extend: bool = False) -> Jets:
     """Weight -4 invariant organized around the Fialkow trace.
@@ -224,14 +247,13 @@ def fialkow_quartic(p: SubmanifoldPack, route: str = "direct",
     Ptr = _mc_schouten_trace(p)
     if k >= 2:
         G = p.fialkow_trace
-        head = (k - 1) * (-p.tangential_laplacian(G) + 2.0 * G * Ptr)
+        head = (k - 1) * (-_laplacian(p, "fialkow_trace") + 2.0 * G * Ptr)
     else:
         # (k - 1) G vanishes identically for curves, and so does its gradient
         head = 0.0 * Ptr
     body = p.tracefree_square - p.weyl_partial_trace
-    flux = p.mc_cotton_trace - _shape_times_deflection(p)
     bracket = (jet_einsum("ab,ab->", body, _up2(p, "mc_schouten"))
-               + p.divergence(flux)
+               + _fialkow_flux_div(p)
                + _ratio_k3n4(k, n, extend) * _mc_bach_trace(p)
                - (k - 3) * _deflection_norm2(p))
     return head + (k - 6) * bracket
@@ -241,7 +263,7 @@ def minimal_einstein_fialkow_quartic(p: SubmanifoldPack, lam: float) -> Jets:
     """Specialized form for minimal immersions in Einstein backgrounds."""
     k = p.k
     G = p.fialkow_trace
-    return (k - 1) * (-p.tangential_laplacian(G) + 2.0 * lam * (k - 3) * G)
+    return (k - 1) * (-_laplacian(p, "fialkow_trace") + 2.0 * lam * (k - 3) * G)
 
 
 # -- the Weyl-trace quartic invariant -----------------------------------------
@@ -251,7 +273,7 @@ def weyl_trace_quartic_parts(p: SubmanifoldPack):
     k, n = p.k, p.n
     Wd = p.weyl_double_trace
     Ptr = _mc_schouten_trace(p)
-    part1 = -p.tangential_laplacian(Wd) + (k - 4) * Wd * Ptr
+    part1 = -_laplacian(p, "weyl_double_trace") + (k - 4) * Wd * Ptr
     part2 = (p.divergence(p.mc_cotton_trace)
              + 0.5 * (k - 4) * _inv_n4(n) * _mc_bach_trace(p))
     mixed = p.weyl_partial_trace - 0.5 * (Wd * p.induced)
@@ -294,7 +316,7 @@ def _weyl_trace_head(p) -> Jets:
                    - jet_einsum("ab,ab->", p.weyl_partial_trace,
                                 _up2(p, "mc_schouten"))
                    + _deflection_dot_weyl(p) + _shape_dot_mc_cotton(p))
-        return (-p.tangential_laplacian(Wd)
+        return (-_laplacian(p, "weyl_double_trace")
                 + 2.0 * Wd * _mc_schouten_trace(p)
                 - 2.0 * (p.k - 6) * bracket)
     return p.memo("weyl_trace_head", build)
@@ -304,9 +326,10 @@ def minimal_einstein_weyl_trace_quartic(p: SubmanifoldPack,
                                         lam: float) -> Jets:
     """Specialized form for minimal immersions in Einstein backgrounds."""
     Wd = p.weyl_double_trace
-    return -p.tangential_laplacian(Wd) + 2.0 * lam * (p.k - 3) * Wd
+    return -_laplacian(p, "weyl_double_trace") + 2.0 * lam * (p.k - 3) * Wd
 
 
+@_per_pack
 def tracefree_quartic_combo(p: SubmanifoldPack) -> Jets:
     """The pole-free combination (twice the Fialkow quartic plus the
     Weyl-trace quartic) in its single displayed form, valid in every
@@ -319,12 +342,13 @@ def tracefree_quartic_combo(p: SubmanifoldPack) -> Jets:
                - _div_shape_deflection(p)
                - (k - 3) * _deflection_norm2(p)
                - _deflection_dot_weyl(p) - _shape_dot_mc_cotton(p))
-    return -p.tangential_laplacian(l2) + 2.0 * l2 * Ptr + 2.0 * (k - 6) * bracket
+    return -_laplacian(p, "tracefree_norm2") + 2.0 * l2 * Ptr + 2.0 * (k - 6) * bracket
 
 
 # -- Q-curvature family --------------------------------------------------------
 
 
+@_per_pack
 def intrinsic_q4(p: SubmanifoldPack) -> Jets:
     """Fourth-order Q-curvature of the induced metric (any k >= 3)."""
     if p.k < 3:
@@ -332,19 +356,19 @@ def intrinsic_q4(p: SubmanifoldPack) -> Jets:
     J = p.intrinsic_jtrace
     P2 = jet_einsum("ab,ab->", p.intrinsic_schouten,
                     _up2(p, "intrinsic_schouten"))
-    return -p.tangential_laplacian(J) - 2.0 * P2 + 0.5 * p.k * J * J
+    return -_laplacian(p, "intrinsic_jtrace") - 2.0 * P2 + 0.5 * p.k * J * J
 
 
+@_per_pack
 def q4_extrinsic_correction(p: SubmanifoldPack) -> Jets:
     """The extrinsic correction scalar; a pure divergence when k = 4."""
     k, n = p.k, p.n
     if k < 3:
         raise GeometryError("extrinsic fourth-order Q needs k >= 3")
     G = p.fialkow_trace
-    flux = p.mc_cotton_trace - _shape_times_deflection(p)
     FP = jet_einsum("ab,ab->", p.fialkow, _up2(p, "mc_schouten"))
-    return ((k - 2) * p.tangential_laplacian(G)
-            - (k - 6) * p.divergence(flux)
+    return ((k - 2) * _laplacian(p, "fialkow_trace")
+            - (k - 6) * _fialkow_flux_div(p)
             - 2.0 * (k - 4) * G * _mc_schouten_trace(p)
             - (k - 4) ** 2 * FP
             - (k - 4) * (k - 5) * _inv_n4(n) * _mc_bach_trace(p)
@@ -372,7 +396,7 @@ def extrinsic_q4(p: SubmanifoldPack, route: str = "assembled") -> Jets:
         G = p.fialkow_trace
         J = p.intrinsic_jtrace
         FP = jet_einsum("ab,ab->", p.fialkow, _up2(p, "intrinsic_schouten"))
-        qtilde = (-p.tangential_laplacian(G) - 2.0 * _fialkow_norm2(p)
+        qtilde = (-_laplacian(p, "fialkow_trace") - 2.0 * _fialkow_norm2(p)
                   + 0.5 * k * G * G - 4.0 * FP + k * G * J
                   - 2.0 * _inv_n4(n) * _mc_bach_trace(p)
                   + 2.0 * _deflection_norm2(p))
@@ -640,7 +664,7 @@ def willmore_quartic(p: SubmanifoldPack, route: str = "general") -> Jets:
         t1 = 0.5 * jet_einsum("abr,abr->", l0u, lap_l0)
         V = jet_einsum("abr,br->a", _l0_mixed(p), _div_shape(p))
         t2 = (4.0 / 3.0) * p.divergence(V)
-        t3 = 1.5 * p.tangential_laplacian(p.tracefree_norm2)
+        t3 = 1.5 * _laplacian(p, "tracefree_norm2")
         t4 = -3.5 * p.intrinsic_jtrace * p.tracefree_norm2
         t5 = -6.0 * jet_einsum("abr,arb->", l0u, p.block("cotton", "tnt"))
         t6 = 4.0 * jet_einsum("ab,ab->", _up2(p, "tracefree_square"),
@@ -716,7 +740,7 @@ def transverse_weyl_quartic_a(p: SubmanifoldPack,
     if route == "hypersurface":
         if n != k + 1:
             raise GeometryError("the specialized display is codimension one")
-        lap_l2 = p.tangential_laplacian(p.tracefree_norm2)
+        lap_l2 = _laplacian(p, "tracefree_norm2")
         double_div = _double_div_shape_square(p)
         t3 = _shape_dot_dweyl_trace(p)
         t4 = (k - 2) / (k - 1) ** 2 * p.norm2(_div_shape(p), "tn")
@@ -756,7 +780,7 @@ def transverse_weyl_quartic_b(p: SubmanifoldPack,
                         p.intrinsic_schouten)
         t5 = -_double_div_shape_square(p) / (k - 3)
         t6 = ((k - 5) / (2.0 * (k - 3) * (k - 6))
-              * p.tangential_laplacian(p.tracefree_norm2))
+              * _laplacian(p, "tracefree_norm2"))
         t7 = (-p.intrinsic_jtrace * p.tracefree_norm2
               / ((k - 3) * (k - 6)))
         t8 = (k - 4) / (k - 3) * jet_einsum(
@@ -788,7 +812,7 @@ def anomaly_quartic_a(p: SubmanifoldPack, route: str = "general") -> Jets:
     if route == "critical":
         if k != 4:
             raise GeometryError("the specialized display is the k = 4 case")
-        lap = p.tangential_laplacian(p.tracefree_norm2)
+        lap = _laplacian(p, "tracefree_norm2")
         flux = _div_shape_deflection(p)
         scal, ric_nn, ric_tt_up = _ambient_ricci_pieces(p)
         cho = (2.0 * _deflection_norm2(p)
@@ -864,7 +888,7 @@ def anomaly_quartic_b(p: SubmanifoldPack, route: str = "general") -> Jets:
                * _mean_shape_weyl_trace(p)
                - 4.0 * (n + 1) / 3.0 * _deflection_dot_weyl(p)
                - 5.0 * (n - 4) / 3.0 * p.mean_norm2 * Wd)
-        return ((3 * n - 10) / 6.0 * p.tangential_laplacian(Wd)
+        return ((3 * n - 10) / 6.0 * _laplacian(p, "weyl_double_trace")
                 - 4.0 * (n - 5) / 3.0 * p.divergence(p.mc_cotton_trace)
                 + cho)
     raise ValueError(f"unknown route {route!r}")

@@ -22,7 +22,11 @@ through ``Composer``, which re-expands them along coordinate jets.
 The ``Jets`` class is batched: ``coeffs`` has shape ``batch + (ncoeffs,)``,
 and a whole tensor of jets (e.g. all metric components) is a single
 ``Jets`` with ``batch == (n, n)``.  ``jet_einsum`` contracts such batches
-with einsum-style subscripts.
+with einsum-style subscripts.  Each product is one gather-combine-scatter
+pass, ``_product``, whose scatter calls scipy's compiled CSR kernel chunk
+by chunk into one output buffer: the ``@`` dispatch would cost more than
+the arithmetic on most products.  That kernel is private scipy API, so
+``tests/test_jets.py`` pins the product against the ``@`` form.
 """
 
 from __future__ import annotations
@@ -33,6 +37,7 @@ from itertools import product as _iproduct
 
 import numpy as np
 from scipy import sparse
+from scipy.sparse._sparsetools import csr_matvecs
 
 __all__ = [
     "BudgetError",
@@ -479,23 +484,26 @@ def _product(spc: JetSpace, sa: str, sb: str, rhs: str, a: np.ndarray,
     coefficient pairs ``(i, j)``, rows ``i`` and ``j`` are gathered and
     combined by a batched matmul (an elementwise product when nothing is
     contracted, written into the fresh gather of ``a`` when nothing is
-    right-free either); the left-applied CSR scatter sums pairs into
-    coefficients.
+    right-free either).  scipy's compiled ``csr_matvecs`` (``y += S x``,
+    where ``S @ x`` ends) sums each chunk's pairs into one zero-filled
+    output: on most products the ``@`` dispatch costs more than the
+    arithmetic.  It is private scipy API, pinned by ``tests/test_jets.py``.
     """
     axes_a, axes_b, op, in_place, shape_x, shape_y, width, out_shape, perm = _plan(
         sa, sb, rhs, a.shape[:-1], b.shape[:-1])
     A, B = a.transpose(axes_a), b.transpose(axes_b)
     ii, jj, scatter = spc.mul_tables()
     step = max(1, _CHUNK // width)
-    flat = 0.0
+    out = np.zeros((spc.size,) + out_shape)
     for lo in range(0, len(ii), step):
         sl = slice(lo, lo + step)
         x = A.take(ii[sl], axis=0).reshape(shape_x)
         y = B.take(jj[sl], axis=0).reshape(shape_y)
         part = scatter if step >= len(ii) else scatter[:, sl]
         xy = op(x, y, out=x) if in_place else op(x, y)
-        flat = flat + part @ xy.reshape(len(x), -1)
-    return Jets(spc, flat.reshape((spc.size,) + out_shape).transpose(perm))
+        csr_matvecs(spc.size, len(xy), out.size // spc.size, part.indptr,
+                    part.indices, part.data, xy, out)
+    return Jets(spc, out.transpose(perm))
 
 
 def jet_mul(a: Jets, b: Jets) -> Jets:

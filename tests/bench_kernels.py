@@ -10,7 +10,10 @@ are those of a ``random_scene(4, 5)`` parameter pack: the rescaled
 metric's polynomial on coordinate variables, the conformal factor on the
 same variables pulled back along the chart (the route of the conformal
 batteries), a product on the (4+1)-variable order-5 chart space, and one
-pullback of the metric jets along the chart.  The last three build the
+pullback of the metric jets along the chart.  Two cases time the per-call
+floor of the product kernel on the (4+1)-variable order-4 pack space: a
+scalar ``jet_mul`` and a frame projection ``jet_einsum("abcd,za->zbcd")``
+of a (5, 5, 5, 5) tensor against a (4, 5) frame.  The last three build the
 ambient curvature pack, the inverse metric and the Riemann tensor from the
 order-4 metric jets of ``t4-in-s7`` (n = 7) at one node of the
 Gauss-Bonnet angle grid.
@@ -25,7 +28,15 @@ from qgeo.ambient import (
     inverse_metric_jets,
     riemann_jets,
 )
-from qgeo.jets import PACK_ORDER, Composer, Jets, jet_mul, space, variables
+from qgeo.jets import (
+    PACK_ORDER,
+    Composer,
+    Jets,
+    jet_einsum,
+    jet_mul,
+    space,
+    variables,
+)
 from qgeo.scenes import random_scene, random_upsilon, t4_in_s7
 
 SCENE = random_scene(4, 5, seed=3)
@@ -61,6 +72,23 @@ def test_jet_mul_on_parameter_space(benchmark):
     a, b = (Jets(spc, rng.normal(size=(5, 5, spc.size))) for _ in range(2))
     out = benchmark(jet_mul, a, b)
     assert out.space is spc
+
+
+def test_scalar_jet_mul_on_pack_space(benchmark):
+    spc = space(5, PACK_ORDER, param=True)
+    rng = np.random.default_rng(1)
+    a, b = (Jets(spc, rng.normal(size=spc.size)) for _ in range(2))
+    out = benchmark(jet_mul, a, b)
+    assert out.space is spc
+
+
+def test_frame_projection_on_pack_space(benchmark):
+    spc = space(5, PACK_ORDER, param=True)
+    rng = np.random.default_rng(2)
+    T = Jets(spc, rng.normal(size=(5, 5, 5, 5, spc.size)))
+    frame = Jets(spc, rng.normal(size=(4, 5, spc.size)))
+    out = benchmark(jet_einsum, "abcd,za->zbcd", T, frame)
+    assert out.batch == (4, 5, 5, 5)
 
 
 def test_composer_pull(benchmark, chart):

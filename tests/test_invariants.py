@@ -412,6 +412,24 @@ def test_registry_evaluates_everything_available():
             assert np.isfinite(v), f"({k},{n}) {name} not finite"
 
 
+@pytest.mark.parametrize("k,n,seed", [(2, 4, 5), (3, 5, 1), (4, 6, 3), (5, 7, 2)])
+def test_evaluate_all_derives_nothing_twice(monkeypatch, k, n, seed):
+    # a tensor is the same when its slots and coefficients are: every
+    # covariant derivative of one pack is taken once, however many
+    # invariants (and general routes) read it
+    derive = SubmanifoldPack.tangential_cov_deriv
+    seen = []
+
+    def recording(self, T, pattern):
+        seen.append((pattern, T.coeffs.shape, T.coeffs.tobytes()))
+        return derive(self, T, pattern)
+
+    monkeypatch.setattr(SubmanifoldPack, "tangential_cov_deriv", recording)
+    inv.evaluate_all(submanifold_pack(random_scene(k, n, seed)))
+    assert seen and len(set(seen)) == len(seen), (
+        f"{len(seen)} derivatives of {len(set(seen))} distinct tensors")
+
+
 def test_registry_weights():
     assert inv.REGISTRY["extrinsic_q2"].weight_at(2) == -2
     assert inv.REGISTRY["fialkow_quartic"].weight_at(3) == -4

@@ -272,8 +272,75 @@ def test_chunked_products_match_unchunked(monkeypatch):
     full_e = jet_einsum("ab,bc->ac", A, B)
     full_m = jet_mul(A, B)
     monkeypatch.setattr(jets_mod, "_CHUNK", 64)
-    assert np.allclose(jet_einsum("ab,bc->ac", A, B).coeffs, full_e.coeffs)
-    assert np.allclose(jet_mul(A, B).coeffs, full_m.coeffs)
+    for got, full in ((jet_einsum("ab,bc->ac", A, B), full_e),
+                      (jet_mul(A, B), full_m)):
+        assert np.abs(got.coeffs - full.coeffs).max() <= (
+            1e-15 * np.abs(full.coeffs).max())
+
+
+def scatter_product(spc, sa, sb, rhs, a, b):
+    """The product kernel as gather, combine and one ``scatter @`` over
+    every coefficient pair, on ``_plan``'s layouts."""
+    import qgeo.jets as jets_mod
+
+    axes_a, axes_b, op, _, shape_x, shape_y, _, out_shape, perm = jets_mod._plan(
+        sa, sb, rhs, a.shape[:-1], b.shape[:-1])
+    ii, jj, scatter = spc.mul_tables()
+    x = a.transpose(axes_a)[ii].reshape(shape_x)
+    y = b.transpose(axes_b)[jj].reshape(shape_y)
+    flat = scatter @ op(x, y).reshape(len(ii), -1)
+    return flat.reshape((spc.size,) + out_shape).transpose(perm)
+
+
+#: (subscripts, batch of a, batch of b); ``None`` is a ``jet_mul``
+KERNEL_CASES = [
+    (None, (), ()),                       # scalar product
+    (None, (3, 1), (1, 4)),               # broadcasting product
+    ("ab,bc->ac", (2, 3), (3, 4)),        # contracted letter
+    ("abc,b->ca", (2, 3, 2), (3,)),       # left-free letters only
+    ("b,bcd->dc", (3,), (3, 2, 3)),       # right-free letters only
+    ("abcd,za->zbcd", (3, 3, 3, 3), (2, 3)),  # a frame projection
+]
+KERNEL_SPACES = [space(3, 3), space(4 + 1, 3, param=True)]
+
+
+def _kernel_operands(spc, subscripts, shape_a, shape_b):
+    rng = np.random.default_rng(23)
+    A = Jets(spc, rng.normal(size=shape_a + (spc.size,)))
+    B = Jets(spc, rng.normal(size=shape_b + (spc.size,)))
+    if subscripts is None:
+        shape = np.broadcast_shapes(shape_a, shape_b) + (spc.size,)
+        s = "abcdefgh"[: len(shape) - 1]
+        want = scatter_product(spc, s, s, s, np.broadcast_to(A.coeffs, shape),
+                               np.broadcast_to(B.coeffs, shape))
+        return (lambda: jet_mul(A, B)), want
+    lhs, _, rhs = subscripts.partition("->")
+    sa, sb = lhs.split(",")
+    want = scatter_product(spc, sa, sb, rhs, A.coeffs, B.coeffs)
+    return (lambda: jet_einsum(subscripts, A, B)), want
+
+
+@pytest.mark.parametrize("spc", KERNEL_SPACES, ids=["plain", "param"])
+@pytest.mark.parametrize("subscripts, shape_a, shape_b", KERNEL_CASES)
+def test_product_kernel_is_the_scatter_form(subscripts, shape_a, shape_b, spc):
+    # the compiled CSR call must sum each coefficient's pairs exactly as
+    # ``scatter @`` does: the same numbers, bit for bit
+    product, want = _kernel_operands(spc, subscripts, shape_a, shape_b)
+    got = product().coeffs
+    assert got.shape == want.shape
+    assert np.ascontiguousarray(got).tobytes() == np.ascontiguousarray(want).tobytes()
+
+
+@pytest.mark.parametrize("spc", KERNEL_SPACES, ids=["plain", "param"])
+@pytest.mark.parametrize("subscripts, shape_a, shape_b", KERNEL_CASES)
+def test_chunked_kernel_is_the_scatter_form(monkeypatch, subscripts, shape_a,
+                                            shape_b, spc):
+    import qgeo.jets as jets_mod
+
+    product, want = _kernel_operands(spc, subscripts, shape_a, shape_b)
+    monkeypatch.setattr(jets_mod, "_CHUNK", 64)
+    got = product().coeffs
+    assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
 
 
 def naive_mul(spc, a, b):
