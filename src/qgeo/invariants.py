@@ -127,7 +127,7 @@ def _laplacian(p, name: str) -> Jets:
 
 
 def _fialkow_flux_div(p) -> Jets:
-    """``nabla^a (C_a - D^{b r} L0_{a b r})``, the Fialkow quartic's flux."""
+    """Divergence of the Fialkow flux ``mc_cotton_trace - D^{b r} L0_{a b r}``."""
     return p.memo("fialkow_flux_div", lambda: p.divergence(
         p.mc_cotton_trace - _shape_times_deflection(p)))
 
