@@ -27,7 +27,7 @@ from itertools import permutations
 
 import numpy as np
 
-from .fields import MetricField
+from .fields import GeometryError, MetricField
 from .jets import PACK_ORDER, Jets, constant, jet_einsum, jet_trace, jets_stack
 
 __all__ = [
@@ -144,8 +144,8 @@ class CurvaturePack:
     def __init__(self, G: Jets, dim: int):
         n = self.dim = dim
         if n < 3:
-            raise ValueError("ambient curvature needs dimension >= 3 "
-                             "(Schouten undefined below)")
+            raise GeometryError("ambient curvature needs dimension >= 3 "
+                                "(Schouten undefined below)")
         self.g = G
         self.g_up = inverse_metric_jets(G.truncate(G.order - 1))
         first = _first_kind(G, n)

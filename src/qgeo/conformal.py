@@ -62,8 +62,8 @@ from .invariants import (
     _deflection_norm2,
     _div_shape_deflection,
     _mean_shape_cubic,
+    _pair,
     _shape_normal_gram,
-    _up2,
     _w_ntnt_trace,
     _w_tn_trace,
     available,
@@ -255,6 +255,7 @@ class _Engine:
         du_x = jets_stack([u_x.deriv(a) for a in range(n)])
         du_y = p.pull(du_x)
         grad = p.tangential_gradient(u_y)
+        hessian = p.tangential_cov_deriv(grad, "t")
         amb = p.ambient
         hess_x = amb.cov_deriv(amb.cov_deriv(u_x))
         return SimpleNamespace(
@@ -262,9 +263,9 @@ class _Engine:
             grad_up=jet_einsum("ab,b->a", p.induced_inv, grad),
             normal=p.project(du_y, "n"),
             ambient_up=jet_einsum("ab,b->a", p.pulled("g_up"), du_y),
-            hessian=p.tangential_cov_deriv(grad, "t"),
+            hessian=hessian,
             ambient_hessian=p.pull(hess_x),
-            laplacian=p.tangential_laplacian(u_y),
+            laplacian=jet_einsum("ab,ab->", p.induced_inv, hessian),
         )
 
     @cached_property
@@ -808,7 +809,7 @@ def _mean_outer(p) -> Jets:
 
 
 def _laplacian_mean(p) -> Jets:
-    return p.divergence(p.tangential_cov_deriv(p.mean_curvature, "n"), "tn")
+    return p.divergence(p.mean_curvature_deriv, "tn")
 
 
 def _cotton_trace_normal(p) -> Jets:
@@ -831,19 +832,16 @@ def _build_strata() -> tuple[StratumElement, ...]:
     rows = [
         # stratum 0: only the restriction of Upsilon enters
         (0, "fialkow_dot_intrinsic_schouten",
-         lambda p: jet_einsum("ab,ab->", p.fialkow,
-                              _up2(p, "intrinsic_schouten"))),
+         lambda p: _pair(p, "fialkow", "intrinsic_schouten")),
         (0, "weyl_trace_dot_deflection", _deflection_dot_weyl),
         (0, "tracefree_norm2_jbar",
          lambda p: p.tracefree_norm2 * p.intrinsic_jtrace),
         (0, "tracefree_square_dot_intrinsic_schouten",
-         lambda p: jet_einsum("ab,ab->", p.tracefree_square,
-                              _up2(p, "intrinsic_schouten"))),
+         lambda p: _pair(p, "tracefree_square", "intrinsic_schouten")),
         (0, "jbar_squared",
          lambda p: p.intrinsic_jtrace * p.intrinsic_jtrace),
         (0, "intrinsic_schouten_norm2",
-         lambda p: jet_einsum("ab,ab->", p.intrinsic_schouten,
-                              _up2(p, "intrinsic_schouten"))),
+         lambda p: _pair(p, "intrinsic_schouten", "intrinsic_schouten")),
         (0, "fialkow_trace_jbar",
          lambda p: p.fialkow_trace * p.intrinsic_jtrace),
         (0, "deflection_norm2", _deflection_norm2),

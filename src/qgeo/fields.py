@@ -189,14 +189,15 @@ class MetricField:
         return _as_matrix_jets(self.fn(xs), self.dim, xs[0].space)
 
     def jets(self, point, order: int, param: bool = False) -> Jets:
-        """Metric component jets at ``point`` (positive definiteness checked)."""
+        """Metric component jets at ``point``: the whole jet must be symmetric
+        to 1e-10 of ``max(1, max |G|)``, and the value positive definite."""
         xs = variables(point, order, param=param)
         G = self(xs)
-        val = G.value
-        if not np.allclose(val, val.T, atol=1e-10):
+        c = G.coeffs
+        if np.abs(c - c.swapaxes(0, 1)).max() > 1e-10 * max(1.0, np.abs(c).max()):
             raise GeometryError(f"{self.name}: components not symmetric at {point}")
         try:
-            np.linalg.cholesky(val)
+            np.linalg.cholesky(G.value)
         except np.linalg.LinAlgError:
             raise GeometryError(
                 f"{self.name}: metric not positive definite at {point}"

@@ -13,14 +13,13 @@ each scalar to its validity range in (k, n).
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from typing import Callable
 
 from .ambient import raise_both
 from .fields import GeometryError
 from .jets import Jets, jet_einsum, jet_trace
-from .submanifold import SubmanifoldPack
+from .submanifold import SubmanifoldPack, per_pack
 
 __all__ = [
     "InvariantSpec",
@@ -60,90 +59,86 @@ __all__ = [
 # -- shared contraction helpers ---------------------------------------------
 
 
+@per_pack
 def _l0_mixed(p) -> Jets:
     # second slot raised: L0[a, ^b, r]
-    return p.memo("l0_mixed", lambda: jet_einsum(
-        "acr,cb->abr", p.second_tracefree, p.induced_inv))
+    return jet_einsum("acr,cb->abr", p.second_tracefree, p.induced_inv)
 
 
+@per_pack
 def _w_tn_trace(p) -> Jets:
     """``W[a, r] = W_{a b r}{}^{b}`` (tangent, normal)."""
-    return p.memo("w_tn_trace", lambda: jet_einsum(
-        "abrc,bc->ar", p.block("weyl", "ttnt"), p.induced_inv))
+    return jet_einsum("abrc,bc->ar", p.block("weyl", "ttnt"), p.induced_inv)
 
 
+@per_pack
 def _deflection_up(p) -> Jets:
-    return p.memo("deflection_up", lambda: jet_einsum(
-        "ab,br->ar", p.induced_inv, p.normal_deflection))
+    return jet_einsum("ab,br->ar", p.induced_inv, p.normal_deflection)
 
 
+@per_pack
 def _up2(p, attr: str) -> Jets:
     """The pack's symmetric 2-tensor ``attr`` with both indices raised."""
-    return p.memo(attr + "_up",
-                  lambda: raise_both(getattr(p, attr), p.induced_inv))
+    return raise_both(getattr(p, attr), p.induced_inv)
 
 
-def _mc_schouten_trace(p) -> Jets:
-    return p.memo("mc_schouten_trace", lambda: jet_einsum(
-        "ab,ab->", p.induced_inv, p.mc_schouten))
+@per_pack
+def _pair(p, a: str, b: str) -> Jets:
+    """``A_{ab} B^{ab}`` of the pack's 2-tensors ``a`` and ``b``."""
+    return jet_einsum("ab,ab->", getattr(p, a), _up2(p, b))
 
 
-def _mc_bach_trace(p) -> Jets:
-    return p.memo("mc_bach_trace", lambda: jet_einsum(
-        "ab,ab->", p.induced_inv, p.mc_bach))
+@per_pack
+def _trace(p, attr: str) -> Jets:
+    """Induced trace of the pack's 2-tensor ``attr``."""
+    return jet_einsum("ab,ab->", p.induced_inv, getattr(p, attr))
 
 
+@per_pack
 def _deflection_norm2(p) -> Jets:
-    return p.memo("deflection_norm2", lambda: jet_einsum(
-        "ar,ar->", p.normal_deflection, _deflection_up(p)))
+    return jet_einsum("ar,ar->", p.normal_deflection, _deflection_up(p))
 
 
+@per_pack
 def _shape_times_deflection(p) -> Jets:
     """``V_a = D^{b r} L0_{a b r}`` (down tangent vector)."""
-    return p.memo("shape_times_deflection", lambda: jet_einsum(
-        "br,abr->a", _deflection_up(p), p.second_tracefree))
+    return jet_einsum("br,abr->a", _deflection_up(p), p.second_tracefree)
 
 
+@per_pack
 def _div_shape_deflection(p) -> Jets:
-    return p.memo("div_shape_deflection",
-                  lambda: p.divergence(_shape_times_deflection(p)))
+    return p.divergence(_shape_times_deflection(p))
 
 
+@per_pack
 def _deflection_dot_weyl(p) -> Jets:
     """``D^{a r} W_{a r}`` against the tangent-normal Weyl trace."""
-    return p.memo("deflection_dot_weyl", lambda: jet_einsum(
-        "ar,ar->", _deflection_up(p), _w_tn_trace(p)))
+    return jet_einsum("ar,ar->", _deflection_up(p), _w_tn_trace(p))
 
 
+@per_pack
 def _shape_dot_mc_cotton(p) -> Jets:
     """``L0^{a b r} C_{a r b}`` against the corrected Cotton block."""
-    return p.memo("shape_dot_mc_cotton", lambda: jet_einsum(
-        "abr,arb->", p.second_tracefree_up, p.block("mc_cotton", "tnt")))
+    return jet_einsum("abr,arb->", p.second_tracefree_up,
+                      p.block("mc_cotton", "tnt"))
 
 
+@per_pack
+def _gradient(p, name: str) -> Jets:
+    """Tangential gradient of the pack scalar ``name``."""
+    return p.tangential_gradient(getattr(p, name))
+
+
+@per_pack
 def _laplacian(p, name: str) -> Jets:
     """Tangential Laplacian of the pack scalar ``name``."""
-    return p.memo(("laplacian", name), lambda: p.tangential_laplacian(getattr(p, name)))
+    return p.divergence(_gradient(p, name))
 
 
+@per_pack
 def _fialkow_flux_div(p) -> Jets:
     """Divergence of the Fialkow flux ``mc_cotton_trace - D^{b r} L0_{a b r}``."""
-    return p.memo("fialkow_flux_div", lambda: p.divergence(
-        p.mc_cotton_trace - _shape_times_deflection(p)))
-
-
-def _per_pack(fn):
-    """``fn(p, ...)`` built once per pack and arguments, keyed by its name."""
-    @functools.wraps(fn)
-    def cached(p, *args, **kwargs):
-        key = (fn.__name__,) + args + tuple(sorted(kwargs.items()))
-        return p.memo(key, lambda: fn(p, *args, **kwargs))
-    return cached
-
-
-def _fialkow_norm2(p) -> Jets:
-    return p.memo("fialkow_norm2", lambda: jet_einsum(
-        "ab,ab->", p.fialkow, _up2(p, "fialkow")))
+    return p.divergence(p.mc_cotton_trace - _shape_times_deflection(p))
 
 
 def _ratio_k3n4(k: int, n: int, extend: bool) -> float:
@@ -168,7 +163,7 @@ def _inv_n4(n: int) -> float:
 # -- the two divergence-type invariants --------------------------------------
 
 
-@_per_pack
+@per_pack
 def div_shape_weyl_a(p: SubmanifoldPack, route: str = "divergence") -> Jets:
     """Weight -4 invariant coupling the trace-free shape to the Weyl tensor.
 
@@ -189,7 +184,7 @@ def div_shape_weyl_a(p: SubmanifoldPack, route: str = "divergence") -> Jets:
     raise ValueError(f"unknown route {route!r}")
 
 
-@_per_pack
+@per_pack
 def div_shape_weyl_b(p: SubmanifoldPack, route: str = "divergence") -> Jets:
     """Weight -4 companion built from the normal-traced Weyl block.
 
@@ -216,20 +211,20 @@ def fialkow_quartic_parts(p: SubmanifoldPack):
     if k < 2:
         raise GeometryError("parts decomposition needs k >= 2")
     G = p.fialkow_trace
-    Ptr = _mc_schouten_trace(p)
+    Ptr = _trace(p, "mc_schouten")
     part1 = (k - 1) * (-_laplacian(p, "fialkow_trace") + (k - 4) * G * Ptr)
     part2 = (_fialkow_flux_div(p)
-             + 0.5 * (k - 4) * _inv_n4(n) * _mc_bach_trace(p)
+             + 0.5 * (k - 4) * _inv_n4(n) * _trace(p, "mc_bach")
              - 0.5 * (k - 4) * _deflection_norm2(p))
     body = p.tracefree_square - p.weyl_partial_trace
     part3 = (jet_einsum("ab,ab->", body, _up2(p, "mc_schouten"))
              - (k - 1) * G * Ptr
-             + 0.5 * (k - 2) * _inv_n4(n) * _mc_bach_trace(p)
+             + 0.5 * (k - 2) * _inv_n4(n) * _trace(p, "mc_bach")
              - 0.5 * (k - 2) * _deflection_norm2(p))
     return part1, part2, part3
 
 
-@_per_pack
+@per_pack
 def fialkow_quartic(p: SubmanifoldPack, route: str = "direct",
                     extend: bool = False) -> Jets:
     """Weight -4 invariant organized around the Fialkow trace.
@@ -244,7 +239,7 @@ def fialkow_quartic(p: SubmanifoldPack, route: str = "direct",
         return p1 + (k - 6) * (p2 + p3)
     if route != "direct":
         raise ValueError(f"unknown route {route!r}")
-    Ptr = _mc_schouten_trace(p)
+    Ptr = _trace(p, "mc_schouten")
     if k >= 2:
         G = p.fialkow_trace
         head = (k - 1) * (-_laplacian(p, "fialkow_trace") + 2.0 * G * Ptr)
@@ -254,7 +249,7 @@ def fialkow_quartic(p: SubmanifoldPack, route: str = "direct",
     body = p.tracefree_square - p.weyl_partial_trace
     bracket = (jet_einsum("ab,ab->", body, _up2(p, "mc_schouten"))
                + _fialkow_flux_div(p)
-               + _ratio_k3n4(k, n, extend) * _mc_bach_trace(p)
+               + _ratio_k3n4(k, n, extend) * _trace(p, "mc_bach")
                - (k - 3) * _deflection_norm2(p))
     return head + (k - 6) * bracket
 
@@ -272,14 +267,14 @@ def minimal_einstein_fialkow_quartic(p: SubmanifoldPack, lam: float) -> Jets:
 def weyl_trace_quartic_parts(p: SubmanifoldPack):
     k, n = p.k, p.n
     Wd = p.weyl_double_trace
-    Ptr = _mc_schouten_trace(p)
+    Ptr = _trace(p, "mc_schouten")
     part1 = -_laplacian(p, "weyl_double_trace") + (k - 4) * Wd * Ptr
     part2 = (p.divergence(p.mc_cotton_trace)
-             + 0.5 * (k - 4) * _inv_n4(n) * _mc_bach_trace(p))
+             + 0.5 * (k - 4) * _inv_n4(n) * _trace(p, "mc_bach"))
     mixed = p.weyl_partial_trace - 0.5 * (Wd * p.induced)
     part3 = (jet_einsum("ab,ab->", mixed, _up2(p, "mc_schouten"))
              - _shape_dot_mc_cotton(p) - _deflection_dot_weyl(p)
-             - 0.5 * (k - 2) * _inv_n4(n) * _mc_bach_trace(p))
+             - 0.5 * (k - 2) * _inv_n4(n) * _trace(p, "mc_bach"))
     return part1, part2, part3
 
 
@@ -298,28 +293,25 @@ def weyl_trace_quartic(p: SubmanifoldPack, route: str = "direct",
         raise ValueError(f"unknown route {route!r}")
     ratio = _ratio_k3n4(k, n, extend)
     return (_weyl_trace_head(p)
-            - 2.0 * (k - 6) * ratio * _mc_bach_trace(p))
+            - 2.0 * (k - 6) * ratio * _trace(p, "mc_bach"))
 
 
 def weyl_trace_quartic_scaled(p: SubmanifoldPack) -> Jets:
     """``(n - 4)`` times the Weyl-trace quartic; finite in every dimension."""
     k, n = p.k, p.n
     return ((n - 4) * _weyl_trace_head(p)
-            - 2.0 * (k - 6) * (k - 3) * _mc_bach_trace(p))
+            - 2.0 * (k - 6) * (k - 3) * _trace(p, "mc_bach"))
 
 
+@per_pack
 def _weyl_trace_head(p) -> Jets:
     """The direct Weyl-trace quartic without its Bach term."""
-    def build():
-        Wd = p.weyl_double_trace
-        bracket = (p.divergence(p.mc_cotton_trace)
-                   - jet_einsum("ab,ab->", p.weyl_partial_trace,
-                                _up2(p, "mc_schouten"))
-                   + _deflection_dot_weyl(p) + _shape_dot_mc_cotton(p))
-        return (-_laplacian(p, "weyl_double_trace")
-                + 2.0 * Wd * _mc_schouten_trace(p)
-                - 2.0 * (p.k - 6) * bracket)
-    return p.memo("weyl_trace_head", build)
+    bracket = (p.divergence(p.mc_cotton_trace)
+               - _pair(p, "weyl_partial_trace", "mc_schouten")
+               + _deflection_dot_weyl(p) + _shape_dot_mc_cotton(p))
+    return (-_laplacian(p, "weyl_double_trace")
+            + 2.0 * p.weyl_double_trace * _trace(p, "mc_schouten")
+            - 2.0 * (p.k - 6) * bracket)
 
 
 def minimal_einstein_weyl_trace_quartic(p: SubmanifoldPack,
@@ -329,16 +321,15 @@ def minimal_einstein_weyl_trace_quartic(p: SubmanifoldPack,
     return -_laplacian(p, "weyl_double_trace") + 2.0 * lam * (p.k - 3) * Wd
 
 
-@_per_pack
+@per_pack
 def tracefree_quartic_combo(p: SubmanifoldPack) -> Jets:
     """The pole-free combination (twice the Fialkow quartic plus the
     Weyl-trace quartic) in its single displayed form, valid in every
     background dimension including 4."""
     k = p.k
     l2 = p.tracefree_norm2
-    Ptr = _mc_schouten_trace(p)
-    bracket = (jet_einsum("ab,ab->", p.tracefree_square,
-                          _up2(p, "mc_schouten"))
+    Ptr = _trace(p, "mc_schouten")
+    bracket = (_pair(p, "tracefree_square", "mc_schouten")
                - _div_shape_deflection(p)
                - (k - 3) * _deflection_norm2(p)
                - _deflection_dot_weyl(p) - _shape_dot_mc_cotton(p))
@@ -348,30 +339,29 @@ def tracefree_quartic_combo(p: SubmanifoldPack) -> Jets:
 # -- Q-curvature family --------------------------------------------------------
 
 
-@_per_pack
+@per_pack
 def intrinsic_q4(p: SubmanifoldPack) -> Jets:
     """Fourth-order Q-curvature of the induced metric (any k >= 3)."""
     if p.k < 3:
         raise GeometryError("intrinsic fourth-order Q needs k >= 3")
     J = p.intrinsic_jtrace
-    P2 = jet_einsum("ab,ab->", p.intrinsic_schouten,
-                    _up2(p, "intrinsic_schouten"))
+    P2 = _pair(p, "intrinsic_schouten", "intrinsic_schouten")
     return -_laplacian(p, "intrinsic_jtrace") - 2.0 * P2 + 0.5 * p.k * J * J
 
 
-@_per_pack
+@per_pack
 def q4_extrinsic_correction(p: SubmanifoldPack) -> Jets:
     """The extrinsic correction scalar; a pure divergence when k = 4."""
     k, n = p.k, p.n
     if k < 3:
         raise GeometryError("extrinsic fourth-order Q needs k >= 3")
     G = p.fialkow_trace
-    FP = jet_einsum("ab,ab->", p.fialkow, _up2(p, "mc_schouten"))
+    FP = _pair(p, "fialkow", "mc_schouten")
     return ((k - 2) * _laplacian(p, "fialkow_trace")
             - (k - 6) * _fialkow_flux_div(p)
-            - 2.0 * (k - 4) * G * _mc_schouten_trace(p)
+            - 2.0 * (k - 4) * G * _trace(p, "mc_schouten")
             - (k - 4) ** 2 * FP
-            - (k - 4) * (k - 5) * _inv_n4(n) * _mc_bach_trace(p)
+            - (k - 4) * (k - 5) * _inv_n4(n) * _trace(p, "mc_bach")
             + (k - 4) * (k - 5) * _deflection_norm2(p))
 
 
@@ -391,14 +381,15 @@ def extrinsic_q4(p: SubmanifoldPack, route: str = "assembled") -> Jets:
         G = p.fialkow_trace
         return (intrinsic_q4(p) + q4_extrinsic_correction(p)
                 + fialkow_quartic(p)
-                + 2.0 * _fialkow_norm2(p) - 0.5 * k * G * G)
+                + 2.0 * _pair(p, "fialkow", "fialkow") - 0.5 * k * G * G)
     if route == "trace_expansion":
         G = p.fialkow_trace
         J = p.intrinsic_jtrace
-        FP = jet_einsum("ab,ab->", p.fialkow, _up2(p, "intrinsic_schouten"))
-        qtilde = (-_laplacian(p, "fialkow_trace") - 2.0 * _fialkow_norm2(p)
+        FP = _pair(p, "fialkow", "intrinsic_schouten")
+        qtilde = (-_laplacian(p, "fialkow_trace")
+                  - 2.0 * _pair(p, "fialkow", "fialkow")
                   + 0.5 * k * G * G - 4.0 * FP + k * G * J
-                  - 2.0 * _inv_n4(n) * _mc_bach_trace(p)
+                  - 2.0 * _inv_n4(n) * _trace(p, "mc_bach")
                   + 2.0 * _deflection_norm2(p))
         return intrinsic_q4(p) + qtilde
     if route == "gauss_bonnet":
@@ -413,16 +404,14 @@ def q4_divergence_flux(p: SubmanifoldPack) -> Jets:
     """The total divergence split off from the critical Q-curvature (k=4)."""
     if p.k != 4:
         raise GeometryError("the divergence split is the k = 4 case")
-    G = p.fialkow_trace
-    J = p.intrinsic_jtrace
-    V = (p.tangential_gradient(J) - 2.0 * p.tangential_gradient(G)
+    V = (_gradient(p, "intrinsic_jtrace") - 2.0 * _gradient(p, "fialkow_trace")
          - 2.0 * p.mc_cotton_trace + 2.0 * _shape_times_deflection(p))
     return p.divergence(V)
 
 
+@per_pack
 def _intrinsic_weyl_norm2(p) -> Jets:
-    return p.memo("intrinsic_weyl_norm2",
-                  lambda: p.norm2(p.intrinsic_weyl, "tttt"))
+    return p.norm2(p.intrinsic_weyl, "tttt")
 
 
 def intrinsic_pfaffian(p: SubmanifoldPack) -> Jets:
@@ -436,8 +425,7 @@ def intrinsic_pfaffian(p: SubmanifoldPack) -> Jets:
         return p.intrinsic_jtrace
     if p.k == 4:
         J = p.intrinsic_jtrace
-        P2 = jet_einsum("ab,ab->", p.intrinsic_schouten,
-                        _up2(p, "intrinsic_schouten"))
+        P2 = _pair(p, "intrinsic_schouten", "intrinsic_schouten")
         return 0.5 * (0.25 * _intrinsic_weyl_norm2(p) - 2.0 * P2 + 2.0 * J * J)
     raise GeometryError("Pfaffian density implemented for k in {2, 4}")
 
@@ -453,7 +441,7 @@ def gauss_bonnet_defect(p: SubmanifoldPack) -> Jets:
     if p.k == 4:
         G = p.fialkow_trace
         return (-0.25 * _intrinsic_weyl_norm2(p) + fialkow_quartic(p)
-                + 2.0 * _fialkow_norm2(p) - 2.0 * G * G)
+                + 2.0 * _pair(p, "fialkow", "fialkow") - 2.0 * G * G)
     raise GeometryError("the defect is defined for k in {2, 4}")
 
 
@@ -467,9 +455,10 @@ def extrinsic_q2(p: SubmanifoldPack) -> Jets:
 # -- Paneitz-type operators ----------------------------------------------------
 
 
-def _flux_div(p, M: Jets, phi: Jets) -> Jets:
-    """``nabla^a (M_{ab} nabla^b phi)`` for a symmetric 2-tensor M."""
-    grad_up = jet_einsum("ab,b->a", p.induced_inv, p.tangential_gradient(phi))
+def _flux_div(p, M: Jets, grad: Jets) -> Jets:
+    """``nabla^a (M_{ab} nabla^b phi)`` for a symmetric 2-tensor M, from the
+    gradient ``grad`` of phi."""
+    grad_up = jet_einsum("ab,b->a", p.induced_inv, grad)
     V = jet_einsum("ab,b->a", M, grad_up)
     return p.divergence(V)
 
@@ -481,14 +470,19 @@ def _flux_div(p, M: Jets, phi: Jets) -> Jets:
 PANEITZ_FLUX_SIGN = 1.0
 
 
+def _intrinsic_paneitz(p, grad: Jets) -> Jets:
+    """:func:`intrinsic_paneitz_apply` from the gradient of its operand."""
+    lap2 = p.tangential_laplacian(p.divergence(grad))
+    J = p.intrinsic_jtrace
+    M = 4.0 * p.intrinsic_schouten - 2.0 * (J * p.induced)
+    return lap2 + PANEITZ_FLUX_SIGN * _flux_div(p, M, grad)
+
+
 def intrinsic_paneitz_apply(p: SubmanifoldPack, phi: Jets) -> Jets:
     """Fourth-order intrinsic conformally covariant operator, k = 4."""
     if p.k != 4:
         raise GeometryError("intrinsic fourth-order operator needs k = 4")
-    lap2 = p.tangential_laplacian(p.tangential_laplacian(phi))
-    J = p.intrinsic_jtrace
-    M = 4.0 * p.intrinsic_schouten - 2.0 * (J * p.induced)
-    return lap2 + PANEITZ_FLUX_SIGN * _flux_div(p, M, phi)
+    return _intrinsic_paneitz(p, p.tangential_gradient(phi))
 
 
 def extrinsic_paneitz_apply(p: SubmanifoldPack, phi: Jets) -> Jets:
@@ -500,10 +494,11 @@ def extrinsic_paneitz_apply(p: SubmanifoldPack, phi: Jets) -> Jets:
     if p.k == 2:
         return -p.tangential_laplacian(phi)
     if p.k == 4:
+        grad = p.tangential_gradient(phi)
         G = p.fialkow_trace
         M = 4.0 * p.fialkow - 2.0 * (G * p.induced)
-        return (intrinsic_paneitz_apply(p, phi)
-                + PANEITZ_FLUX_SIGN * _flux_div(p, M, phi))
+        return (_intrinsic_paneitz(p, grad)
+                + PANEITZ_FLUX_SIGN * _flux_div(p, M, grad))
     raise GeometryError("extrinsic operator implemented for k in {2, 4}")
 
 
@@ -524,112 +519,93 @@ def factored_paneitz_apply(p: SubmanifoldPack, phi: Jets,
 # -- comparison invariants -----------------------------------------------------
 
 
+@per_pack
 def _w_ntnt_trace(p) -> Jets:
     """``W[r, s] = W_{r a s}{}^{a}`` (normal, normal)."""
-    return p.memo("w_ntnt_trace", lambda: jet_einsum(
-        "rasb,ab->rs", p.block("weyl", "ntnt"), p.induced_inv))
+    return jet_einsum("rasb,ab->rs", p.block("weyl", "ntnt"), p.induced_inv)
 
 
+@per_pack
 def _wtn_square(p) -> Jets:
-    return p.memo("wtn_square", lambda: p.norm2(_w_tn_trace(p), "tn"))
+    return p.norm2(_w_tn_trace(p), "tn")
 
 
+@per_pack
 def _w_ttnt_norm2(p) -> Jets:
-    return p.memo("w_ttnt_norm2",
-                  lambda: p.norm2(p.block("weyl", "ttnt"), "ttnt"))
+    return p.norm2(p.block("weyl", "ttnt"), "ttnt")
 
 
+@per_pack
 def _shape_pair_weyl_tttt(p) -> Jets:
     """``L0^{a c r} L0^{b d}{}_r W_{a b c d}``."""
-    def build():
-        l0u = p.second_tracefree_up
-        T = jet_einsum("abcd,acr->bdr", p.block("weyl", "tttt"), l0u)
-        return jet_einsum("bdr,bdr->", T, l0u)
-    return p.memo("shape_pair_weyl_tttt", build)
+    l0u = p.second_tracefree_up
+    T = jet_einsum("abcd,acr->bdr", p.block("weyl", "tttt"), l0u)
+    return jet_einsum("bdr,bdr->", T, l0u)
 
 
+@per_pack
 def _shape_pair_weyl_ttnn(p) -> Jets:
     """``L0^{g a r} L0_g{}^{b s} W_{a b r s}``."""
-    def build():
-        T = jet_einsum("gar,gbs->abrs", p.second_tracefree_up, _l0_mixed(p))
-        return jet_einsum("abrs,abrs->", p.block("weyl", "ttnn"), T)
-    return p.memo("shape_pair_weyl_ttnn", build)
+    T = jet_einsum("gar,gbs->abrs", p.second_tracefree_up, _l0_mixed(p))
+    return jet_einsum("abrs,abrs->", p.block("weyl", "ttnn"), T)
 
 
+@per_pack
 def _shape_pair_weyl_tntn(p) -> Jets:
     """``L0^{g a r} L0_g{}^{b s} W_{a r b s}``."""
-    def build():
-        T = jet_einsum("gar,gbs->arbs", p.second_tracefree_up, _l0_mixed(p))
-        return jet_einsum("arbs,arbs->", p.block("weyl", "tntn"), T)
-    return p.memo("shape_pair_weyl_tntn", build)
+    T = jet_einsum("gar,gbs->arbs", p.second_tracefree_up, _l0_mixed(p))
+    return jet_einsum("arbs,arbs->", p.block("weyl", "tntn"), T)
 
 
-def _shape_square_fialkow(p) -> Jets:
-    return p.memo("shape_square_fialkow", lambda: jet_einsum(
-        "ab,ab->", p.tracefree_square, _up2(p, "fialkow")))
-
-
-def _shape_square_weyl_trace(p) -> Jets:
-    return p.memo("shape_square_weyl_trace", lambda: jet_einsum(
-        "ab,ab->", _up2(p, "tracefree_square"), p.weyl_partial_trace))
-
-
+@per_pack
 def _shape_normal_gram(p) -> Jets:
     """``M[r, s] = L0^{a b r} L0_{a b s}`` (symmetric normal 2-tensor)."""
-    return p.memo("shape_normal_gram", lambda: jet_einsum(
-        "abr,abs->rs", p.second_tracefree_up, p.second_tracefree))
+    return jet_einsum("abr,abs->rs", p.second_tracefree_up,
+                      p.second_tracefree)
 
 
+@per_pack
 def _shape_gram_weyl_nn(p) -> Jets:
     """``M^{r s} W_{r s}``: the normal Gram matrix against the normal-normal
     Weyl trace."""
-    return p.memo("shape_gram_weyl_nn", lambda: jet_einsum(
-        "rs,rs->", _shape_normal_gram(p), _w_ntnt_trace(p)))
+    return jet_einsum("rs,rs->", _shape_normal_gram(p), _w_ntnt_trace(p))
 
 
+@per_pack
 def _shape_quartic_alt(p) -> Jets:
     """``L0^{a b r} L0^{g d}{}_r L0_{a g s} L0_{b d}{}^s``."""
-    def build():
-        l0u = p.second_tracefree_up
-        X1 = jet_einsum("abr,gdr->abgd", l0u, l0u)
-        X2 = jet_einsum("ags,bds->agbd", p.second_tracefree,
-                        p.second_tracefree)
-        return jet_einsum("abgd,agbd->", X1, X2)
-    return p.memo("shape_quartic_alt", build)
+    l0u = p.second_tracefree_up
+    X1 = jet_einsum("abr,gdr->abgd", l0u, l0u)
+    X2 = jet_einsum("ags,bds->agbd", p.second_tracefree, p.second_tracefree)
+    return jet_einsum("abgd,agbd->", X1, X2)
 
 
-def _shape_square_norm2(p) -> Jets:
-    return p.memo("shape_square_norm2", lambda: jet_einsum(
-        "ab,ab->", p.tracefree_square, _up2(p, "tracefree_square")))
-
-
+@per_pack
 def _shape_gram_square(p) -> Jets:
-    def build():
-        M = _shape_normal_gram(p)
-        return jet_einsum("rs,sr->", M, M)
-    return p.memo("shape_gram_square", build)
+    M = _shape_normal_gram(p)
+    return jet_einsum("rs,sr->", M, M)
 
 
+@per_pack
 def _mean_shape_cubic(p) -> Jets:
     """``H^r tr L0^3_r``."""
-    def build():
-        lm = _l0_mixed(p)
-        Y = jet_einsum("abs,bcs->ac", lm, lm)
-        tr3 = jet_einsum("ac,car->r", Y, lm)
-        return jet_einsum("r,r->", tr3, p.mean_curvature)
-    return p.memo("mean_shape_cubic", build)
+    lm = _l0_mixed(p)
+    Y = jet_einsum("abs,bcs->ac", lm, lm)
+    tr3 = jet_einsum("ac,car->r", Y, lm)
+    return jet_einsum("r,r->", tr3, p.mean_curvature)
 
 
+@per_pack
 def _mean_contracted_shape(p) -> Jets:
     """``T[a, b] = H^r L0^{a b}{}_r`` with both tangent slots up."""
-    return p.memo("mean_contracted_shape", lambda: jet_einsum(
-        "abr,r->ab", p.second_tracefree_up, p.mean_curvature))
+    return jet_einsum("abr,r->ab", p.second_tracefree_up, p.mean_curvature)
 
 
+@per_pack
 def _mean_shape_weyl_trace(p) -> Jets:
     """``H^r L0^{a b}{}_r W_{a c b}{}^{c}``."""
-    return p.memo("mean_shape_weyl_trace", lambda: jet_einsum(
-        "ab,ab->", _mean_contracted_shape(p), p.weyl_partial_trace))
+    return jet_einsum("ab,ab->", _mean_contracted_shape(p),
+                      p.weyl_partial_trace)
 
 
 def willmore_quartic(p: SubmanifoldPack, route: str = "general") -> Jets:
@@ -650,11 +626,13 @@ def willmore_quartic(p: SubmanifoldPack, route: str = "general") -> Jets:
                 - 0.25 * (k - 3) * _w_ttnt_norm2(p)
                 - 0.5 * (k - 3) * _shape_pair_weyl_tttt(p)
                 - 0.5 * (k - 3) * _shape_pair_weyl_ttnn(p)
-                - 0.5 * (k * k - 3 * k + 6) * _shape_square_fialkow(p)
+                - 0.5 * (k * k - 3 * k + 6)
+                * _pair(p, "tracefree_square", "fialkow")
                 - k * (k - 1) / (2.0 * (k - 6))
                 * p.fialkow_trace * p.tracefree_norm2
                 - 0.5 * (k - 3) * _shape_gram_square(p)
-                - 0.5 * (k - 3) * _shape_square_norm2(p)
+                - 0.5 * (k - 3)
+                * _pair(p, "tracefree_square", "tracefree_square")
                 + (k - 3) * _shape_quartic_alt(p))
     if route == "hypersurface":
         if k != 4 or n != 5:
@@ -667,8 +645,7 @@ def willmore_quartic(p: SubmanifoldPack, route: str = "general") -> Jets:
         t3 = 1.5 * _laplacian(p, "tracefree_norm2")
         t4 = -3.5 * p.intrinsic_jtrace * p.tracefree_norm2
         t5 = -6.0 * jet_einsum("abr,arb->", l0u, p.block("cotton", "tnt"))
-        t6 = 4.0 * jet_einsum("ab,ab->", _up2(p, "tracefree_square"),
-                              p.intrinsic_schouten)
+        t6 = 4.0 * _pair(p, "intrinsic_schouten", "tracefree_square")
         t7 = -6.0 * _mean_shape_cubic(p)
         t8 = 12.0 * jet_einsum("ab,ab->", _mean_contracted_shape(p),
                                p.fialkow)
@@ -676,43 +653,41 @@ def willmore_quartic(p: SubmanifoldPack, route: str = "general") -> Jets:
     raise ValueError(f"unknown route {route!r}")
 
 
+@per_pack
 def _shape_dot_dweyl_trace(p) -> Jets:
     """``L0^{a b r} X_{r a b}`` with the projected ambient derivative
     ``X[r, a, b] = (ambient nabla)_r W_{a c b}{}^{c}``."""
-    def build():
-        dw = p.project(p.pulled("dweyl"), "ntttt")
-        X = jet_einsum("racbd,cd->rab", dw, p.induced_inv)
-        return jet_einsum("abr,rab->", p.second_tracefree_up, X)
-    return p.memo("shape_dot_dweyl_trace", build)
+    dw = p.project(p.pulled("dweyl"), "ntttt")
+    X = jet_einsum("racbd,cd->rab", dw, p.induced_inv)
+    return jet_einsum("abr,rab->", p.second_tracefree_up, X)
 
 
+@per_pack
 def _ambient_ricci_pieces(p):
     """Ambient scalar curvature, normal Ricci trace, and the tangential
     Ricci block with both indices raised, along the patch."""
-    def build():
-        ric = p.pulled("ric")
-        ric_nn = jet_trace(p.project(ric, "nn"), "rr->")
-        ric_tt_up = raise_both(p.project(ric, "tt"), p.induced_inv)
-        return p.pulled("scal"), ric_nn, ric_tt_up
-    return p.memo("ambient_ricci_pieces", build)
+    ric = p.pulled("ric")
+    ric_nn = jet_trace(p.project(ric, "nn"), "rr->")
+    ric_tt_up = raise_both(p.project(ric, "tt"), p.induced_inv)
+    return p.pulled("scal"), ric_nn, ric_tt_up
 
 
+@per_pack
 def _d_shape(p) -> Jets:
     """``nabla_c L0_{a b r}`` (pattern ``"tttn"``)."""
-    return p.memo("d_shape", lambda: p.tangential_cov_deriv(
-        p.second_tracefree, "ttn"))
+    return p.tangential_cov_deriv(p.second_tracefree, "ttn")
 
 
+@per_pack
 def _div_shape(p) -> Jets:
     """``X[b, r] = nabla^a L0_{a b r}``, the trace of :func:`_d_shape`."""
-    return p.memo("div_shape", lambda: jet_einsum(
-        "ab,abcr->cr", p.induced_inv, _d_shape(p)))
+    return jet_einsum("ab,abcr->cr", p.induced_inv, _d_shape(p))
 
 
+@per_pack
 def _double_div_shape_square(p) -> Jets:
     """``nabla^b nabla^a (L0^2)_{a b}``."""
-    return p.memo("double_div_shape_square", lambda: p.divergence(
-        p.divergence(p.tracefree_square, "tt")))
+    return p.divergence(p.divergence(p.tracefree_square, "tt"))
 
 
 def transverse_weyl_quartic_a(p: SubmanifoldPack,
@@ -725,10 +700,10 @@ def transverse_weyl_quartic_a(p: SubmanifoldPack,
     if route == "general":
         return (-(k - 2) / (2.0 * (k - 3) * (k - 6))
                 * tracefree_quartic_combo(p)
-                + (k - 2) / (k - 3) * (div_shape_weyl_a(p)
-                                       + div_shape_weyl_b(p)
-                                       + _shape_square_fialkow(p))
-                + _shape_square_weyl_trace(p)
+                + (k - 2) / (k - 3)
+                * (div_shape_weyl_a(p) + div_shape_weyl_b(p)
+                   + _pair(p, "tracefree_square", "fialkow"))
+                + _pair(p, "weyl_partial_trace", "tracefree_square")
                 + (k - 2) / ((k - 3) * (k - 6))
                 * p.fialkow_trace * p.tracefree_norm2
                 + _shape_pair_weyl_tttt(p)
@@ -744,8 +719,8 @@ def transverse_weyl_quartic_a(p: SubmanifoldPack,
         double_div = _double_div_shape_square(p)
         t3 = _shape_dot_dweyl_trace(p)
         t4 = (k - 2) / (k - 1) ** 2 * p.norm2(_div_shape(p), "tn")
-        t5 = -(k - 2) / (k - 3) * jet_einsum(
-            "ab,ab->", _up2(p, "tracefree_square"), p.intrinsic_schouten)
+        t5 = -(k - 2) / (k - 3) * _pair(p, "intrinsic_schouten",
+                                        "tracefree_square")
         t6 = -2.0 * _mean_shape_weyl_trace(p)
         den = (k - 3) * (k - 6)
         return ((k - 4) / den * lap_l2
@@ -763,7 +738,7 @@ def transverse_weyl_quartic_b(p: SubmanifoldPack,
     if route == "general":
         return (-tracefree_quartic_combo(p) / (2.0 * (k - 3) * (k - 6))
                 + (div_shape_weyl_a(p) + div_shape_weyl_b(p)) / (k - 3)
-                - (k - 4) / (k - 3) * _shape_square_fialkow(p)
+                - (k - 4) / (k - 3) * _pair(p, "tracefree_square", "fialkow")
                 + p.fialkow_trace * p.tracefree_norm2
                 / ((k - 3) * (k - 6)))
     if route == "hypersurface":
@@ -773,8 +748,7 @@ def transverse_weyl_quartic_b(p: SubmanifoldPack,
         t1 = -jet_einsum("abr,rab->", p.second_tracefree_up, dp)
         t2 = -jet_einsum("rs,rs->", _shape_normal_gram(p),
                          p.block("schouten", "nn"))
-        dH = p.tangential_cov_deriv(p.mean_curvature, "n")
-        ddH = p.tangential_cov_deriv(dH, "tn")
+        ddH = p.tangential_cov_deriv(p.mean_curvature_deriv, "tn")
         t3 = jet_einsum("abr,abr->", p.second_tracefree_up, ddH)
         t4 = jet_einsum("ab,ab->", _mean_contracted_shape(p),
                         p.intrinsic_schouten)
@@ -783,8 +757,8 @@ def transverse_weyl_quartic_b(p: SubmanifoldPack,
               * _laplacian(p, "tracefree_norm2"))
         t7 = (-p.intrinsic_jtrace * p.tracefree_norm2
               / ((k - 3) * (k - 6)))
-        t8 = (k - 4) / (k - 3) * jet_einsum(
-            "ab,ab->", _up2(p, "tracefree_square"), p.intrinsic_schouten)
+        t8 = (k - 4) / (k - 3) * _pair(p, "intrinsic_schouten",
+                                       "tracefree_square")
         t9 = -(k - 3) / (k - 2) * _mean_shape_cubic(p)
         t10 = (k - 3) / (k - 2) * _mean_shape_weyl_trace(p)
         t11 = -1.5 * p.mean_norm2 * p.tracefree_norm2
@@ -805,7 +779,8 @@ def anomaly_quartic_a(p: SubmanifoldPack, route: str = "general") -> Jets:
                 + 0.5 * (k - 6) * (_shape_pair_weyl_ttnn(p)
                                    - _wtn_square(p)
                                    + 0.5 * _w_ttnt_norm2(p)
-                                   - _shape_square_weyl_trace(p)
+                                   - _pair(p, "weyl_partial_trace",
+                                           "tracefree_square")
                                    - _shape_pair_weyl_tttt(p)
                                    + _shape_gram_weyl_nn(p)
                                    - 2.0 * _shape_pair_weyl_tntn(p)))
@@ -828,16 +803,15 @@ def anomaly_quartic_a(p: SubmanifoldPack, route: str = "general") -> Jets:
     raise ValueError(f"unknown route {route!r}")
 
 
+@per_pack
 def _ambient_pair_weyl_squares(p):
     """The three tangent/ambient mixed Weyl squares used by the second
     anomaly invariant: (W_{a b c d} two slots projected)^2 variants."""
-    def build():
-        wy = p.pulled("weyl")
-        Z = jet_einsum("cidj,ij->cd", p.project(wy, "atat"), p.induced_inv)
-        return (p.norm2(p.project(wy, "ttaa"), "ttaa"),
-                p.norm2(p.project(wy, "tata"), "tata"),
-                p.norm2(Z, "aa"))
-    return p.memo("ambient_pair_weyl_squares", build)
+    wy = p.pulled("weyl")
+    Z = jet_einsum("cidj,ij->cd", p.project(wy, "atat"), p.induced_inv)
+    return (p.norm2(p.project(wy, "ttaa"), "ttaa"),
+            p.norm2(p.project(wy, "tata"), "tata"),
+            p.norm2(Z, "aa"))
 
 
 def anomaly_quartic_b(p: SubmanifoldPack, route: str = "general") -> Jets:
@@ -855,7 +829,8 @@ def anomaly_quartic_b(p: SubmanifoldPack, route: str = "general") -> Jets:
                 - 2.0 * (n - 3 * k + 5) / den * _wtn_square(p)
                 + (n - k - 1) / den * _w_ttnt_norm2(p)
                 - 2.0 * (n - k - 1) / den * _shape_pair_weyl_tttt(p)
-                - 2.0 * (n - 3 * k + 5) / den * _shape_square_weyl_trace(p)
+                - 2.0 * (n - 3 * k + 5) / den
+                * _pair(p, "weyl_partial_trace", "tracefree_square")
                 + 2.0 * (n - 5 * k + 11) / den * _shape_pair_weyl_ttnn(p)
                 + 2.0 * (n - 3 * k + 5) / den
                 * _shape_gram_weyl_nn(p)
@@ -874,8 +849,7 @@ def anomaly_quartic_b(p: SubmanifoldPack, route: str = "general") -> Jets:
         dwd = jet_einsum("rbd,bd->r", dwd, p.induced_inv)
         h_dwd = jet_einsum("r,r->", p.mean_curvature, dwd)
         scal, ric_nn, ric_tt_up = _ambient_ricci_pieces(p)
-        dH = p.tangential_cov_deriv(p.mean_curvature, "n")
-        dH_up = jet_einsum("za,ar->zr", p.induced_inv, dH)
+        dH_up = jet_einsum("za,ar->zr", p.induced_inv, p.mean_curvature_deriv)
         cho = (lap_n_wd / 3.0
                + (n - 10) / 3.0 * h_dwd
                - (n - 4) / (n - 1) * scal * Wd

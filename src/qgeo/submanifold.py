@@ -25,12 +25,13 @@ lowered.  Normal slots need no variance: the frame is orthonormal and the
 normal connection antisymmetric, so a raised normal slot has the same
 components and the same covariant derivative as the lowered one.
 
-Ambient tensors reach the patch through one accessor,
+Every derived quantity that takes arguments is kept on its pack by one
+memo, :func:`per_pack`, keyed by the function that builds it and its
+arguments.  Ambient tensors reach the patch through one such accessor,
 :meth:`SubmanifoldPack.pulled`: a :class:`~qgeo.ambient.CurvaturePack`
-attribute, named as on that class, composed with the chart map and kept in
-the pack's memo, so each ambient tensor is pulled back at most once per
-pack.  Frame projections of them (:meth:`SubmanifoldPack.block`) are
-memoized the same way.
+attribute, named as on that class, composed with the chart map once per
+pack.  Frame projections of them (:meth:`SubmanifoldPack.block`) and the
+contractions built by the invariants layer go through the same memo.
 
 Tensors with the ``mc_`` prefix are mean-curvature corrected: ambient
 curvature components combined with ``H`` so that a conformal rescaling
@@ -40,7 +41,7 @@ the building blocks of the scalar invariants layer.
 
 from __future__ import annotations
 
-from functools import cached_property
+from functools import cached_property, wraps
 
 import numpy as np
 
@@ -67,6 +68,7 @@ from .jets import (
 
 __all__ = [
     "SubmanifoldPack",
+    "per_pack",
     "submanifold_pack",
     "projected_ambient_deriv",
     "frame_residuals",
@@ -86,13 +88,27 @@ def _check_pattern(pattern: str, T: Jets, kinds: str) -> None:
             f"this tensor with letters of {kinds!r}")
 
 
+def per_pack(fn):
+    """``fn(pack, *args)`` built once per pack and arguments, kept under
+    ``(fn, *args)``: keyed by the function object, so two functions never
+    share a slot whatever their names.  Keyword arguments join the key."""
+    @wraps(fn)
+    def cached(pack, *args, **kwargs):
+        key = (fn, *args, *sorted(kwargs.items()))
+        memo = pack._memo
+        if key not in memo:
+            memo[key] = fn(pack, *args, **kwargs)
+        return memo[key]
+    return cached
+
+
 class SubmanifoldPack:
     """Frames, forms, and curvature blocks of one immersed patch at a point.
 
     Heavy pieces are cached properties, so a pack only pays for what is
     actually read; quantities keyed at run time (pulled-back ambient
-    tensors, frame projections, contractions built by the invariants) go
-    through :meth:`memo`.
+    tensors, frame projections, contractions built by the invariants) are
+    kept by :func:`per_pack`, the one keyed memo.
     ``order`` is the ambient metric jet order, ``PACK_ORDER``; the chart map
     (whose ``Composer`` is :attr:`pull`) is expanded at ``order + 1`` by
     :meth:`ImmersedPatch.chart`, so every pack at one patch point shares
@@ -122,17 +138,11 @@ class SubmanifoldPack:
             metric.jets(self.x_point, PACK_ORDER, param=param), self.n)
         self._memo = {}
 
-    def memo(self, key, build):
-        """The cached ``build()`` under ``key``, built on first request."""
-        if key not in self._memo:
-            self._memo[key] = build()
-        return self._memo[key]
-
+    @per_pack
     def pulled(self, name: str) -> Jets:
         """The ambient tensor ``name`` of :attr:`ambient` composed along the
         patch (y-space jets), pulled back once per pack."""
-        return self.memo(("pulled", name),
-                         lambda: self.pull(getattr(self.ambient, name)))
+        return self.pull(getattr(self.ambient, name))
 
     # -- frames ----------------------------------------------------------
 
@@ -339,14 +349,12 @@ class SubmanifoldPack:
             up = jet_einsum(f"z{lhs[m]},{lhs}->{res}", inv, up)
         return jet_einsum(f"{lhs},{lhs}->", T, up)
 
+    @per_pack
     def block(self, name: str, pattern: str) -> Jets:
         """Cached frame projection along the patch of the ambient tensor
         ``name`` (a :class:`CurvaturePack` attribute) or of ``"mc_cotton"``."""
-        def build():
-            T = (self.mc_cotton_ambient if name == "mc_cotton"
-                 else self.pulled(name))
-            return self.project(T, pattern)
-        return self.memo((name, pattern), build)
+        T = self.mc_cotton_ambient if name == "mc_cotton" else self.pulled(name)
+        return self.project(T, pattern)
 
     @cached_property
     def weyl_partial_trace(self) -> Jets:
@@ -416,11 +424,15 @@ class SubmanifoldPack:
             1.0 / (self.k - 2))
 
     @cached_property
+    def mean_curvature_deriv(self) -> Jets:
+        """``dH[i, r] = nabla_i H_r``, taken once per pack."""
+        return self.tangential_cov_deriv(self.mean_curvature, "n")
+
+    @cached_property
     def normal_deflection(self) -> Jets:
         """``D[i, r]``: tangential-normal ambient trace adjustment minus
         the tangential derivative of the mean curvature."""
-        dH = self.tangential_cov_deriv(self.mean_curvature, "n")
-        return self.block("schouten", "tn") - dH
+        return self.block("schouten", "tn") - self.mean_curvature_deriv
 
     @cached_property
     def mc_schouten(self) -> Jets:

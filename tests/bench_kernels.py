@@ -17,6 +17,11 @@ of a (5, 5, 5, 5) tensor against a (4, 5) frame.  The last three build the
 ambient curvature pack, the inverse metric and the Riemann tensor from the
 order-4 metric jets of ``t4-in-s7`` (n = 7) at one node of the
 Gauss-Bonnet angle grid.
+
+For an A/B against another checkout, run each side's own copy of this
+file from the root of its own tree.  ``pyproject.toml`` puts ``src`` on
+pytest's ``pythonpath``, which goes before ``PYTHONPATH``, so pointing
+``PYTHONPATH`` at the other tree's ``src`` still times this tree's code.
 """
 
 import numpy as np

@@ -212,3 +212,23 @@ def test_degenerate_metric_rejected():
 def test_low_dimension_rejected():
     with pytest.raises(ValueError):
         curvature_pack(flat_metric(2), np.zeros(2))
+
+
+def test_low_dimension_raises_geometry_error():
+    with pytest.raises(GeometryError, match="dimension >= 3"):
+        curvature_pack(flat_metric(2), np.zeros(2))
+
+
+@pytest.mark.parametrize("case", ["value", "jet"])
+def test_asymmetric_metric_rejected(case):
+    # a value asymmetry of 5e-6 (below allclose's relative tolerance) and a
+    # symmetric value whose first-order jet is asymmetric by 0.3
+    def fn(xs):
+        z = 0.0 * xs[0]
+        if case == "value":
+            return [[3.0 + z, 1.0 + z, z], [1.0 + 5e-6 + z, 3.0 + z, z],
+                    [z, z, 1.0 + z]]
+        return [[1.0 + z, 0.3 * xs[2], z], [z, 1.0 + z, z], [z, z, 1.0 + z]]
+
+    with pytest.raises(GeometryError, match="not symmetric"):
+        MetricField(3, fn, name=case).jets(np.zeros(3), PACK_ORDER)

@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qgeo.conformal as cf
 import qgeo.invariants as inv
 from qgeo.fields import GeometryError, conformally_rescaled
 from qgeo.scenes import (
@@ -25,6 +26,7 @@ from qgeo.scenes import (
     random_polynomial_metric,
     random_scene,
     scene_by_name,
+    t4_in_s7,
 )
 from qgeo.submanifold import SubmanifoldPack, submanifold_pack
 
@@ -426,6 +428,50 @@ def test_evaluate_all_derives_nothing_twice(monkeypatch, k, n, seed):
 
     monkeypatch.setattr(SubmanifoldPack, "tangential_cov_deriv", recording)
     inv.evaluate_all(submanifold_pack(random_scene(k, n, seed)))
+    assert seen and len(set(seen)) == len(seen), (
+        f"{len(seen)} derivatives of {len(set(seen))} distinct tensors")
+
+
+def _record_derivatives(monkeypatch) -> list:
+    """Patch the pack to record each tangential derivative it takes: the
+    pack, the slots and the coefficients.  A derivative of an all-zero
+    tensor (the constant probe of the Q battery) is left out."""
+    derive = SubmanifoldPack.tangential_cov_deriv
+    seen = []
+
+    def recording(self, T, pattern):
+        if T.coeffs.any():
+            seen.append((self, pattern, T.coeffs.shape, T.coeffs.tobytes()))
+        return derive(self, T, pattern)
+
+    monkeypatch.setattr(SubmanifoldPack, "tangential_cov_deriv", recording)
+    return seen
+
+
+#: the four batteries of one certification run on a scene
+_BATTERIES = {
+    "invariance": lambda sc, s: cf.check_invariance(sc, seed=s),
+    "tangential": lambda sc, s: cf.check_tangential_dependence(sc, seed=s),
+    "strata": lambda sc, s: cf.check_strata_vanishing(sc, seed=s),
+    "q": lambda sc, s: cf.check_q_transformation(scenes=[sc], seed=s),
+}
+
+
+@pytest.mark.parametrize("seed", [2, 17])
+@pytest.mark.parametrize("battery", sorted(_BATTERIES))
+def test_batteries_derive_nothing_twice_per_pack(monkeypatch, battery, seed):
+    seen = _record_derivatives(monkeypatch)
+    _BATTERIES[battery](random_scene(4, 5, seed), seed)
+    assert seen and len(set(seen)) == len(seen), (
+        f"{len(seen)} derivatives of {len(set(seen))} distinct tensors")
+
+
+def test_gauss_bonnet_scalars_derive_nothing_twice(monkeypatch):
+    seen = _record_derivatives(monkeypatch)
+    p = submanifold_pack(t4_in_s7())
+    for fn in (inv.intrinsic_pfaffian, inv.gauss_bonnet_defect,
+               inv.extrinsic_q4, inv.q4_divergence_flux):
+        fn(p)
     assert seen and len(set(seen)) == len(seen), (
         f"{len(seen)} derivatives of {len(set(seen))} distinct tensors")
 

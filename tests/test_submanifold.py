@@ -249,6 +249,34 @@ def test_pulled_is_one_cached_pullback_per_ambient_tensor(k, n):
         assert p.pulled(nm) is got, nm
 
 
+def test_per_pack_keys_by_function_not_name():
+    # two builders with one __name__ keep separate slots on one pack, and
+    # each builds once per pack and arguments
+    p, q = (submanifold_pack(random_scene(2, 4, seed=5)) for _ in range(2))
+    builds = []
+
+    def builder(scale):
+        def twin(pack, name):
+            builds.append(scale)
+            return scale * getattr(pack, name)
+        return submanifold.per_pack(twin)
+
+    one, two = builder(1.0), builder(2.0)
+    assert one.__name__ == two.__name__ == "twin"
+    a, b = one(p, "mean_norm2"), two(p, "mean_norm2")
+    assert float(b.value) == 2.0 * float(a.value)
+    assert one(p, "mean_norm2") is a and two(p, "mean_norm2") is b
+    assert builds == [1.0, 2.0]
+    assert one(q, "mean_norm2") is not a and builds == [1.0, 2.0, 1.0]
+
+
+def test_pulled_and_block_are_kept_per_pack():
+    p = submanifold_pack(random_scene(4, 6, seed=5))
+    assert p.pulled("weyl") is p.pulled("weyl")
+    assert p.block("weyl", "ttnt") is p.block("weyl", "ttnt")
+    assert p.block("mc_cotton", "tnt") is p.block("mc_cotton", "tnt")
+
+
 @pytest.mark.parametrize("k,n", [(2, 4), (3, 5), (4, 6)])
 def test_induced_metric_is_parallel(k, n):
     # metric compatibility of the induced connection as whole jets
