@@ -62,15 +62,13 @@ def _shift_pairs(nvars: int, degree: int):
     the rows of ``alpha``, ``beta`` and ``alpha - beta``, and the binomial
     weight ``C(alpha, beta) = prod_i C(alpha_i, beta_i)``.
     """
-    mindex = _multi_indices(nvars, degree)
+    monomials = JetSpace(nvars, degree, False)  # a row lookup, never holds jets
+    mindex = monomials.mindex
     above = np.ones((len(mindex),) * 2, dtype=bool)
     for i in range(nvars):
         above &= mindex[:, None, i] >= mindex[None, :, i]
     ia, ib = np.nonzero(above)
-    radix = (degree + 1) ** np.arange(nvars)
-    keys = mindex @ radix
-    srt = np.argsort(keys)
-    idiff = srt[np.searchsorted(keys, (mindex[ia] - mindex[ib]) @ radix, sorter=srt)]
+    idiff = monomials.positions(mindex[ia] - mindex[ib])
     comb = np.array([[math.comb(a, b) for b in range(degree + 1)]
                      for a in range(degree + 1)], dtype=float)
     return ia, ib, idiff, comb[mindex[ia], mindex[ib]].prod(axis=1)
@@ -86,19 +84,14 @@ def _coordinate_layout(nvars: int, degree: int, spc: JetSpace):
     each of the ``nvars`` coordinate variables: its unit monomial, or 0
     where ``spc`` stores none (order 0, or ``i`` beyond its variables).
     """
-    def position(m):
-        if any(m[spc.nvars:]):
-            return None
-        return spc._pos.get(tuple(m[: spc.nvars]) + (0,) * (spc.nvars - nvars))
+    def positions(m):  # zero exponents for the other variables of ``spc``
+        wide = np.pad(m[:, : spc.nvars], ((0, 0), (0, max(0, spc.nvars - nvars))))
+        return np.where(m[:, spc.nvars:].any(axis=1), -1, spc.positions(wide))
 
-    hits = [(q, position(m))
-            for q, m in enumerate(_multi_indices(nvars, degree).tolist())]
-    keep, pos = np.array([h for h in hits if h[1] is not None]).T
-    units = np.zeros((nvars, spc.size))
-    for i, m in enumerate(np.eye(nvars, dtype=np.int64).tolist()):
-        if position(m) is not None:
-            units[i, position(m)] = 1.0
-    return keep, pos, units
+    pos = positions(_multi_indices(nvars, degree))
+    keep = np.flatnonzero(pos >= 0)
+    units = positions(np.eye(nvars, dtype=np.int64))[:, None] == np.arange(spc.size)
+    return keep, pos[keep], units.astype(float)
 
 
 class Polynomial:
@@ -253,21 +246,14 @@ class ImmersedPatch:
             comps.append(ys[-1])
         X = jets_stack(comps)
         if X.order >= 1:
-            diff = np.stack(
-                [[X[a].partial(_unit(self.k + param, b)) for b in range(self.k)]
-                 for a in range(self.n)]
-            )
+            # first partials: the coefficients of the unit monomials
+            units = np.eye(self.k + param, dtype=np.int64)[: self.k]
+            diff = X.coeffs[:, X.space.positions(units)]
             if np.linalg.matrix_rank(diff, tol=1e-10) < self.k:
                 raise GeometryError(
                     f"{self.name}: differential rank-deficient at {point}"
                 )
         return X
-
-
-def _unit(nvars, i):
-    e = [0] * nvars
-    e[i] = 1
-    return e
 
 
 # -- constructors --------------------------------------------------------

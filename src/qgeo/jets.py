@@ -23,21 +23,41 @@ The ``Jets`` class is batched: ``coeffs`` has shape ``batch + (ncoeffs,)``,
 and a whole tensor of jets (e.g. all metric components) is a single
 ``Jets`` with ``batch == (n, n)``.  ``jet_einsum`` contracts such batches
 with einsum-style subscripts.  Each product is one gather-combine-scatter
-pass, ``_product``, whose scatter calls scipy's compiled CSR kernel chunk
-by chunk into one output buffer: the ``@`` dispatch would cost more than
-the arithmetic on most products.  That kernel is private scipy API, so
-``tests/test_jets.py`` pins the product against the ``@`` form.
+pass, ``_product``, whose scatter calls scipy's compiled CSR kernel
+``csr_matvecs`` chunk by chunk into one output buffer: the ``@`` dispatch
+would cost more than the arithmetic on most products.  Only its extension
+file ``scipy/sparse/_sparsetools`` is loaded, as ``qgeo._sparsetools``:
+``import scipy.sparse`` would run the whole package, half of a cold start.
+It is private scipy API, so ``tests/test_jets.py`` pins the product
+against the ``@`` form.
 """
 
 from __future__ import annotations
 
 import functools
+import importlib.machinery
+import importlib.util
 import math
-from itertools import product as _iproduct
+from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
-from scipy import sparse
-from scipy.sparse._sparsetools import csr_matvecs
+
+
+def _load_csr_matvecs():
+    """scipy's ``csr_matvecs``, from its extension file with no scipy import."""
+    scipy = importlib.util.find_spec("scipy")
+    where = [str(Path(scipy.origin).with_name("sparse"))] if scipy else []
+    spec = importlib.machinery.PathFinder.find_spec("qgeo._sparsetools", where)
+    if spec is None:
+        raise ImportError("scipy's _sparsetools extension not found (looked in "
+                          f"{where or 'sys.path for a scipy package'})")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.csr_matvecs
+
+
+csr_matvecs = _load_csr_matvecs()
 
 __all__ = [
     "BudgetError",
@@ -72,13 +92,16 @@ def _multi_indices(nvars: int, order: int, param: bool = False) -> np.ndarray:
 
     With ``param`` the last of the ``nvars`` variables is the parameter.
     Ordered by degree, then lexicographically, so the set for a lower
-    order is a prefix of the set for a higher order.  Cached, so read-only.
+    order is a prefix of the set for a higher order.  Built in lexicographic
+    order one variable at a time, then stably sorted by degree.  Cached, so read-only.
     """
-    ranges = [range(order + 1)] * (nvars - param) + [range(2)] * param
-    rows = [alpha for alpha in _iproduct(*ranges)
-            if sum(alpha[: nvars - param]) <= order]
-    rows.sort(key=lambda alpha: (sum(alpha[: nvars - param]), alpha))
-    out = np.array(rows, dtype=np.int64).reshape(len(rows), nvars)
+    rows = np.zeros((1, 0), dtype=np.int64)
+    for var in range(nvars):
+        powers = np.arange((order if var < nvars - param else 1) + 1)
+        rows = np.column_stack([np.repeat(rows, len(powers), axis=0),
+                                np.tile(powers, len(rows))])
+        rows = rows[rows[:, : nvars - param].sum(axis=1) <= order]
+    out = rows[np.argsort(rows[:, : nvars - param].sum(axis=1), kind="stable")]
     out.flags.writeable = False
     return out
 
@@ -99,25 +122,54 @@ class JetSpace:
         self.mindex = _multi_indices(nvars, order, param)
         self.size = len(self.mindex)
         self.degree = self.mindex[:, : nvars - param].sum(axis=1)
-        self._pos = {tuple(m): i for i, m in enumerate(self.mindex)}
         # factorial weights: partial derivative = alpha! * Taylor coefficient
-        self.factorials = np.array(
-            [math.prod(math.factorial(int(e)) for e in m) for m in self.mindex],
-            dtype=float,
-        )
+        fact = [math.factorial(e) for e in range(self.top_degree + 1)]
+        self.factorials = np.array(fact, dtype=float)[self.mindex].prod(axis=1)
+        # mixed-radix keys of the stored monomials and their order, for ``positions``
+        self._radix = np.cumprod((1,) + tuple(c + 1 for c in self.caps))[:-1]
+        self._keys = self.mindex @ self._radix
+        self._by_key = np.argsort(self._keys)
         self._mul = None
         self._derivs = {}
+
+    def __repr__(self):
+        return f"space({self.nvars}, {self.order}, param={self.param})"
 
     @property
     def caps(self) -> tuple[int, ...]:
         """The largest exponent of each variable (1 for the parameter)."""
         return (self.order,) * (self.nvars - self.param) + (1,) * self.param
 
+    def positions(self, alphas) -> np.ndarray:
+        """Positions of the multi-indices on the last axis of ``alphas``, -1
+        where none is stored: mixed-radix keys (radix ``caps + 1``) found by
+        one ``searchsorted`` over those of ``mindex``."""
+        alphas = np.asarray(alphas, dtype=np.int64)
+        if alphas.shape[-1:] != (self.nvars,):
+            raise ValueError(f"multi-indices of shape {alphas.shape} in {self!r}: "
+                             f"need {self.nvars} entries each")
+        stored = ((alphas >= 0) & (alphas <= self.caps)).all(axis=-1) & (
+            alphas[..., : self.nvars - self.param].sum(axis=-1) <= self.order)
+        found = np.searchsorted(self._keys, np.where(stored, alphas @ self._radix, 0),
+                                sorter=self._by_key)
+        return np.where(stored, self._by_key[found], -1)
+
     def position(self, alpha) -> int:
-        return self._pos[tuple(int(a) for a in alpha)]
+        """Position of the monomial ``alpha``: ``ValueError`` for a wrong length
+        or a negative entry, ``BudgetError`` beyond the order or at ``t^2``."""
+        alpha = tuple(int(a) for a in alpha)
+        valid = len(alpha) == self.nvars and min(alpha, default=0) >= 0
+        pos = int(self.positions(alpha)) if valid else -1
+        if pos < 0:
+            raise (BudgetError if valid else ValueError)(
+                f"multi-index {alpha} is not in {self!r}, whose exponents run "
+                f"from 0 to {self.caps} with spatial degree <= {self.order}")
+        return pos
 
     def mul_tables(self):
-        """(i_idx, j_idx, scatter) with scatter a (size, npairs) CSR matrix.
+        """(i_idx, j_idx, scatter), ``scatter`` the CSR arrays (``shape``,
+        ``nnz``, ``indptr``, ``indices``, ``data``) of the (size, npairs) 0/1
+        matrix taking each pair to its output row, each row's pairs ascending.
 
         ``c = scatter @ (a[i_idx] * b[j_idx])`` is the truncated product of
         coefficient vectors ``a`` and ``b``.
@@ -128,13 +180,12 @@ class JetSpace:
             if self.param:
                 ok &= m[:, None, -1] + m[None, :, -1] <= 1
             ii, jj = np.nonzero(ok)
-            kk = np.fromiter(
-                (self._pos[tuple(s)] for s in m[ii] + m[jj]), dtype=np.int64,
-                count=len(ii)
-            )
-            scatter = sparse.csr_matrix(
-                (np.ones(len(kk)), (kk, np.arange(len(kk)))), shape=(self.size, len(kk))
-            )
+            kk = self.positions(m[ii] + m[jj])
+            by_row = np.argsort(kk, kind="stable")
+            indptr = np.searchsorted(kk[by_row], np.arange(self.size + 1))
+            scatter = SimpleNamespace(
+                shape=(self.size, len(kk)), nnz=len(kk), data=np.ones(len(kk)),
+                indptr=indptr.astype(np.int32), indices=by_row.astype(np.int32))
             self._mul = (ii, jj, scatter)
         return self._mul
 
@@ -149,16 +200,9 @@ class JetSpace:
                 target = self
             else:
                 target = space(self.nvars, self.order - 1, self.param)
-            src = np.zeros(target.size, dtype=np.int64)
-            scale = np.zeros(target.size)
-            for t, alpha in enumerate(target.mindex):
-                shifted = alpha.copy()
-                shifted[var] += 1
-                pos = self._pos.get(tuple(shifted))
-                if pos is not None:
-                    src[t] = pos
-                    scale[t] = alpha[var] + 1
-            self._derivs[var] = (target, src, scale)
+            src = self.positions(target.mindex + np.eye(self.nvars, dtype=np.int64)[var])
+            scale = np.where(src >= 0, target.mindex[:, var] + 1.0, 0.0)
+            self._derivs[var] = (target, np.maximum(src, 0), scale)
         return self._derivs[var]
 
 
@@ -390,18 +434,11 @@ def variables(point, order: int, param: bool = False):
     It has degree 0, so even an order-0 parameter space holds it.
     """
     point = np.asarray(point, dtype=float)
-    n = len(point)
-    spc = space(n + param, order, param)
-    out = []
-    for i in range(spc.nvars):
-        c = np.zeros(spc.size)
-        if i < n:
-            c[0] = point[i]
-        unit = tuple(int(j == i) for j in range(spc.nvars))
-        if unit in spc._pos:
-            c[spc._pos[unit]] = 1.0
-        out.append(Jets(spc, c))
-    return out
+    spc = space(len(point) + param, order, param)
+    coeffs = (spc.positions(np.eye(spc.nvars, dtype=np.int64))[:, None]
+              == np.arange(spc.size)).astype(float)
+    coeffs[: len(point), 0] = point
+    return [Jets(spc, c) for c in coeffs]
 
 
 def jets_stack(items) -> Jets:
@@ -481,28 +518,36 @@ def _product(spc: JetSpace, sa: str, sb: str, rhs: str, a: np.ndarray,
     ``a`` and ``b`` (coefficients last, batch axes labelled ``sa`` and
     ``sb``) go coefficient axis first, laid out ``(coeff, shared, left,
     contracted)`` and ``(coeff, shared, contracted, right)``.  Per chunk of
-    coefficient pairs ``(i, j)``, rows ``i`` and ``j`` are gathered and
-    combined by a batched matmul (an elementwise product when nothing is
-    contracted, written into the fresh gather of ``a`` when nothing is
-    right-free either).  scipy's compiled ``csr_matvecs`` (``y += S x``,
-    where ``S @ x`` ends) sums each chunk's pairs into one zero-filled
-    output: on most products the ``@`` dispatch costs more than the
-    arithmetic.  It is private scipy API, pinned by ``tests/test_jets.py``.
+    whole output rows (one chunk when all pairs fit ``_CHUNK``), rows ``i``
+    and ``j`` of its coefficient pairs ``(i, j)`` are gathered and combined
+    by a batched matmul (an elementwise product when nothing is contracted,
+    written into the fresh gather of ``a`` when nothing is right-free
+    either).  scipy's compiled ``csr_matvecs`` (``y += S x``, where ``S @ x``
+    ends; loaded from its extension file alone, see the module docstring)
+    sums the chunk's pairs into its rows of one zero-filled output, each
+    row's in ascending order, so chunking changes no bit.
     """
     axes_a, axes_b, op, in_place, shape_x, shape_y, width, out_shape, perm = _plan(
         sa, sb, rhs, a.shape[:-1], b.shape[:-1])
     A, B = a.transpose(axes_a), b.transpose(axes_b)
     ii, jj, scatter = spc.mul_tables()
+    indptr, pairs = scatter.indptr, scatter.indices
     step = max(1, _CHUNK // width)
     out = np.zeros((spc.size,) + out_shape)
-    for lo in range(0, len(ii), step):
-        sl = slice(lo, lo + step)
-        x = A.take(ii[sl], axis=0).reshape(shape_x)
-        y = B.take(jj[sl], axis=0).reshape(shape_y)
-        part = scatter if step >= len(ii) else scatter[:, sl]
+    lo = 0
+    while lo < spc.size:  # chunks of whole output rows
+        if step >= len(ii):  # one chunk: every pair, in pair order
+            hi, sel, ptr, cols = spc.size, slice(None), indptr, pairs
+        else:  # at most step pairs, unless one row holds more
+            hi = max(lo + 1, int(np.searchsorted(indptr, indptr[lo] + step, "right")) - 1)
+            sel = pairs[indptr[lo]:indptr[hi]]
+            ptr, cols = indptr[lo:hi + 1] - indptr[lo], np.arange(len(sel), dtype="i4")
+        x = A.take(ii[sel], axis=0).reshape(shape_x)
+        y = B.take(jj[sel], axis=0).reshape(shape_y)
         xy = op(x, y, out=x) if in_place else op(x, y)
-        csr_matvecs(spc.size, len(xy), out.size // spc.size, part.indptr,
-                    part.indices, part.data, xy, out)
+        csr_matvecs(hi - lo, len(xy), out.size // spc.size, ptr, cols, scatter.data,
+                    xy, out[lo:hi])
+        lo = hi
     return Jets(spc, out.transpose(perm))
 
 
@@ -535,25 +580,21 @@ def jet_einsum(subscripts: str, a: Jets, b: Jets) -> Jets:
     return _product(a.space, sa, sb, rhs, a.coeffs, b.coeffs)
 
 
-def monomial_table(x: Jets, mindex) -> np.ndarray:
-    """Jet coefficients of every monomial ``x^alpha`` for alpha in ``mindex``.
+def monomial_table(x: Jets, msrc: JetSpace) -> np.ndarray:
+    """Jet coefficients of every monomial ``x^alpha`` of the space ``msrc``.
 
-    ``x`` is a batch of scalar jets, shape ``(nvars,)``; the table has shape
-    (len(mindex), space.size) and is built one degree at a time with a
-    batched recurrence ``x^alpha = x^(alpha - e_j) * x_j``, ``j`` the first
-    variable of ``alpha``.
+    ``x`` is a batch of scalar jets, shape ``(msrc.nvars,)``; the table has
+    shape (msrc.size, x.space.size) and is built one degree at a time with
+    a batched recurrence ``x^alpha = x^(alpha - e_j) * x_j``, ``j`` the
+    first variable of ``alpha``.
     """
-    table = np.zeros((len(mindex), x.space.size))
+    mindex = msrc.mindex
+    table = np.zeros((msrc.size, x.space.size))
     table[0, 0] = 1.0
     deg = mindex.sum(axis=1)
     first = np.argmax(mindex > 0, axis=1)
-    # rows of alpha - e_first, found by a mixed-radix key of each multi-index
-    radix = int(deg.max(initial=0)) + 1
-    weights = radix ** np.arange(mindex.shape[1])
-    keys = mindex @ weights
-    srt = np.argsort(keys)
-    prev = srt[np.searchsorted(keys, keys - weights[first], sorter=srt)]
-    for d in range(1, radix):
+    prev = msrc.positions(mindex - np.eye(msrc.nvars, dtype=np.int64)[first])
+    for d in range(1, int(deg.max(initial=0)) + 1):
         rows = np.nonzero(deg == d)[0]
         table[rows] = jet_mul(Jets(x.space, table[prev[rows]]), x[first[rows]]).coeffs
     return table
@@ -592,7 +633,7 @@ class Composer:
                         f"compose: coordinate jets {pure_t.tolist()} have a pure t "
                         f"term, so source monomials beyond order {r} would "
                         "contribute; only the source's own parameter may")
-            self._mons[key] = monomial_table(Jets(tgt, disp), msrc.mindex)
+            self._mons[key] = monomial_table(Jets(tgt, disp), msrc)
         return self._mons[key]
 
     def __call__(self, f: Jets) -> Jets:

@@ -13,10 +13,13 @@ batteries), a product on the (4+1)-variable order-5 chart space, and one
 pullback of the metric jets along the chart.  Two cases time the per-call
 floor of the product kernel on the (4+1)-variable order-4 pack space: a
 scalar ``jet_mul`` and a frame projection ``jet_einsum("abcd,za->zbcd")``
-of a (5, 5, 5, 5) tensor against a (4, 5) frame.  The last three build the
+of a (5, 5, 5, 5) tensor against a (4, 5) frame.  The next three build the
 ambient curvature pack, the inverse metric and the Riemann tensor from the
 order-4 metric jets of ``t4-in-s7`` (n = 7) at one node of the
-Gauss-Bonnet angle grid.
+Gauss-Bonnet angle grid.  The last two time a cold start: ``import qgeo``
+in a fresh ``python -B`` interpreter (interpreter start-up included), and
+the 11 jet spaces one Gauss-Bonnet node builds, with their product and
+derivative tables, from a cleared multi-index cache.
 
 For an A/B against another checkout, run each side's own copy of this
 file from the root of its own tree.  ``pyproject.toml`` puts ``src`` on
@@ -24,8 +27,15 @@ pytest's ``pythonpath``, which goes before ``PYTHONPATH``, so pointing
 ``PYTHONPATH`` at the other tree's ``src`` still times this tree's code.
 """
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+
+import qgeo
 
 from qgeo.ambient import (
     CurvaturePack,
@@ -36,7 +46,9 @@ from qgeo.ambient import (
 from qgeo.jets import (
     PACK_ORDER,
     Composer,
+    JetSpace,
     Jets,
+    _multi_indices,
     jet_einsum,
     jet_mul,
     space,
@@ -126,3 +138,31 @@ def test_riemann_jets_on_t4_in_s7(benchmark, node_metric):
     first = _first_kind(node_metric, NODE.n)
     out = benchmark(riemann_jets, first, gamma, NODE.n)
     assert out.batch == (NODE.n,) * 4
+
+
+def test_import_qgeo_in_a_fresh_interpreter(benchmark):
+    env = dict(os.environ, PYTHONPATH=str(Path(qgeo.__file__).resolve().parents[1]))
+    cmd = [sys.executable, "-B", "-c", "import qgeo"]
+    benchmark.pedantic(subprocess.run, args=(cmd,), kwargs=dict(env=env, check=True),
+                       rounds=5, iterations=1)
+
+
+#: (nvars, order) of the spaces one ``gb-grid-t4s7`` node builds: the chart
+#: space (4 variables, order 5), the ambient pack space (7, order 4) and
+#: their truncations; every space of order >= 1 differentiates along each
+#: variable
+GB_NODE_SPACES = [(4, order) for order in range(6)] + [(7, order) for order in range(5)]
+
+
+def build_gb_node_tables():
+    _multi_indices.cache_clear()
+    for nvars, order in GB_NODE_SPACES:
+        # built directly, so the cached spaces other cases hold stay valid
+        spc = JetSpace(nvars, order, False)
+        spc.mul_tables()
+        for var in range(nvars if order else 0):
+            spc.deriv_tables(var)
+
+
+def test_jet_tables_of_a_gauss_bonnet_node(benchmark):
+    benchmark.pedantic(build_gb_node_tables, rounds=10, iterations=1)

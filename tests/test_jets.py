@@ -231,6 +231,21 @@ def test_budget_errors():
         x.deriv(0).deriv(0)
 
 
+def test_position_errors_name_the_multi_index_and_space():
+    x, y = variables([0.1, 0.2], 2)
+    with pytest.raises(BudgetError, match=r"\(3, 0\) is not in space\(2, 2, "):
+        x.partial((3, 0))
+    with pytest.raises(BudgetError, match=r"\(1, 2\) is not in space\(2, 2, "):
+        y.coeff([1, 2])
+    for alpha in ((1,), (1, 0, 0), (-1, 1)):
+        with pytest.raises(ValueError, match=r"multi-index .* in space\(2, 2, "):
+            x.partial(alpha)
+    _, t = variables([0.1], 3, param=True)
+    with pytest.raises(BudgetError, match=r"\(0, 2\) is not in space\(2, 3, param=True"):
+        t.coeff((0, 2))
+    assert t.coeff((3, 1)) == 0.0 and t.coeff((0, 1)) == 1.0
+
+
 def test_jet_mul_agrees_with_direct_jet():
     point = [0.37, -0.21]
 
@@ -272,20 +287,24 @@ def test_chunked_products_match_unchunked(monkeypatch):
     full_e = jet_einsum("ab,bc->ac", A, B)
     full_m = jet_mul(A, B)
     monkeypatch.setattr(jets_mod, "_CHUNK", 64)
+    # each output row's pairs are summed in one sequence, however chunked
     for got, full in ((jet_einsum("ab,bc->ac", A, B), full_e),
                       (jet_mul(A, B), full_m)):
-        assert np.abs(got.coeffs - full.coeffs).max() <= (
-            1e-15 * np.abs(full.coeffs).max())
+        assert got.coeffs.tobytes() == full.coeffs.tobytes()
 
 
 def scatter_product(spc, sa, sb, rhs, a, b):
     """The product kernel as gather, combine and one ``scatter @`` over
-    every coefficient pair, on ``_plan``'s layouts."""
+    every coefficient pair, on ``_plan``'s layouts, with scipy's CSR
+    matrix built from the raw arrays of ``mul_tables``."""
     import qgeo.jets as jets_mod
+    from scipy import sparse
 
     axes_a, axes_b, op, _, shape_x, shape_y, _, out_shape, perm = jets_mod._plan(
         sa, sb, rhs, a.shape[:-1], b.shape[:-1])
-    ii, jj, scatter = spc.mul_tables()
+    ii, jj, tables = spc.mul_tables()
+    scatter = sparse.csr_matrix((tables.data, tables.indices, tables.indptr),
+                                shape=tables.shape)
     x = a.transpose(axes_a)[ii].reshape(shape_x)
     y = b.transpose(axes_b)[jj].reshape(shape_y)
     flat = scatter @ op(x, y).reshape(len(ii), -1)
@@ -340,7 +359,8 @@ def test_chunked_kernel_is_the_scatter_form(monkeypatch, subscripts, shape_a,
     product, want = _kernel_operands(spc, subscripts, shape_a, shape_b)
     monkeypatch.setattr(jets_mod, "_CHUNK", 64)
     got = product().coeffs
-    assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
+    assert got.shape == want.shape
+    assert np.ascontiguousarray(got).tobytes() == np.ascontiguousarray(want).tobytes()
 
 
 def naive_mul(spc, a, b):
@@ -478,6 +498,57 @@ def test_jets_stack_rejects_mixed_spaces():
     # jets of one space at different orders still stack, at the lower one
     x3, y3 = variables([0.1, 0.2], 3)
     assert jets_stack([x3, y3.truncate(1)]).space is space(2, 1)
+
+
+#: (nvars, order, param): order 0, a lone parameter, and the largest spaces
+TABLE_SPACES = [(1, 0, False), (3, 0, False), (1, 0, True), (2, 0, True),
+                (1, 3, False), (2, 2, True), (3, 3, False), (4, 2, True),
+                (5, 4, True), (7, 5, False), (8, 3, True)]
+
+
+def brute_multi_indices(nvars, order, param):
+    """``_multi_indices`` from every tuple below the caps: degree, then
+    lexicographic."""
+    nx = nvars - param
+    ranges = [range(order + 1)] * nx + [range(2)] * param
+    rows = [a for a in itertools.product(*ranges) if sum(a[:nx]) <= order]
+    return sorted(rows, key=lambda a: (sum(a[:nx]), a))
+
+
+@pytest.mark.parametrize("nvars, order, param", TABLE_SPACES)
+def test_tables_match_brute_force(nvars, order, param):
+    from scipy import sparse
+
+    spc = space(nvars, order, param)
+    rows = brute_multi_indices(nvars, order, param)
+    assert [tuple(m) for m in spc.mindex.tolist()] == rows
+    pos = {m: i for i, m in enumerate(rows)}
+    nx = nvars - param
+    # positions of random multi-indices, in and beyond the budget
+    probe = np.random.default_rng(nvars).integers(-1, order + 3, size=(200, nvars))
+    assert spc.positions(probe).tolist() == [pos.get(tuple(a), -1)
+                                             for a in probe.tolist()]
+    # every pair within the budget, in order, at the dict position of its sum
+    ii, jj, scatter = spc.mul_tables()
+    pairs = [(i, j) for i, a in enumerate(rows) for j, b in enumerate(rows)
+             if sum(a[:nx]) + sum(b[:nx]) <= order and (not param or a[-1] + b[-1] <= 1)]
+    assert list(zip(ii.tolist(), jj.tolist())) == pairs
+    kk = [pos[tuple(x + y for x, y in zip(rows[i], rows[j]))] for i, j in pairs]
+    want = sparse.csr_matrix((np.ones(len(kk)), (kk, np.arange(len(kk)))),
+                             shape=(spc.size, len(kk)))
+    assert scatter.shape == want.shape and scatter.nnz == want.nnz
+    for name in ("indptr", "indices", "data"):
+        got, ref = getattr(scatter, name), getattr(want, name)
+        assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes(), name
+    # d/dx_var gathers the coefficient of alpha + e_var, times alpha_var + 1
+    for var in range(nvars):
+        if var < nx and order == 0:
+            continue
+        target, src, scale = spc.deriv_tables(var)
+        for t, alpha in enumerate(target.mindex.tolist()):
+            up = tuple(a + (v == var) for v, a in enumerate(alpha))
+            assert (src[t], scale[t]) == ((pos[up], alpha[var] + 1) if up in pos
+                                          else (0, 0.0))
 
 
 def test_multi_indices_are_cached_and_read_only():

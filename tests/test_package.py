@@ -1,9 +1,15 @@
 """Public names: every name a module exports must resolve on it, and
-every console script the project declares must import."""
+every console script the project declares must import.  Importing the
+package runs no scipy package."""
 
-import importlib
+import importlib.util
+import os
 import pkgutil
+import re
+import subprocess
+import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -34,3 +40,22 @@ def test_console_scripts_import():
         for part in attr.split("."):
             obj = getattr(obj, part)
         assert callable(obj), f"script {name}: {target} is not callable"
+
+
+def test_import_loads_no_scipy_package():
+    # a fresh interpreter, since the tests themselves import scipy
+    env = dict(os.environ, PYTHONPATH=str(Path(qgeo.__file__).resolve().parents[1]))
+    out = subprocess.run(
+        [sys.executable, "-c", "import qgeo, sys; print(sorted(m for m in sys.modules "
+         "if m == 'scipy' or m.startswith('scipy.')))"],
+        env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
+
+
+def test_missing_sparsetools_extension_names_where_it_looked(monkeypatch, tmp_path):
+    from qgeo import jets
+
+    fake = SimpleNamespace(origin=str(tmp_path / "__init__.py"))
+    monkeypatch.setattr(importlib.util, "find_spec", lambda name: fake)
+    with pytest.raises(ImportError, match=re.escape(str(tmp_path / "sparse"))):
+        jets._load_csr_matvecs()
