@@ -36,7 +36,6 @@ import numpy as np
 import pytest
 
 import qgeo
-
 from qgeo.ambient import (
     CurvaturePack,
     _first_kind,
