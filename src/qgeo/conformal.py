@@ -16,12 +16,12 @@ normal frame.  Re-running Gram-Schmidt against ``exp(2 t Upsilon) g``
 rescales each normal vector by ``exp(-t Upsilon)`` and changes nothing
 else, so a quantity whose abstract all-lowered components carry
 homogeneity ``h`` and whose stored form uses ``j`` orthonormal normal
-slots obeys ``stored_hat = exp((h - j) t Upsilon) stored``.  The
-``weight`` argument taken throughout is that stored exponent ``h - j``;
-the first variation of a quantity with an exact weight is recovered as
-the ``t``-coefficient of ``exp(-weight * t * Upsilon) * stored_hat``.
-With ``t^2 = 0`` that exponential is exactly ``1 - weight * t * Upsilon``,
-so the coefficient is ``d_t stored_hat - weight * Upsilon * stored``.
+slots obeys ``stored_hat = exp((h - j) t Upsilon) stored``.  Every
+variation takes one evaluator and that stored exponent, ``weight = h - j``:
+it is the ``t``-coefficient of ``exp(-weight t Upsilon) stored_hat``, with
+``t^2 = 0`` exactly ``d_t stored_hat - weight Upsilon stored``.  A battery
+that applies an operator to a rescaled operand (the derivative laws) does
+so inside its evaluator, reading the operand's factor from the engine.
 
 The checks bundled here certify, on top of individual variations:
 
@@ -61,6 +61,8 @@ from .invariants import (
     _deflection_dot_weyl,
     _deflection_norm2,
     _div_shape_deflection,
+    _div_shape_weyl_trace,
+    _double_div,
     _mean_shape_cubic,
     _pair,
     _shape_normal_gram,
@@ -159,15 +161,13 @@ class LinearizationReport:
     """First conformal variation of one stored quantity.
 
     ``numeric`` holds the exact (nilpotent-parameter) variation;
-    ``analytic`` and ``residual`` are populated when a closed-form law is
-    available.  ``method_gap`` compares it with central differences when
-    the report was cross-checked; a gap above ``METHOD_FLAG_TOL`` sets
-    ``flagged``.
+    ``residual`` is its gap to a closed-form law when one is available.
+    ``method_gap`` compares it with central differences when the report
+    was cross-checked; a gap above ``METHOD_FLAG_TOL`` sets ``flagged``.
     """
 
     quantity: str
     numeric: np.ndarray
-    analytic: np.ndarray | None = None
     residual: float | None = None
     method_gap: float | None = None
     flagged: bool = False
@@ -200,13 +200,13 @@ class _Engine:
     jets are kept on the engine (:meth:`_upsilon_jets`): engines with
     different factors may share one base pack.
 
-    A variation is taken of ``operator(pack, exp(operand_weight t Upsilon)
-    evaluator(pack))`` compensated by ``exp(-weight t Upsilon)``, where
-    ``weight`` is the stored weight of the result.  Without an operator it
-    is the variation of ``evaluator`` itself.  On the parameter pack
-    ``t^2 = 0``, so ``exp(w t Upsilon) = 1 + w t Upsilon`` exactly: the
-    nilpotent route forms no jet exponential, and needs ``Upsilon`` on
-    the pack's chart jets only for an operator's operand.
+    Every variation has one signature, ``(evaluator, weight)``: the
+    variation of ``evaluator(pack)`` compensated by ``exp(-weight t
+    Upsilon)``, where ``weight`` is its stored weight.  The engine records
+    the ``t`` of each pack it builds, so an evaluator that applies an
+    operator to a rescaled operand reads the factor from :meth:`scale`.
+    On the parameter pack ``t^2 = 0``, so ``exp(w t Upsilon) = 1 + w t
+    Upsilon`` exactly and the nilpotent route forms no jet exponential.
     """
 
     def __init__(self, metric, patch, point, upsilon):
@@ -214,7 +214,8 @@ class _Engine:
         self.patch = patch
         self.point = None if point is None else np.asarray(point, dtype=float)
         self.upsilon = upsilon
-        self._finite = {}
+        self._packs = {}  # t -> its pack, t=None the parameter pack
+        self._t = {}  # pack -> its t
         self._restricted = {}
 
     # --- packs ---
@@ -222,16 +223,18 @@ class _Engine:
     def base(self) -> SubmanifoldPack:
         return SubmanifoldPack(self.metric, self.patch, self.point)
 
-    @cached_property
+    @property
     def param(self) -> SubmanifoldPack:
-        ghat = conformally_rescaled(self.metric, self.upsilon, t=None)
-        return SubmanifoldPack(ghat, self.patch, self.point, param=True)
+        return self.finite(None)
 
-    def finite(self, t: float) -> SubmanifoldPack:
-        if t not in self._finite:
+    def finite(self, t: float | None) -> SubmanifoldPack:
+        """The pack of ``exp(2 t Upsilon) g``; ``t=None`` is the parameter."""
+        if t not in self._packs:
             ghat = conformally_rescaled(self.metric, self.upsilon, t=t)
-            self._finite[t] = SubmanifoldPack(ghat, self.patch, self.point)
-        return self._finite[t]
+            pack = SubmanifoldPack(ghat, self.patch, self.point,
+                                   param=t is None)
+            self._packs[t], self._t[pack] = pack, t
+        return self._packs[t]
 
     def _upsilon_jets(self, pack) -> tuple[Jets, Jets]:
         """``Upsilon`` on the ambient coordinate variables at ``pack``'s
@@ -274,70 +277,59 @@ class _Engine:
         return float(self._upsilon_on(self.param).value)
 
     # --- variations ---
-    @staticmethod
-    def _apply(pack, evaluator, operator, scale) -> Jets:
-        """``evaluator`` on ``pack``, then ``operator`` on ``scale() *`` it.
+    def scale(self, pack, w: float) -> Jets:
+        """``exp(w t Upsilon)`` on a pack this engine built at parameter ``t``.
 
-        ``scale`` returns the operand's rescale factor
-        ``exp(operand_weight t Upsilon)`` in the caller's form and is called
-        only when there is an operator.
+        On the parameter pack ``t^2 = 0``, so it is ``1 + w t Upsilon``
+        exactly and no jet exponential is formed; on a finite pack it is
+        ``exp(w s Upsilon)``.  A battery whose operator acts on a rescaled
+        operand multiplies the operand by it inside its evaluator.
         """
-        out = evaluator(pack)
-        if operator is None:
-            return out
-        return operator(pack, scale() * out)
+        if pack not in self._t:
+            raise ValueError(
+                f"the {'parameter' if pack.param else 'plain'} pack of "
+                f"{pack.metric.name} at {pack.point.tolist()} was not built "
+                "by this engine at a rescale parameter t")
+        t, u = self._t[pack], self._upsilon_on(pack)
+        if t is None:
+            return 1.0 + float(w) * (pack.chart_jets[pack.n] * u)
+        return (float(w) * (t * u)).exp()
 
-    def nilpotent(self, evaluator, weight: float, operator=None,
-                  operand_weight: float = 0.0) -> np.ndarray:
+    def nilpotent(self, evaluator, weight: float) -> np.ndarray:
         """The exact first variation: the ``t^1`` coefficient on the
         parameter pack.
 
-        With ``t^2 = 0`` the operand scale is ``1 + operand_weight t
-        Upsilon`` and the compensated coefficient is ``d_t out - weight
-        Upsilon(x0) out``, both exact.
+        With ``t^2 = 0`` the compensated coefficient is ``d_t out - weight
+        Upsilon(x0) out``, exact.
         """
         pp = self.param
-
-        def scale():
-            tu = pp.chart_jets[pp.n] * self._upsilon_on(pp)
-            return 1.0 + float(operand_weight) * tu
-
-        out = self._apply(pp, evaluator, operator, scale)
+        out = evaluator(pp)
         return np.asarray(out.deriv(pp.k).value
                           - float(weight) * self._upsilon_at_point * out.value)
 
-    def central(self, evaluator, weight: float, operator=None,
-                operand_weight: float = 0.0) -> np.ndarray:
+    def central(self, evaluator, weight: float) -> np.ndarray:
         vals = []
         for s in (_STEP, -_STEP):
             ph = self.finite(s)
-            u = self._upsilon_on(ph)
-            out = self._apply(ph, evaluator, operator,
-                              lambda: (float(operand_weight) * (s * u)).exp())
-            vals.append(np.exp(-weight * s * float(u.value))
-                        * np.asarray(out.value))
+            vals.append(np.exp(-weight * s * float(self._upsilon_on(ph).value))
+                        * np.asarray(evaluator(ph).value))
         return (vals[0] - vals[1]) / (2.0 * _STEP)
 
     # --- report assembly ---
-    def report(self, name, evaluator, weight, *, operator=None,
-               operand_weight=0.0, analytic=None, cross_check=False):
+    def report(self, name, evaluator, weight, *, analytic=None,
+               cross_check=False):
         """A :class:`LinearizationReport` of one :meth:`nilpotent` variation.
 
         With ``cross_check`` the variation is also differenced and the gap
         between the two routes recorded.
         """
-        args = (evaluator, weight, operator, operand_weight)
-        numeric = self.nilpotent(*args)
-        gap = None
-        if cross_check:
-            gap = _gap(numeric, self.central(*args))
-        residual = None
-        if analytic is not None:
-            analytic = np.asarray(analytic, dtype=float)
-            residual = _gap(numeric, analytic)
+        numeric = self.nilpotent(evaluator, weight)
+        gap = (_gap(numeric, self.central(evaluator, weight))
+               if cross_check else None)
         return LinearizationReport(
             quantity=name, numeric=numeric,
-            analytic=analytic, residual=residual, method_gap=gap,
+            residual=None if analytic is None else _gap(numeric, analytic),
+            method_gap=gap,
             flagged=bool(gap is not None and gap > METHOD_FLAG_TOL))
 
 
@@ -393,23 +385,17 @@ def ambient_law_reports(scene: Scene, upsilon=None, *,
     eng = _engine_for(scene, upsilon, seed)
     p, r = eng.base, eng.restriction
     n = p.n
-    reports = []
-    for pat in _WEYL_PATTERNS:
-        reports.append(eng.report(
-            f"weyl[{pat}]", lambda q, pat=pat: q.block("weyl", pat),
-            2.0 - pat.count("n"), analytic=0.0))
-    hess = r.ambient_hessian
-    for pat in _SCHOUTEN_PATTERNS:
-        analytic = -np.asarray(p.project(hess, pat).value)
-        reports.append(eng.report(
-            f"schouten[{pat}]", lambda q, pat=pat: q.block("schouten", pat),
-            -float(pat.count("n")), analytic=analytic))
     wu = jet_einsum("abcd,d->abc", p.pulled("weyl"), r.ambient_up)
-    for pat in ("ttt", "ttn"):
-        analytic = -np.asarray(p.project(wu, pat).value)
-        reports.append(eng.report(
-            f"cotton[{pat}]", lambda q, pat=pat: q.block("cotton", pat),
-            -float(pat.count("n")), analytic=analytic))
+    # tensor, pattern, weight, tensor whose projection the law subtracts
+    rows = ([("weyl", pat, 2.0, None) for pat in _WEYL_PATTERNS]
+            + [("schouten", pat, 0.0, r.ambient_hessian)
+               for pat in _SCHOUTEN_PATTERNS]
+            + [("cotton", pat, 0.0, wu) for pat in ("ttt", "ttn")])
+    reports = [eng.report(
+        f"{nm}[{pat}]", lambda q, nm=nm, pat=pat: q.block(nm, pat),
+        w - pat.count("n"),
+        analytic=0.0 if law is None else -np.asarray(p.project(law, pat).value))
+        for nm, pat, w, law in rows]
     cu = jet_einsum("gab,g->ab", p.pulled("cotton"), r.ambient_up)
     csym = (cu + jet_trace(cu, "ab->ba")) * 0.5
     analytic = 2.0 * (n - 4) * np.asarray(p.project(csym, "tt").value)
@@ -498,37 +484,31 @@ def derivative_law_reports(scene: Scene, upsilon=None, *,
     h = np.asarray(p.induced.value)
 
     tau = np.asarray(_probe_tangent_form(p).value)
-    law = ((w - 1.0) * np.einsum("a,b->ab", gl, tau)
-           - np.einsum("b,a->ab", gl, tau)
-           + np.dot(gu, tau) * h)
-    reports = [eng.report(
-        "tangential_derivative[one-form]", _probe_tangent_form, w,
-        operator=lambda q, t: q.tangential_cov_deriv(t, "t"),
-        operand_weight=w, analytic=law, cross_check=True)]
-
-    # the orthonormal normal slot lowers both stored weights by one
     sig = np.asarray(_probe_normal_form(p).value)
-    law = (w - 1.0) * np.einsum("a,r->ar", gl, sig)
-    reports.append(eng.report(
-        "tangential_derivative[normal-form]", _probe_normal_form, w - 1.0,
-        operator=lambda q, t: q.tangential_cov_deriv(t, "n"),
-        operand_weight=w - 1.0, analytic=law, cross_check=True))
-
-    law = (k + w - 2.0) * np.dot(gu, tau)
-    reports.append(eng.report(
-        "tangential_divergence", _probe_tangent_form, w - 2.0,
-        operator=SubmanifoldPack.divergence, operand_weight=w,
-        analytic=law, cross_check=True))
-
     phi = _probe_scalar(p)
     dphi = np.asarray(p.tangential_gradient(phi).value)
-    law = ((k + 2.0 * w - 2.0) * np.dot(gu, dphi)
-           + w * float(r.laplacian.value) * float(phi.value))
-    reports.append(eng.report(
-        "tangential_laplacian", _probe_scalar, w - 2.0,
-        operator=SubmanifoldPack.tangential_laplacian, operand_weight=w,
-        analytic=law, cross_check=True))
-    return reports
+    # each operator acts on its probe rescaled at the probe's stored weight;
+    # the orthonormal normal slot lowers both stored weights by one
+    rows = [
+        ("tangential_derivative[one-form]", w,
+         lambda q: q.tangential_cov_deriv(
+             eng.scale(q, w) * _probe_tangent_form(q), "t"),
+         (w - 1.0) * np.einsum("a,b->ab", gl, tau)
+         - np.einsum("b,a->ab", gl, tau) + np.dot(gu, tau) * h),
+        ("tangential_derivative[normal-form]", w - 1.0,
+         lambda q: q.tangential_cov_deriv(
+             eng.scale(q, w - 1.0) * _probe_normal_form(q), "n"),
+         (w - 1.0) * np.einsum("a,r->ar", gl, sig)),
+        ("tangential_divergence", w - 2.0,
+         lambda q: q.divergence(eng.scale(q, w) * _probe_tangent_form(q)),
+         (k + w - 2.0) * np.dot(gu, tau)),
+        ("tangential_laplacian", w - 2.0,
+         lambda q: q.tangential_laplacian(eng.scale(q, w) * _probe_scalar(q)),
+         (k + 2.0 * w - 2.0) * np.dot(gu, dphi)
+         + w * float(r.laplacian.value) * float(phi.value)),
+    ]
+    return [eng.report(nm, ev, wt, analytic=law, cross_check=True)
+            for nm, wt, ev, law in rows]
 
 
 # -- trace-adjusted tensors and their tangential dependence ----------------------
@@ -550,13 +530,12 @@ def _lemma_laws(eng: _Engine) -> list[np.ndarray]:
     n = p.n
     gu = np.asarray(r.grad_up.value)
     w4 = p.block("weyl", "tttt")
-    wtr = jet_einsum("bd,bade->ae", p.induced_inv, w4)
     c3 = p.block("mc_cotton", "ttt")
     csym = (c3 + jet_trace(c3, "gab->gba")) * 0.5
     return [
         -np.asarray(r.hessian.value),
         -np.einsum("abcz,z->abc", np.asarray(w4.value), gu),
-        -np.einsum("ae,e->a", np.asarray(wtr.value), gu),
+        -np.einsum("ae,e->a", np.asarray(p.weyl_partial_trace.value), gu),
         2.0 * (n - 4) * np.einsum("g,gab->ab", gu, np.asarray(csym.value)),
         -np.einsum("b,abr->ar", gu, np.asarray(p.second_tracefree.value)),
     ]
@@ -727,20 +706,10 @@ def check_homogeneity(scene: Scene) -> dict:
 # -- quartic building blocks: divergence-shaped variations -------------------------
 
 
-def _double_div_fialkow(p) -> Jets:
-    return p.divergence(p.divergence(p.fialkow, "tt"))
-
-
 def _div_shape_weyl_full(p) -> Jets:
     V = jet_einsum("bcr,abcr->a", p.second_tracefree_up,
                    p.block("weyl", "tttn"))
     return p.divergence(V)
-
-
-def _div_shape_weyl_trace(p) -> Jets:
-    wtr = jet_einsum("bgrd,gd->br", p.block("weyl", "ttnt"), p.induced_inv)
-    lm = jet_einsum("bc,acr->abr", p.induced_inv, p.second_tracefree)
-    return p.divergence(jet_einsum("abr,br->a", lm, wtr))
 
 
 def quartic_term_reports(scene: Scene, upsilon=None, *,
@@ -768,7 +737,8 @@ def quartic_term_reports(scene: Scene, upsilon=None, *,
     rows = [
         ("laplacian_intrinsic_jtrace",
          lambda q: q.tangential_laplacian(q.intrinsic_jtrace), rhs1),
-        ("double_divergence_fialkow", _double_div_fialkow, rhs2),
+        ("double_divergence_fialkow", lambda q: _double_div(q, "fialkow"),
+         rhs2),
         ("div_shape_deflection", _div_shape_deflection, rhs3),
         ("laplacian_tracefree_norm2",
          lambda q: q.tangential_laplacian(q.tracefree_norm2), rhs4),
@@ -777,11 +747,8 @@ def quartic_term_reports(scene: Scene, upsilon=None, *,
         ("div_shape_weyl_full", _div_shape_weyl_full, 0.0),
         ("div_shape_weyl_trace", _div_shape_weyl_trace, 0.0),
     ]
-    reports = []
-    for name, ev, rhs in rows:
-        analytic = rhs if isinstance(rhs, float) else float(rhs.value)
-        reports.append(eng.report(name, ev, -4.0, analytic=analytic))
-    return reports
+    return [eng.report(name, ev, -4.0, analytic=getattr(rhs, "value", rhs))
+            for name, ev, rhs in rows]
 
 
 # -- transverse-jet strata ----------------------------------------------------------
@@ -828,7 +795,7 @@ def _ambient_laplacian_jtrace(p) -> Jets:
 
 
 def _build_strata() -> tuple[StratumElement, ...]:
-    H = lambda p: p.mean_curvature
+    mean_dot = lambda p, v: jet_einsum("r,r->", p.mean_curvature, v)
     rows = [
         # stratum 0: only the restriction of Upsilon enters
         (0, "fialkow_dot_intrinsic_schouten",
@@ -847,13 +814,11 @@ def _build_strata() -> tuple[StratumElement, ...]:
         (0, "deflection_norm2", _deflection_norm2),
         # stratum 1: first normal derivatives enter through H
         (1, "mean_dot_laplacian_mean",
-         lambda p: jet_einsum("r,r->", H(p), _laplacian_mean(p))),
+         lambda p: mean_dot(p, _laplacian_mean(p))),
         (1, "mean_dot_div_deflection",
-         lambda p: jet_einsum("r,r->", H(p),
-                              p.divergence(p.normal_deflection, "tn"))),
+         lambda p: mean_dot(p, p.divergence(p.normal_deflection, "tn"))),
         (1, "mean_dot_div_weyl_trace",
-         lambda p: jet_einsum("r,r->", H(p),
-                              p.divergence(_w_tn_trace(p), "tn"))),
+         lambda p: mean_dot(p, p.divergence(_w_tn_trace(p), "tn"))),
         (1, "mean_norm4", lambda p: p.mean_norm2 * p.mean_norm2),
         (1, "mean_norm2_tracefree_norm2",
          lambda p: p.mean_norm2 * p.tracefree_norm2),
@@ -865,19 +830,18 @@ def _build_strata() -> tuple[StratumElement, ...]:
          lambda p: p.fialkow_trace * p.mean_norm2),
         (1, "mean_shape_cubic", _mean_shape_cubic),
         (1, "mean_dot_shape_fialkow",
-         lambda p: jet_einsum("r,r->", H(p), jet_einsum(
+         lambda p: mean_dot(p, jet_einsum(
              "abr,ab->r", p.second_tracefree_up, p.fialkow))),
         (1, "mean_dot_shape_intrinsic_schouten",
-         lambda p: jet_einsum("r,r->", H(p), jet_einsum(
+         lambda p: mean_dot(p, jet_einsum(
              "abr,ab->r", p.second_tracefree_up, p.intrinsic_schouten))),
         (1, "mean_mean_weyl_normal_trace",
          lambda p: jet_einsum("rs,rs->", _mean_outer(p), _w_ntnt_trace(p))),
         (1, "mean_shape_weyl_mixed",
-         lambda p: jet_einsum("r,r->", H(p), jet_einsum(
-             "abs,arbs->r", p.second_tracefree_up,
-             p.block("weyl", "tntn")))),
+         lambda p: mean_dot(p, jet_einsum(
+             "abs,arbs->r", p.second_tracefree_up, p.block("weyl", "tntn")))),
         (1, "mean_dot_cotton_trace",
-         lambda p: jet_einsum("r,r->", H(p), _cotton_trace_normal(p))),
+         lambda p: mean_dot(p, _cotton_trace_normal(p))),
         # stratum 2: the normal-normal Schouten block enters
         (2, "fialkow_trace_normal_schouten_trace",
          lambda p: p.fialkow_trace * _pnn_trace(p)),
@@ -899,7 +863,7 @@ def _build_strata() -> tuple[StratumElement, ...]:
          lambda p: jet_einsum("rs,rs->", _pnn(p), _pnn(p))),
         # stratum 3: normal gradient of the ambient trace
         (3, "mean_normal_grad_ambient_jtrace",
-         lambda p: jet_einsum("r,r->", H(p), _normal_gradient_jtrace(p))),
+         lambda p: mean_dot(p, _normal_gradient_jtrace(p))),
         # stratum 4: four ambient metric derivatives
         (4, "ambient_laplacian_jtrace", _ambient_laplacian_jtrace),
     ]
@@ -947,12 +911,8 @@ def check_strata_vanishing(scene: Scene, *, seed: int = 0) -> dict:
     """
     def magnitudes(ups, depth):
         eng = _engine_for(scene, ups, seed)
-        mags = {}
-        for el in QUARTIC_STRATA:
-            if el.stratum <= depth:
-                rep = eng.report(el.name, el.evaluate, -4.0)
-                mags[el.name] = float(np.max(np.abs(rep.numeric)))
-        return mags
+        return {el.name: float(np.max(np.abs(eng.nilpotent(el.evaluate, -4.0))))
+                for el in QUARTIC_STRATA if el.stratum <= depth}
 
     strata = sorted({el.stratum for el in QUARTIC_STRATA})
     rows = {}
@@ -1012,58 +972,48 @@ def _normalized_gram(vectors) -> tuple[np.ndarray, float]:
     return G, float(np.linalg.det(G))
 
 
+#: name, least ambient dimension and components of each tensor building
+#: block of the witness, and of each divergence building block
+_WITNESS_TENSORS = (
+    ("fialkow", 5, lambda p: p.fialkow.value),
+    ("tracefree_square", 5, lambda p: p.tracefree_square.value),
+    ("tracefree_norm2_g", 5, lambda p: p.tracefree_norm2.value * p.induced.value),
+    ("fialkow_trace_g", 6, lambda p: p.fialkow_trace.value * p.induced.value),
+)
+_WITNESS_DIVERGENCES = (
+    ("div_shape_weyl_full", 5, lambda p: _div_shape_weyl_full(p).value),
+    ("div_shape_weyl_trace", 6, lambda p: _div_shape_weyl_trace(p).value),
+)
+
+
 def linear_independence_witness(n: int, *, params=None) -> list[dict]:
     """Gram-matrix certification that the building blocks are independent.
 
     For each parameter sample the witness metric is evaluated at several
-    points of the 4-plane; the flattened components of the tensor set
-    (Fialkow, trace-free shape squared, its norm times the metric, and
-    for ``n >= 6`` the Fialkow trace times the metric) and of the
-    divergence set are stacked into vectors, normalized, and their Gram
-    determinants returned.  Strict positivity certifies independence;
-    the all-zero sample collapses both determinants to zero.
+    points of the 4-plane; the flattened components of each building block
+    of :data:`_WITNESS_TENSORS` and :data:`_WITNESS_DIVERGENCES` that
+    exists in dimension ``n`` are stacked into one vector per block,
+    normalized, and the Gram determinant of each set returned.  Strict
+    positivity certifies independence; the all-zero sample collapses both
+    determinants to zero.
     """
     if params is None:
         params = [(1.0, 1.0, 1.0, 1.0),
                   (0.7, -0.45, 0.6, 0.3),
                   (0.5, 0.8, -0.7, 0.4)]
+    patch = _witness_patch(n)
     results = []
     for s, t, u, v in params:
         g = witness_metric(n, s, t, u, v)
-        patch = _witness_patch(n)
-        tens = {"fialkow": [], "tracefree_square": [], "tracefree_norm2_g": []}
-        if n >= 6:
-            tens["fialkow_trace_g"] = []
-        divs = {"div_shape_weyl_full": []}
-        if n >= 6:
-            divs["div_shape_weyl_trace"] = []
-        for pt in _WITNESS_POINTS:
-            p = SubmanifoldPack(g, patch, list(pt))
-            h = np.asarray(p.induced.value)
-            tens["fialkow"].append(np.asarray(p.fialkow.value).ravel())
-            tens["tracefree_square"].append(
-                np.asarray(p.tracefree_square.value).ravel())
-            tens["tracefree_norm2_g"].append(
-                (float(p.tracefree_norm2.value) * h).ravel())
-            if n >= 6:
-                tens["fialkow_trace_g"].append(
-                    (float(p.fialkow_trace.value) * h).ravel())
-            divs["div_shape_weyl_full"].append(
-                [float(_div_shape_weyl_full(p).value)])
-            if n >= 6:
-                divs["div_shape_weyl_trace"].append(
-                    [float(_div_shape_weyl_trace(p).value)])
-        tvecs = [np.concatenate(tens[nm]) for nm in tens]
-        dvecs = [np.concatenate(divs[nm]) for nm in divs]
-        tG, tdet = _normalized_gram(tvecs)
-        dG, ddet = _normalized_gram(dvecs)
-        results.append({
-            "params": (s, t, u, v),
-            "tensor_names": tuple(tens),
-            "tensor_gram": tG,
-            "tensor_det": tdet,
-            "divergence_names": tuple(divs),
-            "divergence_gram": dG,
-            "divergence_det": ddet,
-        })
+        packs = [SubmanifoldPack(g, patch, list(pt)) for pt in _WITNESS_POINTS]
+        row = {"params": (s, t, u, v)}
+        for kind, table in (("tensor", _WITNESS_TENSORS),
+                            ("divergence", _WITNESS_DIVERGENCES)):
+            blocks = [(nm, comps) for nm, least, comps in table if n >= least]
+            gram, det = _normalized_gram(
+                [np.concatenate([np.ravel(comps(p)) for p in packs])
+                 for _, comps in blocks])
+            row.update({f"{kind}_names": tuple(nm for nm, _ in blocks),
+                        f"{kind}_gram": gram, f"{kind}_det": det})
+        results.append(row)
     return results

@@ -151,10 +151,6 @@ class Polynomial:
         out[..., pos] = shifted[..., keep]
         return Jets(spc, out)
 
-    def coefficient(self, alpha) -> np.ndarray:
-        q = [tuple(m) for m in self.mindex].index(tuple(alpha))
-        return self.coeffs[..., q]
-
 
 def _as_matrix_jets(rows, n, spc) -> Jets:
     if isinstance(rows, Jets):
@@ -306,11 +302,15 @@ def sphere_chart_metric(n: int, radius: float = 1.0) -> MetricField:
 
 def hyperbolic_half_space_metric(n: int) -> MetricField:
     """Upper half space x^n > 0 with components (x^n)^{-2} delta_{ab}."""
+    name = "hyperbolic-half-space"
 
     def log_factor(xs):
+        if not float(xs[n - 1].value) > 0.0:
+            raise GeometryError(f"{name}: point {[float(x.value) for x in xs]}"
+                                f" is off the half space x^n > 0 (n = {n})")
         return -(xs[n - 1].log())
 
-    return conformal_metric(n, log_factor, name="hyperbolic-half-space")
+    return conformal_metric(n, log_factor, name=name)
 
 
 def conformally_rescaled(g: MetricField, upsilon,

@@ -111,6 +111,12 @@ def _div_shape_deflection(p) -> Jets:
 
 
 @per_pack
+def _div_shape_weyl_trace(p) -> Jets:
+    """The divergence term of :func:`div_shape_weyl_b`."""
+    return p.divergence(jet_einsum("abr,br->a", _l0_mixed(p), _w_tn_trace(p)))
+
+
+@per_pack
 def _deflection_dot_weyl(p) -> Jets:
     """``D^{a r} W_{a r}`` against the tangent-normal Weyl trace."""
     return jet_einsum("ar,ar->", _deflection_up(p), _w_tn_trace(p))
@@ -191,12 +197,10 @@ def div_shape_weyl_b(p: SubmanifoldPack, route: str = "divergence") -> Jets:
     Vanishes identically in codimension one.
     """
     k = p.k
-    wtn = _w_tn_trace(p)
     if route == "divergence":
-        V = jet_einsum("abr,br->a", _l0_mixed(p), wtn)
-        return p.divergence(V) + (k - 4) * _deflection_dot_weyl(p)
+        return _div_shape_weyl_trace(p) + (k - 4) * _deflection_dot_weyl(p)
     if route == "expanded":
-        dwtn = p.tangential_cov_deriv(wtn, "tn")
+        dwtn = p.tangential_cov_deriv(_w_tn_trace(p), "tn")
         t1 = jet_einsum("abr,abr->", p.second_tracefree_up, dwtn)
         return t1 - 3.0 * _deflection_dot_weyl(p) - _wtn_square(p)
     raise ValueError(f"unknown route {route!r}")
@@ -685,9 +689,9 @@ def _div_shape(p) -> Jets:
 
 
 @per_pack
-def _double_div_shape_square(p) -> Jets:
-    """``nabla^b nabla^a (L0^2)_{a b}``."""
-    return p.divergence(p.divergence(p.tracefree_square, "tt"))
+def _double_div(p, name: str) -> Jets:
+    """``nabla^b nabla^a T_{a b}`` of the pack's 2-tensor ``name``."""
+    return p.divergence(p.divergence(getattr(p, name), "tt"))
 
 
 def transverse_weyl_quartic_a(p: SubmanifoldPack,
@@ -716,7 +720,7 @@ def transverse_weyl_quartic_a(p: SubmanifoldPack,
         if n != k + 1:
             raise GeometryError("the specialized display is codimension one")
         lap_l2 = _laplacian(p, "tracefree_norm2")
-        double_div = _double_div_shape_square(p)
+        double_div = _double_div(p, "tracefree_square")
         t3 = _shape_dot_dweyl_trace(p)
         t4 = (k - 2) / (k - 1) ** 2 * p.norm2(_div_shape(p), "tn")
         t5 = -(k - 2) / (k - 3) * _pair(p, "intrinsic_schouten",
@@ -752,7 +756,7 @@ def transverse_weyl_quartic_b(p: SubmanifoldPack,
         t3 = jet_einsum("abr,abr->", p.second_tracefree_up, ddH)
         t4 = jet_einsum("ab,ab->", _mean_contracted_shape(p),
                         p.intrinsic_schouten)
-        t5 = -_double_div_shape_square(p) / (k - 3)
+        t5 = -_double_div(p, "tracefree_square") / (k - 3)
         t6 = ((k - 5) / (2.0 * (k - 3) * (k - 6))
               * _laplacian(p, "tracefree_norm2"))
         t7 = (-p.intrinsic_jtrace * p.tracefree_norm2

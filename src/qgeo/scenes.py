@@ -178,12 +178,12 @@ def random_polynomial_metric(n: int, seed: int,
     return MetricField(n, poly, name=f"random-metric(n={n},seed={seed})")
 
 
-def random_upsilon(n: int, seed: int, degree: int = 4,
-                   amplitude: float = 0.3) -> Polynomial:
-    """Random polynomial conformal factor of total degree <= ``degree``."""
+def random_upsilon(n: int, seed: int, degree: int = 4) -> Polynomial:
+    """Random polynomial conformal factor of total degree <= ``degree``,
+    coefficients uniform in [-0.3, 0.3]."""
     rng = np.random.default_rng(seed)
     M = len(_multi_indices(n, degree))
-    return Polynomial(n, degree, rng.uniform(-amplitude, amplitude, size=M))
+    return Polynomial(n, degree, rng.uniform(-0.3, 0.3, size=M))
 
 
 def random_scene(k: int, n: int, seed: int) -> Scene:

@@ -7,6 +7,8 @@ conventions one slot at a time.  Randomized polynomial metrics then drive
 the full identity-residual suite.
 """
 
+import re
+
 import numpy as np
 import pytest
 
@@ -59,6 +61,17 @@ def test_hyperbolic_half_space_curvature():
     assert np.allclose(pack.schouten.value, -g / 2, atol=1e-11)
     assert np.max(np.abs(pack.weyl.value)) < 1e-10
     assert np.max(np.abs(pack.cotton.value)) < 1e-10
+
+
+@pytest.mark.parametrize("xn", [0.0, -1.0])
+@pytest.mark.parametrize("param", [False, True])
+def test_hyperbolic_half_space_rejects_points_off_it(xn, param):
+    # the log of x^n has no jet there; the error names the metric, the
+    # point and the half space instead of a bare FloatingPointError
+    with pytest.raises(GeometryError, match=re.escape(
+            f"hyperbolic-half-space: point [0.0, 0.0, {xn}] is off the half "
+            "space x^n > 0 (n = 3)")):
+        hyperbolic_half_space_metric(3).jets([0.0, 0.0, xn], 2, param=param)
 
 
 def _quadratic_factors(n, seed):

@@ -91,6 +91,27 @@ def test_witness_gram_determinants_positive(n):
     assert unit and unit[0]["tensor_det"] > 1e-12
 
 
+@pytest.mark.parametrize("n,tensors,divergences", [
+    (5, ("fialkow", "tracefree_square", "tracefree_norm2_g"),
+     ("div_shape_weyl_full",)),
+    (6, ("fialkow", "tracefree_square", "tracefree_norm2_g", "fialkow_trace_g"),
+     ("div_shape_weyl_full", "div_shape_weyl_trace")),
+    (7, ("fialkow", "tracefree_square", "tracefree_norm2_g", "fialkow_trace_g"),
+     ("div_shape_weyl_full", "div_shape_weyl_trace")),
+])
+def test_witness_sets_per_dimension(n, tensors, divergences):
+    # the Fialkow trace times the metric and the normal-traced Weyl
+    # divergence join the sets from codimension two on
+    rows = cf.linear_independence_witness(n, params=[(0.7, -0.45, 0.6, 0.3)])
+    assert list(rows[0]) == ["params", "tensor_names", "tensor_gram",
+                             "tensor_det", "divergence_names",
+                             "divergence_gram", "divergence_det"]
+    assert rows[0]["tensor_names"] == tensors
+    assert rows[0]["divergence_names"] == divergences
+    assert rows[0]["tensor_gram"].shape == (len(tensors),) * 2
+    assert rows[0]["divergence_gram"].shape == (len(divergences),) * 2
+
+
 def test_witness_gram_collapses_without_curvature():
     row = cf.linear_independence_witness(
         6, params=[(0.0, 0.0, 0.0, 0.0)])[0]
@@ -312,6 +333,38 @@ def test_linear_rescale_is_the_exponential_on_the_parameter_pack():
     tu = pp.chart_jets[pp.n] * eng._upsilon_on(pp)
     for w in (2.0, -4.0, 1.3):
         assert np.array_equal((w * tu).exp().coeffs, (1.0 + w * tu).coeffs)
+
+
+def test_scale_is_the_rescale_factor_of_each_built_pack(monkeypatch):
+    # 1 + w t Upsilon on the parameter pack, with no jet exponential, and
+    # exp(w s Upsilon) on the finite pack at s, both to the last bit
+    sc = scene(4, 5, 2)
+    eng = cf._Engine(sc.metric, sc.patch, sc.point, random_upsilon(5, seed=4))
+    pp = eng.param
+    tu = pp.chart_jets[pp.n] * eng._upsilon_on(pp)
+    calls = []
+    exp = Jets.exp
+    monkeypatch.setattr(Jets, "exp", lambda self: calls.append(1) or exp(self))
+    got = {w: eng.scale(pp, w) for w in (2.0, -4.0, 1.3)}
+    assert calls == []
+    for w, jet in got.items():
+        assert np.array_equal(jet.coeffs, exp(w * tu).coeffs)
+    for s in (1e-4, -1e-4, 0.1, -0.07):
+        u = eng._upsilon_on(eng.finite(s))
+        for w in (2.0, -4.0, 1.3):
+            assert np.array_equal(eng.scale(eng.finite(s), w).coeffs,
+                                  exp(w * (s * u)).coeffs)
+
+
+def test_scale_names_a_pack_the_engine_did_not_build():
+    sc = scene(4, 5, 2)
+    eng = cf._Engine(sc.metric, sc.patch, sc.point, random_upsilon(5, seed=4))
+    other = cf._Engine(sc.metric, sc.patch, sc.point, random_upsilon(5, seed=5))
+    with pytest.raises(ValueError, match=r"the parameter pack of "
+                       r"rescaled\(.*\) at \[.*\] was not built"):
+        eng.scale(other.param, 2.0)
+    with pytest.raises(ValueError, match="plain pack"):
+        eng.scale(eng.base, 2.0)
 
 
 def test_nilpotent_route_forms_no_exponential(monkeypatch):

@@ -2,6 +2,7 @@
 every console script the project declares must import.  Importing the
 package runs no scipy package."""
 
+import ast
 import importlib.util
 import os
 import pkgutil
@@ -59,3 +60,57 @@ def test_missing_sparsetools_extension_names_where_it_looked(monkeypatch, tmp_pa
     monkeypatch.setattr(importlib.util, "find_spec", lambda name: fake)
     with pytest.raises(ImportError, match=re.escape(str(tmp_path / "sparse"))):
         jets._load_csr_matvecs()
+
+
+def _sources():
+    return {path.stem: ast.parse(path.read_text())
+            for path in sorted(Path(qgeo.__file__).parent.glob("*.py"))}
+
+
+def _loaded_names(tree):
+    """Every name the module reads, attribute names and ``__all__`` entries
+    included."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif (isinstance(node, ast.Assign)
+              and any(getattr(t, "id", None) == "__all__" for t in node.targets)):
+            out.update(ast.literal_eval(node.value))
+    return out
+
+
+def test_every_import_is_used():
+    # no linter runs on the package, so a stale import is caught here
+    stale = []
+    for module, tree in _sources().items():
+        used = _loaded_names(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [a.asname or a.name.split(".")[0] for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                names = [a.asname or a.name for a in node.names]
+            else:
+                continue
+            stale += [f"{module}: {nm}" for nm in names if nm not in used]
+    assert not stale, f"unused imports: {stale}"
+
+
+def test_every_private_helper_is_referenced():
+    # a `_`-prefixed module-level function or method that nothing in the
+    # package names is a helper left behind
+    trees = _sources()
+    used = set().union(*(_loaded_names(t) for t in trees.values()))
+    used |= {a.name for t in trees.values() for node in ast.walk(t)
+             if isinstance(node, ast.ImportFrom) for a in node.names}
+    dead = []
+    for module, tree in trees.items():
+        scopes = [tree.body] + [node.body for node in tree.body
+                                if isinstance(node, ast.ClassDef)]
+        dead += [f"{module}.{node.name}" for body in scopes for node in body
+                 if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                 and node.name.startswith("_") and not node.name.endswith("__")
+                 and node.name not in used]
+    assert not dead, f"unreferenced private helpers: {dead}"
