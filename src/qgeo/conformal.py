@@ -189,16 +189,17 @@ def _gap(a, b) -> float:
 class _Engine:
     """Shared pack plumbing for one (metric, patch, point, Upsilon) setup.
 
-    Builds, each on first use, the base pack, the nilpotent-parameter pack
-    and the finite-parameter packs (finite rescales and the central
-    differences of the cross-check), so a batch of reports doesn't rebuild
-    them per quantity.  Every pack carries ``PACK_ORDER``.
+    Builds, each on first use, the nilpotent-parameter pack and the
+    finite-parameter packs (finite rescales and the central differences of
+    the cross-check), so a batch of reports doesn't rebuild them per
+    quantity.  Every pack carries ``PACK_ORDER``.  The ``t^0`` coefficient
+    of a parameter-pack jet, its ``.value``, is the unrescaled value, so
+    the laws and the restriction data of ``Upsilon`` are read there too.
 
     ``Upsilon`` (any callable on a list of coordinate jets) is evaluated on
     the ambient coordinate variables at each pack's point and pulled back
     by ``pack.pull`` like every ambient tensor, once per pack, and both
-    jets are kept on the engine (:meth:`_upsilon_jets`): engines with
-    different factors may share one base pack.
+    jets are kept on the engine (:meth:`_upsilon_jets`).
 
     Every variation has one signature, ``(evaluator, weight)``: the
     variation of ``evaluator(pack)`` compensated by ``exp(-weight t
@@ -219,10 +220,6 @@ class _Engine:
         self._restricted = {}
 
     # --- packs ---
-    @cached_property
-    def base(self) -> SubmanifoldPack:
-        return SubmanifoldPack(self.metric, self.patch, self.point)
-
     @property
     def param(self) -> SubmanifoldPack:
         return self.finite(None)
@@ -249,10 +246,10 @@ class _Engine:
         """``Upsilon`` pulled back to ``pack`` (order ``pack.order``)."""
         return self._upsilon_jets(pack)[1]
 
-    # --- restriction data of Upsilon on the base pack ---
+    # --- restriction data of Upsilon, read at t^0 of the parameter pack ---
     @cached_property
     def restriction(self) -> SimpleNamespace:
-        p = self.base
+        p = self.param
         n = p.n
         u_x, u_y = self._upsilon_jets(p)
         du_x = jets_stack([u_x.deriv(a) for a in range(n)])
@@ -340,17 +337,6 @@ def _engine_for(scene: Scene, upsilon, seed) -> _Engine:
     return _Engine(scene.metric, scene.patch, scene.point, upsilon)
 
 
-def _engines_sharing_base(scene: Scene, upsilons, seed=0) -> list[_Engine]:
-    """One engine of ``scene`` per factor, all on the first one's base pack.
-
-    The base pack does not depend on ``Upsilon``, so it is built once.
-    """
-    engines = [_engine_for(scene, ups, seed) for ups in upsilons]
-    for eng in engines[1:]:
-        eng.base = engines[0].base
-    return engines
-
-
 def linearize(evaluator, metric, patch, upsilon, weight, *, point=None,
               analytic=None, name="quantity") -> LinearizationReport:
     """First conformal variation of ``evaluator``'s stored components.
@@ -383,7 +369,7 @@ def ambient_law_reports(scene: Scene, upsilon=None, *,
     weights follow the normal-slot count of each projection pattern.
     """
     eng = _engine_for(scene, upsilon, seed)
-    p, r = eng.base, eng.restriction
+    p, r = eng.param, eng.restriction
     n = p.n
     wu = jet_einsum("abcd,d->abc", p.pulled("weyl"), r.ambient_up)
     # tensor, pattern, weight, tensor whose projection the law subtracts
@@ -417,7 +403,7 @@ def submanifold_law_reports(scene: Scene, upsilon=None, *,
     curvature varies by minus the normal gradient.
     """
     eng = _engine_for(scene, upsilon, seed)
-    p, r = eng.base, eng.restriction
+    p, r = eng.param, eng.restriction
     normal = np.asarray(r.normal.value)
     induced = np.asarray(p.induced.value)
     reports = [
@@ -476,7 +462,7 @@ def derivative_law_reports(scene: Scene, upsilon=None, *,
     Every variation is cross-checked by central differences.
     """
     eng = _engine_for(scene, upsilon, seed)
-    p, r = eng.base, eng.restriction
+    p, r = eng.param, eng.restriction
     w = 1.3  # generic, so no weight-dependent term of a law drops out
     k = p.k
     gl = np.asarray(r.grad.value)
@@ -526,7 +512,7 @@ _LEMMA_ROWS = (
 
 def _lemma_laws(eng: _Engine) -> list[np.ndarray]:
     """The analytic variation of each :data:`_LEMMA_ROWS` quantity."""
-    p, r = eng.base, eng.restriction
+    p, r = eng.param, eng.restriction
     n = p.n
     gu = np.asarray(r.grad_up.value)
     w4 = p.block("weyl", "tttt")
@@ -553,7 +539,8 @@ def check_tangential_dependence(scene: Scene, upsilon=None, *,
     pullback of ``Upsilon`` does (the re-run needs no laws).
     """
     normal_only = transverse_vanishing_upsilon(scene, 0, seed=seed + 101)
-    eng, eng0 = _engines_sharing_base(scene, [upsilon, normal_only], seed)
+    eng = _engine_for(scene, upsilon, seed)
+    eng0 = _engine_for(scene, normal_only, seed)
     reports = [eng.report(nm, ev, w, analytic=law)
                for (nm, ev, w), law in zip(_LEMMA_ROWS, _lemma_laws(eng))]
     silent = [float(np.max(np.abs(eng0.nilpotent(ev, w))))
@@ -593,7 +580,7 @@ def check_invariance(scene: Scene, upsilon=None, *, seed=0) -> dict:
     must vanish.  A few non-scalar sanity quantities ride along.
     """
     eng = _engine_for(scene, upsilon, seed)
-    p0 = eng.base
+    p0 = eng.param
     k = p0.k
     rows = [(nm, lambda q, nm=nm: evaluate(q, nm), REGISTRY[nm].weight_at(k))
             for nm in CONFORMALLY_INVARIANT if nm in available(k, p0.n)]
@@ -647,12 +634,12 @@ def check_q_transformation(scenes=None, *, seed: int = 0) -> dict:
                     random_upsilon(n, seed=seed + 8, degree=3)]
         if sc.name.startswith("equatorial"):
             ups_list.append(_bump_factor(0.3))
-        engines = _engines_sharing_base(sc, ups_list)
-        p0 = engines[0].base
+        p0 = SubmanifoldPack(sc.metric, sc.patch, sc.point)
         qname = _q_name(k)
         q0 = float(evaluate(p0, qname).value)
         worst = 0.0
-        for eng in engines:
+        for ups in ups_list:
+            eng = _Engine(sc.metric, sc.patch, sc.point, ups)
             u0 = eng._upsilon_on(p0)
             lhs = (np.exp(k * float(u0.value))
                    * float(evaluate(eng.finite(1.0), qname).value))
@@ -682,17 +669,15 @@ def check_homogeneity(scene: Scene) -> dict:
 
     Probed at ``c = 2`` and ``c = 1/3`` on every available invariant.
     """
-    cs = (2.0, 1.0 / 3.0)
-    engines = _engines_sharing_base(
-        scene, [lambda xs, c=c: 0.0 * xs[0] + float(np.log(c)) for c in cs])
-    p0 = engines[0].base
+    p0 = SubmanifoldPack(scene.metric, scene.patch, scene.point)
     k = p0.k
     names = sorted(available(k, p0.n))
     base = {nm: float(evaluate(p0, nm).value) for nm in names}
     scal0 = float(p0.ambient.scal.value)
     out = {}
-    for c, eng in zip(cs, engines):
-        ph = eng.finite(1.0)
+    for c in (2.0, 1.0 / 3.0):
+        ups = lambda xs, c=c: 0.0 * xs[0] + float(np.log(c))
+        ph = _Engine(scene.metric, scene.patch, scene.point, ups).finite(1.0)
         worst = 0.0
         for nm in names:
             w = REGISTRY[nm].weight_at(k)
@@ -723,7 +708,7 @@ def quartic_term_reports(scene: Scene, upsilon=None, *,
     metric derivatives included.
     """
     eng = _engine_for(scene, upsilon, seed)
-    p, r = eng.base, eng.restriction
+    p, r = eng.param, eng.restriction
     gu, gl = r.grad_up, r.grad
 
     lap2 = p.tangential_laplacian(r.laplacian)

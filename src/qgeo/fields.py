@@ -179,11 +179,11 @@ class MetricField:
 
     def jets(self, point, order: int, param: bool = False) -> Jets:
         """Metric component jets at ``point``: the whole jet must be symmetric
-        to 1e-10 of ``max(1, max |G|)``, and the value positive definite."""
+        to 1e-10 of ``max |G|``, and the value positive definite."""
         xs = variables(point, order, param=param)
         G = self(xs)
         c = G.coeffs
-        if np.abs(c - c.swapaxes(0, 1)).max() > 1e-10 * max(1.0, np.abs(c).max()):
+        if np.abs(c - c.swapaxes(0, 1)).max() > 1e-10 * np.abs(c).max():
             raise GeometryError(f"{self.name}: components not symmetric at {point}")
         try:
             np.linalg.cholesky(G.value)
@@ -245,7 +245,7 @@ class ImmersedPatch:
             # first partials: the coefficients of the unit monomials
             units = np.eye(self.k + param, dtype=np.int64)[: self.k]
             diff = X.coeffs[:, X.space.positions(units)]
-            if np.linalg.matrix_rank(diff, tol=1e-10) < self.k:
+            if np.linalg.matrix_rank(diff, rtol=1e-10) < self.k:
                 raise GeometryError(
                     f"{self.name}: differential rank-deficient at {point}"
                 )

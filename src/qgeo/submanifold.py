@@ -190,7 +190,7 @@ class SubmanifoldPack:
                 coef = jet_einsum("a,a->", jet_einsum("a,ab->b", w, g), prev)
                 w = w - coef * prev
             norm2 = jet_einsum("a,a->", jet_einsum("a,ab->b", w, g), w)
-            if norm2.value <= 1e-20:
+            if norm2.value <= 1e-20 * g.value[b, b]:
                 raise GeometryError(
                     f"{self.patch.name}: degenerate normal candidates at "
                     f"{self.point}"

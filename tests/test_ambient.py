@@ -232,15 +232,19 @@ def test_low_dimension_raises_geometry_error():
         curvature_pack(flat_metric(2), np.zeros(2))
 
 
-@pytest.mark.parametrize("case", ["value", "jet"])
+@pytest.mark.parametrize("case", ["value", "jet", "small"])
 def test_asymmetric_metric_rejected(case):
-    # a value asymmetry of 5e-6 (below allclose's relative tolerance) and a
-    # symmetric value whose first-order jet is asymmetric by 0.3
+    # a value asymmetry of 5e-6 (below allclose's relative tolerance), a
+    # symmetric value whose first-order jet is asymmetric by 0.3, and a
+    # value at scale 1e-12 whose off-diagonal is asymmetric by 50 %
     def fn(xs):
         z = 0.0 * xs[0]
         if case == "value":
             return [[3.0 + z, 1.0 + z, z], [1.0 + 5e-6 + z, 3.0 + z, z],
                     [z, z, 1.0 + z]]
+        if case == "small":
+            return [[3e-12 + z, 1e-12 + z, z], [1.5e-12 + z, 3e-12 + z, z],
+                    [z, z, 1e-12 + z]]
         return [[1.0 + z, 0.3 * xs[2], z], [z, 1.0 + z, z], [z, z, 1.0 + z]]
 
     with pytest.raises(GeometryError, match="not symmetric"):

@@ -24,11 +24,12 @@ import qgeo.conformal as cf
 from qgeo import jets
 from qgeo.fields import (
     ImmersedPatch,
+    MetricField,
     conformally_rescaled,
     flat_metric,
     sphere_chart_metric,
 )
-from qgeo.invariants import available, evaluate
+from qgeo.invariants import REGISTRY, available, evaluate, evaluate_all
 from qgeo.jets import PACK_ORDER, Jets, variables
 from qgeo.scenes import affine_plane, random_scene, random_upsilon
 from qgeo.submanifold import SubmanifoldPack
@@ -231,10 +232,10 @@ def test_trace_adjusted_laws_and_tangential_dependence(k, n, seed):
     assert out["schouten_pullback_zero"] < 1e-12
 
 
-def test_tangential_battery_shares_the_base_pack(monkeypatch):
-    # the base pack does not depend on Upsilon, so both engines of the
-    # battery use one; with every variation exact, the other two builds
-    # are the engines' parameter packs
+def test_tangential_battery_builds_one_pack_per_engine(monkeypatch):
+    # every variation is exact and the laws are read at t^0 of the
+    # parameter pack, so each of the battery's two engines builds only
+    # its parameter pack
     builds = []
     init = SubmanifoldPack.__init__
 
@@ -244,7 +245,7 @@ def test_tangential_battery_shares_the_base_pack(monkeypatch):
 
     monkeypatch.setattr(SubmanifoldPack, "__init__", counting_init)
     out = cf.check_tangential_dependence(random_scene(4, 5, 2))
-    assert len(builds) == 3
+    assert len(builds) == 2
     assert out["tangential_zero_max"] < 1e-7
 
 
@@ -265,11 +266,17 @@ def test_silent_tangential_run_builds_no_restriction(monkeypatch):
 
 
 def test_batteries_at_one_point_share_two_charts(monkeypatch):
-    # the chart map does not depend on the metric: the base, finite and
+    # the chart map does not depend on the metric: the plain, finite and
     # parameter packs of all four batteries at one point share the plain
-    # and the parameter chart, and their Composer tables
-    charts, tables = [], []
+    # and the parameter chart, and their Composer tables.  The packs are
+    # 3 of the invariance battery (parameter, t = 0.1, -0.07), 2 of the
+    # tangential one (two parameter), 6 of the strata one (one parameter
+    # pack per factor) and 3 of the Q one (plain, two at t = 1)
+    charts, tables, packs = [], [], []
     chart_jets, monomial_table = ImmersedPatch.jets, jets.monomial_table
+    init = SubmanifoldPack.__init__
+    monkeypatch.setattr(SubmanifoldPack, "__init__", lambda self, *a, **kw: (
+        packs.append(a) or init(self, *a, **kw)))
     monkeypatch.setattr(ImmersedPatch, "jets", lambda self, *a, **kw: (
         charts.append(a) or chart_jets(self, *a, **kw)))
     monkeypatch.setattr(jets, "monomial_table", lambda *a: (
@@ -281,18 +288,19 @@ def test_batteries_at_one_point_share_two_charts(monkeypatch):
     cf.check_q_transformation(scenes=[sc], seed=2)
     assert len(charts) == 2
     assert len(tables) <= 10
+    assert len(packs) == 14
 
 
 @pytest.mark.parametrize("battery,calls", [
     (cf.check_invariance, 4),
-    (cf.ambient_law_reports, 3),
-    (cf.quartic_term_reports, 3),
+    (cf.ambient_law_reports, 2),
+    (cf.quartic_term_reports, 2),
 ])
 def test_upsilon_is_restricted_once_per_pack(battery, calls):
     # one call per pack build of a rescaled metric and one per pack that
     # reads Upsilon, on the ambient coordinate variables at its point (the
-    # base pack for the restriction data, the parameter pack for
-    # Upsilon(x0)): Upsilon is not re-evaluated per report
+    # parameter pack serves both the restriction data and Upsilon(x0)):
+    # Upsilon is not re-evaluated per report
     ups = random_upsilon(5, seed=4)
     seen = []
 
@@ -315,7 +323,7 @@ def test_pulled_upsilon_is_the_chart_evaluation(factor):
            "transverse": cf.transverse_vanishing_upsilon(sc, 1),
            "bump": cf._bump_factor(0.3)}[factor]
     eng = cf._Engine(sc.metric, sc.patch, sc.point, ups)
-    for pack in (eng.base, eng.param):
+    for pack in (eng.param, eng.finite(0.1)):
         got = eng._upsilon_on(pack)
         chart = [pack.chart_jets[a] for a in range(pack.n)]
         want = ups(chart).truncate(PACK_ORDER)
@@ -364,7 +372,27 @@ def test_scale_names_a_pack_the_engine_did_not_build():
                        r"rescaled\(.*\) at \[.*\] was not built"):
         eng.scale(other.param, 2.0)
     with pytest.raises(ValueError, match="plain pack"):
-        eng.scale(eng.base, 2.0)
+        eng.scale(SubmanifoldPack(sc.metric, sc.patch, sc.point), 2.0)
+
+
+@pytest.mark.parametrize("k,n", [(2, 4), (3, 5), (4, 5), (4, 6), (4, 7)])
+def test_parameter_pack_values_are_the_plain_values(k, n):
+    # the engine reads every unrescaled value at t^0 of its parameter pack,
+    # so that slice must be the plain pack's value, with a metric that
+    # depends on the parameter.  Structural zeros (codimension one) sit at
+    # rounding level, so the bound is relative to the largest value
+    for seed in range(5):
+        sc = scene(k, n, seed)
+        pp = cf._Engine(sc.metric, sc.patch, sc.point,
+                        random_upsilon(n, seed=seed + 40)).param
+        plain = SubmanifoldPack(sc.metric, sc.patch, sc.point)
+        for got, want in ((evaluate_all(pp), evaluate_all(plain)),
+                          (pp.scalar_summary(), plain.scalar_summary())):
+            assert got.keys() == want.keys()
+            size = max(abs(v) for v in want.values())
+            for key in want:
+                assert abs(got[key] - want[key]) <= 1e-13 * size, (
+                    f"seed {seed}, {key}: {got[key]!r} vs {want[key]!r}")
 
 
 def test_nilpotent_route_forms_no_exponential(monkeypatch):
@@ -476,6 +504,24 @@ def test_homogeneity_weights(k, n, seed):
     for c, row in out.items():
         assert row["worst"] < 1e-9, f"c={c}: {row['worst']}"
         assert row["ambient_scalar"] < 1e-9, f"c={c}: {row['ambient_scalar']}"
+
+
+@pytest.mark.parametrize("k,n,seed", [(2, 4, 5), (4, 5, 7), (4, 6, 13)])
+def test_constant_scalings_far_from_one(k, n, seed):
+    # g -> c g multiplies each invariant by c^(w/2) at any scale: no guard
+    # may compare a scale-carrying quantity with an absolute threshold.
+    # Structural zeros (codimension one) sit at rounding level, so the
+    # bound is relative to the scene's largest value
+    sc = scene(k, n, seed)
+    want = evaluate_all(SubmanifoldPack(sc.metric, sc.patch, sc.point))
+    size = max(abs(v) for v in want.values())
+    for c in (1e-30, 1e-22, 1e22):
+        scaled = MetricField(n, lambda xs, c=c: c * sc.metric(xs), name="c*g")
+        got = evaluate_all(SubmanifoldPack(scaled, sc.patch, sc.point))
+        for nm, v in want.items():
+            unscaled = got[nm] * c ** (-REGISTRY[nm].weight_at(k) / 2)
+            assert abs(unscaled - v) <= 1e-13 * size, (
+                f"c={c}, {nm}: {unscaled!r} vs {v!r}")
 
 
 # -- quartic building blocks ---------------------------------------------------------

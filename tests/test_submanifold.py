@@ -333,27 +333,30 @@ def test_first_kind_symbols_built_once_per_metric(monkeypatch):
 
 
 def test_linear_reparameterization_invariance():
-    # precomposing the chart with an affine change of parameters moves the
-    # frames around but cannot change any scalar built from them
+    # precomposing the chart with an affine change of parameters, at any
+    # scale, moves the frames around but cannot change any scalar built
+    # from them, so the differential's rank test must not depend on scale
     sc = random_scene(3, 6, seed=17)
     k = sc.patch.k
     rng = np.random.default_rng(99)
-    A = np.eye(k) + 0.2 * rng.normal(size=(k, k))
+    A0 = np.eye(k) + 0.2 * rng.normal(size=(k, k))
     b = 0.1 * rng.normal(size=k)
+    s1 = submanifold_pack(sc).scalar_summary()
+    for scale in (1.0, 1e-12, 1e6):
+        A = scale * A0
 
-    def refn(ys):
-        zs = [sum(A[i, j] * ys[j] for j in range(k)) + b[i] for i in range(k)]
-        return sc.patch.fn(zs)
+        def refn(ys, A=A):
+            zs = [sum(A[i, j] * ys[j] for j in range(k)) + b[i]
+                  for i in range(k)]
+            return sc.patch.fn(zs)
 
-    y0p = np.linalg.solve(A, sc.point - b)
-    repatch = ImmersedPatch(k, sc.patch.n, refn, basepoint=y0p)
-    p1 = submanifold_pack(sc)
-    p2 = SubmanifoldPack(sc.metric, repatch)
-    s1, s2 = p1.scalar_summary(), p2.scalar_summary()
-    assert set(s1) == set(s2)
-    for key in s1:
-        assert abs(s1[key] - s2[key]) < 1e-9, (
-            f"{key}: {s1[key]:.12f} vs {s2[key]:.12f}")
+        y0p = np.linalg.solve(A, sc.point - b)
+        repatch = ImmersedPatch(k, sc.patch.n, refn, basepoint=y0p)
+        s2 = SubmanifoldPack(sc.metric, repatch).scalar_summary()
+        assert set(s1) == set(s2)
+        for key in s1:
+            assert abs(s1[key] - s2[key]) < 1e-9, (
+                f"scale {scale}, {key}: {s1[key]:.12f} vs {s2[key]:.12f}")
 
 
 def test_linearization_parameter_rides_through():
