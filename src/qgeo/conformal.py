@@ -630,6 +630,9 @@ def check_q_transformation(scenes=None, *, seed: int = 0) -> dict:
     results = {}
     for sc in scenes:
         k, n = sc.patch.k, sc.patch.n
+        if k not in (2, 4):
+            raise GeometryError(f"{sc.name}: extrinsic Q-curvature is "
+                                f"implemented for k in {{2, 4}}, not k = {k}")
         ups_list = [random_upsilon(n, seed=seed + 7),
                     random_upsilon(n, seed=seed + 8, degree=3)]
         if sc.name.startswith("equatorial"):

@@ -605,23 +605,27 @@ class Composer:
 
     ``coords`` is a batched ``Jets`` of shape ``(nvars_x,)`` in the target
     space whose values equal the basepoint at which the composed jets were
-    expanded (e.g. the immersion map's component jets).  The monomial tables
-    are cached per (source space, order), so pulling many ambient tensors
-    back along one immersion is a single matmul each.  Source monomials
-    beyond the order are dropped, which is exact when every displacement
-    has spatial degree >= 1.  On a parameter target a pure ``t`` term has
-    degree 0, so only the displacement of the source's own parameter may
-    carry one; any other raises ``ValueError`` when its table is built.
+    expanded (e.g. the immersion map's component jets).  One monomial table
+    is kept per source family ``(nvars, param)``, built at the highest
+    order pulled so far, so pulling many ambient tensors back along one
+    immersion is a single matmul each.  A pull at a lower order reads the
+    table's prefix block: truncation is a prefix slice in both spaces and
+    each product sums its pairs in the same order, so the block equals the
+    table built at that order bit for bit.  Source monomials beyond the
+    order are dropped, which is exact when every displacement has spatial
+    degree >= 1.  On a parameter target a pure ``t`` term has degree 0, so
+    only the displacement of the source's own parameter may carry one; any
+    other raises ``ValueError`` when its table is built.
     """
 
     def __init__(self, coords: Jets):
         self.coords = coords
         self._mons = {}
 
-    def _tables(self, msrc: JetSpace, r: int) -> np.ndarray:
-        key = (id(msrc), r)
-        if key not in self._mons:
-            coords = self.coords.truncate(r)
+    def _table(self, msrc: JetSpace) -> np.ndarray:
+        key = (msrc.nvars, msrc.param)  # built to at least msrc's order
+        if key not in self._mons or len(self._mons[key]) < msrc.size:
+            coords = self.coords.truncate(msrc.order)
             tgt = coords.space
             disp = coords.coeffs.copy()
             disp[:, 0] = 0.0  # nilpotent displacements u_i - u_i(0)
@@ -631,7 +635,7 @@ class Composer:
                 if len(pure_t):
                     raise ValueError(
                         f"compose: coordinate jets {pure_t.tolist()} have a pure t "
-                        f"term, so source monomials beyond order {r} would "
+                        f"term, so source monomials beyond order {msrc.order} would "
                         "contribute; only the source's own parameter may")
             self._mons[key] = monomial_table(Jets(tgt, disp), msrc)
         return self._mons[key]
@@ -645,7 +649,7 @@ class Composer:
         r = min(f.order, self.coords.order)
         fsub = f.truncate(r)
         tgt = self.coords.truncate(r).space
-        mons = self._tables(fsub.space, r)
+        mons = self._table(fsub.space)[: fsub.space.size, : tgt.size]
         return Jets(tgt, fsub.coeffs @ mons)
 
 

@@ -112,8 +112,11 @@ class SubmanifoldPack:
     ``order`` is the ambient metric jet order, ``PACK_ORDER``; the chart map
     (whose ``Composer`` is :attr:`pull`) is expanded at ``order + 1`` by
     :meth:`ImmersedPatch.chart`, so every pack at one patch point shares
-    the chart and its tables.  With ``param=True`` every jet carries the
-    extra first-order parameter variable used for conformal linearization.
+    the chart and its tables.  :attr:`induced` is at ``order``; the frames
+    (:attr:`induced_inv`, :attr:`normal_frame`, :attr:`normal_coframe`) are
+    at ``order - 1``, the highest order any consumer reads.  With
+    ``param=True`` every jet carries the extra first-order parameter
+    variable used for conformal linearization.
     """
 
     def __init__(self, metric: MetricField, patch: ImmersedPatch, point=None,
@@ -159,42 +162,50 @@ class SubmanifoldPack:
 
     @cached_property
     def induced_inv(self) -> Jets:
-        return inverse_metric_jets(self.induced)
+        """Inverse induced metric, to ``order - 1`` (class docstring)."""
+        return inverse_metric_jets(self.induced.truncate(self.order - 1))
 
     @cached_property
     def tangent_projector(self) -> Jets:
-        """Projection ``P[a, b]`` (one index up, one down) onto the tangent."""
+        """Projection ``P[a, b]`` (one index up, one down) onto the tangent;
+        read only by :func:`frame_residuals`, as an independent route."""
         u = jet_einsum("ia,ij->ja", self.tangent_frame, self.induced_inv)
         v = jet_einsum("jc,cb->jb", self.tangent_frame, self.pulled("g"))
         return jet_einsum("ja,jb->ab", u, v)
 
     @cached_property
-    def normal_frame(self) -> Jets:
-        """Orthonormal normal vectors ``N[r, a]``.
+    def normal_picks(self) -> list[int]:
+        """The ``n - k`` coordinates ``b`` whose normally projected vectors,
+        the rows of ``I - P^T``, seed :attr:`normal_frame`: the largest
+        projection norms at the basepoint, ties broken by index."""
+        e, g = self.tangent_frame.value, self.pulled("g").value
+        cand = np.eye(self.n) - (e @ g).T @ (self.induced_inv.value.T @ e)
+        score = np.einsum("ba,ac,bc->b", cand, g, cand)
+        return sorted(range(self.n), key=lambda b: (-score[b], b))[: self.n - self.k]
 
-        Built by Gram–Schmidt on the normally-projected coordinate vectors,
-        taking the ``n - k`` candidates with the largest projection norm at
-        the basepoint (ties broken by coordinate index), so the frame choice
-        is deterministic and stable under small perturbations.
+    @cached_property
+    def normal_frame(self) -> Jets:
+        """Orthonormal normal vectors ``N[r, a]``, to ``order - 1``.
+
+        Gram–Schmidt on the candidates of :attr:`normal_picks`, so the
+        frame choice is deterministic and stable under small perturbations.
+        Only the picked candidates are formed as jets.
         """
-        n, k = self.n, self.k
-        cand = (constant(np.eye(n), self.tangent_projector.space)
-                - jet_trace(self.tangent_projector, "ab->ba"))
-        g = self.pulled("g")
-        score = np.einsum("ba,ac,bc->b", cand.value, g.value, cand.value)
-        picks = sorted(range(n), key=lambda b: (-score[b], b))[: n - k]
+        picks = self.normal_picks
+        e, g = self.tangent_frame, self.pulled("g").truncate(self.order - 1)
+        u = jet_einsum("ia,ij->ja", e, self.induced_inv)
+        cands = constant(np.eye(self.n)[picks], u.space) - jet_einsum(
+            "ja,jb->ba", u, jet_einsum("jc,cb->jb", e, g[:, picks]))
         frame = []
-        for b in picks:
-            w = cand[b]
+        for m, b in enumerate(picks):
+            w = cands[m]
             for prev in frame:
                 coef = jet_einsum("a,a->", jet_einsum("a,ab->b", w, g), prev)
                 w = w - coef * prev
             norm2 = jet_einsum("a,a->", jet_einsum("a,ab->b", w, g), w)
             if norm2.value <= 1e-20 * g.value[b, b]:
-                raise GeometryError(
-                    f"{self.patch.name}: degenerate normal candidates at "
-                    f"{self.point}"
-                )
+                raise GeometryError(f"{self.patch.name}: degenerate normal "
+                                    f"candidates at {self.point}")
             frame.append(w * norm2.sqrt().reciprocal())
         return jets_stack(frame)
 
@@ -528,7 +539,8 @@ def _relj(resid: Jets, *refs: Jets) -> float:
 
 
 def frame_residuals(pack: SubmanifoldPack) -> dict:
-    """Whole-jet residuals of the frame algebra (not just point values)."""
+    """Whole-jet residuals of the frame algebra (not just point values),
+    at the frames' order ``PACK_ORDER - 1``."""
     e, nf = pack.tangent_frame, pack.normal_frame
     g = pack.pulled("g")
     out = {}

@@ -19,7 +19,12 @@ order-4 metric jets of ``t4-in-s7`` (n = 7) at one node of the
 Gauss-Bonnet angle grid.  The last two time a cold start: ``import qgeo``
 in a fresh ``python -B`` interpreter (interpreter start-up included), and
 the 11 jet spaces one Gauss-Bonnet node builds, with their product and
-derivative tables, from a cleared multi-index cache.
+derivative tables, from a cleared multi-index cache.  Two more time the
+pullback and frame layers: the five pulls (``g``, ``gamma``, ``weyl``,
+``cotton``, ``bach``) of the ``t4-in-s7`` node's ambient pack through a
+fresh chart ``Composer``, table builds included, and ``normal_coframe`` of
+a fresh plain pack of ``random_scene(4, 6, 13)`` whose induced metric is
+already built.
 
 For an A/B against another checkout, run each side's own copy of this
 file from the root of its own tree.  ``pyproject.toml`` puts ``src`` on
@@ -54,6 +59,7 @@ from qgeo.jets import (
     variables,
 )
 from qgeo.scenes import random_scene, random_upsilon, t4_in_s7
+from qgeo.submanifold import SubmanifoldPack
 
 SCENE = random_scene(4, 5, seed=3)
 # a node of the 4^4 angle grid on T^4 (grid step pi/2)
@@ -165,3 +171,35 @@ def build_gb_node_tables():
 
 def test_jet_tables_of_a_gauss_bonnet_node(benchmark):
     benchmark.pedantic(build_gb_node_tables, rounds=10, iterations=1)
+
+
+#: the ambient tensors a Gauss-Bonnet node pulls back, of orders 4 down to 0
+GB_PULLS = ("g", "gamma", "weyl", "cotton", "bach")
+
+
+def test_pulls_through_a_fresh_gauss_bonnet_chart(benchmark, node_metric):
+    amb = CurvaturePack(node_metric, NODE.n)
+    fields = [getattr(amb, nm) for nm in GB_PULLS]
+    X = NODE.patch.jets(NODE.point, PACK_ORDER + 1)
+
+    def pull_all():
+        pull = Composer(X)
+        return [pull(f) for f in fields]
+
+    out = benchmark(pull_all)
+    assert [f.order for f in out] == [PACK_ORDER, 3, 2, 1, 0]
+
+
+FRAME_SCENE = random_scene(4, 6, seed=13)
+
+
+def fresh_frame_pack():
+    p = SubmanifoldPack(FRAME_SCENE.metric, FRAME_SCENE.patch, FRAME_SCENE.point)
+    p.induced  # the pull of g and the induced metric stay out of the timing
+    return (p,), {}
+
+
+def test_normal_coframe_of_a_fresh_pack(benchmark):
+    out = benchmark.pedantic(lambda p: p.normal_coframe, setup=fresh_frame_pack,
+                             rounds=200, iterations=1)
+    assert out.batch == (FRAME_SCENE.n - FRAME_SCENE.patch.k, FRAME_SCENE.n)

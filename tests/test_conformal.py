@@ -13,6 +13,7 @@ stratified vanishing of the quartic building blocks must be sharp (dead
 strata at zero, living strata visibly nonzero).
 """
 
+import re
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -23,6 +24,7 @@ from hypothesis import strategies as st
 import qgeo.conformal as cf
 from qgeo import jets
 from qgeo.fields import (
+    GeometryError,
     ImmersedPatch,
     MetricField,
     conformally_rescaled,
@@ -121,7 +123,6 @@ def test_witness_gram_collapses_without_curvature():
 
 
 def test_witness_needs_a_normal_direction():
-    from qgeo.fields import GeometryError
     with pytest.raises(GeometryError):
         cf.witness_metric(4, 1.0, 1.0, 1.0, 1.0)
 
@@ -493,6 +494,17 @@ def test_q_transformation_exactness_on_flat_surface():
     out = cf.check_q_transformation(scenes=[affine_plane(2, 4)], seed=1)
     row = out["affine-plane-2-4"]
     assert row["residual"] < 1e-12, f"flat surface law {row['residual']}"
+
+
+def test_q_transformation_rejects_other_dimensions_before_building(monkeypatch):
+    built = []
+    init = SubmanifoldPack.__init__
+    monkeypatch.setattr(SubmanifoldPack, "__init__", lambda self, *a, **kw: (
+        built.append(a) or init(self, *a, **kw)))
+    sc = random_scene(3, 5, 4)
+    with pytest.raises(GeometryError, match=f"{re.escape(sc.name)}.*k = 3"):
+        cf.check_q_transformation(scenes=[sc], seed=3)
+    assert built == []
 
 
 # -- uniform scalings ---------------------------------------------------------------

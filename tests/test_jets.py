@@ -8,10 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qgeo import jets
 from qgeo.jets import (
     ORDER_MAX,
+    PACK_ORDER,
     _multi_indices,
     BudgetError,
+    Composer,
     Jets,
     compose,
     constant,
@@ -589,6 +592,36 @@ def test_compose_chain_rule():
     got = compose(F, jets_stack(y))
     want = jet_of(full, point, order)
     assert np.allclose(got.coeffs, want.coeffs, atol=1e-10)
+
+
+@pytest.mark.parametrize("param", [False, True], ids=["plain", "parameter"])
+@pytest.mark.parametrize("sequence, builds", [([4, 3, 2, 1, 0], 1),
+                                              ([2, 0, 4, 3, 1], 2)])
+def test_composer_reads_lower_orders_off_one_table(monkeypatch, param,
+                                                   sequence, builds):
+    # sources of orders 0-4 pulled through one Composer: each lower pull
+    # reads a prefix block of the one table per source family, byte for
+    # byte what a fresh table built at the source's own order gives
+    from qgeo.scenes import random_scene
+    sc = random_scene(4, 5, 3)
+    coords = sc.patch.jets(sc.point, PACK_ORDER + 1, param=param)
+    rng = np.random.default_rng(11)
+    sources = {}
+    for r in range(PACK_ORDER + 1):
+        spc = space(sc.n + param, r, param)
+        sources[r] = Jets(spc, rng.normal(size=(3, spc.size)))
+    want = {r: compose(f, coords) for r, f in sources.items()}
+    tables = []
+    monomial_table = jets.monomial_table
+    monkeypatch.setattr(jets, "monomial_table", lambda *a: (
+        tables.append(a[1].order) or monomial_table(*a)))
+    pull = Composer(coords)
+    for r in sequence:
+        got = pull(sources[r])
+        assert got.space is want[r].space
+        assert np.array_equal(got.coeffs, want[r].coeffs), r
+    assert len(tables) == builds
+    assert tables[-1] == PACK_ORDER
 
 
 def test_nilpotent_parameter_linearizes():

@@ -20,11 +20,13 @@ from qgeo import ambient, jets, submanifold
 from qgeo.ambient import (
     CurvaturePack,
     connection_deriv,
+    inverse_metric_jets,
     levi_civita_connection,
     riemann_jets,
 )
 from qgeo.fields import GeometryError, ImmersedPatch, flat_metric, graph_patch
-from qgeo.jets import Jets, jet_einsum, jet_trace, jets_stack
+from qgeo.jets import PACK_ORDER, Jets, constant, jet_einsum, jet_trace, jets_stack
+from qgeo.invariants import evaluate_all
 from qgeo.scenes import random_scene, scene_by_name
 from qgeo.submanifold import (
     SubmanifoldPack,
@@ -165,6 +167,48 @@ def test_frame_construction_random(k, n):
     res = frame_residuals(p)
     worst = max(res, key=res.get)
     assert res[worst] < 1e-12, f"(k={k}, n={n}) {worst}: {res[worst]:.3e}"
+
+
+def _full_order_frame(p):
+    """Picks, frame and coframe of the construction at ``PACK_ORDER``: every
+    candidate formed from the full-order tangent projector, then
+    Gram-Schmidt, with the same picks rule as the pack."""
+    n, k = p.n, p.k
+    e, g = p.tangent_frame, p.pulled("g")
+    u = jet_einsum("ia,ij->ja", e, inverse_metric_jets(p.induced))
+    proj = jet_einsum("ja,jb->ab", u, jet_einsum("jc,cb->jb", e, g))
+    assert proj.order == PACK_ORDER
+    cand = constant(np.eye(n), proj.space) - jet_trace(proj, "ab->ba")
+    score = np.einsum("ba,ac,bc->b", cand.value, g.value, cand.value)
+    picks = sorted(range(n), key=lambda b: (-score[b], b))[: n - k]
+    frame = []
+    for b in picks:
+        w = cand[b]
+        for prev in frame:
+            w = w - jet_einsum("a,a->", jet_einsum("a,ab->b", w, g), prev) * prev
+        norm2 = jet_einsum("a,a->", jet_einsum("a,ab->b", w, g), w)
+        frame.append(w * norm2.sqrt().reciprocal())
+    N = jets_stack(frame)
+    return picks, N, jet_einsum("ra,ab->rb", N, g)
+
+
+FRAME_CASES = [*[("random", dict(k=k, n=n, seed=101)) for k, n in DIM_PAIRS],
+               ("t4-in-s7", {}), ("s2xs2-in-s5", {}), ("equatorial-s4-in-s5", {})]
+
+
+@pytest.mark.parametrize("name,params", FRAME_CASES, ids=[
+    name + "".join(f"-{v}" for v in params.values()) for name, params in FRAME_CASES])
+def test_frames_are_the_full_order_frames_truncated(name, params):
+    p = pack_for(name, **params)
+    picks, N, coN = _full_order_frame(p)
+    assert p.normal_picks == picks
+    assert p.induced.order == PACK_ORDER
+    assert p.induced_inv.order == p.normal_frame.order == PACK_ORDER - 1
+    for got, want in [(p.normal_frame, N), (p.normal_coframe, coN)]:
+        want = want.truncate(PACK_ORDER - 1)
+        assert got.space is want.space
+        err = np.max(np.abs(got.coeffs - want.coeffs))
+        assert err <= 1e-13, f"{name} {params}: {err:.3e}"
 
 
 @pytest.mark.parametrize("k,n", DIM_PAIRS)
@@ -449,6 +493,21 @@ def test_products_run_at_the_order_they_keep(monkeypatch):
     assert amb.g.order == 4 and pack.dcotton.order == 0
     assert max(orders[derivs_done[-1]:]) == pack.dcotton.order
     assert orders.count(4) == 0
+
+    # a fresh plain pack and every invariant: the only patch-space products
+    # at PACK_ORDER are the 4 degree steps of the chart's one monomial table
+    # (for the pull of g) and the 2 frame projections of the induced metric
+    # (frames built at PACK_ORDER ran 33 such products on this scene)
+    spaces = []
+    kernel = jets._product
+    monkeypatch.setattr(jets, "_product", lambda spc, *args: spaces.append(
+        (spc.nvars, spc.order)) or kernel(spc, *args))
+    scene = random_scene(4, 6, 13)
+    p = SubmanifoldPack(scene.metric, scene.patch, scene.point)
+    p.induced
+    assert spaces.count((p.k, PACK_ORDER)) == 6
+    evaluate_all(p)
+    assert spaces.count((p.k, PACK_ORDER)) == 6
 
 
 def _weyl_four_products(rm, P, g):
