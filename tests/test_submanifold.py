@@ -25,8 +25,8 @@ from qgeo.ambient import (
     riemann_jets,
 )
 from qgeo.fields import GeometryError, ImmersedPatch, flat_metric, graph_patch
-from qgeo.jets import PACK_ORDER, Jets, constant, jet_einsum, jet_trace, jets_stack
 from qgeo.invariants import evaluate_all
+from qgeo.jets import PACK_ORDER, Jets, constant, jet_einsum, jet_trace, jets_stack
 from qgeo.scenes import random_scene, scene_by_name
 from qgeo.submanifold import (
     SubmanifoldPack,
@@ -497,7 +497,6 @@ def test_products_run_at_the_order_they_keep(monkeypatch):
     # a fresh plain pack and every invariant: the only patch-space products
     # at PACK_ORDER are the 4 degree steps of the chart's one monomial table
     # (for the pull of g) and the 2 frame projections of the induced metric
-    # (frames built at PACK_ORDER ran 33 such products on this scene)
     spaces = []
     kernel = jets._product
     monkeypatch.setattr(jets, "_product", lambda spc, *args: spaces.append(
