@@ -97,7 +97,6 @@ __all__ = [
     "submanifold_law_reports",
     "derivative_law_reports",
     "check_tangential_dependence",
-    "CONFORMALLY_INVARIANT",
     "check_invariance",
     "check_q_transformation",
     "check_homogeneity",
@@ -554,27 +553,11 @@ def check_tangential_dependence(scene: Scene, upsilon=None, *,
 
 # -- pointwise conformal invariance ----------------------------------------------
 
-#: registered scalar invariants that are pointwise conformally covariant
-CONFORMALLY_INVARIANT = (
-    "div_shape_weyl_a",
-    "div_shape_weyl_b",
-    "fialkow_quartic",
-    "weyl_trace_quartic",
-    "weyl_trace_quartic_scaled",
-    "tracefree_quartic_combo",
-    "gauss_bonnet_defect",
-    "willmore_quartic",
-    "transverse_weyl_quartic_a",
-    "transverse_weyl_quartic_b",
-    "anomaly_quartic_a",
-    "anomaly_quartic_b",
-)
-
-
 def check_invariance(scene: Scene, upsilon=None, *, seed=0) -> dict:
     """Finite-rescale covariance of the registered scalar invariants.
 
-    For each invariant of weight ``w`` the rescaled evaluation must equal
+    For each scalar available at the scene that ``REGISTRY`` flags
+    ``invariant``, of weight ``w``, the rescaled evaluation must equal
     ``exp(w t Upsilon)`` times the original at ``t = 0.1`` and
     ``t = -0.07``, and the first variation of the compensated quantity
     must vanish.  A few non-scalar sanity quantities ride along.
@@ -583,7 +566,7 @@ def check_invariance(scene: Scene, upsilon=None, *, seed=0) -> dict:
     p0 = eng.param
     k = p0.k
     rows = [(nm, lambda q, nm=nm: evaluate(q, nm), REGISTRY[nm].weight_at(k))
-            for nm in CONFORMALLY_INVARIANT if nm in available(k, p0.n)]
+            for nm in available(k, p0.n) if REGISTRY[nm].invariant]
     rows += [("tracefree_norm2", lambda q: q.tracefree_norm2, -2.0),
              ("normal_curvature", lambda q: q.normal_curvature, 0.0)]
     if k >= 3:
@@ -603,10 +586,6 @@ def check_invariance(scene: Scene, upsilon=None, *, seed=0) -> dict:
 
 
 # -- Q-curvature transformation ---------------------------------------------------
-
-
-def _q_name(k: int) -> str:
-    return "extrinsic_q2" if k == 2 else "extrinsic_q4"
 
 
 def check_q_transformation(scenes=None, *, seed: int = 0) -> dict:
@@ -638,7 +617,7 @@ def check_q_transformation(scenes=None, *, seed: int = 0) -> dict:
         if sc.name.startswith("equatorial"):
             ups_list.append(_bump_factor(0.3))
         p0 = SubmanifoldPack(sc.metric, sc.patch, sc.point)
-        qname = _q_name(k)
+        qname = f"extrinsic_q{k}"
         q0 = float(evaluate(p0, qname).value)
         worst = 0.0
         for ups in ups_list:

@@ -178,11 +178,13 @@ class MetricField:
         return _as_matrix_jets(self.fn(xs), self.dim, xs[0].space)
 
     def jets(self, point, order: int, param: bool = False) -> Jets:
-        """Metric component jets at ``point``: the whole jet must be symmetric
-        to 1e-10 of ``max |G|``, and the value positive definite."""
+        """Metric component jets at ``point``: the whole jet must be finite,
+        symmetric to 1e-10 of ``max |G|``, and the value positive definite."""
         xs = variables(point, order, param=param)
         G = self(xs)
         c = G.coeffs
+        if not np.isfinite(c).all():
+            raise GeometryError(f"{self.name}: non-finite metric jet at {point}")
         if np.abs(c - c.swapaxes(0, 1)).max() > 1e-10 * np.abs(c).max():
             raise GeometryError(f"{self.name}: components not symmetric at {point}")
         try:
@@ -211,9 +213,6 @@ class ImmersedPatch:
         self.name = name
         self._charts = {}
 
-    def __call__(self, ys):
-        return self.fn(ys)
-
     def chart(self, point, param: bool = False) -> tuple[Jets, Composer]:
         """Chart jets at ``point`` to ``PACK_ORDER + 1`` and their ``Composer``,
         shared by every pack at the point (the chart map has no metric).
@@ -241,6 +240,8 @@ class ImmersedPatch:
         if param:
             comps.append(ys[-1])
         X = jets_stack(comps)
+        if not np.isfinite(X.coeffs).all():
+            raise GeometryError(f"{self.name}: non-finite chart jet at {point}")
         if X.order >= 1:
             # first partials: the coefficients of the unit monomials
             units = np.eye(self.k + param, dtype=np.int64)[: self.k]

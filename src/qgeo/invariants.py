@@ -7,8 +7,9 @@ built with ``param=True``) flows through every invariant untouched.
 
 Quantities with more than one published closed form keep each form as a
 separate code path (``route=...``) so agreement between them is a real
-cross-check rather than a tautology.  A machine-readable registry maps
-each scalar to its validity range in (k, n).
+cross-check rather than a tautology.  ``REGISTRY`` alone declares each
+scalar's domain in (k, n), weight and conformal class; ``_require`` is the
+one check of that domain, so the other guards here are of routes and poles.
 """
 
 from __future__ import annotations
@@ -346,8 +347,7 @@ def tracefree_quartic_combo(p: SubmanifoldPack) -> Jets:
 @per_pack
 def intrinsic_q4(p: SubmanifoldPack) -> Jets:
     """Fourth-order Q-curvature of the induced metric (any k >= 3)."""
-    if p.k < 3:
-        raise GeometryError("intrinsic fourth-order Q needs k >= 3")
+    _require(p, "intrinsic_q4")
     J = p.intrinsic_jtrace
     P2 = _pair(p, "intrinsic_schouten", "intrinsic_schouten")
     return -_laplacian(p, "intrinsic_jtrace") - 2.0 * P2 + 0.5 * p.k * J * J
@@ -356,9 +356,8 @@ def intrinsic_q4(p: SubmanifoldPack) -> Jets:
 @per_pack
 def q4_extrinsic_correction(p: SubmanifoldPack) -> Jets:
     """The extrinsic correction scalar; a pure divergence when k = 4."""
+    _require(p, "q4_extrinsic_correction")
     k, n = p.k, p.n
-    if k < 3:
-        raise GeometryError("extrinsic fourth-order Q needs k >= 3")
     G = p.fialkow_trace
     FP = _pair(p, "fialkow", "mc_schouten")
     return ((k - 2) * _laplacian(p, "fialkow_trace")
@@ -378,9 +377,8 @@ def extrinsic_q4(p: SubmanifoldPack, route: str = "assembled") -> Jets:
     kept explicit; ``'gauss_bonnet'`` (k = 4 only) rebuilds Q from twice
     the intrinsic Pfaffian, the pointwise defect, and the divergence flux.
     """
+    _require(p, "extrinsic_q4")
     k, n = p.k, p.n
-    if k < 3:
-        raise GeometryError("extrinsic fourth-order Q needs k >= 3")
     if route == "assembled":
         G = p.fialkow_trace
         return (intrinsic_q4(p) + q4_extrinsic_correction(p)
@@ -425,13 +423,12 @@ def intrinsic_pfaffian(p: SubmanifoldPack) -> Jets:
     or 4-manifold gives the Euler characteristic; for k = 2 it equals the
     Gauss curvature.
     """
+    _require(p, "intrinsic_pfaffian")
     if p.k == 2:
         return p.intrinsic_jtrace
-    if p.k == 4:
-        J = p.intrinsic_jtrace
-        P2 = _pair(p, "intrinsic_schouten", "intrinsic_schouten")
-        return 0.5 * (0.25 * _intrinsic_weyl_norm2(p) - 2.0 * P2 + 2.0 * J * J)
-    raise GeometryError("Pfaffian density implemented for k in {2, 4}")
+    J = p.intrinsic_jtrace
+    P2 = _pair(p, "intrinsic_schouten", "intrinsic_schouten")
+    return 0.5 * (0.25 * _intrinsic_weyl_norm2(p) - 2.0 * P2 + 2.0 * J * J)
 
 
 def gauss_bonnet_defect(p: SubmanifoldPack) -> Jets:
@@ -440,19 +437,17 @@ def gauss_bonnet_defect(p: SubmanifoldPack) -> Jets:
     Weight -2 for surfaces (half the trace-free shape norm minus the
     tangential Weyl component), weight -4 for k = 4.
     """
+    _require(p, "gauss_bonnet_defect")
     if p.k == 2:
         return 0.5 * p.tracefree_norm2 - 0.5 * p.weyl_double_trace
-    if p.k == 4:
-        G = p.fialkow_trace
-        return (-0.25 * _intrinsic_weyl_norm2(p) + fialkow_quartic(p)
-                + 2.0 * _pair(p, "fialkow", "fialkow") - 2.0 * G * G)
-    raise GeometryError("the defect is defined for k in {2, 4}")
+    G = p.fialkow_trace
+    return (-0.25 * _intrinsic_weyl_norm2(p) + fialkow_quartic(p)
+            + 2.0 * _pair(p, "fialkow", "fialkow") - 2.0 * G * G)
 
 
 def extrinsic_q2(p: SubmanifoldPack) -> Jets:
     """Second-order extrinsic Q-curvature of a surface."""
-    if p.k != 2:
-        raise GeometryError("this is the surface (k = 2) Q-curvature")
+    _require(p, "extrinsic_q2")
     return p.intrinsic_jtrace + gauss_bonnet_defect(p)
 
 
@@ -619,9 +614,8 @@ def willmore_quartic(p: SubmanifoldPack, route: str = "general") -> Jets:
     four-dimensional hypersurface ``route='hypersurface'`` evaluates the
     specialized shape-operator display, which must agree.
     """
+    _require(p, "willmore_quartic")
     k, n = p.k, p.n
-    if not (3 <= k < n) or k == 6:
-        raise GeometryError("Willmore quartic needs 3 <= k < n, k != 6")
     if route == "general":
         return (k * (k - 1) / (4.0 * (k - 6)) * tracefree_quartic_combo(p)
                 + 0.5 * (k - 3) * div_shape_weyl_a(p)
@@ -698,9 +692,8 @@ def transverse_weyl_quartic_a(p: SubmanifoldPack,
                               route: str = "general") -> Jets:
     """Weight -4 invariant extending a transverse-curvature hypersurface
     scalar to all codimensions (4 <= k < n, k != 6)."""
+    _require(p, "transverse_weyl_quartic_a")
     k, n = p.k, p.n
-    if not (4 <= k < n) or k == 6:
-        raise GeometryError("needs 4 <= k < n, k != 6")
     if route == "general":
         return (-(k - 2) / (2.0 * (k - 3) * (k - 6))
                 * tracefree_quartic_combo(p)
@@ -736,9 +729,8 @@ def transverse_weyl_quartic_a(p: SubmanifoldPack,
 def transverse_weyl_quartic_b(p: SubmanifoldPack,
                               route: str = "general") -> Jets:
     """Companion weight -4 invariant (4 <= k < n, k != 6)."""
+    _require(p, "transverse_weyl_quartic_b")
     k, n = p.k, p.n
-    if not (4 <= k < n) or k == 6:
-        raise GeometryError("needs 4 <= k < n, k != 6")
     if route == "general":
         return (-tracefree_quartic_combo(p) / (2.0 * (k - 3) * (k - 6))
                 + (div_shape_weyl_a(p) + div_shape_weyl_b(p)) / (k - 3)
@@ -774,9 +766,8 @@ def transverse_weyl_quartic_b(p: SubmanifoldPack,
 def anomaly_quartic_a(p: SubmanifoldPack, route: str = "general") -> Jets:
     """Weight -4 invariant whose k = 4 integral reproduces a known
     holographic-anomaly scalar (2 <= k < n)."""
+    _require(p, "anomaly_quartic_a")
     k, n = p.k, p.n
-    if not (2 <= k < n):
-        raise GeometryError("needs 2 <= k < n")
     if route == "general":
         return (0.5 * tracefree_quartic_combo(p)
                 - 0.5 * (k - 6) * (div_shape_weyl_a(p) + div_shape_weyl_b(p))
@@ -820,9 +811,8 @@ def _ambient_pair_weyl_squares(p):
 
 def anomaly_quartic_b(p: SubmanifoldPack, route: str = "general") -> Jets:
     """Second anomaly-type weight -4 invariant (2 <= k < n, k not in {3, 6})."""
+    _require(p, "anomaly_quartic_b")
     k, n = p.k, p.n
-    if not (2 <= k < n) or k in (3, 6):
-        raise GeometryError("needs 2 <= k < n with k not in {3, 6}")
     if route == "general":
         s1, s2, s3 = _ambient_pair_weyl_squares(p)
         den = (k - 1) * (k - 3)
@@ -877,11 +867,12 @@ def anomaly_quartic_b(p: SubmanifoldPack, route: str = "general") -> Jets:
 
 @dataclass(frozen=True)
 class InvariantSpec:
-    """One evaluable scalar with its validity range.
+    """One evaluable scalar with its validity range and conformal class.
 
     ``weight`` is the conformal weight w in the compensation rule
     e^{-w Upsilon} (value in rescaled metric) = (value in original metric);
     ``None`` marks the dimension-graded densities whose weight is -k.
+    ``invariant`` marks the pointwise conformal invariants.
     """
 
     name: str
@@ -889,6 +880,7 @@ class InvariantSpec:
     dims: str
     valid: Callable[[int, int], bool]
     compute: Callable[[SubmanifoldPack], Jets]
+    invariant: bool = False
 
     def weight_at(self, k: int) -> int:
         return -k if self.weight is None else self.weight
@@ -897,17 +889,20 @@ class InvariantSpec:
 REGISTRY: dict[str, InvariantSpec] = {
     spec.name: spec for spec in [
         InvariantSpec("div_shape_weyl_a", -4, "1 <= k < n",
-                      lambda k, n: 1 <= k < n, div_shape_weyl_a),
+                      lambda k, n: 1 <= k < n, div_shape_weyl_a, invariant=True),
         InvariantSpec("div_shape_weyl_b", -4, "1 <= k < n",
-                      lambda k, n: 1 <= k < n, div_shape_weyl_b),
+                      lambda k, n: 1 <= k < n, div_shape_weyl_b, invariant=True),
         InvariantSpec("fialkow_quartic", -4, "1 <= k < n, n != 4",
-                      lambda k, n: 1 <= k < n and n != 4, fialkow_quartic),
+                      lambda k, n: 1 <= k < n and n != 4, fialkow_quartic,
+                      invariant=True),
         InvariantSpec("weyl_trace_quartic", -4, "1 <= k < n, n != 4",
-                      lambda k, n: 1 <= k < n and n != 4, weyl_trace_quartic),
+                      lambda k, n: 1 <= k < n and n != 4, weyl_trace_quartic,
+                      invariant=True),
         InvariantSpec("weyl_trace_quartic_scaled", -4, "1 <= k < n",
-                      lambda k, n: 1 <= k < n, weyl_trace_quartic_scaled),
+                      lambda k, n: 1 <= k < n, weyl_trace_quartic_scaled,
+                      invariant=True),
         InvariantSpec("tracefree_quartic_combo", -4, "1 <= k < n",
-                      lambda k, n: 1 <= k < n, tracefree_quartic_combo),
+                      lambda k, n: 1 <= k < n, tracefree_quartic_combo, invariant=True),
         InvariantSpec("intrinsic_q4", -4, "3 <= k < n",
                       lambda k, n: 3 <= k < n, intrinsic_q4),
         InvariantSpec("q4_extrinsic_correction", -4, "3 <= k < n, n != 4",
@@ -920,24 +915,25 @@ REGISTRY: dict[str, InvariantSpec] = {
         InvariantSpec("intrinsic_pfaffian", None, "k in {2, 4}, k < n",
                       lambda k, n: k in (2, 4) and k < n, intrinsic_pfaffian),
         InvariantSpec("gauss_bonnet_defect", None, "k in {2, 4}, k < n",
-                      lambda k, n: k in (2, 4) and k < n,
-                      gauss_bonnet_defect),
+                      lambda k, n: k in (2, 4) and k < n, gauss_bonnet_defect,
+                      invariant=True),
         InvariantSpec("willmore_quartic", -4, "3 <= k < n, k != 6",
-                      lambda k, n: 3 <= k < n and k != 6, willmore_quartic),
+                      lambda k, n: 3 <= k < n and k != 6, willmore_quartic,
+                      invariant=True),
         InvariantSpec("transverse_weyl_quartic_a", -4,
                       "4 <= k < n, k != 6",
                       lambda k, n: 4 <= k < n and k != 6,
-                      transverse_weyl_quartic_a),
+                      transverse_weyl_quartic_a, invariant=True),
         InvariantSpec("transverse_weyl_quartic_b", -4,
                       "4 <= k < n, k != 6",
                       lambda k, n: 4 <= k < n and k != 6,
-                      transverse_weyl_quartic_b),
+                      transverse_weyl_quartic_b, invariant=True),
         InvariantSpec("anomaly_quartic_a", -4, "2 <= k < n",
-                      lambda k, n: 2 <= k < n, anomaly_quartic_a),
+                      lambda k, n: 2 <= k < n, anomaly_quartic_a, invariant=True),
         InvariantSpec("anomaly_quartic_b", -4,
                       "2 <= k < n, k not in {3, 6}",
                       lambda k, n: 2 <= k < n and k not in (3, 6),
-                      anomaly_quartic_b),
+                      anomaly_quartic_b, invariant=True),
     ]
 }
 
@@ -947,13 +943,19 @@ def available(k: int, n: int) -> list[str]:
     return [name for name, spec in REGISTRY.items() if spec.valid(k, n)]
 
 
+def _require(p: SubmanifoldPack, name: str) -> None:
+    """Raise unless the registered scalar ``name`` is defined at p's (k, n)."""
+    spec = REGISTRY.get(name)
+    if spec is None:
+        raise KeyError(f"unknown scalar {name!r}; registered: {sorted(REGISTRY)}")
+    if not spec.valid(p.k, p.n):
+        raise GeometryError(f"{name} is defined for {spec.dims}, got k={p.k}, n={p.n}")
+
+
 def evaluate(p: SubmanifoldPack, name: str) -> Jets:
     """Evaluate one registered scalar, enforcing its validity range."""
-    spec = REGISTRY[name]
-    if not spec.valid(p.k, p.n):
-        raise GeometryError(
-            f"{name} is defined for {spec.dims}, got k={p.k}, n={p.n}")
-    return spec.compute(p)
+    _require(p, name)
+    return REGISTRY[name].compute(p)
 
 
 def evaluate_all(p: SubmanifoldPack) -> dict[str, float]:

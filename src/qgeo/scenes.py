@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import (
+    GeometryError,
     ImmersedPatch,
     MetricField,
     Polynomial,
@@ -48,10 +49,6 @@ class Scene:
     patch: ImmersedPatch
     point: np.ndarray
     einstein_lambda: float | None = None
-
-    @property
-    def k(self) -> int:
-        return self.patch.k
 
     @property
     def n(self) -> int:
@@ -194,6 +191,8 @@ def random_scene(k: int, n: int, seed: int) -> Scene:
     generically tilted; the evaluation point is drawn near the chart
     origin where positive definiteness is guaranteed.
     """
+    if not 1 <= k < n:
+        raise GeometryError(f"random scene needs 1 <= k < n, got k={k}, n={n}")
     rng = np.random.default_rng(seed)
     g = random_polynomial_metric(n, seed=int(rng.integers(2**31)))
     mindex = _multi_indices(k, 4)

@@ -126,7 +126,8 @@ class SubmanifoldPack:
                 f"patch maps into dimension {patch.n}, metric has {metric.dim}"
             )
         if not 1 <= patch.k < patch.n:
-            raise GeometryError("need 1 <= k < n")
+            raise GeometryError(f"{patch.name}: need 1 <= k < n, "
+                                f"got k={patch.k}, n={patch.n}")
         self.metric = metric
         self.patch = patch
         self.k = patch.k
@@ -176,12 +177,26 @@ class SubmanifoldPack:
     @cached_property
     def normal_picks(self) -> list[int]:
         """The ``n - k`` coordinates ``b`` whose normally projected vectors,
-        the rows of ``I - P^T``, seed :attr:`normal_frame`: the largest
-        projection norms at the basepoint, ties broken by index."""
+        the rows of ``I - P^T``, seed :attr:`normal_frame`.  Candidates are
+        walked by projection norm at the basepoint, ties broken by index,
+        and one is kept when its Gram–Schmidt residual against those kept
+        passes the bound :attr:`normal_frame` applies."""
         e, g = self.tangent_frame.value, self.pulled("g").value
         cand = np.eye(self.n) - (e @ g).T @ (self.induced_inv.value.T @ e)
         score = np.einsum("ba,ac,bc->b", cand, g, cand)
-        return sorted(range(self.n), key=lambda b: (-score[b], b))[: self.n - self.k]
+        picks, kept = [], []
+        for b in sorted(range(self.n), key=lambda b: (-score[b], b)):
+            w = cand[b]
+            for prev in kept:
+                w = w - (w @ g @ prev) * prev
+            norm2 = w @ g @ w
+            if norm2 > 1e-20 * g[b, b]:
+                picks.append(b)
+                kept.append(w / np.sqrt(norm2))
+                if len(picks) == self.n - self.k:
+                    return picks
+        raise GeometryError(f"{self.patch.name}: degenerate normal "
+                            f"candidates at {self.point}")
 
     @cached_property
     def normal_frame(self) -> Jets:

@@ -249,3 +249,26 @@ def test_asymmetric_metric_rejected(case):
 
     with pytest.raises(GeometryError, match="not symmetric"):
         MetricField(3, fn, name=case).jets(np.zeros(3), PACK_ORDER)
+
+
+@pytest.mark.parametrize("case", ["nan", "inf"])
+def test_non_finite_metric_rejected(case):
+    # a NaN metric passes the symmetry test and Cholesky silently, and one
+    # inf component would turn the symmetry test itself into NaN
+    def fn(xs):
+        m = np.eye(3)
+        if case == "nan":
+            m[:] = np.nan
+        else:
+            m[0, 1] = np.inf
+        return m
+
+    with pytest.raises(GeometryError, match=f"^{case}: non-finite metric jet"):
+        MetricField(3, fn, name=case).jets(np.zeros(3), PACK_ORDER)
+
+
+def test_overflowing_metric_jet_rejected():
+    # at x^3 = 1e-200 the half-space metric's jets overflow to NaN
+    with np.errstate(all="ignore"), pytest.raises(
+            GeometryError, match="hyperbolic-half-space: non-finite metric jet"):
+        hyperbolic_half_space_metric(3).jets([0.0, 0.0, 1e-200], PACK_ORDER)

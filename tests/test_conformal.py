@@ -429,7 +429,7 @@ def test_methods_agree_on_all_registered_quantities():
     ups = random_upsilon(6, seed=2)
     eng = cf._Engine(sc.metric, sc.patch, sc.point, ups)
     quantities = [(nm, lambda q, nm=nm: evaluate(q, nm))
-                  for nm in cf.CONFORMALLY_INVARIANT if nm in available(4, 6)]
+                  for nm in available(4, 6) if REGISTRY[nm].invariant]
     # the quartic strata elements, stratum 4 included
     quantities += [(el.name, el.evaluate) for el in cf.QUARTIC_STRATA]
     for nm, ev in quantities:
@@ -468,11 +468,10 @@ def test_registered_invariants_are_pointwise_invariant(k, n, seed):
 
 def test_invariance_covers_the_registered_subset():
     out = cf.check_invariance(scene(4, 6, 4), seed=5)
-    expected = {nm for nm in cf.CONFORMALLY_INVARIANT
-                if nm in available(4, 6)}
-    assert expected <= set(out)
-    # sanity tensors ride along
-    assert {"tracefree_norm2", "fialkow", "normal_curvature"} <= set(out)
+    expected = {nm for nm in available(4, 6) if REGISTRY[nm].invariant}
+    # exactly the flagged scalars, plus the sanity tensors riding along
+    assert set(out) == expected | {"tracefree_norm2", "fialkow",
+                                   "normal_curvature"}
     # the invariants consuming four metric derivatives vary exactly too
     assert HEAVY_INVARIANTS <= set(out)
     for nm in HEAVY_INVARIANTS:

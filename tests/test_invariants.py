@@ -10,6 +10,7 @@ pole continuation at background dimension four, and the fourth-order
 operator family get dedicated oracles.
 """
 
+import re
 from functools import lru_cache
 
 import numpy as np
@@ -405,13 +406,42 @@ def test_registry_guards_dimension_errors():
         inv.evaluate(p, "willmore_quartic")
 
 
+# every (k, n) with 1 <= k < n <= 7 that has an ambient curvature (n >= 3)
+ALL_DIMS = [(k, n) for n in range(3, 8) for k in range(1, n)]
+
+
 def test_registry_evaluates_everything_available():
-    for (k, n) in ((1, 3), (2, 4), (4, 5)):
+    for (k, n) in ALL_DIMS:
         p = random_pack(k, n, 11)
         vals = inv.evaluate_all(p)
         assert set(vals) == set(inv.available(k, n))
         for name, v in vals.items():
             assert np.isfinite(v), f"({k},{n}) {name} not finite"
+
+
+def test_registry_pins_every_scalar_domain():
+    # a direct call outside the registered domain fails as ``evaluate``
+    # does, naming the scalar; the two quartics with a continuation past
+    # n = 4 keep their pole message instead
+    calls = 0
+    for (k, n) in ALL_DIMS:
+        p = random_pack(k, n, 11)
+        for name, spec in inv.REGISTRY.items():
+            if spec.valid(k, n):
+                continue
+            want = ("on its pole" if name in ("fialkow_quartic", "weyl_trace_quartic")
+                    else f"^{name} is defined for {re.escape(spec.dims)}, "
+                    f"got k={k}, n={n}$")
+            with pytest.raises(GeometryError, match=want):
+                spec.compute(p)
+            calls += 1
+    assert calls == 133
+
+
+def test_unknown_scalar_lists_the_registered_ones():
+    with pytest.raises(KeyError, match=r"unknown scalar 'nope'; registered: "
+                       r"\['anomaly_quartic_a', .*'willmore_quartic'\]"):
+        inv.evaluate(random_pack(2, 5, 11), "nope")
 
 
 @pytest.mark.parametrize("k,n,seed", [(2, 4, 5), (3, 5, 1), (4, 6, 3), (5, 7, 2)])

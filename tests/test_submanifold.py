@@ -24,7 +24,13 @@ from qgeo.ambient import (
     levi_civita_connection,
     riemann_jets,
 )
-from qgeo.fields import GeometryError, ImmersedPatch, flat_metric, graph_patch
+from qgeo.fields import (
+    GeometryError,
+    ImmersedPatch,
+    flat_metric,
+    graph_patch,
+    sphere_chart_metric,
+)
 from qgeo.invariants import evaluate_all
 from qgeo.jets import PACK_ORDER, Jets, constant, jet_einsum, jet_trace, jets_stack
 from qgeo.scenes import random_scene, scene_by_name
@@ -439,6 +445,47 @@ def test_degenerate_immersion_rejected():
                                              0.0 * ys[0], 0.0 * ys[0]])
     with pytest.raises(GeometryError, match="rank"):
         SubmanifoldPack(flat_metric(5), squash)
+
+
+def test_pack_dimension_guards_name_the_cause():
+    square = ImmersedPatch(3, 3, lambda ys: list(ys), name="square")
+    with pytest.raises(GeometryError, match="^square: need 1 <= k < n, got k=3, n=3$"):
+        SubmanifoldPack(flat_metric(3), square)
+    sc = random_scene(2, 4, seed=5)
+    with pytest.raises(GeometryError,
+                       match="patch maps into dimension 4, metric has 5"):
+        SubmanifoldPack(flat_metric(5), sc.patch, sc.point)
+
+
+def test_random_scene_names_bad_dimensions():
+    with pytest.raises(GeometryError, match="needs 1 <= k < n, got k=6, n=5"):
+        random_scene(6, 5, seed=1)
+
+
+def test_non_finite_chart_point_rejected():
+    sc = random_scene(2, 4, seed=5)
+    with pytest.raises(GeometryError,
+                       match=r"random-graph\(2,4\): non-finite chart jet"):
+        SubmanifoldPack(sc.metric, sc.patch, [np.nan, 0.0])
+
+
+@pytest.mark.parametrize("metric", [flat_metric(4), sphere_chart_metric(4)],
+                         ids=["flat", "sphere-chart"])
+def test_normal_picks_skip_a_dependent_candidate(metric):
+    # all four candidates of this plane score 1/2, and the first two
+    # project to the same normal vector: the second is skipped for the third
+    s = 1.0 / np.sqrt(2.0)
+    plane = ImmersedPatch(2, 4, lambda ys: [s * ys[0], -s * ys[0],
+                                            s * ys[1], -s * ys[1]], name="tilted")
+    p = SubmanifoldPack(metric, plane, (0.1, 0.2))
+    assert p.normal_picks == [0, 2]
+    vals = evaluate_all(p)
+    if metric.name == "flat":
+        assert all(v == 0.0 for v in vals.values()), vals
+    else:
+        # a plane through the chart origin is a great S^2 of the unit S^4
+        for name in ("intrinsic_pfaffian", "extrinsic_q2"):
+            assert abs(vals[name] - 1.0) < 1e-12, f"{name}: {vals[name]}"
 
 
 # -- products run only to the order their result keeps ----------------------
