@@ -9,7 +9,6 @@ at a point.
 """
 
 from .conformal import (
-    ConformalFactor,
     LinearizationReport,
     check_invariance,
     check_q_transformation,
@@ -20,7 +19,6 @@ from .jets import BudgetError, Jets, compose, jet_of
 
 __all__ = [
     "BudgetError",
-    "ConformalFactor",
     "Jets",
     "LinearizationReport",
     "check_invariance",

@@ -73,7 +73,6 @@ from .invariants import (
     extrinsic_paneitz_apply,
 )
 from .jets import (
-    PACK_ORDER,
     Jets,
     jet_einsum,
     jet_trace,
@@ -87,10 +86,9 @@ from .scenes import (
     random_scene,
     random_upsilon,
 )
-from .submanifold import SubmanifoldPack
+from .submanifold import SubmanifoldPack, per_pack
 
 __all__ = [
-    "ConformalFactor",
     "LinearizationReport",
     "linearize",
     "ambient_law_reports",
@@ -103,6 +101,7 @@ __all__ = [
     "quartic_term_reports",
     "QUARTIC_STRATA",
     "transverse_vanishing_upsilon",
+    "vanishes_through",
     "check_strata_vanishing",
     "witness_metric",
     "linear_independence_witness",
@@ -119,37 +118,14 @@ _STEP = 1e-4
 # -- conformal factors ---------------------------------------------------------
 
 
-@dataclass
-class ConformalFactor:
-    """An ambient scalar ``Upsilon`` driving a conformal rescale.
-
-    ``fn`` maps a list of ambient coordinate jets to a scalar jet; the
-    batteries evaluate it on coordinate variables and pull the result back
-    along the chart like any ambient tensor.  ``vanishing_order`` is an
-    optional tag promising that every derivative of ``Upsilon`` through
-    that total order vanishes at the attachment point; :meth:`verify`
-    checks the promise on the actual jet coefficients.
-    """
-
-    fn: object
-    vanishing_order: int | None = None
-
-    def __call__(self, xs):
-        return self.fn(xs)
-
-    def verify(self, x_point) -> bool:
-        """Check the ``vanishing_order`` tag against the jet coefficients.
-
-        Only a necessary condition is tested (coefficients of total degree
-        up to the tag must vanish at ``x_point`` to within 1e-10), which is
-        exactly what the stratified checks below consume.
-        """
-        if self.vanishing_order is None:
-            return True
-        order = max(PACK_ORDER, self.vanishing_order)
-        u = self.fn(variables(np.asarray(x_point, dtype=float), order))
-        low = np.abs(u.coeffs[..., u.space.degree <= self.vanishing_order])
-        return bool(low.size == 0 or float(low.max()) <= 1e-10)
+@per_pack
+def _upsilon_jets(pack, upsilon) -> tuple[Jets, Jets]:
+    """A factor (any callable on a list of coordinate jets) on the ambient
+    coordinate variables at ``pack``'s point, and its pullback by
+    ``pack.pull`` like every ambient tensor: once per pack and factor."""
+    xs = variables(pack.x_point, pack.order, param=pack.param)
+    u_x = upsilon(xs[: pack.n])
+    return u_x, pack.pull(u_x)
 
 
 # -- reports -------------------------------------------------------------------
@@ -195,16 +171,15 @@ class _Engine:
     of a parameter-pack jet, its ``.value``, is the unrescaled value, so
     the laws and the restriction data of ``Upsilon`` are read there too.
 
-    ``Upsilon`` (any callable on a list of coordinate jets) is evaluated on
-    the ambient coordinate variables at each pack's point and pulled back
-    by ``pack.pull`` like every ambient tensor, once per pack, and both
-    jets are kept on the engine (:meth:`_upsilon_jets`).
+    ``Upsilon`` reaches each pack through :func:`_upsilon_jets`, kept on
+    the pack under the factor, so the engine holds nothing but its
+    ``t -> pack`` table.
 
     Every variation has one signature, ``(evaluator, weight)``: the
     variation of ``evaluator(pack)`` compensated by ``exp(-weight t
-    Upsilon)``, where ``weight`` is its stored weight.  The engine records
-    the ``t`` of each pack it builds, so an evaluator that applies an
-    operator to a rescaled operand reads the factor from :meth:`scale`.
+    Upsilon)``, where ``weight`` is its stored weight.  An evaluator that
+    applies an operator to a rescaled operand reads the factor of the pack
+    at hand from :meth:`scale`.
     On the parameter pack ``t^2 = 0``, so ``exp(w t Upsilon) = 1 + w t
     Upsilon`` exactly and the nilpotent route forms no jet exponential.
     """
@@ -215,8 +190,6 @@ class _Engine:
         self.point = None if point is None else np.asarray(point, dtype=float)
         self.upsilon = upsilon
         self._packs = {}  # t -> its pack, t=None the parameter pack
-        self._t = {}  # pack -> its t
-        self._restricted = {}
 
     # --- packs ---
     @property
@@ -227,30 +200,16 @@ class _Engine:
         """The pack of ``exp(2 t Upsilon) g``; ``t=None`` is the parameter."""
         if t not in self._packs:
             ghat = conformally_rescaled(self.metric, self.upsilon, t=t)
-            pack = SubmanifoldPack(ghat, self.patch, self.point,
-                                   param=t is None)
-            self._packs[t], self._t[pack] = pack, t
+            self._packs[t] = SubmanifoldPack(ghat, self.patch, self.point,
+                                             param=t is None)
         return self._packs[t]
-
-    def _upsilon_jets(self, pack) -> tuple[Jets, Jets]:
-        """``Upsilon`` on the ambient coordinate variables at ``pack``'s
-        point and its pullback to the pack, built once per pack."""
-        if pack not in self._restricted:
-            xs = variables(pack.x_point, pack.order, param=pack.param)
-            u_x = self.upsilon(xs[: pack.n])
-            self._restricted[pack] = (u_x, pack.pull(u_x))
-        return self._restricted[pack]
-
-    def _upsilon_on(self, pack) -> Jets:
-        """``Upsilon`` pulled back to ``pack`` (order ``pack.order``)."""
-        return self._upsilon_jets(pack)[1]
 
     # --- restriction data of Upsilon, read at t^0 of the parameter pack ---
     @cached_property
     def restriction(self) -> SimpleNamespace:
         p = self.param
         n = p.n
-        u_x, u_y = self._upsilon_jets(p)
+        u_x, u_y = _upsilon_jets(p, self.upsilon)
         du_x = jets_stack([u_x.deriv(a) for a in range(n)])
         du_y = p.pull(du_x)
         grad = p.tangential_gradient(u_y)
@@ -267,11 +226,6 @@ class _Engine:
             laplacian=jet_einsum("ab,ab->", p.induced_inv, hessian),
         )
 
-    @cached_property
-    def _upsilon_at_point(self) -> float:
-        """``Upsilon(x0)``, the value of its pullback to the parameter pack."""
-        return float(self._upsilon_on(self.param).value)
-
     # --- variations ---
     def scale(self, pack, w: float) -> Jets:
         """``exp(w t Upsilon)`` on a pack this engine built at parameter ``t``.
@@ -281,12 +235,13 @@ class _Engine:
         ``exp(w s Upsilon)``.  A battery whose operator acts on a rescaled
         operand multiplies the operand by it inside its evaluator.
         """
-        if pack not in self._t:
+        ts = [t for t, q in self._packs.items() if q is pack]
+        if not ts:
             raise ValueError(
                 f"the {'parameter' if pack.param else 'plain'} pack of "
                 f"{pack.metric.name} at {pack.point.tolist()} was not built "
                 "by this engine at a rescale parameter t")
-        t, u = self._t[pack], self._upsilon_on(pack)
+        t, u = ts[0], _upsilon_jets(pack, self.upsilon)[1]
         if t is None:
             return 1.0 + float(w) * (pack.chart_jets[pack.n] * u)
         return (float(w) * (t * u)).exp()
@@ -300,15 +255,15 @@ class _Engine:
         """
         pp = self.param
         out = evaluator(pp)
-        return np.asarray(out.deriv(pp.k).value
-                          - float(weight) * self._upsilon_at_point * out.value)
+        u0 = float(_upsilon_jets(pp, self.upsilon)[1].value)
+        return np.asarray(out.deriv(pp.k).value - float(weight) * u0 * out.value)
 
     def central(self, evaluator, weight: float) -> np.ndarray:
         vals = []
         for s in (_STEP, -_STEP):
             ph = self.finite(s)
-            vals.append(np.exp(-weight * s * float(self._upsilon_on(ph).value))
-                        * np.asarray(evaluator(ph).value))
+            u = float(_upsilon_jets(ph, self.upsilon)[1].value)
+            vals.append(np.exp(-weight * s * u) * np.asarray(evaluator(ph).value))
         return (vals[0] - vals[1]) / (2.0 * _STEP)
 
     # --- report assembly ---
@@ -329,10 +284,8 @@ class _Engine:
             flagged=bool(gap is not None and gap > METHOD_FLAG_TOL))
 
 
-def _engine_for(scene: Scene, upsilon, seed) -> _Engine:
-    """The engine of ``scene`` for ``upsilon`` (random from ``seed`` if None)."""
-    if upsilon is None:
-        upsilon = random_upsilon(scene.patch.n, seed=seed)
+def _engine_for(scene: Scene, upsilon) -> _Engine:
+    """The engine of ``scene`` for the factor ``upsilon``."""
     return _Engine(scene.metric, scene.patch, scene.point, upsilon)
 
 
@@ -357,8 +310,7 @@ _WEYL_PATTERNS = ("tttt", "tttn", "ttnn", "tntn")
 _SCHOUTEN_PATTERNS = ("tt", "tn", "nn")
 
 
-def ambient_law_reports(scene: Scene, upsilon=None, *,
-                        seed=0) -> list[LinearizationReport]:
+def ambient_law_reports(scene: Scene, *, seed=0) -> list[LinearizationReport]:
     """Variation laws for the ambient curvature family along the patch.
 
     The Weyl tensor is conformally invariant, the Schouten tensor picks
@@ -367,7 +319,7 @@ def ambient_law_reports(scene: Scene, upsilon=None, *,
     ``n != 4``) a gradient contraction of the Cotton tensor.  Stored
     weights follow the normal-slot count of each projection pattern.
     """
-    eng = _engine_for(scene, upsilon, seed)
+    eng = _engine_for(scene, random_upsilon(scene.n, seed=seed))
     p, r = eng.param, eng.restriction
     n = p.n
     wu = jet_einsum("abcd,d->abc", p.pulled("weyl"), r.ambient_up)
@@ -393,15 +345,14 @@ def ambient_law_reports(scene: Scene, upsilon=None, *,
 # -- submanifold transformation laws -------------------------------------------
 
 
-def submanifold_law_reports(scene: Scene, upsilon=None, *,
-                            seed=0) -> list[LinearizationReport]:
+def submanifold_law_reports(scene: Scene, *, seed=0) -> list[LinearizationReport]:
     """Variation laws for the second fundamental form family.
 
     The full form varies by ``-Upsilon_normal g``, its trace-free part
     and the normal-bundle curvature are invariant, and the mean
     curvature varies by minus the normal gradient.
     """
-    eng = _engine_for(scene, upsilon, seed)
+    eng = _engine_for(scene, random_upsilon(scene.n, seed=seed))
     p, r = eng.param, eng.restriction
     normal = np.asarray(r.normal.value)
     induced = np.asarray(p.induced.value)
@@ -451,8 +402,7 @@ def _probe_normal_form(pack) -> Jets:
     return jets_stack(comps)
 
 
-def derivative_law_reports(scene: Scene, upsilon=None, *,
-                           seed=0) -> list[LinearizationReport]:
+def derivative_law_reports(scene: Scene, *, seed=0) -> list[LinearizationReport]:
     """Variation laws of the induced connection and Laplacian.
 
     Probes the tangential covariant derivative on one-forms of stored
@@ -460,7 +410,7 @@ def derivative_law_reports(scene: Scene, upsilon=None, *,
     the Laplacian on scalars, against their closed-form lower-order terms.
     Every variation is cross-checked by central differences.
     """
-    eng = _engine_for(scene, upsilon, seed)
+    eng = _engine_for(scene, random_upsilon(scene.n, seed=seed))
     p, r = eng.param, eng.restriction
     w = 1.3  # generic, so no weight-dependent term of a law drops out
     k = p.k
@@ -526,8 +476,7 @@ def _lemma_laws(eng: _Engine) -> list[np.ndarray]:
     ]
 
 
-def check_tangential_dependence(scene: Scene, upsilon=None, *,
-                                seed=0) -> dict:
+def check_tangential_dependence(scene: Scene, *, seed=0) -> dict:
     """Laws for the trace-adjusted tensors plus their key dependence claim.
 
     The five mixed quantities (Schouten, Cotton, Cotton trace, Bach,
@@ -538,8 +487,8 @@ def check_tangential_dependence(scene: Scene, upsilon=None, *,
     pullback of ``Upsilon`` does (the re-run needs no laws).
     """
     normal_only = transverse_vanishing_upsilon(scene, 0, seed=seed + 101)
-    eng = _engine_for(scene, upsilon, seed)
-    eng0 = _engine_for(scene, normal_only, seed)
+    eng = _engine_for(scene, random_upsilon(scene.n, seed=seed))
+    eng0 = _engine_for(scene, normal_only)
     reports = [eng.report(nm, ev, w, analytic=law)
                for (nm, ev, w), law in zip(_LEMMA_ROWS, _lemma_laws(eng))]
     silent = [float(np.max(np.abs(eng0.nilpotent(ev, w))))
@@ -553,7 +502,7 @@ def check_tangential_dependence(scene: Scene, upsilon=None, *,
 
 # -- pointwise conformal invariance ----------------------------------------------
 
-def check_invariance(scene: Scene, upsilon=None, *, seed=0) -> dict:
+def check_invariance(scene: Scene, *, seed=0) -> dict:
     """Finite-rescale covariance of the registered scalar invariants.
 
     For each scalar available at the scene that ``REGISTRY`` flags
@@ -562,7 +511,7 @@ def check_invariance(scene: Scene, upsilon=None, *, seed=0) -> dict:
     ``t = -0.07``, and the first variation of the compensated quantity
     must vanish.  A few non-scalar sanity quantities ride along.
     """
-    eng = _engine_for(scene, upsilon, seed)
+    eng = _engine_for(scene, random_upsilon(scene.n, seed=seed))
     p0 = eng.param
     k = p0.k
     rows = [(nm, lambda q, nm=nm: evaluate(q, nm), REGISTRY[nm].weight_at(k))
@@ -571,7 +520,7 @@ def check_invariance(scene: Scene, upsilon=None, *, seed=0) -> dict:
              ("normal_curvature", lambda q: q.normal_curvature, 0.0)]
     if k >= 3:
         rows.append(("fialkow", lambda q: q.fialkow, 0.0))
-    upt = eng._upsilon_at_point
+    upt = float(_upsilon_jets(p0, eng.upsilon)[1].value)
     out = {}
     for nm, ev, w in rows:
         base = np.asarray(ev(p0).value)
@@ -621,10 +570,10 @@ def check_q_transformation(scenes=None, *, seed: int = 0) -> dict:
         q0 = float(evaluate(p0, qname).value)
         worst = 0.0
         for ups in ups_list:
-            eng = _Engine(sc.metric, sc.patch, sc.point, ups)
-            u0 = eng._upsilon_on(p0)
+            u0 = _upsilon_jets(p0, ups)[1]
+            ph = _Engine(sc.metric, sc.patch, sc.point, ups).finite(1.0)
             lhs = (np.exp(k * float(u0.value))
-                   * float(evaluate(eng.finite(1.0), qname).value))
+                   * float(evaluate(ph, qname).value))
             rhs = q0 + float(extrinsic_paneitz_apply(p0, u0).value)
             worst = max(worst, abs(lhs - rhs))
         one = 0.0 * p0.chart_jets[0] + 1.0
@@ -679,8 +628,7 @@ def _div_shape_weyl_full(p) -> Jets:
     return p.divergence(V)
 
 
-def quartic_term_reports(scene: Scene, upsilon=None, *,
-                         seed=0) -> list[LinearizationReport]:
+def quartic_term_reports(scene: Scene, *, seed=0) -> list[LinearizationReport]:
     """First variations of the seven fourth-order scalar summands.
 
     Each summand's variation is an exact tangential divergence (or
@@ -689,7 +637,7 @@ def quartic_term_reports(scene: Scene, upsilon=None, *,
     four-fold.  Every variation is exact, the three summands needing four
     metric derivatives included.
     """
-    eng = _engine_for(scene, upsilon, seed)
+    eng = _engine_for(scene, random_upsilon(scene.n, seed=seed))
     p, r = eng.param, eng.restriction
     gu, gl = r.grad_up, r.grad
 
@@ -842,14 +790,24 @@ QUARTIC_STRATA: tuple[StratumElement, ...] = _build_strata()
 
 
 def transverse_vanishing_upsilon(scene: Scene, vanish_to: int, *,
-                                 seed: int = 0) -> ConformalFactor:
+                                 seed: int = 0):
     """A factor whose transverse jet vanishes through order ``vanish_to``.
 
     Multiplies a random polynomial by the ``vanish_to + 1`` power of a
     defining-function combination of the patch, so every derivative of
-    the factor through that order vanishes along the submanifold.
+    the factor through that order vanishes along the submanifold.  The
+    combination reads the patch as a graph over its first ``k`` ambient
+    coordinates: a patch whose first ``k`` chart jets at the scene point
+    are not the chart coordinates raises ``GeometryError``.
     """
     k, n = scene.patch.k, scene.patch.n
+    X, _ = scene.patch.chart(scene.point, param=True)
+    ys = jets_stack(variables(scene.point, X.order, param=True)[:k])
+    if not np.array_equal(X.coeffs[:k], ys.coeffs):
+        raise GeometryError(
+            f"{scene.name}: a transverse-vanishing factor needs a graph "
+            f"patch, whose first {k} ambient coordinates are its chart "
+            "coordinates")
     q = random_upsilon(n, seed=seed, degree=3)
     rng = np.random.default_rng(seed + 1)
     cs = rng.uniform(0.4, 1.0, n - k)
@@ -865,7 +823,15 @@ def transverse_vanishing_upsilon(scene: Scene, vanish_to: int, *,
             out = out * rho
         return out
 
-    return ConformalFactor(fn, vanishing_order=vanish_to)
+    return fn
+
+
+def vanishes_through(upsilon, x_point, order: int) -> bool:
+    """Whether every derivative of ``upsilon`` through total order ``order``
+    vanishes at ``x_point``: its order-``order`` jet there is zero to within
+    1e-10 (a check at the point, which the stratified checks consume)."""
+    u = upsilon(variables(np.asarray(x_point, dtype=float), order))
+    return float(np.abs(u.coeffs).max()) <= 1e-10
 
 
 def check_strata_vanishing(scene: Scene, *, seed: int = 0) -> dict:
@@ -877,7 +843,7 @@ def check_strata_vanishing(scene: Scene, *, seed: int = 0) -> dict:
     rides along so the claim is not vacuous.
     """
     def magnitudes(ups, depth):
-        eng = _engine_for(scene, ups, seed)
+        eng = _engine_for(scene, ups)
         return {el.name: float(np.max(np.abs(eng.nilpotent(el.evaluate, -4.0))))
                 for el in QUARTIC_STRATA if el.stratum <= depth}
 

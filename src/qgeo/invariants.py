@@ -14,7 +14,7 @@ one check of that domain, so the other guards here are of routes and poles.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 from .ambient import raise_both
@@ -872,15 +872,22 @@ class InvariantSpec:
     ``weight`` is the conformal weight w in the compensation rule
     e^{-w Upsilon} (value in rescaled metric) = (value in original metric);
     ``None`` marks the dimension-graded densities whose weight is -k.
-    ``invariant`` marks the pointwise conformal invariants.
+    ``dims`` states the domain once, as a Python condition on ``k`` and
+    ``n``: it is compiled into ``valid`` and quoted by the domain error.
+    ``name`` is the name of ``compute``.  ``invariant`` marks the pointwise
+    conformal invariants.
     """
 
-    name: str
     weight: int | None
     dims: str
-    valid: Callable[[int, int], bool]
     compute: Callable[[SubmanifoldPack], Jets]
     invariant: bool = False
+    name: str = field(init=False)
+    valid: Callable[[int, int], bool] = field(init=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "name", self.compute.__name__)
+        object.__setattr__(self, "valid", eval(f"lambda k, n: {self.dims}", {}))
 
     def weight_at(self, k: int) -> int:
         return -k if self.weight is None else self.weight
@@ -888,52 +895,32 @@ class InvariantSpec:
 
 REGISTRY: dict[str, InvariantSpec] = {
     spec.name: spec for spec in [
-        InvariantSpec("div_shape_weyl_a", -4, "1 <= k < n",
-                      lambda k, n: 1 <= k < n, div_shape_weyl_a, invariant=True),
-        InvariantSpec("div_shape_weyl_b", -4, "1 <= k < n",
-                      lambda k, n: 1 <= k < n, div_shape_weyl_b, invariant=True),
-        InvariantSpec("fialkow_quartic", -4, "1 <= k < n, n != 4",
-                      lambda k, n: 1 <= k < n and n != 4, fialkow_quartic,
+        InvariantSpec(-4, "1 <= k < n", div_shape_weyl_a, invariant=True),
+        InvariantSpec(-4, "1 <= k < n", div_shape_weyl_b, invariant=True),
+        InvariantSpec(-4, "1 <= k < n and n != 4", fialkow_quartic,
                       invariant=True),
-        InvariantSpec("weyl_trace_quartic", -4, "1 <= k < n, n != 4",
-                      lambda k, n: 1 <= k < n and n != 4, weyl_trace_quartic,
+        InvariantSpec(-4, "1 <= k < n and n != 4", weyl_trace_quartic,
                       invariant=True),
-        InvariantSpec("weyl_trace_quartic_scaled", -4, "1 <= k < n",
-                      lambda k, n: 1 <= k < n, weyl_trace_quartic_scaled,
+        InvariantSpec(-4, "1 <= k < n", weyl_trace_quartic_scaled,
                       invariant=True),
-        InvariantSpec("tracefree_quartic_combo", -4, "1 <= k < n",
-                      lambda k, n: 1 <= k < n, tracefree_quartic_combo, invariant=True),
-        InvariantSpec("intrinsic_q4", -4, "3 <= k < n",
-                      lambda k, n: 3 <= k < n, intrinsic_q4),
-        InvariantSpec("q4_extrinsic_correction", -4, "3 <= k < n, n != 4",
-                      lambda k, n: 3 <= k < n and n != 4,
-                      q4_extrinsic_correction),
-        InvariantSpec("extrinsic_q4", -4, "3 <= k < n, n != 4",
-                      lambda k, n: 3 <= k < n and n != 4, extrinsic_q4),
-        InvariantSpec("extrinsic_q2", -2, "k = 2 < n",
-                      lambda k, n: k == 2 < n, extrinsic_q2),
-        InvariantSpec("intrinsic_pfaffian", None, "k in {2, 4}, k < n",
-                      lambda k, n: k in (2, 4) and k < n, intrinsic_pfaffian),
-        InvariantSpec("gauss_bonnet_defect", None, "k in {2, 4}, k < n",
-                      lambda k, n: k in (2, 4) and k < n, gauss_bonnet_defect,
+        InvariantSpec(-4, "1 <= k < n", tracefree_quartic_combo,
                       invariant=True),
-        InvariantSpec("willmore_quartic", -4, "3 <= k < n, k != 6",
-                      lambda k, n: 3 <= k < n and k != 6, willmore_quartic,
+        InvariantSpec(-4, "3 <= k < n", intrinsic_q4),
+        InvariantSpec(-4, "3 <= k < n and n != 4", q4_extrinsic_correction),
+        InvariantSpec(-4, "3 <= k < n and n != 4", extrinsic_q4),
+        InvariantSpec(-2, "k == 2 < n", extrinsic_q2),
+        InvariantSpec(None, "k in (2, 4) and k < n", intrinsic_pfaffian),
+        InvariantSpec(None, "k in (2, 4) and k < n", gauss_bonnet_defect,
                       invariant=True),
-        InvariantSpec("transverse_weyl_quartic_a", -4,
-                      "4 <= k < n, k != 6",
-                      lambda k, n: 4 <= k < n and k != 6,
-                      transverse_weyl_quartic_a, invariant=True),
-        InvariantSpec("transverse_weyl_quartic_b", -4,
-                      "4 <= k < n, k != 6",
-                      lambda k, n: 4 <= k < n and k != 6,
-                      transverse_weyl_quartic_b, invariant=True),
-        InvariantSpec("anomaly_quartic_a", -4, "2 <= k < n",
-                      lambda k, n: 2 <= k < n, anomaly_quartic_a, invariant=True),
-        InvariantSpec("anomaly_quartic_b", -4,
-                      "2 <= k < n, k not in {3, 6}",
-                      lambda k, n: 2 <= k < n and k not in (3, 6),
-                      anomaly_quartic_b, invariant=True),
+        InvariantSpec(-4, "3 <= k < n and k != 6", willmore_quartic,
+                      invariant=True),
+        InvariantSpec(-4, "4 <= k < n and k != 6", transverse_weyl_quartic_a,
+                      invariant=True),
+        InvariantSpec(-4, "4 <= k < n and k != 6", transverse_weyl_quartic_b,
+                      invariant=True),
+        InvariantSpec(-4, "2 <= k < n", anomaly_quartic_a, invariant=True),
+        InvariantSpec(-4, "2 <= k < n and k not in (3, 6)", anomaly_quartic_b,
+                      invariant=True),
     ]
 }
 

@@ -33,7 +33,13 @@ from qgeo.fields import (
 )
 from qgeo.invariants import REGISTRY, available, evaluate, evaluate_all
 from qgeo.jets import PACK_ORDER, Jets, variables
-from qgeo.scenes import affine_plane, random_scene, random_upsilon
+from qgeo.scenes import (
+    affine_plane,
+    cylinder_r_x_s3,
+    random_scene,
+    random_upsilon,
+    s2xs2_in_s5,
+)
 from qgeo.submanifold import SubmanifoldPack
 
 
@@ -297,7 +303,7 @@ def test_batteries_at_one_point_share_two_charts(monkeypatch):
     (cf.ambient_law_reports, 2),
     (cf.quartic_term_reports, 2),
 ])
-def test_upsilon_is_restricted_once_per_pack(battery, calls):
+def test_upsilon_is_restricted_once_per_pack(monkeypatch, battery, calls):
     # one call per pack build of a rescaled metric and one per pack that
     # reads Upsilon, on the ambient coordinate variables at its point (the
     # parameter pack serves both the restriction data and Upsilon(x0)):
@@ -309,7 +315,8 @@ def test_upsilon_is_restricted_once_per_pack(battery, calls):
         seen.append(len(xs))
         return ups(xs)
 
-    battery(random_scene(4, 5, 2), counting)
+    monkeypatch.setattr(cf, "random_upsilon", lambda n, seed: counting)
+    battery(random_scene(4, 5, 2))
     assert len(seen) == calls
 
 
@@ -318,19 +325,27 @@ def test_pulled_upsilon_is_the_chart_evaluation(factor):
     # Upsilon reaches a pack like every ambient tensor: evaluated on the
     # ambient coordinate variables, then pulled back along the chart; that
     # is Upsilon of the chart jets to the pack order, and its value is
-    # Upsilon(x0) to the last bit
+    # Upsilon(x0) to the last bit.  The pack keeps one entry per factor: a
+    # second factor on the same pack, and the plain pack that the Q battery
+    # probes with several factors, get their own pullback, and a second
+    # read returns the same object
     sc = scene(4, 5, 2)
     ups = {"random": random_upsilon(5, seed=4),
            "transverse": cf.transverse_vanishing_upsilon(sc, 1),
            "bump": cf._bump_factor(0.3)}[factor]
+    other = random_upsilon(5, seed=5, degree=3)
     eng = cf._Engine(sc.metric, sc.patch, sc.point, ups)
-    for pack in (eng.param, eng.finite(0.1)):
-        got = eng._upsilon_on(pack)
-        chart = [pack.chart_jets[a] for a in range(pack.n)]
-        want = ups(chart).truncate(PACK_ORDER)
-        assert got.space is want.space
-        assert float(np.max(np.abs(got.coeffs - want.coeffs))) < 1e-13
-        assert float(got.value) == float(ups(variables(pack.x_point, 0)).value)
+    plain = SubmanifoldPack(sc.metric, sc.patch, sc.point)
+    for pack in (eng.param, eng.finite(0.1), plain):
+        for f in (ups, other):
+            got = cf._upsilon_jets(pack, f)[1]
+            chart = [pack.chart_jets[a] for a in range(pack.n)]
+            want = f(chart).truncate(PACK_ORDER)
+            assert got.space is want.space
+            assert float(np.max(np.abs(got.coeffs - want.coeffs))) < 1e-13
+            assert float(got.value) == float(
+                f(variables(pack.x_point, 0)).value)
+            assert cf._upsilon_jets(pack, f)[1] is got
 
 
 def test_linear_rescale_is_the_exponential_on_the_parameter_pack():
@@ -339,7 +354,7 @@ def test_linear_rescale_is_the_exponential_on_the_parameter_pack():
     sc = scene(4, 5, 2)
     eng = cf._Engine(sc.metric, sc.patch, sc.point, random_upsilon(5, seed=4))
     pp = eng.param
-    tu = pp.chart_jets[pp.n] * eng._upsilon_on(pp)
+    tu = pp.chart_jets[pp.n] * cf._upsilon_jets(pp, eng.upsilon)[1]
     for w in (2.0, -4.0, 1.3):
         assert np.array_equal((w * tu).exp().coeffs, (1.0 + w * tu).coeffs)
 
@@ -350,7 +365,7 @@ def test_scale_is_the_rescale_factor_of_each_built_pack(monkeypatch):
     sc = scene(4, 5, 2)
     eng = cf._Engine(sc.metric, sc.patch, sc.point, random_upsilon(5, seed=4))
     pp = eng.param
-    tu = pp.chart_jets[pp.n] * eng._upsilon_on(pp)
+    tu = pp.chart_jets[pp.n] * cf._upsilon_jets(pp, eng.upsilon)[1]
     calls = []
     exp = Jets.exp
     monkeypatch.setattr(Jets, "exp", lambda self: calls.append(1) or exp(self))
@@ -359,7 +374,7 @@ def test_scale_is_the_rescale_factor_of_each_built_pack(monkeypatch):
     for w, jet in got.items():
         assert np.array_equal(jet.coeffs, exp(w * tu).coeffs)
     for s in (1e-4, -1e-4, 0.1, -0.07):
-        u = eng._upsilon_on(eng.finite(s))
+        u = cf._upsilon_jets(eng.finite(s), eng.upsilon)[1]
         for w in (2.0, -4.0, 1.3):
             assert np.array_equal(eng.scale(eng.finite(s), w).coeffs,
                                   exp(w * (s * u)).coeffs)
@@ -565,22 +580,41 @@ def test_strata_vanishing_is_sharp():
         assert mag > 1e-3, f"stratum {j} never lights up ({mag})"
 
 
-def test_vanishing_factor_tags_verify():
+@pytest.mark.parametrize("j", range(5))
+def test_vanishing_factor_tags_verify(j):
+    # the factor of depth j vanishes through order j and, as its (j + 1)-st
+    # power of a defining function still has a nonzero derivative of that
+    # order, not through j + 1: the depth is sharp at every stratum
     sc = scene(4, 6, 5)
     x0 = np.asarray(
         SubmanifoldPack(sc.metric, sc.patch, sc.point).x_point)
-    deep = cf.transverse_vanishing_upsilon(sc, 2, seed=3)
-    assert deep.verify(x0)
-    # a first-power factor still has a gradient: claiming more must fail
-    shallow = cf.transverse_vanishing_upsilon(sc, 0, seed=3)
-    lying = cf.ConformalFactor(shallow.fn, vanishing_order=1)
-    assert not lying.verify(x0)
+    ups = cf.transverse_vanishing_upsilon(sc, j, seed=3)
+    assert cf.vanishes_through(ups, x0, j)
+    assert not cf.vanishes_through(ups, x0, j + 1)
 
 
 def test_generic_factor_fails_vanishing_tag():
     sc = scene(4, 6, 5)
     x0 = np.asarray(
         SubmanifoldPack(sc.metric, sc.patch, sc.point).x_point)
-    ups = cf.ConformalFactor(random_upsilon(6, seed=1), vanishing_order=0)
-    assert not ups.verify(x0)
-    assert cf.ConformalFactor(random_upsilon(6, seed=1)).verify(x0)
+    assert not cf.vanishes_through(random_upsilon(6, seed=1), x0, 0)
+    assert not cf.vanishes_through(cf._bump_factor(0.3), x0, 0)
+
+
+@pytest.mark.parametrize("battery", [cf.check_tangential_dependence,
+                                     cf.check_strata_vanishing])
+@pytest.mark.parametrize("make", [s2xs2_in_s5, cylinder_r_x_s3])
+def test_transverse_factor_needs_a_graph_patch(monkeypatch, battery, make):
+    # the transverse-vanishing factor reads the patch as a graph over its
+    # first k ambient coordinates; on a patch that is not one it would not
+    # vanish along the submanifold, so both batteries that use it refuse
+    # the scene before building a pack
+    builds = []
+    init = SubmanifoldPack.__init__
+    monkeypatch.setattr(SubmanifoldPack, "__init__", lambda self, *a, **kw: (
+        builds.append(a) or init(self, *a, **kw)))
+    sc = make()
+    with pytest.raises(GeometryError,
+                       match=rf"{re.escape(sc.name)}: .* needs a graph patch"):
+        battery(sc)
+    assert builds == []
