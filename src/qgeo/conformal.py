@@ -54,7 +54,6 @@ from .fields import (
     MetricField,
     conformally_rescaled,
     diagonal_exponential_metric,
-    graph_patch,
 )
 from .invariants import (
     REGISTRY,
@@ -154,7 +153,8 @@ class LinearizationReport:
         return good
 
 
-def _gap(a, b) -> float:
+def _gap(a, b=0.0) -> float:
+    """Every battery's worst case: the largest ``|a - b|``, NaN if any is."""
     return float(np.max(np.abs(np.asarray(a) - np.asarray(b))))
 
 
@@ -207,15 +207,13 @@ class _Engine:
     # --- restriction data of Upsilon, read at t^0 of the parameter pack ---
     @cached_property
     def restriction(self) -> SimpleNamespace:
-        p = self.param
-        n = p.n
+        p, amb = self.param, self.param.ambient
         u_x, u_y = _upsilon_jets(p, self.upsilon)
-        du_x = jets_stack([u_x.deriv(a) for a in range(n)])
+        du_x = amb.cov_deriv(u_x)
+        hess_x = amb.cov_deriv(du_x)
         du_y = p.pull(du_x)
         grad = p.tangential_gradient(u_y)
         hessian = p.tangential_cov_deriv(grad, "t")
-        amb = p.ambient
-        hess_x = amb.cov_deriv(amb.cov_deriv(u_x))
         return SimpleNamespace(
             grad=grad,
             grad_up=jet_einsum("ab,b->a", p.induced_inv, grad),
@@ -281,7 +279,7 @@ class _Engine:
             quantity=name, numeric=numeric,
             residual=None if analytic is None else _gap(numeric, analytic),
             method_gap=gap,
-            flagged=bool(gap is not None and gap > METHOD_FLAG_TOL))
+            flagged=gap is not None and not gap <= METHOD_FLAG_TOL)
 
 
 def _engine_for(scene: Scene, upsilon) -> _Engine:
@@ -491,11 +489,10 @@ def check_tangential_dependence(scene: Scene, *, seed=0) -> dict:
     eng0 = _engine_for(scene, normal_only)
     reports = [eng.report(nm, ev, w, analytic=law)
                for (nm, ev, w), law in zip(_LEMMA_ROWS, _lemma_laws(eng))]
-    silent = [float(np.max(np.abs(eng0.nilpotent(ev, w))))
-              for _, ev, w in _LEMMA_ROWS]
+    silent = [_gap(eng0.nilpotent(ev, w)) for _, ev, w in _LEMMA_ROWS]
     return {
         "reports": reports,
-        "tangential_zero_max": max(silent),
+        "tangential_zero_max": _gap(silent),
         "schouten_pullback_zero": silent[0],
     }
 
@@ -524,13 +521,10 @@ def check_invariance(scene: Scene, *, seed=0) -> dict:
     out = {}
     for nm, ev, w in rows:
         base = np.asarray(ev(p0).value)
-        finite = max(
-            _gap(np.exp(-w * t * upt) * np.asarray(ev(eng.finite(t)).value),
-                 base)
-            for t in (0.1, -0.07))
-        val = eng.nilpotent(ev, float(w))
+        finite = _gap([np.exp(-w * t * upt) * np.asarray(ev(eng.finite(t)).value)
+                       for t in (0.1, -0.07)], base)
         out[nm] = {"finite": finite, "weight": w,
-                   "variation": float(np.max(np.abs(val)))}
+                   "variation": _gap(eng.nilpotent(ev, float(w)))}
     return out
 
 
@@ -555,6 +549,10 @@ def check_q_transformation(scenes=None, *, seed: int = 0) -> dict:
             random_scene(4, 7, seed=seed + 33),
             equatorial_sphere(4, 5),
         ]
+    names = [sc.name for sc in scenes]
+    repeated = sorted({nm for nm in names if names.count(nm) > 1})
+    if repeated:
+        raise ValueError(f"scene names {repeated} repeat; rows are keyed by name")
     results = {}
     for sc in scenes:
         k, n = sc.patch.k, sc.patch.n
@@ -568,17 +566,16 @@ def check_q_transformation(scenes=None, *, seed: int = 0) -> dict:
         p0 = SubmanifoldPack(sc.metric, sc.patch, sc.point)
         qname = f"extrinsic_q{k}"
         q0 = float(evaluate(p0, qname).value)
-        worst = 0.0
+        lhs, rhs = [], []
         for ups in ups_list:
             u0 = _upsilon_jets(p0, ups)[1]
             ph = _Engine(sc.metric, sc.patch, sc.point, ups).finite(1.0)
-            lhs = (np.exp(k * float(u0.value))
-                   * float(evaluate(ph, qname).value))
-            rhs = q0 + float(extrinsic_paneitz_apply(p0, u0).value)
-            worst = max(worst, abs(lhs - rhs))
+            lhs.append(np.exp(k * float(u0.value))
+                       * float(evaluate(ph, qname).value))
+            rhs.append(q0 + float(extrinsic_paneitz_apply(p0, u0).value))
         one = 0.0 * p0.chart_jets[0] + 1.0
-        const_residual = abs(float(extrinsic_paneitz_apply(p0, one).value))
-        results[sc.name] = {"residual": worst,
+        const_residual = _gap(extrinsic_paneitz_apply(p0, one).value)
+        results[sc.name] = {"residual": _gap(lhs, rhs),
                             "operator_kills_constants": const_residual}
     return results
 
@@ -609,13 +606,10 @@ def check_homogeneity(scene: Scene) -> dict:
     for c in (2.0, 1.0 / 3.0):
         ups = lambda xs, c=c: 0.0 * xs[0] + float(np.log(c))
         ph = _Engine(scene.metric, scene.patch, scene.point, ups).finite(1.0)
-        worst = 0.0
-        for nm in names:
-            w = REGISTRY[nm].weight_at(k)
-            hat = float(evaluate(ph, nm).value)
-            worst = max(worst, abs(hat - c ** w * base[nm]))
-        scal_res = abs(float(ph.ambient.scal.value) - scal0 / (c * c))
-        out[c] = {"worst": worst, "ambient_scalar": scal_res}
+        hats = [float(evaluate(ph, nm).value) for nm in names]
+        laws = [c ** REGISTRY[nm].weight_at(k) * base[nm] for nm in names]
+        out[c] = {"worst": _gap(hats, laws),
+                  "ambient_scalar": _gap(ph.ambient.scal.value, scal0 / (c * c))}
     return out
 
 
@@ -831,7 +825,7 @@ def vanishes_through(upsilon, x_point, order: int) -> bool:
     vanishes at ``x_point``: its order-``order`` jet there is zero to within
     1e-10 (a check at the point, which the stratified checks consume)."""
     u = upsilon(variables(np.asarray(x_point, dtype=float), order))
-    return float(np.abs(u.coeffs).max()) <= 1e-10
+    return _gap(u.coeffs) <= 1e-10
 
 
 def check_strata_vanishing(scene: Scene, *, seed: int = 0) -> dict:
@@ -844,7 +838,7 @@ def check_strata_vanishing(scene: Scene, *, seed: int = 0) -> dict:
     """
     def magnitudes(ups, depth):
         eng = _engine_for(scene, ups)
-        return {el.name: float(np.max(np.abs(eng.nilpotent(el.evaluate, -4.0))))
+        return {el.name: _gap(eng.nilpotent(el.evaluate, -4.0))
                 for el in QUARTIC_STRATA if el.stratum <= depth}
 
     strata = sorted({el.stratum for el in QUARTIC_STRATA})
@@ -878,12 +872,6 @@ def witness_metric(n: int, s: float, t: float, u: float,
         zero,
     ] + [zero] * (n - 4)
     return diagonal_exponential_metric(n, fs, name="witness")
-
-
-def _witness_patch(n: int):
-    return graph_patch(4, n, [(lambda ys: 0.0 * ys[0])
-                              for _ in range(n - 4)],
-                      basepoint=[0.0] * 4, name="plane")
 
 
 _WITNESS_POINTS = (
@@ -934,7 +922,7 @@ def linear_independence_witness(n: int, *, params=None) -> list[dict]:
         params = [(1.0, 1.0, 1.0, 1.0),
                   (0.7, -0.45, 0.6, 0.3),
                   (0.5, 0.8, -0.7, 0.4)]
-    patch = _witness_patch(n)
+    patch = affine_plane(4, n).patch
     results = []
     for s, t, u, v in params:
         g = witness_metric(n, s, t, u, v)

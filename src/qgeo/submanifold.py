@@ -240,11 +240,10 @@ class SubmanifoldPack:
     @cached_property
     def second_fundamental(self) -> Jets:
         """``L[i, j, r]``: normal part of the frame's ambient acceleration."""
-        e_list = [self.chart_jets.deriv(i) for i in range(self.k)]
-        dd = jets_stack(
-            [jets_stack([ei.deriv(j)[: self.n] for j in range(self.k)])
-             for ei in e_list])
-        s = dd + jet_einsum("zib,jb->ijz", self._gamma_frame, self.tangent_frame)
+        e = self.tangent_frame
+        dd = jets_stack([jets_stack([e[i].deriv(j) for j in range(self.k)])
+                         for i in range(self.k)])
+        s = dd + jet_einsum("zib,jb->ijz", self._gamma_frame, e)
         return jet_einsum("ijz,rz->ijr", s, self.normal_coframe)
 
     @cached_property
@@ -754,6 +753,4 @@ def simons_residual(pack: SubmanifoldPack) -> float:
     rhs += -np.einsum("adr,cds,cbs,abr->", L0, l0uu, L0, l0uu)
     rhs += 2.0 * np.einsum("cdr,ads,bcs,abr->", l0uu, L0, L0, l0uu)
 
-    scale = 1.0 + max(abs(lhs), abs(rhs),
-                      float(np.max(np.abs(lap))) if lap.size else 0.0)
-    return abs(lhs - rhs) / scale
+    return _rel(lhs - rhs, lhs, rhs, lap)

@@ -14,6 +14,7 @@ strata at zero, living strata visibly nonzero).
 """
 
 import re
+from collections import defaultdict
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -51,7 +52,7 @@ def scene(k, n, seed):
 @lru_cache(maxsize=None)
 def witness_pack(n, params, point=(0.0, 0.0, 0.0, 0.0)):
     g = cf.witness_metric(n, *params)
-    return SubmanifoldPack(g, cf._witness_patch(n), list(point))
+    return SubmanifoldPack(g, affine_plane(4, n).patch, list(point))
 
 
 # -- witness family: closed-form component oracles ----------------------------
@@ -436,6 +437,18 @@ def test_linearize_mean_curvature_flat_oracle():
     assert rep.ok()
 
 
+def test_nan_method_gap_flags_the_report(monkeypatch):
+    # a cross-check that produced no number cannot vouch for the variation
+    monkeypatch.setattr(cf._Engine, "central", lambda self, ev, w: np.nan)
+    sc = affine_plane(2, 3)
+    rep = cf.linearize(
+        lambda q: q.mean_curvature, sc.metric, sc.patch,
+        lambda xs: 1.0 * xs[2], -1.0, point=sc.point)
+    assert np.isnan(rep.method_gap)
+    assert rep.flagged
+    assert not rep.ok()
+
+
 # -- method agreement on every registered quantity ------------------------------
 
 
@@ -521,6 +534,19 @@ def test_q_transformation_rejects_other_dimensions_before_building(monkeypatch):
     assert built == []
 
 
+def test_q_transformation_rejects_repeated_scene_names(monkeypatch):
+    # rows are keyed by scene name, so a second scene of the same name
+    # would overwrite the first one's row
+    built = []
+    init = SubmanifoldPack.__init__
+    monkeypatch.setattr(SubmanifoldPack, "__init__", lambda self, *a, **kw: (
+        built.append(a) or init(self, *a, **kw)))
+    scenes = [affine_plane(2, 4), affine_plane(2, 4, point=[0.3, -0.2])]
+    with pytest.raises(ValueError, match="'affine-plane-2-4'"):
+        cf.check_q_transformation(scenes=scenes, seed=1)
+    assert built == []
+
+
 # -- uniform scalings ---------------------------------------------------------------
 
 
@@ -566,7 +592,7 @@ def test_quartic_term_variations_are_divergences(seed):
 def test_strata_vanishing_is_sharp():
     out = cf.check_strata_vanishing(scene(4, 6, 5), seed=0)
     for j, mags in out["vanishing"].items():
-        worst = max(mags.values())
+        worst = np.max(list(mags.values()))  # a NaN leak stays NaN
         assert worst < 1e-7, f"stratum {j}: leak {worst}"
     # expected element counts per closed stratum
     counts = {j: len(m) for j, m in out["vanishing"].items()}
@@ -618,3 +644,84 @@ def test_transverse_factor_needs_a_graph_patch(monkeypatch, battery, make):
                        match=rf"{re.escape(sc.name)}: .* needs a graph patch"):
         battery(sc)
     assert builds == []
+
+
+# -- a NaN anywhere is the reported number --------------------------------------
+
+
+@pytest.fixture
+def packs_at(monkeypatch):
+    """The packs every engine builds, listed by rescale parameter ``t``."""
+    built = defaultdict(list)
+    finite = cf._Engine.finite
+
+    def record(self, t):
+        pack = finite(self, t)
+        if not any(pack is q for q in built[t]):
+            built[t].append(pack)
+        return pack
+
+    monkeypatch.setattr(cf._Engine, "finite", record)
+    return built
+
+
+def poison(monkeypatch, name, hit):
+    """``cf.evaluate(p, name)`` reads NaN on every pack ``p`` with ``hit(p)``."""
+    evaluate = cf.evaluate
+    monkeypatch.setattr(cf, "evaluate", lambda p, nm: (
+        evaluate(p, nm) * np.nan if nm == name and hit(p) else evaluate(p, nm)))
+
+
+def test_nan_rescaled_q_is_the_q_residual(monkeypatch, packs_at):
+    # the first factor's rescaled Q is NaN, the second's is not
+    poison(monkeypatch, "extrinsic_q2", lambda p: p in packs_at[1.0][:1])
+    out = cf.check_q_transformation(scenes=[affine_plane(2, 4)], seed=1)
+    assert len(packs_at[1.0]) == 2
+    assert np.isnan(out["affine-plane-2-4"]["residual"])
+
+
+def test_nan_finite_rescale_is_the_invariance_gap(monkeypatch, packs_at):
+    # only the second finite rescale, t = -0.07, of one invariant is NaN
+    poison(monkeypatch, "willmore_quartic", lambda p: p in packs_at[-0.07])
+    out = cf.check_invariance(scene(4, 6, 4), seed=5)
+    assert np.isnan(out["willmore_quartic"]["finite"])
+    assert out["willmore_quartic"]["variation"] < 1e-7
+    assert all(row["finite"] < 1e-6 for nm, row in out.items()
+               if nm != "willmore_quartic")
+
+
+def test_nan_variation_is_the_invariance_variation(monkeypatch, packs_at):
+    poison(monkeypatch, "willmore_quartic", lambda p: p in packs_at[None])
+    out = cf.check_invariance(scene(4, 6, 4), seed=5)
+    assert np.isnan(out["willmore_quartic"]["variation"])
+
+
+def test_nan_silent_variation_is_the_tangential_maximum(monkeypatch):
+    # the last of the five mixed quantities evaluates to NaN
+    nm, ev, w = cf._LEMMA_ROWS[-1]
+    monkeypatch.setattr(cf, "_LEMMA_ROWS", cf._LEMMA_ROWS[:-1] + (
+        (nm, lambda q: ev(q) * np.nan, w),))
+    out = cf.check_tangential_dependence(scene(4, 6, 5), seed=5)
+    assert np.isnan(out["tangential_zero_max"])
+    assert out["schouten_pullback_zero"] < 1e-9
+
+
+def test_nan_scaled_invariant_is_the_homogeneity_gap(monkeypatch, packs_at):
+    # one invariant, not the first, at the first scaling c = 2
+    sc = scene(4, 6, 4)
+    name = sorted(available(4, 6))[-1]
+    poison(monkeypatch, name, lambda p: p in packs_at[1.0][:1])
+    out = cf.check_homogeneity(sc)
+    assert np.isnan(out[2.0]["worst"])
+    assert out[1.0 / 3.0]["worst"] < 1e-9
+
+
+def test_nan_element_is_its_stratum_magnitude(monkeypatch):
+    # two stratum-0 elements, the second evaluating to NaN
+    first, second = cf.QUARTIC_STRATA[:2]
+    monkeypatch.setattr(cf, "QUARTIC_STRATA", (first, cf.StratumElement(
+        0, second.name, lambda p: second.evaluate(p) * np.nan)))
+    out = cf.check_strata_vanishing(scene(4, 6, 5), seed=0)
+    assert np.isnan(out["vanishing"][0][second.name])
+    assert np.isnan(out["generic"][second.name])
+    assert out["vanishing"][0][first.name] < 1e-7

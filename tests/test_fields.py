@@ -7,17 +7,26 @@ parameter space, and the leading variables of a larger space), and
 composite chart jets of an immersion, also with a polynomial degree above
 the jet order and above the jet budget.  Composite inputs go through
 ``compose``, which rejects the one layout its truncation cannot serve.
+A table of guards checks that a bad polynomial, patch, rescale or scene
+name fails with an error that names it.
 """
 
+import re
 from functools import lru_cache
 
 import numpy as np
 import pytest
 
 import qgeo.jets as jets
-from qgeo.fields import Polynomial
+from qgeo.fields import (
+    GeometryError,
+    ImmersedPatch,
+    Polynomial,
+    conformally_rescaled,
+    flat_metric,
+)
 from qgeo.jets import compose, constant, jet_mul, jets_stack, variables
-from qgeo.scenes import random_scene
+from qgeo.scenes import random_scene, scene_by_name
 
 
 def naive(poly, xs):
@@ -91,6 +100,26 @@ def test_coordinate_inputs_make_no_jet_products(monkeypatch):
 def test_polynomial_needs_one_jet_per_variable():
     with pytest.raises(ValueError):
         random_polynomial(3, 2)(variables(POINT[:2], 2))
+
+
+# constructor or call, the exception it must raise, and a message fragment
+GUARDS = [
+    (lambda: Polynomial(2, 2, np.zeros(5)), ValueError,
+     "need 6 coefficients per component, got 5"),
+    (lambda: ImmersedPatch(2, 3, lambda ys: list(ys), name="short").jets(
+        [0.0, 0.0], 2), GeometryError,
+     "short: map returned 2 components, expected 3"),
+    (lambda: conformally_rescaled(flat_metric(3), lambda xs: 0.0 * xs[0]).jets(
+        [0.0, 0.0, 0.0], 2), GeometryError,
+     "nilpotent rescale needs the linearization parameter"),
+    (lambda: scene_by_name("nope"), KeyError, "unknown scene 'nope'; available"),
+]
+
+
+@pytest.mark.parametrize("call,error,message", GUARDS)
+def test_guard_names_the_bad_input(call, error, message):
+    with pytest.raises(error, match=re.escape(message)):
+        call()
 
 
 def test_pure_t_displacements_are_rejected():

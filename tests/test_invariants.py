@@ -350,6 +350,54 @@ def test_factored_form_rejects_odd_dimension():
         inv.factored_paneitz_apply(p, p.chart_jets[0], 1.0)
 
 
+# -- guards on routes and dimensions -------------------------------------------
+
+
+ROUTED = ["div_shape_weyl_a", "div_shape_weyl_b", "fialkow_quartic",
+          "weyl_trace_quartic", "extrinsic_q4", "willmore_quartic",
+          "transverse_weyl_quartic_a", "transverse_weyl_quartic_b",
+          "anomaly_quartic_a", "anomaly_quartic_b"]
+
+
+@pytest.mark.parametrize("name", ROUTED)
+def test_unknown_route_is_named(name):
+    with pytest.raises(ValueError, match="^unknown route 'nope'$"):
+        getattr(inv, name)(random_pack(4, 6, 3), route="nope")
+
+
+# call on a pack, its (k, n), and a fragment of the message it must raise
+GUARDS = [
+    (inv.fialkow_quartic_parts, (2, 4), "puts this scalar on its pole"),
+    (lambda p: inv.fialkow_quartic(p, route="parts"), (1, 3),
+     "parts decomposition needs k >= 2"),
+    (lambda p: inv.extrinsic_q4(p, route="gauss_bonnet"), (3, 5),
+     "the Pfaffian route needs k = 4"),
+    (inv.q4_divergence_flux, (3, 5), "the divergence split is the k = 4 case"),
+    (lambda p: inv.intrinsic_paneitz_apply(p, p.chart_jets[0]), (3, 5),
+     "intrinsic fourth-order operator needs k = 4"),
+    (lambda p: inv.extrinsic_paneitz_apply(p, p.chart_jets[0]), (3, 5),
+     "extrinsic operator implemented for k in {2, 4}"),
+    (lambda p: inv.willmore_quartic(p, route="hypersurface"), (4, 6),
+     "the specialized display is the (4, 5) case"),
+    (lambda p: inv.transverse_weyl_quartic_a(p, route="hypersurface"), (4, 6),
+     "the specialized display is codimension one"),
+    (lambda p: inv.transverse_weyl_quartic_b(p, route="hypersurface"), (4, 6),
+     "the specialized display is codimension one"),
+    (lambda p: inv.anomaly_quartic_a(p, route="critical"), (2, 5),
+     "the specialized display is the k = 4 case"),
+    (lambda p: inv.anomaly_quartic_b(p, route="critical"), (2, 5),
+     "the specialized display is the k = 4 case"),
+    (lambda p: p.intrinsic_weyl, (2, 4),
+     "intrinsic trace decomposition needs k >= 3"),
+]
+
+
+@pytest.mark.parametrize("call,dims,message", GUARDS)
+def test_guard_outside_its_domain(call, dims, message):
+    with pytest.raises(GeometryError, match=re.escape(message)):
+        call(random_pack(*dims, 3))
+
+
 # -- behaviour at background dimension four -----------------------------------
 
 

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -247,6 +248,30 @@ def test_position_errors_name_the_multi_index_and_space():
     with pytest.raises(BudgetError, match=r"\(0, 2\) is not in space\(2, 3, param=True"):
         t.coeff((0, 2))
     assert t.coeff((3, 1)) == 0.0 and t.coeff((0, 1)) == 1.0
+
+
+# a call on the jets x, y of space(2, 2), the exception it must raise, and
+# a fragment of the message
+GUARDS = [
+    (lambda x, y: x.space.positions(np.zeros((4, 3))), ValueError,
+     "multi-indices of shape (4, 3) in space(2, 2, param=False): need 2"),
+    (lambda x, y: x ** 0.5, TypeError, "jet powers must be integers"),
+    (lambda x, y: Composer(jets_stack([x]))(x * y), ValueError,
+     "compose needs 2 coordinate jets, got (1,)"),
+]
+
+
+@pytest.mark.parametrize("call,error,message", GUARDS)
+def test_guard_names_the_bad_input(call, error, message):
+    x, y = variables([0.1, 0.2], 2)
+    with pytest.raises(error, match=re.escape(message)):
+        call(x, y)
+
+
+def test_jet_of_a_constant_function_and_repr():
+    c = jet_of(lambda xs: 2.5, [0.1, 0.2], 3)
+    assert c.coeffs.tolist() == [2.5] + [0.0] * (c.space.size - 1)
+    assert repr(c) == "Jets(nvars=2, order=3, batch=())"
 
 
 def test_jet_mul_agrees_with_direct_jet():

@@ -114,3 +114,13 @@ def test_every_private_helper_is_referenced():
                  and node.name.startswith("_") and not node.name.endswith("__")
                  and node.name not in used]
     assert not dead, f"unreferenced private helpers: {dead}"
+
+
+def test_conformal_batteries_reduce_through_gap():
+    # every battery number goes through `conformal._gap`, whose np.max
+    # keeps a NaN; the builtin max and min drop one that is not first
+    calls = [f"{node.func.id} at line {node.lineno}"
+             for node in ast.walk(_sources()["conformal"])
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+             and node.func.id in ("max", "min")]
+    assert not calls, f"builtin reductions in conformal.py: {calls}"
