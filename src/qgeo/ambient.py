@@ -16,7 +16,9 @@ With these choices the unit round sphere has ``R_{abcd} = g_{ac} g_{bd} -
 g_{ad} g_{bc}`` and positive scalar curvature.  A product summed with a
 derivative is formed at the derivative's order, so no dropped coefficient
 is computed: Riemann from the product-free first-kind ``Gamma_{d,ab}`` and
-one ``Gamma Gamma`` product, the inverse metric to the order it is read.
+one ``Gamma Gamma`` product.  The inverse metric and the Christoffel
+symbols are built two orders below the metric, the order at which that
+product and the Ricci trace read them (:class:`CurvaturePack`).
 """
 
 from __future__ import annotations
@@ -50,8 +52,8 @@ def inverse_metric_jets(G: Jets) -> Jets:
 
     Newton's step ``X <- X (2 I - G X)`` doubles the degree through which
     ``X`` is exact, to ``2^s - 1`` after step ``s``; so step ``s`` updates
-    in place only that prefix of ``X`` (the pack's order 3: orders 1, 3),
-    until it covers ``top_degree`` (one more on a parameter space).
+    in place only that prefix of ``X`` (the pack's order 2: orders 1, then
+    all), until it covers ``top_degree`` (one more on a parameter space).
     """
     two_eye = 2.0 * np.eye(G.batch[0])
     X = constant(np.linalg.inv(G.value), G.space)
@@ -136,9 +138,17 @@ def raise_both(T: Jets, g_up: Jets) -> Jets:
 class CurvaturePack:
     """All ambient curvature objects at one evaluation point, as jets.
 
-    Covariant derivatives of Riemann, Weyl, Cotton and Schouten are
-    computed on first access and cached.  The inverse metric ``g_up`` has
-    order ``G.order - 1``, the highest order any consumer reads.
+    Each quantity is built at the order its consumers read.  From the
+    metric ``g`` at ``G.order`` (``PACK_ORDER``), the first-kind symbols
+    lose one order and Riemann, Ricci, ``J``, Schouten and Weyl one more,
+    ``G.order - 2``: the order ``dcotton`` needs, since it differentiates
+    Schouten twice and Bach reads it at order 0.  The inverse metric
+    ``g_up`` and the Christoffel symbols ``gamma`` are built at that order
+    too: Riemann's one ``Gamma Gamma`` product and the Ricci trace read them
+    there, and so does the pullback of ``gamma`` into the second
+    fundamental form.  Covariant derivatives, Cotton and Bach (one and two
+    orders lower) are built on first read and cached, so a pack that is
+    never asked for Bach skips it.
     """
 
     def __init__(self, G: Jets, dim: int):
@@ -147,7 +157,7 @@ class CurvaturePack:
             raise GeometryError("ambient curvature needs dimension >= 3 "
                                 "(Schouten undefined below)")
         self.g = G
-        self.g_up = inverse_metric_jets(G.truncate(G.order - 1))
+        self.g_up = inverse_metric_jets(G.truncate(G.order - 2))
         first = _first_kind(G, n)
         self.gamma = christoffel_jets(first, self.g_up)
         self.rm = riemann_jets(first, self.gamma, n)
@@ -158,12 +168,6 @@ class CurvaturePack:
             1.0 / (n - 2)
         )
         self.weyl = weyl_jets(self.rm, self.schouten, G)
-        dP = self.dschouten
-        self.cotton = dP - jet_trace(dP, "bac->abc")
-        dC = self.dcotton
-        P_up = raise_both(self.schouten.truncate(dC.order), self.g_up)
-        self.bach = (jet_einsum("ec,ecab->ab", self.g_up, dC)
-                     + jet_einsum("acbd,cd->ab", self.weyl, P_up))
 
     def cov_deriv(self, T: Jets) -> Jets:
         return cov_deriv_jets(T, self.gamma, self.dim)
@@ -173,8 +177,20 @@ class CurvaturePack:
         return self.cov_deriv(self.schouten)
 
     @cached_property
+    def cotton(self) -> Jets:
+        dP = self.dschouten
+        return dP - jet_trace(dP, "bac->abc")
+
+    @cached_property
     def dcotton(self) -> Jets:
         return self.cov_deriv(self.cotton)
+
+    @cached_property
+    def bach(self) -> Jets:
+        dC = self.dcotton
+        P_up = raise_both(self.schouten.truncate(dC.order), self.g_up)
+        return (jet_einsum("ec,ecab->ab", self.g_up, dC)
+                + jet_einsum("acbd,cd->ab", self.weyl, P_up))
 
     @cached_property
     def dweyl(self) -> Jets:

@@ -525,7 +525,9 @@ def _product(spc: JetSpace, sa: str, sb: str, rhs: str, a: np.ndarray,
     either).  scipy's compiled ``csr_matvecs`` (``y += S x``, where ``S @ x``
     ends; loaded from its extension file alone, see the module docstring)
     sums the chunk's pairs into its rows of one zero-filled output, each
-    row's in ascending order, so chunking changes no bit.
+    row's in ascending order, so chunking changes no bit.  The output has
+    the operands' promoted dtype, so long-double jets multiply in long
+    double.
     """
     axes_a, axes_b, op, in_place, shape_x, shape_y, width, out_shape, perm = _plan(
         sa, sb, rhs, a.shape[:-1], b.shape[:-1])
@@ -533,7 +535,8 @@ def _product(spc: JetSpace, sa: str, sb: str, rhs: str, a: np.ndarray,
     ii, jj, scatter = spc.mul_tables()
     indptr, pairs = scatter.indptr, scatter.indices
     step = max(1, _CHUNK // width)
-    out = np.zeros((spc.size,) + out_shape)
+    out = np.zeros((spc.size,) + out_shape, np.promote_types(a.dtype, b.dtype))
+    in_place = in_place and A.dtype == out.dtype
     lo = 0
     while lo < spc.size:  # chunks of whole output rows
         if step >= len(ii):  # one chunk: every pair, in pair order

@@ -112,9 +112,13 @@ class SubmanifoldPack:
     ``order`` is the ambient metric jet order, ``PACK_ORDER``; the chart map
     (whose ``Composer`` is :attr:`pull`) is expanded at ``order + 1`` by
     :meth:`ImmersedPatch.chart`, so every pack at one patch point shares
-    the chart and its tables.  :attr:`induced` is at ``order``; the frames
-    (:attr:`induced_inv`, :attr:`normal_frame`, :attr:`normal_coframe`) are
-    at ``order - 1``, the highest order any consumer reads.  With
+    the chart and its tables.  :attr:`induced` is at ``order``, the order
+    its first-kind symbols differentiate.  The frames (:attr:`induced_inv`,
+    :attr:`normal_frame`, :attr:`normal_coframe`) are at ``order - 2``, as
+    are the ambient ``gamma`` they meet in :attr:`second_fundamental`: the
+    form ``L``, ``H`` and ``L0`` are read at most twice differentiated,
+    by the Laplacians in the quartic invariants, and the normal connection
+    (one order lower) once, by :attr:`normal_curvature`.  With
     ``param=True`` every jet carries the extra first-order parameter
     variable used for conformal linearization.
     """
@@ -163,8 +167,11 @@ class SubmanifoldPack:
 
     @cached_property
     def induced_inv(self) -> Jets:
-        """Inverse induced metric, to ``order - 1`` (class docstring)."""
-        return inverse_metric_jets(self.induced.truncate(self.order - 1))
+        """Inverse induced metric, to ``order - 2``: the order of the induced
+        Christoffel symbols it forms, which :attr:`intrinsic_riemann` reads
+        and the intrinsic Laplacian in the quartic Q-curvatures
+        differentiates twice (class docstring)."""
+        return inverse_metric_jets(self.induced.truncate(self.order - 2))
 
     @cached_property
     def tangent_projector(self) -> Jets:
@@ -200,14 +207,16 @@ class SubmanifoldPack:
 
     @cached_property
     def normal_frame(self) -> Jets:
-        """Orthonormal normal vectors ``N[r, a]``, to ``order - 1``.
+        """Orthonormal normal vectors ``N[r, a]``, to ``order - 2``: the
+        order :attr:`normal_connection` differentiates once and
+        :attr:`normal_curvature` twice.
 
         Gram–Schmidt on the candidates of :attr:`normal_picks`, so the
         frame choice is deterministic and stable under small perturbations.
         Only the picked candidates are formed as jets.
         """
         picks = self.normal_picks
-        e, g = self.tangent_frame, self.pulled("g").truncate(self.order - 1)
+        e, g = self.tangent_frame, self.pulled("g").truncate(self.order - 2)
         u = jet_einsum("ia,ij->ja", e, self.induced_inv)
         cands = constant(np.eye(self.n)[picks], u.space) - jet_einsum(
             "ja,jb->ba", u, jet_einsum("jc,cb->jb", e, g[:, picks]))
@@ -266,7 +275,11 @@ class SubmanifoldPack:
 
     @cached_property
     def mean_norm2(self) -> Jets:
-        return jet_einsum("r,r->", self.mean_curvature, self.mean_curvature)
+        """``|H|^2``, one order below ``H``: read through :attr:`mc_schouten`,
+        whose divergence is the deepest read."""
+        H = self.mean_curvature
+        H = H.truncate(H.order - 1)
+        return jet_einsum("r,r->", H, H)
 
     @cached_property
     def tracefree_norm2(self) -> Jets:
@@ -417,8 +430,13 @@ class SubmanifoldPack:
     def intrinsic_schouten(self) -> Jets:
         if self.k < 3:
             raise GeometryError("intrinsic trace adjustment needs k >= 3")
-        jg = jet_einsum(",ab->ab", self.intrinsic_jtrace, self.induced)
-        return (self.intrinsic_ricci - jg) * (1.0 / (self.k - 2))
+        # one order below Ricci: read at most once differentiated, by the
+        # divergence in the intrinsic Paneitz operator
+        ric = self.intrinsic_ricci
+        ric = ric.truncate(ric.order - 1)
+        jg = jet_einsum(",ab->ab", self.intrinsic_jtrace.truncate(ric.order),
+                        self.induced)
+        return (ric - jg) * (1.0 / (self.k - 2))
 
     @cached_property
     def intrinsic_weyl(self) -> Jets:
@@ -461,9 +479,12 @@ class SubmanifoldPack:
 
     @cached_property
     def mc_schouten(self) -> Jets:
-        """Tangential trace adjustment corrected by the mean curvature."""
-        hl = jet_einsum("ijr,r->ij", self.second_tracefree, self.mean_curvature)
+        """Tangential trace adjustment corrected by the mean curvature, at
+        the order of :attr:`mean_norm2`: read at most once differentiated,
+        by its divergence in :func:`divergence_identity_residuals`."""
         h2 = jet_einsum(",ij->ij", self.mean_norm2, self.induced) * 0.5
+        hl = jet_einsum("ijr,r->ij", self.second_tracefree.truncate(h2.order),
+                        self.mean_curvature)
         return self.block("schouten", "tt") + hl + h2
 
     @cached_property
@@ -554,7 +575,7 @@ def _relj(resid: Jets, *refs: Jets) -> float:
 
 def frame_residuals(pack: SubmanifoldPack) -> dict:
     """Whole-jet residuals of the frame algebra (not just point values),
-    at the frames' order ``PACK_ORDER - 1``."""
+    at the frames' order ``PACK_ORDER - 2``."""
     e, nf = pack.tangent_frame, pack.normal_frame
     g = pack.pulled("g")
     out = {}

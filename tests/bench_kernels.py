@@ -14,9 +14,9 @@ pullback of the metric jets along the chart.  Two cases time the per-call
 floor of the product kernel on the (4+1)-variable order-4 pack space: a
 scalar ``jet_mul`` and a frame projection ``jet_einsum("abcd,za->zbcd")``
 of a (5, 5, 5, 5) tensor against a (4, 5) frame.  The next three build the
-ambient curvature pack, the inverse metric and the Riemann tensor from the
-order-4 metric jets of ``t4-in-s7`` (n = 7) at one node of the
-Gauss-Bonnet angle grid.  The last two time a cold start: ``import qgeo``
+ambient curvature pack (read through Bach), the inverse metric and the
+Riemann tensor from the order-4 metric jets of ``t4-in-s7`` (n = 7) at one
+node of the Gauss-Bonnet angle grid.  The last two time a cold start: ``import qgeo``
 in a fresh ``python -B`` interpreter (interpreter start-up included), and
 the 11 jet spaces one Gauss-Bonnet node builds, with their product and
 derivative tables, from a cleared multi-index cache.  Two more time the
@@ -24,7 +24,11 @@ pullback and frame layers: the five pulls (``g``, ``gamma``, ``weyl``,
 ``cotton``, ``bach``) of the ``t4-in-s7`` node's ambient pack through a
 fresh chart ``Composer``, table builds included, and ``normal_coframe`` of
 a fresh plain pack of ``random_scene(4, 6, 13)`` whose induced metric is
-already built.
+already built.  The last two time the layers the conformal batteries
+build per parameter pack: a fresh ``random_scene(4, 5)`` parameter pack
+read through ``second_fundamental`` and ``normal_connection`` (chart
+tables already built), and the ambient curvature pack, read through Bach,
+from the metric jets on the (5+1)-variable parameter space.
 
 For an A/B against another checkout, run each side's own copy of this
 file from the root of its own tree.  ``pyproject.toml`` puts ``src`` on
@@ -129,8 +133,8 @@ def node_metric():
 
 
 def test_curvature_pack_on_t4_in_s7(benchmark, node_metric):
-    pack = benchmark(CurvaturePack, node_metric, NODE.n)
-    assert pack.bach.batch == (NODE.n, NODE.n)
+    bach = benchmark(lambda: CurvaturePack(node_metric, NODE.n).bach)
+    assert bach.batch == (NODE.n, NODE.n)
 
 
 def test_inverse_metric_jets(benchmark, node_metric):
@@ -187,7 +191,7 @@ def test_pulls_through_a_fresh_gauss_bonnet_chart(benchmark, node_metric):
         return [pull(f) for f in fields]
 
     out = benchmark(pull_all)
-    assert [f.order for f in out] == [PACK_ORDER, 3, 2, 1, 0]
+    assert [f.order for f in out] == [PACK_ORDER, 2, 2, 1, 0]
 
 
 FRAME_SCENE = random_scene(4, 6, seed=13)
@@ -203,3 +207,19 @@ def test_normal_coframe_of_a_fresh_pack(benchmark):
     out = benchmark.pedantic(lambda p: p.normal_coframe, setup=fresh_frame_pack,
                              rounds=200, iterations=1)
     assert out.batch == (FRAME_SCENE.n - FRAME_SCENE.patch.k, FRAME_SCENE.n)
+
+
+def test_parameter_pack_through_the_connections(benchmark, chart):
+    def build():
+        p = SubmanifoldPack(SCENE.metric, SCENE.patch, SCENE.point, param=True)
+        return p.second_fundamental, p.normal_connection
+
+    build()  # the chart and its monomial table are kept on the patch
+    L, omega = benchmark(build)
+    assert L.space.param and omega.batch == (SCENE.patch.k, 1, 1)
+
+
+def test_curvature_pack_on_parameter_space(benchmark, chart):
+    metric = SCENE.metric.jets(chart.value[: SCENE.n], PACK_ORDER, param=True)
+    bach = benchmark(lambda: CurvaturePack(metric, SCENE.n).bach)
+    assert bach.space.nvars == SCENE.n + 1 and bach.space.param

@@ -184,16 +184,30 @@ def test_metric_is_parallel():
 
 
 def test_inverse_metric_to_the_order_it_is_read():
-    # every consumer reads g_up at most one order below the metric, so the
-    # pack keeps it there: an exact inverse as a whole jet of that order
+    # the Christoffel symbols and the Ricci trace read g_up at the order of
+    # Riemann, two below the metric, so the pack keeps it there: an exact
+    # inverse as a whole jet of that order
     sc = random_scene(4, 5, 2)
     for param in (False, True):
         amb = submanifold_pack(sc, param=param).ambient
-        assert amb.g_up.order == PACK_ORDER - 1
+        assert amb.g_up.order == PACK_ORDER - 2
         assert amb.g_up.space.param == param
         resid = jet_einsum("ab,bc->ac", amb.g, amb.g_up) - np.eye(5)
-        assert resid.order == PACK_ORDER - 1
+        assert resid.order == PACK_ORDER - 2
         assert float(np.max(np.abs(resid.coeffs))) < 1e-13
+
+
+@pytest.mark.parametrize("param", [False, True])
+def test_induced_inverse_to_the_order_it_is_read(param):
+    # the induced inverse is read at the order of the frames, two below the
+    # induced metric: an exact inverse as a whole jet of that order
+    p = submanifold_pack(random_scene(4, 5, 2), param=param)
+    assert p.induced.order == PACK_ORDER
+    assert p.induced_inv.order == PACK_ORDER - 2
+    assert p.induced_inv.space.param == param
+    resid = jet_einsum("ab,bc->ac", p.induced, p.induced_inv) - np.eye(p.k)
+    assert resid.order == PACK_ORDER - 2
+    assert float(np.max(np.abs(resid.coeffs))) < 1e-13
 
 
 def test_weyl_scales_conformally():

@@ -391,6 +391,32 @@ def test_chunked_kernel_is_the_scatter_form(monkeypatch, subscripts, shape_a,
     assert np.ascontiguousarray(got).tobytes() == np.ascontiguousarray(want).tobytes()
 
 
+LONG_DOUBLE_CASES = [(None, (3, 1), (1, 4)), ("abcd,za->zbcd", (3, 3, 3, 3), (2, 3))]
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-17,
+                    reason="long double is no wider than float64 here")
+@pytest.mark.parametrize("spc", KERNEL_SPACES, ids=["plain", "param"])
+@pytest.mark.parametrize("subscripts, shape_a, shape_b", LONG_DOUBLE_CASES)
+def test_long_double_products(subscripts, shape_a, shape_b, spc):
+    # the kernel keeps the operands' promoted dtype: a long-double product is
+    # one, also with a float64 operand, and agrees with the float64 product
+    # to float64 round-off
+    rng = np.random.default_rng(29)
+    A, B = (Jets(spc, rng.normal(size=shape + (spc.size,)))
+            for shape in (shape_a, shape_b))
+    wide = [Jets(spc, x.coeffs.astype(np.longdouble)) for x in (A, B)]
+    if subscripts is None:
+        got, mixed, want = jet_mul(*wide), jet_mul(A, wide[1]), jet_mul(A, B)
+    else:
+        got, mixed, want = (jet_einsum(subscripts, *ops)
+                            for ops in (wide, (A, wide[1]), (A, B)))
+    assert got.coeffs.dtype == np.longdouble and want.coeffs.dtype == np.float64
+    assert np.array_equal(mixed.coeffs, got.coeffs)
+    gap = np.max(np.abs(got.coeffs - want.coeffs)) / np.max(np.abs(got.coeffs))
+    assert gap <= 1e-15, gap
+
+
 def naive_mul(spc, a, b):
     """Truncated product of two coefficient vectors, monomial by monomial.
 

@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 from qgeo import ambient, jets, submanifold
 from qgeo.ambient import (
     CurvaturePack,
+    christoffel_jets,
     connection_deriv,
     inverse_metric_jets,
     levi_civita_connection,
@@ -31,8 +32,21 @@ from qgeo.fields import (
     graph_patch,
     sphere_chart_metric,
 )
-from qgeo.invariants import evaluate_all
-from qgeo.jets import PACK_ORDER, Jets, constant, jet_einsum, jet_trace, jets_stack
+from qgeo.invariants import (
+    evaluate,
+    evaluate_all,
+    intrinsic_paneitz_apply,
+    willmore_quartic,
+)
+from qgeo.jets import (
+    PACK_ORDER,
+    BudgetError,
+    Jets,
+    constant,
+    jet_einsum,
+    jet_trace,
+    jets_stack,
+)
 from qgeo.scenes import random_scene, scene_by_name
 from qgeo.submanifold import (
     SubmanifoldPack,
@@ -209,9 +223,9 @@ def test_frames_are_the_full_order_frames_truncated(name, params):
     picks, N, coN = _full_order_frame(p)
     assert p.normal_picks == picks
     assert p.induced.order == PACK_ORDER
-    assert p.induced_inv.order == p.normal_frame.order == PACK_ORDER - 1
+    assert p.induced_inv.order == p.normal_frame.order == PACK_ORDER - 2
     for got, want in [(p.normal_frame, N), (p.normal_coframe, coN)]:
-        want = want.truncate(PACK_ORDER - 1)
+        want = want.truncate(PACK_ORDER - 2)
         assert got.space is want.space
         err = np.max(np.abs(got.coeffs - want.coeffs))
         assert err <= 1e-13, f"{name} {params}: {err:.3e}"
@@ -514,7 +528,7 @@ def test_products_run_at_the_order_they_keep(monkeypatch):
     first = ambient._first_kind(amb.g, p.n)
     orders.clear()
     riemann_jets(first, amb.gamma, p.n)
-    assert orders == [amb.gamma.order - 1]  # one Gamma Gamma product
+    assert orders == [first.order - 1]  # one Gamma Gamma product
     for prior, site in [("normal_frame", "normal_connection"),
                         ("normal_connection", "normal_curvature")]:
         order = getattr(p, prior).order
@@ -523,9 +537,9 @@ def test_products_run_at_the_order_they_keep(monkeypatch):
         getattr(p, site)
         assert max(orders) == order - 1, site
 
-    # a whole ambient pack: the Bach term, the last thing it builds after
-    # nabla C, runs at the order of nabla C, and no product (the inverse
-    # metric's Newton steps included) runs at the metric's order
+    # a whole ambient pack read through Bach: the Bach term, the last thing
+    # built after nabla C, runs at the order of nabla C, and no product (the
+    # inverse metric's Newton steps included) runs above the order of Riemann
     derivs_done = []
     inner = ambient.connection_deriv
 
@@ -537,9 +551,10 @@ def test_products_run_at_the_order_they_keep(monkeypatch):
     monkeypatch.setattr(ambient, "connection_deriv", marked)
     orders.clear()
     pack = CurvaturePack(amb.g, p.n)
+    pack.bach
     assert amb.g.order == 4 and pack.dcotton.order == 0
     assert max(orders[derivs_done[-1]:]) == pack.dcotton.order
-    assert orders.count(4) == 0
+    assert max(orders) == pack.rm.order == amb.g.order - 2
 
     # a fresh plain pack and every invariant: the only patch-space products
     # at PACK_ORDER are the 4 degree steps of the chart's one monomial table
@@ -554,6 +569,72 @@ def test_products_run_at_the_order_they_keep(monkeypatch):
     assert spaces.count((p.k, PACK_ORDER)) == 6
     evaluate_all(p)
     assert spaces.count((p.k, PACK_ORDER)) == 6
+
+
+# -- every pack quantity at exactly the order its consumers read -------------
+
+#: (quantity, the builder to cut one order lower, the quantity's order in a
+#: pack, a consumer that runs out of orders once it is one lower).  A
+#: builder is a ``SubmanifoldPack`` cached property, or, for the ambient
+#: pack's eager attributes, the ``ambient`` function that forms them.
+TIGHT_ORDERS = [
+    ("g_up", (ambient, "inverse_metric_jets"), PACK_ORDER - 2,
+     lambda p: p.ambient.bach),
+    ("gamma", (ambient, "christoffel_jets"), PACK_ORDER - 2,
+     lambda p: p.ambient.bach),
+    ("induced_inv", None, PACK_ORDER - 2, lambda p: p.normal_curvature),
+    ("normal_frame", None, PACK_ORDER - 2, lambda p: p.normal_curvature),
+    ("normal_coframe", None, PACK_ORDER - 2, willmore_quartic),
+    ("_gamma_frame", None, PACK_ORDER - 2, willmore_quartic),
+    ("second_fundamental", None, PACK_ORDER - 2, willmore_quartic),
+    ("mean_curvature", None, PACK_ORDER - 2, willmore_quartic),
+    ("normal_connection", None, PACK_ORDER - 3, lambda p: p.normal_curvature),
+    ("induced_christoffel", None, PACK_ORDER - 2,
+     lambda p: evaluate(p, "intrinsic_q4")),
+    ("mean_norm2", None, PACK_ORDER - 3, divergence_identity_residuals),
+    ("mc_schouten", None, PACK_ORDER - 3, divergence_identity_residuals),
+    ("intrinsic_schouten", None, PACK_ORDER - 3,
+     lambda p: intrinsic_paneitz_apply(p, p.induced[0, 0])),
+]
+
+
+def _cut_one_order(monkeypatch, name, builder):
+    """Make every new pack build ``name`` one order lower."""
+    def lowered(build):
+        def cut(*args):
+            out = build(*args)
+            return out.truncate(out.order - 1)
+        return cut
+
+    if builder is None:
+        prop = cached_property(lowered(vars(SubmanifoldPack)[name].func))
+        prop.__set_name__(SubmanifoldPack, name)
+        monkeypatch.setattr(SubmanifoldPack, name, prop)
+    else:
+        owner, attr = builder
+        monkeypatch.setattr(owner, attr, lowered(getattr(owner, attr)))
+
+
+@pytest.mark.parametrize("param", [False, True], ids=["plain", "param"])
+@pytest.mark.parametrize("name,builder,order,consumer", TIGHT_ORDERS,
+                         ids=[row[0] for row in TIGHT_ORDERS])
+def test_pack_builds_each_quantity_at_the_order_it_is_read(
+        monkeypatch, name, builder, order, consumer, param):
+    # built at exactly its order, and that order is needed: one order lower
+    # and the consumer raises
+    scene = random_scene(4, 5, 2)
+
+    def read(p):
+        return getattr(p.ambient if builder else p, name)
+
+    p = submanifold_pack(scene, param=param)
+    assert read(p).order == order
+    consumer(p)
+    _cut_one_order(monkeypatch, name, builder)
+    p = submanifold_pack(scene, param=param)
+    assert read(p).order == order - 1
+    with pytest.raises(BudgetError):
+        consumer(p)
 
 
 def _weyl_four_products(rm, P, g):
@@ -585,14 +666,20 @@ def _riemann_three_products(G, Gamma, dim):
     return jet_einsum("abce,ed->abcd", rm_ud, G)
 
 
+def _full_order_christoffel(G, dim):
+    # from the inverse of the whole metric jet, one order above the pack's
+    return christoffel_jets(ambient._first_kind(G, dim), inverse_metric_jets(G))
+
+
 @pytest.mark.parametrize("n", [5, 6, 7])
 def test_riemann_from_one_product_is_the_three_product_form(n):
     p = submanifold_pack(random_scene(4, n, 0))
     amb = p.ambient
     for rm, want in [
-            (amb.rm, _riemann_three_products(amb.g, amb.gamma, n)),
+            (amb.rm, _riemann_three_products(
+                amb.g, _full_order_christoffel(amb.g, n), n)),
             (p.intrinsic_riemann, _riemann_three_products(
-                p.induced, p.induced_christoffel, p.k))]:
+                p.induced, _full_order_christoffel(p.induced, p.k), p.k))]:
         assert rm.space is want.space
         gap = float(np.max(np.abs(rm.coeffs - want.coeffs)))
         assert gap <= 1e-14 * float(np.max(np.abs(want.coeffs)))
