@@ -210,7 +210,9 @@ def curvature_pack(g: MetricField, p) -> CurvaturePack:
 
 
 def _rel(resid: np.ndarray, *inputs: np.ndarray) -> float:
-    scale = 1.0 + max((float(np.max(np.abs(x))) for x in inputs), default=0.0)
+    """``|resid|`` relative to one plus the largest input entry; a NaN in
+    any input is the result."""
+    scale = 1.0 + float(np.max([np.max(np.abs(x)) for x in inputs], initial=0.0))
     return float(np.max(np.abs(resid))) / scale
 
 

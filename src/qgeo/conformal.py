@@ -96,7 +96,6 @@ __all__ = [
     "check_tangential_dependence",
     "check_invariance",
     "check_q_transformation",
-    "check_homogeneity",
     "quartic_term_reports",
     "QUARTIC_STRATA",
     "transverse_vanishing_upsilon",
@@ -106,9 +105,10 @@ __all__ = [
     "linear_independence_witness",
 ]
 
-#: the two methods must reproduce each other this well to be trusted.
+#: the largest ``residual`` (gap to a closed-form law) a report passes with.
 METHOD_AGREEMENT_TOL = 1e-6
-#: a gap above this marks the report as unreliable.
+#: the two methods must reproduce each other this well to be trusted; a
+#: larger (or NaN) method gap flags the report.
 METHOD_FLAG_TOL = 1e-5
 #: parameter step of the central-difference cross-check
 _STEP = 1e-4
@@ -137,20 +137,22 @@ class LinearizationReport:
     ``numeric`` holds the exact (nilpotent-parameter) variation;
     ``residual`` is its gap to a closed-form law when one is available.
     ``method_gap`` compares it with central differences when the report
-    was cross-checked; a gap above ``METHOD_FLAG_TOL`` sets ``flagged``.
+    was cross-checked; a gap above ``METHOD_FLAG_TOL`` flags the report.
     """
 
     quantity: str
     numeric: np.ndarray
     residual: float | None = None
     method_gap: float | None = None
-    flagged: bool = False
 
-    def ok(self, tol: float = METHOD_AGREEMENT_TOL) -> bool:
-        good = not self.flagged
-        if self.residual is not None:
-            good = good and self.residual <= tol
-        return good
+    @property
+    def flagged(self) -> bool:
+        gap = self.method_gap
+        return gap is not None and not gap <= METHOD_FLAG_TOL
+
+    def ok(self) -> bool:
+        return not self.flagged and (
+            self.residual is None or self.residual <= METHOD_AGREEMENT_TOL)
 
 
 def _gap(a, b=0.0) -> float:
@@ -162,7 +164,7 @@ def _gap(a, b=0.0) -> float:
 
 
 class _Engine:
-    """Shared pack plumbing for one (metric, patch, point, Upsilon) setup.
+    """Shared pack plumbing for one scene and factor ``Upsilon``.
 
     Builds, each on first use, the nilpotent-parameter pack and the
     finite-parameter packs (finite rescales and the central differences of
@@ -184,10 +186,8 @@ class _Engine:
     Upsilon`` exactly and the nilpotent route forms no jet exponential.
     """
 
-    def __init__(self, metric, patch, point, upsilon):
-        self.metric = metric
-        self.patch = patch
-        self.point = None if point is None else np.asarray(point, dtype=float)
+    def __init__(self, scene: Scene, upsilon):
+        self.scene = scene
         self.upsilon = upsilon
         self._packs = {}  # t -> its pack, t=None the parameter pack
 
@@ -199,8 +199,9 @@ class _Engine:
     def finite(self, t: float | None) -> SubmanifoldPack:
         """The pack of ``exp(2 t Upsilon) g``; ``t=None`` is the parameter."""
         if t not in self._packs:
-            ghat = conformally_rescaled(self.metric, self.upsilon, t=t)
-            self._packs[t] = SubmanifoldPack(ghat, self.patch, self.point,
+            sc = self.scene
+            ghat = conformally_rescaled(sc.metric, self.upsilon, t=t)
+            self._packs[t] = SubmanifoldPack(ghat, sc.patch, sc.point,
                                              param=t is None)
         return self._packs[t]
 
@@ -278,28 +279,21 @@ class _Engine:
         return LinearizationReport(
             quantity=name, numeric=numeric,
             residual=None if analytic is None else _gap(numeric, analytic),
-            method_gap=gap,
-            flagged=gap is not None and not gap <= METHOD_FLAG_TOL)
+            method_gap=gap)
 
 
-def _engine_for(scene: Scene, upsilon) -> _Engine:
-    """The engine of ``scene`` for the factor ``upsilon``."""
-    return _Engine(scene.metric, scene.patch, scene.point, upsilon)
-
-
-def linearize(evaluator, metric, patch, upsilon, weight, *, point=None,
-              analytic=None, name="quantity") -> LinearizationReport:
+def linearize(evaluator, scene: Scene, upsilon, weight, *, analytic=None,
+              name="quantity") -> LinearizationReport:
     """First conformal variation of ``evaluator``'s stored components.
 
-    ``evaluator`` maps a :class:`SubmanifoldPack` to a jet tensor;
-    ``weight`` is the exponent of its stored components under rescale
-    (abstract all-lowered homogeneity minus the number of orthonormal
-    normal slots).  The nilpotent-parameter route is exact and is
-    cross-checked by central differences at ``t = +/-1e-4``.
+    ``evaluator`` maps a :class:`SubmanifoldPack` of ``scene`` to a jet
+    tensor; ``weight`` is the exponent of its stored components under
+    rescale (abstract all-lowered homogeneity minus the number of
+    orthonormal normal slots).  The nilpotent-parameter route is exact and
+    is cross-checked by central differences at ``t = +/-1e-4``.
     """
-    eng = _Engine(metric, patch, point, upsilon)
-    return eng.report(name, evaluator, weight, analytic=analytic,
-                      cross_check=True)
+    return _Engine(scene, upsilon).report(name, evaluator, weight,
+                                          analytic=analytic, cross_check=True)
 
 
 # -- ambient transformation laws -----------------------------------------------
@@ -317,7 +311,7 @@ def ambient_law_reports(scene: Scene, *, seed=0) -> list[LinearizationReport]:
     ``n != 4``) a gradient contraction of the Cotton tensor.  Stored
     weights follow the normal-slot count of each projection pattern.
     """
-    eng = _engine_for(scene, random_upsilon(scene.n, seed=seed))
+    eng = _Engine(scene, random_upsilon(scene.n, seed=seed))
     p, r = eng.param, eng.restriction
     n = p.n
     wu = jet_einsum("abcd,d->abc", p.pulled("weyl"), r.ambient_up)
@@ -350,7 +344,7 @@ def submanifold_law_reports(scene: Scene, *, seed=0) -> list[LinearizationReport
     and the normal-bundle curvature are invariant, and the mean
     curvature varies by minus the normal gradient.
     """
-    eng = _engine_for(scene, random_upsilon(scene.n, seed=seed))
+    eng = _Engine(scene, random_upsilon(scene.n, seed=seed))
     p, r = eng.param, eng.restriction
     normal = np.asarray(r.normal.value)
     induced = np.asarray(p.induced.value)
@@ -408,7 +402,7 @@ def derivative_law_reports(scene: Scene, *, seed=0) -> list[LinearizationReport]
     the Laplacian on scalars, against their closed-form lower-order terms.
     Every variation is cross-checked by central differences.
     """
-    eng = _engine_for(scene, random_upsilon(scene.n, seed=seed))
+    eng = _Engine(scene, random_upsilon(scene.n, seed=seed))
     p, r = eng.param, eng.restriction
     w = 1.3  # generic, so no weight-dependent term of a law drops out
     k = p.k
@@ -485,8 +479,8 @@ def check_tangential_dependence(scene: Scene, *, seed=0) -> dict:
     pullback of ``Upsilon`` does (the re-run needs no laws).
     """
     normal_only = transverse_vanishing_upsilon(scene, 0, seed=seed + 101)
-    eng = _engine_for(scene, random_upsilon(scene.n, seed=seed))
-    eng0 = _engine_for(scene, normal_only)
+    eng = _Engine(scene, random_upsilon(scene.n, seed=seed))
+    eng0 = _Engine(scene, normal_only)
     reports = [eng.report(nm, ev, w, analytic=law)
                for (nm, ev, w), law in zip(_LEMMA_ROWS, _lemma_laws(eng))]
     silent = [_gap(eng0.nilpotent(ev, w)) for _, ev, w in _LEMMA_ROWS]
@@ -508,7 +502,7 @@ def check_invariance(scene: Scene, *, seed=0) -> dict:
     ``t = -0.07``, and the first variation of the compensated quantity
     must vanish.  A few non-scalar sanity quantities ride along.
     """
-    eng = _engine_for(scene, random_upsilon(scene.n, seed=seed))
+    eng = _Engine(scene, random_upsilon(scene.n, seed=seed))
     p0 = eng.param
     k = p0.k
     rows = [(nm, lambda q, nm=nm: evaluate(q, nm), REGISTRY[nm].weight_at(k))
@@ -569,7 +563,7 @@ def check_q_transformation(scenes=None, *, seed: int = 0) -> dict:
         lhs, rhs = [], []
         for ups in ups_list:
             u0 = _upsilon_jets(p0, ups)[1]
-            ph = _Engine(sc.metric, sc.patch, sc.point, ups).finite(1.0)
+            ph = _Engine(sc, ups).finite(1.0)
             lhs.append(np.exp(k * float(u0.value))
                        * float(evaluate(ph, qname).value))
             rhs.append(q0 + float(extrinsic_paneitz_apply(p0, u0).value))
@@ -587,30 +581,6 @@ def _bump_factor(amplitude: float):
             s = x * x if s is None else s + x * x
         return amplitude * (-s).exp()
     return fn
-
-
-# -- uniform scalings --------------------------------------------------------------
-
-
-def check_homogeneity(scene: Scene) -> dict:
-    """Pure scalings ``g -> c^2 g`` hit every invariant at its exact weight.
-
-    Probed at ``c = 2`` and ``c = 1/3`` on every available invariant.
-    """
-    p0 = SubmanifoldPack(scene.metric, scene.patch, scene.point)
-    k = p0.k
-    names = sorted(available(k, p0.n))
-    base = {nm: float(evaluate(p0, nm).value) for nm in names}
-    scal0 = float(p0.ambient.scal.value)
-    out = {}
-    for c in (2.0, 1.0 / 3.0):
-        ups = lambda xs, c=c: 0.0 * xs[0] + float(np.log(c))
-        ph = _Engine(scene.metric, scene.patch, scene.point, ups).finite(1.0)
-        hats = [float(evaluate(ph, nm).value) for nm in names]
-        laws = [c ** REGISTRY[nm].weight_at(k) * base[nm] for nm in names]
-        out[c] = {"worst": _gap(hats, laws),
-                  "ambient_scalar": _gap(ph.ambient.scal.value, scal0 / (c * c))}
-    return out
 
 
 # -- quartic building blocks: divergence-shaped variations -------------------------
@@ -631,7 +601,7 @@ def quartic_term_reports(scene: Scene, *, seed=0) -> list[LinearizationReport]:
     four-fold.  Every variation is exact, the three summands needing four
     metric derivatives included.
     """
-    eng = _engine_for(scene, random_upsilon(scene.n, seed=seed))
+    eng = _Engine(scene, random_upsilon(scene.n, seed=seed))
     p, r = eng.param, eng.restriction
     gu, gl = r.grad_up, r.grad
 
@@ -823,7 +793,7 @@ def transverse_vanishing_upsilon(scene: Scene, vanish_to: int, *,
 def vanishes_through(upsilon, x_point, order: int) -> bool:
     """Whether every derivative of ``upsilon`` through total order ``order``
     vanishes at ``x_point``: its order-``order`` jet there is zero to within
-    1e-10 (a check at the point, which the stratified checks consume)."""
+    1e-10.  It tags a factor's depth for a caller; no battery calls it."""
     u = upsilon(variables(np.asarray(x_point, dtype=float), order))
     return _gap(u.coeffs) <= 1e-10
 
@@ -837,7 +807,7 @@ def check_strata_vanishing(scene: Scene, *, seed: int = 0) -> dict:
     rides along so the claim is not vacuous.
     """
     def magnitudes(ups, depth):
-        eng = _engine_for(scene, ups)
+        eng = _Engine(scene, ups)
         return {el.name: _gap(eng.nilpotent(el.evaluate, -4.0))
                 for el in QUARTIC_STRATA if el.stratum <= depth}
 
@@ -883,16 +853,6 @@ _WITNESS_POINTS = (
 )
 
 
-def _normalized_gram(vectors) -> tuple[np.ndarray, float]:
-    V = np.asarray(vectors, dtype=float)
-    norms = np.linalg.norm(V, axis=1)
-    if np.any(norms < 1e-13):
-        return np.zeros((len(V), len(V))), 0.0
-    V = V / norms[:, None]
-    G = V @ V.T
-    return G, float(np.linalg.det(G))
-
-
 #: name, least ambient dimension and components of each tensor building
 #: block of the witness, and of each divergence building block
 _WITNESS_TENSORS = (
@@ -908,15 +868,15 @@ _WITNESS_DIVERGENCES = (
 
 
 def linear_independence_witness(n: int, *, params=None) -> list[dict]:
-    """Gram-matrix certification that the building blocks are independent.
+    """Singular-value certification that the building blocks are independent.
 
     For each parameter sample the witness metric is evaluated at several
     points of the 4-plane; the flattened components of each building block
     of :data:`_WITNESS_TENSORS` and :data:`_WITNESS_DIVERGENCES` that
-    exists in dimension ``n`` are stacked into one vector per block,
-    normalized, and the Gram determinant of each set returned.  Strict
-    positivity certifies independence; the all-zero sample collapses both
-    determinants to zero.
+    exists in dimension ``n`` are stacked into one unit row per block, and
+    the singular values of each set's row matrix returned, largest first.
+    A strictly positive smallest one certifies independence; a set with a
+    vanishing block, as in the all-zero sample, reports zeros.
     """
     if params is None:
         params = [(1.0, 1.0, 1.0, 1.0),
@@ -931,10 +891,12 @@ def linear_independence_witness(n: int, *, params=None) -> list[dict]:
         for kind, table in (("tensor", _WITNESS_TENSORS),
                             ("divergence", _WITNESS_DIVERGENCES)):
             blocks = [(nm, comps) for nm, least, comps in table if n >= least]
-            gram, det = _normalized_gram(
-                [np.concatenate([np.ravel(comps(p)) for p in packs])
-                 for _, comps in blocks])
+            V = np.array([np.concatenate([np.ravel(comps(p)) for p in packs])
+                          for _, comps in blocks])
+            norms = np.linalg.norm(V, axis=1)
+            singular = (np.zeros(len(V)) if np.any(norms < 1e-13) else
+                        np.linalg.svd(V / norms[:, None], compute_uv=False))
             row.update({f"{kind}_names": tuple(nm for nm, _ in blocks),
-                        f"{kind}_gram": gram, f"{kind}_det": det})
+                        f"{kind}_singular": singular})
         results.append(row)
     return results

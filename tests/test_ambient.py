@@ -12,7 +12,7 @@ import re
 import numpy as np
 import pytest
 
-from qgeo.ambient import ambient_identity_residuals, curvature_pack
+from qgeo.ambient import _rel, ambient_identity_residuals, curvature_pack
 from qgeo.fields import (
     GeometryError,
     MetricField,
@@ -174,6 +174,16 @@ def test_identity_residuals_random_metric(n):
     assert len(res) >= 10
     worst = max(res, key=res.get)
     assert res[worst] < 1e-11, f"n={n} {worst}: {res[worst]:.3e}"
+
+
+def test_relative_residual_keeps_a_nan_in_any_input():
+    # the scale is the largest entry over every input; a NaN in one that is
+    # not the first is still the result, not a residual of zero
+    zeros, ones, nan = np.zeros(3), np.ones(3), np.full(3, np.nan)
+    assert np.isnan(_rel(zeros, nan, ones))
+    assert np.isnan(_rel(zeros, ones, nan))
+    assert _rel(np.full(2, 3.0), np.ones(2), np.full(2, -2.0)) == 1.0
+    assert _rel(np.full(2, -0.5)) == 0.5
 
 
 def test_metric_is_parallel():

@@ -91,14 +91,18 @@ def test_witness_divergences_match_closed_forms(n, params):
 
 @pytest.mark.parametrize("n", [5, 6])
 def test_witness_gram_determinants_positive(n):
+    # with m <= 4 unit rows the normalized Gram determinant is
+    # prod sigma_i^2 >= sigma_min^8, so sigma_min > 10^-1.5 also certifies
+    # det > 1e-12
+    bound = 10.0 ** -1.5
     rows = cf.linear_independence_witness(n)
-    best_t = max(r["tensor_det"] for r in rows)
-    best_d = max(r["divergence_det"] for r in rows)
-    assert best_t > 1e-12, f"tensor Gram det {best_t}"
-    assert best_d > 1e-12, f"divergence Gram det {best_d}"
+    best_t = max(r["tensor_singular"][-1] for r in rows)
+    best_d = max(r["divergence_singular"][-1] for r in rows)
+    assert best_t > bound, f"tensor sigma_min {best_t}"
+    assert best_d > bound, f"divergence sigma_min {best_d}"
     # the canonical sample alone already certifies independence
     unit = [r for r in rows if r["params"] == (1.0, 1.0, 1.0, 1.0)]
-    assert unit and unit[0]["tensor_det"] > 1e-12
+    assert unit and unit[0]["tensor_singular"][-1] > bound
 
 
 @pytest.mark.parametrize("n,tensors,divergences", [
@@ -113,20 +117,19 @@ def test_witness_sets_per_dimension(n, tensors, divergences):
     # the Fialkow trace times the metric and the normal-traced Weyl
     # divergence join the sets from codimension two on
     rows = cf.linear_independence_witness(n, params=[(0.7, -0.45, 0.6, 0.3)])
-    assert list(rows[0]) == ["params", "tensor_names", "tensor_gram",
-                             "tensor_det", "divergence_names",
-                             "divergence_gram", "divergence_det"]
+    assert list(rows[0]) == ["params", "tensor_names", "tensor_singular",
+                             "divergence_names", "divergence_singular"]
     assert rows[0]["tensor_names"] == tensors
     assert rows[0]["divergence_names"] == divergences
-    assert rows[0]["tensor_gram"].shape == (len(tensors),) * 2
-    assert rows[0]["divergence_gram"].shape == (len(divergences),) * 2
+    assert rows[0]["tensor_singular"].shape == (len(tensors),)
+    assert rows[0]["divergence_singular"].shape == (len(divergences),)
 
 
 def test_witness_gram_collapses_without_curvature():
     row = cf.linear_independence_witness(
         6, params=[(0.0, 0.0, 0.0, 0.0)])[0]
-    assert row["tensor_det"] == 0.0
-    assert row["divergence_det"] == 0.0
+    assert np.array_equal(row["tensor_singular"], np.zeros(4))
+    assert np.array_equal(row["divergence_singular"], np.zeros(2))
 
 
 def test_witness_needs_a_normal_direction():
@@ -240,20 +243,12 @@ def test_trace_adjusted_laws_and_tangential_dependence(k, n, seed):
     assert out["schouten_pullback_zero"] < 1e-12
 
 
-def test_tangential_battery_builds_one_pack_per_engine(monkeypatch):
+def test_tangential_battery_builds_one_pack_per_engine(pack_builds):
     # every variation is exact and the laws are read at t^0 of the
     # parameter pack, so each of the battery's two engines builds only
     # its parameter pack
-    builds = []
-    init = SubmanifoldPack.__init__
-
-    def counting_init(self, *args, **kwargs):
-        builds.append(args)
-        init(self, *args, **kwargs)
-
-    monkeypatch.setattr(SubmanifoldPack, "__init__", counting_init)
     out = cf.check_tangential_dependence(random_scene(4, 5, 2))
-    assert len(builds) == 2
+    assert len(pack_builds) == 2
     assert out["tangential_zero_max"] < 1e-7
 
 
@@ -273,18 +268,15 @@ def test_silent_tangential_run_builds_no_restriction(monkeypatch):
     assert len(built) == 1
 
 
-def test_batteries_at_one_point_share_two_charts(monkeypatch):
+def test_batteries_at_one_point_share_two_charts(monkeypatch, pack_builds):
     # the chart map does not depend on the metric: the plain, finite and
     # parameter packs of all four batteries at one point share the plain
     # and the parameter chart, and their Composer tables.  The packs are
     # 3 of the invariance battery (parameter, t = 0.1, -0.07), 2 of the
     # tangential one (two parameter), 6 of the strata one (one parameter
     # pack per factor) and 3 of the Q one (plain, two at t = 1)
-    charts, tables, packs = [], [], []
+    charts, tables = [], []
     chart_jets, monomial_table = ImmersedPatch.jets, jets.monomial_table
-    init = SubmanifoldPack.__init__
-    monkeypatch.setattr(SubmanifoldPack, "__init__", lambda self, *a, **kw: (
-        packs.append(a) or init(self, *a, **kw)))
     monkeypatch.setattr(ImmersedPatch, "jets", lambda self, *a, **kw: (
         charts.append(a) or chart_jets(self, *a, **kw)))
     monkeypatch.setattr(jets, "monomial_table", lambda *a: (
@@ -296,7 +288,7 @@ def test_batteries_at_one_point_share_two_charts(monkeypatch):
     cf.check_q_transformation(scenes=[sc], seed=2)
     assert len(charts) == 2
     assert len(tables) <= 10
-    assert len(packs) == 14
+    assert len(pack_builds) == 14
 
 
 @pytest.mark.parametrize("battery,calls", [
@@ -335,7 +327,7 @@ def test_pulled_upsilon_is_the_chart_evaluation(factor):
            "transverse": cf.transverse_vanishing_upsilon(sc, 1),
            "bump": cf._bump_factor(0.3)}[factor]
     other = random_upsilon(5, seed=5, degree=3)
-    eng = cf._Engine(sc.metric, sc.patch, sc.point, ups)
+    eng = cf._Engine(sc, ups)
     plain = SubmanifoldPack(sc.metric, sc.patch, sc.point)
     for pack in (eng.param, eng.finite(0.1), plain):
         for f in (ups, other):
@@ -353,7 +345,7 @@ def test_linear_rescale_is_the_exponential_on_the_parameter_pack():
     # t^2 = 0 on the parameter pack, so exp(w t Upsilon) = 1 + w t Upsilon
     # to the last bit
     sc = scene(4, 5, 2)
-    eng = cf._Engine(sc.metric, sc.patch, sc.point, random_upsilon(5, seed=4))
+    eng = cf._Engine(sc, random_upsilon(5, seed=4))
     pp = eng.param
     tu = pp.chart_jets[pp.n] * cf._upsilon_jets(pp, eng.upsilon)[1]
     for w in (2.0, -4.0, 1.3):
@@ -364,7 +356,7 @@ def test_scale_is_the_rescale_factor_of_each_built_pack(monkeypatch):
     # 1 + w t Upsilon on the parameter pack, with no jet exponential, and
     # exp(w s Upsilon) on the finite pack at s, both to the last bit
     sc = scene(4, 5, 2)
-    eng = cf._Engine(sc.metric, sc.patch, sc.point, random_upsilon(5, seed=4))
+    eng = cf._Engine(sc, random_upsilon(5, seed=4))
     pp = eng.param
     tu = pp.chart_jets[pp.n] * cf._upsilon_jets(pp, eng.upsilon)[1]
     calls = []
@@ -383,8 +375,8 @@ def test_scale_is_the_rescale_factor_of_each_built_pack(monkeypatch):
 
 def test_scale_names_a_pack_the_engine_did_not_build():
     sc = scene(4, 5, 2)
-    eng = cf._Engine(sc.metric, sc.patch, sc.point, random_upsilon(5, seed=4))
-    other = cf._Engine(sc.metric, sc.patch, sc.point, random_upsilon(5, seed=5))
+    eng = cf._Engine(sc, random_upsilon(5, seed=4))
+    other = cf._Engine(sc, random_upsilon(5, seed=5))
     with pytest.raises(ValueError, match=r"the parameter pack of "
                        r"rescaled\(.*\) at \[.*\] was not built"):
         eng.scale(other.param, 2.0)
@@ -400,8 +392,7 @@ def test_parameter_pack_values_are_the_plain_values(k, n):
     # rounding level, so the bound is relative to the largest value
     for seed in range(5):
         sc = scene(k, n, seed)
-        pp = cf._Engine(sc.metric, sc.patch, sc.point,
-                        random_upsilon(n, seed=seed + 40)).param
+        pp = cf._Engine(sc, random_upsilon(n, seed=seed + 40)).param
         plain = SubmanifoldPack(sc.metric, sc.patch, sc.point)
         for got, want in ((evaluate_all(pp), evaluate_all(plain)),
                           (pp.scalar_summary(), plain.scalar_summary())):
@@ -417,7 +408,7 @@ def test_nilpotent_route_forms_no_exponential(monkeypatch):
     exp = Jets.exp
     monkeypatch.setattr(Jets, "exp", lambda self: calls.append(1) or exp(self))
     sc = random_scene(4, 5, 2)
-    eng = cf._Engine(sc.metric, sc.patch, sc.point, random_upsilon(5, seed=4))
+    eng = cf._Engine(sc, random_upsilon(5, seed=4))
     eng.param
     rep = eng.report("mean_curvature", lambda q: q.mean_curvature, -1.0)
     assert rep.numeric.shape == (1,)
@@ -429,8 +420,7 @@ def test_linearize_mean_curvature_flat_oracle():
     # constant unit covector, so the mean-curvature variation is -1
     sc = affine_plane(2, 3)
     rep = cf.linearize(
-        lambda q: q.mean_curvature, sc.metric, sc.patch,
-        lambda xs: 1.0 * xs[2], -1.0, point=sc.point,
+        lambda q: q.mean_curvature, sc, lambda xs: 1.0 * xs[2], -1.0,
         name="mean_curvature", analytic=np.array([-1.0]))
     assert rep.residual < 1e-14, f"residual {rep.residual}"
     assert rep.method_gap < 1e-9
@@ -442,8 +432,7 @@ def test_nan_method_gap_flags_the_report(monkeypatch):
     monkeypatch.setattr(cf._Engine, "central", lambda self, ev, w: np.nan)
     sc = affine_plane(2, 3)
     rep = cf.linearize(
-        lambda q: q.mean_curvature, sc.metric, sc.patch,
-        lambda xs: 1.0 * xs[2], -1.0, point=sc.point)
+        lambda q: q.mean_curvature, sc, lambda xs: 1.0 * xs[2], -1.0)
     assert np.isnan(rep.method_gap)
     assert rep.flagged
     assert not rep.ok()
@@ -455,7 +444,7 @@ def test_nan_method_gap_flags_the_report(monkeypatch):
 def test_methods_agree_on_all_registered_quantities():
     sc = scene(4, 6, 21)
     ups = random_upsilon(6, seed=2)
-    eng = cf._Engine(sc.metric, sc.patch, sc.point, ups)
+    eng = cf._Engine(sc, ups)
     quantities = [(nm, lambda q, nm=nm: evaluate(q, nm))
                   for nm in available(4, 6) if REGISTRY[nm].invariant]
     # the quartic strata elements, stratum 4 included
@@ -523,57 +512,48 @@ def test_q_transformation_exactness_on_flat_surface():
     assert row["residual"] < 1e-12, f"flat surface law {row['residual']}"
 
 
-def test_q_transformation_rejects_other_dimensions_before_building(monkeypatch):
-    built = []
-    init = SubmanifoldPack.__init__
-    monkeypatch.setattr(SubmanifoldPack, "__init__", lambda self, *a, **kw: (
-        built.append(a) or init(self, *a, **kw)))
+def test_q_transformation_rejects_other_dimensions_before_building(pack_builds):
     sc = random_scene(3, 5, 4)
     with pytest.raises(GeometryError, match=f"{re.escape(sc.name)}.*k = 3"):
         cf.check_q_transformation(scenes=[sc], seed=3)
-    assert built == []
+    assert pack_builds == []
 
 
-def test_q_transformation_rejects_repeated_scene_names(monkeypatch):
+def test_q_transformation_rejects_repeated_scene_names(pack_builds):
     # rows are keyed by scene name, so a second scene of the same name
     # would overwrite the first one's row
-    built = []
-    init = SubmanifoldPack.__init__
-    monkeypatch.setattr(SubmanifoldPack, "__init__", lambda self, *a, **kw: (
-        built.append(a) or init(self, *a, **kw)))
     scenes = [affine_plane(2, 4), affine_plane(2, 4, point=[0.3, -0.2])]
     with pytest.raises(ValueError, match="'affine-plane-2-4'"):
         cf.check_q_transformation(scenes=scenes, seed=1)
-    assert built == []
+    assert pack_builds == []
 
 
 # -- uniform scalings ---------------------------------------------------------------
 
 
-@pytest.mark.parametrize("k,n,seed", [(4, 6, 4), (2, 4, 3)])
-def test_homogeneity_weights(k, n, seed):
-    out = cf.check_homogeneity(scene(k, n, seed))
-    for c, row in out.items():
-        assert row["worst"] < 1e-9, f"c={c}: {row['worst']}"
-        assert row["ambient_scalar"] < 1e-9, f"c={c}: {row['ambient_scalar']}"
-
-
 @pytest.mark.parametrize("k,n,seed", [(2, 4, 5), (4, 5, 7), (4, 6, 13)])
 def test_constant_scalings_far_from_one(k, n, seed):
-    # g -> c g multiplies each invariant by c^(w/2) at any scale: no guard
-    # may compare a scale-carrying quantity with an absolute threshold.
-    # Structural zeros (codimension one) sit at rounding level, so the
-    # bound is relative to the scene's largest value
+    # g -> c g multiplies each invariant by c^(w/2) at any scale, near one
+    # as far from it, and the ambient scalar curvature (weight -2) by 1/c:
+    # no guard may compare a scale-carrying quantity with an absolute
+    # threshold.  Structural zeros (codimension one) sit at rounding level,
+    # so the bound is relative to the scene's largest value
     sc = scene(k, n, seed)
-    want = evaluate_all(SubmanifoldPack(sc.metric, sc.patch, sc.point))
+    base = SubmanifoldPack(sc.metric, sc.patch, sc.point)
+    want = evaluate_all(base)
     size = max(abs(v) for v in want.values())
-    for c in (1e-30, 1e-22, 1e22):
+    scal = float(base.ambient.scal.value)
+    for c in (1e-30, 1e-22, 1.0 / 9.0, 4.0, 1e22):
         scaled = MetricField(n, lambda xs, c=c: c * sc.metric(xs), name="c*g")
-        got = evaluate_all(SubmanifoldPack(scaled, sc.patch, sc.point))
+        pack = SubmanifoldPack(scaled, sc.patch, sc.point)
+        got = evaluate_all(pack)
         for nm, v in want.items():
             unscaled = got[nm] * c ** (-REGISTRY[nm].weight_at(k) / 2)
             assert abs(unscaled - v) <= 1e-13 * size, (
                 f"c={c}, {nm}: {unscaled!r} vs {v!r}")
+        unscaled = float(pack.ambient.scal.value) * c
+        assert abs(unscaled - scal) <= 1e-13 * abs(scal), (
+            f"c={c}, ambient scalar: {unscaled!r} vs {scal!r}")
 
 
 # -- quartic building blocks ---------------------------------------------------------
@@ -630,23 +610,29 @@ def test_generic_factor_fails_vanishing_tag():
 @pytest.mark.parametrize("battery", [cf.check_tangential_dependence,
                                      cf.check_strata_vanishing])
 @pytest.mark.parametrize("make", [s2xs2_in_s5, cylinder_r_x_s3])
-def test_transverse_factor_needs_a_graph_patch(monkeypatch, battery, make):
+def test_transverse_factor_needs_a_graph_patch(pack_builds, battery, make):
     # the transverse-vanishing factor reads the patch as a graph over its
     # first k ambient coordinates; on a patch that is not one it would not
     # vanish along the submanifold, so both batteries that use it refuse
     # the scene before building a pack
-    builds = []
-    init = SubmanifoldPack.__init__
-    monkeypatch.setattr(SubmanifoldPack, "__init__", lambda self, *a, **kw: (
-        builds.append(a) or init(self, *a, **kw)))
     sc = make()
     with pytest.raises(GeometryError,
                        match=rf"{re.escape(sc.name)}: .* needs a graph patch"):
         battery(sc)
-    assert builds == []
+    assert pack_builds == []
 
 
 # -- a NaN anywhere is the reported number --------------------------------------
+
+
+@pytest.fixture
+def pack_builds(monkeypatch):
+    """The positional arguments of every :class:`SubmanifoldPack` built."""
+    builds = []
+    init = SubmanifoldPack.__init__
+    monkeypatch.setattr(SubmanifoldPack, "__init__", lambda self, *a, **kw: (
+        builds.append(a) or init(self, *a, **kw)))
+    return builds
 
 
 @pytest.fixture
@@ -704,16 +690,6 @@ def test_nan_silent_variation_is_the_tangential_maximum(monkeypatch):
     out = cf.check_tangential_dependence(scene(4, 6, 5), seed=5)
     assert np.isnan(out["tangential_zero_max"])
     assert out["schouten_pullback_zero"] < 1e-9
-
-
-def test_nan_scaled_invariant_is_the_homogeneity_gap(monkeypatch, packs_at):
-    # one invariant, not the first, at the first scaling c = 2
-    sc = scene(4, 6, 4)
-    name = sorted(available(4, 6))[-1]
-    poison(monkeypatch, name, lambda p: p in packs_at[1.0][:1])
-    out = cf.check_homogeneity(sc)
-    assert np.isnan(out[2.0]["worst"])
-    assert out[1.0 / 3.0]["worst"] < 1e-9
 
 
 def test_nan_element_is_its_stratum_magnitude(monkeypatch):

@@ -117,10 +117,13 @@ def test_every_private_helper_is_referenced():
 
 
 def test_conformal_batteries_reduce_through_gap():
-    # every battery number goes through `conformal._gap`, whose np.max
-    # keeps a NaN; the builtin max and min drop one that is not first
-    calls = [f"{node.func.id} at line {node.lineno}"
-             for node in ast.walk(_sources()["conformal"])
+    # every battery number goes through `conformal._gap`, and every identity
+    # residual through `ambient._rel`, whose np.max keeps a NaN; the builtin
+    # max and min drop one that is not first
+    sources = _sources()
+    calls = [f"{module}.py line {node.lineno}: {node.func.id}"
+             for module in ("conformal", "ambient", "submanifold")
+             for node in ast.walk(sources[module])
              if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
              and node.func.id in ("max", "min")]
-    assert not calls, f"builtin reductions in conformal.py: {calls}"
+    assert not calls, f"builtin reductions: {calls}"
