@@ -15,7 +15,7 @@ from .conformal import (
     linear_independence_witness,
     linearize,
 )
-from .jets import BudgetError, Jets, compose, jet_of
+from .jets import BudgetError, Jets, jet_of
 
 __all__ = [
     "BudgetError",
@@ -23,7 +23,6 @@ __all__ = [
     "LinearizationReport",
     "check_invariance",
     "check_q_transformation",
-    "compose",
     "jet_of",
     "linear_independence_witness",
     "linearize",

@@ -29,13 +29,12 @@ from itertools import permutations
 
 import numpy as np
 
-from .fields import GeometryError, MetricField
-from .jets import PACK_ORDER, Jets, constant, jet_einsum, jet_trace, jets_stack
+from .fields import GeometryError
+from .jets import Jets, constant, jet_einsum, jet_trace, jets_stack
 
 __all__ = [
     "CurvaturePack",
     "christoffel_jets",
-    "curvature_pack",
     "connection_deriv",
     "cov_deriv_jets",
     "levi_civita_connection",
@@ -66,9 +65,9 @@ def inverse_metric_jets(G: Jets) -> Jets:
     return X
 
 
-def _first_kind(G: Jets, dim: int) -> Jets:
+def _first_kind(G: Jets) -> Jets:
     """Christoffel symbols of the first kind ``Gamma[d, a, b] = Gamma_{d,ab}``."""
-    dG = jets_stack([G.deriv(c) for c in range(dim)])  # d_c g_{ab}
+    dG = jets_stack([G.deriv(c) for c in range(G.batch[0])])  # d_c g_{ab}
     return 0.5 * (jet_trace(dG, "adb->dab") + jet_trace(dG, "bda->dab") - dG)
 
 
@@ -78,7 +77,7 @@ def christoffel_jets(first: Jets, Ginv: Jets) -> Jets:
     return jet_einsum("cd,dab->cab", Ginv, first)
 
 
-def riemann_jets(first: Jets, Gamma: Jets, dim: int) -> Jets:
+def riemann_jets(first: Jets, Gamma: Jets) -> Jets:
     """Lowered ``R_{abcd}`` at the order of ``d Gamma``, from one product.
 
     ``R_{abcd} = Y_{abcd} - Y_{bacd}`` with ``Y_{abcd} = Gamma_{e,ad}
@@ -86,7 +85,7 @@ def riemann_jets(first: Jets, Gamma: Jets, dim: int) -> Jets:
     Gamma_{d,ab}``): the lowered ``R_{abc}{}^e g_{ed}`` expanded with
     ``d_a g_{ed} = Gamma_{e,ad} + Gamma_{d,ae}``.
     """
-    dfirst = jets_stack([first.deriv(a) for a in range(dim)])
+    dfirst = jets_stack([first.deriv(a) for a in range(first.batch[0])])
     Y = (jet_einsum("ead,ebc->abcd", first.truncate(dfirst.order), Gamma)
          - jet_trace(dfirst, "adbc->abcd"))
     return Y - jet_trace(Y, "bacd->abcd")
@@ -114,11 +113,11 @@ def levi_civita_connection(Gamma: Jets) -> Jets:
     return jet_trace(Gamma, "cab->abc")
 
 
-def cov_deriv_jets(T: Jets, Gamma: Jets, dim: int) -> Jets:
+def cov_deriv_jets(T: Jets, Gamma: Jets) -> Jets:
     """Levi-Civita covariant derivative of an all-lowered tensor; new slot
     comes first."""
     A = levi_civita_connection(Gamma)
-    return connection_deriv(T, [A] * len(T.batch), dim)
+    return connection_deriv(T, [A] * len(T.batch), Gamma.batch[0])
 
 
 def weyl_jets(rm: Jets, P: Jets, g: Jets) -> Jets:
@@ -148,19 +147,20 @@ class CurvaturePack:
     there, and so does the pullback of ``gamma`` into the second
     fundamental form.  Covariant derivatives, Cotton and Bach (one and two
     orders lower) are built on first read and cached, so a pack that is
-    never asked for Bach skips it.
+    never asked for Bach skips it.  The dimension ``n`` is read from the
+    batch (n, n) of ``G``, not from its space (n + 1 variables with ``t``).
     """
 
-    def __init__(self, G: Jets, dim: int):
-        n = self.dim = dim
+    def __init__(self, G: Jets):
+        n = self.dim = G.batch[0]
         if n < 3:
             raise GeometryError("ambient curvature needs dimension >= 3 "
                                 "(Schouten undefined below)")
         self.g = G
         self.g_up = inverse_metric_jets(G.truncate(G.order - 2))
-        first = _first_kind(G, n)
+        first = _first_kind(G)
         self.gamma = christoffel_jets(first, self.g_up)
-        self.rm = riemann_jets(first, self.gamma, n)
+        self.rm = riemann_jets(first, self.gamma)
         self.ric = jet_einsum("acbd,cd->ab", self.rm, self.g_up)
         self.scal = jet_einsum("ab,ab->", self.ric, self.g_up)
         self.jtrace = self.scal * (1.0 / (2.0 * (n - 1)))
@@ -170,7 +170,7 @@ class CurvaturePack:
         self.weyl = weyl_jets(self.rm, self.schouten, G)
 
     def cov_deriv(self, T: Jets) -> Jets:
-        return cov_deriv_jets(T, self.gamma, self.dim)
+        return cov_deriv_jets(T, self.gamma)
 
     @cached_property
     def dschouten(self) -> Jets:
@@ -199,11 +199,6 @@ class CurvaturePack:
     @cached_property
     def driemann(self) -> Jets:
         return self.cov_deriv(self.rm)
-
-
-def curvature_pack(g: MetricField, p) -> CurvaturePack:
-    """Assemble the curvature pack of ``g`` at ``p`` from ``PACK_ORDER`` jets."""
-    return CurvaturePack(g.jets(p, PACK_ORDER), g.dim)
 
 
 # -- identity residuals --------------------------------------------------

@@ -543,6 +543,8 @@ def check_q_transformation(scenes=None, *, seed: int = 0) -> dict:
             random_scene(4, 7, seed=seed + 33),
             equatorial_sphere(4, 5),
         ]
+    if not scenes:
+        raise ValueError("no scenes to check: an empty result passes any check")
     names = [sc.name for sc in scenes]
     repeated = sorted({nm for nm in names if names.count(nm) > 1})
     if repeated:

@@ -12,7 +12,7 @@ A ``Polynomial`` is re-centred at the input values by a Taylor shift, so
 on *coordinate variables* (the first ``nvars`` variables of a jet space,
 as ``variables`` returns them) its jet is the shifted coefficient vector
 itself, laid into the space without a single jet product.  Composite
-inputs (e.g. an immersion's chart jets) go through ``compose``, like
+inputs (e.g. an immersion's chart jets) go through a ``Composer``, like
 every other jet that changes space.
 """
 
@@ -29,7 +29,6 @@ from .jets import (
     JetSpace,
     Jets,
     _multi_indices,
-    compose,
     constant,
     jets_stack,
     variables,
@@ -102,7 +101,7 @@ class Polynomial:
     re-centres the coefficients at the input values ``x0``; on coordinate
     variables (the jets ``variables`` returns, in a space that may hold
     more variables and the parameter ``t``) that is the whole jet.  Any
-    other input is composed with that jet by ``compose``.
+    other input is composed with that jet by a ``Composer``.
     """
 
     def __init__(self, nvars: int, degree: int, coeffs):
@@ -145,20 +144,25 @@ class Polynomial:
         disp[:, 0] = 0.0
         keep, pos, units = _coordinate_layout(self.nvars, self.degree, spc)
         if not np.array_equal(disp, units):
-            return compose(self(variables(x.value, x.order)), x)
+            return Composer(x)(self(variables(x.value, x.order)))
         shifted = self._shifted(x.value)
         out = np.zeros(shifted.shape[:-1] + (spc.size,))
         out[..., pos] = shifted[..., keep]
         return Jets(spc, out)
 
 
-def _as_matrix_jets(rows, n, spc) -> Jets:
+def _as_matrix_jets(rows, spc) -> Jets:
     if isinstance(rows, Jets):
         return rows
     flat = [entry for row in rows for entry in row]
     if not any(isinstance(e, Jets) for e in flat):
-        return constant(np.asarray(rows, dtype=float).reshape(n, n), spc)
-    return jets_stack(flat).reshape(n, n)
+        return constant(np.asarray(rows, dtype=float), spc)
+    return jets_stack(flat).reshape(len(rows), -1)
+
+
+def _check_shape(name: str, what: str, got: tuple, expected: tuple) -> None:
+    if got != expected:
+        raise GeometryError(f"{name}: {what} of shape {got}, expected {expected}")
 
 
 class MetricField:
@@ -175,11 +179,14 @@ class MetricField:
         self.name = name
 
     def __call__(self, xs) -> Jets:
-        return _as_matrix_jets(self.fn(xs), self.dim, xs[0].space)
+        G = _as_matrix_jets(self.fn(xs), xs[0].space)
+        _check_shape(self.name, "components", G.batch, (self.dim,) * 2)
+        return G
 
     def jets(self, point, order: int, param: bool = False) -> Jets:
         """Metric component jets at ``point``: the whole jet must be finite,
         symmetric to 1e-10 of ``max |G|``, and the value positive definite."""
+        _check_shape(self.name, "point", np.shape(point), (self.dim,))
         xs = variables(point, order, param=param)
         G = self(xs)
         c = G.coeffs
@@ -203,13 +210,10 @@ class ImmersedPatch:
     ambient coordinates (sequence of scalar jets/floats).
     """
 
-    def __init__(self, k: int, n: int, fn, basepoint=None, name: str = "patch"):
+    def __init__(self, k: int, n: int, fn, name: str = "patch"):
         self.k = k
         self.n = n
         self.fn = fn
-        self.basepoint = (
-            np.zeros(k) if basepoint is None else np.asarray(basepoint, dtype=float)
-        )
         self.name = name
         self._charts = {}
 
@@ -231,6 +235,7 @@ class ImmersedPatch:
         extra ambient coordinate equal to the parameter itself, so composed
         ambient jets keep their parameter dependence.
         """
+        _check_shape(self.name, "point", np.shape(point), (self.k,))
         ys = variables(point, order, param=param)
         comps = list(self.fn(ys[: self.k]))
         if len(comps) != self.n:
@@ -340,11 +345,10 @@ def conformally_rescaled(g: MetricField, upsilon,
     return MetricField(g.dim, fn, name=f"rescaled({g.name})")
 
 
-def graph_patch(k: int, n: int, heights, basepoint=None,
-                name: str = "graph") -> ImmersedPatch:
+def graph_patch(k: int, n: int, heights, name: str = "graph") -> ImmersedPatch:
     """Graph immersion y -> (y, w_1(y), ..., w_{n-k}(y))."""
 
     def fn(ys):
         return list(ys[:k]) + [w(ys[:k]) for w in heights]
 
-    return ImmersedPatch(k, n, fn, basepoint=basepoint, name=name)
+    return ImmersedPatch(k, n, fn, name=name)

@@ -73,7 +73,6 @@ __all__ = [
     "jet_mul",
     "jet_einsum",
     "jet_trace",
-    "compose",
 ]
 
 #: the jet budget: the largest spatial order of a space (``t`` has degree 0)
@@ -644,6 +643,7 @@ class Composer:
         return self._mons[key]
 
     def __call__(self, f: Jets) -> Jets:
+        """``f`` in the target space, to ``min(f.order, coords.order)``."""
         if f.space.nvars != self.coords.batch[0]:
             raise ValueError(
                 f"compose needs {f.space.nvars} coordinate jets, "
@@ -655,10 +655,3 @@ class Composer:
         mons = self._table(fsub.space)[: fsub.space.size, : tgt.size]
         return Jets(tgt, fsub.coeffs @ mons)
 
-
-def compose(f: Jets, coords: Jets) -> Jets:
-    """Compose an x-space jet with coordinate jets from another space.
-
-    One-shot form of ``Composer``; valid to ``min(f.order, coords.order)``.
-    """
-    return Composer(coords)(f)

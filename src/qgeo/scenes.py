@@ -1,7 +1,7 @@
 """Scene catalog: ambient metrics with immersed patches, plus random scenes.
 
 A scene bundles everything the geometry layers need at one evaluation point:
-the ambient metric field, the immersion chart, the submanifold basepoint,
+the ambient metric field, the immersion chart, the submanifold point,
 and, for Einstein backgrounds, the Einstein constant normalized by
 ``Ric = lambda (n-1) g``.
 
@@ -96,7 +96,7 @@ def clifford_torus(point=(0.4, 0.9)) -> Scene:
         comps = [s * th.cos(), s * th.sin(), s * ph.cos()]
         return _stereographic(comps, s * ph.sin())
 
-    patch = ImmersedPatch(2, 3, fn, basepoint=point, name="clifford-torus")
+    patch = ImmersedPatch(2, 3, fn, name="clifford-torus")
     return Scene("clifford-torus", g, patch, np.asarray(point, dtype=float),
                  einstein_lambda=1.0)
 
@@ -117,7 +117,7 @@ def s2xs2_in_s5(point=(1.0, 0.5, 1.2, 0.8)) -> Scene:
         ]
         return _stereographic(comps, s * t2.cos())
 
-    patch = ImmersedPatch(4, 5, fn, basepoint=point, name="s2xs2-in-s5")
+    patch = ImmersedPatch(4, 5, fn, name="s2xs2-in-s5")
     return Scene("s2xs2-in-s5", g, patch, np.asarray(point, dtype=float),
                  einstein_lambda=1.0)
 
@@ -132,7 +132,7 @@ def t4_in_s7(point=(0.3, 0.8, 1.3, 1.9)) -> Scene:
             comps.extend([0.5 * th.cos(), 0.5 * th.sin()])
         return _stereographic(comps[:-1], comps[-1])
 
-    patch = ImmersedPatch(4, 7, fn, basepoint=point, name="t4-in-s7")
+    patch = ImmersedPatch(4, 7, fn, name="t4-in-s7")
     return Scene("t4-in-s7", g, patch, np.asarray(point, dtype=float),
                  einstein_lambda=1.0)
 
@@ -150,7 +150,7 @@ def cylinder_r_x_s3(point=(0.2, 1.1, 0.9, 0.7)) -> Scene:
             a.sin() * b.sin() * c.sin(),
         ]
 
-    patch = ImmersedPatch(4, 5, fn, basepoint=point, name="cylinder-rxs3")
+    patch = ImmersedPatch(4, 5, fn, name="cylinder-rxs3")
     return Scene("cylinder-rxs3", flat_metric(5), patch,
                  np.asarray(point, dtype=float))
 

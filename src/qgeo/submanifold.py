@@ -69,7 +69,6 @@ from .jets import (
 __all__ = [
     "SubmanifoldPack",
     "per_pack",
-    "submanifold_pack",
     "projected_ambient_deriv",
     "frame_residuals",
     "gauss_codazzi_residuals",
@@ -123,8 +122,8 @@ class SubmanifoldPack:
     variable used for conformal linearization.
     """
 
-    def __init__(self, metric: MetricField, patch: ImmersedPatch, point=None,
-                 *, param: bool = False):
+    def __init__(self, metric: MetricField, patch: ImmersedPatch, point, *,
+                 param: bool = False):
         if patch.n != metric.dim:
             raise GeometryError(
                 f"patch maps into dimension {patch.n}, metric has {metric.dim}"
@@ -138,12 +137,11 @@ class SubmanifoldPack:
         self.n = patch.n
         self.param = param
         self.order = PACK_ORDER
-        self.point = (np.asarray(patch.basepoint, dtype=float)
-                      if point is None else np.asarray(point, dtype=float))
+        self.point = np.asarray(point, dtype=float)
         self.chart_jets, self.pull = patch.chart(self.point, param)
         self.x_point = self.chart_jets.value[: self.n]
         self.ambient = CurvaturePack(
-            metric.jets(self.x_point, PACK_ORDER, param=param), self.n)
+            metric.jets(self.x_point, PACK_ORDER, param=param))
         self._memo = {}
 
     @per_pack
@@ -185,7 +183,7 @@ class SubmanifoldPack:
     def normal_picks(self) -> list[int]:
         """The ``n - k`` coordinates ``b`` whose normally projected vectors,
         the rows of ``I - P^T``, seed :attr:`normal_frame`.  Candidates are
-        walked by projection norm at the basepoint, ties broken by index,
+        walked by projection norm at :attr:`point`, ties broken by index,
         and one is kept when its Gram–Schmidt residual against those kept
         passes the bound :attr:`normal_frame` applies."""
         e, g = self.tangent_frame.value, self.pulled("g").value
@@ -296,7 +294,7 @@ class SubmanifoldPack:
 
     @cached_property
     def _induced_first_kind(self) -> Jets:
-        return _first_kind(self.induced, self.k)
+        return _first_kind(self.induced)
 
     @cached_property
     def induced_christoffel(self) -> Jets:
@@ -408,8 +406,7 @@ class SubmanifoldPack:
 
     @cached_property
     def intrinsic_riemann(self) -> Jets:
-        return riemann_jets(self._induced_first_kind,
-                            self.induced_christoffel, self.k)
+        return riemann_jets(self._induced_first_kind, self.induced_christoffel)
 
     @cached_property
     def intrinsic_ricci(self) -> Jets:
@@ -528,13 +525,6 @@ class SubmanifoldPack:
             out["fialkow_trace"] = float(self.fialkow_trace.value)
             out["intrinsic_jtrace"] = float(self.intrinsic_jtrace.value)
         return out
-
-
-def submanifold_pack(scene, *, param: bool = False,
-                     metric: MetricField | None = None) -> SubmanifoldPack:
-    """Build the pack for a scene (optionally overriding its metric)."""
-    g = scene.metric if metric is None else metric
-    return SubmanifoldPack(g, scene.patch, scene.point, param=param)
 
 
 def projected_ambient_deriv(pack: SubmanifoldPack, name: str,

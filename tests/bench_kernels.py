@@ -133,7 +133,7 @@ def node_metric():
 
 
 def test_curvature_pack_on_t4_in_s7(benchmark, node_metric):
-    bach = benchmark(lambda: CurvaturePack(node_metric, NODE.n).bach)
+    bach = benchmark(lambda: CurvaturePack(node_metric).bach)
     assert bach.batch == (NODE.n, NODE.n)
 
 
@@ -143,9 +143,9 @@ def test_inverse_metric_jets(benchmark, node_metric):
 
 
 def test_riemann_jets_on_t4_in_s7(benchmark, node_metric):
-    gamma = CurvaturePack(node_metric, NODE.n).gamma
-    first = _first_kind(node_metric, NODE.n)
-    out = benchmark(riemann_jets, first, gamma, NODE.n)
+    gamma = CurvaturePack(node_metric).gamma
+    first = _first_kind(node_metric)
+    out = benchmark(riemann_jets, first, gamma)
     assert out.batch == (NODE.n,) * 4
 
 
@@ -182,7 +182,7 @@ GB_PULLS = ("g", "gamma", "weyl", "cotton", "bach")
 
 
 def test_pulls_through_a_fresh_gauss_bonnet_chart(benchmark, node_metric):
-    amb = CurvaturePack(node_metric, NODE.n)
+    amb = CurvaturePack(node_metric)
     fields = [getattr(amb, nm) for nm in GB_PULLS]
     X = NODE.patch.jets(NODE.point, PACK_ORDER + 1)
 
@@ -221,5 +221,5 @@ def test_parameter_pack_through_the_connections(benchmark, chart):
 
 def test_curvature_pack_on_parameter_space(benchmark, chart):
     metric = SCENE.metric.jets(chart.value[: SCENE.n], PACK_ORDER, param=True)
-    bach = benchmark(lambda: CurvaturePack(metric, SCENE.n).bach)
+    bach = benchmark(lambda: CurvaturePack(metric).bach)
     assert bach.space.nvars == SCENE.n + 1 and bach.space.param

@@ -12,7 +12,7 @@ import re
 import numpy as np
 import pytest
 
-from qgeo.ambient import _rel, ambient_identity_residuals, curvature_pack
+from qgeo.ambient import CurvaturePack, _rel, ambient_identity_residuals
 from qgeo.fields import (
     GeometryError,
     MetricField,
@@ -24,11 +24,11 @@ from qgeo.fields import (
 )
 from qgeo.jets import PACK_ORDER, jet_einsum
 from qgeo.scenes import random_polynomial_metric, random_scene
-from qgeo.submanifold import submanifold_pack
+from qgeo.submanifold import SubmanifoldPack
 
 
 def test_flat_metric_is_flat():
-    pack = curvature_pack(flat_metric(5), np.zeros(5))
+    pack = CurvaturePack(flat_metric(5).jets(np.zeros(5), PACK_ORDER))
     for name in ["rm", "ric", "scal", "schouten", "weyl", "cotton", "bach"]:
         field = getattr(pack, name)
         assert np.max(np.abs(field.coeffs)) == 0.0, f"{name} not flat"
@@ -37,7 +37,7 @@ def test_flat_metric_is_flat():
 @pytest.mark.parametrize("n,radius", [(4, 1.0), (5, 2.0)])
 def test_round_sphere_curvature(n, radius):
     x0 = np.array([0.3, -0.1, 0.2, 0.4, 0.25][:n])
-    pack = curvature_pack(sphere_chart_metric(n, radius), x0)
+    pack = CurvaturePack(sphere_chart_metric(n, radius).jets(x0, PACK_ORDER))
     g = pack.g.value
     # constant-curvature model: R_abcd = (g_ac g_bd - g_ad g_bc) / radius^2
     want = (np.einsum("ac,bd->abcd", g, g)
@@ -55,7 +55,7 @@ def test_round_sphere_curvature(n, radius):
 def test_hyperbolic_half_space_curvature():
     n = 4
     x0 = np.array([0.1, -0.3, 0.2, 1.4])
-    pack = curvature_pack(hyperbolic_half_space_metric(n), x0)
+    pack = CurvaturePack(hyperbolic_half_space_metric(n).jets(x0, PACK_ORDER))
     g = pack.g.value
     assert abs(float(pack.scal.value) + n * (n - 1)) < 1e-10
     assert np.allclose(pack.schouten.value, -g / 2, atol=1e-11)
@@ -96,7 +96,8 @@ def test_diagonal_exponential_christoffel():
     # Gamma^u_{vv} = -e^{2(f_v - f_u)} d_u f_v, and no other components
     n, x0 = 4, np.array([0.15, -0.2, 0.1, 0.05])
     S, factors = _quadratic_factors(n, seed=8)
-    pack = curvature_pack(diagonal_exponential_metric(n, factors), x0)
+    g = diagonal_exponential_metric(n, factors)
+    pack = CurvaturePack(g.jets(x0, PACK_ORDER))
     f = 0.5 * np.einsum("abc,b,c->a", S, x0, x0)
     df = np.einsum("abc,c->ab", S, x0)
     want = np.zeros((n, n, n))
@@ -116,7 +117,8 @@ def test_diagonal_exponential_curvature_components():
     # the curvature reduces to second partials of the factors
     n = 5
     S, factors = _quadratic_factors(n, seed=9)
-    pack = curvature_pack(diagonal_exponential_metric(n, factors), np.zeros(n))
+    g = diagonal_exponential_metric(n, factors)
+    pack = CurvaturePack(g.jets(np.zeros(n), PACK_ORDER))
 
     dgam = np.zeros((n, n, n, n))  # dgam[b, u, v, w] = d_b Gamma^u_{vw}
     for u in range(n):
@@ -168,8 +170,8 @@ def test_diagonal_exponential_curvature_components():
 
 @pytest.mark.parametrize("n", [4, 5, 6])
 def test_identity_residuals_random_metric(n):
-    pack = curvature_pack(random_polynomial_metric(n, seed=n),
-                          np.full(n, 0.03))
+    g = random_polynomial_metric(n, seed=n)
+    pack = CurvaturePack(g.jets(np.full(n, 0.03), PACK_ORDER))
     res = ambient_identity_residuals(pack)
     assert len(res) >= 10
     worst = max(res, key=res.get)
@@ -187,8 +189,8 @@ def test_relative_residual_keeps_a_nan_in_any_input():
 
 
 def test_metric_is_parallel():
-    pack = curvature_pack(random_polynomial_metric(5, seed=12),
-                          np.full(5, -0.02))
+    g = random_polynomial_metric(5, seed=12)
+    pack = CurvaturePack(g.jets(np.full(5, -0.02), PACK_ORDER))
     dg = pack.cov_deriv(pack.g)
     assert np.max(np.abs(dg.coeffs)) < 1e-12
 
@@ -199,7 +201,7 @@ def test_inverse_metric_to_the_order_it_is_read():
     # inverse as a whole jet of that order
     sc = random_scene(4, 5, 2)
     for param in (False, True):
-        amb = submanifold_pack(sc, param=param).ambient
+        amb = SubmanifoldPack(sc.metric, sc.patch, sc.point, param=param).ambient
         assert amb.g_up.order == PACK_ORDER - 2
         assert amb.g_up.space.param == param
         resid = jet_einsum("ab,bc->ac", amb.g, amb.g_up) - np.eye(5)
@@ -211,7 +213,8 @@ def test_inverse_metric_to_the_order_it_is_read():
 def test_induced_inverse_to_the_order_it_is_read(param):
     # the induced inverse is read at the order of the frames, two below the
     # induced metric: an exact inverse as a whole jet of that order
-    p = submanifold_pack(random_scene(4, 5, 2), param=param)
+    sc = random_scene(4, 5, 2)
+    p = SubmanifoldPack(sc.metric, sc.patch, sc.point, param=param)
     assert p.induced.order == PACK_ORDER
     assert p.induced_inv.order == PACK_ORDER - 2
     assert p.induced_inv.space.param == param
@@ -229,8 +232,9 @@ def test_weyl_scales_conformally():
 
     x0 = np.array([0.11, -0.07, 0.05, 0.09, -0.12])
     t = 0.37
-    base = curvature_pack(g, x0)
-    resc = curvature_pack(conformally_rescaled(g, upsilon, t=t), x0)
+    base = CurvaturePack(g.jets(x0, PACK_ORDER))
+    ghat = conformally_rescaled(g, upsilon, t=t)
+    resc = CurvaturePack(ghat.jets(x0, PACK_ORDER))
     u0 = 0.2 * x0[0] - 0.1 * x0[1] * x0[2] + 0.05 * x0[3] ** 2
     want = np.exp(2 * t * u0) * base.weyl.value
     dev = np.max(np.abs(resc.weyl.value - want))
@@ -242,18 +246,19 @@ def test_degenerate_metric_rejected():
         z = 0.0 * xs[0]
         return [[1.0 + z, z, z], [z, 1.0 + z, z], [z, z, z]]
 
+    g = MetricField(3, fn, name="degenerate")
     with pytest.raises(GeometryError):
-        curvature_pack(MetricField(3, fn, name="degenerate"), np.zeros(3))
+        CurvaturePack(g.jets(np.zeros(3), PACK_ORDER))
 
 
 def test_low_dimension_rejected():
     with pytest.raises(ValueError):
-        curvature_pack(flat_metric(2), np.zeros(2))
+        CurvaturePack(flat_metric(2).jets(np.zeros(2), PACK_ORDER))
 
 
 def test_low_dimension_raises_geometry_error():
     with pytest.raises(GeometryError, match="dimension >= 3"):
-        curvature_pack(flat_metric(2), np.zeros(2))
+        CurvaturePack(flat_metric(2).jets(np.zeros(2), PACK_ORDER))
 
 
 @pytest.mark.parametrize("case", ["value", "jet", "small"])

@@ -528,6 +528,13 @@ def test_q_transformation_rejects_repeated_scene_names(pack_builds):
     assert pack_builds == []
 
 
+def test_q_transformation_rejects_no_scenes(pack_builds):
+    # an empty result would pass any "every row passed" check
+    with pytest.raises(ValueError, match="no scenes"):
+        cf.check_q_transformation(scenes=[], seed=1)
+    assert pack_builds == []
+
+
 # -- uniform scalings ---------------------------------------------------------------
 
 

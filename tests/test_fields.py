@@ -5,10 +5,12 @@ shares nothing with ``Polynomial.__call__`` but the jet product.  Inputs
 cover both evaluation paths: coordinate variables (of a plain space, of a
 parameter space, and the leading variables of a larger space), and
 composite chart jets of an immersion, also with a polynomial degree above
-the jet order and above the jet budget.  Composite inputs go through
-``compose``, which rejects the one layout its truncation cannot serve.
+the jet order and above the jet budget.  Composite inputs go through a
+``Composer``, which rejects the one layout its truncation cannot serve.
 A table of guards checks that a bad polynomial, patch, rescale or scene
-name fails with an error that names it.
+name fails with an error that names it, and another that a point or a
+component matrix of the wrong size names its field or patch and both
+shapes.
 """
 
 import re
@@ -21,12 +23,14 @@ import qgeo.jets as jets
 from qgeo.fields import (
     GeometryError,
     ImmersedPatch,
+    MetricField,
     Polynomial,
     conformally_rescaled,
     flat_metric,
 )
-from qgeo.jets import compose, constant, jet_mul, jets_stack, variables
+from qgeo.jets import Composer, constant, jet_mul, jets_stack, variables
 from qgeo.scenes import random_scene, scene_by_name
+from qgeo.submanifold import SubmanifoldPack
 
 
 def naive(poly, xs):
@@ -122,6 +126,46 @@ def test_guard_names_the_bad_input(call, error, message):
         call()
 
 
+def _small_metric(xs):
+    return [[1.0 + 0.0 * xs[0], 0.0], [0.0, 1.0]]
+
+
+# a call with an input of the wrong size, and the message naming its
+# owner, the shape it got and the shape it expected
+WRONG_SIZES = {
+    "metric-point-long": (lambda sc: sc.metric.jets(np.zeros(6), 2),
+                          "{metric}: point of shape (6,), expected (5,)"),
+    "metric-point-short": (lambda sc: sc.metric.jets(np.zeros(4), 2),
+                           "{metric}: point of shape (4,), expected (5,)"),
+    "metric-point-param": (lambda sc: sc.metric.jets(np.zeros(6), 2, param=True),
+                           "{metric}: point of shape (6,), expected (5,)"),
+    "patch-point-long": (lambda sc: sc.patch.jets(np.zeros(5), 2),
+                         "{patch}: point of shape (5,), expected (4,)"),
+    "patch-point-short": (lambda sc: sc.patch.jets(np.zeros(2), 2),
+                          "{patch}: point of shape (2,), expected (4,)"),
+    "catalog-patch-point": (lambda sc: scene_by_name("clifford-torus").patch.jets(
+        np.zeros(3), 2), "clifford-torus: point of shape (3,), expected (2,)"),
+    "pack-point": (lambda sc: SubmanifoldPack(sc.metric, sc.patch, np.zeros(3)),
+                   "{patch}: point of shape (3,), expected (4,)"),
+    "metric-constant-components": (
+        lambda sc: MetricField(3, lambda xs: np.eye(2), name="small").jets(
+            np.zeros(3), 2),
+        "small: components of shape (2, 2), expected (3, 3)"),
+    "metric-jet-components": (
+        lambda sc: MetricField(3, _small_metric, name="small").jets(np.zeros(3), 2),
+        "small: components of shape (2, 2), expected (3, 3)"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(WRONG_SIZES))
+def test_wrong_size_names_the_input_and_both_shapes(case):
+    sc = random_scene(4, 5, 3)
+    call, message = WRONG_SIZES[case]
+    message = message.format(metric=sc.metric.name, patch=sc.patch.name)
+    with pytest.raises(GeometryError, match=re.escape(message)):
+        call(sc)
+
+
 def test_pure_t_displacements_are_rejected():
     # t has degree 0 on a parameter space, so a pure t term in a
     # displacement would need source monomials beyond the order
@@ -131,13 +175,13 @@ def test_pure_t_displacements_are_rejected():
     with pytest.raises(ValueError, match="pure t"):
         poly(xs)
     with pytest.raises(ValueError, match="pure t"):
-        compose(poly(variables(POINT[:2], 3)), jets_stack(xs))
+        Composer(jets_stack(xs))(poly(variables(POINT[:2], 3)))
     # the source's own parameter may carry one, as on a parameter pack
 
     def fn(zs):
         return (zs[0] * zs[1] + zs[2] * zs[0]).exp()
 
     coords = [x * y + x, x - 0.3 * y, t]
-    pulled = compose(fn(variables([c.value for c in coords[:2]], 3, param=True)),
-                     jets_stack(coords))
+    pulled = Composer(jets_stack(coords))(
+        fn(variables([c.value for c in coords[:2]], 3, param=True)))
     assert np.max(np.abs(pulled.coeffs - fn(coords).coeffs)) < 1e-13

@@ -29,23 +29,26 @@ from qgeo.scenes import (
     scene_by_name,
     t4_in_s7,
 )
-from qgeo.submanifold import SubmanifoldPack, submanifold_pack
+from qgeo.submanifold import SubmanifoldPack
 
 
 @lru_cache(maxsize=None)
 def catalog_pack(name):
-    return submanifold_pack(scene_by_name(name))
+    sc = scene_by_name(name)
+    return SubmanifoldPack(sc.metric, sc.patch, sc.point)
 
 
 @lru_cache(maxsize=None)
 def random_pack(k, n, seed):
-    return submanifold_pack(random_scene(k, n, seed))
+    sc = random_scene(k, n, seed)
+    return SubmanifoldPack(sc.metric, sc.patch, sc.point)
 
 
 @lru_cache(maxsize=None)
 def sphere_pack(k, n, radius=1.0, point=None):
     pt = None if point is None else np.asarray(point)
-    return submanifold_pack(equatorial_sphere(k, n, radius=radius, point=pt))
+    sc = equatorial_sphere(k, n, radius=radius, point=pt)
+    return SubmanifoldPack(sc.metric, sc.patch, sc.point)
 
 
 # -- golden catalog values ---------------------------------------------------
@@ -126,7 +129,8 @@ def test_flat_torus_in_seven_sphere_golden():
 
 def test_totally_geodesic_flat_plane_everything_vanishes():
     for (k, n) in ((2, 5), (4, 6), (4, 5)):
-        p = submanifold_pack(affine_plane(k, n))
+        sc = affine_plane(k, n)
+        p = SubmanifoldPack(sc.metric, sc.patch, sc.point)
         vals = inv.evaluate_all(p)
         assert vals, f"empty registry at ({k},{n})"
         worst = max(vals, key=lambda m: abs(vals[m]))
@@ -296,14 +300,16 @@ def test_flux_sign_is_calibrated():
 
 
 def test_operator_reduces_to_bilaplacian_on_flat_plane():
-    p = submanifold_pack(affine_plane(4, 5))
+    sc = affine_plane(4, 5)
+    p = SubmanifoldPack(sc.metric, sc.patch, sc.point)
     phi = p.chart_jets[0] ** 2 * p.chart_jets[1] ** 2
     got = float(inv.extrinsic_paneitz_apply(p, phi).value)
     assert got == pytest.approx(8.0, abs=1e-13), f"flat biharmonic {got}"
 
 
 def test_operator_annihilates_constants_exactly():
-    for p in (submanifold_pack(affine_plane(4, 5)),
+    plane = affine_plane(4, 5)
+    for p in (SubmanifoldPack(plane.metric, plane.patch, plane.point),
               catalog_pack("s2xs2-in-s5"),
               sphere_pack(2, 5)):
         one = 0.0 * p.chart_jets[0] + 1.0
@@ -505,7 +511,8 @@ def test_evaluate_all_derives_nothing_twice(monkeypatch, k, n, seed):
         return derive(self, T, pattern)
 
     monkeypatch.setattr(SubmanifoldPack, "tangential_cov_deriv", recording)
-    inv.evaluate_all(submanifold_pack(random_scene(k, n, seed)))
+    sc = random_scene(k, n, seed)
+    inv.evaluate_all(SubmanifoldPack(sc.metric, sc.patch, sc.point))
     assert seen and len(set(seen)) == len(seen), (
         f"{len(seen)} derivatives of {len(set(seen))} distinct tensors")
 
@@ -546,7 +553,8 @@ def test_batteries_derive_nothing_twice_per_pack(monkeypatch, battery, seed):
 
 def test_gauss_bonnet_scalars_derive_nothing_twice(monkeypatch):
     seen = _record_derivatives(monkeypatch)
-    p = submanifold_pack(t4_in_s7())
+    sc = t4_in_s7()
+    p = SubmanifoldPack(sc.metric, sc.patch, sc.point)
     for fn in (inv.intrinsic_pfaffian, inv.gauss_bonnet_defect,
                inv.extrinsic_q4, inv.q4_divergence_flux):
         fn(p)
@@ -573,7 +581,7 @@ def test_surface_q_scales_under_constant_rescale(c):
     sc = random_scene(2, 4, 11)
     p0 = random_pack(2, 4, 11)
     ghat = conformally_rescaled(sc.metric, lambda xs: 0.0 * xs[0] + 1.0, t=c)
-    p1 = submanifold_pack(sc, metric=ghat)
+    p1 = SubmanifoldPack(ghat, sc.patch, sc.point)
     q0 = float(inv.extrinsic_q2(p0).value)
     q1 = float(inv.extrinsic_q2(p1).value)
     assert abs(np.exp(2.0 * c) * q1 - q0) < 1e-10, (

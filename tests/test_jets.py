@@ -17,7 +17,6 @@ from qgeo.jets import (
     BudgetError,
     Composer,
     Jets,
-    compose,
     constant,
     jet_einsum,
     jet_mul,
@@ -640,7 +639,7 @@ def test_compose_chain_rule():
     y = [jet_of(inner0, point, order), jet_of(inner1, point, order)]
     F = jet_of(lambda ys: ys[0].exp() * ys[1],
                [y[0].value, y[1].value], order)
-    got = compose(F, jets_stack(y))
+    got = Composer(jets_stack(y))(F)
     want = jet_of(full, point, order)
     assert np.allclose(got.coeffs, want.coeffs, atol=1e-10)
 
@@ -661,7 +660,7 @@ def test_composer_reads_lower_orders_off_one_table(monkeypatch, param,
     for r in range(PACK_ORDER + 1):
         spc = space(sc.n + param, r, param)
         sources[r] = Jets(spc, rng.normal(size=(3, spc.size)))
-    want = {r: compose(f, coords) for r, f in sources.items()}
+    want = {r: Composer(coords)(f) for r, f in sources.items()}
     tables = []
     monomial_table = jets.monomial_table
     monkeypatch.setattr(jets, "monomial_table", lambda *a: (

@@ -55,14 +55,14 @@ from qgeo.submanifold import (
     gauss_codazzi_residuals,
     projected_ambient_deriv,
     simons_residual,
-    submanifold_pack,
 )
 
 DIM_PAIRS = [(1, 3), (2, 3), (2, 5), (3, 4), (3, 6), (4, 5), (4, 7)]
 
 
 def pack_for(name, **params):
-    return submanifold_pack(scene_by_name(name, **params))
+    sc = scene_by_name(name, **params)
+    return SubmanifoldPack(sc.metric, sc.patch, sc.point)
 
 
 # -- golden catalog values -------------------------------------------------
@@ -135,8 +135,8 @@ def test_round_sphere_graph_oracle():
     def height(ys):
         return (R * R - ys[0] ** 2 - ys[1] ** 2).sqrt()
 
-    patch = graph_patch(2, 3, [height], basepoint=y0, name="cap")
-    p = SubmanifoldPack(flat_metric(3), patch)
+    patch = graph_patch(2, 3, [height], name="cap")
+    p = SubmanifoldPack(flat_metric(3), patch, y0)
     assert abs(float(p.mean_norm2.value) - 1.0 / R**2) < 1e-12
     assert np.max(np.abs(p.second_tracefree.value)) < 1e-12, "sphere is umbilic"
     assert abs(float(p.intrinsic_scalar.value) - 2.0 / R**2) < 1e-11
@@ -165,9 +165,8 @@ def test_plane_curve_curvature_oracle(c1, c2, c3, t0):
         t = ys[0]
         return c1 * t + c2 * t**2 + c3 * t**3
 
-    patch = graph_patch(1, 3, [f, lambda ys: 0.0 * ys[0]],
-                        basepoint=np.array([t0]), name="curve")
-    p = SubmanifoldPack(flat_metric(3), patch)
+    patch = graph_patch(1, 3, [f, lambda ys: 0.0 * ys[0]], name="curve")
+    p = SubmanifoldPack(flat_metric(3), patch, np.array([t0]))
     fp = c1 + 2 * c2 * t0 + 3 * c3 * t0**2
     fpp = 2 * c2 + 6 * c3 * t0
     kappa2 = fpp**2 / (1 + fp**2) ** 3
@@ -183,7 +182,8 @@ def test_plane_curve_curvature_oracle(c1, c2, c3, t0):
 
 @pytest.mark.parametrize("k,n", DIM_PAIRS)
 def test_frame_construction_random(k, n):
-    p = submanifold_pack(random_scene(k, n, seed=101))
+    sc = random_scene(k, n, seed=101)
+    p = SubmanifoldPack(sc.metric, sc.patch, sc.point)
     res = frame_residuals(p)
     worst = max(res, key=res.get)
     assert res[worst] < 1e-12, f"(k={k}, n={n}) {worst}: {res[worst]:.3e}"
@@ -233,7 +233,8 @@ def test_frames_are_the_full_order_frames_truncated(name, params):
 
 @pytest.mark.parametrize("k,n", DIM_PAIRS)
 def test_curvature_relations_random(k, n):
-    p = submanifold_pack(random_scene(k, n, seed=7))
+    sc = random_scene(k, n, seed=7)
+    p = SubmanifoldPack(sc.metric, sc.patch, sc.point)
     res = gauss_codazzi_residuals(p)
     expected = {"gauss", "codazzi", "ricci", "conformal_codazzi",
                 "conformal_deflection", "conformal_normal"}
@@ -248,7 +249,8 @@ def test_curvature_relations_random(k, n):
 
 @pytest.mark.parametrize("k,n", DIM_PAIRS)
 def test_divergence_identities_random(k, n):
-    p = submanifold_pack(random_scene(k, n, seed=23))
+    sc = random_scene(k, n, seed=23)
+    p = SubmanifoldPack(sc.metric, sc.patch, sc.point)
     res = divergence_identity_residuals(p)
     worst = max(res, key=res.get)
     assert res[worst] < 1e-11, f"(k={k}, n={n}) {worst}: {res[worst]:.3e}"
@@ -256,20 +258,23 @@ def test_divergence_identities_random(k, n):
 
 @pytest.mark.parametrize("k,n", [(3, 4), (3, 6), (4, 5), (4, 7)])
 def test_simons_contraction_random(k, n):
-    p = submanifold_pack(random_scene(k, n, seed=5))
+    sc = random_scene(k, n, seed=5)
+    p = SubmanifoldPack(sc.metric, sc.patch, sc.point)
     r = simons_residual(p)
     assert r < 1e-11, f"(k={k}, n={n}) simons residual {r:.3e}"
 
 
 def test_simons_needs_three_dimensions():
-    p = submanifold_pack(random_scene(2, 5, seed=5))
+    sc = random_scene(2, 5, seed=5)
+    p = SubmanifoldPack(sc.metric, sc.patch, sc.point)
     with pytest.raises(GeometryError):
         simons_residual(p)
 
 
 def test_hypersurface_normal_gauge_is_flat():
     # one normal direction leaves no room for the gauge to rotate
-    p = submanifold_pack(random_scene(4, 5, seed=31))
+    sc = random_scene(4, 5, seed=31)
+    p = SubmanifoldPack(sc.metric, sc.patch, sc.point)
     assert np.max(np.abs(p.normal_connection.coeffs)) < 1e-13
     assert np.max(np.abs(p.normal_curvature.value)) < 1e-13
 
@@ -287,7 +292,7 @@ def test_tangential_derivative_two_routes(name, pattern):
     # differentiate the projected block with the induced and normal-gauge
     # connections.  They must agree identically.
     for sc in [random_scene(3, 6, seed=11), random_scene(4, 5, seed=3)]:
-        p = submanifold_pack(sc)
+        p = SubmanifoldPack(sc.metric, sc.patch, sc.point)
         via_b = p.tangential_cov_deriv(p.block(name, pattern), pattern).value
         via_a = projected_ambient_deriv(p, name, pattern).value
         num = np.max(np.abs(via_a - via_b))
@@ -298,7 +303,8 @@ def test_tangential_derivative_two_routes(name, pattern):
 
 @pytest.mark.parametrize("k,n", [(2, 4), (4, 6)])
 def test_pulled_is_one_cached_pullback_per_ambient_tensor(k, n):
-    p = submanifold_pack(random_scene(k, n, seed=5))
+    sc = random_scene(k, n, seed=5)
+    p = SubmanifoldPack(sc.metric, sc.patch, sc.point)
     names = {nm for nm, v in vars(CurvaturePack).items()
              if isinstance(v, cached_property)}
     names |= {nm for nm, v in vars(p.ambient).items() if isinstance(v, Jets)}
@@ -316,7 +322,8 @@ def test_pulled_is_one_cached_pullback_per_ambient_tensor(k, n):
 def test_per_pack_keys_by_function_not_name():
     # two builders with one __name__ keep separate slots on one pack, and
     # each builds once per pack and arguments
-    p, q = (submanifold_pack(random_scene(2, 4, seed=5)) for _ in range(2))
+    sc = random_scene(2, 4, seed=5)
+    p, q = (SubmanifoldPack(sc.metric, sc.patch, sc.point) for _ in range(2))
     builds = []
 
     def builder(scale):
@@ -335,7 +342,8 @@ def test_per_pack_keys_by_function_not_name():
 
 
 def test_pulled_and_block_are_kept_per_pack():
-    p = submanifold_pack(random_scene(4, 6, seed=5))
+    sc = random_scene(4, 6, seed=5)
+    p = SubmanifoldPack(sc.metric, sc.patch, sc.point)
     assert p.pulled("weyl") is p.pulled("weyl")
     assert p.block("weyl", "ttnt") is p.block("weyl", "ttnt")
     assert p.block("mc_cotton", "tnt") is p.block("mc_cotton", "tnt")
@@ -345,7 +353,8 @@ def test_pulled_and_block_are_kept_per_pack():
 def test_induced_metric_is_parallel(k, n):
     # metric compatibility of the induced connection as whole jets
     for seed in (0, 1):
-        p = submanifold_pack(random_scene(k, n, seed=seed))
+        sc = random_scene(k, n, seed=seed)
+        p = SubmanifoldPack(sc.metric, sc.patch, sc.point)
         d = p.tangential_cov_deriv(p.induced, "tt")
         res = float(np.max(np.abs(d.coeffs)))
         assert res < 1e-12, f"seed {seed}: residual {res:.3e}"
@@ -356,7 +365,8 @@ def test_induced_metric_is_parallel(k, n):
 def test_slot_patterns_are_checked():
     # every slot-walking operation rejects a pattern that does not name each
     # slot of its tensor with a letter it accepts, and names that pattern
-    p = submanifold_pack(random_scene(3, 5, seed=2))
+    sc = random_scene(3, 5, seed=2)
+    p = SubmanifoldPack(sc.metric, sc.patch, sc.point)
     L0 = p.second_tracefree
     for op, pattern in [(p.tangential_cov_deriv, "tta"),
                         (p.tangential_cov_deriv, "tt"),
@@ -368,7 +378,8 @@ def test_slot_patterns_are_checked():
 
 
 def test_ambient_slots_project_to_themselves():
-    p = submanifold_pack(random_scene(2, 4, seed=3))
+    sc = random_scene(2, 4, seed=3)
+    p = SubmanifoldPack(sc.metric, sc.patch, sc.point)
     for name in ("jtrace", "g", "cotton", "weyl"):
         T = p.pulled(name)
         out = p.project(T, "a" * len(T.batch))
@@ -381,13 +392,14 @@ def test_first_kind_symbols_built_once_per_metric(monkeypatch):
     built = []
     inner = ambient._first_kind
 
-    def counted(G, dim):
+    def counted(G):
         built.append(G)
-        return inner(G, dim)
+        return inner(G)
 
     for module in (ambient, submanifold):
         monkeypatch.setattr(module, "_first_kind", counted)
-    p = submanifold_pack(random_scene(4, 6, seed=2))
+    sc = random_scene(4, 6, seed=2)
+    p = SubmanifoldPack(sc.metric, sc.patch, sc.point)
     p.intrinsic_riemann, p.induced_christoffel
     assert len(built) == 2
     assert built[0] is p.ambient.g and built[1] is p.induced
@@ -405,7 +417,7 @@ def test_linear_reparameterization_invariance():
     rng = np.random.default_rng(99)
     A0 = np.eye(k) + 0.2 * rng.normal(size=(k, k))
     b = 0.1 * rng.normal(size=k)
-    s1 = submanifold_pack(sc).scalar_summary()
+    s1 = SubmanifoldPack(sc.metric, sc.patch, sc.point).scalar_summary()
     for scale in (1.0, 1e-12, 1e6):
         A = scale * A0
 
@@ -415,8 +427,8 @@ def test_linear_reparameterization_invariance():
             return sc.patch.fn(zs)
 
         y0p = np.linalg.solve(A, sc.point - b)
-        repatch = ImmersedPatch(k, sc.patch.n, refn, basepoint=y0p)
-        s2 = SubmanifoldPack(sc.metric, repatch).scalar_summary()
+        repatch = ImmersedPatch(k, sc.patch.n, refn)
+        s2 = SubmanifoldPack(sc.metric, repatch, y0p).scalar_summary()
         assert set(s1) == set(s2)
         for key in s1:
             assert abs(s1[key] - s2[key]) < 1e-9, (
@@ -427,8 +439,8 @@ def test_linearization_parameter_rides_through():
     # with a parameter-independent metric the parameter is inert: values
     # agree with the plain build, and nothing depends on the extra variable
     sc = random_scene(2, 5, seed=41)
-    plain = submanifold_pack(sc)
-    riding = submanifold_pack(sc, param=True)
+    plain = SubmanifoldPack(sc.metric, sc.patch, sc.point)
+    riding = SubmanifoldPack(sc.metric, sc.patch, sc.point, param=True)
     s0, s1 = plain.scalar_summary(), riding.scalar_summary()
     for key in s0:
         assert abs(s0[key] - s1[key]) < 1e-13, f"{key} drifts under param"
@@ -440,12 +452,14 @@ def test_linearization_parameter_rides_through():
 
 
 def test_dimension_guards():
-    curve = submanifold_pack(random_scene(1, 3, seed=1))
+    sc = random_scene(1, 3, seed=1)
+    curve = SubmanifoldPack(sc.metric, sc.patch, sc.point)
     with pytest.raises(GeometryError):
         curve.intrinsic_jtrace
     with pytest.raises(GeometryError):
         curve.fialkow_trace
-    surface = submanifold_pack(random_scene(2, 5, seed=1))
+    sc = random_scene(2, 5, seed=1)
+    surface = SubmanifoldPack(sc.metric, sc.patch, sc.point)
     with pytest.raises(GeometryError):
         surface.fialkow
     with pytest.raises(GeometryError):
@@ -458,13 +472,13 @@ def test_degenerate_immersion_rejected():
     squash = ImmersedPatch(2, 5, lambda ys: [ys[0], ys[0], 0.0 * ys[0],
                                              0.0 * ys[0], 0.0 * ys[0]])
     with pytest.raises(GeometryError, match="rank"):
-        SubmanifoldPack(flat_metric(5), squash)
+        SubmanifoldPack(flat_metric(5), squash, np.zeros(2))
 
 
 def test_pack_dimension_guards_name_the_cause():
     square = ImmersedPatch(3, 3, lambda ys: list(ys), name="square")
     with pytest.raises(GeometryError, match="^square: need 1 <= k < n, got k=3, n=3$"):
-        SubmanifoldPack(flat_metric(3), square)
+        SubmanifoldPack(flat_metric(3), square, np.zeros(3))
     sc = random_scene(2, 4, seed=5)
     with pytest.raises(GeometryError,
                        match="patch maps into dimension 4, metric has 5"):
@@ -517,7 +531,7 @@ def _record_product_orders(monkeypatch):
 
 def test_products_run_at_the_order_they_keep(monkeypatch):
     scene = random_scene(4, 6, 2)
-    p = SubmanifoldPack(scene.metric, scene.patch)
+    p = SubmanifoldPack(scene.metric, scene.patch, scene.point)
     amb = p.ambient
     orders = _record_product_orders(monkeypatch)
 
@@ -525,9 +539,9 @@ def test_products_run_at_the_order_they_keep(monkeypatch):
     connection_deriv(amb.schouten, [levi_civita_connection(amb.gamma)] * 2,
                      p.n)
     assert max(orders) == amb.schouten.order - 1
-    first = ambient._first_kind(amb.g, p.n)
+    first = ambient._first_kind(amb.g)
     orders.clear()
-    riemann_jets(first, amb.gamma, p.n)
+    riemann_jets(first, amb.gamma)
     assert orders == [first.order - 1]  # one Gamma Gamma product
     for prior, site in [("normal_frame", "normal_connection"),
                         ("normal_connection", "normal_curvature")]:
@@ -550,7 +564,7 @@ def test_products_run_at_the_order_they_keep(monkeypatch):
 
     monkeypatch.setattr(ambient, "connection_deriv", marked)
     orders.clear()
-    pack = CurvaturePack(amb.g, p.n)
+    pack = CurvaturePack(amb.g)
     pack.bach
     assert amb.g.order == 4 and pack.dcotton.order == 0
     assert max(orders[derivs_done[-1]:]) == pack.dcotton.order
@@ -627,11 +641,11 @@ def test_pack_builds_each_quantity_at_the_order_it_is_read(
     def read(p):
         return getattr(p.ambient if builder else p, name)
 
-    p = submanifold_pack(scene, param=param)
+    p = SubmanifoldPack(scene.metric, scene.patch, scene.point, param=param)
     assert read(p).order == order
     consumer(p)
     _cut_one_order(monkeypatch, name, builder)
-    p = submanifold_pack(scene, param=param)
+    p = SubmanifoldPack(scene.metric, scene.patch, scene.point, param=param)
     assert read(p).order == order - 1
     with pytest.raises(BudgetError):
         consumer(p)
@@ -646,7 +660,8 @@ def _weyl_four_products(rm, P, g):
 
 
 def test_weyl_from_one_product_is_the_four_product_form():
-    p = submanifold_pack(random_scene(4, 6, 2))
+    sc = random_scene(4, 6, 2)
+    p = SubmanifoldPack(sc.metric, sc.patch, sc.point)
     amb = p.ambient
     for weyl, want in [
             (amb.weyl, _weyl_four_products(amb.rm, amb.schouten, amb.g)),
@@ -666,20 +681,21 @@ def _riemann_three_products(G, Gamma, dim):
     return jet_einsum("abce,ed->abcd", rm_ud, G)
 
 
-def _full_order_christoffel(G, dim):
+def _full_order_christoffel(G):
     # from the inverse of the whole metric jet, one order above the pack's
-    return christoffel_jets(ambient._first_kind(G, dim), inverse_metric_jets(G))
+    return christoffel_jets(ambient._first_kind(G), inverse_metric_jets(G))
 
 
 @pytest.mark.parametrize("n", [5, 6, 7])
 def test_riemann_from_one_product_is_the_three_product_form(n):
-    p = submanifold_pack(random_scene(4, n, 0))
+    sc = random_scene(4, n, 0)
+    p = SubmanifoldPack(sc.metric, sc.patch, sc.point)
     amb = p.ambient
     for rm, want in [
             (amb.rm, _riemann_three_products(
-                amb.g, _full_order_christoffel(amb.g, n), n)),
+                amb.g, _full_order_christoffel(amb.g), n)),
             (p.intrinsic_riemann, _riemann_three_products(
-                p.induced, _full_order_christoffel(p.induced, p.k), p.k))]:
+                p.induced, _full_order_christoffel(p.induced), p.k))]:
         assert rm.space is want.space
         gap = float(np.max(np.abs(rm.coeffs - want.coeffs)))
         assert gap <= 1e-14 * float(np.max(np.abs(want.coeffs)))
