@@ -53,9 +53,10 @@ def inverse_metric_jets(G: Jets) -> Jets:
     ``X`` is exact, to ``2^s - 1`` after step ``s``; so step ``s`` updates
     in place only that prefix of ``X`` (the pack's order 2: orders 1, then
     all), until it covers ``top_degree`` (one more on a parameter space).
+    Each member of a member axis is seeded with its own inverse.
     """
     two_eye = 2.0 * np.eye(G.batch[0])
-    X = constant(np.linalg.inv(G.value), G.space)
+    X = constant(np.linalg.inv(G.value), G.space, bool(G.members))
     exact = 0
     while exact < G.space.top_degree:
         exact = 2 * exact + 1

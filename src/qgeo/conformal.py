@@ -75,6 +75,7 @@ from .jets import (
     Jets,
     jet_einsum,
     jet_trace,
+    jets_members,
     jets_stack,
     variables,
 )
@@ -112,6 +113,8 @@ METHOD_AGREEMENT_TOL = 1e-6
 METHOD_FLAG_TOL = 1e-5
 #: parameter step of the central-difference cross-check
 _STEP = 1e-4
+#: factors per engine of :func:`check_strata_vanishing` (six: no faster, more memory)
+_STRATA_BATCH = 3
 
 
 # -- conformal factors ---------------------------------------------------------
@@ -164,12 +167,15 @@ def _gap(a, b=0.0) -> float:
 
 
 class _Engine:
-    """Shared pack plumbing for one scene and factor ``Upsilon``.
+    """Shared pack plumbing for one scene and factor ``Upsilon``, or for a
+    tuple of factors, the members of one batch.
 
     Builds, each on first use, the nilpotent-parameter pack and the
     finite-parameter packs (finite rescales and the central differences of
     the cross-check), so a batch of reports doesn't rebuild them per
-    quantity.  Every pack carries ``PACK_ORDER``.  The ``t^0`` coefficient
+    quantity.  A tuple of ``t`` (or of factors) is one pack with a member
+    per ``t`` (per factor), so the cross-check's ``+/-_STEP`` pair is one
+    pack.  Every pack carries ``PACK_ORDER``.  The ``t^0`` coefficient
     of a parameter-pack jet, its ``.value``, is the unrescaled value, so
     the laws and the restriction data of ``Upsilon`` are read there too.
 
@@ -196,8 +202,9 @@ class _Engine:
     def param(self) -> SubmanifoldPack:
         return self.finite(None)
 
-    def finite(self, t: float | None) -> SubmanifoldPack:
-        """The pack of ``exp(2 t Upsilon) g``; ``t=None`` is the parameter."""
+    def finite(self, t: float | tuple | None) -> SubmanifoldPack:
+        """The pack of ``exp(2 t Upsilon) g``; ``t=None`` is the parameter,
+        a tuple of floats one member per ``t`` (for a single factor)."""
         if t not in self._packs:
             sc = self.scene
             ghat = conformally_rescaled(sc.metric, self.upsilon, t=t)
@@ -243,26 +250,33 @@ class _Engine:
         t, u = ts[0], _upsilon_jets(pack, self.upsilon)[1]
         if t is None:
             return 1.0 + float(w) * (pack.chart_jets[pack.n] * u)
+        if isinstance(t, tuple):
+            return jets_members([(float(w) * (s * u)).exp() for s in t])
         return (float(w) * (t * u)).exp()
 
     def nilpotent(self, evaluator, weight: float) -> np.ndarray:
         """The exact first variation: the ``t^1`` coefficient on the
-        parameter pack.
+        parameter pack, with a leading member axis for a tuple of factors.
 
         With ``t^2 = 0`` the compensated coefficient is ``d_t out - weight
-        Upsilon(x0) out``, exact.
+        Upsilon(x0) out``, exact; each member is compensated by its own
+        factor's ``Upsilon(x0)``.
         """
         pp = self.param
         out = evaluator(pp)
-        u0 = float(_upsilon_jets(pp, self.upsilon)[1].value)
+        if isinstance(self.upsilon, tuple):
+            u0 = np.reshape([float(_upsilon_jets(pp, u)[1].value)
+                             for u in self.upsilon], (-1,) + (1,) * len(out.batch))
+        else:
+            u0 = float(_upsilon_jets(pp, self.upsilon)[1].value)
         return np.asarray(out.deriv(pp.k).value - float(weight) * u0 * out.value)
 
     def central(self, evaluator, weight: float) -> np.ndarray:
-        vals = []
-        for s in (_STEP, -_STEP):
-            ph = self.finite(s)
-            u = float(_upsilon_jets(ph, self.upsilon)[1].value)
-            vals.append(np.exp(-weight * s * u) * np.asarray(evaluator(ph).value))
+        steps = (_STEP, -_STEP)
+        ph = self.finite(steps)
+        u = float(_upsilon_jets(ph, self.upsilon)[1].value)
+        vals = [np.exp(-weight * s * u) * v
+                for s, v in zip(steps, np.asarray(evaluator(ph).value))]
         return (vals[0] - vals[1]) / (2.0 * _STEP)
 
     # --- report assembly ---
@@ -270,8 +284,9 @@ class _Engine:
                cross_check=False):
         """A :class:`LinearizationReport` of one :meth:`nilpotent` variation.
 
-        With ``cross_check`` the variation is also differenced and the gap
-        between the two routes recorded.
+        With ``cross_check`` the variation is also differenced, on one pack
+        whose two members are the ``+/-_STEP`` rescales, and the gap between
+        the two routes recorded.
         """
         numeric = self.nilpotent(evaluator, weight)
         gap = (_gap(numeric, self.central(evaluator, weight))
@@ -500,7 +515,8 @@ def check_invariance(scene: Scene, *, seed=0) -> dict:
     ``invariant``, of weight ``w``, the rescaled evaluation must equal
     ``exp(w t Upsilon)`` times the original at ``t = 0.1`` and
     ``t = -0.07``, and the first variation of the compensated quantity
-    must vanish.  A few non-scalar sanity quantities ride along.
+    must vanish.  A few non-scalar sanity quantities ride along.  The two
+    rescales are the two members of one pack.
     """
     eng = _Engine(scene, random_upsilon(scene.n, seed=seed))
     p0 = eng.param
@@ -512,11 +528,12 @@ def check_invariance(scene: Scene, *, seed=0) -> dict:
     if k >= 3:
         rows.append(("fialkow", lambda q: q.fialkow, 0.0))
     upt = float(_upsilon_jets(p0, eng.upsilon)[1].value)
+    ts = (0.1, -0.07)
     out = {}
     for nm, ev, w in rows:
         base = np.asarray(ev(p0).value)
-        finite = _gap([np.exp(-w * t * upt) * np.asarray(ev(eng.finite(t)).value)
-                       for t in (0.1, -0.07)], base)
+        finite = _gap([np.exp(-w * t * upt) * v for t, v in
+                       zip(ts, np.asarray(ev(eng.finite(ts)).value))], base)
         out[nm] = {"finite": finite, "weight": w,
                    "variation": _gap(eng.nilpotent(ev, float(w)))}
     return out
@@ -533,7 +550,8 @@ def check_q_transformation(scenes=None, *, seed: int = 0) -> dict:
     operator must also kill constants exactly.  Each scene is probed with
     two random factors, and an equatorial sphere also with a localized
     bump.  Default scenes cover flat and curved surfaces plus curved
-    four-folds, including a round-sphere scene.
+    four-folds, including a round-sphere scene.  The rescales of one scene
+    are the members of one pack, one per factor.
     """
     if scenes is None:
         scenes = [
@@ -562,12 +580,11 @@ def check_q_transformation(scenes=None, *, seed: int = 0) -> dict:
         p0 = SubmanifoldPack(sc.metric, sc.patch, sc.point)
         qname = f"extrinsic_q{k}"
         q0 = float(evaluate(p0, qname).value)
+        ph = _Engine(sc, tuple(ups_list)).finite(1.0)
         lhs, rhs = [], []
-        for ups in ups_list:
+        for ups, qh in zip(ups_list, evaluate(ph, qname).value):
             u0 = _upsilon_jets(p0, ups)[1]
-            ph = _Engine(sc, ups).finite(1.0)
-            lhs.append(np.exp(k * float(u0.value))
-                       * float(evaluate(ph, qname).value))
+            lhs.append(np.exp(k * float(u0.value)) * float(qh))
             rhs.append(q0 + float(extrinsic_paneitz_apply(p0, u0).value))
         one = 0.0 * p0.chart_jets[0] + 1.0
         const_residual = _gap(extrinsic_paneitz_apply(p0, one).value)
@@ -806,21 +823,22 @@ def check_strata_vanishing(scene: Scene, *, seed: int = 0) -> dict:
     For each depth ``j`` the scene is probed with a factor whose
     transverse jet vanishes through order ``j``; every element in strata
     ``0..j`` must then have vanishing first variation.  A generic factor
-    rides along so the claim is not vacuous.
+    rides along so the claim is not vacuous.  The factors, in depth order,
+    generic last, are the members of engines of ``_STRATA_BATCH``.
     """
-    def magnitudes(ups, depth):
-        eng = _Engine(scene, ups)
-        return {el.name: _gap(eng.nilpotent(el.evaluate, -4.0))
-                for el in QUARTIC_STRATA if el.stratum <= depth}
-
     strata = sorted({el.stratum for el in QUARTIC_STRATA})
-    rows = {}
-    for j in strata:
-        ups = transverse_vanishing_upsilon(scene, j, seed=seed + 10 * j)
-        rows[j] = magnitudes(ups, j)
-    generic = magnitudes(random_upsilon(scene.patch.n, seed=seed + 77),
-                         strata[-1])
-    return {"vanishing": rows, "generic": generic}
+    depths = strata + strata[-1:]
+    factors = [transverse_vanishing_upsilon(scene, j, seed=seed + 10 * j)
+               for j in strata] + [random_upsilon(scene.patch.n, seed=seed + 77)]
+    mags = []
+    for lo in range(0, len(factors), _STRATA_BATCH):
+        eng = _Engine(scene, tuple(factors[lo:lo + _STRATA_BATCH]))
+        group = depths[lo:lo + _STRATA_BATCH]
+        var = {el: eng.nilpotent(el.evaluate, -4.0)
+               for el in QUARTIC_STRATA if el.stratum <= group[-1]}
+        mags += [{el.name: _gap(v[m]) for el, v in var.items() if el.stratum <= d}
+                 for m, d in enumerate(group)]
+    return {"vanishing": dict(zip(strata, mags)), "generic": mags[-1]}
 
 
 # -- linear-independence witness ----------------------------------------------------

@@ -30,6 +30,7 @@ from .jets import (
     Jets,
     _multi_indices,
     constant,
+    jets_members,
     jets_stack,
     variables,
 )
@@ -185,14 +186,15 @@ class MetricField:
 
     def jets(self, point, order: int, param: bool = False) -> Jets:
         """Metric component jets at ``point``: the whole jet must be finite,
-        symmetric to 1e-10 of ``max |G|``, and the value positive definite."""
+        symmetric in its two tensor axes to 1e-10 of ``max |G|``, and the
+        value (of every member) positive definite."""
         _check_shape(self.name, "point", np.shape(point), (self.dim,))
         xs = variables(point, order, param=param)
         G = self(xs)
         c = G.coeffs
         if not np.isfinite(c).all():
             raise GeometryError(f"{self.name}: non-finite metric jet at {point}")
-        if np.abs(c - c.swapaxes(0, 1)).max() > 1e-10 * np.abs(c).max():
+        if np.abs(c - c.swapaxes(-3, -2)).max() > 1e-10 * np.abs(c).max():
             raise GeometryError(f"{self.name}: components not symmetric at {point}")
         try:
             np.linalg.cholesky(G.value)
@@ -320,7 +322,7 @@ def hyperbolic_half_space_metric(n: int) -> MetricField:
 
 
 def conformally_rescaled(g: MetricField, upsilon,
-                         t: float | None = None) -> MetricField:
+                         t: float | tuple | None = None) -> MetricField:
     """The rescaled metric e^{2 t Upsilon} g.
 
     ``t`` a float gives a finite rescale.  ``t=None`` multiplies by the
@@ -328,19 +330,22 @@ def conformally_rescaled(g: MetricField, upsilon,
     field must be evaluated with ``param=True``; first-order coefficients in
     the parameter are then exact conformal variations.  There ``t^2 = 0``,
     so the factor is exactly ``1 + 2 t Upsilon``.
+
+    A tuple of factors, or of floats ``t``, gives jets with one member per
+    factor (per ``t``), each the single rescale to the bit.
     """
+    batched = isinstance(upsilon, tuple) or isinstance(t, tuple)
+    factors = upsilon if isinstance(upsilon, tuple) else (upsilon,)
+    ts = t if isinstance(t, tuple) else (t,)
 
     def fn(xs):
         base = g(xs)
-        ups = upsilon(xs[: g.dim])
-        if t is None:
-            if len(xs) != g.dim + 1:
-                raise GeometryError(
-                    "nilpotent rescale needs the linearization parameter "
-                    "(evaluate with param=True)"
-                )
-            return (1.0 + 2.0 * xs[-1] * ups) * base
-        return (2.0 * t * ups).exp() * base
+        if t is None and len(xs) != g.dim + 1:
+            raise GeometryError("nilpotent rescale needs the linearization "
+                                "parameter (evaluate with param=True)")
+        scales = [1.0 + 2.0 * xs[-1] * ups if s is None else (2.0 * s * ups).exp()
+                  for ups in (u(xs[: g.dim]) for u in factors) for s in ts]
+        return jets_members(scales) * base if batched else scales[0] * base
 
     return MetricField(g.dim, fn, name=f"rescaled({g.name})")
 

@@ -30,6 +30,15 @@ file ``scipy/sparse/_sparsetools`` is loaded, as ``qgeo._sparsetools``:
 ``import scipy.sparse`` would run the whole package, half of a cold start.
 It is private scipy API, so ``tests/test_jets.py`` pins the product
 against the ``@`` form.
+
+A jet may carry a leading *member* axis, ``members`` long: several jets
+of one space evaluated as one batch, e.g. a metric under several
+conformal factors.  Such jets are of the subclass ``_Members`` (built by
+``jets_members``), whose ``batch``, indexing and ``reshape`` skip the
+axis, as ``jets_stack`` does; ``+``, ``-`` and ``jet_mul`` broadcast a
+member-less operand over the members; products and ``jet_trace`` add the
+implicit subscript letter ``_MEMBER``.  Each member gets the bits of the
+member-less computation, and a member-less jet runs the plain class.
 """
 
 from __future__ import annotations
@@ -69,6 +78,7 @@ __all__ = [
     "variables",
     "constant",
     "jets_stack",
+    "jets_members",
     "jet_of",
     "jet_mul",
     "jet_einsum",
@@ -236,6 +246,8 @@ class Jets:
     __slots__ = ("space", "coeffs")
     # let ndarray.__mul__ defer to Jets.__rmul__
     __array_priority__ = 100
+    #: the length of the member axis: none here, see :class:`_Members`
+    members = 0
 
     def __init__(self, space: JetSpace, coeffs: np.ndarray):
         self.space = space
@@ -270,7 +282,7 @@ class Jets:
         if order >= self.order:
             return self
         sub = space(self.space.nvars, order, self.space.param)
-        return Jets(sub, self.coeffs[..., : sub.size])
+        return type(self)(sub, self.coeffs[..., : sub.size])
 
     def deriv(self, var: int) -> "Jets":
         """Partial derivative along variable ``var``.
@@ -280,7 +292,7 @@ class Jets:
         ``BudgetError``.
         """
         target, src, scale = self.space.deriv_tables(var)
-        return Jets(target, self.coeffs[..., src] * scale)
+        return type(self)(target, self.coeffs[..., src] * scale)
 
     def __getitem__(self, key) -> "Jets":
         if not isinstance(key, tuple):
@@ -295,20 +307,20 @@ class Jets:
     def _align(self, other):
         if not isinstance(other, Jets):
             other = constant(other, self.space)
-        return _common(self, other)
+        return _common(self, other, pad=True)
 
     def __add__(self, other):
         a, b = self._align(other)
-        return Jets(a.space, a.coeffs + b.coeffs)
+        return type(a)(a.space, a.coeffs + b.coeffs)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Jets(self.space, -self.coeffs)
+        return type(self)(self.space, -self.coeffs)
 
     def __sub__(self, other):
         a, b = self._align(other)
-        return Jets(a.space, a.coeffs - b.coeffs)
+        return type(a)(a.space, a.coeffs - b.coeffs)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -317,7 +329,7 @@ class Jets:
         if isinstance(other, Jets):
             return jet_mul(self, other)
         arr = np.asarray(other, dtype=float)
-        return Jets(self.space, self.coeffs * arr[..., None])
+        return type(self)(self.space, self.coeffs * arr[..., None])
 
     __rmul__ = __mul__
 
@@ -356,10 +368,10 @@ class Jets:
         """
         nil_coeffs = self.coeffs.copy()
         nil_coeffs[..., 0] = 0.0
-        nil = Jets(self.space, nil_coeffs)
+        nil = type(self)(self.space, nil_coeffs)
         out = np.zeros_like(self.coeffs)
         out[..., 0] = derivs[0]
-        acc = Jets(self.space, out)
+        acc = type(self)(self.space, out)
         term = None
         for m in range(1, self.space.top_degree + 1):
             term = nil if term is None else jet_mul(term, nil)
@@ -414,14 +426,39 @@ class Jets:
                 f"batch={self.batch})")
 
 
+class _Members(Jets):
+    """Jets whose ``coeffs`` lead with a member axis that ``batch``, indexing
+    and ``reshape`` leave out (module docstring)."""
+
+    __slots__ = ()
+
+    @property
+    def members(self) -> int:
+        return len(self.coeffs)
+
+    @property
+    def batch(self) -> tuple:
+        return self.coeffs.shape[1:-1]
+
+    def __getitem__(self, key) -> "Jets":
+        key = key if isinstance(key, tuple) else (key,)
+        return _Members(self.space, self.coeffs[(slice(None),) + key + (slice(None),)])
+
+    def reshape(self, *shape) -> "Jets":
+        return _Members(self.space, self.coeffs.reshape(
+            len(self.coeffs), *shape, self.space.size))
+
+
 # -- free functions ----------------------------------------------------
 
 
-def constant(value, spc: JetSpace) -> Jets:
+def constant(value, spc: JetSpace, members: bool = False) -> Jets:
+    """Constant jets; with ``members`` the leading axis of ``value`` is a
+    member axis."""
     arr = np.asarray(value, dtype=float)
     out = np.zeros(arr.shape + (spc.size,))
     out[..., 0] = arr
-    return Jets(spc, out)
+    return (_Members if members else Jets)(spc, out)
 
 
 def variables(point, order: int, param: bool = False):
@@ -453,7 +490,19 @@ def jets_stack(items) -> Jets:
              for it in items]
     if any(it.space is not spc for it in items):
         raise ValueError("jets from incompatible spaces")
+    if _Members in map(type, items):  # stacked after the member axis
+        lead = next(it for it in items if it.members)
+        return _Members(spc, np.stack([_common(it, lead)[0].coeffs for it in items],
+                                      axis=1))
     return Jets(spc, np.stack([it.coeffs for it in items]))
+
+
+def jets_members(items) -> Jets:
+    """Member-less jets (at their lowest order) stacked on a new member axis."""
+    stacked = jets_stack(items)
+    if stacked.members:
+        raise ValueError("jets_members stacks jets that have no member axis")
+    return _Members(stacked.space, stacked.coeffs)
 
 
 def jet_of(fn, point, order: int) -> Jets:
@@ -471,15 +520,31 @@ def jet_of(fn, point, order: int) -> Jets:
 
 
 _CHUNK = 1 << 23  # float64 budget per gathered intermediate
+#: float64 budget of the gathered pairs of a product over all its members
+_MEMBER_CHUNK = 1 << 16
+#: the implicit subscript letter of the member axis (``src`` uses lowercase)
+_MEMBER = "M"
 
 
-def _common(a: Jets, b: Jets) -> tuple[Jets, Jets]:
+def _common(a: Jets, b: Jets, pad: bool = False) -> tuple[Jets, Jets]:
+    """``a`` and ``b`` at their common order.  If either has a member axis
+    both get it, a member-less one broadcast over the members, and ``pad``
+    left-pads the batches with unit axes to one rank."""
     r = min(a.order, b.order)
     a = a.truncate(r)
     b = b.truncate(r)
     if a.space is not b.space:
         raise ValueError("jets from incompatible spaces")
-    return a, b
+    if not (a.members or b.members) or (a.members and b.members and (
+            not pad or a.coeffs.ndim == b.coeffs.ndim)):
+        return a, b
+    m, rank = a.members or b.members, max(len(a.batch), len(b.batch)) * pad
+    out = []
+    for j in (a, b):
+        c = j.coeffs if j.members else np.broadcast_to(j.coeffs, (m,) + j.coeffs.shape)
+        ones = (1,) * (rank - len(j.batch))
+        out.append(_Members(j.space, c.reshape(c.shape[:1] + ones + c.shape[1:])))
+    return out[0], out[1]
 
 
 @functools.lru_cache(maxsize=1024)
@@ -553,20 +618,37 @@ def _product(spc: JetSpace, sa: str, sb: str, rhs: str, a: np.ndarray,
     return Jets(spc, out.transpose(perm))
 
 
+def _member_product(spc: JetSpace, sa: str, sb: str, rhs: str, a: Jets,
+                    b: Jets) -> Jets:
+    """``_product`` over one member axis, letter ``_MEMBER`` in all terms: one
+    pass while the gathered pairs fit ``_MEMBER_CHUNK``, else one member at a
+    time, so a large product's transient memory is one member's."""
+    m, x, y = a.members, a.coeffs, b.coeffs
+    plan = (_MEMBER + sa, _MEMBER + sb, _MEMBER + rhs, x.shape[:-1], y.shape[:-1])
+    if len(spc.mul_tables()[0]) * _plan(*plan)[6] <= _MEMBER_CHUNK:
+        return _Members(spc, _product(spc, *plan[:3], x, y).coeffs)
+    return _Members(spc, np.stack([_product(spc, sa, sb, rhs, x[i], y[i]).coeffs
+                                   for i in range(m)]))
+
+
 def jet_mul(a: Jets, b: Jets) -> Jets:
     """Elementwise (broadcasting) truncated product of two jet batches."""
-    a, b = _common(a, b)
-    if a.batch != b.batch:
-        shape = np.broadcast_shapes(a.batch, b.batch) + (a.space.size,)
-        a, b = (Jets(j.space, np.broadcast_to(j.coeffs, shape)) for j in (a, b))
+    a, b = _common(a, b, pad=True)
+    if a.coeffs.shape != b.coeffs.shape:
+        shape = np.broadcast_shapes(a.coeffs.shape, b.coeffs.shape)
+        a, b = (type(j)(j.space, np.broadcast_to(j.coeffs, shape)) for j in (a, b))
     s = "abcdefghijklmnopqrstuvwxyz"[: len(a.batch)]
+    if a.members:
+        return _member_product(a.space, s, s, s, a, b)
     return _product(a.space, s, s, s, a.coeffs, b.coeffs)
 
 
 def jet_trace(a: Jets, subscripts: str) -> Jets:
     """Trace/reorder batch axes with einsum syntax (no products)."""
     lhs, _, rhs = subscripts.partition("->")
-    return Jets(a.space, np.einsum(f"{lhs}...->{rhs}...", a.coeffs))
+    if a.members:
+        lhs, rhs = _MEMBER + lhs, _MEMBER + rhs
+    return type(a)(a.space, np.einsum(f"{lhs}...->{rhs}...", a.coeffs))
 
 
 def jet_einsum(subscripts: str, a: Jets, b: Jets) -> Jets:
@@ -579,6 +661,8 @@ def jet_einsum(subscripts: str, a: Jets, b: Jets) -> Jets:
     lhs, _, rhs = subscripts.partition("->")
     sa, sb = lhs.split(",")
     a, b = _common(a, b)
+    if a.members:
+        return _member_product(a.space, sa, sb, rhs, a, b)
     return _product(a.space, sa, sb, rhs, a.coeffs, b.coeffs)
 
 
@@ -653,5 +737,8 @@ class Composer:
         fsub = f.truncate(r)
         tgt = self.coords.truncate(r).space
         mons = self._table(fsub.space)[: fsub.space.size, : tgt.size]
-        return Jets(tgt, fsub.coeffs @ mons)
+        if f.members and not f.batch:  # a vector-matrix product per member,
+            # whose bits a member-less scalar has (one matrix product has not)
+            return _Members(tgt, (fsub.coeffs[:, None] @ mons)[:, 0])
+        return type(f)(tgt, fsub.coeffs @ mons)
 

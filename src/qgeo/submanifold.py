@@ -77,6 +77,10 @@ __all__ = [
 ]
 
 _LET = "abcdef"
+#: orders below the ambient tensor of a pull, and below the pull of a frame
+#: projection (:meth:`SubmanifoldPack.block`), that no consumer reads
+_PULL_SLACK = {"g_up": 2, "schouten": 1, "rm": 1, "jtrace": 2}
+_BLOCK_SLACK = {"mc_cotton": 1, "rm": 1}
 
 
 def _check_pattern(pattern: str, T: Jets, kinds: str) -> None:
@@ -147,8 +151,10 @@ class SubmanifoldPack:
     @per_pack
     def pulled(self, name: str) -> Jets:
         """The ambient tensor ``name`` of :attr:`ambient` composed along the
-        patch (y-space jets), pulled back once per pack."""
-        return self.pull(getattr(self.ambient, name))
+        patch (y-space jets), pulled back once per pack, ``_PULL_SLACK``
+        orders below the tensor."""
+        T = getattr(self.ambient, name)
+        return self.pull(T.truncate(T.order - _PULL_SLACK.get(name, 0)))
 
     # -- frames ----------------------------------------------------------
 
@@ -185,9 +191,22 @@ class SubmanifoldPack:
         the rows of ``I - P^T``, seed :attr:`normal_frame`.  Candidates are
         walked by projection norm at :attr:`point`, ties broken by index,
         and one is kept when its Gram–Schmidt residual against those kept
-        passes the bound :attr:`normal_frame` applies."""
-        e, g = self.tangent_frame.value, self.pulled("g").value
-        cand = np.eye(self.n) - (e @ g).T @ (self.induced_inv.value.T @ e)
+        passes the bound :attr:`normal_frame` applies.  Members that pick
+        differently raise; conformal members cannot, as the projector and
+        the score order are conformally invariant at the point."""
+        n, k, e = self.n, self.k, self.tangent_frame.value
+        picks = list(dict.fromkeys(
+            self._picks(e, g, hinv) for g, hinv in zip(
+                self.pulled("g").value.reshape(-1, n, n),
+                self.induced_inv.value.reshape(-1, k, k))))
+        if len(picks) > 1:
+            raise GeometryError(f"{self.patch.name}: members pick the normal "
+                                f"candidates {picks} at {self.point}")
+        return list(picks[0])
+
+    def _picks(self, e, g, hinv) -> tuple[int, ...]:
+        """:attr:`normal_picks` of one metric value ``g`` and induced inverse."""
+        cand = np.eye(self.n) - (e @ g).T @ (hinv.T @ e)
         score = np.einsum("ba,ac,bc->b", cand, g, cand)
         picks, kept = [], []
         for b in sorted(range(self.n), key=lambda b: (-score[b], b)):
@@ -199,7 +218,7 @@ class SubmanifoldPack:
                 picks.append(b)
                 kept.append(w / np.sqrt(norm2))
                 if len(picks) == self.n - self.k:
-                    return picks
+                    return tuple(picks)
         raise GeometryError(f"{self.patch.name}: degenerate normal "
                             f"candidates at {self.point}")
 
@@ -225,7 +244,7 @@ class SubmanifoldPack:
                 coef = jet_einsum("a,a->", jet_einsum("a,ab->b", w, g), prev)
                 w = w - coef * prev
             norm2 = jet_einsum("a,a->", jet_einsum("a,ab->b", w, g), w)
-            if norm2.value <= 1e-20 * g.value[b, b]:
+            if np.any(norm2.value <= 1e-20 * g.value[..., b, b]):
                 raise GeometryError(f"{self.patch.name}: degenerate normal "
                                     f"candidates at {self.point}")
             frame.append(w * norm2.sqrt().reciprocal())
@@ -388,9 +407,10 @@ class SubmanifoldPack:
     @per_pack
     def block(self, name: str, pattern: str) -> Jets:
         """Cached frame projection along the patch of the ambient tensor
-        ``name`` (a :class:`CurvaturePack` attribute) or of ``"mc_cotton"``."""
+        ``name`` (a :class:`CurvaturePack` attribute) or of ``"mc_cotton"``,
+        ``_BLOCK_SLACK`` orders below the tensor it projects."""
         T = self.mc_cotton_ambient if name == "mc_cotton" else self.pulled(name)
-        return self.project(T, pattern)
+        return self.project(T.truncate(T.order - _BLOCK_SLACK.get(name, 0)), pattern)
 
     @cached_property
     def weyl_partial_trace(self) -> Jets:

@@ -28,7 +28,13 @@ already built.  The last two time the layers the conformal batteries
 build per parameter pack: a fresh ``random_scene(4, 5)`` parameter pack
 read through ``second_fundamental`` and ``normal_connection`` (chart
 tables already built), and the ambient curvature pack, read through Bach,
-from the metric jets on the (5+1)-variable parameter space.
+from the metric jets on the (5+1)-variable parameter space.  Two pairs
+time the member axis: the variations of every quartic strata element
+under the six factors of ``check_strata_vanishing``, as six single
+engines and as two engines of three members, and one ``ab,bc->ac``
+product of (5, 5) jets on the pack space at the curvature's order
+``PACK_ORDER - 2``, three single products against one product of three
+members.
 
 For an A/B against another checkout, run each side's own copy of this
 file from the root of its own tree.  ``pyproject.toml`` puts ``src`` on
@@ -45,6 +51,7 @@ import numpy as np
 import pytest
 
 import qgeo
+import qgeo.conformal as cf
 from qgeo.ambient import (
     CurvaturePack,
     _first_kind,
@@ -59,6 +66,7 @@ from qgeo.jets import (
     _multi_indices,
     jet_einsum,
     jet_mul,
+    jets_members,
     space,
     variables,
 )
@@ -223,3 +231,40 @@ def test_curvature_pack_on_parameter_space(benchmark, chart):
     metric = SCENE.metric.jets(chart.value[: SCENE.n], PACK_ORDER, param=True)
     bach = benchmark(lambda: CurvaturePack(metric).bach)
     assert bach.space.nvars == SCENE.n + 1 and bach.space.param
+
+
+def _strata_factors():
+    """The six factors of ``check_strata_vanishing(SCENE)``, in depth order."""
+    return [cf.transverse_vanishing_upsilon(SCENE, j, seed=10 * j)
+            for j in range(5)] + [random_upsilon(SCENE.n, seed=77)]
+
+
+@pytest.mark.parametrize("members", [1, 3], ids=["six-engines", "two-engines"])
+def test_strata_variations_by_engine(benchmark, members):
+    factors = _strata_factors()
+
+    def run():
+        out = []
+        for lo in range(0, len(factors), members):
+            group = tuple(factors[lo:lo + members])
+            eng = cf._Engine(SCENE, group if members > 1 else group[0])
+            out += [eng.nilpotent(el.evaluate, -4.0) for el in cf.QUARTIC_STRATA]
+        return out
+
+    out = benchmark(run)
+    assert len(out) == len(cf.QUARTIC_STRATA) * len(factors) // members
+
+
+@pytest.mark.parametrize("members", [1, 3], ids=["three-products", "one-product"])
+def test_member_product_on_pack_space(benchmark, members):
+    spc = space(5, PACK_ORDER - 2, param=True)
+    rng = np.random.default_rng(3)
+    As, Bs = ([Jets(spc, rng.normal(size=(5, 5, spc.size))) for _ in range(3)]
+              for _ in range(2))
+    if members == 3:
+        out = benchmark(jet_einsum, "ab,bc->ac", jets_members(As), jets_members(Bs))
+        assert out.members == 3
+    else:
+        out = benchmark(lambda: [jet_einsum("ab,bc->ac", a, b)
+                                 for a, b in zip(As, Bs)])
+        assert len(out) == 3

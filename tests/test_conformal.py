@@ -30,6 +30,7 @@ from qgeo.fields import (
     MetricField,
     conformally_rescaled,
     flat_metric,
+    graph_patch,
     sphere_chart_metric,
 )
 from qgeo.invariants import REGISTRY, available, evaluate, evaluate_all
@@ -272,9 +273,10 @@ def test_batteries_at_one_point_share_two_charts(monkeypatch, pack_builds):
     # the chart map does not depend on the metric: the plain, finite and
     # parameter packs of all four batteries at one point share the plain
     # and the parameter chart, and their Composer tables.  The packs are
-    # 3 of the invariance battery (parameter, t = 0.1, -0.07), 2 of the
-    # tangential one (two parameter), 6 of the strata one (one parameter
-    # pack per factor) and 3 of the Q one (plain, two at t = 1)
+    # 2 of the invariance battery (parameter, one with members t = 0.1 and
+    # -0.07), 2 of the tangential one (two parameter), 2 of the strata one
+    # (two parameter packs of three factors each) and 2 of the Q one
+    # (plain, one at t = 1 with a member per factor)
     charts, tables = [], []
     chart_jets, monomial_table = ImmersedPatch.jets, jets.monomial_table
     monkeypatch.setattr(ImmersedPatch, "jets", lambda self, *a, **kw: (
@@ -288,17 +290,18 @@ def test_batteries_at_one_point_share_two_charts(monkeypatch, pack_builds):
     cf.check_q_transformation(scenes=[sc], seed=2)
     assert len(charts) == 2
     assert len(tables) <= 10
-    assert len(pack_builds) == 14
+    assert len(pack_builds) == 8
 
 
 @pytest.mark.parametrize("battery,calls", [
-    (cf.check_invariance, 4),
+    (cf.check_invariance, 3),
     (cf.ambient_law_reports, 2),
     (cf.quartic_term_reports, 2),
 ])
 def test_upsilon_is_restricted_once_per_pack(monkeypatch, battery, calls):
-    # one call per pack build of a rescaled metric and one per pack that
-    # reads Upsilon, on the ambient coordinate variables at its point (the
+    # one call per pack build of a rescaled metric (one for both members
+    # of the invariance battery's finite pack) and one per pack that reads
+    # Upsilon, on the ambient coordinate variables at its point (the
     # parameter pack serves both the restriction data and Upsilon(x0)):
     # Upsilon is not re-evaluated per report
     ups = random_upsilon(5, seed=4)
@@ -382,6 +385,77 @@ def test_scale_names_a_pack_the_engine_did_not_build():
         eng.scale(other.param, 2.0)
     with pytest.raises(ValueError, match="plain pack"):
         eng.scale(SubmanifoldPack(sc.metric, sc.patch, sc.point), 2.0)
+
+
+def _pack_quantities(p):
+    """Every jet quantity of a pack: its cached properties and the pullback
+    of every ambient tensor, by name."""
+    props = {nm: (lambda q, nm=nm: getattr(q, nm))
+             for nm, v in vars(SubmanifoldPack).items()
+             if isinstance(v, cached_property) and nm != "normal_picks"}
+    names = {nm for nm, v in vars(type(p.ambient)).items()
+             if isinstance(v, cached_property)}
+    names |= {nm for nm, v in vars(p.ambient).items() if isinstance(v, Jets)}
+    props.update({f"pulled({nm})": (lambda q, nm=nm: q.pulled(nm))
+                  for nm in names})
+    return props
+
+
+def _batched_and_single(kind):
+    """A member pack of ``random_scene(4, 5, 2)`` and its single packs."""
+    sc = scene(4, 5, 2)
+    ups = [random_upsilon(5, seed=s) for s in (4, 5, 6)]
+    if kind == "parameter":
+        return cf._Engine(sc, tuple(ups)), [cf._Engine(sc, u) for u in ups]
+    if kind == "t-pair":
+        return (cf._Engine(sc, ups[0]).finite((0.1, -0.07)),
+                [cf._Engine(sc, ups[0]).finite(t) for t in (0.1, -0.07)])
+    return (cf._Engine(sc, tuple(ups[:2])).finite(1.0),
+            [cf._Engine(sc, u).finite(1.0) for u in ups[:2]])
+
+
+@pytest.mark.parametrize("kind", ["parameter", "t-pair", "factor-pair"])
+def test_member_packs_are_the_single_packs(kind):
+    # each member of a member-batched pack is the pack its factor (or its
+    # t) builds alone, to the last bit: every pack quantity and every
+    # quartic strata element, as its variation on the parameter pack.
+    # The chart's quantities do not depend on the metric: they have no
+    # member axis and equal every single pack's
+    batched, singles = _batched_and_single(kind)
+    if kind == "parameter":
+        for el in cf.QUARTIC_STRATA:
+            got = batched.nilpotent(el.evaluate, -4.0)
+            for m, single in enumerate(singles):
+                assert np.array_equal(got[m], single.nilpotent(el.evaluate, -4.0)), (
+                    el.name, m)
+        batched, singles = batched.param, [eng.param for eng in singles]
+    rows = _pack_quantities(batched)
+    rows.update({el.name: el.evaluate for el in cf.QUARTIC_STRATA})
+    for name, read in rows.items():
+        got = read(batched)
+        assert got.members in (0, len(singles)), name
+        for m, single in enumerate(singles):
+            want = read(single)
+            assert got.space is want.space and got.batch == want.batch, name
+            assert np.array_equal(got.coeffs[m] if got.members else got.coeffs,
+                                  want.coeffs), (name, m)
+    assert batched.pulled("g").members == len(singles)
+
+
+def test_members_that_pick_different_normals_raise():
+    # a flat metric picks the normal candidates (1, 2) along the x-axis, a
+    # sheared one (2, 1): one frame cannot serve both members
+    flat = MetricField(3, lambda xs: np.eye(3), name="flat")
+    shear = MetricField(3, lambda xs: [[1.0, 0.9, 0.0], [0.9, 1.0, 0.0],
+                                       [0.0, 0.0, 1.0]], name="shear")
+    both = MetricField(3, lambda xs: jets.jets_members([flat(xs), shear(xs)]),
+                       name="flat+shear")
+    line = graph_patch(1, 3, [lambda ys: 0.0 * ys[0]] * 2, name="x-axis")
+    for g, picks in ((flat, [1, 2]), (shear, [2, 1])):
+        assert SubmanifoldPack(g, line, [0.2]).normal_picks == picks
+    with pytest.raises(GeometryError, match=re.escape(
+            "x-axis: members pick the normal candidates [(1, 2), (2, 1)]")):
+        SubmanifoldPack(both, line, [0.2]).normal_frame
 
 
 @pytest.mark.parametrize("k,n", [(2, 4), (3, 5), (4, 5), (4, 6), (4, 7)])
@@ -658,24 +732,35 @@ def packs_at(monkeypatch):
     return built
 
 
-def poison(monkeypatch, name, hit):
-    """``cf.evaluate(p, name)`` reads NaN on every pack ``p`` with ``hit(p)``."""
+def poison(monkeypatch, name, hit, member=None):
+    """``cf.evaluate(p, name)`` reads NaN on every pack ``p`` with
+    ``hit(p)``: on its member ``member`` only, when that is given."""
     evaluate = cf.evaluate
+
+    def factor(p):
+        if member is None:
+            return np.nan
+        return np.where(np.arange(p.pulled("g").members) == member, np.nan, 1.0)
+
     monkeypatch.setattr(cf, "evaluate", lambda p, nm: (
-        evaluate(p, nm) * np.nan if nm == name and hit(p) else evaluate(p, nm)))
+        evaluate(p, nm) * factor(p) if nm == name and hit(p)
+        else evaluate(p, nm)))
 
 
 def test_nan_rescaled_q_is_the_q_residual(monkeypatch, packs_at):
-    # the first factor's rescaled Q is NaN, the second's is not
-    poison(monkeypatch, "extrinsic_q2", lambda p: p in packs_at[1.0][:1])
+    # the first factor's rescaled Q is NaN, the second's is not: the two
+    # are the members of one pack
+    poison(monkeypatch, "extrinsic_q2", lambda p: p in packs_at[1.0], member=0)
     out = cf.check_q_transformation(scenes=[affine_plane(2, 4)], seed=1)
-    assert len(packs_at[1.0]) == 2
+    assert len(packs_at[1.0]) == 1
     assert np.isnan(out["affine-plane-2-4"]["residual"])
 
 
 def test_nan_finite_rescale_is_the_invariance_gap(monkeypatch, packs_at):
-    # only the second finite rescale, t = -0.07, of one invariant is NaN
-    poison(monkeypatch, "willmore_quartic", lambda p: p in packs_at[-0.07])
+    # only the second finite rescale, t = -0.07 (the second member of the
+    # finite pack), of one invariant is NaN
+    poison(monkeypatch, "willmore_quartic",
+           lambda p: p in packs_at[(0.1, -0.07)], member=1)
     out = cf.check_invariance(scene(4, 6, 4), seed=5)
     assert np.isnan(out["willmore_quartic"]["finite"])
     assert out["willmore_quartic"]["variation"] < 1e-7

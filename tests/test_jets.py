@@ -416,6 +416,134 @@ def test_long_double_products(subscripts, shape_a, shape_b, spc):
     assert gap <= 1e-15, gap
 
 
+# -- the member axis ----------------------------------------------------------
+
+
+def _member_operands(spc, shape_a, shape_b, members=3):
+    rng = np.random.default_rng(31)
+    return ([Jets(spc, rng.normal(size=shape + (spc.size,)))
+             for _ in range(members)] for shape in (shape_a, shape_b))
+
+
+def _product_of(subscripts):
+    return jet_mul if subscripts is None else (
+        lambda a, b: jet_einsum(subscripts, a, b))
+
+
+@pytest.mark.parametrize("split", [False, True], ids=["one-pass", "per-member"])
+@pytest.mark.parametrize("sides", ["both", "left", "right"])
+@pytest.mark.parametrize("spc", KERNEL_SPACES, ids=["plain", "param"])
+@pytest.mark.parametrize("subscripts, shape_a, shape_b", KERNEL_CASES)
+def test_member_products_are_the_single_products(
+        monkeypatch, subscripts, shape_a, shape_b, spc, sides, split):
+    # every member of a product on the member axis is the member-less
+    # product of its operands, bit for bit: in one pass, one member at a
+    # time above the bound, and with a member-less operand on either side
+    if split:
+        monkeypatch.setattr(jets, "_MEMBER_CHUNK", 0)
+    As, Bs = _member_operands(spc, shape_a, shape_b)
+    if sides != "both":  # one operand without members, shared by all
+        As, Bs = (As[:1] * 3, Bs) if sides == "left" else (As, Bs[:1] * 3)
+    a = As[0] if sides == "left" else jets.jets_members(As)
+    b = Bs[0] if sides == "right" else jets.jets_members(Bs)
+    product = _product_of(subscripts)
+    got = product(a, b)
+    assert got.members == 3 and got.coeffs.shape[0] == 3
+    for m in range(3):
+        want = product(As[m], Bs[m])
+        assert got.batch == want.batch and got.space is want.space
+        assert got.coeffs[m].tobytes() == np.ascontiguousarray(want.coeffs).tobytes()
+
+
+def test_member_axis_is_left_out_of_the_batch():
+    # indexing, reshape, stacking, traces and the sums skip the member axis
+    # and broadcast a member-less operand over the members
+    spc = space(3, 2)
+    As, Bs = _member_operands(spc, (2, 3), (3,))
+    a, b = jets.jets_members(As), jets.jets_members(Bs)
+    assert (a.batch, a.value.shape, b.batch) == ((2, 3), (3, 2, 3), (3,))
+    pull = Composer(jets_stack(variables([0.1, 0.2, 0.3], 2)) ** 2)
+    cases = [
+        (a[1], [x[1] for x in As]),
+        (a[:, 2], [x[:, 2] for x in As]),
+        (a.reshape(6), [x.reshape(6) for x in As]),
+        (a.reshape(3, 2), [x.reshape(3, 2) for x in As]),
+        (jet_trace(a, "ab->ba"), [jet_trace(x, "ab->ba") for x in As]),
+        (jets_stack([b[0], Bs[0][1], 2.0]),
+         [jets_stack([y[0], Bs[0][1], 2.0]) for y in Bs]),
+        (a + b, [x + y for x, y in zip(As, Bs)]),
+        (a - Bs[1], [x - Bs[1] for x in As]),
+        (1.0 - b, [1.0 - y for y in Bs]),
+        (b[0] * a, [y[0] * x for x, y in zip(As, Bs)]),
+        (constant(np.eye(3)[:2], spc) - a, [np.eye(3)[:2] - x for x in As]),
+        (b[0].exp(), [y[0].exp() for y in Bs]),
+        (pull(b), [pull(y) for y in Bs]),
+        (pull(b[2]), [pull(y[2]) for y in Bs]),
+    ]
+    for got, want in cases:
+        assert got.members == 3
+        for m, w in enumerate(want):
+            assert got.batch == w.batch
+            assert np.array_equal(got.coeffs[m], w.coeffs)
+
+
+def test_members_of_members_are_rejected():
+    x = jets.jets_members(variables([0.1, 0.2], 1))
+    with pytest.raises(ValueError, match="no member axis"):
+        jets.jets_members([x, x])
+
+
+def test_member_product_above_the_bound_scatters_one_member_at_a_time(
+        monkeypatch):
+    # a frame projection on the pack space gathers more pairs than the
+    # bound over its three members, so it runs, and scatters, one member at
+    # a time; a scalar product fits and scatters all three members at once
+    calls = []
+    scatter = jets.csr_matvecs
+
+    def counting(n_row, n_col, n_vecs, *rest):
+        calls.append((n_vecs, rest[3].size))
+        return scatter(n_row, n_col, n_vecs, *rest)
+
+    monkeypatch.setattr(jets, "csr_matvecs", counting)
+    spc = space(4 + 1, PACK_ORDER, param=True)
+    npairs = len(spc.mul_tables()[0])
+    As, Bs = _member_operands(spc, (5, 5, 5, 5), (4, 5))
+    jet_einsum("abcd,za->zbcd", jets.jets_members(As), jets.jets_members(Bs))
+    assert [n for n, _ in calls] == [4 * 5 ** 3] * 3
+    assert all(size == npairs * 4 * 5 ** 3 for _, size in calls)
+    assert npairs * 3 * 4 * 5 ** 4 > jets._MEMBER_CHUNK
+    calls.clear()
+    As, Bs = _member_operands(spc, (), ())
+    jet_mul(jets.jets_members(As), jets.jets_members(Bs))
+    assert calls == [(3, npairs * 3)]
+    assert npairs * 3 <= jets._MEMBER_CHUNK
+
+
+@pytest.mark.parametrize("subscripts, shape_a, shape_b", KERNEL_CASES)
+def test_member_less_products_plan_the_same_subscripts(
+        monkeypatch, subscripts, shape_a, shape_b):
+    # only a product with members adds the implicit member letter
+    plans = []
+    plan = jets._plan
+    monkeypatch.setattr(jets, "_plan", lambda *args: (
+        plans.append(args[:3]) or plan(*args)))
+    spc = space(3, 3)
+    As, Bs = _member_operands(spc, shape_a, shape_b)
+    product = _product_of(subscripts)
+    product(As[0], Bs[0])
+    if subscripts is None:
+        s = "abcdefgh"[: len(np.broadcast_shapes(shape_a, shape_b))]
+        want = (s, s, s)
+    else:
+        lhs, _, rhs = subscripts.partition("->")
+        want = (*lhs.split(","), rhs)
+    assert plans == [want]
+    plans.clear()
+    product(jets.jets_members(As), Bs[0])
+    assert plans[0] == tuple(jets._MEMBER + s for s in want)
+
+
 def naive_mul(spc, a, b):
     """Truncated product of two coefficient vectors, monomial by monomial.
 

@@ -311,12 +311,58 @@ def test_pulled_is_one_cached_pullback_per_ambient_tensor(k, n):
     assert {"g", "g_up", "gamma", "rm", "ric", "scal", "jtrace", "schouten",
             "weyl", "cotton", "bach", "dschouten", "dcotton", "dweyl",
             "driemann"} <= names
+    # every tensor is pulled whole, except those LOWERED_ORDERS pins lower
+    assert set(submanifold._PULL_SLACK) == {
+        nm for nm, pattern, _, _ in LOWERED_ORDERS if pattern is None}
     for nm in sorted(names):
+        T = getattr(p.ambient, nm)
         got = p.pulled(nm)
-        fresh = p.pull(getattr(p.ambient, nm))
+        fresh = p.pull(T.truncate(T.order - submanifold._PULL_SLACK.get(nm, 0)))
         assert got.space is fresh.space, nm
         assert np.array_equal(got.coeffs, fresh.coeffs), nm
         assert p.pulled(nm) is got, nm
+
+
+#: each pull (pattern None) or frame projection built below its tensor's
+#: order: that order at PACK_ORDER, and a consumer that raises BudgetError
+#: when it is one order lower.  A Schouten block has no spare order on top
+#: of its lowered pull: ``fialkow_quartic`` reads it through
+#: ``normal_deflection``.  The order-0 pulls are read only at their value.
+LOWERED_ORDERS = [
+    ("g_up", None, PACK_ORDER - 4, lambda p: evaluate(p, "anomaly_quartic_b")),
+    ("jtrace", None, PACK_ORDER - 4, gauss_codazzi_residuals),
+    ("schouten", None, PACK_ORDER - 3,
+     lambda p: evaluate(p, "fialkow_quartic")),
+    ("schouten", "tn", PACK_ORDER - 3,
+     lambda p: evaluate(p, "fialkow_quartic")),
+    ("rm", None, PACK_ORDER - 3, gauss_codazzi_residuals),
+    ("rm", "tttt", PACK_ORDER - 4, gauss_codazzi_residuals),
+    ("mc_cotton", "ttt", PACK_ORDER - 4,
+     lambda p: evaluate(p, "div_shape_weyl_a")),
+]
+
+
+@pytest.mark.parametrize("param", [False, True], ids=["plain", "param"])
+@pytest.mark.parametrize("name,pattern,order,consumer", LOWERED_ORDERS,
+                         ids=[f"{row[0]}-{row[1] or 'pulled'}"
+                              for row in LOWERED_ORDERS])
+def test_pulls_and_blocks_at_the_order_they_are_read(
+        monkeypatch, name, pattern, order, consumer, param):
+    # built at exactly its order, and that order is needed: one order lower
+    # and the consumer raises (below order 0 the truncation itself does)
+    scene = random_scene(4, 5, 2)
+
+    def read(p):
+        return p.pulled(name) if pattern is None else p.block(name, pattern)
+
+    p = SubmanifoldPack(scene.metric, scene.patch, scene.point, param=param)
+    assert read(p).order == order
+    consumer(p)
+    slack = submanifold._PULL_SLACK if pattern is None else submanifold._BLOCK_SLACK
+    monkeypatch.setitem(slack, name, slack.get(name, 0) + 1)
+    p = SubmanifoldPack(scene.metric, scene.patch, scene.point, param=param)
+    with pytest.raises(BudgetError):
+        consumer(p)
 
 
 def test_per_pack_keys_by_function_not_name():
