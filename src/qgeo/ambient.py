@@ -30,7 +30,7 @@ from itertools import permutations
 import numpy as np
 
 from .fields import GeometryError
-from .jets import Jets, constant, jet_einsum, jet_trace, jets_stack
+from .jets import Jets, constant, jet_einsum, jet_trace
 
 __all__ = [
     "CurvaturePack",
@@ -68,7 +68,7 @@ def inverse_metric_jets(G: Jets) -> Jets:
 
 def _first_kind(G: Jets) -> Jets:
     """Christoffel symbols of the first kind ``Gamma[d, a, b] = Gamma_{d,ab}``."""
-    dG = jets_stack([G.deriv(c) for c in range(G.batch[0])])  # d_c g_{ab}
+    dG = G.gradient()  # d_c g_{ab}
     return 0.5 * (jet_trace(dG, "adb->dab") + jet_trace(dG, "bda->dab") - dG)
 
 
@@ -86,13 +86,13 @@ def riemann_jets(first: Jets, Gamma: Jets) -> Jets:
     Gamma_{d,ab}``): the lowered ``R_{abc}{}^e g_{ed}`` expanded with
     ``d_a g_{ed} = Gamma_{e,ad} + Gamma_{d,ae}``.
     """
-    dfirst = jets_stack([first.deriv(a) for a in range(first.batch[0])])
+    dfirst = first.gradient()
     Y = (jet_einsum("ead,ebc->abcd", first.truncate(dfirst.order), Gamma)
          - jet_trace(dfirst, "adbc->abcd"))
     return Y - jet_trace(Y, "bacd->abcd")
 
 
-def connection_deriv(T: Jets, connections, nvars: int) -> Jets:
+def connection_deriv(T: Jets, connections) -> Jets:
     """Covariant derivative of an all-lowered tensor jet batch; new slot
     comes first.
 
@@ -101,7 +101,7 @@ def connection_deriv(T: Jets, connections, nvars: int) -> Jets:
     corrections are formed at the order of ``d T``.
     """
     letters = "bcdefghij"[: len(connections)]
-    parts = jets_stack([T.deriv(a) for a in range(nvars)])
+    parts = T.gradient()
     T = T.truncate(parts.order)
     for j, A in enumerate(connections):
         tsub = letters[:j] + "z" + letters[j + 1:]
@@ -118,7 +118,7 @@ def cov_deriv_jets(T: Jets, Gamma: Jets) -> Jets:
     """Levi-Civita covariant derivative of an all-lowered tensor; new slot
     comes first."""
     A = levi_civita_connection(Gamma)
-    return connection_deriv(T, [A] * len(T.batch), Gamma.batch[0])
+    return connection_deriv(T, [A] * len(T.batch))
 
 
 def weyl_jets(rm: Jets, P: Jets, g: Jets) -> Jets:

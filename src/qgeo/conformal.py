@@ -682,8 +682,7 @@ def _cotton_trace_normal(p) -> Jets:
 
 
 def _normal_gradient_jtrace(p) -> Jets:
-    dJ = jets_stack([p.ambient.jtrace.deriv(a) for a in range(p.n)])
-    return p.project(p.pull(dJ), "n")
+    return p.project(p.pull(p.ambient.jtrace.gradient()), "n")
 
 
 def _ambient_laplacian_jtrace(p) -> Jets:

@@ -801,8 +801,9 @@ def anomaly_quartic_a(p: SubmanifoldPack, route: str = "general") -> Jets:
 @per_pack
 def _ambient_pair_weyl_squares(p):
     """The three tangent/ambient mixed Weyl squares used by the second
-    anomaly invariant: (W_{a b c d} two slots projected)^2 variants."""
-    wy = p.pulled("weyl")
+    anomaly invariant: (W_{a b c d} two slots projected)^2 variants, whose
+    pulled ``g_up`` sets the order the Weyl tensor is projected at."""
+    wy = p.pulled("weyl").truncate(p.pulled("g_up").order)
     Z = jet_einsum("cidj,ij->cd", p.project(wy, "atat"), p.induced_inv)
     return (p.norm2(p.project(wy, "ttaa"), "ttaa"),
             p.norm2(p.project(wy, "tata"), "tata"),

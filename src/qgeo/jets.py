@@ -294,6 +294,23 @@ class Jets:
         target, src, scale = self.space.deriv_tables(var)
         return type(self)(target, self.coeffs[..., src] * scale)
 
+    def gradient(self) -> "Jets":
+        """Every spatial ``deriv(a)``, stacked on a new leading batch axis
+        ``a`` (after the member axis) in the memory order ``jets_stack``
+        gives them, so reductions and matrix products of it sum alike."""
+        spc = self.space
+        target = space(spc.nvars, spc.order - 1, spc.param)
+        lead, nx = int(bool(self.members)), spc.nvars - spc.param
+        shape = self.coeffs.shape[:lead] + (nx,) + self.batch + (target.size,)
+        last = len(shape) - 1
+        perm = ((last, 0) if lead else (0, last)) + tuple(range(1, last))
+        out = np.empty([shape[i] for i in perm], np.promote_types(
+            self.coeffs.dtype, float)).transpose(np.argsort(perm))
+        for var, slot in enumerate(np.moveaxis(out, lead, 0)):
+            _, src, scale = spc.deriv_tables(var)
+            np.multiply(self.coeffs[..., src], scale, out=slot)
+        return type(self)(target, out)
+
     def __getitem__(self, key) -> "Jets":
         if not isinstance(key, tuple):
             key = (key,)

@@ -77,10 +77,16 @@ __all__ = [
 ]
 
 _LET = "abcdef"
-#: orders below the ambient tensor of a pull, and below the pull of a frame
-#: projection (:meth:`SubmanifoldPack.block`), that no consumer reads
+#: orders below the ambient tensor of a pull that no consumer reads
 _PULL_SLACK = {"g_up": 2, "schouten": 1, "rm": 1, "jtrace": 2}
-_BLOCK_SLACK = {"mc_cotton": 1, "rm": 1}
+#: orders below its tensor at which each frame projection is built, per
+#: (tensor, pattern) (:meth:`SubmanifoldPack.block`); a pair not listed has none
+_BLOCK_SLACK = {
+    ("weyl", "tntn"): 2, ("weyl", "ntnt"): 2, ("weyl", "ttnn"): 2,
+    ("weyl", "tttn"): 1, ("weyl", "ttnt"): 1, ("schouten", "tn"): 0,
+    ("schouten", "nn"): 1, ("cotton", "tnt"): 1, ("cotton", "ntt"): 1,
+    ("rm", "tttt"): 1, ("rm", "ttnt"): 1, ("rm", "ttnn"): 1,
+    ("mc_cotton", "ttt"): 1, ("mc_cotton", "tnt"): 1}
 
 
 def _check_pattern(pattern: str, T: Jets, kinds: str) -> None:
@@ -121,7 +127,13 @@ class SubmanifoldPack:
     are the ambient ``gamma`` they meet in :attr:`second_fundamental`: the
     form ``L``, ``H`` and ``L0`` are read at most twice differentiated,
     by the Laplacians in the quartic invariants, and the normal connection
-    (one order lower) once, by :attr:`normal_curvature`.  With
+    (one order lower) once, by :attr:`normal_curvature`.  The blocks the
+    invariants read (:meth:`block`) are at the order they read: Weyl
+    ``tttt`` at ``order - 2``, for the Laplacian of
+    :attr:`weyl_double_trace`; Weyl ``tttn``, ``ttnt`` and Schouten ``tt``,
+    ``tn`` at ``order - 3``, read once differentiated; the other Weyl
+    blocks, Schouten ``nn``, Riemann, (corrected) Cotton and Bach at
+    ``order - 4``.  With
     ``param=True`` every jet carries the extra first-order parameter
     variable used for conformal linearization.
     """
@@ -161,8 +173,7 @@ class SubmanifoldPack:
     @cached_property
     def tangent_frame(self) -> Jets:
         """Coordinate tangent vectors ``e[i, a] = d x^a / d y^i``."""
-        e = jets_stack([self.chart_jets.deriv(i) for i in range(self.k)])
-        return e[:, : self.n]
+        return self.chart_jets.gradient()[:, : self.n]
 
     @cached_property
     def induced(self) -> Jets:
@@ -267,9 +278,8 @@ class SubmanifoldPack:
     def second_fundamental(self) -> Jets:
         """``L[i, j, r]``: normal part of the frame's ambient acceleration."""
         e = self.tangent_frame
-        dd = jets_stack([jets_stack([e[i].deriv(j) for j in range(self.k)])
-                         for i in range(self.k)])
-        s = dd + jet_einsum("zib,jb->ijz", self._gamma_frame, e)
+        s = (jet_trace(e.gradient(), "jia->ija")
+             + jet_einsum("zib,jb->ijz", self._gamma_frame, e))
         return jet_einsum("ijz,rz->ijr", s, self.normal_coframe)
 
     @cached_property
@@ -327,7 +337,7 @@ class SubmanifoldPack:
     @cached_property
     def normal_connection(self) -> Jets:
         """``omega[i, r, s] = g(nabla_{e_i} n_r, n^s)`` (antisymmetric in r, s)."""
-        dN = jets_stack([self.normal_frame.deriv(i) for i in range(self.k)])
+        dN = self.normal_frame.gradient()
         covN = dN + jet_einsum("zib,rb->irz", self._gamma_frame,
                                self.normal_frame.truncate(dN.order))
         return jet_einsum("irz,sz->irs", covN, self.normal_coframe)
@@ -335,7 +345,7 @@ class SubmanifoldPack:
     @cached_property
     def normal_curvature(self) -> Jets:
         """Normal-bundle curvature ``Rperp[i, j, r, s]`` (commutator convention)."""
-        dom = jets_stack([self.normal_connection.deriv(i) for i in range(self.k)])
+        dom = self.normal_connection.gradient()
         om = self.normal_connection.truncate(dom.order)
         return (jet_trace(dom, "jirs->ijrs") - dom
                 + jet_einsum("irz,jzs->ijrs", om, om)
@@ -351,7 +361,7 @@ class SubmanifoldPack:
         _check_pattern(pattern, T, "tn")
         connections = [self._tangent_connection if ch == "t"
                        else self.normal_connection for ch in pattern]
-        return connection_deriv(T, connections, self.k)
+        return connection_deriv(T, connections)
 
     def tangential_gradient(self, u: Jets) -> Jets:
         return self.tangential_cov_deriv(u, "")
@@ -408,9 +418,11 @@ class SubmanifoldPack:
     def block(self, name: str, pattern: str) -> Jets:
         """Cached frame projection along the patch of the ambient tensor
         ``name`` (a :class:`CurvaturePack` attribute) or of ``"mc_cotton"``,
-        ``_BLOCK_SLACK`` orders below the tensor it projects."""
+        cut ``_BLOCK_SLACK`` orders below the tensor before the frames meet
+        it, to the order its consumers read (class docstring)."""
         T = self.mc_cotton_ambient if name == "mc_cotton" else self.pulled(name)
-        return self.project(T.truncate(T.order - _BLOCK_SLACK.get(name, 0)), pattern)
+        slack = _BLOCK_SLACK.get((name, pattern), 0)
+        return self.project(T.truncate(T.order - slack), pattern)
 
     @cached_property
     def weyl_partial_trace(self) -> Jets:
@@ -506,10 +518,11 @@ class SubmanifoldPack:
 
     @cached_property
     def mc_cotton_ambient(self) -> Jets:
-        """Ambient-slotted Cotton tensor corrected by the mean curvature."""
-        wn = self.project(self.pulled("weyl"), "aaan")
-        return self.pulled("cotton") - jet_einsum("abcr,r->abc", wn,
-                                                  self.mean_curvature)
+        """Ambient-slotted Cotton tensor corrected by the mean curvature,
+        its Weyl term projected at the pulled Cotton's order."""
+        cotton = self.pulled("cotton")
+        wn = self.project(self.pulled("weyl").truncate(cotton.order), "aaan")
+        return cotton - jet_einsum("abcr,r->abc", wn, self.mean_curvature)
 
     @cached_property
     def mc_cotton_trace_ambient(self) -> Jets:

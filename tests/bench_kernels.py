@@ -34,7 +34,14 @@ under the six factors of ``check_strata_vanishing``, as six single
 engines and as two engines of three members, and one ``ab,bc->ac``
 product of (5, 5) jets on the pack space at the curvature's order
 ``PACK_ORDER - 2``, three single products against one product of three
-members.
+members.  Two pairs time the block orders and the gradient: the five Weyl
+blocks that ``SubmanifoldPack.block`` cuts below the pulled Weyl tensor
+(``tntn``, ``ntnt``, ``ttnn``, ``tttn``, ``ttnt``) projected on a
+three-member parameter pack (the first three strata factors) at the
+tensor's order 2 and at their ``_BLOCK_SLACK`` orders, frames already
+built; and every first partial of the ``t4-in-s7`` node's Riemann tensor
+(7^4 jets at order 2), as stacked ``deriv`` calls and as one
+``Jets.gradient``.
 
 For an A/B against another checkout, run each side's own copy of this
 file from the root of its own tree.  ``pyproject.toml`` puts ``src`` on
@@ -67,11 +74,12 @@ from qgeo.jets import (
     jet_einsum,
     jet_mul,
     jets_members,
+    jets_stack,
     space,
     variables,
 )
 from qgeo.scenes import random_scene, random_upsilon, t4_in_s7
-from qgeo.submanifold import SubmanifoldPack
+from qgeo.submanifold import _BLOCK_SLACK, SubmanifoldPack
 
 SCENE = random_scene(4, 5, seed=3)
 # a node of the 4^4 angle grid on T^4 (grid step pi/2)
@@ -268,3 +276,32 @@ def test_member_product_on_pack_space(benchmark, members):
         out = benchmark(lambda: [jet_einsum("ab,bc->ac", a, b)
                                  for a, b in zip(As, Bs)])
         assert len(out) == 3
+
+
+#: the Weyl blocks built below the pulled Weyl tensor's order
+LOWERED_WEYL = ("tntn", "ntnt", "ttnn", "tttn", "ttnt")
+
+
+@pytest.mark.parametrize("cut", [False, True], ids=["tensor-order", "read-order"])
+def test_weyl_blocks_on_parameter_pack(benchmark, cut):
+    p = cf._Engine(SCENE, tuple(_strata_factors()[:3])).param
+    weyl = p.pulled("weyl")
+    p.tangent_frame, p.normal_frame  # the frames stay out of the timing
+
+    def blocks():
+        return [p.project(weyl.truncate(weyl.order - cut * _BLOCK_SLACK["weyl", pat]),
+                          pat) for pat in LOWERED_WEYL]
+
+    out = benchmark(blocks)
+    assert weyl.members == 3 and [b.order for b in out] == (
+        [0, 0, 0, 1, 1] if cut else [2] * 5)
+
+
+@pytest.mark.parametrize("stacked", [True, False], ids=["stacked-derivs", "gradient"])
+def test_gradient_of_a_curvature_stack(benchmark, node_metric, stacked):
+    rm = CurvaturePack(node_metric).rm
+    if stacked:
+        out = benchmark(lambda: jets_stack([rm.deriv(a) for a in range(NODE.n)]))
+    else:
+        out = benchmark(rm.gradient)
+    assert out.batch == (NODE.n,) * 5

@@ -10,6 +10,8 @@ pole continuation at background dimension four, and the fourth-order
 operator family get dedicated oracles.
 """
 
+import inspect
+import itertools
 import re
 from functools import lru_cache
 
@@ -490,6 +492,41 @@ def test_registry_pins_every_scalar_domain():
                 spec.compute(p)
             calls += 1
     assert calls == 133
+
+
+def _routes(fn):
+    """Every route ``fn`` takes, its default first."""
+    default = inspect.signature(fn).parameters["route"].default
+    named = re.findall(r'route == "(\w+)"', inspect.getsource(fn))
+    return list(dict.fromkeys([default, *named]))
+
+
+def test_every_route_runs_within_the_jet_budget():
+    # every route of every routed scalar, on a plain and a parameter pack
+    # wherever the scalar is available: finite coefficients, or the
+    # GeometryError of a specialized display's domain, never a BudgetError
+    # (a block or pull cut below the order some route reads would raise one)
+    outcomes = {"finite": 0, "outside a display's domain": 0}
+    for (k, n) in ALL_DIMS:
+        sc = random_scene(k, n, 11)
+        packs = [random_pack(k, n, 11),
+                 SubmanifoldPack(sc.metric, sc.patch, sc.point, param=True)]
+        for name in ROUTED:
+            if not inv.REGISTRY[name].valid(k, n):
+                continue
+            fn = getattr(inv, name)
+            default, *displays = _routes(fn)
+            for p, route in itertools.product(packs, [default, *displays]):
+                where = f"({k},{n}) {name} route={route} param={p.param}"
+                try:
+                    out = fn(p, route=route)
+                except GeometryError:
+                    assert route != default, where
+                    outcomes["outside a display's domain"] += 1
+                    continue
+                assert np.isfinite(out.coeffs).all(), where
+                outcomes["finite"] += 1
+    assert outcomes == {"finite": 440, "outside a display's domain": 86}
 
 
 def test_unknown_scalar_lists_the_registered_ones():

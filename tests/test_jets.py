@@ -142,6 +142,26 @@ def test_deriv_shifts_multi_index():
         assert df.partial(alpha) == pytest.approx(f.partial(lifted), rel=1e-12)
 
 
+@pytest.mark.parametrize("kind", ["plain", "param", "members"])
+def test_gradient_is_the_stacked_derivs(kind):
+    # the same bytes in the same memory order as the stacked derivs (a
+    # product's output, coefficient axis outermost, as input): reductions
+    # of either sum alike
+    spc = space(4 + (kind != "plain"), 3, param=kind != "plain")
+    rng = np.random.default_rng(7)
+    A, B = (Jets(spc, rng.normal(size=shape + (spc.size,)))
+            for shape in [(3, 2), (2, 5)])
+    X = jet_einsum("ab,bc->ac", A, B)
+    if kind == "members":
+        X = jets.jets_members([X, X * 2.0, X * -0.5])
+    got = X.gradient()
+    want = jets_stack([X.deriv(a) for a in range(4)])
+    assert type(got) is type(want) and got.space is want.space
+    assert got.members == want.members and got.batch == want.batch == (4, 3, 5)
+    assert got.coeffs.tobytes() == want.coeffs.tobytes()
+    assert got.coeffs.strides == want.coeffs.strides
+
+
 def test_truncation_is_prefix():
     for param in (False, True):
         xs = variables([0.3, 0.4], 4, param=param)

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qgeo import ambient, jets, submanifold
+from qgeo import ambient, conformal, jets, submanifold
 from qgeo.ambient import (
     CurvaturePack,
     christoffel_jets,
@@ -36,6 +36,7 @@ from qgeo.invariants import (
     evaluate,
     evaluate_all,
     intrinsic_paneitz_apply,
+    transverse_weyl_quartic_b,
     willmore_quartic,
 )
 from qgeo.jets import (
@@ -323,11 +324,15 @@ def test_pulled_is_one_cached_pullback_per_ambient_tensor(k, n):
         assert p.pulled(nm) is got, nm
 
 
+#: the evaluator of each quantity of the tangential-dependence battery
+LEMMA_ROWS = {nm: evaluator for nm, evaluator, _ in conformal._LEMMA_ROWS}
+
 #: each pull (pattern None) or frame projection built below its tensor's
 #: order: that order at PACK_ORDER, and a consumer that raises BudgetError
-#: when it is one order lower.  A Schouten block has no spare order on top
-#: of its lowered pull: ``fialkow_quartic`` reads it through
-#: ``normal_deflection``.  The order-0 pulls are read only at their value.
+#: when it is one order lower.  The Schouten ``tn`` block has no spare
+#: order on top of its lowered pull: ``fialkow_quartic`` reads it through
+#: ``normal_deflection``.  The order-0 pulls and blocks are read only at
+#: their value, so one order lower their truncation itself raises.
 LOWERED_ORDERS = [
     ("g_up", None, PACK_ORDER - 4, lambda p: evaluate(p, "anomaly_quartic_b")),
     ("jtrace", None, PACK_ORDER - 4, gauss_codazzi_residuals),
@@ -335,11 +340,30 @@ LOWERED_ORDERS = [
      lambda p: evaluate(p, "fialkow_quartic")),
     ("schouten", "tn", PACK_ORDER - 3,
      lambda p: evaluate(p, "fialkow_quartic")),
+    ("schouten", "nn", PACK_ORDER - 4,
+     lambda p: transverse_weyl_quartic_b(p, route="hypersurface")),
     ("rm", None, PACK_ORDER - 3, gauss_codazzi_residuals),
     ("rm", "tttt", PACK_ORDER - 4, gauss_codazzi_residuals),
-    ("mc_cotton", "ttt", PACK_ORDER - 4,
+    ("rm", "ttnt", PACK_ORDER - 4, gauss_codazzi_residuals),
+    ("rm", "ttnn", PACK_ORDER - 4, gauss_codazzi_residuals),
+    ("mc_cotton", "ttt", PACK_ORDER - 4, LEMMA_ROWS["mixed_cotton[ttt]"]),
+    ("mc_cotton", "tnt", PACK_ORDER - 4,
      lambda p: evaluate(p, "div_shape_weyl_a")),
+    ("cotton", "tnt", PACK_ORDER - 4,
+     lambda p: willmore_quartic(p, route="hypersurface")),
+    ("cotton", "ntt", PACK_ORDER - 4, lambda p: p.mc_bach),
+    ("weyl", "tntn", PACK_ORDER - 4, lambda p: evaluate(p, "anomaly_quartic_a")),
+    ("weyl", "ntnt", PACK_ORDER - 4, lambda p: evaluate(p, "anomaly_quartic_a")),
+    ("weyl", "ttnn", PACK_ORDER - 4, lambda p: evaluate(p, "anomaly_quartic_a")),
+    ("weyl", "tttn", PACK_ORDER - 3, conformal._div_shape_weyl_full),
+    ("weyl", "ttnt", PACK_ORDER - 3, lambda p: evaluate(p, "div_shape_weyl_a")),
 ]
+
+
+def test_block_slack_lists_the_lowered_blocks():
+    # the block table holds exactly the blocks LOWERED_ORDERS pins
+    assert set(submanifold._BLOCK_SLACK) == {
+        (nm, pattern) for nm, pattern, _, _ in LOWERED_ORDERS if pattern}
 
 
 @pytest.mark.parametrize("param", [False, True], ids=["plain", "param"])
@@ -358,8 +382,11 @@ def test_pulls_and_blocks_at_the_order_they_are_read(
     p = SubmanifoldPack(scene.metric, scene.patch, scene.point, param=param)
     assert read(p).order == order
     consumer(p)
-    slack = submanifold._PULL_SLACK if pattern is None else submanifold._BLOCK_SLACK
-    monkeypatch.setitem(slack, name, slack.get(name, 0) + 1)
+    if pattern is None:
+        slack, key = submanifold._PULL_SLACK, name
+    else:
+        slack, key = submanifold._BLOCK_SLACK, (name, pattern)
+    monkeypatch.setitem(slack, key, slack.get(key, 0) + 1)
     p = SubmanifoldPack(scene.metric, scene.patch, scene.point, param=param)
     with pytest.raises(BudgetError):
         consumer(p)
@@ -582,8 +609,7 @@ def test_products_run_at_the_order_they_keep(monkeypatch):
     orders = _record_product_orders(monkeypatch)
 
     # each site sums its products with a derivative one order below its input
-    connection_deriv(amb.schouten, [levi_civita_connection(amb.gamma)] * 2,
-                     p.n)
+    connection_deriv(amb.schouten, [levi_civita_connection(amb.gamma)] * 2)
     assert max(orders) == amb.schouten.order - 1
     first = ambient._first_kind(amb.g)
     orders.clear()
