@@ -100,7 +100,6 @@ __all__ = [
     "quartic_term_reports",
     "QUARTIC_STRATA",
     "transverse_vanishing_upsilon",
-    "vanishes_through",
     "check_strata_vanishing",
     "witness_metric",
     "linear_independence_witness",
@@ -806,14 +805,6 @@ def transverse_vanishing_upsilon(scene: Scene, vanish_to: int, *,
         return out
 
     return fn
-
-
-def vanishes_through(upsilon, x_point, order: int) -> bool:
-    """Whether every derivative of ``upsilon`` through total order ``order``
-    vanishes at ``x_point``: its order-``order`` jet there is zero to within
-    1e-10.  It tags a factor's depth for a caller; no battery calls it."""
-    u = upsilon(variables(np.asarray(x_point, dtype=float), order))
-    return _gap(u.coeffs) <= 1e-10
 
 
 def check_strata_vanishing(scene: Scene, *, seed: int = 0) -> dict:

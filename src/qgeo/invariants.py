@@ -655,7 +655,7 @@ def willmore_quartic(p: SubmanifoldPack, route: str = "general") -> Jets:
 def _shape_dot_dweyl_trace(p) -> Jets:
     """``L0^{a b r} X_{r a b}`` with the projected ambient derivative
     ``X[r, a, b] = (ambient nabla)_r W_{a c b}{}^{c}``."""
-    dw = p.project(p.pulled("dweyl"), "ntttt")
+    dw = p.block("dweyl", "ntttt")
     X = jet_einsum("racbd,cd->rab", dw, p.induced_inv)
     return jet_einsum("abr,rab->", p.second_tracefree_up, X)
 
@@ -664,9 +664,8 @@ def _shape_dot_dweyl_trace(p) -> Jets:
 def _ambient_ricci_pieces(p):
     """Ambient scalar curvature, normal Ricci trace, and the tangential
     Ricci block with both indices raised, along the patch."""
-    ric = p.pulled("ric")
-    ric_nn = jet_trace(p.project(ric, "nn"), "rr->")
-    ric_tt_up = raise_both(p.project(ric, "tt"), p.induced_inv)
+    ric_nn = jet_trace(p.block("ric", "nn"), "rr->")
+    ric_tt_up = raise_both(p.block("ric", "tt"), p.induced_inv)
     return p.pulled("scal"), ric_nn, ric_tt_up
 
 
@@ -740,7 +739,7 @@ def transverse_weyl_quartic_b(p: SubmanifoldPack,
     if route == "hypersurface":
         if n != k + 1:
             raise GeometryError("the specialized display is codimension one")
-        dp = p.project(p.pulled("dschouten"), "ntt")
+        dp = p.block("dschouten", "ntt")
         t1 = -jet_einsum("abr,rab->", p.second_tracefree_up, dp)
         t2 = -jet_einsum("rs,rs->", _shape_normal_gram(p),
                          p.block("schouten", "nn"))
@@ -801,12 +800,11 @@ def anomaly_quartic_a(p: SubmanifoldPack, route: str = "general") -> Jets:
 @per_pack
 def _ambient_pair_weyl_squares(p):
     """The three tangent/ambient mixed Weyl squares used by the second
-    anomaly invariant: (W_{a b c d} two slots projected)^2 variants, whose
-    pulled ``g_up`` sets the order the Weyl tensor is projected at."""
-    wy = p.pulled("weyl").truncate(p.pulled("g_up").order)
-    Z = jet_einsum("cidj,ij->cd", p.project(wy, "atat"), p.induced_inv)
-    return (p.norm2(p.project(wy, "ttaa"), "ttaa"),
-            p.norm2(p.project(wy, "tata"), "tata"),
+    anomaly invariant: (W_{a b c d} two slots projected)^2 variants, each
+    block at the order of the pulled ``g_up`` that raises its ambient slots."""
+    Z = jet_einsum("cidj,ij->cd", p.block("weyl", "atat"), p.induced_inv)
+    return (p.norm2(p.block("weyl", "ttaa"), "ttaa"),
+            p.norm2(p.block("weyl", "tata"), "tata"),
             p.norm2(Z, "aa"))
 
 
@@ -839,7 +837,7 @@ def anomaly_quartic_b(p: SubmanifoldPack, route: str = "general") -> Jets:
         ddn = jet_trace(ddw_y, "rrabcd->abcd")
         ddn = jet_einsum("abcd,ac->bd", ddn, p.induced_inv)
         lap_n_wd = jet_einsum("bd,bd->", ddn, p.induced_inv)
-        dw_y = p.project(p.pulled("dweyl"), "ntttt")
+        dw_y = p.block("dweyl", "ntttt")
         dwd = jet_einsum("rabcd,ac->rbd", dw_y, p.induced_inv)
         dwd = jet_einsum("rbd,bd->r", dwd, p.induced_inv)
         h_dwd = jet_einsum("r,r->", p.mean_curvature, dwd)

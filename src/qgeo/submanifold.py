@@ -30,8 +30,8 @@ memo, :func:`per_pack`, keyed by the function that builds it and its
 arguments.  Ambient tensors reach the patch through one such accessor,
 :meth:`SubmanifoldPack.pulled`: a :class:`~qgeo.ambient.CurvaturePack`
 attribute, named as on that class, composed with the chart map once per
-pack.  Frame projections of them (:meth:`SubmanifoldPack.block`) and the
-contractions built by the invariants layer go through the same memo.
+pack.  :meth:`SubmanifoldPack.block` is the one accessor of their frame
+projections; it and the invariants' contractions use the same memo.
 
 Tensors with the ``mc_`` prefix are mean-curvature corrected: ambient
 curvature components combined with ``H`` so that a conformal rescaling
@@ -77,16 +77,19 @@ __all__ = [
 ]
 
 _LET = "abcdef"
-#: orders below the ambient tensor of a pull that no consumer reads
-_PULL_SLACK = {"g_up": 2, "schouten": 1, "rm": 1, "jtrace": 2}
-#: orders below its tensor at which each frame projection is built, per
-#: (tensor, pattern) (:meth:`SubmanifoldPack.block`); a pair not listed has none
-_BLOCK_SLACK = {
-    ("weyl", "tntn"): 2, ("weyl", "ntnt"): 2, ("weyl", "ttnn"): 2,
-    ("weyl", "tttn"): 1, ("weyl", "ttnt"): 1, ("schouten", "tn"): 0,
-    ("schouten", "nn"): 1, ("cotton", "tnt"): 1, ("cotton", "ntt"): 1,
-    ("rm", "tttt"): 1, ("rm", "ttnt"): 1, ("rm", "ttnn"): 1,
-    ("mc_cotton", "ttt"): 1, ("mc_cotton", "tnt"): 1}
+#: orders that no consumer reads, per (tensor, pattern): ``(name, None)`` cuts
+#: the pull of ``name`` below the tensor (:meth:`SubmanifoldPack.pulled`),
+#: ``(name, pattern)`` its frame projection below the pull
+#: (:meth:`SubmanifoldPack.block`); a key not listed has none
+_SLACK = {
+    ("g_up", None): 2, ("schouten", None): 1, ("rm", None): 1,
+    ("jtrace", None): 2, ("weyl", "tntn"): 2, ("weyl", "ntnt"): 2,
+    ("weyl", "ttnn"): 2, ("weyl", "atat"): 2, ("weyl", "ttaa"): 2,
+    ("weyl", "tata"): 2, ("weyl", "tttn"): 1, ("weyl", "ttnt"): 1,
+    ("weyl", "aaan"): 1, ("schouten", "tn"): 0, ("schouten", "nn"): 1,
+    ("cotton", "tnt"): 1, ("cotton", "ntt"): 1, ("rm", "tttt"): 1,
+    ("rm", "ttnt"): 1, ("rm", "ttnn"): 1, ("mc_cotton", "ttt"): 1,
+    ("mc_cotton", "tnt"): 1}
 
 
 def _check_pattern(pattern: str, T: Jets, kinds: str) -> None:
@@ -127,15 +130,10 @@ class SubmanifoldPack:
     are the ambient ``gamma`` they meet in :attr:`second_fundamental`: the
     form ``L``, ``H`` and ``L0`` are read at most twice differentiated,
     by the Laplacians in the quartic invariants, and the normal connection
-    (one order lower) once, by :attr:`normal_curvature`.  The blocks the
-    invariants read (:meth:`block`) are at the order they read: Weyl
-    ``tttt`` at ``order - 2``, for the Laplacian of
-    :attr:`weyl_double_trace`; Weyl ``tttn``, ``ttnt`` and Schouten ``tt``,
-    ``tn`` at ``order - 3``, read once differentiated; the other Weyl
-    blocks, Schouten ``nn``, Riemann, (corrected) Cotton and Bach at
-    ``order - 4``.  With
-    ``param=True`` every jet carries the extra first-order parameter
-    variable used for conformal linearization.
+    (one order lower) once, by :attr:`normal_curvature`.  Every pull
+    and block is cut to the order its consumers read by one table,
+    ``_SLACK``.  With ``param=True`` every jet carries the extra
+    first-order parameter variable used for conformal linearization.
     """
 
     def __init__(self, metric: MetricField, patch: ImmersedPatch, point, *,
@@ -163,10 +161,10 @@ class SubmanifoldPack:
     @per_pack
     def pulled(self, name: str) -> Jets:
         """The ambient tensor ``name`` of :attr:`ambient` composed along the
-        patch (y-space jets), pulled back once per pack, ``_PULL_SLACK``
+        patch (y-space jets), pulled back once per pack, ``_SLACK``
         orders below the tensor."""
         T = getattr(self.ambient, name)
-        return self.pull(T.truncate(T.order - _PULL_SLACK.get(name, 0)))
+        return self.pull(T.truncate(T.order - _SLACK.get((name, None), 0)))
 
     # -- frames ----------------------------------------------------------
 
@@ -178,7 +176,7 @@ class SubmanifoldPack:
     @cached_property
     def induced(self) -> Jets:
         """Pulled-back metric ``h[i, j]`` on the patch."""
-        return self.project(self.pulled("g"), "tt")
+        return self.block("g", "tt")
 
     @cached_property
     def induced_inv(self) -> Jets:
@@ -386,7 +384,8 @@ class SubmanifoldPack:
 
         ``pattern`` names one slot per letter: ``'t'`` contracts it with the
         tangent frame, ``'n'`` with the normal frame, and ``'a'`` leaves it
-        ambient.
+        ambient.  This is for computed tensors; a :class:`CurvaturePack`
+        attribute is projected through :meth:`block`, which sets its order.
         """
         _check_pattern(pattern, T, "tna")
         lhs = _LET[:len(pattern)]
@@ -418,11 +417,11 @@ class SubmanifoldPack:
     def block(self, name: str, pattern: str) -> Jets:
         """Cached frame projection along the patch of the ambient tensor
         ``name`` (a :class:`CurvaturePack` attribute) or of ``"mc_cotton"``,
-        cut ``_BLOCK_SLACK`` orders below the tensor before the frames meet
-        it, to the order its consumers read (class docstring)."""
+        cut ``_SLACK`` orders below its pull before the frames meet it, to
+        the order its consumers read."""
         T = self.mc_cotton_ambient if name == "mc_cotton" else self.pulled(name)
-        slack = _BLOCK_SLACK.get((name, pattern), 0)
-        return self.project(T.truncate(T.order - slack), pattern)
+        return self.project(T.truncate(T.order - _SLACK.get((name, pattern), 0)),
+                            pattern)
 
     @cached_property
     def weyl_partial_trace(self) -> Jets:
@@ -520,9 +519,9 @@ class SubmanifoldPack:
     def mc_cotton_ambient(self) -> Jets:
         """Ambient-slotted Cotton tensor corrected by the mean curvature,
         its Weyl term projected at the pulled Cotton's order."""
-        cotton = self.pulled("cotton")
-        wn = self.project(self.pulled("weyl").truncate(cotton.order), "aaan")
-        return cotton - jet_einsum("abcr,r->abc", wn, self.mean_curvature)
+        wn = self.block("weyl", "aaan")
+        return self.pulled("cotton") - jet_einsum("abcr,r->abc", wn,
+                                                  self.mean_curvature)
 
     @cached_property
     def mc_cotton_trace_ambient(self) -> Jets:
@@ -679,7 +678,7 @@ def gauss_codazzi_residuals(pack: SubmanifoldPack) -> dict:
     if k >= 2:
         j_amb = float(pack.pulled("jtrace").value)
         jbar = float(pack.intrinsic_jtrace.value)
-        p_nn = pack.project(pack.pulled("schouten"), "nn").value
+        p_nn = pack.block("schouten", "nn").value
         gg = float(pack.fialkow_trace.value)
         h2 = float(np.einsum("r,r->", H, H))
         out["conformal_scalar_trace"] = _rel(

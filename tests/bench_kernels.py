@@ -38,7 +38,7 @@ members.  Two pairs time the block orders and the gradient: the five Weyl
 blocks that ``SubmanifoldPack.block`` cuts below the pulled Weyl tensor
 (``tntn``, ``ntnt``, ``ttnn``, ``tttn``, ``ttnt``) projected on a
 three-member parameter pack (the first three strata factors) at the
-tensor's order 2 and at their ``_BLOCK_SLACK`` orders, frames already
+tensor's order 2 and at their ``_SLACK`` orders, frames already
 built; and every first partial of the ``t4-in-s7`` node's Riemann tensor
 (7^4 jets at order 2), as stacked ``deriv`` calls and as one
 ``Jets.gradient``.
@@ -79,7 +79,7 @@ from qgeo.jets import (
     variables,
 )
 from qgeo.scenes import random_scene, random_upsilon, t4_in_s7
-from qgeo.submanifold import _BLOCK_SLACK, SubmanifoldPack
+from qgeo.submanifold import _SLACK, SubmanifoldPack
 
 SCENE = random_scene(4, 5, seed=3)
 # a node of the 4^4 angle grid on T^4 (grid step pi/2)
@@ -289,7 +289,7 @@ def test_weyl_blocks_on_parameter_pack(benchmark, cut):
     p.tangent_frame, p.normal_frame  # the frames stay out of the timing
 
     def blocks():
-        return [p.project(weyl.truncate(weyl.order - cut * _BLOCK_SLACK["weyl", pat]),
+        return [p.project(weyl.truncate(weyl.order - cut * _SLACK["weyl", pat]),
                           pat) for pat in LOWERED_WEYL]
 
     out = benchmark(blocks)

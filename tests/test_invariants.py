@@ -209,6 +209,23 @@ def test_anomaly_critical_displays(k, n):
           inv.anomaly_quartic_b(p, "critical"))
 
 
+def test_critical_anomaly_b_projects_the_weyl_derivative_once(monkeypatch):
+    # the critical display and the shape/Weyl-derivative trace inside it
+    # read one cached ``ntttt`` block of the pulled Weyl derivative
+    sc = random_scene(4, 5, 11)
+    p = SubmanifoldPack(sc.metric, sc.patch, sc.point)
+    project, patterns = SubmanifoldPack.project, []
+
+    def counted(self, T, pattern):
+        patterns.append(pattern)
+        return project(self, T, pattern)
+
+    monkeypatch.setattr(SubmanifoldPack, "project", counted)
+    inv.anomaly_quartic_b(p, route="critical")
+    inv._shape_dot_dweyl_trace(p)
+    assert patterns.count("ntttt") == 1
+
+
 @pytest.mark.parametrize("k,n", [(2, 5), (4, 6)])
 def test_ambient_pair_weyl_squares_reference(k, n):
     # numpy on the point values, one einsum per square, against the pack's

@@ -129,3 +129,52 @@ def test_conformal_batteries_reduce_through_gap():
              if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
              and node.func.id in ("max", "min")]
     assert not calls, f"builtin reductions: {calls}"
+
+
+def _walk(node, skip):
+    """``ast.walk`` that does not enter the functions named in ``skip``."""
+    yield node
+    for child in ast.iter_child_nodes(node):
+        if not (isinstance(child, ast.FunctionDef) and child.name in skip):
+            yield from _walk(child, skip)
+
+
+def _is_pull(node, bound):
+    """Whether ``node`` is a ``.pulled(...)`` call, a name bound to one, or
+    either of them under ``.truncate(...)``."""
+    while (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+           and node.func.attr == "truncate"):
+        node = node.func.value
+    if isinstance(node, ast.Name):
+        return node.id in bound
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "pulled")
+
+
+def _projected_pulls(tree, skip=("block", "projected_ambient_deriv")):
+    """Lines of the ``.project(`` calls outside ``skip`` whose tensor is a pull."""
+    nodes = list(_walk(tree, set(skip)))
+    bound = {t.id for node in nodes if isinstance(node, ast.Assign)
+             and _is_pull(node.value, set())
+             for t in node.targets if isinstance(t, ast.Name)}
+    return [node.lineno for node in nodes
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "project" and node.args
+            and _is_pull(node.args[0], bound)]
+
+
+def test_curvature_tensors_reach_the_frames_through_block():
+    # a CurvaturePack attribute is projected only by SubmanifoldPack.block,
+    # which cuts it to the order the one table sets; projected_ambient_deriv
+    # is the independent reference route and keeps its own projections
+    found = [f"{module}.py line {line}" for module, tree in _sources().items()
+             for line in _projected_pulls(tree)]
+    assert not found, f"pulled tensors projected outside block: {found}"
+    # the check sees the direct, the truncated and the named pull
+    snippet = ast.parse(
+        "def f(p):\n"
+        "    a = p.project(p.pulled('ric'), 'nn')\n"
+        "    b = p.project(p.pulled('weyl').truncate(1), 'aaan')\n"
+        "    wy = p.pulled('weyl').truncate(0)\n"
+        "    return a, b, p.project(wy, 'atat'), p.project(p.pull(a), 'n')\n")
+    assert _projected_pulls(snippet) == [2, 3, 5]

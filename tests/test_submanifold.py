@@ -312,13 +312,11 @@ def test_pulled_is_one_cached_pullback_per_ambient_tensor(k, n):
     assert {"g", "g_up", "gamma", "rm", "ric", "scal", "jtrace", "schouten",
             "weyl", "cotton", "bach", "dschouten", "dcotton", "dweyl",
             "driemann"} <= names
-    # every tensor is pulled whole, except those LOWERED_ORDERS pins lower
-    assert set(submanifold._PULL_SLACK) == {
-        nm for nm, pattern, _, _ in LOWERED_ORDERS if pattern is None}
+    # every tensor is pulled whole, except those the one table cuts lower
     for nm in sorted(names):
         T = getattr(p.ambient, nm)
         got = p.pulled(nm)
-        fresh = p.pull(T.truncate(T.order - submanifold._PULL_SLACK.get(nm, 0)))
+        fresh = p.pull(T.truncate(T.order - submanifold._SLACK.get((nm, None), 0)))
         assert got.space is fresh.space, nm
         assert np.array_equal(got.coeffs, fresh.coeffs), nm
         assert p.pulled(nm) is got, nm
@@ -357,13 +355,17 @@ LOWERED_ORDERS = [
     ("weyl", "ttnn", PACK_ORDER - 4, lambda p: evaluate(p, "anomaly_quartic_a")),
     ("weyl", "tttn", PACK_ORDER - 3, conformal._div_shape_weyl_full),
     ("weyl", "ttnt", PACK_ORDER - 3, lambda p: evaluate(p, "div_shape_weyl_a")),
+    ("weyl", "aaan", PACK_ORDER - 3, lambda p: evaluate(p, "fialkow_quartic")),
+    ("weyl", "atat", PACK_ORDER - 4, lambda p: evaluate(p, "anomaly_quartic_b")),
+    ("weyl", "ttaa", PACK_ORDER - 4, lambda p: evaluate(p, "anomaly_quartic_b")),
+    ("weyl", "tata", PACK_ORDER - 4, lambda p: evaluate(p, "anomaly_quartic_b")),
 ]
 
 
-def test_block_slack_lists_the_lowered_blocks():
-    # the block table holds exactly the blocks LOWERED_ORDERS pins
-    assert set(submanifold._BLOCK_SLACK) == {
-        (nm, pattern) for nm, pattern, _, _ in LOWERED_ORDERS if pattern}
+def test_slack_table_lists_the_lowered_orders():
+    # the one order table holds exactly the pulls and blocks LOWERED_ORDERS pins
+    assert set(submanifold._SLACK) == {
+        (nm, pattern) for nm, pattern, _, _ in LOWERED_ORDERS}
 
 
 @pytest.mark.parametrize("param", [False, True], ids=["plain", "param"])
@@ -382,11 +384,8 @@ def test_pulls_and_blocks_at_the_order_they_are_read(
     p = SubmanifoldPack(scene.metric, scene.patch, scene.point, param=param)
     assert read(p).order == order
     consumer(p)
-    if pattern is None:
-        slack, key = submanifold._PULL_SLACK, name
-    else:
-        slack, key = submanifold._BLOCK_SLACK, (name, pattern)
-    monkeypatch.setitem(slack, key, slack.get(key, 0) + 1)
+    slack = submanifold._SLACK
+    monkeypatch.setitem(slack, (name, pattern), slack[name, pattern] + 1)
     p = SubmanifoldPack(scene.metric, scene.patch, scene.point, param=param)
     with pytest.raises(BudgetError):
         consumer(p)
