@@ -18,7 +18,9 @@ derivative is formed at the derivative's order, so no dropped coefficient
 is computed: Riemann from the product-free first-kind ``Gamma_{d,ab}`` and
 one ``Gamma Gamma`` product.  The inverse metric and the Christoffel
 symbols are built two orders below the metric, the order at which that
-product and the Ricci trace read them (:class:`CurvaturePack`).
+product and the Ricci trace read them (:class:`CurvaturePack`).  ``J``
+(dimension >= 2), Schouten and Weyl (>= 3) are built on first read, so the
+pack also serves the induced metric of a curve or a surface.
 """
 
 from __future__ import annotations
@@ -136,7 +138,7 @@ def raise_both(T: Jets, g_up: Jets) -> Jets:
 
 
 class CurvaturePack:
-    """All ambient curvature objects at one evaluation point, as jets.
+    """All curvature objects of one metric at one evaluation point, as jets.
 
     Each quantity is built at the order its consumers read.  From the
     metric ``g`` at ``G.order`` (``PACK_ORDER``), the first-kind symbols
@@ -146,17 +148,16 @@ class CurvaturePack:
     ``g_up`` and the Christoffel symbols ``gamma`` are built at that order
     too: Riemann's one ``Gamma Gamma`` product and the Ricci trace read them
     there, and so does the pullback of ``gamma`` into the second
-    fundamental form.  Covariant derivatives, Cotton and Bach (one and two
-    orders lower) are built on first read and cached, so a pack that is
-    never asked for Bach skips it.  The dimension ``n`` is read from the
-    batch (n, n) of ``G``, not from its space (n + 1 variables with ``t``).
+    fundamental form.  ``J`` (dimension >= 2), Schouten and Weyl (>= 3),
+    covariant derivatives, Cotton and Bach (one and two orders lower) are
+    built on first read and cached, so a pack that is never asked for Bach
+    skips it; below its dimension each raises a :class:`GeometryError`.
+    The dimension ``n`` is read from the batch (n, n) of ``G``, not from
+    its space (n + 1 variables with ``t``).
     """
 
     def __init__(self, G: Jets):
-        n = self.dim = G.batch[0]
-        if n < 3:
-            raise GeometryError("ambient curvature needs dimension >= 3 "
-                                "(Schouten undefined below)")
+        self.dim = G.batch[0]
         self.g = G
         self.g_up = inverse_metric_jets(G.truncate(G.order - 2))
         first = _first_kind(G)
@@ -164,11 +165,23 @@ class CurvaturePack:
         self.rm = riemann_jets(first, self.gamma)
         self.ric = jet_einsum("acbd,cd->ab", self.rm, self.g_up)
         self.scal = jet_einsum("ab,ab->", self.ric, self.g_up)
-        self.jtrace = self.scal * (1.0 / (2.0 * (n - 1)))
-        self.schouten = (self.ric - jet_einsum(",ab->ab", self.jtrace, G)) * (
-            1.0 / (n - 2)
-        )
-        self.weyl = weyl_jets(self.rm, self.schouten, G)
+
+    @cached_property
+    def jtrace(self) -> Jets:
+        if self.dim < 2:
+            raise GeometryError("curvature trace J needs dimension >= 2")
+        return self.scal * (1.0 / (2.0 * (self.dim - 1)))
+
+    @cached_property
+    def schouten(self) -> Jets:
+        if self.dim < 3:
+            raise GeometryError("Schouten tensor needs dimension >= 3")
+        return (self.ric - jet_einsum(",ab->ab", self.jtrace, self.g)) * (
+            1.0 / (self.dim - 2))
+
+    @cached_property
+    def weyl(self) -> Jets:
+        return weyl_jets(self.rm, self.schouten, self.g)
 
     def cov_deriv(self, T: Jets) -> Jets:
         return cov_deriv_jets(T, self.gamma)

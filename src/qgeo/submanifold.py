@@ -47,13 +47,9 @@ import numpy as np
 
 from .ambient import (
     CurvaturePack,
-    _first_kind,
     _rel,
-    christoffel_jets,
     connection_deriv,
-    inverse_metric_jets,
     levi_civita_connection,
-    riemann_jets,
     weyl_jets,
 )
 from .fields import GeometryError, ImmersedPatch, MetricField
@@ -125,7 +121,10 @@ class SubmanifoldPack:
     (whose ``Composer`` is :attr:`pull`) is expanded at ``order + 1`` by
     :meth:`ImmersedPatch.chart`, so every pack at one patch point shares
     the chart and its tables.  :attr:`induced` is at ``order``, the order
-    its first-kind symbols differentiate.  The frames (:attr:`induced_inv`,
+    its first-kind symbols differentiate; its curvature is the
+    :class:`CurvaturePack` :attr:`intrinsic`, whose Schouten and Weyl are
+    read one order lower, as only the intrinsic Paneitz divergence
+    differentiates them.  The frames (:attr:`induced_inv`,
     :attr:`normal_frame`, :attr:`normal_coframe`) are at ``order - 2``, as
     are the ambient ``gamma`` they meet in :attr:`second_fundamental`: the
     form ``L``, ``H`` and ``L0`` are read at most twice differentiated,
@@ -145,6 +144,9 @@ class SubmanifoldPack:
         if not 1 <= patch.k < patch.n:
             raise GeometryError(f"{patch.name}: need 1 <= k < n, "
                                 f"got k={patch.k}, n={patch.n}")
+        if patch.n < 3:
+            raise GeometryError("ambient curvature needs dimension >= 3 "
+                                "(Schouten undefined below)")
         self.metric = metric
         self.patch = patch
         self.k = patch.k
@@ -179,12 +181,17 @@ class SubmanifoldPack:
         return self.block("g", "tt")
 
     @cached_property
+    def intrinsic(self) -> CurvaturePack:
+        """Curvature of the induced metric, built as the ambient one is."""
+        return CurvaturePack(self.induced)
+
+    @cached_property
     def induced_inv(self) -> Jets:
         """Inverse induced metric, to ``order - 2``: the order of the induced
-        Christoffel symbols it forms, which :attr:`intrinsic_riemann` reads
-        and the intrinsic Laplacian in the quartic Q-curvatures
+        Christoffel symbols it forms, which the intrinsic Riemann tensor
+        reads and the intrinsic Laplacian in the quartic Q-curvatures
         differentiates twice (class docstring)."""
-        return inverse_metric_jets(self.induced.truncate(self.order - 2))
+        return self.intrinsic.g_up
 
     @cached_property
     def tangent_projector(self) -> Jets:
@@ -320,17 +327,9 @@ class SubmanifoldPack:
     # -- connections on the patch -----------------------------------------
 
     @cached_property
-    def _induced_first_kind(self) -> Jets:
-        return _first_kind(self.induced)
-
-    @cached_property
-    def induced_christoffel(self) -> Jets:
-        return christoffel_jets(self._induced_first_kind, self.induced_inv)
-
-    @cached_property
     def _tangent_connection(self) -> Jets:
-        """:attr:`induced_christoffel` in the ``A[a, slot, z]`` layout."""
-        return levi_civita_connection(self.induced_christoffel)
+        """The induced Christoffel symbols in the ``A[a, slot, z]`` layout."""
+        return levi_civita_connection(self.intrinsic.gamma)
 
     @cached_property
     def normal_connection(self) -> Jets:
@@ -435,42 +434,17 @@ class SubmanifoldPack:
 
     # -- intrinsic curvature of the induced metric -------------------------
 
-    @cached_property
-    def intrinsic_riemann(self) -> Jets:
-        return riemann_jets(self._induced_first_kind, self.induced_christoffel)
-
-    @cached_property
-    def intrinsic_ricci(self) -> Jets:
-        return jet_einsum("acbd,cd->ab", self.intrinsic_riemann,
-                          self.induced_inv)
-
-    @cached_property
-    def intrinsic_scalar(self) -> Jets:
-        return jet_einsum("ab,ab->", self.intrinsic_ricci, self.induced_inv)
-
-    @cached_property
-    def intrinsic_jtrace(self) -> Jets:
-        if self.k < 2:
-            raise GeometryError("intrinsic curvature trace needs k >= 2")
-        return self.intrinsic_scalar * (1.0 / (2.0 * (self.k - 1)))
+    intrinsic_jtrace = cached_property(lambda self: self.intrinsic.jtrace)
 
     @cached_property
     def intrinsic_schouten(self) -> Jets:
-        if self.k < 3:
-            raise GeometryError("intrinsic trace adjustment needs k >= 3")
-        # one order below Ricci: read at most once differentiated, by the
-        # divergence in the intrinsic Paneitz operator
-        ric = self.intrinsic_ricci
-        ric = ric.truncate(ric.order - 1)
-        jg = jet_einsum(",ab->ab", self.intrinsic_jtrace.truncate(ric.order),
-                        self.induced)
-        return (ric - jg) * (1.0 / (self.k - 2))
+        return self.intrinsic.schouten.truncate(self.order - 3)
 
     @cached_property
     def intrinsic_weyl(self) -> Jets:
         if self.k < 3:
             raise GeometryError("intrinsic trace decomposition needs k >= 3")
-        return weyl_jets(self.intrinsic_riemann, self.intrinsic_schouten,
+        return weyl_jets(self.intrinsic.rm, self.intrinsic_schouten,
                          self.induced)
 
     # -- conformally organized tensors ------------------------------------
@@ -637,7 +611,7 @@ def gauss_codazzi_residuals(pack: SubmanifoldPack) -> dict:
     out = {}
 
     rm_tttt = pack.block("rm", "tttt").value
-    rmbar = pack.intrinsic_riemann.value
+    rmbar = pack.intrinsic.rm.value
     ll1 = np.einsum("acr,bdr->abcd", L, L)
     ll2 = np.einsum("adr,bcr->abcd", L, L)
     out["gauss"] = _rel(rm_tttt - rmbar + ll1 - ll2, rm_tttt, rmbar, ll1)

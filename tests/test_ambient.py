@@ -253,12 +253,12 @@ def test_degenerate_metric_rejected():
 
 def test_low_dimension_rejected():
     with pytest.raises(ValueError):
-        CurvaturePack(flat_metric(2).jets(np.zeros(2), PACK_ORDER))
+        CurvaturePack(flat_metric(2).jets(np.zeros(2), PACK_ORDER)).schouten
 
 
 def test_low_dimension_raises_geometry_error():
     with pytest.raises(GeometryError, match="dimension >= 3"):
-        CurvaturePack(flat_metric(2).jets(np.zeros(2), PACK_ORDER))
+        CurvaturePack(flat_metric(2).jets(np.zeros(2), PACK_ORDER)).schouten
 
 
 @pytest.mark.parametrize("case", ["value", "jet", "small"])

@@ -388,16 +388,20 @@ def test_scale_names_a_pack_the_engine_did_not_build():
 
 
 def _pack_quantities(p):
-    """Every jet quantity of a pack: its cached properties and the pullback
-    of every ambient tensor, by name."""
+    """Every jet quantity of a pack: its cached properties, the pullback
+    of every ambient tensor and every tensor of the intrinsic curvature
+    pack, by name."""
     props = {nm: (lambda q, nm=nm: getattr(q, nm))
              for nm, v in vars(SubmanifoldPack).items()
-             if isinstance(v, cached_property) and nm != "normal_picks"}
+             if isinstance(v, cached_property)
+             and nm not in ("normal_picks", "intrinsic")}
     names = {nm for nm, v in vars(type(p.ambient)).items()
              if isinstance(v, cached_property)}
     names |= {nm for nm, v in vars(p.ambient).items() if isinstance(v, Jets)}
     props.update({f"pulled({nm})": (lambda q, nm=nm: q.pulled(nm))
                   for nm in names})
+    props.update({f"intrinsic.{nm}":
+                  (lambda q, nm=nm: getattr(q.intrinsic, nm)) for nm in names})
     return props
 
 

@@ -53,6 +53,19 @@ def test_import_loads_no_scipy_package():
     assert out.stdout.strip() == "[]"
 
 
+def test_kernel_benchmarks_run():
+    # tests/bench_kernels.py is outside the collected pattern; run it once
+    # with timing off so a stale import or a renamed attribute fails here
+    pytest.importorskip("pytest_benchmark")
+    bench = Path(__file__).with_name("bench_kernels.py")
+    env = dict(os.environ, PYTHONPATH=str(Path(qgeo.__file__).resolve().parents[1]))
+    out = subprocess.run(
+        [sys.executable, "-m", "pytest", str(bench), "-q",
+         "--benchmark-disable", "-p", "no:cacheprovider"],
+        cwd=bench.parents[1], env=env, capture_output=True, text=True)
+    assert re.search(r"\b23 passed\b", out.stdout), out.stdout[-2000:]
+
+
 def test_missing_sparsetools_extension_names_where_it_looked(monkeypatch, tmp_path):
     from qgeo import jets
 

@@ -10,6 +10,7 @@ every supported (k, n) pair.
 """
 
 from functools import cached_property
+from operator import attrgetter
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from hypothesis import strategies as st
 from qgeo import ambient, conformal, jets, submanifold
 from qgeo.ambient import (
     CurvaturePack,
+    ambient_identity_residuals,
     christoffel_jets,
     connection_deriv,
     inverse_metric_jets,
@@ -30,6 +32,7 @@ from qgeo.fields import (
     ImmersedPatch,
     flat_metric,
     graph_patch,
+    hyperbolic_half_space_metric,
     sphere_chart_metric,
 )
 from qgeo.invariants import (
@@ -82,7 +85,7 @@ def test_equatorial_sphere_golden():
     assert abs(float(p.tracefree_norm2.value)) < 1e-13
     assert abs(float(p.mean_norm2.value)) < 1e-13
     # unit round 2-sphere: scalar curvature 2, trace adjustment 1
-    assert abs(float(p.intrinsic_scalar.value) - 2.0) < 1e-12
+    assert abs(float(p.intrinsic.scal.value) - 2.0) < 1e-12
     assert abs(float(p.intrinsic_jtrace.value) - 1.0) < 1e-12
     assert abs(float(p.fialkow_trace.value)) < 1e-13
     # totally geodesic in the round sphere: no deflection, and the
@@ -96,7 +99,7 @@ def test_clifford_torus_golden():
     assert abs(float(p.mean_norm2.value)) < 1e-13, "Clifford torus is minimal"
     assert abs(float(p.tracefree_norm2.value) - 2.0) < 1e-12
     # flat induced metric
-    assert np.max(np.abs(p.intrinsic_riemann.value)) < 1e-12
+    assert np.max(np.abs(p.intrinsic.rm.value)) < 1e-12
 
 
 def test_sphere_product_golden():
@@ -140,7 +143,7 @@ def test_round_sphere_graph_oracle():
     p = SubmanifoldPack(flat_metric(3), patch, y0)
     assert abs(float(p.mean_norm2.value) - 1.0 / R**2) < 1e-12
     assert np.max(np.abs(p.second_tracefree.value)) < 1e-12, "sphere is umbilic"
-    assert abs(float(p.intrinsic_scalar.value) - 2.0 / R**2) < 1e-11
+    assert abs(float(p.intrinsic.scal.value) - 2.0 / R**2) < 1e-11
     assert abs(float(p.intrinsic_jtrace.value) - 1.0 / R**2) < 1e-11
 
     # restricted vertical coordinate is a first-sphericalharmonic
@@ -468,13 +471,79 @@ def test_first_kind_symbols_built_once_per_metric(monkeypatch):
         built.append(G)
         return inner(G)
 
-    for module in (ambient, submanifold):
-        monkeypatch.setattr(module, "_first_kind", counted)
+    monkeypatch.setattr(ambient, "_first_kind", counted)
     sc = random_scene(4, 6, seed=2)
     p = SubmanifoldPack(sc.metric, sc.patch, sc.point)
-    p.intrinsic_riemann, p.induced_christoffel
+    p.intrinsic.rm, p.intrinsic.gamma
     assert len(built) == 2
     assert built[0] is p.ambient.g and built[1] is p.induced
+
+
+# -- the intrinsic curvature is a CurvaturePack of the induced metric --------
+
+
+INTRINSIC_SCENES = {
+    "random-3-5": lambda: random_scene(3, 5, 0),
+    "random-4-6": lambda: random_scene(4, 6, 0),
+    "random-5-7": lambda: random_scene(5, 7, 3),
+    "s2xs2-in-s5": lambda: scene_by_name("s2xs2-in-s5"),
+    "t4-in-s7": lambda: scene_by_name("t4-in-s7"),
+}
+
+
+@pytest.mark.parametrize("param", [False, True], ids=["plain", "param"])
+@pytest.mark.parametrize("name", list(INTRINSIC_SCENES))
+def test_intrinsic_pack_satisfies_the_curvature_identities(name, param):
+    # the ambient identity suite, run on the induced metric's pack, at the
+    # bound the ambient packs meet (test_ambient.py)
+    sc = INTRINSIC_SCENES[name]()
+    p = SubmanifoldPack(sc.metric, sc.patch, sc.point, param=param)
+    res = ambient_identity_residuals(p.intrinsic)
+    worst = max(res, key=res.get)
+    assert res[worst] < 1e-11, f"{name} {worst}: {res[worst]:.3e}"
+
+
+def test_intrinsic_pack_is_the_induced_metrics_curvature_pack():
+    sc = random_scene(4, 5, 2)
+    p = SubmanifoldPack(sc.metric, sc.patch, sc.point)
+    assert isinstance(p.intrinsic, CurvaturePack) and p.intrinsic.dim == p.k
+    assert p.intrinsic.g is p.induced
+    assert p.induced_inv is p.intrinsic.g_up
+    assert p.intrinsic_jtrace is p.intrinsic.jtrace
+    # Schouten and Weyl one order below the pack's: only the divergence in
+    # the intrinsic Paneitz operator differentiates them
+    assert p.intrinsic.schouten.order == PACK_ORDER - 2
+    assert p.intrinsic_schouten.order == PACK_ORDER - 3
+    assert p.intrinsic_weyl.order == PACK_ORDER - 3
+
+
+@pytest.mark.parametrize("metric,point,gauss", [
+    (sphere_chart_metric(2, radius=1.3), (0.2, -0.4), 1.0 / 1.69),
+    (hyperbolic_half_space_metric(2), (0.3, 0.7), -1.0),
+], ids=["sphere", "hyperbolic"])
+def test_surface_pack_has_curvature_up_to_its_trace(metric, point, gauss):
+    # a surface's pack has J = R / 2, the Gauss curvature, and no Schouten
+    # or Weyl tensor: each raises, naming Schouten
+    pack = CurvaturePack(metric.jets(np.asarray(point), PACK_ORDER))
+    assert abs(float(pack.jtrace.value) - gauss) < 1e-12
+    assert abs(float(pack.scal.value) - 2.0 * gauss) < 1e-12
+    for attr in ("schouten", "weyl"):
+        with pytest.raises(GeometryError, match="Schouten"):
+            getattr(pack, attr)
+
+
+def test_curve_pack_has_no_curvature_trace():
+    pack = CurvaturePack(flat_metric(1).jets(np.zeros(1), PACK_ORDER))
+    assert float(pack.scal.value) == 0.0
+    with pytest.raises(GeometryError, match="dimension >= 2"):
+        pack.jtrace
+
+
+def test_submanifold_pack_needs_ambient_dimension_three():
+    curve = ImmersedPatch(1, 2, lambda ys: [ys[0], 0.5 * ys[0] ** 2],
+                          name="parabola")
+    with pytest.raises(GeometryError, match="dimension >= 3"):
+        SubmanifoldPack(flat_metric(2), curve, (0.1,))
 
 
 # -- invariance properties ---------------------------------------------------
@@ -605,6 +674,7 @@ def test_products_run_at_the_order_they_keep(monkeypatch):
     scene = random_scene(4, 6, 2)
     p = SubmanifoldPack(scene.metric, scene.patch, scene.point)
     amb = p.ambient
+    amb.schouten  # built before recording: the site below reads it
     orders = _record_product_orders(monkeypatch)
 
     # each site sums its products with a derivative one order below its input
@@ -624,7 +694,8 @@ def test_products_run_at_the_order_they_keep(monkeypatch):
 
     # a whole ambient pack read through Bach: the Bach term, the last thing
     # built after nabla C, runs at the order of nabla C, and no product (the
-    # inverse metric's Newton steps included) runs above the order of Riemann
+    # inverse metric's Newton steps included) runs above the order of Riemann.
+    # Weyl is built on first read, so it is read before the Bach term reads it
     derivs_done = []
     inner = ambient.connection_deriv
 
@@ -636,7 +707,7 @@ def test_products_run_at_the_order_they_keep(monkeypatch):
     monkeypatch.setattr(ambient, "connection_deriv", marked)
     orders.clear()
     pack = CurvaturePack(amb.g)
-    pack.bach
+    pack.weyl, pack.bach
     assert amb.g.order == 4 and pack.dcotton.order == 0
     assert max(orders[derivs_done[-1]:]) == pack.dcotton.order
     assert max(orders) == pack.rm.order == amb.g.order - 2
@@ -660,12 +731,13 @@ def test_products_run_at_the_order_they_keep(monkeypatch):
 
 #: (quantity, the builder to cut one order lower, the quantity's order in a
 #: pack, a consumer that runs out of orders once it is one lower).  A
-#: builder is a ``SubmanifoldPack`` cached property, or, for the ambient
-#: pack's eager attributes, the ``ambient`` function that forms them.
+#: quantity is an attribute path on a ``SubmanifoldPack``.  A builder is a
+#: ``SubmanifoldPack`` cached property, or, for the eager attributes of the
+#: curvature packs, the ``ambient`` function that forms them in both.
 TIGHT_ORDERS = [
-    ("g_up", (ambient, "inverse_metric_jets"), PACK_ORDER - 2,
+    ("ambient.g_up", (ambient, "inverse_metric_jets"), PACK_ORDER - 2,
      lambda p: p.ambient.bach),
-    ("gamma", (ambient, "christoffel_jets"), PACK_ORDER - 2,
+    ("ambient.gamma", (ambient, "christoffel_jets"), PACK_ORDER - 2,
      lambda p: p.ambient.bach),
     ("induced_inv", None, PACK_ORDER - 2, lambda p: p.normal_curvature),
     ("normal_frame", None, PACK_ORDER - 2, lambda p: p.normal_curvature),
@@ -674,7 +746,7 @@ TIGHT_ORDERS = [
     ("second_fundamental", None, PACK_ORDER - 2, willmore_quartic),
     ("mean_curvature", None, PACK_ORDER - 2, willmore_quartic),
     ("normal_connection", None, PACK_ORDER - 3, lambda p: p.normal_curvature),
-    ("induced_christoffel", None, PACK_ORDER - 2,
+    ("intrinsic.gamma", (ambient, "christoffel_jets"), PACK_ORDER - 2,
      lambda p: evaluate(p, "intrinsic_q4")),
     ("mean_norm2", None, PACK_ORDER - 3, divergence_identity_residuals),
     ("mc_schouten", None, PACK_ORDER - 3, divergence_identity_residuals),
@@ -708,10 +780,7 @@ def test_pack_builds_each_quantity_at_the_order_it_is_read(
     # built at exactly its order, and that order is needed: one order lower
     # and the consumer raises
     scene = random_scene(4, 5, 2)
-
-    def read(p):
-        return getattr(p.ambient if builder else p, name)
-
+    read = attrgetter(name)
     p = SubmanifoldPack(scene.metric, scene.patch, scene.point, param=param)
     assert read(p).order == order
     consumer(p)
@@ -737,7 +806,7 @@ def test_weyl_from_one_product_is_the_four_product_form():
     for weyl, want in [
             (amb.weyl, _weyl_four_products(amb.rm, amb.schouten, amb.g)),
             (p.intrinsic_weyl, _weyl_four_products(
-                p.intrinsic_riemann, p.intrinsic_schouten, p.induced))]:
+                p.intrinsic.rm, p.intrinsic_schouten, p.induced))]:
         assert weyl.space is want.space
         assert np.array_equal(weyl.coeffs, want.coeffs)
 
@@ -765,7 +834,7 @@ def test_riemann_from_one_product_is_the_three_product_form(n):
     for rm, want in [
             (amb.rm, _riemann_three_products(
                 amb.g, _full_order_christoffel(amb.g), n)),
-            (p.intrinsic_riemann, _riemann_three_products(
+            (p.intrinsic.rm, _riemann_three_products(
                 p.induced, _full_order_christoffel(p.induced), p.k))]:
         assert rm.space is want.space
         gap = float(np.max(np.abs(rm.coeffs - want.coeffs)))
