@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 from functools import cached_property
-from itertools import permutations
+from itertools import combinations, permutations
 
 import numpy as np
 
@@ -238,14 +238,10 @@ def _antisym(arr: np.ndarray, axes) -> np.ndarray:
 
 
 def _perm_sign(ref, perm) -> float:
+    """The sign of ``perm`` as a reordering of ``ref``: the parity of its
+    inversions."""
     order = [list(ref).index(p) for p in perm]
-    sign = 1.0
-    for i in range(len(order)):
-        while order[i] != i:
-            j = order[i]
-            order[j], order[i] = order[i], order[j]
-            sign = -sign
-    return sign
+    return (-1.0) ** sum(i > j for i, j in combinations(order, 2))
 
 
 def ambient_identity_residuals(pack: CurvaturePack) -> dict:

@@ -296,20 +296,9 @@ class Jets:
 
     def gradient(self) -> "Jets":
         """Every spatial ``deriv(a)``, stacked on a new leading batch axis
-        ``a`` (after the member axis) in the memory order ``jets_stack``
-        gives them, so reductions and matrix products of it sum alike."""
-        spc = self.space
-        target = space(spc.nvars, spc.order - 1, spc.param)
-        lead, nx = int(bool(self.members)), spc.nvars - spc.param
-        shape = self.coeffs.shape[:lead] + (nx,) + self.batch + (target.size,)
-        last = len(shape) - 1
-        perm = ((last, 0) if lead else (0, last)) + tuple(range(1, last))
-        out = np.empty([shape[i] for i in perm], np.promote_types(
-            self.coeffs.dtype, float)).transpose(np.argsort(perm))
-        for var, slot in enumerate(np.moveaxis(out, lead, 0)):
-            _, src, scale = spc.deriv_tables(var)
-            np.multiply(self.coeffs[..., src], scale, out=slot)
-        return type(self)(target, out)
+        ``a`` (after the member axis)."""
+        return jets_stack([self.deriv(a)
+                           for a in range(self.space.nvars - self.space.param)])
 
     def __getitem__(self, key) -> "Jets":
         if not isinstance(key, tuple):
@@ -545,13 +534,16 @@ _MEMBER = "M"
 
 def _common(a: Jets, b: Jets, pad: bool = False) -> tuple[Jets, Jets]:
     """``a`` and ``b`` at their common order.  If either has a member axis
-    both get it, a member-less one broadcast over the members, and ``pad``
-    left-pads the batches with unit axes to one rank."""
+    both get it, a member-less one broadcast over the members (member
+    counts that differ raise ``ValueError``), and ``pad`` left-pads the
+    batches with unit axes to one rank."""
     r = min(a.order, b.order)
     a = a.truncate(r)
     b = b.truncate(r)
     if a.space is not b.space:
         raise ValueError("jets from incompatible spaces")
+    if a.members and b.members and a.members != b.members:
+        raise ValueError(f"jets with {a.members} and {b.members} members")
     if not (a.members or b.members) or (a.members and b.members and (
             not pad or a.coeffs.ndim == b.coeffs.ndim)):
         return a, b

@@ -16,7 +16,7 @@ scalar ``jet_mul`` and a frame projection ``jet_einsum("abcd,za->zbcd")``
 of a (5, 5, 5, 5) tensor against a (4, 5) frame.  The next three build the
 ambient curvature pack (read through Bach), the inverse metric and the
 Riemann tensor from the order-4 metric jets of ``t4-in-s7`` (n = 7) at one
-node of the Gauss-Bonnet angle grid.  The last two time a cold start: ``import qgeo``
+node of the Gauss-Bonnet angle grid.  Two cases time a cold start: ``import qgeo``
 in a fresh ``python -B`` interpreter (interpreter start-up included), and
 the 11 jet spaces one Gauss-Bonnet node builds, with their product and
 derivative tables, from a cleared multi-index cache.  Two more time the
@@ -24,8 +24,8 @@ pullback and frame layers: the five pulls (``g``, ``gamma``, ``weyl``,
 ``cotton``, ``bach``) of the ``t4-in-s7`` node's ambient pack through a
 fresh chart ``Composer``, table builds included, and ``normal_coframe`` of
 a fresh plain pack of ``random_scene(4, 6, 13)`` whose induced metric is
-already built.  The last two time the layers the conformal batteries
-build per parameter pack: a fresh ``random_scene(4, 5)`` parameter pack
+already built.  Two cases time the layers the conformal batteries build per
+parameter pack: a fresh ``random_scene(4, 5)`` parameter pack
 read through ``second_fundamental`` and ``normal_connection`` (chart
 tables already built), and the ambient curvature pack, read through Bach,
 from the metric jets on the (5+1)-variable parameter space.  Two pairs
@@ -34,14 +34,11 @@ under the six factors of ``check_strata_vanishing``, as six single
 engines and as two engines of three members, and one ``ab,bc->ac``
 product of (5, 5) jets on the pack space at the curvature's order
 ``PACK_ORDER - 2``, three single products against one product of three
-members.  Two pairs time the block orders and the gradient: the five Weyl
-blocks that ``SubmanifoldPack.block`` cuts below the pulled Weyl tensor
-(``tntn``, ``ntnt``, ``ttnn``, ``tttn``, ``ttnt``) projected on a
-three-member parameter pack (the first three strata factors) at the
-tensor's order 2 and at their ``_SLACK`` orders, frames already
-built; and every first partial of the ``t4-in-s7`` node's Riemann tensor
-(7^4 jets at order 2), as stacked ``deriv`` calls and as one
-``Jets.gradient``.
+members.  The last pair times the block orders: the five Weyl blocks that
+``SubmanifoldPack.block`` cuts below the pulled Weyl tensor (``tntn``,
+``ntnt``, ``ttnn``, ``tttn``, ``ttnt``) projected on a three-member
+parameter pack (the first three strata factors) at the tensor's order 2
+and at their ``_SLACK`` orders, frames already built.
 
 For an A/B against another checkout, run each side's own copy of this
 file from the root of its own tree.  ``pyproject.toml`` puts ``src`` on
@@ -74,7 +71,6 @@ from qgeo.jets import (
     jet_einsum,
     jet_mul,
     jets_members,
-    jets_stack,
     space,
     variables,
 )
@@ -295,13 +291,3 @@ def test_weyl_blocks_on_parameter_pack(benchmark, cut):
     out = benchmark(blocks)
     assert weyl.members == 3 and [b.order for b in out] == (
         [0, 0, 0, 1, 1] if cut else [2] * 5)
-
-
-@pytest.mark.parametrize("stacked", [True, False], ids=["stacked-derivs", "gradient"])
-def test_gradient_of_a_curvature_stack(benchmark, node_metric, stacked):
-    rm = CurvaturePack(node_metric).rm
-    if stacked:
-        out = benchmark(lambda: jets_stack([rm.deriv(a) for a in range(NODE.n)]))
-    else:
-        out = benchmark(rm.gradient)
-    assert out.batch == (NODE.n,) * 5

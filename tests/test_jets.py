@@ -142,22 +142,26 @@ def test_deriv_shifts_multi_index():
         assert df.partial(alpha) == pytest.approx(f.partial(lifted), rel=1e-12)
 
 
-@pytest.mark.parametrize("kind", ["plain", "param", "members"])
+@pytest.mark.parametrize("kind", ["plain", "param", "members", "transposed"])
 def test_gradient_is_the_stacked_derivs(kind):
     # the same bytes in the same memory order as the stacked derivs (a
-    # product's output, coefficient axis outermost, as input): reductions
-    # of either sum alike
-    spc = space(4 + (kind != "plain"), 3, param=kind != "plain")
+    # product's output, coefficient axis outermost, as input; or the memory
+    # order of ``CurvaturePack.rm``, coefficient axis between the batch axes
+    # and the last two of them swapped): reductions of either sum alike
+    param = kind in ("param", "members")
+    spc = space(4 + param, 3, param=param)
     rng = np.random.default_rng(7)
     A, B = (Jets(spc, rng.normal(size=shape + (spc.size,)))
             for shape in [(3, 2), (2, 5)])
     X = jet_einsum("ab,bc->ac", A, B)
     if kind == "members":
         X = jets.jets_members([X, X * 2.0, X * -0.5])
+    if kind == "transposed":
+        X = Jets(spc, rng.normal(size=(2, 3, spc.size, 4, 3)).transpose(0, 1, 4, 3, 2))
     got = X.gradient()
     want = jets_stack([X.deriv(a) for a in range(4)])
     assert type(got) is type(want) and got.space is want.space
-    assert got.members == want.members and got.batch == want.batch == (4, 3, 5)
+    assert got.members == want.members and got.batch == want.batch == (4,) + X.batch
     assert got.coeffs.tobytes() == want.coeffs.tobytes()
     assert got.coeffs.strides == want.coeffs.strides
 
@@ -505,6 +509,25 @@ def test_member_axis_is_left_out_of_the_batch():
         for m, w in enumerate(want):
             assert got.batch == w.batch
             assert np.array_equal(got.coeffs[m], w.coeffs)
+
+
+def test_member_counts_that_differ_are_rejected():
+    # two member jets meet only with as many members each, whichever side
+    # has more and whichever path the product takes (this one runs one
+    # member at a time)
+    spc = space(4 + 1, PACK_ORDER, param=True)
+    As, Bs = _member_operands(spc, (5, 5, 5, 5), (4, 5))
+    a, b = jets.jets_members(As[:2]), jets.jets_members(Bs)
+    cases = [
+        lambda: jet_einsum("abcd,za->zbcd", a, b),
+        lambda: jet_einsum("za,abcd->zbcd", b, a),
+        lambda: a[0, 0] + b,
+        lambda: b * a[0, 0],
+        lambda: jets_stack([a[0, 0], b]),
+    ]
+    for op in cases:
+        with pytest.raises(ValueError, match=r"^jets with (2 and 3|3 and 2) members$"):
+            op()
 
 
 def test_members_of_members_are_rejected():
