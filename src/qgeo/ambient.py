@@ -39,7 +39,6 @@ __all__ = [
     "christoffel_jets",
     "connection_deriv",
     "cov_deriv_jets",
-    "levi_civita_connection",
     "raise_both",
     "riemann_jets",
     "inverse_metric_jets",
@@ -75,9 +74,10 @@ def _first_kind(G: Jets) -> Jets:
 
 
 def christoffel_jets(first: Jets, Ginv: Jets) -> Jets:
-    """Levi-Civita connection components ``Gamma[c, a, b] = Gamma^c_{ab}``
-    from the first-kind symbols ``first`` of :func:`_first_kind`."""
-    return jet_einsum("cd,dab->cab", Ginv, first)
+    """Levi-Civita connection components ``Gamma[a, b, c] = Gamma^c_{ab}``
+    from the first-kind symbols ``first`` of :func:`_first_kind`, in the
+    layout :func:`connection_deriv` reads."""
+    return jet_einsum("cd,dab->abc", Ginv, first)
 
 
 def riemann_jets(first: Jets, Gamma: Jets) -> Jets:
@@ -89,7 +89,7 @@ def riemann_jets(first: Jets, Gamma: Jets) -> Jets:
     ``d_a g_{ed} = Gamma_{e,ad} + Gamma_{d,ae}``.
     """
     dfirst = first.gradient()
-    Y = (jet_einsum("ead,ebc->abcd", first.truncate(dfirst.order), Gamma)
+    Y = (jet_einsum("ead,bce->abcd", first.truncate(dfirst.order), Gamma)
          - jet_trace(dfirst, "adbc->abcd"))
     return Y - jet_trace(Y, "bacd->abcd")
 
@@ -111,16 +111,10 @@ def connection_deriv(T: Jets, connections) -> Jets:
     return parts
 
 
-def levi_civita_connection(Gamma: Jets) -> Jets:
-    """Christoffel symbols ``Gamma[c, a, b]`` in the ``A[a, b, c]`` layout."""
-    return jet_trace(Gamma, "cab->abc")
-
-
 def cov_deriv_jets(T: Jets, Gamma: Jets) -> Jets:
     """Levi-Civita covariant derivative of an all-lowered tensor; new slot
-    comes first."""
-    A = levi_civita_connection(Gamma)
-    return connection_deriv(T, [A] * len(T.batch))
+    comes first.  ``Gamma`` is laid out as :func:`christoffel_jets` stores it."""
+    return connection_deriv(T, [Gamma] * len(T.batch))
 
 
 def weyl_jets(rm: Jets, P: Jets, g: Jets) -> Jets:

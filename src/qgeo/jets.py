@@ -428,8 +428,9 @@ class Jets:
         return self._series([table[m % 4] for m in range(self.space.top_degree + 1)])
 
     def __repr__(self):
+        members = f", members={self.members}" if self.members else ""
         return (f"Jets(nvars={self.space.nvars}, order={self.order}, "
-                f"batch={self.batch})")
+                f"batch={self.batch}{members})")
 
 
 class _Members(Jets):

@@ -213,7 +213,7 @@ def random_scene(k: int, n: int, seed: int) -> Scene:
 
 
 def catalog() -> dict:
-    """Named scene builders addressable from configuration files."""
+    """Named scene builders, served by :func:`scene_by_name` and the tests."""
     return {
         "affine-plane": affine_plane,
         "equatorial-sphere": equatorial_sphere,

@@ -49,7 +49,6 @@ from .ambient import (
     CurvaturePack,
     _rel,
     connection_deriv,
-    levi_civita_connection,
     weyl_jets,
 )
 from .fields import GeometryError, ImmersedPatch, MetricField
@@ -276,7 +275,7 @@ class SubmanifoldPack:
     @cached_property
     def _gamma_frame(self) -> Jets:
         """Connection contracted once with the frame: ``Gamma^z_{ab} e^a``."""
-        return jet_einsum("zab,ia->zib", self.pulled("gamma"),
+        return jet_einsum("abz,ia->zib", self.pulled("gamma"),
                           self.tangent_frame)
 
     @cached_property
@@ -327,11 +326,6 @@ class SubmanifoldPack:
     # -- connections on the patch -----------------------------------------
 
     @cached_property
-    def _tangent_connection(self) -> Jets:
-        """The induced Christoffel symbols in the ``A[a, slot, z]`` layout."""
-        return levi_civita_connection(self.intrinsic.gamma)
-
-    @cached_property
     def normal_connection(self) -> Jets:
         """``omega[i, r, s] = g(nabla_{e_i} n_r, n^s)`` (antisymmetric in r, s)."""
         dN = self.normal_frame.gradient()
@@ -356,7 +350,7 @@ class SubmanifoldPack:
         Christoffel symbols, normal slots with the normal connection.
         """
         _check_pattern(pattern, T, "tn")
-        connections = [self._tangent_connection if ch == "t"
+        connections = [self.intrinsic.gamma if ch == "t"
                        else self.normal_connection for ch in pattern]
         return connection_deriv(T, connections)
 

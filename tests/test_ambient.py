@@ -100,14 +100,14 @@ def test_diagonal_exponential_christoffel():
     pack = CurvaturePack(g.jets(x0, PACK_ORDER))
     f = 0.5 * np.einsum("abc,b,c->a", S, x0, x0)
     df = np.einsum("abc,c->ab", S, x0)
-    want = np.zeros((n, n, n))
+    want = np.zeros((n, n, n))  # want[a, b, c] = Gamma^c_{ab}
     for u in range(n):
         for v in range(n):
             if u == v:
-                want[u, u, :] = df[u]
                 want[u, :, u] = df[u]
+                want[:, u, u] = df[u]
             else:
-                want[u, v, v] = -np.exp(2 * (f[v] - f[u])) * df[v, u]
+                want[v, v, u] = -np.exp(2 * (f[v] - f[u])) * df[v, u]
     assert np.allclose(pack.gamma.value, want, atol=1e-12), (
         f"max dev {np.max(np.abs(pack.gamma.value - want)):.3e}")
 

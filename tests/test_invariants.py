@@ -34,6 +34,10 @@ from qgeo.scenes import (
 from qgeo.submanifold import SubmanifoldPack
 
 
+# The cached pack helpers below share one pack, memo included, among every
+# test that asks for the same arguments, so a test that counts per-pack work
+# (builds, projections, derivatives) builds its own pack, as the counting
+# tests in this file do.
 @lru_cache(maxsize=None)
 def catalog_pack(name):
     sc = scene_by_name(name)

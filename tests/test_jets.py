@@ -297,6 +297,13 @@ def test_jet_of_a_constant_function_and_repr():
     assert repr(c) == "Jets(nvars=2, order=3, batch=())"
 
 
+def test_repr_shows_the_member_axis():
+    x, y = variables([0.1, 0.2], 3)
+    assert repr(x * y) == "Jets(nvars=2, order=3, batch=())"
+    assert repr(jets.jets_members([x, y, x * y])) == (
+        "Jets(nvars=2, order=3, batch=(), members=3)")
+
+
 def test_jet_mul_agrees_with_direct_jet():
     point = [0.37, -0.21]
 

@@ -24,7 +24,6 @@ from qgeo.ambient import (
     christoffel_jets,
     connection_deriv,
     inverse_metric_jets,
-    levi_civita_connection,
     riemann_jets,
 )
 from qgeo.fields import (
@@ -517,6 +516,31 @@ def test_intrinsic_pack_is_the_induced_metrics_curvature_pack():
     assert p.intrinsic_weyl.order == PACK_ORDER - 3
 
 
+TANGENT_TENSORS = {
+    "gradient": lambda p: p.tangential_gradient(p.tracefree_norm2),
+    "induced": lambda p: p.induced,
+    "tracefree_square": lambda p: p.tracefree_square,
+    "intrinsic_schouten": lambda p: p.intrinsic_schouten,
+}
+
+
+@pytest.mark.parametrize("param", [False, True], ids=["plain", "param"])
+@pytest.mark.parametrize("k,n", [(2, 4), (3, 5), (4, 6)])
+def test_tangential_derivative_is_the_intrinsic_packs(k, n, param):
+    # on tangent slots the pack's derivative and the induced metric's own
+    # are one routine reading one stored connection: equal to the bit
+    sc = random_scene(k, n, 0)
+    p = SubmanifoldPack(sc.metric, sc.patch, sc.point, param=param)
+    for name, build in TANGENT_TENSORS.items():
+        if name == "intrinsic_schouten" and k < 3:
+            continue
+        T = build(p)
+        got = p.tangential_cov_deriv(T, "t" * len(T.batch))
+        want = p.intrinsic.cov_deriv(T)
+        assert got.space is want.space, name
+        assert np.array_equal(got.coeffs, want.coeffs), name
+
+
 @pytest.mark.parametrize("metric,point,gauss", [
     (sphere_chart_metric(2, radius=1.3), (0.2, -0.4), 1.0 / 1.69),
     (hyperbolic_half_space_metric(2), (0.3, 0.7), -1.0),
@@ -678,7 +702,7 @@ def test_products_run_at_the_order_they_keep(monkeypatch):
     orders = _record_product_orders(monkeypatch)
 
     # each site sums its products with a derivative one order below its input
-    connection_deriv(amb.schouten, [levi_civita_connection(amb.gamma)] * 2)
+    connection_deriv(amb.schouten, [amb.gamma] * 2)
     assert max(orders) == amb.schouten.order - 1
     first = ambient._first_kind(amb.g)
     orders.clear()
@@ -812,7 +836,9 @@ def test_weyl_from_one_product_is_the_four_product_form():
 
 
 def _riemann_three_products(G, Gamma, dim):
-    # R_{abc}^d from d Gamma and two Gamma Gamma products, lowered by a third
+    # R_{abc}^d from d Gamma and two Gamma Gamma products, lowered by a third,
+    # with the stored Gamma[a, b, c] = Gamma^c_{ab} laid out as Gamma[c, a, b]
+    Gamma = jet_trace(Gamma, "abc->cab")
     dGam = jets_stack([Gamma.deriv(a) for a in range(dim)])
     Gam = Gamma.truncate(dGam.order)
     rm_ud = (-jet_trace(dGam, "adbc->abcd") + jet_trace(dGam, "bdac->abcd")
