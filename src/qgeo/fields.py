@@ -224,6 +224,7 @@ class ImmersedPatch:
         shared by every pack at the point (the chart map has no metric).
         The last chart per ``param`` value is kept, so a patch holds at most
         two."""
+        _check_shape(self.name, "point", np.shape(point), (self.k,))
         key = np.asarray(point, dtype=float).tobytes()
         if self._charts.get(param, (None,))[0] != key:
             X = self.jets(point, PACK_ORDER + 1, param=param)

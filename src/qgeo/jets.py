@@ -23,13 +23,12 @@ The ``Jets`` class is batched: ``coeffs`` has shape ``batch + (ncoeffs,)``,
 and a whole tensor of jets (e.g. all metric components) is a single
 ``Jets`` with ``batch == (n, n)``.  ``jet_einsum`` contracts such batches
 with einsum-style subscripts.  Each product is one gather-combine-scatter
-pass, ``_product``, whose scatter calls scipy's compiled CSR kernel
-``csr_matvecs`` chunk by chunk into one output buffer: the ``@`` dispatch
-would cost more than the arithmetic on most products.  Only its extension
-file ``scipy/sparse/_sparsetools`` is loaded, as ``qgeo._sparsetools``:
-``import scipy.sparse`` would run the whole package, half of a cold start.
-It is private scipy API, so ``tests/test_jets.py`` pins the product
-against the ``@`` form.
+pass, ``_product``, whose scatter is one call of scipy's compiled CSR kernel
+``csr_matvecs``: the ``@`` dispatch would cost more than the arithmetic on
+most products.  Only its extension file ``scipy/sparse/_sparsetools`` is
+loaded, as ``qgeo._sparsetools``: ``import scipy.sparse`` would run the
+whole package, half of a cold start.  It is private scipy API, so
+``tests/test_jets.py`` pins the product against the ``@`` form.
 
 A jet may carry a leading *member* axis, ``members`` long: several jets
 of one space evaluated as one batch, e.g. a metric under several
@@ -390,8 +389,8 @@ class Jets:
 
     def log(self) -> "Jets":
         v = self.value
-        if np.any(v <= 0):
-            raise FloatingPointError("log of non-positive jet value")
+        if not np.all(v > 0):
+            raise FloatingPointError("log of non-positive or NaN jet value")
         derivs = [np.log(v)]
         for m in range(1, self.space.top_degree + 1):
             derivs.append(((-1.0) ** (m - 1)) * math.factorial(m - 1) / v**m)
@@ -399,8 +398,8 @@ class Jets:
 
     def sqrt(self) -> "Jets":
         v = self.value
-        if np.any(v <= 0):
-            raise FloatingPointError("sqrt of non-positive jet value")
+        if not np.all(v > 0):
+            raise FloatingPointError("sqrt of non-positive or NaN jet value")
         derivs = [np.sqrt(v)]
         coef = 0.5
         for m in range(1, self.space.top_degree + 1):
@@ -526,7 +525,6 @@ def jet_of(fn, point, order: int) -> Jets:
     return out
 
 
-_CHUNK = 1 << 23  # float64 budget per gathered intermediate
 #: float64 budget of the gathered pairs of a product over all its members
 _MEMBER_CHUNK = 1 << 16
 #: the implicit subscript letter of the member axis (``src`` uses lowercase)
@@ -591,40 +589,26 @@ def _product(spc: JetSpace, sa: str, sb: str, rhs: str, a: np.ndarray,
 
     ``a`` and ``b`` (coefficients last, batch axes labelled ``sa`` and
     ``sb``) go coefficient axis first, laid out ``(coeff, shared, left,
-    contracted)`` and ``(coeff, shared, contracted, right)``.  Per chunk of
-    whole output rows (one chunk when all pairs fit ``_CHUNK``), rows ``i``
-    and ``j`` of its coefficient pairs ``(i, j)`` are gathered and combined
-    by a batched matmul (an elementwise product when nothing is contracted,
+    contracted)`` and ``(coeff, shared, contracted, right)``.  Rows ``i`` and
+    ``j`` of every coefficient pair ``(i, j)`` are gathered and combined by a
+    batched matmul (an elementwise product when nothing is contracted,
     written into the fresh gather of ``a`` when nothing is right-free
     either).  scipy's compiled ``csr_matvecs`` (``y += S x``, where ``S @ x``
     ends; loaded from its extension file alone, see the module docstring)
-    sums the chunk's pairs into its rows of one zero-filled output, each
-    row's in ascending order, so chunking changes no bit.  The output has
-    the operands' promoted dtype, so long-double jets multiply in long
-    double.
+    sums each output coefficient's pairs, in ascending order, into one
+    zero-filled output.  The output has the operands' promoted dtype, so
+    long-double jets multiply in long double.
     """
-    axes_a, axes_b, op, in_place, shape_x, shape_y, width, out_shape, perm = _plan(
+    axes_a, axes_b, op, in_place, shape_x, shape_y, _, out_shape, perm = _plan(
         sa, sb, rhs, a.shape[:-1], b.shape[:-1])
     A, B = a.transpose(axes_a), b.transpose(axes_b)
     ii, jj, scatter = spc.mul_tables()
-    indptr, pairs = scatter.indptr, scatter.indices
-    step = max(1, _CHUNK // width)
     out = np.zeros((spc.size,) + out_shape, np.promote_types(a.dtype, b.dtype))
-    in_place = in_place and A.dtype == out.dtype
-    lo = 0
-    while lo < spc.size:  # chunks of whole output rows
-        if step >= len(ii):  # one chunk: every pair, in pair order
-            hi, sel, ptr, cols = spc.size, slice(None), indptr, pairs
-        else:  # at most step pairs, unless one row holds more
-            hi = max(lo + 1, int(np.searchsorted(indptr, indptr[lo] + step, "right")) - 1)
-            sel = pairs[indptr[lo]:indptr[hi]]
-            ptr, cols = indptr[lo:hi + 1] - indptr[lo], np.arange(len(sel), dtype="i4")
-        x = A.take(ii[sel], axis=0).reshape(shape_x)
-        y = B.take(jj[sel], axis=0).reshape(shape_y)
-        xy = op(x, y, out=x) if in_place else op(x, y)
-        csr_matvecs(hi - lo, len(xy), out.size // spc.size, ptr, cols, scatter.data,
-                    xy, out[lo:hi])
-        lo = hi
+    x = A.take(ii, axis=0).reshape(shape_x)
+    y = B.take(jj, axis=0).reshape(shape_y)
+    xy = op(x, y, out=x) if in_place and A.dtype == out.dtype else op(x, y)
+    csr_matvecs(spc.size, len(ii), out.size // spc.size, scatter.indptr,
+                scatter.indices, scatter.data, xy, out)
     return Jets(spc, out.transpose(perm))
 
 

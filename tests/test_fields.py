@@ -166,6 +166,15 @@ def test_wrong_size_names_the_input_and_both_shapes(case):
         call(sc)
 
 
+def test_cached_chart_still_checks_the_point_shape():
+    # a point of the wrong shape with the bytes of the cached one
+    sc = random_scene(2, 4, 0)
+    SubmanifoldPack(sc.metric, sc.patch, sc.point)
+    message = f"{sc.patch.name}: point of shape (1, 2), expected (2,)"
+    with pytest.raises(GeometryError, match=re.escape(message)):
+        SubmanifoldPack(sc.metric, sc.patch, sc.point[None, :])
+
+
 def test_pure_t_displacements_are_rejected():
     # t has degree 0 on a parameter space, so a pure t term in a
     # displacement would need source monomials beyond the order

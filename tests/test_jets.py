@@ -335,22 +335,6 @@ def test_jet_einsum_matches_loops():
     assert np.allclose(got.coeffs, want, atol=1e-12)
 
 
-def test_chunked_products_match_unchunked(monkeypatch):
-    import qgeo.jets as jets_mod
-
-    rng = np.random.default_rng(11)
-    spc = space(3, 3)
-    A = Jets(spc, rng.normal(size=(4, 4, spc.size)))
-    B = Jets(spc, rng.normal(size=(4, 4, spc.size)))
-    full_e = jet_einsum("ab,bc->ac", A, B)
-    full_m = jet_mul(A, B)
-    monkeypatch.setattr(jets_mod, "_CHUNK", 64)
-    # each output row's pairs are summed in one sequence, however chunked
-    for got, full in ((jet_einsum("ab,bc->ac", A, B), full_e),
-                      (jet_mul(A, B), full_m)):
-        assert got.coeffs.tobytes() == full.coeffs.tobytes()
-
-
 def scatter_product(spc, sa, sb, rhs, a, b):
     """The product kernel as gather, combine and one ``scatter @`` over
     every coefficient pair, on ``_plan``'s layouts, with scipy's CSR
@@ -403,19 +387,6 @@ def test_product_kernel_is_the_scatter_form(subscripts, shape_a, shape_b, spc):
     # the compiled CSR call must sum each coefficient's pairs exactly as
     # ``scatter @`` does: the same numbers, bit for bit
     product, want = _kernel_operands(spc, subscripts, shape_a, shape_b)
-    got = product().coeffs
-    assert got.shape == want.shape
-    assert np.ascontiguousarray(got).tobytes() == np.ascontiguousarray(want).tobytes()
-
-
-@pytest.mark.parametrize("spc", KERNEL_SPACES, ids=["plain", "param"])
-@pytest.mark.parametrize("subscripts, shape_a, shape_b", KERNEL_CASES)
-def test_chunked_kernel_is_the_scatter_form(monkeypatch, subscripts, shape_a,
-                                            shape_b, spc):
-    import qgeo.jets as jets_mod
-
-    product, want = _kernel_operands(spc, subscripts, shape_a, shape_b)
-    monkeypatch.setattr(jets_mod, "_CHUNK", 64)
     got = product().coeffs
     assert got.shape == want.shape
     assert np.ascontiguousarray(got).tobytes() == np.ascontiguousarray(want).tobytes()
@@ -883,6 +854,14 @@ def test_domain_errors():
     z = constant(0.0, x.space)
     with pytest.raises(ZeroDivisionError):
         z.reciprocal()
+
+
+@pytest.mark.parametrize("value", [np.nan, [1.0, np.nan]], ids=["scalar", "batch"])
+@pytest.mark.parametrize("fn", ["sqrt", "log"])
+def test_nan_values_are_domain_errors(fn, value):
+    # NaN <= 0 is false, so the guard must ask for every value to be positive
+    with pytest.raises(FloatingPointError, match=f"{fn} of non-positive or NaN"):
+        getattr(constant(value, space(2, 2)), fn)()
 
 
 def test_incompatible_spaces_rejected():

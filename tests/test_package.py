@@ -85,7 +85,7 @@ def _loaded_names(tree):
     included."""
     out = set()
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
             out.add(node.id)
         elif isinstance(node, ast.Attribute):
             out.add(node.attr)
@@ -111,10 +111,10 @@ def test_every_import_is_used():
     assert not stale, f"unused imports: {stale}"
 
 
-def test_every_private_helper_is_referenced():
-    # a `_`-prefixed module-level function or method that nothing in the
-    # package names is a helper left behind
-    trees = _sources()
+def _unreferenced_privates(trees):
+    """``module.name`` of each `_`-prefixed module-level function, method or
+    assigned name (annotated ones included) that no module of ``trees``
+    reads or imports."""
     used = set().union(*(_loaded_names(t) for t in trees.values()))
     used |= {a.name for t in trees.values() for node in ast.walk(t)
              if isinstance(node, ast.ImportFrom) for a in node.names}
@@ -122,11 +122,35 @@ def test_every_private_helper_is_referenced():
     for module, tree in trees.items():
         scopes = [tree.body] + [node.body for node in tree.body
                                 if isinstance(node, ast.ClassDef)]
-        dead += [f"{module}.{node.name}" for body in scopes for node in body
-                 if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-                 and node.name.startswith("_") and not node.name.endswith("__")
-                 and node.name not in used]
+        names = [node.name for body in scopes for node in body
+                 if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
+        names += [t.id for node in tree.body
+                  if isinstance(node, (ast.Assign, ast.AnnAssign))
+                  for t in (node.targets if isinstance(node, ast.Assign)
+                            else [node.target])
+                  if isinstance(t, ast.Name)]
+        dead += [f"{module}.{nm}" for nm in names if nm.startswith("_")
+                 and not nm.endswith("__") and nm not in used]
+    return dead
+
+
+def test_every_private_helper_is_referenced():
+    # a `_`-prefixed module-level function, method or constant that nothing
+    # in the package names is a helper left behind
+    dead = _unreferenced_privates(_sources())
     assert not dead, f"unreferenced private helpers: {dead}"
+    # the check sees plain and annotated constants, functions and methods,
+    # and an assignment alone is no reference
+    snippet = ast.parse(
+        "_A = 1\n"
+        "_B: int = 2\n"
+        "_C: int = _A\n"
+        "def _f():\n"
+        "    return _B\n"
+        "class K:\n"
+        "    def _g(self):\n"
+        "        pass\n")
+    assert _unreferenced_privates({"m": snippet}) == ["m._f", "m._g", "m._C"]
 
 
 def test_conformal_batteries_reduce_through_gap():
