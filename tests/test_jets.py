@@ -335,6 +335,22 @@ def test_jet_einsum_matches_loops():
     assert np.allclose(got.coeffs, want, atol=1e-12)
 
 
+def test_chunked_products_match_unchunked(monkeypatch):
+    # a member product is one pass below ``_MEMBER_CHUNK`` and one member at
+    # a time above it; both give the same bits
+    rng = np.random.default_rng(11)
+    spc = space(3, 3)
+    A, B = (jets.jets_members([Jets(spc, rng.normal(size=(4, 4, spc.size)))
+                               for _ in range(2)]) for _ in range(2))
+    full_e = jet_einsum("ab,bc->ac", A, B)
+    full_m = jet_mul(A, B)
+    monkeypatch.setattr(jets, "_MEMBER_CHUNK", 0)
+    for got, full in ((jet_einsum("ab,bc->ac", A, B), full_e),
+                      (jet_mul(A, B), full_m)):
+        assert got.members == full.members == 2
+        assert got.coeffs.tobytes() == full.coeffs.tobytes()
+
+
 def scatter_product(spc, sa, sb, rhs, a, b):
     """The product kernel as gather, combine and one ``scatter @`` over
     every coefficient pair, on ``_plan``'s layouts, with scipy's CSR
@@ -365,19 +381,26 @@ KERNEL_CASES = [
 KERNEL_SPACES = [space(3, 3), space(4 + 1, 3, param=True)]
 
 
+def _scatter_of(spc, subscripts, A, B):
+    """``scatter_product`` of the member-less jets ``A`` and ``B`` under
+    ``subscripts`` (``None`` is a ``jet_mul``)."""
+    if subscripts is None:
+        shape = np.broadcast_shapes(A.batch, B.batch) + (spc.size,)
+        s = "abcdefgh"[: len(shape) - 1]
+        return scatter_product(spc, s, s, s, np.broadcast_to(A.coeffs, shape),
+                               np.broadcast_to(B.coeffs, shape))
+    lhs, _, rhs = subscripts.partition("->")
+    sa, sb = lhs.split(",")
+    return scatter_product(spc, sa, sb, rhs, A.coeffs, B.coeffs)
+
+
 def _kernel_operands(spc, subscripts, shape_a, shape_b):
     rng = np.random.default_rng(23)
     A = Jets(spc, rng.normal(size=shape_a + (spc.size,)))
     B = Jets(spc, rng.normal(size=shape_b + (spc.size,)))
+    want = _scatter_of(spc, subscripts, A, B)
     if subscripts is None:
-        shape = np.broadcast_shapes(shape_a, shape_b) + (spc.size,)
-        s = "abcdefgh"[: len(shape) - 1]
-        want = scatter_product(spc, s, s, s, np.broadcast_to(A.coeffs, shape),
-                               np.broadcast_to(B.coeffs, shape))
         return (lambda: jet_mul(A, B)), want
-    lhs, _, rhs = subscripts.partition("->")
-    sa, sb = lhs.split(",")
-    want = scatter_product(spc, sa, sb, rhs, A.coeffs, B.coeffs)
     return (lambda: jet_einsum(subscripts, A, B)), want
 
 
@@ -390,6 +413,22 @@ def test_product_kernel_is_the_scatter_form(subscripts, shape_a, shape_b, spc):
     got = product().coeffs
     assert got.shape == want.shape
     assert np.ascontiguousarray(got).tobytes() == np.ascontiguousarray(want).tobytes()
+
+
+@pytest.mark.parametrize("spc", KERNEL_SPACES, ids=["plain", "param"])
+@pytest.mark.parametrize("subscripts, shape_a, shape_b", KERNEL_CASES)
+def test_chunked_kernel_is_the_scatter_form(monkeypatch, subscripts, shape_a,
+                                            shape_b, spc):
+    # a member product above ``_MEMBER_CHUNK`` runs the kernel one member at
+    # a time; each member is still the ``scatter @`` form, bit for bit
+    monkeypatch.setattr(jets, "_MEMBER_CHUNK", 0)
+    As, Bs = _member_operands(spc, shape_a, shape_b)
+    got = _product_of(subscripts)(jets.jets_members(As), jets.jets_members(Bs))
+    assert got.members == 3
+    for m in range(3):
+        want = _scatter_of(spc, subscripts, As[m], Bs[m])
+        assert got.coeffs[m].shape == want.shape
+        assert got.coeffs[m].tobytes() == np.ascontiguousarray(want).tobytes()
 
 
 LONG_DOUBLE_CASES = [(None, (3, 1), (1, 4)), ("abcd,za->zbcd", (3, 3, 3, 3), (2, 3))]
