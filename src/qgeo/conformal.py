@@ -815,6 +815,12 @@ def check_strata_vanishing(scene: Scene, *, seed: int = 0) -> dict:
     ``0..j`` must then have vanishing first variation.  A generic factor
     rides along so the claim is not vacuous.  The factors, in depth order,
     generic last, are the members of engines of ``_STRATA_BATCH``.
+
+    The deepest probe is vacuous at ``PACK_ORDER = 4``: its factor carries
+    the fifth power of the defining combination, so it has no monomial a
+    pack keeps, its pack jet is identically zero and every entry of the
+    stratum-4 row reads exactly 0.0.  The row stays, as the benchmark pins
+    the per-stratum element counts; a pack order above 4 makes it a probe.
     """
     strata = sorted({el.stratum for el in QUARTIC_STRATA})
     depths = strata + strata[-1:]

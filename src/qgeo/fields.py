@@ -298,8 +298,12 @@ def sphere_chart_metric(n: int, radius: float = 1.0) -> MetricField:
     """Round n-sphere of the given radius in a stereographic chart.
 
     Components 4 R^4 (R^2 + |x|^2)^{-2} delta_{ab}; the chart covers the
-    sphere minus a point, with the origin mapping to a pole.
+    sphere minus a point, with the origin mapping to a pole.  The radius
+    must be a positive finite number.
     """
+    if not (math.isfinite(radius) and radius > 0):
+        raise GeometryError(
+            f"sphere-chart radius must be positive and finite, got {radius!r}")
     r2 = radius * radius
 
     def log_factor(xs):

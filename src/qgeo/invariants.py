@@ -7,14 +7,16 @@ built with ``param=True``) flows through every invariant untouched.
 
 Quantities with more than one published closed form keep each form as a
 separate code path (``route=...``) so agreement between them is a real
-cross-check rather than a tautology.  ``REGISTRY`` alone declares each
-scalar's domain in (k, n), weight and conformal class; ``_require`` is the
-one check of that domain, so the other guards here are of routes and poles.
+cross-check rather than a tautology.  Each registered scalar declares its
+domain in (k, n), weight and conformal class at its definition, with
+``@_scalar``; the gate that decorator puts in front of it is the one check
+of that domain, so the other guards here are of routes and poles.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import wraps
 from typing import Callable
 
 from .ambient import raise_both
@@ -31,9 +33,7 @@ __all__ = [
     "div_shape_weyl_a",
     "div_shape_weyl_b",
     "fialkow_quartic",
-    "fialkow_quartic_parts",
     "weyl_trace_quartic",
-    "weyl_trace_quartic_parts",
     "weyl_trace_quartic_scaled",
     "tracefree_quartic_combo",
     "intrinsic_q4",
@@ -55,6 +55,83 @@ __all__ = [
     "factored_paneitz_apply",
     "PANEITZ_FLUX_SIGN",
 ]
+
+
+# -- registry -------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class InvariantSpec:
+    """One evaluable scalar with its validity range and conformal class.
+
+    ``weight`` is the conformal weight w in the compensation rule
+    e^{-w Upsilon} (value in rescaled metric) = (value in original metric);
+    ``None`` marks the dimension-graded densities whose weight is -k.
+    ``dims`` states the domain once, as a Python condition on ``k`` and
+    ``n``: it is compiled into ``valid`` and quoted by the domain error.
+    ``compute`` is the scalar behind its domain gate.  ``invariant`` marks
+    the pointwise conformal invariants.
+    """
+
+    name: str
+    weight: int | None
+    dims: str
+    compute: Callable[[SubmanifoldPack], Jets]
+    valid: Callable[[int, int], bool] = field(repr=False)
+    invariant: bool = False
+
+    def weight_at(self, k: int) -> int:
+        return -k if self.weight is None else self.weight
+
+
+REGISTRY: dict[str, InvariantSpec] = {}
+
+
+def _scalar(weight: int | None, dims: str, invariant: bool = False):
+    """Register the decorated scalar in ``REGISTRY`` behind its domain gate.
+
+    The gate raises a ``GeometryError`` quoting ``dims`` on a pack outside
+    it, unless the call passes ``extend=True``: such a call goes on to the
+    scalar's own pole guard.  The gate is both the module's function and
+    the spec's ``compute``, so a direct call and :func:`evaluate` are
+    checked alike.
+    """
+    valid = eval(f"lambda k, n: {dims}", {})
+
+    def register(fn):
+        name = fn.__name__
+
+        @wraps(fn)
+        def gate(p, *args, **kwargs):
+            if not (valid(p.k, p.n) or kwargs.get("extend")):
+                raise GeometryError(
+                    f"{name} is defined for {dims}, got k={p.k}, n={p.n}")
+            return fn(p, *args, **kwargs)
+
+        REGISTRY[name] = InvariantSpec(name, weight, dims, gate, valid,
+                                       invariant)
+        return gate
+
+    return register
+
+
+def available(k: int, n: int) -> list[str]:
+    """Names evaluable at the given submanifold/background dimensions."""
+    return [name for name, spec in REGISTRY.items() if spec.valid(k, n)]
+
+
+def evaluate(p: SubmanifoldPack, name: str) -> Jets:
+    """Evaluate one registered scalar, enforcing its validity range."""
+    spec = REGISTRY.get(name)
+    if spec is None:
+        raise KeyError(f"unknown scalar {name!r}; registered: {sorted(REGISTRY)}")
+    return spec.compute(p)
+
+
+def evaluate_all(p: SubmanifoldPack) -> dict[str, float]:
+    """Point values of every scalar valid at the pack's dimensions."""
+    return {name: float(evaluate(p, name).value)
+            for name in available(p.k, p.n)}
 
 
 # -- shared contraction helpers ---------------------------------------------
@@ -148,10 +225,11 @@ def _fialkow_flux_div(p) -> Jets:
     return p.divergence(p.mc_cotton_trace - _shape_times_deflection(p))
 
 
-def _ratio_k3n4(k: int, n: int, extend: bool) -> float:
-    """``(k - 3) / (n - 4)``, continued to 1 at (k=3, n=4) when requested."""
+def _ratio_k3n4(k: int, n: int) -> float:
+    """``(k - 3) / (n - 4)``, continued to 1 at (k=3, n=4); a domain gate
+    lets n = 4 through only when the call passes ``extend=True``."""
     if n == 4:
-        if k == 3 and extend:
+        if k == 3:
             return 1.0
         raise GeometryError(
             "background dimension 4 puts this scalar on its pole; "
@@ -170,6 +248,7 @@ def _inv_n4(n: int) -> float:
 # -- the two divergence-type invariants --------------------------------------
 
 
+@_scalar(-4, "1 <= k < n", invariant=True)
 @per_pack
 def div_shape_weyl_a(p: SubmanifoldPack, route: str = "divergence") -> Jets:
     """Weight -4 invariant coupling the trace-free shape to the Weyl tensor.
@@ -191,6 +270,7 @@ def div_shape_weyl_a(p: SubmanifoldPack, route: str = "divergence") -> Jets:
     raise ValueError(f"unknown route {route!r}")
 
 
+@_scalar(-4, "1 <= k < n", invariant=True)
 @per_pack
 def div_shape_weyl_b(p: SubmanifoldPack, route: str = "divergence") -> Jets:
     """Weight -4 companion built from the normal-traced Weyl block.
@@ -210,38 +290,34 @@ def div_shape_weyl_b(p: SubmanifoldPack, route: str = "divergence") -> Jets:
 # -- the Fialkow-based quartic invariant --------------------------------------
 
 
-def fialkow_quartic_parts(p: SubmanifoldPack):
-    """The three second-order building blocks whose combination is invariant."""
-    k, n = p.k, p.n
-    if k < 2:
-        raise GeometryError("parts decomposition needs k >= 2")
-    G = p.fialkow_trace
-    Ptr = _trace(p, "mc_schouten")
-    part1 = (k - 1) * (-_laplacian(p, "fialkow_trace") + (k - 4) * G * Ptr)
-    part2 = (_fialkow_flux_div(p)
-             + 0.5 * (k - 4) * _inv_n4(n) * _trace(p, "mc_bach")
-             - 0.5 * (k - 4) * _deflection_norm2(p))
-    body = p.tracefree_square - p.weyl_partial_trace
-    part3 = (jet_einsum("ab,ab->", body, _up2(p, "mc_schouten"))
-             - (k - 1) * G * Ptr
-             + 0.5 * (k - 2) * _inv_n4(n) * _trace(p, "mc_bach")
-             - 0.5 * (k - 2) * _deflection_norm2(p))
-    return part1, part2, part3
-
-
+@_scalar(-4, "1 <= k < n and n != 4", invariant=True)
 @per_pack
-def fialkow_quartic(p: SubmanifoldPack, route: str = "direct",
+def fialkow_quartic(p: SubmanifoldPack, route: str = "direct", *,
                     extend: bool = False) -> Jets:
     """Weight -4 invariant organized around the Fialkow trace.
 
     ``route='direct'`` is the single displayed formula (valid for every
     1 <= k < n with n != 4); ``route='parts'`` assembles the same scalar
-    from the three separately-linearized pieces (needs k >= 2).
+    from three separately-linearized second-order pieces (needs k >= 2).
+    ``extend=True`` lets a call at n = 4 past the domain gate, and the
+    direct formula continues to the 3-in-4 case.
     """
     k, n = p.k, p.n
     if route == "parts":
-        p1, p2, p3 = fialkow_quartic_parts(p)
-        return p1 + (k - 6) * (p2 + p3)
+        if k < 2:
+            raise GeometryError("parts decomposition needs k >= 2")
+        G = p.fialkow_trace
+        Ptr = _trace(p, "mc_schouten")
+        part1 = (k - 1) * (-_laplacian(p, "fialkow_trace") + (k - 4) * G * Ptr)
+        part2 = (_fialkow_flux_div(p)
+                 + 0.5 * (k - 4) * _inv_n4(n) * _trace(p, "mc_bach")
+                 - 0.5 * (k - 4) * _deflection_norm2(p))
+        body = p.tracefree_square - p.weyl_partial_trace
+        part3 = (jet_einsum("ab,ab->", body, _up2(p, "mc_schouten"))
+                 - (k - 1) * G * Ptr
+                 + 0.5 * (k - 2) * _inv_n4(n) * _trace(p, "mc_bach")
+                 - 0.5 * (k - 2) * _deflection_norm2(p))
+        return part1 + (k - 6) * (part2 + part3)
     if route != "direct":
         raise ValueError(f"unknown route {route!r}")
     Ptr = _trace(p, "mc_schouten")
@@ -254,7 +330,7 @@ def fialkow_quartic(p: SubmanifoldPack, route: str = "direct",
     body = p.tracefree_square - p.weyl_partial_trace
     bracket = (jet_einsum("ab,ab->", body, _up2(p, "mc_schouten"))
                + _fialkow_flux_div(p)
-               + _ratio_k3n4(k, n, extend) * _trace(p, "mc_bach")
+               + _ratio_k3n4(k, n) * _trace(p, "mc_bach")
                - (k - 3) * _deflection_norm2(p))
     return head + (k - 6) * bracket
 
@@ -269,38 +345,36 @@ def minimal_einstein_fialkow_quartic(p: SubmanifoldPack, lam: float) -> Jets:
 # -- the Weyl-trace quartic invariant -----------------------------------------
 
 
-def weyl_trace_quartic_parts(p: SubmanifoldPack):
-    k, n = p.k, p.n
-    Wd = p.weyl_double_trace
-    Ptr = _trace(p, "mc_schouten")
-    part1 = -_laplacian(p, "weyl_double_trace") + (k - 4) * Wd * Ptr
-    part2 = (p.divergence(p.mc_cotton_trace)
-             + 0.5 * (k - 4) * _inv_n4(n) * _trace(p, "mc_bach"))
-    mixed = p.weyl_partial_trace - 0.5 * (Wd * p.induced)
-    part3 = (jet_einsum("ab,ab->", mixed, _up2(p, "mc_schouten"))
-             - _shape_dot_mc_cotton(p) - _deflection_dot_weyl(p)
-             - 0.5 * (k - 2) * _inv_n4(n) * _trace(p, "mc_bach"))
-    return part1, part2, part3
-
-
-def weyl_trace_quartic(p: SubmanifoldPack, route: str = "direct",
+@_scalar(-4, "1 <= k < n and n != 4", invariant=True)
+def weyl_trace_quartic(p: SubmanifoldPack, route: str = "direct", *,
                        extend: bool = False) -> Jets:
     """Weight -4 invariant organized around the tangential Weyl trace.
 
     Evaluates to zero in codimension one.  ``route='parts'`` assembles it
-    from the three separately-linearized pieces.
+    from three separately-linearized second-order pieces.  ``extend=True``
+    continues the direct formula to the 3-in-4 case, as for
+    :func:`fialkow_quartic`.
     """
     k, n = p.k, p.n
     if route == "parts":
-        j1, j2, j3 = weyl_trace_quartic_parts(p)
-        return j1 - 2.0 * (k - 6) * (j2 - j3)
+        Wd = p.weyl_double_trace
+        Ptr = _trace(p, "mc_schouten")
+        part1 = -_laplacian(p, "weyl_double_trace") + (k - 4) * Wd * Ptr
+        part2 = (p.divergence(p.mc_cotton_trace)
+                 + 0.5 * (k - 4) * _inv_n4(n) * _trace(p, "mc_bach"))
+        mixed = p.weyl_partial_trace - 0.5 * (Wd * p.induced)
+        part3 = (jet_einsum("ab,ab->", mixed, _up2(p, "mc_schouten"))
+                 - _shape_dot_mc_cotton(p) - _deflection_dot_weyl(p)
+                 - 0.5 * (k - 2) * _inv_n4(n) * _trace(p, "mc_bach"))
+        return part1 - 2.0 * (k - 6) * (part2 - part3)
     if route != "direct":
         raise ValueError(f"unknown route {route!r}")
-    ratio = _ratio_k3n4(k, n, extend)
+    ratio = _ratio_k3n4(k, n)
     return (_weyl_trace_head(p)
             - 2.0 * (k - 6) * ratio * _trace(p, "mc_bach"))
 
 
+@_scalar(-4, "1 <= k < n", invariant=True)
 def weyl_trace_quartic_scaled(p: SubmanifoldPack) -> Jets:
     """``(n - 4)`` times the Weyl-trace quartic; finite in every dimension."""
     k, n = p.k, p.n
@@ -326,6 +400,7 @@ def minimal_einstein_weyl_trace_quartic(p: SubmanifoldPack,
     return -_laplacian(p, "weyl_double_trace") + 2.0 * lam * (p.k - 3) * Wd
 
 
+@_scalar(-4, "1 <= k < n", invariant=True)
 @per_pack
 def tracefree_quartic_combo(p: SubmanifoldPack) -> Jets:
     """The pole-free combination (twice the Fialkow quartic plus the
@@ -344,19 +419,19 @@ def tracefree_quartic_combo(p: SubmanifoldPack) -> Jets:
 # -- Q-curvature family --------------------------------------------------------
 
 
+@_scalar(-4, "3 <= k < n")
 @per_pack
 def intrinsic_q4(p: SubmanifoldPack) -> Jets:
     """Fourth-order Q-curvature of the induced metric (any k >= 3)."""
-    _require(p, "intrinsic_q4")
     J = p.intrinsic_jtrace
     P2 = _pair(p, "intrinsic_schouten", "intrinsic_schouten")
     return -_laplacian(p, "intrinsic_jtrace") - 2.0 * P2 + 0.5 * p.k * J * J
 
 
+@_scalar(-4, "3 <= k < n and n != 4")
 @per_pack
 def q4_extrinsic_correction(p: SubmanifoldPack) -> Jets:
     """The extrinsic correction scalar; a pure divergence when k = 4."""
-    _require(p, "q4_extrinsic_correction")
     k, n = p.k, p.n
     G = p.fialkow_trace
     FP = _pair(p, "fialkow", "mc_schouten")
@@ -368,6 +443,7 @@ def q4_extrinsic_correction(p: SubmanifoldPack) -> Jets:
             + (k - 4) * (k - 5) * _deflection_norm2(p))
 
 
+@_scalar(-4, "3 <= k < n and n != 4")
 def extrinsic_q4(p: SubmanifoldPack, route: str = "assembled") -> Jets:
     """Fourth-order extrinsic Q-curvature, 3 <= k < n, n != 4.
 
@@ -377,7 +453,6 @@ def extrinsic_q4(p: SubmanifoldPack, route: str = "assembled") -> Jets:
     kept explicit; ``'gauss_bonnet'`` (k = 4 only) rebuilds Q from twice
     the intrinsic Pfaffian, the pointwise defect, and the divergence flux.
     """
-    _require(p, "extrinsic_q4")
     k, n = p.k, p.n
     if route == "assembled":
         G = p.fialkow_trace
@@ -402,6 +477,12 @@ def extrinsic_q4(p: SubmanifoldPack, route: str = "assembled") -> Jets:
     raise ValueError(f"unknown route {route!r}")
 
 
+@_scalar(-2, "k == 2 < n")
+def extrinsic_q2(p: SubmanifoldPack) -> Jets:
+    """Second-order extrinsic Q-curvature of a surface."""
+    return p.intrinsic_jtrace + gauss_bonnet_defect(p)
+
+
 def q4_divergence_flux(p: SubmanifoldPack) -> Jets:
     """The total divergence split off from the critical Q-curvature (k=4)."""
     if p.k != 4:
@@ -416,6 +497,7 @@ def _intrinsic_weyl_norm2(p) -> Jets:
     return p.norm2(p.intrinsic_weyl, "tttt")
 
 
+@_scalar(None, "k in (2, 4) and k < n")
 def intrinsic_pfaffian(p: SubmanifoldPack) -> Jets:
     """Pfaffian density of the induced metric for k in {2, 4}.
 
@@ -423,7 +505,6 @@ def intrinsic_pfaffian(p: SubmanifoldPack) -> Jets:
     or 4-manifold gives the Euler characteristic; for k = 2 it equals the
     Gauss curvature.
     """
-    _require(p, "intrinsic_pfaffian")
     if p.k == 2:
         return p.intrinsic_jtrace
     J = p.intrinsic_jtrace
@@ -431,24 +512,18 @@ def intrinsic_pfaffian(p: SubmanifoldPack) -> Jets:
     return 0.5 * (0.25 * _intrinsic_weyl_norm2(p) - 2.0 * P2 + 2.0 * J * J)
 
 
+@_scalar(None, "k in (2, 4) and k < n", invariant=True)
 def gauss_bonnet_defect(p: SubmanifoldPack) -> Jets:
     """Pointwise conformally invariant defect in Q = Pfaffian + defect - div.
 
     Weight -2 for surfaces (half the trace-free shape norm minus the
     tangential Weyl component), weight -4 for k = 4.
     """
-    _require(p, "gauss_bonnet_defect")
     if p.k == 2:
         return 0.5 * p.tracefree_norm2 - 0.5 * p.weyl_double_trace
     G = p.fialkow_trace
     return (-0.25 * _intrinsic_weyl_norm2(p) + fialkow_quartic(p)
             + 2.0 * _pair(p, "fialkow", "fialkow") - 2.0 * G * G)
-
-
-def extrinsic_q2(p: SubmanifoldPack) -> Jets:
-    """Second-order extrinsic Q-curvature of a surface."""
-    _require(p, "extrinsic_q2")
-    return p.intrinsic_jtrace + gauss_bonnet_defect(p)
 
 
 # -- Paneitz-type operators ----------------------------------------------------
@@ -607,6 +682,7 @@ def _mean_shape_weyl_trace(p) -> Jets:
                       p.weyl_partial_trace)
 
 
+@_scalar(-4, "3 <= k < n and k != 6", invariant=True)
 def willmore_quartic(p: SubmanifoldPack, route: str = "general") -> Jets:
     """Weight -4 Willmore-type invariant (3 <= k < n, k != 6).
 
@@ -614,7 +690,6 @@ def willmore_quartic(p: SubmanifoldPack, route: str = "general") -> Jets:
     four-dimensional hypersurface ``route='hypersurface'`` evaluates the
     specialized shape-operator display, which must agree.
     """
-    _require(p, "willmore_quartic")
     k, n = p.k, p.n
     if route == "general":
         return (k * (k - 1) / (4.0 * (k - 6)) * tracefree_quartic_combo(p)
@@ -687,11 +762,11 @@ def _double_div(p, name: str) -> Jets:
     return p.divergence(p.divergence(getattr(p, name), "tt"))
 
 
+@_scalar(-4, "4 <= k < n and k != 6", invariant=True)
 def transverse_weyl_quartic_a(p: SubmanifoldPack,
                               route: str = "general") -> Jets:
     """Weight -4 invariant extending a transverse-curvature hypersurface
     scalar to all codimensions (4 <= k < n, k != 6)."""
-    _require(p, "transverse_weyl_quartic_a")
     k, n = p.k, p.n
     if route == "general":
         return (-(k - 2) / (2.0 * (k - 3) * (k - 6))
@@ -725,10 +800,10 @@ def transverse_weyl_quartic_a(p: SubmanifoldPack,
     raise ValueError(f"unknown route {route!r}")
 
 
+@_scalar(-4, "4 <= k < n and k != 6", invariant=True)
 def transverse_weyl_quartic_b(p: SubmanifoldPack,
                               route: str = "general") -> Jets:
     """Companion weight -4 invariant (4 <= k < n, k != 6)."""
-    _require(p, "transverse_weyl_quartic_b")
     k, n = p.k, p.n
     if route == "general":
         return (-tracefree_quartic_combo(p) / (2.0 * (k - 3) * (k - 6))
@@ -762,10 +837,10 @@ def transverse_weyl_quartic_b(p: SubmanifoldPack,
     raise ValueError(f"unknown route {route!r}")
 
 
+@_scalar(-4, "2 <= k < n", invariant=True)
 def anomaly_quartic_a(p: SubmanifoldPack, route: str = "general") -> Jets:
     """Weight -4 invariant whose k = 4 integral reproduces a known
     holographic-anomaly scalar (2 <= k < n)."""
-    _require(p, "anomaly_quartic_a")
     k, n = p.k, p.n
     if route == "general":
         return (0.5 * tracefree_quartic_combo(p)
@@ -808,9 +883,9 @@ def _ambient_pair_weyl_squares(p):
             p.norm2(Z, "aa"))
 
 
+@_scalar(-4, "2 <= k < n and k not in (3, 6)", invariant=True)
 def anomaly_quartic_b(p: SubmanifoldPack, route: str = "general") -> Jets:
     """Second anomaly-type weight -4 invariant (2 <= k < n, k not in {3, 6})."""
-    _require(p, "anomaly_quartic_b")
     k, n = p.k, p.n
     if route == "general":
         s1, s2, s3 = _ambient_pair_weyl_squares(p)
@@ -859,92 +934,3 @@ def anomaly_quartic_b(p: SubmanifoldPack, route: str = "general") -> Jets:
                 - 4.0 * (n - 5) / 3.0 * p.divergence(p.mc_cotton_trace)
                 + cho)
     raise ValueError(f"unknown route {route!r}")
-
-
-# -- registry -------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class InvariantSpec:
-    """One evaluable scalar with its validity range and conformal class.
-
-    ``weight`` is the conformal weight w in the compensation rule
-    e^{-w Upsilon} (value in rescaled metric) = (value in original metric);
-    ``None`` marks the dimension-graded densities whose weight is -k.
-    ``dims`` states the domain once, as a Python condition on ``k`` and
-    ``n``: it is compiled into ``valid`` and quoted by the domain error.
-    ``name`` is the name of ``compute``.  ``invariant`` marks the pointwise
-    conformal invariants.
-    """
-
-    weight: int | None
-    dims: str
-    compute: Callable[[SubmanifoldPack], Jets]
-    invariant: bool = False
-    name: str = field(init=False)
-    valid: Callable[[int, int], bool] = field(init=False, repr=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "name", self.compute.__name__)
-        object.__setattr__(self, "valid", eval(f"lambda k, n: {self.dims}", {}))
-
-    def weight_at(self, k: int) -> int:
-        return -k if self.weight is None else self.weight
-
-
-REGISTRY: dict[str, InvariantSpec] = {
-    spec.name: spec for spec in [
-        InvariantSpec(-4, "1 <= k < n", div_shape_weyl_a, invariant=True),
-        InvariantSpec(-4, "1 <= k < n", div_shape_weyl_b, invariant=True),
-        InvariantSpec(-4, "1 <= k < n and n != 4", fialkow_quartic,
-                      invariant=True),
-        InvariantSpec(-4, "1 <= k < n and n != 4", weyl_trace_quartic,
-                      invariant=True),
-        InvariantSpec(-4, "1 <= k < n", weyl_trace_quartic_scaled,
-                      invariant=True),
-        InvariantSpec(-4, "1 <= k < n", tracefree_quartic_combo,
-                      invariant=True),
-        InvariantSpec(-4, "3 <= k < n", intrinsic_q4),
-        InvariantSpec(-4, "3 <= k < n and n != 4", q4_extrinsic_correction),
-        InvariantSpec(-4, "3 <= k < n and n != 4", extrinsic_q4),
-        InvariantSpec(-2, "k == 2 < n", extrinsic_q2),
-        InvariantSpec(None, "k in (2, 4) and k < n", intrinsic_pfaffian),
-        InvariantSpec(None, "k in (2, 4) and k < n", gauss_bonnet_defect,
-                      invariant=True),
-        InvariantSpec(-4, "3 <= k < n and k != 6", willmore_quartic,
-                      invariant=True),
-        InvariantSpec(-4, "4 <= k < n and k != 6", transverse_weyl_quartic_a,
-                      invariant=True),
-        InvariantSpec(-4, "4 <= k < n and k != 6", transverse_weyl_quartic_b,
-                      invariant=True),
-        InvariantSpec(-4, "2 <= k < n", anomaly_quartic_a, invariant=True),
-        InvariantSpec(-4, "2 <= k < n and k not in (3, 6)", anomaly_quartic_b,
-                      invariant=True),
-    ]
-}
-
-
-def available(k: int, n: int) -> list[str]:
-    """Names evaluable at the given submanifold/background dimensions."""
-    return [name for name, spec in REGISTRY.items() if spec.valid(k, n)]
-
-
-def _require(p: SubmanifoldPack, name: str) -> None:
-    """Raise unless the registered scalar ``name`` is defined at p's (k, n)."""
-    spec = REGISTRY.get(name)
-    if spec is None:
-        raise KeyError(f"unknown scalar {name!r}; registered: {sorted(REGISTRY)}")
-    if not spec.valid(p.k, p.n):
-        raise GeometryError(f"{name} is defined for {spec.dims}, got k={p.k}, n={p.n}")
-
-
-def evaluate(p: SubmanifoldPack, name: str) -> Jets:
-    """Evaluate one registered scalar, enforcing its validity range."""
-    _require(p, name)
-    return REGISTRY[name].compute(p)
-
-
-def evaluate_all(p: SubmanifoldPack) -> dict[str, float]:
-    """Point values of every scalar valid at the pack's dimensions."""
-    return {name: float(evaluate(p, name).value)
-            for name in available(p.k, p.n)}

@@ -409,8 +409,8 @@ class Jets:
 
     def reciprocal(self) -> "Jets":
         v = self.value
-        if np.any(v == 0):
-            raise ZeroDivisionError("reciprocal of jet with zero value")
+        if not np.all(np.abs(v) > 0):
+            raise ZeroDivisionError("reciprocal of zero or NaN jet value")
         derivs = [1.0 / v]
         for m in range(1, self.space.top_degree + 1):
             derivs.append(((-1.0) ** m) * math.factorial(m) / v ** (m + 1))

@@ -671,6 +671,22 @@ def test_strata_vanishing_is_sharp():
         assert mag > 1e-3, f"stratum {j} never lights up ({mag})"
 
 
+def test_deepest_strata_factor_is_zero_on_the_pack():
+    # the depth-j factor carries the (j + 1)-st power of a defining
+    # function: below PACK_ORDER its pack jet is visibly nonzero, at
+    # PACK_ORDER it has no monomial a pack keeps and is identically zero,
+    # so the battery's deepest row cannot fail at this pack order
+    sc = scene(4, 5, 3)
+    p = SubmanifoldPack(sc.metric, sc.patch, sc.point, param=True)
+    depths = sorted({el.stratum for el in cf.QUARTIC_STRATA})
+    assert depths == list(range(PACK_ORDER + 1))
+    mags = [cf._gap(cf._upsilon_jets(
+                p, cf.transverse_vanishing_upsilon(sc, j, seed=3 + 10 * j))[0].coeffs)
+            for j in depths]
+    assert np.min(mags[:-1]) > 1e-6, mags
+    assert mags[-1] == 0.0, mags
+
+
 def vanishes_through(upsilon, x_point, order: int) -> bool:
     """Whether every derivative of ``upsilon`` through total order ``order``
     vanishes at ``x_point``: its order-``order`` jet there is zero to within

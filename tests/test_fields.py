@@ -29,7 +29,7 @@ from qgeo.fields import (
     flat_metric,
 )
 from qgeo.jets import Composer, constant, jet_mul, jets_stack, variables
-from qgeo.scenes import random_scene, scene_by_name
+from qgeo.scenes import equatorial_sphere, random_scene, scene_by_name
 from qgeo.submanifold import SubmanifoldPack
 
 
@@ -194,3 +194,10 @@ def test_pure_t_displacements_are_rejected():
     pulled = Composer(jets_stack(coords))(
         fn(variables([c.value for c in coords[:2]], 3, param=True)))
     assert np.max(np.abs(pulled.coeffs - fn(coords).coeffs)) < 1e-13
+
+
+@pytest.mark.parametrize("radius", [0.0, np.nan, -1.0, np.inf])
+def test_sphere_radius_must_be_positive_and_finite(radius):
+    message = f"sphere-chart radius must be positive and finite, got {radius!r}"
+    with pytest.raises(GeometryError, match=re.escape(message)):
+        equatorial_sphere(2, 4, radius=radius)

@@ -396,7 +396,8 @@ def test_unknown_route_is_named(name):
 
 # call on a pack, its (k, n), and a fragment of the message it must raise
 GUARDS = [
-    (inv.fialkow_quartic_parts, (2, 4), "puts this scalar on its pole"),
+    (lambda p: inv.fialkow_quartic(p, route="parts", extend=True), (3, 4),
+     "puts this scalar on its pole"),
     (lambda p: inv.fialkow_quartic(p, route="parts"), (1, 3),
      "parts decomposition needs k >= 2"),
     (lambda p: inv.extrinsic_q4(p, route="gauss_bonnet"), (3, 5),
@@ -460,9 +461,11 @@ def test_continuation_is_not_offered_off_the_special_case():
 
 
 def test_registry_names_match_functions():
+    # a direct call and ``evaluate`` pass through the one domain gate
     for name, spec in inv.REGISTRY.items():
         assert spec.name == name
         assert callable(spec.compute) and callable(spec.valid)
+        assert getattr(inv, name) is spec.compute
 
 
 def test_registry_availability_reflects_dimensions():
@@ -498,16 +501,14 @@ def test_registry_evaluates_everything_available():
 
 def test_registry_pins_every_scalar_domain():
     # a direct call outside the registered domain fails as ``evaluate``
-    # does, naming the scalar; the two quartics with a continuation past
-    # n = 4 keep their pole message instead
+    # does, naming the scalar
     calls = 0
     for (k, n) in ALL_DIMS:
         p = random_pack(k, n, 11)
         for name, spec in inv.REGISTRY.items():
             if spec.valid(k, n):
                 continue
-            want = ("on its pole" if name in ("fialkow_quartic", "weyl_trace_quartic")
-                    else f"^{name} is defined for {re.escape(spec.dims)}, "
+            want = (f"^{name} is defined for {re.escape(spec.dims)}, "
                     f"got k={k}, n={n}$")
             with pytest.raises(GeometryError, match=want):
                 spec.compute(p)

@@ -896,10 +896,16 @@ def test_domain_errors():
 
 
 @pytest.mark.parametrize("value", [np.nan, [1.0, np.nan]], ids=["scalar", "batch"])
-@pytest.mark.parametrize("fn", ["sqrt", "log"])
-def test_nan_values_are_domain_errors(fn, value):
-    # NaN <= 0 is false, so the guard must ask for every value to be positive
-    with pytest.raises(FloatingPointError, match=f"{fn} of non-positive or NaN"):
+@pytest.mark.parametrize("fn,error,message", [
+    pytest.param("sqrt", FloatingPointError, "sqrt of non-positive or NaN", id="sqrt"),
+    pytest.param("log", FloatingPointError, "log of non-positive or NaN", id="log"),
+    pytest.param("reciprocal", ZeroDivisionError,
+                 "reciprocal of zero or NaN jet value", id="reciprocal"),
+])
+def test_nan_values_are_domain_errors(fn, error, message, value):
+    # NaN <= 0 and NaN == 0 are false, so each guard must ask for every
+    # value to be inside its domain
+    with pytest.raises(error, match=f"^{message}"):
         getattr(constant(value, space(2, 2)), fn)()
 
 
