@@ -11,6 +11,13 @@ full pack order and fourth-derivative quantities stay exact.  Central
 differences at ``t = +/-1e-4`` on ordinary packs are kept only as the
 independent cross-check of ``cross_check=True`` reports.
 
+Batteries that draw the same factor on one scene share its parameter
+pack: it is built once per (scene object, factor object) and kept in a
+one-slot cache that the next engine of another scene or factor replaces
+when it is constructed (see :class:`_Engine`).  ``random_upsilon`` hands
+out one object per draw, so the invariance and tangential batteries of
+one scene and seed build one parameter pack between them.
+
 Stored components mix a coordinate tangent frame with an orthonormal
 normal frame.  Re-running Gram-Schmidt against ``exp(2 t Upsilon) g``
 rescales each normal vector by ``exp(-t Upsilon)`` and changes nothing
@@ -180,7 +187,16 @@ class _Engine:
 
     ``Upsilon`` reaches each pack through :func:`_upsilon_jets`, kept on
     the pack under the factor, so the engine holds nothing but its
-    ``t -> pack`` table.
+    ``t -> pack`` tables.
+
+    The parameter pack alone is shared between engines, through one slot:
+    ``_last`` holds the scene, the factor and the parameter-pack table of
+    the last engine constructed.  A new engine whose scene and factor are
+    those objects (``is``, not ``==``) adopts that table, so batteries that
+    draw the same factor on one scene build its parameter pack once; any
+    other engine replaces the slot when it is constructed, so no parameter
+    pack outlives the first engine of the next battery unless that engine
+    adopts it.  Finite packs are never shared.
 
     Every variation has one signature, ``(evaluator, weight)``: the
     variation of ``evaluator(pack)`` compensated by ``exp(-weight t
@@ -191,10 +207,18 @@ class _Engine:
     Upsilon`` exactly and the nilpotent route forms no jet exponential.
     """
 
+    #: ``(scene, factor, {None: parameter pack})`` of the last engine built
+    _last = (None, None, {})
+
     def __init__(self, scene: Scene, upsilon):
         self.scene = scene
         self.upsilon = upsilon
-        self._packs = {}  # t -> its pack, t=None the parameter pack
+        last_scene, last_upsilon, shared = _Engine._last
+        if not (last_scene is scene and last_upsilon is upsilon):
+            shared = {}
+            _Engine._last = (scene, upsilon, shared)
+        self._shared = shared  # None -> the parameter pack, shared
+        self._packs = {}  # finite t -> its pack
 
     # --- packs ---
     @property
@@ -204,12 +228,13 @@ class _Engine:
     def finite(self, t: float | tuple | None) -> SubmanifoldPack:
         """The pack of ``exp(2 t Upsilon) g``; ``t=None`` is the parameter,
         a tuple of floats one member per ``t`` (for a single factor)."""
-        if t not in self._packs:
+        packs = self._shared if t is None else self._packs
+        if t not in packs:
             sc = self.scene
             ghat = conformally_rescaled(sc.metric, self.upsilon, t=t)
-            self._packs[t] = SubmanifoldPack(ghat, sc.patch, sc.point,
-                                             param=t is None)
-        return self._packs[t]
+            packs[t] = SubmanifoldPack(ghat, sc.patch, sc.point,
+                                       param=t is None)
+        return packs[t]
 
     # --- restriction data of Upsilon, read at t^0 of the parameter pack ---
     @cached_property
@@ -240,7 +265,8 @@ class _Engine:
         ``exp(w s Upsilon)``.  A battery whose operator acts on a rescaled
         operand multiplies the operand by it inside its evaluator.
         """
-        ts = [t for t, q in self._packs.items() if q is pack]
+        ts = [t for packs in (self._shared, self._packs)
+              for t, q in packs.items() if q is pack]
         if not ts:
             raise ValueError(
                 f"the {'parameter' if pack.param else 'plain'} pack of "

@@ -103,13 +103,18 @@ class Polynomial:
     variables (the jets ``variables`` returns, in a space that may hold
     more variables and the parameter ``t``) that is the whole jet.  Any
     other input is composed with that jet by a ``Composer``.
+
+    ``coeffs`` is a read-only copy of the array passed in: a polynomial
+    may be shared (``random_upsilon`` hands out one object per draw), so
+    no caller can change it in place.
     """
 
     def __init__(self, nvars: int, degree: int, coeffs):
         self.nvars = nvars
         self.degree = degree
         self.mindex = _multi_indices(nvars, degree)
-        self.coeffs = np.asarray(coeffs, dtype=float)
+        self.coeffs = np.array(coeffs, dtype=float)
+        self.coeffs.flags.writeable = False
         if self.coeffs.shape[-1] != len(self.mindex):
             raise ValueError(
                 f"need {len(self.mindex)} coefficients per component, "

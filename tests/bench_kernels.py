@@ -38,7 +38,11 @@ members.  The last pair times the block orders: the five Weyl blocks that
 ``SubmanifoldPack.block`` cuts below the pulled Weyl tensor (``tntn``,
 ``ntnt``, ``ttnn``, ``tttn``, ``ttnt``) projected on a three-member
 parameter pack (the first three strata factors) at the tensor's order 2
-and at their ``_SLACK`` orders, frames already built.
+and at their ``_SLACK`` orders, frames already built.  The last case
+times one ``certify-k4n5`` benchmark op: the invariance, tangential,
+strata and Q batteries, in that order, on a fresh ``random_scene(4, 5,
+3)`` each round, so the invariance and tangential batteries share one
+parameter pack and no pack or chart carries over between rounds.
 
 For an A/B against another checkout, run each side's own copy of this
 file from the root of its own tree.  ``pyproject.toml`` puts ``src`` on
@@ -291,3 +295,23 @@ def test_weyl_blocks_on_parameter_pack(benchmark, cut):
     out = benchmark(blocks)
     assert weyl.members == 3 and [b.order for b in out] == (
         [0, 0, 0, 1, 1] if cut else [2] * 5)
+
+
+def fresh_certify_scene():
+    return (random_scene(4, 5, seed=3),), {}
+
+
+def certify_batteries(sc):
+    return (cf.check_invariance(sc, seed=3),
+            cf.check_tangential_dependence(sc, seed=3),
+            cf.check_strata_vanishing(sc, seed=3),
+            cf.check_q_transformation(scenes=[sc], seed=3))
+
+
+def test_certify_batteries_on_a_fresh_scene(benchmark):
+    out = benchmark.pedantic(certify_batteries, setup=fresh_certify_scene,
+                             rounds=10, iterations=1)
+    invariance, tangential, strata, q = out
+    assert len(tangential["reports"]) == len(cf._LEMMA_ROWS)
+    assert sorted(strata["vanishing"]) == [0, 1, 2, 3, 4] and len(q) == 1
+    assert all(row["variation"] < 1e-7 for row in invariance.values())

@@ -13,7 +13,9 @@ stratified vanishing of the quartic building blocks must be sharp (dead
 strata at zero, living strata visibly nonzero).
 """
 
+import gc
 import re
+import weakref
 from collections import defaultdict
 from functools import cached_property, lru_cache
 
@@ -274,9 +276,11 @@ def test_batteries_at_one_point_share_two_charts(monkeypatch, pack_builds):
     # parameter packs of all four batteries at one point share the plain
     # and the parameter chart, and their Composer tables.  The packs are
     # 2 of the invariance battery (parameter, one with members t = 0.1 and
-    # -0.07), 2 of the tangential one (two parameter), 2 of the strata one
-    # (two parameter packs of three factors each) and 2 of the Q one
-    # (plain, one at t = 1 with a member per factor)
+    # -0.07), 1 of the tangential one (the parameter pack of its vanishing
+    # factor: its random factor is the invariance battery's, whose
+    # parameter pack it reuses), 2 of the strata one (two parameter packs
+    # of three factors each) and 2 of the Q one (plain, one at t = 1 with
+    # a member per factor)
     charts, tables = [], []
     chart_jets, monomial_table = ImmersedPatch.jets, jets.monomial_table
     monkeypatch.setattr(ImmersedPatch, "jets", lambda self, *a, **kw: (
@@ -290,7 +294,70 @@ def test_batteries_at_one_point_share_two_charts(monkeypatch, pack_builds):
     cf.check_q_transformation(scenes=[sc], seed=2)
     assert len(charts) == 2
     assert len(tables) <= 10
-    assert len(pack_builds) == 8
+    assert len(pack_builds) == 7
+
+
+def test_engines_share_the_parameter_pack_of_one_scene_and_factor(pack_builds):
+    # the slot is keyed by the scene and factor objects: the same pair
+    # adopts the pack, a scene of equal contents or another factor builds
+    # its own, and so does the pair that replaced it in between
+    sc, twin = random_scene(4, 5, 2), random_scene(4, 5, 2)
+    ups, other = random_upsilon(5, seed=4), random_upsilon(5, seed=5)
+    first = cf._Engine(sc, ups).param
+    assert cf._Engine(sc, ups).param is first
+    assert len(pack_builds) == 1
+    assert cf._Engine(twin, ups).param is not first
+    assert cf._Engine(twin, other).param is not first
+    assert cf._Engine(sc, ups).param is not first
+    assert len(pack_builds) == 4
+
+
+def test_parameter_pack_dies_with_the_next_batterys_engines(monkeypatch):
+    # the slot keeps the invariance battery's parameter pack, and not its
+    # finite pack, for the next battery of its scene and factor; the
+    # strata battery's first engine replaces it and keeps only the second
+    # engine's pack, which the Q battery's engine replaces.  Nothing else
+    # holds a pack, so each is freed at once, cycles collected or not
+    packs = []
+    init = SubmanifoldPack.__init__
+
+    def record(self, *a, **kw):
+        packs.append((weakref.ref(self), kw.get("param", False)))
+        init(self, *a, **kw)
+
+    monkeypatch.setattr(SubmanifoldPack, "__init__", record)
+    alive = lambda: [param for ref, param in packs if ref() is not None]
+    sc = random_scene(4, 5, 2)
+    gc.disable()
+    try:
+        cf.check_invariance(sc, seed=2)
+        assert len(packs) == 2 and alive() == [True]
+        cf.check_strata_vanishing(sc, seed=2)
+        assert not packs[0][0]() and len(alive()) == 1
+        cf.check_q_transformation(scenes=[sc], seed=2)
+        assert alive() == []
+    finally:
+        gc.enable()
+
+
+def test_tangential_battery_after_invariance_is_a_fresh_run(pack_builds):
+    # the reused parameter pack carries what the invariance battery read;
+    # the tangential battery's output is the same to the last bit
+    def run(after_invariance):
+        sc = random_scene(4, 5, 2)
+        if after_invariance:
+            cf.check_invariance(sc, seed=2)
+        pack_builds.clear()
+        out = cf.check_tangential_dependence(sc, seed=2)
+        return out, len(pack_builds)
+
+    (shared, built), (fresh, built_fresh) = run(True), run(False)
+    assert (built, built_fresh) == (1, 2)
+    assert [(r.quantity, r.numeric.tobytes(), r.residual, r.method_gap)
+            for r in shared.pop("reports")] == [
+        (r.quantity, r.numeric.tobytes(), r.residual, r.method_gap)
+        for r in fresh.pop("reports")]
+    assert shared == fresh
 
 
 @pytest.mark.parametrize("battery,calls", [

@@ -29,7 +29,12 @@ from qgeo.fields import (
     flat_metric,
 )
 from qgeo.jets import Composer, constant, jet_mul, jets_stack, variables
-from qgeo.scenes import equatorial_sphere, random_scene, scene_by_name
+from qgeo.scenes import (
+    equatorial_sphere,
+    random_scene,
+    random_upsilon,
+    scene_by_name,
+)
 from qgeo.submanifold import SubmanifoldPack
 
 
@@ -104,6 +109,29 @@ def test_coordinate_inputs_make_no_jet_products(monkeypatch):
 def test_polynomial_needs_one_jet_per_variable():
     with pytest.raises(ValueError):
         random_polynomial(3, 2)(variables(POINT[:2], 2))
+
+
+def test_polynomial_keeps_a_read_only_copy_of_its_coefficients():
+    # a shared factor must not change under any caller's write
+    c = np.random.default_rng(0).uniform(-1.0, 1.0, (2, 10))
+    poly = Polynomial(3, 2, c)
+    before = poly.coeffs.copy()
+    with pytest.raises(ValueError, match="read-only"):
+        poly.coeffs[0, 0] = 5.0
+    c[...] = 7.0
+    assert np.array_equal(poly.coeffs, before)
+
+
+def test_random_upsilon_is_one_object_per_draw():
+    # positional or keyword, with or without the default degree: one key
+    ups = random_upsilon(5, 3)
+    assert ups is random_upsilon(5, seed=3, degree=4)
+    assert ups is random_upsilon(5, 3, 4)
+    assert ups is random_upsilon(n=5, seed=3)
+    assert ups is not random_upsilon(5, 3, degree=3)
+    assert ups is not random_upsilon(5, 4)
+    with pytest.raises(TypeError):
+        random_upsilon(5, 3.0)
 
 
 # constructor or call, the exception it must raise, and a message fragment
