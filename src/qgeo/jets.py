@@ -28,7 +28,9 @@ pass, ``_product``, whose scatter is one call of scipy's compiled CSR kernel
 most products.  Only its extension file ``scipy/sparse/_sparsetools`` is
 loaded, as ``qgeo._sparsetools``: ``import scipy.sparse`` would run the
 whole package, half of a cold start.  It is private scipy API, so
-``tests/test_jets.py`` pins the product against the ``@`` form.
+``tests/test_jets.py`` pins the product against the ``@`` form.  Most
+products are small, so the bookkeeping is cached (``_recipe``) or skipped
+(``_common`` tests first for operands that need no alignment).
 
 A jet may carry a leading *member* axis, ``members`` long: several jets
 of one space evaluated as one batch, e.g. a metric under several
@@ -38,6 +40,7 @@ axis, as ``jets_stack`` does; ``+``, ``-`` and ``jet_mul`` broadcast a
 member-less operand over the members; products and ``jet_trace`` add the
 implicit subscript letter ``_MEMBER``.  Each member gets the bits of the
 member-less computation, and a member-less jet runs the plain class.
+``_MEMBER_CHUNK`` bounds a one-pass member product; it is read per call.
 """
 
 from __future__ import annotations
@@ -46,6 +49,7 @@ import functools
 import importlib.machinery
 import importlib.util
 import math
+from collections import namedtuple
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -278,7 +282,7 @@ class Jets:
 
     def truncate(self, order: int) -> "Jets":
         """The jet to a lower order (a prefix slice; never raises the order)."""
-        if order >= self.order:
+        if order >= self.space.order:
             return self
         sub = space(self.space.nvars, order, self.space.param)
         return type(self)(sub, self.coeffs[..., : sub.size])
@@ -331,6 +335,8 @@ class Jets:
         return (-self) + other
 
     def __mul__(self, other):
+        if isinstance(other, float):
+            return type(self)(self.space, self.coeffs * other)
         if isinstance(other, Jets):
             return jet_mul(self, other)
         arr = np.asarray(other, dtype=float)
@@ -341,7 +347,10 @@ class Jets:
     def __truediv__(self, other):
         if isinstance(other, Jets):
             return jet_mul(self, other.reciprocal())
-        return self * (1.0 / np.asarray(other, dtype=float))
+        arr = np.asarray(other, dtype=float)
+        if not (np.abs(arr) > 0).all():
+            raise ZeroDivisionError("division of jets by zero or NaN")
+        return self * (1.0 / arr)
 
     def __rtruediv__(self, other):
         return self.reciprocal() * other
@@ -351,6 +360,9 @@ class Jets:
             raise TypeError("jet powers must be integers; use exp/log for the rest")
         if n < 0:
             return self.reciprocal() ** (-n)
+        if n == 0:  # ones of the base's batch and members
+            return constant(np.ones(self.coeffs.shape[:-1]), self.space,
+                            members=bool(self.members))
         out = constant(1.0, self.space)
         base = self
         n = int(n)
@@ -485,22 +497,19 @@ def variables(point, order: int, param: bool = False):
 
 def jets_stack(items) -> Jets:
     """Stack jets (at their lowest order) and constants into one ``Jets``;
-    jets of different spaces raise ``ValueError``."""
+    jets of different spaces raise ``ValueError``.  Each item meets the
+    first member jet (else the first jet) through ``_common``, so items of
+    one space and one class are stacked as they are, a member jet's after
+    its member axis."""
     items = list(items)
     jets = [it for it in items if isinstance(it, Jets)]
     if not jets:
         raise ValueError("jets_stack needs at least one Jets entry")
-    order = min(it.order for it in jets)
-    spc = jets[0].truncate(order).space
-    items = [it.truncate(order) if isinstance(it, Jets) else constant(it, spc)
-             for it in items]
-    if any(it.space is not spc for it in items):
-        raise ValueError("jets from incompatible spaces")
-    if _Members in map(type, items):  # stacked after the member axis
-        lead = next(it for it in items if it.members)
-        return _Members(spc, np.stack([_common(it, lead)[0].coeffs for it in items],
-                                      axis=1))
-    return Jets(spc, np.stack([it.coeffs for it in items]))
+    order = min([it.space.order for it in jets])
+    lead = ([it for it in jets if it.members] or jets)[0].truncate(order)
+    coeffs = [_common(it if isinstance(it, Jets) else constant(it, lead.space),
+                      lead)[0].coeffs for it in items]
+    return type(lead)(lead.space, np.stack(coeffs, axis=int(bool(lead.members))))
 
 
 def jets_members(items) -> Jets:
@@ -535,10 +544,13 @@ def _common(a: Jets, b: Jets, pad: bool = False) -> tuple[Jets, Jets]:
     """``a`` and ``b`` at their common order.  If either has a member axis
     both get it, a member-less one broadcast over the members (member
     counts that differ raise ``ValueError``), and ``pad`` left-pads the
-    batches with unit axes to one rank."""
-    r = min(a.order, b.order)
-    a = a.truncate(r)
-    b = b.truncate(r)
+    batches with unit axes to one rank.  Tested first, operands of one
+    space, one member count and (when padding) one rank return untouched:
+    only operands that differ are truncated, checked and broadcast."""
+    if a.space is b.space and a.members == b.members and (
+            not pad or a.coeffs.ndim == b.coeffs.ndim):
+        return a, b
+    a, b = a.truncate(b.space.order), b.truncate(a.space.order)
     if a.space is not b.space:
         raise ValueError("jets from incompatible spaces")
     if a.members and b.members and a.members != b.members:
@@ -555,14 +567,22 @@ def _common(a: Jets, b: Jets, pad: bool = False) -> tuple[Jets, Jets]:
     return out[0], out[1]
 
 
+_Recipe = namedtuple("_Recipe", "axes_a axes_b op in_place shape_x shape_y ii jj "
+                                "out_shape perm csr gathered")
+
+
 @functools.lru_cache(maxsize=1024)
-def _plan(sa: str, sb: str, rhs: str, shape_a: tuple, shape_b: tuple):
-    """Operand layouts and result shape of the product ``sa,sb->rhs``.
+def _recipe(spc: JetSpace, sa: str, sb: str, rhs: str, shape_a: tuple,
+            shape_b: tuple) -> _Recipe:
+    """Every per-call constant of the product ``sa,sb->rhs`` on ``spc`` of
+    operands with batches ``shape_a`` and ``shape_b``.
 
     Letters split into shared (both operands and the output), left and
     right free (one operand and the output) and contracted (both operands
     only).  With neither contracted nor right-free letters the elementwise
-    product has the left gather's shape and may overwrite it.
+    product has the left gather's shape and may overwrite it.  ``csr``
+    holds the leading arguments of the ``csr_matvecs`` call, ``gathered``
+    the float64s of the largest of the two gathers and the combined pairs.
     """
     if not (all(len(set(s)) == len(s) for s in (sa, sb, rhs))
             and set(sa) ^ set(sb) <= set(rhs) <= set(sa) | set(sb)):
@@ -576,11 +596,15 @@ def _plan(sa: str, sb: str, rhs: str, shape_a: tuple, shape_b: tuple):
     dims.update(zip(sb, shape_b))
     S, L, R, C = (math.prod(dims[c] for c in g) for g in (shared, left, right, summed))
     out = shared + left + right
-    return ((len(sa),) + tuple(sa.index(c) for c in shared + left + summed),
-            (len(sb),) + tuple(sb.index(c) for c in shared + summed + right),
-            np.matmul if summed else np.multiply, not summed and R == 1,
-            (-1, S, L, C), (-1, S, C, R), max(S * L * C, S * C * R, S * L * R),
-            tuple(dims[c] for c in out), tuple(1 + out.index(c) for c in rhs) + (0,))
+    ii, jj, scatter = spc.mul_tables()
+    return _Recipe(
+        (len(sa),) + tuple(sa.index(c) for c in shared + left + summed),
+        (len(sb),) + tuple(sb.index(c) for c in shared + summed + right),
+        np.matmul if summed else np.multiply, not summed and R == 1,
+        (-1, S, L, C), (-1, S, C, R), ii, jj, (spc.size,) + tuple(dims[c] for c in out),
+        tuple(1 + out.index(c) for c in rhs) + (0,),
+        (spc.size, len(ii), S * L * R, scatter.indptr, scatter.indices, scatter.data),
+        len(ii) * max(S * L * C, S * C * R, S * L * R))
 
 
 def _product(spc: JetSpace, sa: str, sb: str, rhs: str, a: np.ndarray,
@@ -596,31 +620,31 @@ def _product(spc: JetSpace, sa: str, sb: str, rhs: str, a: np.ndarray,
     either).  scipy's compiled ``csr_matvecs`` (``y += S x``, where ``S @ x``
     ends; loaded from its extension file alone, see the module docstring)
     sums each output coefficient's pairs, in ascending order, into one
-    zero-filled output.  The output has the operands' promoted dtype, so
+    zero-filled output.  Every layout, shape and table comes from one
+    cached ``_recipe`` keyed by ``(spc, sa, sb, rhs, batch of a, batch of
+    b)``; only the dtype is read per call, the operands' promoted one, so
     long-double jets multiply in long double.
     """
-    axes_a, axes_b, op, in_place, shape_x, shape_y, _, out_shape, perm = _plan(
-        sa, sb, rhs, a.shape[:-1], b.shape[:-1])
-    A, B = a.transpose(axes_a), b.transpose(axes_b)
-    ii, jj, scatter = spc.mul_tables()
-    out = np.zeros((spc.size,) + out_shape, np.promote_types(a.dtype, b.dtype))
-    x = A.take(ii, axis=0).reshape(shape_x)
-    y = B.take(jj, axis=0).reshape(shape_y)
-    xy = op(x, y, out=x) if in_place and A.dtype == out.dtype else op(x, y)
-    csr_matvecs(spc.size, len(ii), out.size // spc.size, scatter.indptr,
-                scatter.indices, scatter.data, xy, out)
+    (axes_a, axes_b, op, in_place, shape_x, shape_y, ii, jj, out_shape, perm, csr,
+     _) = _recipe(spc, sa, sb, rhs, a.shape[:-1], b.shape[:-1])
+    out = np.zeros(out_shape, np.promote_types(a.dtype, b.dtype))
+    x = a.transpose(axes_a).take(ii, axis=0).reshape(shape_x)
+    y = b.transpose(axes_b).take(jj, axis=0).reshape(shape_y)
+    xy = op(x, y, out=x) if in_place and x.dtype == out.dtype else op(x, y)
+    csr_matvecs(*csr, xy, out)
     return Jets(spc, out.transpose(perm))
 
 
 def _member_product(spc: JetSpace, sa: str, sb: str, rhs: str, a: Jets,
                     b: Jets) -> Jets:
     """``_product`` over one member axis, letter ``_MEMBER`` in all terms: one
-    pass while the gathered pairs fit ``_MEMBER_CHUNK``, else one member at a
-    time, so a large product's transient memory is one member's."""
+    pass while the recipe's gathered float64s fit ``_MEMBER_CHUNK``, read at
+    call time, else one member at a time, so a large product's transient
+    memory is one member's."""
     m, x, y = a.members, a.coeffs, b.coeffs
-    plan = (_MEMBER + sa, _MEMBER + sb, _MEMBER + rhs, x.shape[:-1], y.shape[:-1])
-    if len(spc.mul_tables()[0]) * _plan(*plan)[6] <= _MEMBER_CHUNK:
-        return _Members(spc, _product(spc, *plan[:3], x, y).coeffs)
+    terms = (_MEMBER + sa, _MEMBER + sb, _MEMBER + rhs)
+    if _recipe(spc, *terms, x.shape[:-1], y.shape[:-1]).gathered <= _MEMBER_CHUNK:
+        return _Members(spc, _product(spc, *terms, x, y).coeffs)
     return _Members(spc, np.stack([_product(spc, sa, sb, rhs, x[i], y[i]).coeffs
                                    for i in range(m)]))
 
@@ -637,11 +661,17 @@ def jet_mul(a: Jets, b: Jets) -> Jets:
     return _product(a.space, s, s, s, a.coeffs, b.coeffs)
 
 
+@functools.lru_cache(maxsize=None)
+def _terms(subscripts: str, lead: str = "") -> tuple[str, ...]:
+    """The operand terms of einsum ``subscripts``, then the output's, each
+    prefixed with ``lead``."""
+    lhs, _, rhs = subscripts.partition("->")
+    return tuple(lead + s for s in (*lhs.split(","), rhs))
+
+
 def jet_trace(a: Jets, subscripts: str) -> Jets:
     """Trace/reorder batch axes with einsum syntax (no products)."""
-    lhs, _, rhs = subscripts.partition("->")
-    if a.members:
-        lhs, rhs = _MEMBER + lhs, _MEMBER + rhs
+    lhs, rhs = _terms(subscripts, _MEMBER if a.members else "")
     return type(a)(a.space, np.einsum(f"{lhs}...->{rhs}...", a.coeffs))
 
 
@@ -652,8 +682,7 @@ def jet_einsum(subscripts: str, a: Jets, b: Jets) -> Jets:
     jet multiplication at each element.  Each letter appears at most once
     per term, and in at least two of the three terms.
     """
-    lhs, _, rhs = subscripts.partition("->")
-    sa, sb = lhs.split(",")
+    sa, sb, rhs = _terms(subscripts)
     a, b = _common(a, b)
     if a.members:
         return _member_product(a.space, sa, sb, rhs, a, b)

@@ -101,7 +101,7 @@ def per_pack(fn):
     share a slot whatever their names.  Keyword arguments join the key."""
     @wraps(fn)
     def cached(pack, *args, **kwargs):
-        key = (fn, *args, *sorted(kwargs.items()))
+        key = (fn, *args, *sorted(kwargs.items())) if kwargs else (fn, *args)
         memo = pack._memo
         if key not in memo:
             memo[key] = fn(pack, *args, **kwargs)

@@ -13,7 +13,11 @@ batteries), a product on the (4+1)-variable order-5 chart space, and one
 pullback of the metric jets along the chart.  Two cases time the per-call
 floor of the product kernel on the (4+1)-variable order-4 pack space: a
 scalar ``jet_mul`` and a frame projection ``jet_einsum("abcd,za->zbcd")``
-of a (5, 5, 5, 5) tensor against a (4, 5) frame.  The next three build the
+of a (5, 5, 5, 5) tensor against a (4, 5) frame.  One case times the
+per-call floor of the small operations an invariant runs most: an
+``ab,bc->ac`` product of (4, 4) jets at orders 0 and 1 and a same-space
+``+`` at order 1, on plain and on three-member jets of four variables.  The
+next three build the
 ambient curvature pack (read through Bach), the inverse metric and the
 Riemann tensor from the order-4 metric jets of ``t4-in-s7`` (n = 7) at one
 node of the Gauss-Bonnet angle grid.  Two cases time a cold start: ``import qgeo``
@@ -131,6 +135,30 @@ def test_frame_projection_on_pack_space(benchmark):
     frame = Jets(spc, rng.normal(size=(4, 5, spc.size)))
     out = benchmark(jet_einsum, "abcd,za->zbcd", T, frame)
     assert out.batch == (4, 5, 5, 5)
+
+
+def test_per_call_floor_of_small_operations(benchmark):
+    rng = np.random.default_rng(4)
+    operands = []
+    for members in (False, True):
+        for order in (0, 1):
+            spc = space(4, order)
+            As, Bs = ([Jets(spc, rng.normal(size=(4, 4, spc.size)))
+                       for _ in range(3)] for _ in range(2))
+            operands.append((jets_members(As), jets_members(Bs)) if members
+                            else (As[0], Bs[0]))
+
+    def run():
+        out = []
+        for a, b in operands:
+            out.append(jet_einsum("ab,bc->ac", a, b))
+            if a.order == 1:
+                out.append(a + b)
+        return out
+
+    out = benchmark(run)
+    assert [j.members for j in out] == [0, 0, 0, 3, 3, 3]
+    assert [j.order for j in out] == [0, 1, 1, 0, 1, 1]
 
 
 def test_composer_pull(benchmark, chart):

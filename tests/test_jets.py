@@ -353,20 +353,19 @@ def test_chunked_products_match_unchunked(monkeypatch):
 
 def scatter_product(spc, sa, sb, rhs, a, b):
     """The product kernel as gather, combine and one ``scatter @`` over
-    every coefficient pair, on ``_plan``'s layouts, with scipy's CSR
-    matrix built from the raw arrays of ``mul_tables``."""
+    every coefficient pair, on the product recipe's layouts, with scipy's
+    CSR matrix built from the raw arrays of ``mul_tables``."""
     import qgeo.jets as jets_mod
     from scipy import sparse
 
-    axes_a, axes_b, op, _, shape_x, shape_y, _, out_shape, perm = jets_mod._plan(
-        sa, sb, rhs, a.shape[:-1], b.shape[:-1])
+    recipe = jets_mod._recipe(spc, sa, sb, rhs, a.shape[:-1], b.shape[:-1])
     ii, jj, tables = spc.mul_tables()
     scatter = sparse.csr_matrix((tables.data, tables.indices, tables.indptr),
                                 shape=tables.shape)
-    x = a.transpose(axes_a)[ii].reshape(shape_x)
-    y = b.transpose(axes_b)[jj].reshape(shape_y)
-    flat = scatter @ op(x, y).reshape(len(ii), -1)
-    return flat.reshape((spc.size,) + out_shape).transpose(perm)
+    x = a.transpose(recipe.axes_a)[ii].reshape(recipe.shape_x)
+    y = b.transpose(recipe.axes_b)[jj].reshape(recipe.shape_y)
+    flat = scatter @ recipe.op(x, y).reshape(len(ii), -1)
+    return flat.reshape(recipe.out_shape).transpose(recipe.perm)
 
 
 #: (subscripts, batch of a, batch of b); ``None`` is a ``jet_mul``
@@ -580,14 +579,40 @@ def test_member_product_above_the_bound_scatters_one_member_at_a_time(
     assert npairs * 3 <= jets._MEMBER_CHUNK
 
 
+def test_member_chunk_is_read_at_call_time(monkeypatch):
+    # the one-pass or per-member choice follows ``_MEMBER_CHUNK`` as it is
+    # when the product runs, not as it was when a product of the same
+    # shape first ran: lowering it after a one-pass product splits the
+    # next one, and raising it again joins them
+    calls = []
+    scatter = jets.csr_matvecs
+
+    def counting(*args):
+        calls.append(args[2])
+        return scatter(*args)
+
+    monkeypatch.setattr(jets, "csr_matvecs", counting)
+    spc = space(3, 2)
+    As, Bs = _member_operands(spc, (2, 3), (3, 4))
+    a, b = jets.jets_members(As), jets.jets_members(Bs)
+    runs = []
+    for bound in (jets._MEMBER_CHUNK, 0, jets._MEMBER_CHUNK):
+        monkeypatch.setattr(jets, "_MEMBER_CHUNK", bound)
+        calls.clear()
+        runs.append(jet_einsum("ab,bc->ac", a, b).coeffs.tobytes())
+        assert calls == ([3 * 2 * 4] if bound else [2 * 4] * 3), bound
+    assert runs[0] == runs[1] == runs[2]
+
+
 @pytest.mark.parametrize("subscripts, shape_a, shape_b", KERNEL_CASES)
 def test_member_less_products_plan_the_same_subscripts(
         monkeypatch, subscripts, shape_a, shape_b):
-    # only a product with members adds the implicit member letter
+    # only a product with members adds the implicit member letter: the
+    # subscripts of every product recipe read are recorded
     plans = []
-    plan = jets._plan
-    monkeypatch.setattr(jets, "_plan", lambda *args: (
-        plans.append(args[:3]) or plan(*args)))
+    recipe = jets._recipe
+    monkeypatch.setattr(jets, "_recipe", lambda spc, *args: (
+        plans.append(args[:3]) or recipe(spc, *args)))
     spc = space(3, 3)
     As, Bs = _member_operands(spc, shape_a, shape_b)
     product = _product_of(subscripts)
@@ -884,6 +909,22 @@ def test_division_and_power():
     assert np.allclose((x ** -2).coeffs, (1.0 / (x * x)).coeffs, atol=1e-12)
 
 
+@pytest.mark.parametrize("members", [False, True], ids=["batched", "members"])
+def test_zeroth_power_keeps_the_batch_and_members(members):
+    # x ** 0 is the ones of x's batch and members, as x ** 2 has them
+    spc = space(2, 2)
+    rng = np.random.default_rng(37)
+    base = (jets.jets_members([Jets(spc, rng.normal(size=(2, 2, spc.size)))
+                               for _ in range(3)]) if members
+            else Jets(spc, rng.normal(size=(2, 2, spc.size))))
+    got, square = base ** 0, base ** 2
+    assert (got.members, got.batch) == (square.members, square.batch)
+    assert got.coeffs.shape == square.coeffs.shape == base.coeffs.shape
+    assert np.array_equal(got.value, np.ones(base.value.shape))
+    assert not got.coeffs[..., 1:].any()
+    assert repr(got) == repr(base)
+
+
 def test_domain_errors():
     x, = variables([-1.0], 2)
     with pytest.raises(FloatingPointError):
@@ -907,6 +948,17 @@ def test_nan_values_are_domain_errors(fn, error, message, value):
     # value to be inside its domain
     with pytest.raises(error, match=f"^{message}"):
         getattr(constant(value, space(2, 2)), fn)()
+
+
+@pytest.mark.parametrize("divisor", [
+    0.0, -0.0, 0, np.nan, np.array([1.0, 0.0]), np.array([np.nan, 2.0]),
+], ids=["zero", "minus-zero", "int-zero", "nan", "batch-zero", "batch-nan"])
+def test_division_by_zero_or_nan_numbers_is_a_domain_error(divisor):
+    # a number divisor fails as a zero-valued jet divisor does, by name,
+    # not with inf or NaN coefficients behind a RuntimeWarning
+    x = jets_stack(variables([0.3, 0.4], 2))
+    with pytest.raises(ZeroDivisionError, match="^division of jets by zero or NaN$"):
+        x / divisor
 
 
 def test_incompatible_spaces_rejected():

@@ -63,7 +63,7 @@ def test_kernel_benchmarks_run():
         [sys.executable, "-m", "pytest", str(bench), "-q",
          "--benchmark-disable", "-p", "no:cacheprovider"],
         cwd=bench.parents[1], env=env, capture_output=True, text=True)
-    assert re.search(r"\b22 passed\b", out.stdout), out.stdout[-2000:]
+    assert re.search(r"\b23 passed\b", out.stdout), out.stdout[-2000:]
 
 
 def test_missing_sparsetools_extension_names_where_it_looked(monkeypatch, tmp_path):
