@@ -12,11 +12,9 @@ differences at ``t = +/-1e-4`` on ordinary packs are kept only as the
 independent cross-check of ``cross_check=True`` reports.
 
 Batteries that draw the same factor on one scene share its parameter
-pack: it is built once per (scene object, factor object) and kept in a
-one-slot cache that the next engine of another scene or factor replaces
-when it is constructed (see :class:`_Engine`).  ``random_upsilon`` hands
-out one object per draw, so the invariance and tangential batteries of
-one scene and seed build one parameter pack between them.
+pack, built once per (scene object, factor value) in the one-slot cache
+of :class:`_Engine`: the invariance and tangential batteries of one scene
+and seed, each drawing its own ``random_upsilon``, build one between them.
 
 Stored components mix a coordinate tangent frame with an orthonormal
 normal frame.  Re-running Gram-Schmidt against ``exp(2 t Upsilon) g``
@@ -113,7 +111,7 @@ __all__ = [
 ]
 
 #: the largest ``residual`` (gap to a closed-form law) a report passes with.
-METHOD_AGREEMENT_TOL = 1e-6
+RESIDUAL_TOL = 1e-6
 #: the two methods must reproduce each other this well to be trusted; a
 #: larger (or NaN) method gap flags the report.
 METHOD_FLAG_TOL = 1e-5
@@ -161,7 +159,7 @@ class LinearizationReport:
 
     def ok(self) -> bool:
         return not self.flagged and (
-            self.residual is None or self.residual <= METHOD_AGREEMENT_TOL)
+            self.residual is None or self.residual <= RESIDUAL_TOL)
 
 
 def _gap(a, b=0.0) -> float:
@@ -189,13 +187,14 @@ class _Engine:
     the pack under the factor, so the engine holds nothing but its
     ``t -> pack`` tables.
 
-    The parameter pack alone is shared between engines, through one slot:
-    ``_last`` holds the scene, the factor and the parameter-pack table of
-    the last engine constructed.  A new engine whose scene and factor are
-    those objects (``is``, not ``==``) adopts that table, so batteries that
-    draw the same factor on one scene build its parameter pack once; any
-    other engine replaces the slot when it is constructed, so no parameter
-    pack outlives the first engine of the next battery unless that engine
+    The parameter pack alone is shared between engines, keyed by (scene
+    object, factor value) in one slot: ``_last`` holds the scene, factor
+    and parameter-pack table of the last engine built, and a new engine
+    whose scene ``is`` that scene (its metric and patch are closures) and
+    whose factor ``==`` that factor (a ``Polynomial`` by value, a tuple
+    member by member, a closure by identity) adopts that table.  Any other
+    engine replaces the slot when it is constructed, so no parameter pack
+    outlives the first engine of the next battery unless that engine
     adopts it.  Finite packs are never shared.
 
     Every variation has one signature, ``(evaluator, weight)``: the
@@ -214,7 +213,7 @@ class _Engine:
         self.scene = scene
         self.upsilon = upsilon
         last_scene, last_upsilon, shared = _Engine._last
-        if not (last_scene is scene and last_upsilon is upsilon):
+        if not (last_scene is scene and last_upsilon == upsilon):
             shared = {}
             _Engine._last = (scene, upsilon, shared)
         self._shared = shared  # None -> the parameter pack, shared
@@ -620,10 +619,7 @@ def check_q_transformation(scenes=None, *, seed: int = 0) -> dict:
 
 def _bump_factor(amplitude: float):
     def fn(xs):
-        s = None
-        for x in xs:
-            s = x * x if s is None else s + x * x
-        return amplitude * (-s).exp()
+        return amplitude * (-sum((x * x for x in xs[1:]), xs[0] * xs[0])).exp()
     return fn
 
 
@@ -821,10 +817,8 @@ def transverse_vanishing_upsilon(scene: Scene, vanish_to: int, *,
 
     def fn(xs):
         amb = scene.patch.fn(list(xs[:k]))
-        rho = None
-        for i in range(n - k):
-            term = cs[i] * (xs[k + i] - amb[k + i])
-            rho = term if rho is None else rho + term
+        terms = [cs[i] * (xs[k + i] - amb[k + i]) for i in range(n - k)]
+        rho = sum(terms[1:], terms[0])
         out = q(xs)
         for _ in range(vanish_to + 1):
             out = out * rho
@@ -924,6 +918,8 @@ def linear_independence_witness(n: int, *, params=None) -> list[dict]:
         params = [(1.0, 1.0, 1.0, 1.0),
                   (0.7, -0.45, 0.6, 0.3),
                   (0.5, 0.8, -0.7, 0.4)]
+    if not params:
+        raise ValueError("no parameter samples: an empty result passes any check")
     patch = affine_plane(4, n).patch
     results = []
     for s, t, u, v in params:

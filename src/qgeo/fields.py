@@ -104,9 +104,10 @@ class Polynomial:
     more variables and the parameter ``t``) that is the whole jet.  Any
     other input is composed with that jet by a ``Composer``.
 
-    ``coeffs`` is a read-only copy of the array passed in: a polynomial
-    may be shared (``random_upsilon`` hands out one object per draw), so
-    no caller can change it in place.
+    A polynomial is a value, equal (and of equal hash) to one of the same
+    ``nvars``, ``degree``, coefficient shape and bytes: the conformal engine
+    keys its parameter pack by (scene object, factor value).  ``coeffs`` is
+    a read-only copy of the array passed in, as that key depends on it.
     """
 
     def __init__(self, nvars: int, degree: int, coeffs):
@@ -120,6 +121,18 @@ class Polynomial:
                 f"need {len(self.mindex)} coefficients per component, "
                 f"got {self.coeffs.shape[-1]}"
             )
+        self._hash = hash(self._key())
+
+    def _key(self) -> tuple:
+        return self.nvars, self.degree, self.coeffs.shape, self.coeffs.tobytes()
+
+    def __eq__(self, other):
+        if not isinstance(other, Polynomial):
+            return NotImplemented
+        return self._hash == other._hash and self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def _shifted(self, x0: np.ndarray) -> np.ndarray:
         """Coefficients of the same polynomial in the powers of ``x - x0``.
@@ -289,12 +302,8 @@ def diagonal_exponential_metric(n: int, factors, name: str = "diag-exp") -> Metr
     """
 
     def fn(xs):
-        rows = []
-        for a in range(n):
-            row = [0.0] * n
-            row[a] = (2.0 * factors[a](xs[:n])).exp()
-            rows.append(row)
-        return rows
+        diag = [(2.0 * factors[a](xs[:n])).exp() for a in range(n)]
+        return [[diag[a] if a == b else 0.0 for b in range(n)] for a in range(n)]
 
     return MetricField(n, fn, name=name)
 
@@ -335,14 +344,14 @@ def conformally_rescaled(g: MetricField, upsilon,
                          t: float | tuple | None = None) -> MetricField:
     """The rescaled metric e^{2 t Upsilon} g.
 
-    ``t`` a float gives a finite rescale.  ``t=None`` multiplies by the
-    trailing first-order linearization parameter instead, so the returned
-    field must be evaluated with ``param=True``; first-order coefficients in
-    the parameter are then exact conformal variations.  There ``t^2 = 0``,
-    so the factor is exactly ``1 + 2 t Upsilon``.
+    ``t`` a float gives a finite rescale.  ``t=None`` (or a ``None`` member)
+    multiplies by the trailing first-order linearization parameter instead,
+    so the returned field must be evaluated with ``param=True``; first-order
+    coefficients in the parameter are then exact conformal variations.
+    There ``t^2 = 0``, so the factor is exactly ``1 + 2 t Upsilon``.
 
-    A tuple of factors, or of floats ``t``, gives jets with one member per
-    factor (per ``t``), each the single rescale to the bit.
+    A tuple of factors, or of ``t``, gives jets with one member per factor
+    (per ``t``), each the single rescale to the bit.
     """
     batched = isinstance(upsilon, tuple) or isinstance(t, tuple)
     factors = upsilon if isinstance(upsilon, tuple) else (upsilon,)
@@ -350,7 +359,7 @@ def conformally_rescaled(g: MetricField, upsilon,
 
     def fn(xs):
         base = g(xs)
-        if t is None and len(xs) != g.dim + 1:
+        if None in ts and len(xs) != g.dim + 1:
             raise GeometryError("nilpotent rescale needs the linearization "
                                 "parameter (evaluate with param=True)")
         scales = [1.0 + 2.0 * xs[-1] * ups if s is None else (2.0 * s * ups).exp()

@@ -208,6 +208,8 @@ class JetSpace:
         whose derivative keeps the order.
         """
         if var not in self._derivs:
+            if not 0 <= var < self.nvars:
+                raise ValueError(f"need 0 <= var < nvars = {self.nvars}, got {var}")
             if self.param and var == self.nvars - 1:
                 target = self
             else:
@@ -291,8 +293,8 @@ class Jets:
         """Partial derivative along variable ``var``.
 
         The order drops by one, except along the parameter of a parameter
-        space; differentiating an order-0 jet spatially raises
-        ``BudgetError``.
+        space.  A spatial derivative of an order-0 jet raises
+        ``BudgetError``; a ``var`` outside ``[0, nvars)`` raises ``ValueError``.
         """
         target, src, scale = self.space.deriv_tables(var)
         return type(self)(target, self.coeffs[..., src] * scale)

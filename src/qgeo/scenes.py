@@ -12,7 +12,6 @@ test stream is reproducible.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -180,18 +179,9 @@ def random_upsilon(n: int, seed: int, degree: int = 4) -> Polynomial:
     """Random polynomial conformal factor of total degree <= ``degree``,
     coefficients uniform in [-0.3, 0.3].
 
-    One object per ``(n, seed, degree)`` among the last 32 drawn, whether
-    ``seed`` and ``degree`` are passed by position or by keyword, so two
-    batteries that draw the same factor hold the same object and the
-    conformal engine, which keys its parameter pack by the factor object,
-    builds that pack once.  The key is typed, so a seed the generator
-    rejects (``3.0``) raises whatever was drawn before.
+    A plain draw, equal per ``(n, seed, degree)``: the conformal engine
+    shares a parameter pack per (scene object, factor value).
     """
-    return _random_upsilon(n, seed, degree)
-
-
-@lru_cache(maxsize=32, typed=True)
-def _random_upsilon(n: int, seed: int, degree: int) -> Polynomial:
     rng = np.random.default_rng(seed)
     M = len(_multi_indices(n, degree))
     return Polynomial(n, degree, rng.uniform(-0.3, 0.3, size=M))

@@ -30,6 +30,7 @@ from qgeo.fields import (
     GeometryError,
     ImmersedPatch,
     MetricField,
+    Polynomial,
     conformally_rescaled,
     flat_metric,
     graph_patch,
@@ -133,6 +134,12 @@ def test_witness_gram_collapses_without_curvature():
         6, params=[(0.0, 0.0, 0.0, 0.0)])[0]
     assert np.array_equal(row["tensor_singular"], np.zeros(4))
     assert np.array_equal(row["divergence_singular"], np.zeros(2))
+
+
+def test_witness_rejects_no_samples():
+    # an empty result would pass any "all independent" check
+    with pytest.raises(ValueError, match="no parameter samples"):
+        cf.linear_independence_witness(5, params=[])
 
 
 def test_witness_needs_a_normal_direction():
@@ -298,9 +305,9 @@ def test_batteries_at_one_point_share_two_charts(monkeypatch, pack_builds):
 
 
 def test_engines_share_the_parameter_pack_of_one_scene_and_factor(pack_builds):
-    # the slot is keyed by the scene and factor objects: the same pair
-    # adopts the pack, a scene of equal contents or another factor builds
-    # its own, and so does the pair that replaced it in between
+    # the slot is keyed by the scene object and the factor value: the same
+    # pair adopts the pack, a scene of equal contents or another factor
+    # builds its own, and so does the pair that replaced it in between
     sc, twin = random_scene(4, 5, 2), random_scene(4, 5, 2)
     ups, other = random_upsilon(5, seed=4), random_upsilon(5, seed=5)
     first = cf._Engine(sc, ups).param
@@ -310,6 +317,30 @@ def test_engines_share_the_parameter_pack_of_one_scene_and_factor(pack_builds):
     assert cf._Engine(twin, other).param is not first
     assert cf._Engine(sc, ups).param is not first
     assert len(pack_builds) == 4
+
+
+def test_an_equal_factor_shares_the_parameter_pack(pack_builds):
+    # an equal but distinct polynomial, alone or as a member of an equal
+    # tuple, adopts the pack its twin built
+    sc = random_scene(4, 5, 2)
+    ups, other = random_upsilon(5, seed=4), random_upsilon(5, seed=5)
+    twin = Polynomial(ups.nvars, ups.degree, ups.coeffs.copy())
+    assert twin is not ups
+    first = cf._Engine(sc, ups).param
+    assert cf._Engine(sc, twin).param is first
+    batch = cf._Engine(sc, (ups, other)).param
+    assert cf._Engine(sc, (twin, random_upsilon(5, seed=5))).param is batch
+    assert len(pack_builds) == 2
+
+
+def test_a_redrawn_factor_shares_the_parameter_pack(pack_builds):
+    # a draw is a value, however many other draws came in between
+    sc = random_scene(4, 5, 2)
+    first = cf._Engine(sc, random_upsilon(5, seed=4)).param
+    for seed in range(100, 133):
+        random_upsilon(5, seed)
+    assert cf._Engine(sc, random_upsilon(5, seed=4)).param is first
+    assert len(pack_builds) == 1
 
 
 def test_parameter_pack_dies_with_the_next_batterys_engines(monkeypatch):

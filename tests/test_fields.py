@@ -122,16 +122,36 @@ def test_polynomial_keeps_a_read_only_copy_of_its_coefficients():
     assert np.array_equal(poly.coeffs, before)
 
 
-def test_random_upsilon_is_one_object_per_draw():
-    # positional or keyword, with or without the default degree: one key
+def test_random_upsilon_draws_are_equal_per_key():
+    # positional or keyword, with or without the default degree: one value
     ups = random_upsilon(5, 3)
-    assert ups is random_upsilon(5, seed=3, degree=4)
-    assert ups is random_upsilon(5, 3, 4)
-    assert ups is random_upsilon(n=5, seed=3)
-    assert ups is not random_upsilon(5, 3, degree=3)
-    assert ups is not random_upsilon(5, 4)
+    assert ups == random_upsilon(5, seed=3, degree=4)
+    assert ups == random_upsilon(5, 3, 4)
+    assert ups == random_upsilon(n=5, seed=3)
+    assert ups != random_upsilon(5, 3, degree=3)
+    assert ups != random_upsilon(5, 4)
+    assert ups != random_upsilon(4, 3)
     with pytest.raises(TypeError):
         random_upsilon(5, 3.0)
+
+
+def test_polynomial_equality_is_by_value():
+    c = np.linspace(-1.0, 1.0, 6)
+    p = Polynomial(2, 2, c)
+    for twin in (Polynomial(2, 2, c.copy()), Polynomial(2, 2, list(c))):
+        assert twin is not p and twin == p and hash(twin) == hash(p)
+    assert {p: "pack"}[Polynomial(2, 2, c.copy())] == "pack"
+    # nvars and degree over the same coefficient bytes, the batch shape,
+    # and any bit of a coefficient (-0.0 is not 0.0) break equality
+    four = np.arange(4.0)
+    assert Polynomial(1, 3, four) != Polynomial(3, 1, four)
+    assert Polynomial(2, 2, c[None]) != p
+    assert Polynomial(2, 2, np.where(c == c[2], np.nextafter(c[2], 1.0), c)) != p
+    assert Polynomial(2, 2, np.zeros(6)) != Polynomial(2, 2, -np.zeros(6))
+    # a non-Polynomial is never equal, whatever it holds
+    for other in (None, 0.0, c, p.coeffs, (p,), lambda xs: p(xs)):
+        assert p.__eq__(other) is NotImplemented
+        assert not np.any(p == other) and np.all(p != other)
 
 
 # constructor or call, the exception it must raise, and a message fragment
@@ -144,6 +164,9 @@ GUARDS = [
     (lambda: conformally_rescaled(flat_metric(3), lambda xs: 0.0 * xs[0]).jets(
         [0.0, 0.0, 0.0], 2), GeometryError,
      "nilpotent rescale needs the linearization parameter"),
+    (lambda: conformally_rescaled(flat_metric(3), lambda xs: 0.0 * xs[0],
+                                  t=(None, 0.1)).jets([0.0, 0.0, 0.0], 2),
+     GeometryError, "nilpotent rescale needs the linearization parameter"),
     (lambda: scene_by_name("nope"), KeyError, "unknown scene 'nope'; available"),
 ]
 

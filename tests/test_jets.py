@@ -142,6 +142,20 @@ def test_deriv_shifts_multi_index():
         assert df.partial(alpha) == pytest.approx(f.partial(lifted), rel=1e-12)
 
 
+@pytest.mark.parametrize("param", [False, True])
+def test_deriv_rejects_a_variable_out_of_range(param):
+    # -1 would otherwise read the last row of numpy's identity, missing the
+    # parameter test, and nvars would raise a bare IndexError
+    xs = variables([0.1, 0.2], 3, param=param)
+    f = xs[0] * xs[-1].exp()
+    nvars = f.space.nvars
+    for var in (-1, nvars):
+        with pytest.raises(ValueError, match=re.escape(
+                f"need 0 <= var < nvars = {nvars}, got {var}")):
+            f.deriv(var)
+    assert f.deriv(nvars - 1).order == f.order - (not param)
+
+
 @pytest.mark.parametrize("kind", ["plain", "param", "members", "transposed"])
 def test_gradient_is_the_stacked_derivs(kind):
     # the same bytes in the same memory order as the stacked derivs (a
