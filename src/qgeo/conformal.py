@@ -15,6 +15,8 @@ Batteries that draw the same factor on one scene share its parameter
 pack, built once per (scene object, factor value) in the one-slot cache
 of :class:`_Engine`: the invariance and tangential batteries of one scene
 and seed, each drawing its own ``random_upsilon``, build one between them.
+A batch of factors is a member axis of ``Upsilon``; the members of one
+pack are factors or values of ``t``, not both.
 
 Stored components mix a coordinate tangent frame with an orthonormal
 normal frame.  Re-running Gram-Schmidt against ``exp(2 t Upsilon) g``
@@ -57,6 +59,8 @@ import numpy as np
 from .fields import (
     GeometryError,
     MetricField,
+    _factor_jets,
+    _rescale_factor,
     conformally_rescaled,
     diagonal_exponential_metric,
 )
@@ -80,7 +84,6 @@ from .jets import (
     Jets,
     jet_einsum,
     jet_trace,
-    jets_members,
     jets_stack,
     variables,
 )
@@ -128,9 +131,10 @@ _STRATA_BATCH = 3
 def _upsilon_jets(pack, upsilon) -> tuple[Jets, Jets]:
     """A factor (any callable on a list of coordinate jets) on the ambient
     coordinate variables at ``pack``'s point, and its pullback by
-    ``pack.pull`` like every ambient tensor: once per pack and factor."""
+    ``pack.pull`` like every ambient tensor: once per pack and factor, a
+    tuple of factors as one jet with a member per factor."""
     xs = variables(pack.x_point, pack.order, param=pack.param)
-    u_x = upsilon(xs[: pack.n])
+    u_x = _factor_jets(upsilon, xs[: pack.n])
     return u_x, pack.pull(u_x)
 
 
@@ -172,20 +176,18 @@ def _gap(a, b=0.0) -> float:
 
 class _Engine:
     """Shared pack plumbing for one scene and factor ``Upsilon``, or for a
-    tuple of factors, the members of one batch.
+    tuple of factors, the members of one batch: ``Upsilon`` is then one jet
+    with a member per factor, and each method gives one entry per member.
 
     Builds, each on first use, the nilpotent-parameter pack and the
     finite-parameter packs (finite rescales and the central differences of
     the cross-check), so a batch of reports doesn't rebuild them per
-    quantity.  A tuple of ``t`` (or of factors) is one pack with a member
-    per ``t`` (per factor), so the cross-check's ``+/-_STEP`` pair is one
-    pack.  Every pack carries ``PACK_ORDER``.  The ``t^0`` coefficient
-    of a parameter-pack jet, its ``.value``, is the unrescaled value, so
-    the laws and the restriction data of ``Upsilon`` are read there too.
-
-    ``Upsilon`` reaches each pack through :func:`_upsilon_jets`, kept on
-    the pack under the factor, so the engine holds nothing but its
-    ``t -> pack`` tables.
+    quantity.  A tuple of ``t`` is one pack with a member per ``t``, so the
+    cross-check's ``+/-_STEP`` pair is one pack.  Every pack carries
+    ``PACK_ORDER``.  The ``t^0`` coefficient of a parameter-pack jet, its
+    ``.value``, is the unrescaled value, so the laws and the restriction
+    data of ``Upsilon`` are read there too.  ``Upsilon`` reaches each pack
+    through :func:`_upsilon_jets`, kept on the pack under the factor.
 
     The parameter pack alone is shared between engines, keyed by (scene
     object, factor value) in one slot: ``_last`` holds the scene, factor
@@ -199,11 +201,9 @@ class _Engine:
 
     Every variation has one signature, ``(evaluator, weight)``: the
     variation of ``evaluator(pack)`` compensated by ``exp(-weight t
-    Upsilon)``, where ``weight`` is its stored weight.  An evaluator that
-    applies an operator to a rescaled operand reads the factor of the pack
-    at hand from :meth:`scale`.
-    On the parameter pack ``t^2 = 0``, so ``exp(w t Upsilon) = 1 + w t
-    Upsilon`` exactly and the nilpotent route forms no jet exponential.
+    Upsilon)`` (:meth:`compensated` on a finite pack), where ``weight`` is
+    its stored weight.  An evaluator that applies an operator to a rescaled
+    operand reads the factor of the pack at hand from :meth:`scale`.
     """
 
     #: ``(scene, factor, {None: parameter pack})`` of the last engine built
@@ -257,13 +257,9 @@ class _Engine:
 
     # --- variations ---
     def scale(self, pack, w: float) -> Jets:
-        """``exp(w t Upsilon)`` on a pack this engine built at parameter ``t``.
-
-        On the parameter pack ``t^2 = 0``, so it is ``1 + w t Upsilon``
-        exactly and no jet exponential is formed; on a finite pack it is
-        ``exp(w s Upsilon)``.  A battery whose operator acts on a rescaled
-        operand multiplies the operand by it inside its evaluator.
-        """
+        """``exp(w t Upsilon)``, exactly ``1 + w t Upsilon`` on the parameter
+        pack, on a pack this engine built at ``t``: a battery whose operator
+        acts on a rescaled operand multiplies the operand by it."""
         ts = [t for packs in (self._shared, self._packs)
               for t, q in packs.items() if q is pack]
         if not ts:
@@ -271,37 +267,34 @@ class _Engine:
                 f"the {'parameter' if pack.param else 'plain'} pack of "
                 f"{pack.metric.name} at {pack.point.tolist()} was not built "
                 "by this engine at a rescale parameter t")
-        t, u = ts[0], _upsilon_jets(pack, self.upsilon)[1]
-        if t is None:
-            return 1.0 + float(w) * (pack.chart_jets[pack.n] * u)
-        if isinstance(t, tuple):
-            return jets_members([(float(w) * (s * u)).exp() for s in t])
-        return (float(w) * (t * u)).exp()
+        u = _upsilon_jets(pack, self.upsilon)[1]
+        return _rescale_factor(u, ts[0], float(w), pack.chart_jets)
+
+    def _times_x0(self, pack, c, out: Jets) -> np.ndarray:
+        """``c Upsilon(x0)`` on ``pack`` (``c`` a number or one per ``t``),
+        shaped to broadcast over the values of ``out``, members first."""
+        cu = np.multiply(c, _upsilon_jets(pack, self.upsilon)[1].value)
+        return np.reshape(cu, np.shape(cu) + (1,) * len(out.batch))
 
     def nilpotent(self, evaluator, weight: float) -> np.ndarray:
         """The exact first variation: the ``t^1`` coefficient on the
-        parameter pack, with a leading member axis for a tuple of factors.
-
-        With ``t^2 = 0`` the compensated coefficient is ``d_t out - weight
-        Upsilon(x0) out``, exact; each member is compensated by its own
-        factor's ``Upsilon(x0)``.
-        """
+        parameter pack, ``d_t out - weight Upsilon(x0) out`` as ``t^2 = 0``,
+        each member compensated by its own factor's ``Upsilon(x0)``."""
         pp = self.param
         out = evaluator(pp)
-        if isinstance(self.upsilon, tuple):
-            u0 = np.reshape([float(_upsilon_jets(pp, u)[1].value)
-                             for u in self.upsilon], (-1,) + (1,) * len(out.batch))
-        else:
-            u0 = float(_upsilon_jets(pp, self.upsilon)[1].value)
-        return np.asarray(out.deriv(pp.k).value - float(weight) * u0 * out.value)
+        wu = self._times_x0(pp, float(weight), out)
+        return np.asarray(out.deriv(pp.k).value - wu * out.value)
+
+    def compensated(self, evaluator, weight: float, t) -> np.ndarray:
+        """``exp(-weight t Upsilon(x0))`` times ``evaluator``'s value on the
+        finite pack at ``t``, one entry per member (per ``t`` or factor)."""
+        pack = self.finite(t)
+        out = evaluator(pack)
+        return np.exp(self._times_x0(pack, -weight * np.asarray(t), out)) * out.value
 
     def central(self, evaluator, weight: float) -> np.ndarray:
-        steps = (_STEP, -_STEP)
-        ph = self.finite(steps)
-        u = float(_upsilon_jets(ph, self.upsilon)[1].value)
-        vals = [np.exp(-weight * s * u) * v
-                for s, v in zip(steps, np.asarray(evaluator(ph).value))]
-        return (vals[0] - vals[1]) / (2.0 * _STEP)
+        plus, minus = self.compensated(evaluator, weight, (_STEP, -_STEP))
+        return (plus - minus) / (2.0 * _STEP)
 
     # --- report assembly ---
     def report(self, name, evaluator, weight, *, analytic=None,
@@ -551,13 +544,10 @@ def check_invariance(scene: Scene, *, seed=0) -> dict:
              ("normal_curvature", lambda q: q.normal_curvature, 0.0)]
     if k >= 3:
         rows.append(("fialkow", lambda q: q.fialkow, 0.0))
-    upt = float(_upsilon_jets(p0, eng.upsilon)[1].value)
-    ts = (0.1, -0.07)
     out = {}
     for nm, ev, w in rows:
         base = np.asarray(ev(p0).value)
-        finite = _gap([np.exp(-w * t * upt) * v for t, v in
-                       zip(ts, np.asarray(ev(eng.finite(ts)).value))], base)
+        finite = _gap(eng.compensated(ev, w, (0.1, -0.07)), base)
         out[nm] = {"finite": finite, "weight": w,
                    "variation": _gap(eng.nilpotent(ev, float(w)))}
     return out
@@ -597,19 +587,16 @@ def check_q_transformation(scenes=None, *, seed: int = 0) -> dict:
         if k not in (2, 4):
             raise GeometryError(f"{sc.name}: extrinsic Q-curvature is "
                                 f"implemented for k in {{2, 4}}, not k = {k}")
-        ups_list = [random_upsilon(n, seed=seed + 7),
-                    random_upsilon(n, seed=seed + 8, degree=3)]
+        factors = (random_upsilon(n, seed=seed + 7),
+                   random_upsilon(n, seed=seed + 8, degree=3))
         if sc.name.startswith("equatorial"):
-            ups_list.append(_bump_factor(0.3))
+            factors += (_bump_factor(0.3),)
         p0 = SubmanifoldPack(sc.metric, sc.patch, sc.point)
         qname = f"extrinsic_q{k}"
         q0 = float(evaluate(p0, qname).value)
-        ph = _Engine(sc, tuple(ups_list)).finite(1.0)
-        lhs, rhs = [], []
-        for ups, qh in zip(ups_list, evaluate(ph, qname).value):
-            u0 = _upsilon_jets(p0, ups)[1]
-            lhs.append(np.exp(k * float(u0.value)) * float(qh))
-            rhs.append(q0 + float(extrinsic_paneitz_apply(p0, u0).value))
+        lhs = _Engine(sc, factors).compensated(lambda q: evaluate(q, qname), -k, 1.0)
+        u0 = _upsilon_jets(p0, factors)[1]
+        rhs = q0 + np.asarray(extrinsic_paneitz_apply(p0, u0).value)
         one = 0.0 * p0.chart_jets[0] + 1.0
         const_residual = _gap(extrinsic_paneitz_apply(p0, one).value)
         results[sc.name] = {"residual": _gap(lhs, rhs),

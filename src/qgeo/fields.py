@@ -107,24 +107,26 @@ class Polynomial:
     A polynomial is a value, equal (and of equal hash) to one of the same
     ``nvars``, ``degree``, coefficient shape and bytes: the conformal engine
     keys its parameter pack by (scene object, factor value).  ``coeffs`` is
-    a read-only copy of the array passed in, as that key depends on it.
+    a read-only view (never writable) of a private copy of the array passed.
     """
 
     def __init__(self, nvars: int, degree: int, coeffs):
         self.nvars = nvars
         self.degree = degree
         self.mindex = _multi_indices(nvars, degree)
-        self.coeffs = np.array(coeffs, dtype=float)
-        self.coeffs.flags.writeable = False
-        if self.coeffs.shape[-1] != len(self.mindex):
+        self._coeffs = np.array(coeffs, dtype=float)
+        self._coeffs.flags.writeable = False
+        if self._coeffs.shape[-1] != len(self.mindex):
             raise ValueError(
                 f"need {len(self.mindex)} coefficients per component, "
-                f"got {self.coeffs.shape[-1]}"
+                f"got {self._coeffs.shape[-1]}"
             )
         self._hash = hash(self._key())
 
+    coeffs = property(lambda self: self._coeffs.view())
+
     def _key(self) -> tuple:
-        return self.nvars, self.degree, self.coeffs.shape, self.coeffs.tobytes()
+        return self.nvars, self.degree, self._coeffs.shape, self._coeffs.tobytes()
 
     def __eq__(self, other):
         if not isinstance(other, Polynomial):
@@ -144,7 +146,7 @@ class Polynomial:
         powers = np.prod(x0 ** self.mindex, axis=1)
         table = np.zeros((len(self.mindex),) * 2)
         table[ia, ib] = binom * powers[idiff]
-        return self.coeffs @ table
+        return self._coeffs @ table
 
     def __call__(self, xs) -> Jets:
         """The polynomial of the jets ``xs[:nvars]``, in their space.
@@ -340,6 +342,20 @@ def hyperbolic_half_space_metric(n: int) -> MetricField:
     return conformal_metric(n, log_factor, name=name)
 
 
+def _factor_jets(upsilon, xs) -> Jets:
+    """A factor on the jets ``xs``; a tuple of factors, one member each."""
+    return (jets_members([u(xs) for u in upsilon])
+            if isinstance(upsilon, tuple) else upsilon(xs))
+
+
+def _rescale_factor(u, t, w: float, xs) -> Jets:
+    """``exp(w t u)``, one member per entry of a tuple ``t``; ``t=None`` is
+    the parameter ``xs[-1]``, where ``t^2 = 0`` makes it exactly ``1 + w t u``."""
+    if isinstance(t, tuple):
+        return jets_members([_rescale_factor(u, s, w, xs) for s in t])
+    return 1.0 + w * (xs[-1] * u) if t is None else (w * (t * u)).exp()
+
+
 def conformally_rescaled(g: MetricField, upsilon,
                          t: float | tuple | None = None) -> MetricField:
     """The rescaled metric e^{2 t Upsilon} g.
@@ -351,20 +367,17 @@ def conformally_rescaled(g: MetricField, upsilon,
     There ``t^2 = 0``, so the factor is exactly ``1 + 2 t Upsilon``.
 
     A tuple of factors, or of ``t``, gives jets with one member per factor
-    (per ``t``), each the single rescale to the bit.
+    (per ``t``), each the single rescale to the bit; a tuple of each raises.
     """
-    batched = isinstance(upsilon, tuple) or isinstance(t, tuple)
-    factors = upsilon if isinstance(upsilon, tuple) else (upsilon,)
-    ts = t if isinstance(t, tuple) else (t,)
+    if isinstance(upsilon, tuple) and isinstance(t, tuple):
+        raise ValueError("members are factors or values of t, not both")
 
     def fn(xs):
         base = g(xs)
-        if None in ts and len(xs) != g.dim + 1:
+        if None in (t if isinstance(t, tuple) else (t,)) and len(xs) != g.dim + 1:
             raise GeometryError("nilpotent rescale needs the linearization "
                                 "parameter (evaluate with param=True)")
-        scales = [1.0 + 2.0 * xs[-1] * ups if s is None else (2.0 * s * ups).exp()
-                  for ups in (u(xs[: g.dim]) for u in factors) for s in ts]
-        return jets_members(scales) * base if batched else scales[0] * base
+        return _rescale_factor(_factor_jets(upsilon, xs[: g.dim]), t, 2.0, xs) * base
 
     return MetricField(g.dim, fn, name=f"rescaled({g.name})")
 

@@ -36,7 +36,13 @@ from qgeo.fields import (
     graph_patch,
     sphere_chart_metric,
 )
-from qgeo.invariants import REGISTRY, available, evaluate, evaluate_all
+from qgeo.invariants import (
+    REGISTRY,
+    available,
+    evaluate,
+    evaluate_all,
+    extrinsic_paneitz_apply,
+)
 from qgeo.jets import PACK_ORDER, Jets, variables
 from qgeo.scenes import (
     affine_plane,
@@ -392,7 +398,7 @@ def test_tangential_battery_after_invariance_is_a_fresh_run(pack_builds):
 
 
 @pytest.mark.parametrize("battery,calls", [
-    (cf.check_invariance, 3),
+    (cf.check_invariance, 4),
     (cf.ambient_law_reports, 2),
     (cf.quartic_term_reports, 2),
 ])
@@ -400,8 +406,9 @@ def test_upsilon_is_restricted_once_per_pack(monkeypatch, battery, calls):
     # one call per pack build of a rescaled metric (one for both members
     # of the invariance battery's finite pack) and one per pack that reads
     # Upsilon, on the ambient coordinate variables at its point (the
-    # parameter pack serves both the restriction data and Upsilon(x0)):
-    # Upsilon is not re-evaluated per report
+    # parameter pack serves both the restriction data and Upsilon(x0), and
+    # the invariance battery's finite pack reads its own Upsilon(x0) to
+    # compensate): Upsilon is not re-evaluated per report
     ups = random_upsilon(5, seed=4)
     seen = []
 
@@ -542,6 +549,65 @@ def test_member_packs_are_the_single_packs(kind):
             assert np.array_equal(got.coeffs[m] if got.members else got.coeffs,
                                   want.coeffs), (name, m)
     assert batched.pulled("g").members == len(singles)
+
+
+def _two_factor_engines():
+    """An engine over two factors of ``random_scene(4, 5, 2)`` and, per
+    factor, a builder of its single engine (the engines of one scene
+    replace each other's parameter pack, so each is built where read)."""
+    sc = scene(4, 5, 2)
+    ups = (random_upsilon(5, seed=4), random_upsilon(5, seed=5, degree=3))
+    return cf._Engine(sc, ups), [lambda u=u: cf._Engine(sc, u) for u in ups]
+
+
+def test_batch_engine_members_are_the_single_engines():
+    # restriction data, the rescale factor on the parameter pack, the exact
+    # variation and the compensated finite rescale of a two-factor engine:
+    # each member is its factor's single engine to the last bit
+    batch, singles = _two_factor_engines()
+    ev = lambda q: q.block("weyl", "tttn")
+    got = {"restriction": vars(batch.restriction),
+           "scale": {w: batch.scale(batch.param, w) for w in (2.0, -4.0, 1.3)},
+           "nilpotent": batch.nilpotent(ev, 1.0),
+           "compensated": batch.compensated(ev, 1.0, 1.0)}
+    for m, single in enumerate(singles):
+        one = single()
+        assert np.array_equal(got["nilpotent"][m], one.nilpotent(ev, 1.0))
+        for w, jet in got["scale"].items():
+            want = one.scale(one.param, w)
+            assert jet.members == 2 and not want.members
+            assert np.array_equal(jet.coeffs[m], want.coeffs), w
+        for nm, jet in got["restriction"].items():
+            want = getattr(one.restriction, nm)
+            assert jet.members == 2 and jet.batch == want.batch, nm
+            assert np.array_equal(jet.coeffs[m], want.coeffs), nm
+        assert np.array_equal(got["compensated"][m],
+                              single().compensated(ev, 1.0, 1.0))
+
+
+def test_paneitz_on_the_member_upsilon_is_the_per_factor_operator():
+    batch, _ = _two_factor_engines()
+    sc = batch.scene
+    p0 = SubmanifoldPack(sc.metric, sc.patch, sc.point)
+    got = extrinsic_paneitz_apply(p0, cf._upsilon_jets(p0, batch.upsilon)[1])
+    assert got.members == 2
+    for m, u in enumerate(batch.upsilon):
+        want = extrinsic_paneitz_apply(p0, cf._upsilon_jets(p0, u)[1])
+        assert np.array_equal(got.coeffs[m], want.coeffs), m
+
+
+@pytest.mark.parametrize("call", [
+    lambda eng: eng.central(lambda q: q.mean_curvature, -1.0),
+    lambda eng: eng.report("H", lambda q: q.mean_curvature, -1.0,
+                           cross_check=True),
+    lambda eng: cf.linearize(lambda q: q.mean_curvature, eng.scene,
+                             eng.upsilon, -1.0),
+], ids=["central", "report", "linearize"])
+def test_batch_cross_check_needs_members_of_one_kind(call):
+    # the +/-_STEP pair would be a second member axis over the factors'
+    batch, _ = _two_factor_engines()
+    with pytest.raises(ValueError, match="factors or values of t, not both"):
+        call(batch)
 
 
 def test_members_that_pick_different_normals_raise():

@@ -122,6 +122,18 @@ def test_polynomial_keeps_a_read_only_copy_of_its_coefficients():
     assert np.array_equal(poly.coeffs, before)
 
 
+def test_polynomial_coefficients_cannot_be_made_writable():
+    # the stored hash must stay the hash of the coefficients: the exposed
+    # view's flag cannot be flipped back, so no caller edits them in place
+    p = Polynomial(2, 2, np.linspace(-1.0, 1.0, 6))
+    view = p.coeffs
+    with pytest.raises(ValueError):
+        view.flags.writeable = True
+    with pytest.raises(ValueError, match="read-only"):
+        view[0] = 5.0
+    assert p == Polynomial(2, 2, np.linspace(-1.0, 1.0, 6))
+
+
 def test_random_upsilon_draws_are_equal_per_key():
     # positional or keyword, with or without the default degree: one value
     ups = random_upsilon(5, 3)
@@ -167,6 +179,10 @@ GUARDS = [
     (lambda: conformally_rescaled(flat_metric(3), lambda xs: 0.0 * xs[0],
                                   t=(None, 0.1)).jets([0.0, 0.0, 0.0], 2),
      GeometryError, "nilpotent rescale needs the linearization parameter"),
+    # a member per factor and per t at once: one compensation cannot pair them
+    (lambda: conformally_rescaled(flat_metric(3), (lambda xs: 0.0 * xs[0],) * 2,
+                                  t=(0.1, 0.2)),
+     ValueError, "members are factors or values of t, not both"),
     (lambda: scene_by_name("nope"), KeyError, "unknown scene 'nope'; available"),
 ]
 

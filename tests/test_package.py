@@ -168,6 +168,24 @@ def test_conformal_batteries_reduce_through_gap():
     assert not calls, f"builtin reductions: {calls}"
 
 
+def test_conformal_compensates_in_one_place():
+    # exp(-weight t Upsilon(x0)) is written once, in _Engine.compensated;
+    # the rescale factor itself comes from fields._rescale_factor
+    tree = _sources()["conformal"]
+    engine = next(node for node in tree.body
+                  if isinstance(node, ast.ClassDef) and node.name == "_Engine")
+    home = next(node for node in engine.body
+                if isinstance(node, ast.FunctionDef) and node.name == "compensated")
+
+    def exps(root, skip=()):
+        return [node.lineno for node in _walk(root, set(skip))
+                if isinstance(node, ast.Attribute) and node.attr == "exp"
+                and isinstance(node.value, ast.Name) and node.value.id == "np"]
+
+    assert len(exps(home)) == 1
+    assert exps(tree, skip=("compensated",)) == [], "np.exp outside compensated"
+
+
 def _walk(node, skip):
     """``ast.walk`` that does not enter the functions named in ``skip``."""
     yield node
