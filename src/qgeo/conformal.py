@@ -575,6 +575,7 @@ def check_q_transformation(scenes=None, *, seed: int = 0) -> dict:
             random_scene(4, 7, seed=seed + 33),
             equatorial_sphere(4, 5),
         ]
+    scenes = list(scenes)
     if not scenes:
         raise ValueError("no scenes to check: an empty result passes any check")
     names = [sc.name for sc in scenes]
@@ -905,6 +906,7 @@ def linear_independence_witness(n: int, *, params=None) -> list[dict]:
         params = [(1.0, 1.0, 1.0, 1.0),
                   (0.7, -0.45, 0.6, 0.3),
                   (0.5, 0.8, -0.7, 0.4)]
+    params = list(params)
     if not params:
         raise ValueError("no parameter samples: an empty result passes any check")
     patch = affine_plane(4, n).patch

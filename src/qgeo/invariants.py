@@ -8,9 +8,10 @@ built with ``param=True``) flows through every invariant untouched.
 Quantities with more than one published closed form keep each form as a
 separate code path (``route=...``) so agreement between them is a real
 cross-check rather than a tautology.  Each registered scalar declares its
-domain in (k, n), weight and conformal class at its definition, with
-``@_scalar``; the gate that decorator puts in front of it is the one check
-of that domain, so the other guards here are of routes and poles.
+domain in (k, n), weight, conformal class and routes at its definition,
+with ``@_scalar``; the gate that decorator puts in front of it is the one
+check of that domain, of the route and of the route's own domain, and the
+one memo of the value, so the only guards left in the bodies are of poles.
 """
 
 from __future__ import annotations
@@ -69,16 +70,20 @@ class InvariantSpec:
     ``None`` marks the dimension-graded densities whose weight is -k.
     ``dims`` states the domain once, as a Python condition on ``k`` and
     ``n``: it is compiled into ``valid`` and quoted by the domain error.
-    ``compute`` is the scalar behind its domain gate.  ``invariant`` marks
-    the pointwise conformal invariants.
+    ``routes`` maps each closed form of a scalar that has several, its
+    default first, to the condition on ``k`` and ``n`` it needs beyond
+    ``dims`` (``""`` for none); it is empty for a scalar with one form.
+    ``compute`` is the scalar behind its gate.  ``invariant`` marks the
+    pointwise conformal invariants.
     """
 
     name: str
     weight: int | None
     dims: str
-    compute: Callable[[SubmanifoldPack], Jets]
+    compute: Callable[..., Jets]
     valid: Callable[[int, int], bool] = field(repr=False)
     invariant: bool = False
+    routes: dict[str, str] = field(default_factory=dict, hash=False)
 
     def weight_at(self, k: int) -> int:
         return -k if self.weight is None else self.weight
@@ -87,29 +92,53 @@ class InvariantSpec:
 REGISTRY: dict[str, InvariantSpec] = {}
 
 
-def _scalar(weight: int | None, dims: str, invariant: bool = False):
-    """Register the decorated scalar in ``REGISTRY`` behind its domain gate.
+def _condition(text: str) -> Callable[[int, int], bool]:
+    """The Python condition ``text`` on ``k`` and ``n`` as a predicate."""
+    return eval(f"lambda k, n: {text or True}", {})
 
-    The gate raises a ``GeometryError`` quoting ``dims`` on a pack outside
-    it, unless the call passes ``extend=True``: such a call goes on to the
-    scalar's own pole guard.  The gate is both the module's function and
-    the spec's ``compute``, so a direct call and :func:`evaluate` are
-    checked alike.
+
+def _scalar(weight: int | None, dims: str, invariant: bool = False,
+            routes: dict[str, str] | None = None):
+    """Register the decorated scalar in ``REGISTRY`` behind its gate.
+
+    ``routes`` is the spec's (see :class:`InvariantSpec`); a routed body
+    takes the route as its second argument.  The gate checks, in order:
+    the domain, raising a ``GeometryError`` quoting ``dims`` on a pack
+    outside it unless the call passes ``extend=True`` (such a call goes on
+    to the scalar's own pole guard); the route's name, raising a
+    ``ValueError``, an unrouted scalar taking none; and the route's
+    condition, raising a ``GeometryError`` that quotes it.  It then builds
+    the value once per pack and resolved route, with :func:`per_pack`.  The
+    gate is both the module's function and the spec's ``compute``, so a
+    direct call and :func:`evaluate` are checked and kept alike.
     """
-    valid = eval(f"lambda k, n: {dims}", {})
+    valid = _condition(dims)
+    routes = routes or {}
+    needs = {route: _condition(cond) for route, cond in routes.items()}
+    default = next(iter(routes), None)
 
     def register(fn):
         name = fn.__name__
+        build = per_pack(fn)
 
         @wraps(fn)
-        def gate(p, *args, **kwargs):
-            if not (valid(p.k, p.n) or kwargs.get("extend")):
+        def gate(p, route=default, **kwargs):
+            k, n = p.k, p.n
+            if not (valid(k, n) or kwargs.get("extend")):
                 raise GeometryError(
-                    f"{name} is defined for {dims}, got k={p.k}, n={p.n}")
-            return fn(p, *args, **kwargs)
+                    f"{name} is defined for {dims}, got k={k}, n={n}")
+            if route != default and route not in needs:
+                raise ValueError(f"unknown route {route!r}")
+            if not routes:
+                return build(p, **kwargs)
+            if not needs[route](k, n):
+                raise GeometryError(
+                    f"{name} route {route!r} is defined for {routes[route]}, "
+                    f"got k={k}, n={n}")
+            return build(p, route, **kwargs)
 
         REGISTRY[name] = InvariantSpec(name, weight, dims, gate, valid,
-                                       invariant)
+                                       invariant, routes)
         return gate
 
     return register
@@ -248,9 +277,9 @@ def _inv_n4(n: int) -> float:
 # -- the two divergence-type invariants --------------------------------------
 
 
-@_scalar(-4, "1 <= k < n", invariant=True)
-@per_pack
-def div_shape_weyl_a(p: SubmanifoldPack, route: str = "divergence") -> Jets:
+@_scalar(-4, "1 <= k < n", invariant=True,
+         routes={"divergence": "", "expanded": ""})
+def div_shape_weyl_a(p: SubmanifoldPack, route: str) -> Jets:
     """Weight -4 invariant coupling the trace-free shape to the Weyl tensor.
 
     ``route='divergence'`` evaluates the defining total-divergence form;
@@ -263,16 +292,14 @@ def div_shape_weyl_a(p: SubmanifoldPack, route: str = "divergence") -> Jets:
     if route == "divergence":
         V = jet_einsum("bcr,abrc->a", l0u, w4)
         return p.divergence(V) + (k - 4) * coupling
-    if route == "expanded":
-        t1 = jet_einsum("bcr,brc->", l0u, p.divergence(w4, "ttnt"))
-        t2 = 0.5 * _w_ttnt_norm2(p)
-        return t1 + t2 + _deflection_dot_weyl(p) + (k - 4) * coupling
-    raise ValueError(f"unknown route {route!r}")
+    t1 = jet_einsum("bcr,brc->", l0u, p.divergence(w4, "ttnt"))
+    t2 = 0.5 * _w_ttnt_norm2(p)
+    return t1 + t2 + _deflection_dot_weyl(p) + (k - 4) * coupling
 
 
-@_scalar(-4, "1 <= k < n", invariant=True)
-@per_pack
-def div_shape_weyl_b(p: SubmanifoldPack, route: str = "divergence") -> Jets:
+@_scalar(-4, "1 <= k < n", invariant=True,
+         routes={"divergence": "", "expanded": ""})
+def div_shape_weyl_b(p: SubmanifoldPack, route: str) -> Jets:
     """Weight -4 companion built from the normal-traced Weyl block.
 
     Vanishes identically in codimension one.
@@ -280,19 +307,17 @@ def div_shape_weyl_b(p: SubmanifoldPack, route: str = "divergence") -> Jets:
     k = p.k
     if route == "divergence":
         return _div_shape_weyl_trace(p) + (k - 4) * _deflection_dot_weyl(p)
-    if route == "expanded":
-        dwtn = p.tangential_cov_deriv(_w_tn_trace(p), "tn")
-        t1 = jet_einsum("abr,abr->", p.second_tracefree_up, dwtn)
-        return t1 - 3.0 * _deflection_dot_weyl(p) - _wtn_square(p)
-    raise ValueError(f"unknown route {route!r}")
+    dwtn = p.tangential_cov_deriv(_w_tn_trace(p), "tn")
+    t1 = jet_einsum("abr,abr->", p.second_tracefree_up, dwtn)
+    return t1 - 3.0 * _deflection_dot_weyl(p) - _wtn_square(p)
 
 
 # -- the Fialkow-based quartic invariant --------------------------------------
 
 
-@_scalar(-4, "1 <= k < n and n != 4", invariant=True)
-@per_pack
-def fialkow_quartic(p: SubmanifoldPack, route: str = "direct", *,
+@_scalar(-4, "1 <= k < n and n != 4", invariant=True,
+         routes={"direct": "", "parts": "k >= 2"})
+def fialkow_quartic(p: SubmanifoldPack, route: str, *,
                     extend: bool = False) -> Jets:
     """Weight -4 invariant organized around the Fialkow trace.
 
@@ -304,8 +329,6 @@ def fialkow_quartic(p: SubmanifoldPack, route: str = "direct", *,
     """
     k, n = p.k, p.n
     if route == "parts":
-        if k < 2:
-            raise GeometryError("parts decomposition needs k >= 2")
         G = p.fialkow_trace
         Ptr = _trace(p, "mc_schouten")
         part1 = (k - 1) * (-_laplacian(p, "fialkow_trace") + (k - 4) * G * Ptr)
@@ -318,8 +341,6 @@ def fialkow_quartic(p: SubmanifoldPack, route: str = "direct", *,
                  + 0.5 * (k - 2) * _inv_n4(n) * _trace(p, "mc_bach")
                  - 0.5 * (k - 2) * _deflection_norm2(p))
         return part1 + (k - 6) * (part2 + part3)
-    if route != "direct":
-        raise ValueError(f"unknown route {route!r}")
     Ptr = _trace(p, "mc_schouten")
     if k >= 2:
         G = p.fialkow_trace
@@ -345,8 +366,9 @@ def minimal_einstein_fialkow_quartic(p: SubmanifoldPack, lam: float) -> Jets:
 # -- the Weyl-trace quartic invariant -----------------------------------------
 
 
-@_scalar(-4, "1 <= k < n and n != 4", invariant=True)
-def weyl_trace_quartic(p: SubmanifoldPack, route: str = "direct", *,
+@_scalar(-4, "1 <= k < n and n != 4", invariant=True,
+         routes={"direct": "", "parts": ""})
+def weyl_trace_quartic(p: SubmanifoldPack, route: str, *,
                        extend: bool = False) -> Jets:
     """Weight -4 invariant organized around the tangential Weyl trace.
 
@@ -367,8 +389,6 @@ def weyl_trace_quartic(p: SubmanifoldPack, route: str = "direct", *,
                  - _shape_dot_mc_cotton(p) - _deflection_dot_weyl(p)
                  - 0.5 * (k - 2) * _inv_n4(n) * _trace(p, "mc_bach"))
         return part1 - 2.0 * (k - 6) * (part2 - part3)
-    if route != "direct":
-        raise ValueError(f"unknown route {route!r}")
     ratio = _ratio_k3n4(k, n)
     return (_weyl_trace_head(p)
             - 2.0 * (k - 6) * ratio * _trace(p, "mc_bach"))
@@ -401,7 +421,6 @@ def minimal_einstein_weyl_trace_quartic(p: SubmanifoldPack,
 
 
 @_scalar(-4, "1 <= k < n", invariant=True)
-@per_pack
 def tracefree_quartic_combo(p: SubmanifoldPack) -> Jets:
     """The pole-free combination (twice the Fialkow quartic plus the
     Weyl-trace quartic) in its single displayed form, valid in every
@@ -420,7 +439,6 @@ def tracefree_quartic_combo(p: SubmanifoldPack) -> Jets:
 
 
 @_scalar(-4, "3 <= k < n")
-@per_pack
 def intrinsic_q4(p: SubmanifoldPack) -> Jets:
     """Fourth-order Q-curvature of the induced metric (any k >= 3)."""
     J = p.intrinsic_jtrace
@@ -429,7 +447,6 @@ def intrinsic_q4(p: SubmanifoldPack) -> Jets:
 
 
 @_scalar(-4, "3 <= k < n and n != 4")
-@per_pack
 def q4_extrinsic_correction(p: SubmanifoldPack) -> Jets:
     """The extrinsic correction scalar; a pure divergence when k = 4."""
     k, n = p.k, p.n
@@ -443,8 +460,10 @@ def q4_extrinsic_correction(p: SubmanifoldPack) -> Jets:
             + (k - 4) * (k - 5) * _deflection_norm2(p))
 
 
-@_scalar(-4, "3 <= k < n and n != 4")
-def extrinsic_q4(p: SubmanifoldPack, route: str = "assembled") -> Jets:
+@_scalar(-4, "3 <= k < n and n != 4",
+         routes={"assembled": "", "trace_expansion": "",
+                 "gauss_bonnet": "k == 4"})
+def extrinsic_q4(p: SubmanifoldPack, route: str) -> Jets:
     """Fourth-order extrinsic Q-curvature, 3 <= k < n, n != 4.
 
     Three routes: ``'assembled'`` sums the intrinsic part, the extrinsic
@@ -469,12 +488,8 @@ def extrinsic_q4(p: SubmanifoldPack, route: str = "assembled") -> Jets:
                   - 2.0 * _inv_n4(n) * _trace(p, "mc_bach")
                   + 2.0 * _deflection_norm2(p))
         return intrinsic_q4(p) + qtilde
-    if route == "gauss_bonnet":
-        if k != 4:
-            raise GeometryError("the Pfaffian route needs k = 4")
-        return (2.0 * intrinsic_pfaffian(p) + gauss_bonnet_defect(p)
-                - q4_divergence_flux(p))
-    raise ValueError(f"unknown route {route!r}")
+    return (2.0 * intrinsic_pfaffian(p) + gauss_bonnet_defect(p)
+            - q4_divergence_flux(p))
 
 
 @_scalar(-2, "k == 2 < n")
@@ -682,15 +697,16 @@ def _mean_shape_weyl_trace(p) -> Jets:
                       p.weyl_partial_trace)
 
 
-@_scalar(-4, "3 <= k < n and k != 6", invariant=True)
-def willmore_quartic(p: SubmanifoldPack, route: str = "general") -> Jets:
+@_scalar(-4, "3 <= k < n and k != 6", invariant=True,
+         routes={"general": "", "hypersurface": "(k, n) == (4, 5)"})
+def willmore_quartic(p: SubmanifoldPack, route: str) -> Jets:
     """Weight -4 Willmore-type invariant (3 <= k < n, k != 6).
 
     ``route='general'`` is the all-dimensions definition; for a
     four-dimensional hypersurface ``route='hypersurface'`` evaluates the
     specialized shape-operator display, which must agree.
     """
-    k, n = p.k, p.n
+    k = p.k
     if route == "general":
         return (k * (k - 1) / (4.0 * (k - 6)) * tracefree_quartic_combo(p)
                 + 0.5 * (k - 3) * div_shape_weyl_a(p)
@@ -707,23 +723,18 @@ def willmore_quartic(p: SubmanifoldPack, route: str = "general") -> Jets:
                 - 0.5 * (k - 3)
                 * _pair(p, "tracefree_square", "tracefree_square")
                 + (k - 3) * _shape_quartic_alt(p))
-    if route == "hypersurface":
-        if k != 4 or n != 5:
-            raise GeometryError("the specialized display is the (4, 5) case")
-        l0u = p.second_tracefree_up
-        lap_l0 = p.divergence(_d_shape(p), "tttn")
-        t1 = 0.5 * jet_einsum("abr,abr->", l0u, lap_l0)
-        V = jet_einsum("abr,br->a", _l0_mixed(p), _div_shape(p))
-        t2 = (4.0 / 3.0) * p.divergence(V)
-        t3 = 1.5 * _laplacian(p, "tracefree_norm2")
-        t4 = -3.5 * p.intrinsic_jtrace * p.tracefree_norm2
-        t5 = -6.0 * jet_einsum("abr,arb->", l0u, p.block("cotton", "tnt"))
-        t6 = 4.0 * _pair(p, "intrinsic_schouten", "tracefree_square")
-        t7 = -6.0 * _mean_shape_cubic(p)
-        t8 = 12.0 * jet_einsum("ab,ab->", _mean_contracted_shape(p),
-                               p.fialkow)
-        return t1 + t2 + t3 + t4 + t5 + t6 + t7 + t8
-    raise ValueError(f"unknown route {route!r}")
+    l0u = p.second_tracefree_up
+    lap_l0 = p.divergence(_d_shape(p), "tttn")
+    t1 = 0.5 * jet_einsum("abr,abr->", l0u, lap_l0)
+    V = jet_einsum("abr,br->a", _l0_mixed(p), _div_shape(p))
+    t2 = (4.0 / 3.0) * p.divergence(V)
+    t3 = 1.5 * _laplacian(p, "tracefree_norm2")
+    t4 = -3.5 * p.intrinsic_jtrace * p.tracefree_norm2
+    t5 = -6.0 * jet_einsum("abr,arb->", l0u, p.block("cotton", "tnt"))
+    t6 = 4.0 * _pair(p, "intrinsic_schouten", "tracefree_square")
+    t7 = -6.0 * _mean_shape_cubic(p)
+    t8 = 12.0 * jet_einsum("ab,ab->", _mean_contracted_shape(p), p.fialkow)
+    return t1 + t2 + t3 + t4 + t5 + t6 + t7 + t8
 
 
 @per_pack
@@ -762,12 +773,12 @@ def _double_div(p, name: str) -> Jets:
     return p.divergence(p.divergence(getattr(p, name), "tt"))
 
 
-@_scalar(-4, "4 <= k < n and k != 6", invariant=True)
-def transverse_weyl_quartic_a(p: SubmanifoldPack,
-                              route: str = "general") -> Jets:
+@_scalar(-4, "4 <= k < n and k != 6", invariant=True,
+         routes={"general": "", "hypersurface": "n == k + 1"})
+def transverse_weyl_quartic_a(p: SubmanifoldPack, route: str) -> Jets:
     """Weight -4 invariant extending a transverse-curvature hypersurface
     scalar to all codimensions (4 <= k < n, k != 6)."""
-    k, n = p.k, p.n
+    k = p.k
     if route == "general":
         return (-(k - 2) / (2.0 * (k - 3) * (k - 6))
                 * tracefree_quartic_combo(p)
@@ -783,62 +794,54 @@ def transverse_weyl_quartic_a(p: SubmanifoldPack,
                 - _shape_pair_weyl_ttnn(p)
                 - 0.5 * _w_ttnt_norm2(p)
                 + _wtn_square(p))
-    if route == "hypersurface":
-        if n != k + 1:
-            raise GeometryError("the specialized display is codimension one")
-        lap_l2 = _laplacian(p, "tracefree_norm2")
-        double_div = _double_div(p, "tracefree_square")
-        t3 = _shape_dot_dweyl_trace(p)
-        t4 = (k - 2) / (k - 1) ** 2 * p.norm2(_div_shape(p), "tn")
-        t5 = -(k - 2) / (k - 3) * _pair(p, "intrinsic_schouten",
-                                        "tracefree_square")
-        t6 = -2.0 * _mean_shape_weyl_trace(p)
-        den = (k - 3) * (k - 6)
-        return ((k - 4) / den * lap_l2
-                - (k - 2) / den * p.intrinsic_jtrace * p.tracefree_norm2
-                - double_div / (k - 3) + t3 + t4 + t5 + t6)
-    raise ValueError(f"unknown route {route!r}")
+    lap_l2 = _laplacian(p, "tracefree_norm2")
+    double_div = _double_div(p, "tracefree_square")
+    t3 = _shape_dot_dweyl_trace(p)
+    t4 = (k - 2) / (k - 1) ** 2 * p.norm2(_div_shape(p), "tn")
+    t5 = -(k - 2) / (k - 3) * _pair(p, "intrinsic_schouten",
+                                    "tracefree_square")
+    t6 = -2.0 * _mean_shape_weyl_trace(p)
+    den = (k - 3) * (k - 6)
+    return ((k - 4) / den * lap_l2
+            - (k - 2) / den * p.intrinsic_jtrace * p.tracefree_norm2
+            - double_div / (k - 3) + t3 + t4 + t5 + t6)
 
 
-@_scalar(-4, "4 <= k < n and k != 6", invariant=True)
-def transverse_weyl_quartic_b(p: SubmanifoldPack,
-                              route: str = "general") -> Jets:
+@_scalar(-4, "4 <= k < n and k != 6", invariant=True,
+         routes={"general": "", "hypersurface": "n == k + 1"})
+def transverse_weyl_quartic_b(p: SubmanifoldPack, route: str) -> Jets:
     """Companion weight -4 invariant (4 <= k < n, k != 6)."""
-    k, n = p.k, p.n
+    k = p.k
     if route == "general":
         return (-tracefree_quartic_combo(p) / (2.0 * (k - 3) * (k - 6))
                 + (div_shape_weyl_a(p) + div_shape_weyl_b(p)) / (k - 3)
                 - (k - 4) / (k - 3) * _pair(p, "tracefree_square", "fialkow")
                 + p.fialkow_trace * p.tracefree_norm2
                 / ((k - 3) * (k - 6)))
-    if route == "hypersurface":
-        if n != k + 1:
-            raise GeometryError("the specialized display is codimension one")
-        dp = p.block("dschouten", "ntt")
-        t1 = -jet_einsum("abr,rab->", p.second_tracefree_up, dp)
-        t2 = -jet_einsum("rs,rs->", _shape_normal_gram(p),
-                         p.block("schouten", "nn"))
-        ddH = p.tangential_cov_deriv(p.mean_curvature_deriv, "tn")
-        t3 = jet_einsum("abr,abr->", p.second_tracefree_up, ddH)
-        t4 = jet_einsum("ab,ab->", _mean_contracted_shape(p),
-                        p.intrinsic_schouten)
-        t5 = -_double_div(p, "tracefree_square") / (k - 3)
-        t6 = ((k - 5) / (2.0 * (k - 3) * (k - 6))
-              * _laplacian(p, "tracefree_norm2"))
-        t7 = (-p.intrinsic_jtrace * p.tracefree_norm2
-              / ((k - 3) * (k - 6)))
-        t8 = (k - 4) / (k - 3) * _pair(p, "intrinsic_schouten",
-                                       "tracefree_square")
-        t9 = -(k - 3) / (k - 2) * _mean_shape_cubic(p)
-        t10 = (k - 3) / (k - 2) * _mean_shape_weyl_trace(p)
-        t11 = -1.5 * p.mean_norm2 * p.tracefree_norm2
-        t12 = k / (k - 1) ** 2 * p.norm2(_div_shape(p), "tn")
-        return t1 + t2 + t3 + t4 + t5 + t6 + t7 + t8 + t9 + t10 + t11 + t12
-    raise ValueError(f"unknown route {route!r}")
+    dp = p.block("dschouten", "ntt")
+    t1 = -jet_einsum("abr,rab->", p.second_tracefree_up, dp)
+    t2 = -jet_einsum("rs,rs->", _shape_normal_gram(p),
+                     p.block("schouten", "nn"))
+    ddH = p.tangential_cov_deriv(p.mean_curvature_deriv, "tn")
+    t3 = jet_einsum("abr,abr->", p.second_tracefree_up, ddH)
+    t4 = jet_einsum("ab,ab->", _mean_contracted_shape(p),
+                    p.intrinsic_schouten)
+    t5 = -_double_div(p, "tracefree_square") / (k - 3)
+    t6 = ((k - 5) / (2.0 * (k - 3) * (k - 6))
+          * _laplacian(p, "tracefree_norm2"))
+    t7 = -p.intrinsic_jtrace * p.tracefree_norm2 / ((k - 3) * (k - 6))
+    t8 = (k - 4) / (k - 3) * _pair(p, "intrinsic_schouten",
+                                   "tracefree_square")
+    t9 = -(k - 3) / (k - 2) * _mean_shape_cubic(p)
+    t10 = (k - 3) / (k - 2) * _mean_shape_weyl_trace(p)
+    t11 = -1.5 * p.mean_norm2 * p.tracefree_norm2
+    t12 = k / (k - 1) ** 2 * p.norm2(_div_shape(p), "tn")
+    return t1 + t2 + t3 + t4 + t5 + t6 + t7 + t8 + t9 + t10 + t11 + t12
 
 
-@_scalar(-4, "2 <= k < n", invariant=True)
-def anomaly_quartic_a(p: SubmanifoldPack, route: str = "general") -> Jets:
+@_scalar(-4, "2 <= k < n", invariant=True,
+         routes={"general": "", "critical": "k == 4"})
+def anomaly_quartic_a(p: SubmanifoldPack, route: str) -> Jets:
     """Weight -4 invariant whose k = 4 integral reproduces a known
     holographic-anomaly scalar (2 <= k < n)."""
     k, n = p.k, p.n
@@ -853,23 +856,19 @@ def anomaly_quartic_a(p: SubmanifoldPack, route: str = "general") -> Jets:
                                    - _shape_pair_weyl_tttt(p)
                                    + _shape_gram_weyl_nn(p)
                                    - 2.0 * _shape_pair_weyl_tntn(p)))
-    if route == "critical":
-        if k != 4:
-            raise GeometryError("the specialized display is the k = 4 case")
-        lap = _laplacian(p, "tracefree_norm2")
-        flux = _div_shape_deflection(p)
-        scal, ric_nn, ric_tt_up = _ambient_ricci_pieces(p)
-        cho = (2.0 * _deflection_norm2(p)
-               + _shape_dot_dweyl_trace(p)
-               + scal * p.tracefree_norm2 / (n - 1)
-               - ric_nn * p.tracefree_norm2 / (n - 2)
-               - 2.0 / (n - 2) * jet_einsum("ab,ab->", p.tracefree_square,
-                                            ric_tt_up)
-               + p.mean_norm2 * p.tracefree_norm2
-               - 2.0 * _mean_shape_cubic(p)
-               - 2.0 * _mean_shape_weyl_trace(p))
-        return -0.5 * lap + 2.0 * flux + cho
-    raise ValueError(f"unknown route {route!r}")
+    lap = _laplacian(p, "tracefree_norm2")
+    flux = _div_shape_deflection(p)
+    scal, ric_nn, ric_tt_up = _ambient_ricci_pieces(p)
+    cho = (2.0 * _deflection_norm2(p)
+           + _shape_dot_dweyl_trace(p)
+           + scal * p.tracefree_norm2 / (n - 1)
+           - ric_nn * p.tracefree_norm2 / (n - 2)
+           - 2.0 / (n - 2) * jet_einsum("ab,ab->", p.tracefree_square,
+                                        ric_tt_up)
+           + p.mean_norm2 * p.tracefree_norm2
+           - 2.0 * _mean_shape_cubic(p)
+           - 2.0 * _mean_shape_weyl_trace(p))
+    return -0.5 * lap + 2.0 * flux + cho
 
 
 @per_pack
@@ -883,8 +882,9 @@ def _ambient_pair_weyl_squares(p):
             p.norm2(Z, "aa"))
 
 
-@_scalar(-4, "2 <= k < n and k not in (3, 6)", invariant=True)
-def anomaly_quartic_b(p: SubmanifoldPack, route: str = "general") -> Jets:
+@_scalar(-4, "2 <= k < n and k not in (3, 6)", invariant=True,
+         routes={"general": "", "critical": "k == 4"})
+def anomaly_quartic_b(p: SubmanifoldPack, route: str) -> Jets:
     """Second anomaly-type weight -4 invariant (2 <= k < n, k not in {3, 6})."""
     k, n = p.k, p.n
     if route == "general":
@@ -903,34 +903,30 @@ def anomaly_quartic_b(p: SubmanifoldPack, route: str = "general") -> Jets:
                 + 2.0 * (n - 3 * k + 5) / den
                 * _shape_gram_weyl_nn(p)
                 - 4.0 * (n - 2 * k + 2) / den * _shape_pair_weyl_tntn(p))
-    if route == "critical":
-        if k != 4:
-            raise GeometryError("the specialized display is the k = 4 case")
-        Wd = p.weyl_double_trace
-        ddw = p.ambient.cov_deriv(p.ambient.dweyl)
-        ddw_y = p.project(p.pull(ddw), "nntttt")
-        ddn = jet_trace(ddw_y, "rrabcd->abcd")
-        ddn = jet_einsum("abcd,ac->bd", ddn, p.induced_inv)
-        lap_n_wd = jet_einsum("bd,bd->", ddn, p.induced_inv)
-        dw_y = p.block("dweyl", "ntttt")
-        dwd = jet_einsum("rabcd,ac->rbd", dw_y, p.induced_inv)
-        dwd = jet_einsum("rbd,bd->r", dwd, p.induced_inv)
-        h_dwd = jet_einsum("r,r->", p.mean_curvature, dwd)
-        scal, ric_nn, ric_tt_up = _ambient_ricci_pieces(p)
-        dH_up = jet_einsum("za,ar->zr", p.induced_inv, p.mean_curvature_deriv)
-        cho = (lap_n_wd / 3.0
-               + (n - 10) / 3.0 * h_dwd
-               - (n - 4) / (n - 1) * scal * Wd
-               + (n - 4) / (n - 2) * ric_nn * Wd
-               + 4.0 * (n - 5) / (3.0 * (n - 2))
-               * jet_einsum("ab,ab->", ric_tt_up, p.weyl_partial_trace)
-               - 4.0 / 3.0 * jet_einsum("ar,ar->", _w_tn_trace(p), dH_up)
-               - 2.0 * (n - 5) / 3.0 * _shape_dot_dweyl_trace(p)
-               + 8.0 * (n - 5) / 3.0
-               * _mean_shape_weyl_trace(p)
-               - 4.0 * (n + 1) / 3.0 * _deflection_dot_weyl(p)
-               - 5.0 * (n - 4) / 3.0 * p.mean_norm2 * Wd)
-        return ((3 * n - 10) / 6.0 * _laplacian(p, "weyl_double_trace")
-                - 4.0 * (n - 5) / 3.0 * p.divergence(p.mc_cotton_trace)
-                + cho)
-    raise ValueError(f"unknown route {route!r}")
+    Wd = p.weyl_double_trace
+    ddw = p.ambient.cov_deriv(p.ambient.dweyl)
+    ddw_y = p.project(p.pull(ddw), "nntttt")
+    ddn = jet_trace(ddw_y, "rrabcd->abcd")
+    ddn = jet_einsum("abcd,ac->bd", ddn, p.induced_inv)
+    lap_n_wd = jet_einsum("bd,bd->", ddn, p.induced_inv)
+    dw_y = p.block("dweyl", "ntttt")
+    dwd = jet_einsum("rabcd,ac->rbd", dw_y, p.induced_inv)
+    dwd = jet_einsum("rbd,bd->r", dwd, p.induced_inv)
+    h_dwd = jet_einsum("r,r->", p.mean_curvature, dwd)
+    scal, ric_nn, ric_tt_up = _ambient_ricci_pieces(p)
+    dH_up = jet_einsum("za,ar->zr", p.induced_inv, p.mean_curvature_deriv)
+    cho = (lap_n_wd / 3.0
+           + (n - 10) / 3.0 * h_dwd
+           - (n - 4) / (n - 1) * scal * Wd
+           + (n - 4) / (n - 2) * ric_nn * Wd
+           + 4.0 * (n - 5) / (3.0 * (n - 2))
+           * jet_einsum("ab,ab->", ric_tt_up, p.weyl_partial_trace)
+           - 4.0 / 3.0 * jet_einsum("ar,ar->", _w_tn_trace(p), dH_up)
+           - 2.0 * (n - 5) / 3.0 * _shape_dot_dweyl_trace(p)
+           + 8.0 * (n - 5) / 3.0
+           * _mean_shape_weyl_trace(p)
+           - 4.0 * (n + 1) / 3.0 * _deflection_dot_weyl(p)
+           - 5.0 * (n - 4) / 3.0 * p.mean_norm2 * Wd)
+    return ((3 * n - 10) / 6.0 * _laplacian(p, "weyl_double_trace")
+            - 4.0 * (n - 5) / 3.0 * p.divergence(p.mc_cotton_trace)
+            + cho)

@@ -341,7 +341,7 @@ class Jets:
             return type(self)(self.space, self.coeffs * other)
         if isinstance(other, Jets):
             return jet_mul(self, other)
-        arr = np.asarray(other, dtype=float)
+        arr = np.asarray(other)
         return type(self)(self.space, self.coeffs * arr[..., None])
 
     __rmul__ = __mul__
@@ -349,7 +349,7 @@ class Jets:
     def __truediv__(self, other):
         if isinstance(other, Jets):
             return jet_mul(self, other.reciprocal())
-        arr = np.asarray(other, dtype=float)
+        arr = np.asarray(other)
         if not (np.abs(arr) > 0).all():
             raise ZeroDivisionError("division of jets by zero or NaN")
         return self * (1.0 / arr)
@@ -475,8 +475,8 @@ class _Members(Jets):
 def constant(value, spc: JetSpace, members: bool = False) -> Jets:
     """Constant jets; with ``members`` the leading axis of ``value`` is a
     member axis."""
-    arr = np.asarray(value, dtype=float)
-    out = np.zeros(arr.shape + (spc.size,))
+    arr = np.asarray(value)
+    out = np.zeros(arr.shape + (spc.size,), np.result_type(arr, float))
     out[..., 0] = arr
     return (_Members if members else Jets)(spc, out)
 

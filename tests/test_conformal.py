@@ -143,9 +143,11 @@ def test_witness_gram_collapses_without_curvature():
 
 
 def test_witness_rejects_no_samples():
-    # an empty result would pass any "all independent" check
-    with pytest.raises(ValueError, match="no parameter samples"):
-        cf.linear_independence_witness(5, params=[])
+    # an empty result would pass any "all independent" check, an empty
+    # iterator included
+    for params in ([], iter([])):
+        with pytest.raises(ValueError, match="no parameter samples"):
+            cf.linear_independence_witness(5, params=params)
 
 
 def test_witness_needs_a_normal_direction():
@@ -771,10 +773,19 @@ def test_q_transformation_rejects_repeated_scene_names(pack_builds):
 
 
 def test_q_transformation_rejects_no_scenes(pack_builds):
-    # an empty result would pass any "every row passed" check
-    with pytest.raises(ValueError, match="no scenes"):
-        cf.check_q_transformation(scenes=[], seed=1)
+    # an empty result would pass any "every row passed" check, an empty
+    # iterator included
+    for scenes in ([], iter([])):
+        with pytest.raises(ValueError, match="no scenes"):
+            cf.check_q_transformation(scenes=scenes, seed=1)
     assert pack_builds == []
+
+
+def test_q_transformation_checks_every_scene_of_an_iterator():
+    # the name check must not consume the scenes it is about to check
+    sc = random_scene(2, 4, 1)
+    rows = cf.check_q_transformation(scenes=(s for s in [sc]), seed=1)
+    assert list(rows) == [sc.name]
 
 
 # -- uniform scalings ---------------------------------------------------------------

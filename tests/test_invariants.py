@@ -10,7 +10,6 @@ pole continuation at background dimension four, and the fourth-order
 operator family get dedicated oracles.
 """
 
-import inspect
 import itertools
 import re
 from functools import lru_cache
@@ -155,24 +154,6 @@ def agree(label, a, b, tol=1e-12):
 
 
 @pytest.mark.parametrize("k,n", DIM_PAIRS)
-def test_divergence_invariants_expand(k, n):
-    p = random_pack(k, n, 11)
-    agree("shape-weyl A", inv.div_shape_weyl_a(p),
-          inv.div_shape_weyl_a(p, "expanded"))
-    agree("shape-weyl B", inv.div_shape_weyl_b(p),
-          inv.div_shape_weyl_b(p, "expanded"))
-
-
-@pytest.mark.parametrize("k,n", DIM_PAIRS)
-def test_quartic_part_assembly(k, n):
-    p = random_pack(k, n, 11)
-    agree("fialkow quartic", inv.fialkow_quartic(p),
-          inv.fialkow_quartic(p, "parts"))
-    agree("weyl-trace quartic", inv.weyl_trace_quartic(p),
-          inv.weyl_trace_quartic(p, "parts"))
-
-
-@pytest.mark.parametrize("k,n", DIM_PAIRS)
 def test_pole_free_combinations(k, n):
     p = random_pack(k, n, 11)
     two_i_plus_j = (2.0 * inv.fialkow_quartic(p)
@@ -180,37 +161,6 @@ def test_pole_free_combinations(k, n):
     agree("2I+J combo", inv.tracefree_quartic_combo(p), two_i_plus_j)
     agree("scaled weyl-trace", inv.weyl_trace_quartic_scaled(p),
           (n - 4.0) * inv.weyl_trace_quartic(p))
-
-
-@pytest.mark.parametrize("k,n", [(3, 5), (4, 6), (5, 7)])
-def test_q4_route_agreement(k, n):
-    p = random_pack(k, n, 11)
-    agree("Q4 trace expansion", inv.extrinsic_q4(p),
-          inv.extrinsic_q4(p, "trace_expansion"))
-    if k == 4:
-        agree("Q4 pfaffian route", inv.extrinsic_q4(p),
-              inv.extrinsic_q4(p, "gauss_bonnet"))
-
-
-@pytest.mark.parametrize("k,n", [(4, 5), (5, 6)])
-def test_hypersurface_displays(k, n):
-    p = random_pack(k, n, 11)
-    agree("transverse A", inv.transverse_weyl_quartic_a(p),
-          inv.transverse_weyl_quartic_a(p, "hypersurface"))
-    agree("transverse B", inv.transverse_weyl_quartic_b(p),
-          inv.transverse_weyl_quartic_b(p, "hypersurface"))
-    if (k, n) == (4, 5):
-        agree("willmore", inv.willmore_quartic(p),
-              inv.willmore_quartic(p, "hypersurface"))
-
-
-@pytest.mark.parametrize("k,n", [(4, 5), (4, 6), (4, 7)])
-def test_anomaly_critical_displays(k, n):
-    p = random_pack(k, n, 11)
-    agree("anomaly A", inv.anomaly_quartic_a(p),
-          inv.anomaly_quartic_a(p, "critical"))
-    agree("anomaly B", inv.anomaly_quartic_b(p),
-          inv.anomaly_quartic_b(p, "critical"))
 
 
 def test_critical_anomaly_b_projects_the_weyl_derivative_once(monkeypatch):
@@ -382,16 +332,16 @@ def test_factored_form_rejects_odd_dimension():
 # -- guards on routes and dimensions -------------------------------------------
 
 
-ROUTED = ["div_shape_weyl_a", "div_shape_weyl_b", "fialkow_quartic",
-          "weyl_trace_quartic", "extrinsic_q4", "willmore_quartic",
-          "transverse_weyl_quartic_a", "transverse_weyl_quartic_b",
-          "anomaly_quartic_a", "anomaly_quartic_b"]
+def _pack_inside(spec):
+    """A seed-3 random pack inside the scalar's domain."""
+    return random_pack(*next(d for d in [(4, 6), (2, 5)] if spec.valid(*d)), 3)
 
 
-@pytest.mark.parametrize("name", ROUTED)
+@pytest.mark.parametrize("name", sorted(inv.REGISTRY))
 def test_unknown_route_is_named(name):
+    # a scalar with one closed form takes no route at all
     with pytest.raises(ValueError, match="^unknown route 'nope'$"):
-        getattr(inv, name)(random_pack(4, 6, 3), route="nope")
+        getattr(inv, name)(_pack_inside(inv.REGISTRY[name]), route="nope")
 
 
 # call on a pack, its (k, n), and a fragment of the message it must raise
@@ -399,24 +349,27 @@ GUARDS = [
     (lambda p: inv.fialkow_quartic(p, route="parts", extend=True), (3, 4),
      "puts this scalar on its pole"),
     (lambda p: inv.fialkow_quartic(p, route="parts"), (1, 3),
-     "parts decomposition needs k >= 2"),
+     "fialkow_quartic route 'parts' is defined for k >= 2, got k=1, n=3"),
     (lambda p: inv.extrinsic_q4(p, route="gauss_bonnet"), (3, 5),
-     "the Pfaffian route needs k = 4"),
+     "extrinsic_q4 route 'gauss_bonnet' is defined for k == 4, got k=3, n=5"),
     (inv.q4_divergence_flux, (3, 5), "the divergence split is the k = 4 case"),
     (lambda p: inv.intrinsic_paneitz_apply(p, p.chart_jets[0]), (3, 5),
      "intrinsic fourth-order operator needs k = 4"),
     (lambda p: inv.extrinsic_paneitz_apply(p, p.chart_jets[0]), (3, 5),
      "extrinsic operator implemented for k in {2, 4}"),
     (lambda p: inv.willmore_quartic(p, route="hypersurface"), (4, 6),
-     "the specialized display is the (4, 5) case"),
+     "willmore_quartic route 'hypersurface' is defined for (k, n) == (4, 5), "
+     "got k=4, n=6"),
     (lambda p: inv.transverse_weyl_quartic_a(p, route="hypersurface"), (4, 6),
-     "the specialized display is codimension one"),
+     "transverse_weyl_quartic_a route 'hypersurface' is defined for "
+     "n == k + 1, got k=4, n=6"),
     (lambda p: inv.transverse_weyl_quartic_b(p, route="hypersurface"), (4, 6),
-     "the specialized display is codimension one"),
+     "transverse_weyl_quartic_b route 'hypersurface' is defined for "
+     "n == k + 1, got k=4, n=6"),
     (lambda p: inv.anomaly_quartic_a(p, route="critical"), (2, 5),
-     "the specialized display is the k = 4 case"),
+     "anomaly_quartic_a route 'critical' is defined for k == 4, got k=2, n=5"),
     (lambda p: inv.anomaly_quartic_b(p, route="critical"), (2, 5),
-     "the specialized display is the k = 4 case"),
+     "anomaly_quartic_b route 'critical' is defined for k == 4, got k=2, n=5"),
     (lambda p: p.intrinsic_weyl, (2, 4),
      "intrinsic trace decomposition needs k >= 3"),
 ]
@@ -516,11 +469,10 @@ def test_registry_pins_every_scalar_domain():
     assert calls == 133
 
 
-def _routes(fn):
-    """Every route ``fn`` takes, its default first."""
-    default = inspect.signature(fn).parameters["route"].default
-    named = re.findall(r'route == "(\w+)"', inspect.getsource(fn))
-    return list(dict.fromkeys([default, *named]))
+def _plain_and_parameter_packs(k, n):
+    sc = random_scene(k, n, 11)
+    return [random_pack(k, n, 11),
+            SubmanifoldPack(sc.metric, sc.patch, sc.point, param=True)]
 
 
 def test_every_route_runs_within_the_jet_budget():
@@ -530,15 +482,13 @@ def test_every_route_runs_within_the_jet_budget():
     # (a block or pull cut below the order some route reads would raise one)
     outcomes = {"finite": 0, "outside a display's domain": 0}
     for (k, n) in ALL_DIMS:
-        sc = random_scene(k, n, 11)
-        packs = [random_pack(k, n, 11),
-                 SubmanifoldPack(sc.metric, sc.patch, sc.point, param=True)]
-        for name in ROUTED:
-            if not inv.REGISTRY[name].valid(k, n):
+        packs = _plain_and_parameter_packs(k, n)
+        for name, spec in inv.REGISTRY.items():
+            if not (spec.routes and spec.valid(k, n)):
                 continue
             fn = getattr(inv, name)
-            default, *displays = _routes(fn)
-            for p, route in itertools.product(packs, [default, *displays]):
+            default = next(iter(spec.routes))
+            for p, route in itertools.product(packs, spec.routes):
                 where = f"({k},{n}) {name} route={route} param={p.param}"
                 try:
                     out = fn(p, route=route)
@@ -549,6 +499,40 @@ def test_every_route_runs_within_the_jet_budget():
                 assert np.isfinite(out.coeffs).all(), where
                 outcomes["finite"] += 1
     assert outcomes == {"finite": 440, "outside a display's domain": 86}
+
+
+@pytest.mark.parametrize("k,n", ALL_DIMS)
+def test_routes_agree_with_the_default(k, n):
+    # every closed form of a scalar against its default route, wherever the
+    # scalar and the form's own condition hold: every coefficient, so on a
+    # parameter pack the linearization too
+    for p in _plain_and_parameter_packs(k, n):
+        for name, spec in inv.REGISTRY.items():
+            if not (spec.routes and spec.valid(k, n)):
+                continue
+            for route in list(spec.routes)[1:]:
+                if not inv._condition(spec.routes[route])(k, n):
+                    continue
+                a, b = spec.compute(p), spec.compute(p, route)
+                gap = float(np.abs(a.coeffs - b.coeffs).max())
+                assert gap < 1e-12, (
+                    f"({k},{n}) {name} {route} param={p.param}: gap {gap:.3e}")
+
+
+def test_each_scalar_is_built_once_per_pack_and_route():
+    # the default route's spellings and ``evaluate`` return the one value
+    # the gate keeps, a named route its own
+    for name, spec in inv.REGISTRY.items():
+        p = _pack_inside(spec)
+        fn = getattr(inv, name)
+        spellings = [fn(p), inv.evaluate(p, name)]
+        if spec.routes:
+            default, *others = spec.routes
+            spellings += [fn(p, default), fn(p, route=default)]
+            for route in others:
+                if inv._condition(spec.routes[route])(p.k, p.n):
+                    assert fn(p, route) is fn(p, route=route), (name, route)
+        assert all(v is spellings[0] for v in spellings), name
 
 
 def test_unknown_scalar_lists_the_registered_ones():

@@ -470,6 +470,30 @@ def test_long_double_products(subscripts, shape_a, shape_b, spc):
     assert gap <= 1e-15, gap
 
 
+@pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-17,
+                    reason="long double is no wider than float64 here")
+def test_long_double_arithmetic_with_numbers():
+    # a number meets a long-double jet in long double: `*`, `/`, `+` and
+    # the series functions keep every coefficient to long-double round-off
+    (x,) = variables([0.3], 4)
+    x = Jets(x.space, x.coeffs.astype(np.longdouble))
+    x0, third = x.coeffs[0], np.longdouble(1) / 3
+    m = np.arange(5)
+    fact = np.array([math.factorial(j) for j in m], dtype=np.longdouble)
+    cases = {
+        "x * (1/3)": (x * third, np.array([x0 * third, third, 0, 0, 0])),
+        "x / 3": (x / np.longdouble(3), x.coeffs / np.longdouble(3)),
+        "x + 1/3": (x + third, np.array([x0 + third, 1, 0, 0, 0])),
+        "reciprocal": (x.reciprocal(), (-1.0) ** m / x0 ** (m + 1)),
+        "exp": (x.exp(), np.exp(x0) / fact),
+    }
+    eps = np.finfo(np.longdouble).eps
+    for label, (got, want) in cases.items():
+        assert got.coeffs.dtype == np.longdouble, label
+        err = np.abs(got.coeffs - want) / np.maximum(np.abs(want), 1)
+        assert np.all(err <= 4 * eps), (label, err)
+
+
 # -- the member axis ----------------------------------------------------------
 
 

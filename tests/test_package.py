@@ -233,3 +233,70 @@ def test_curvature_tensors_reach_the_frames_through_block():
         "    wy = p.pulled('weyl').truncate(0)\n"
         "    return a, b, p.project(wy, 'atat'), p.project(p.pull(a), 'n')\n")
     assert _projected_pulls(snippet) == [2, 3, 5]
+
+
+def _scalar_bodies(tree):
+    """Each ``@_scalar`` function of ``tree`` with the routes it declares."""
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.FunctionDef):
+            continue
+        for d in node.decorator_list:
+            if isinstance(d, ast.Call) and getattr(d.func, "id", None) == "_scalar":
+                yield node, next((ast.literal_eval(kw.value)
+                                  for kw in d.keywords if kw.arg == "routes"), {})
+
+
+def _route_findings(tree):
+    """What is wrong with the routes of each ``@_scalar`` body in ``tree``:
+    a compared route that is not declared, a count of uncompared declared
+    routes other than one (the fall-through), a ``per_pack`` of its own,
+    or a raise."""
+    found = []
+    for node, declared in _scalar_bodies(tree):
+        compared = set()
+        for cmp in ast.walk(node):
+            if not (isinstance(cmp, ast.Compare) and all(
+                    isinstance(op, (ast.Eq, ast.NotEq)) for op in cmp.ops)):
+                continue
+            sides = [cmp.left, *cmp.comparators]
+            if any(getattr(x, "id", None) == "route" for x in sides):
+                compared |= {x.value for x in sides
+                             if isinstance(x, ast.Constant)}
+        found += [f"{node.name}: undeclared route {r!r}"
+                  for r in sorted(compared - set(declared))]
+        if declared and len(set(declared) - compared) != 1:
+            found.append(f"{node.name}: {sorted(set(declared) - compared)} "
+                         "uncompared")
+        if any(getattr(d, "id", None) == "per_pack" for d in node.decorator_list):
+            found.append(f"{node.name}: per_pack under _scalar")
+        found += [f"{node.name}: raises on line {r.lineno}"
+                  for r in ast.walk(node) if isinstance(r, ast.Raise)]
+    return found
+
+
+def test_scalar_routes_are_declared_and_gated():
+    # the gate of ``invariants._scalar`` is the one check of a route's name
+    # and condition and the one memo of the value; a declared route with no
+    # branch would silently compute the fall-through's form
+    from qgeo.invariants import REGISTRY
+
+    tree = _sources()["invariants"]
+    assert _route_findings(tree) == []
+    assert ({node.name: declared for node, declared in _scalar_bodies(tree)}
+            == {name: spec.routes for name, spec in REGISTRY.items()})
+    snippet = ast.parse(
+        "@_scalar(-4, 'k < n', routes={'a': '', 'b': '', 'c': 'k == 4'})\n"
+        "@per_pack\n"
+        "def f(p, route):\n"
+        "    if route == 'a' or route == 'x':\n"
+        "        return 1\n"
+        "    raise ValueError(route)\n"
+        "@_scalar(-4, 'k < n', routes={'a': '', 'b': ''})\n"
+        "def g(p, route):\n"
+        "    return 1 if 'a' != route else 2\n"
+        "@_scalar(-4, 'k < n')\n"
+        "def h(p):\n"
+        "    return 1\n")
+    assert _route_findings(snippet) == [
+        "f: undeclared route 'x'", "f: ['b', 'c'] uncompared",
+        "f: per_pack under _scalar", "f: raises on line 6"]
