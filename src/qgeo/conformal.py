@@ -16,7 +16,8 @@ pack, built once per (scene object, factor value) in the one-slot cache
 of :class:`_Engine`: the invariance and tangential batteries of one scene
 and seed, each drawing its own ``random_upsilon``, build one between them.
 A batch of factors is a member axis of ``Upsilon``; the members of one
-pack are factors or values of ``t``, not both.
+pack are factors or values of ``t``, not both.  A factor whose jet on a
+pack is exactly zero gets no member in the strata battery.
 
 Stored components mix a coordinate tangent frame with an orthonormal
 normal frame.  Re-running Gram-Schmidt against ``exp(2 t Upsilon) g``
@@ -81,6 +82,7 @@ from .invariants import (
     extrinsic_paneitz_apply,
 )
 from .jets import (
+    PACK_ORDER,
     Jets,
     jet_einsum,
     jet_trace,
@@ -824,25 +826,35 @@ def check_strata_vanishing(scene: Scene, *, seed: int = 0) -> dict:
     rides along so the claim is not vacuous.  The factors, in depth order,
     generic last, are the members of engines of ``_STRATA_BATCH``.
 
-    The deepest probe is vacuous at ``PACK_ORDER = 4``: its factor carries
-    the fifth power of the defining combination, so it has no monomial a
-    pack keeps, its pack jet is identically zero and every entry of the
-    stratum-4 row reads exactly 0.0.  The row stays, as the benchmark pins
-    the per-stratum element counts; a pack order above 4 makes it a probe.
+    A factor whose jet on the ambient variables of the parameter pack
+    (``PACK_ORDER``, at the pack point) is exactly zero, every coefficient
+    ``== 0.0``, gets no member: its rows read 0.0, which is what a member
+    gives bit for bit, as ``(1 + 2 t Upsilon) g`` then has no ``t`` part.
+    ``"vacuous"`` lists those depths.  At ``PACK_ORDER = 4`` that is the
+    deepest probe: its factor carries the fifth power of the defining
+    combination, so it has no monomial a pack keeps.  Its stratum-4 row
+    stays, as the benchmark pins the per-stratum element counts; a pack
+    order above 4 makes it a probe.
     """
     strata = sorted({el.stratum for el in QUARTIC_STRATA})
     depths = strata + strata[-1:]
     factors = [transverse_vanishing_upsilon(scene, j, seed=seed + 10 * j)
                for j in strata] + [random_upsilon(scene.patch.n, seed=seed + 77)]
-    mags = []
-    for lo in range(0, len(factors), _STRATA_BATCH):
-        eng = _Engine(scene, tuple(factors[lo:lo + _STRATA_BATCH]))
-        group = depths[lo:lo + _STRATA_BATCH]
+    chart = scene.patch.chart(np.asarray(scene.point, dtype=float), param=True)[0]
+    xs = variables(chart.value[: scene.n], PACK_ORDER, param=True)[: scene.n]
+    live = [m for m, u in enumerate(factors) if not (u(xs).coeffs == 0.0).all()]
+    mags = [{el.name: 0.0 for el in QUARTIC_STRATA if el.stratum <= d}
+            for d in depths]
+    for lo in range(0, len(live), _STRATA_BATCH):
+        group = live[lo:lo + _STRATA_BATCH]
+        eng = _Engine(scene, tuple(factors[m] for m in group))
         var = {el: eng.nilpotent(el.evaluate, -4.0)
-               for el in QUARTIC_STRATA if el.stratum <= group[-1]}
-        mags += [{el.name: _gap(v[m]) for el, v in var.items() if el.stratum <= d}
-                 for m, d in enumerate(group)]
-    return {"vanishing": dict(zip(strata, mags)), "generic": mags[-1]}
+               for el in QUARTIC_STRATA if el.stratum <= depths[group[-1]]}
+        for i, m in enumerate(group):
+            mags[m] = {el.name: _gap(v[i]) for el, v in var.items()
+                       if el.stratum <= depths[m]}
+    return {"vanishing": dict(zip(strata, mags)), "generic": mags[-1],
+            "vacuous": [j for m, j in enumerate(strata) if m not in live]}
 
 
 # -- linear-independence witness ----------------------------------------------------

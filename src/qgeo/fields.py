@@ -28,6 +28,7 @@ from .jets import (
     Composer,
     JetSpace,
     Jets,
+    _as_point,
     _multi_indices,
     constant,
     jets_members,
@@ -107,26 +108,35 @@ class Polynomial:
     A polynomial is a value, equal (and of equal hash) to one of the same
     ``nvars``, ``degree``, coefficient shape and bytes: the conformal engine
     keys its parameter pack by (scene object, factor value).  ``coeffs`` is
-    a read-only view (never writable) of a private copy of the array passed.
+    a copy of the array passed over an immutable ``bytes`` buffer, so no
+    array reached from it can be made writable.
+
+    The last jet on coordinate variables is kept per jet space, keyed by
+    the point's dtype and bytes (as :meth:`ImmersedPatch.chart` keeps its
+    chart per ``param``), so the packs at one point shift a polynomial once
+    per space; the kept coefficients are read-only.  The slot is not part
+    of the value.
     """
 
     def __init__(self, nvars: int, degree: int, coeffs):
         self.nvars = nvars
         self.degree = degree
         self.mindex = _multi_indices(nvars, degree)
-        self._coeffs = np.array(coeffs, dtype=float)
-        self._coeffs.flags.writeable = False
-        if self._coeffs.shape[-1] != len(self.mindex):
+        arr = np.asarray(coeffs, dtype=float)
+        if arr.shape[-1:] != (len(self.mindex),):
             raise ValueError(
                 f"need {len(self.mindex)} coefficients per component, "
-                f"got {self._coeffs.shape[-1]}"
+                f"got {arr.shape[-1] if arr.ndim else 0}"
             )
+        self._bytes = arr.tobytes()
+        self._coeffs = np.frombuffer(self._bytes, float).reshape(arr.shape)
         self._hash = hash(self._key())
+        self._slots = {}  # jet space -> (point key, jet)
 
-    coeffs = property(lambda self: self._coeffs.view())
+    coeffs = property(lambda self: self._coeffs)
 
     def _key(self) -> tuple:
-        return self.nvars, self.degree, self._coeffs.shape, self._coeffs.tobytes()
+        return self.nvars, self.degree, self._coeffs.shape, self._bytes
 
     def __eq__(self, other):
         if not isinstance(other, Polynomial):
@@ -166,10 +176,15 @@ class Polynomial:
         keep, pos, units = _coordinate_layout(self.nvars, self.degree, spc)
         if not np.array_equal(disp, units):
             return Composer(x)(self(variables(x.value, x.order)))
-        shifted = self._shifted(x.value)
-        out = np.zeros(shifted.shape[:-1] + (spc.size,))
-        out[..., pos] = shifted[..., keep]
-        return Jets(spc, out)
+        x0 = x.value
+        key = (x0.dtype.str, x0.tobytes())
+        if self._slots.get(spc, (None,))[0] != key:
+            shifted = self._shifted(x0)
+            out = np.zeros(shifted.shape[:-1] + (spc.size,))
+            out[..., pos] = shifted[..., keep]
+            out.flags.writeable = False
+            self._slots[spc] = (key, Jets(spc, out))
+        return self._slots[spc][1]
 
 
 def _as_matrix_jets(rows, spc) -> Jets:
@@ -217,7 +232,7 @@ class MetricField:
         if np.abs(c - c.swapaxes(-3, -2)).max() > 1e-10 * np.abs(c).max():
             raise GeometryError(f"{self.name}: components not symmetric at {point}")
         try:
-            np.linalg.cholesky(G.value)
+            np.linalg.cholesky(G.value.astype(float))  # linalg has no long double
         except np.linalg.LinAlgError:
             raise GeometryError(
                 f"{self.name}: metric not positive definite at {point}"
@@ -242,10 +257,11 @@ class ImmersedPatch:
     def chart(self, point, param: bool = False) -> tuple[Jets, Composer]:
         """Chart jets at ``point`` to ``PACK_ORDER + 1`` and their ``Composer``,
         shared by every pack at the point (the chart map has no metric).
-        The last chart per ``param`` value is kept, so a patch holds at most
-        two."""
+        The last chart per ``param`` value is kept, keyed by the point's
+        float type and bytes, so a patch holds at most two."""
         _check_shape(self.name, "point", np.shape(point), (self.k,))
-        key = np.asarray(point, dtype=float).tobytes()
+        point = _as_point(point)
+        key = (point.dtype.str, point.tobytes())
         if self._charts.get(param, (None,))[0] != key:
             X = self.jets(point, PACK_ORDER + 1, param=param)
             self._charts[param] = (key, X, Composer(X))
@@ -274,7 +290,7 @@ class ImmersedPatch:
             # first partials: the coefficients of the unit monomials
             units = np.eye(self.k + param, dtype=np.int64)[: self.k]
             diff = X.coeffs[:, X.space.positions(units)]
-            if np.linalg.matrix_rank(diff, rtol=1e-10) < self.k:
+            if np.linalg.matrix_rank(diff.astype(float), rtol=1e-10) < self.k:
                 raise GeometryError(
                     f"{self.name}: differential rank-deficient at {point}"
                 )

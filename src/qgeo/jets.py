@@ -192,14 +192,17 @@ class JetSpace:
             if self.param:
                 ok &= m[:, None, -1] + m[None, :, -1] <= 1
             ii, jj = np.nonzero(ok)
-            kk = self.positions(m[ii] + m[jj])
-            by_row = np.argsort(kk, kind="stable")
-            indptr = np.searchsorted(kk[by_row], np.arange(self.size + 1))
-            scatter = SimpleNamespace(
-                shape=(self.size, len(kk)), nnz=len(kk), data=np.ones(len(kk)),
-                indptr=indptr.astype(np.int32), indices=by_row.astype(np.int32))
-            self._mul = (ii, jj, scatter)
+            self._mul = (ii, jj, self._scatter(ii, jj))
         return self._mul
+
+    def _scatter(self, ii, jj) -> SimpleNamespace:
+        """CSR arrays of the 0/1 matrix taking each pair to its output row."""
+        kk = self.positions(self.mindex[ii] + self.mindex[jj])
+        by_row = np.argsort(kk, kind="stable")
+        indptr = np.searchsorted(kk[by_row], np.arange(self.size + 1))
+        return SimpleNamespace(
+            shape=(self.size, len(kk)), nnz=len(kk), data=np.ones(len(kk)),
+            indptr=indptr.astype(np.int32), indices=by_row.astype(np.int32))
 
     def deriv_tables(self, var: int):
         """(target, src, scale): coefficient gather realizing d/dx_var.
@@ -481,18 +484,26 @@ def constant(value, spc: JetSpace, members: bool = False) -> Jets:
     return (_Members if members else Jets)(spc, out)
 
 
+def _as_point(point) -> np.ndarray:
+    """``point`` as an array of its float type, ``np.result_type(point, float)``."""
+    point = np.asarray(point)
+    return point.astype(np.result_type(point, float), copy=False)
+
+
 def variables(point, order: int, param: bool = False):
     """Coordinate jets at ``point``.
 
     Returns a list of scalar jets, one per coordinate.  With ``param=True``
     one extra first-order nilpotent variable is appended to the space (and
     returned last) — the formal parameter used for conformal linearization.
-    It has degree 0, so even an order-0 parameter space holds it.
+    It has degree 0, so even an order-0 parameter space holds it.  The
+    jets keep the point's float type (``np.result_type(point, float)``), so
+    a long-double point is not rounded.
     """
-    point = np.asarray(point, dtype=float)
+    point = _as_point(point)
     spc = space(len(point) + param, order, param)
     coeffs = (spc.positions(np.eye(spc.nvars, dtype=np.int64))[:, None]
-              == np.arange(spc.size)).astype(float)
+              == np.arange(spc.size)).astype(point.dtype)
     coeffs[: len(point), 0] = point
     return [Jets(spc, c) for c in coeffs]
 
@@ -575,9 +586,11 @@ _Recipe = namedtuple("_Recipe", "axes_a axes_b op in_place shape_x shape_y ii jj
 
 @functools.lru_cache(maxsize=1024)
 def _recipe(spc: JetSpace, sa: str, sb: str, rhs: str, shape_a: tuple,
-            shape_b: tuple) -> _Recipe:
+            shape_b: tuple, support: tuple = (0, 0)) -> _Recipe:
     """Every per-call constant of the product ``sa,sb->rhs`` on ``spc`` of
-    operands with batches ``shape_a`` and ``shape_b``.
+    operands with batches ``shape_a`` and ``shape_b``.  ``support`` gives the
+    lowest spatial degree at which each operand may be nonzero: the pairs
+    below it are exact zeros and are left out of ``ii``, ``jj`` and ``csr``.
 
     Letters split into shared (both operands and the output), left and
     right free (one operand and the output) and contracted (both operands
@@ -599,6 +612,10 @@ def _recipe(spc: JetSpace, sa: str, sb: str, rhs: str, shape_a: tuple,
     S, L, R, C = (math.prod(dims[c] for c in g) for g in (shared, left, right, summed))
     out = shared + left + right
     ii, jj, scatter = spc.mul_tables()
+    if support != (0, 0):
+        keep = (spc.degree[ii] >= support[0]) & (spc.degree[jj] >= support[1])
+        ii, jj = ii[keep], jj[keep]
+        scatter = spc._scatter(ii, jj)
     return _Recipe(
         (len(sa),) + tuple(sa.index(c) for c in shared + left + summed),
         (len(sb),) + tuple(sb.index(c) for c in shared + summed + right),
@@ -610,7 +627,7 @@ def _recipe(spc: JetSpace, sa: str, sb: str, rhs: str, shape_a: tuple,
 
 
 def _product(spc: JetSpace, sa: str, sb: str, rhs: str, a: np.ndarray,
-             b: np.ndarray) -> Jets:
+             b: np.ndarray, support: tuple = (0, 0)) -> Jets:
     """Gather-combine-scatter kernel behind ``jet_mul`` and ``jet_einsum``.
 
     ``a`` and ``b`` (coefficients last, batch axes labelled ``sa`` and
@@ -624,11 +641,14 @@ def _product(spc: JetSpace, sa: str, sb: str, rhs: str, a: np.ndarray,
     sums each output coefficient's pairs, in ascending order, into one
     zero-filled output.  Every layout, shape and table comes from one
     cached ``_recipe`` keyed by ``(spc, sa, sb, rhs, batch of a, batch of
-    b)``; only the dtype is read per call, the operands' promoted one, so
-    long-double jets multiply in long double.
+    b, support)``; only the dtype is read per call, the operands' promoted
+    one, so long-double jets multiply in long double.  A ``support`` below
+    which an operand is exactly zero drops those pairs: each is a +-0.0
+    (the operands are finite) added to a partial sum that starts at +0.0
+    and so is never -0.0, which leaves every sum unchanged.
     """
     (axes_a, axes_b, op, in_place, shape_x, shape_y, ii, jj, out_shape, perm, csr,
-     _) = _recipe(spc, sa, sb, rhs, a.shape[:-1], b.shape[:-1])
+     _) = _recipe(spc, sa, sb, rhs, a.shape[:-1], b.shape[:-1], support)
     out = np.zeros(out_shape, np.promote_types(a.dtype, b.dtype))
     x = a.transpose(axes_a).take(ii, axis=0).reshape(shape_x)
     y = b.transpose(axes_b).take(jj, axis=0).reshape(shape_y)
@@ -694,20 +714,28 @@ def jet_einsum(subscripts: str, a: Jets, b: Jets) -> Jets:
 def monomial_table(x: Jets, msrc: JetSpace) -> np.ndarray:
     """Jet coefficients of every monomial ``x^alpha`` of the space ``msrc``.
 
-    ``x`` is a batch of scalar jets, shape ``(msrc.nvars,)``; the table has
-    shape (msrc.size, x.space.size) and is built one degree at a time with
-    a batched recurrence ``x^alpha = x^(alpha - e_j) * x_j``, ``j`` the
-    first variable of ``alpha``.
+    ``x`` is a batch of finite scalar jets, shape ``(msrc.nvars,)``; the
+    table has shape (msrc.size, x.space.size) and is built one degree at a
+    time with a batched recurrence ``x^alpha = x^(alpha - e_j) * x_j``,
+    ``j`` the first variable of ``alpha``.  ``x_j`` vanishes below the
+    lowest spatial degree ``lo_j`` of its nonzero coefficients (1 for a
+    displacement without a pure ``t`` term), so ``x^alpha`` vanishes below
+    ``alpha . lo``; each step's product skips the pairs below the least
+    such degree of its operands, exact zeros that change no bit.
     """
-    mindex = msrc.mindex
-    table = np.zeros((msrc.size, x.space.size))
+    mindex, spc = msrc.mindex, x.space
+    table = np.zeros((msrc.size, spc.size), x.coeffs.dtype)
     table[0, 0] = 1.0
     deg = mindex.sum(axis=1)
     first = np.argmax(mindex > 0, axis=1)
     prev = msrc.positions(mindex - np.eye(msrc.nvars, dtype=np.int64)[first])
+    lo = np.where(x.coeffs != 0, spc.degree, spc.order + 1).min(axis=1)
+    low = mindex @ lo
     for d in range(1, int(deg.max(initial=0)) + 1):
         rows = np.nonzero(deg == d)[0]
-        table[rows] = jet_mul(Jets(x.space, table[prev[rows]]), x[first[rows]]).coeffs
+        support = (int(low[prev[rows]].min()), int(lo[first[rows]].min()))
+        table[rows] = _product(spc, "a", "a", "a", table[prev[rows]],
+                               x.coeffs[first[rows]], support).coeffs
     return table
 
 
@@ -724,9 +752,11 @@ class Composer:
     each product sums its pairs in the same order, so the block equals the
     table built at that order bit for bit.  Source monomials beyond the
     order are dropped, which is exact when every displacement has spatial
-    degree >= 1.  On a parameter target a pure ``t`` term has degree 0, so
-    only the displacement of the source's own parameter may carry one; any
-    other raises ``ValueError`` when its table is built.
+    degree >= 1; for the same reason ``monomial_table`` skips the pairs
+    below each power's least degree.  On a parameter target a pure ``t``
+    term has degree 0, so only the displacement of the source's own
+    parameter may carry one; any other raises ``ValueError`` when its table
+    is built.  The coordinate jets must be finite, as a chart's are.
     """
 
     def __init__(self, coords: Jets):

@@ -7,10 +7,12 @@ Run with::
 Needs ``pytest-benchmark`` (the ``test`` extra).  The file name is outside
 the ``test_*.py`` pattern, so the test suite does not collect it.  Inputs
 are those of a ``random_scene(4, 5)`` parameter pack: the rescaled
-metric's polynomial on coordinate variables, the conformal factor on the
-same variables pulled back along the chart (the route of the conformal
-batteries), a product on the (4+1)-variable order-5 chart space, and one
-pullback of the metric jets along the chart.  Two cases time the per-call
+metric's polynomial on coordinate variables, once as a Taylor shift (its
+kept jet forgotten each round) and once as the kept jet a second call at
+the point returns, the conformal factor on the same variables pulled back
+along the chart (the route of the conformal batteries; the factor's jet
+is kept after the first round), a product on the (4+1)-variable order-5
+chart space, and one pullback of the metric jets along the chart.  Two cases time the per-call
 floor of the product kernel on the (4+1)-variable order-4 pack space: a
 scalar ``jet_mul`` and a frame projection ``jet_einsum("abcd,za->zbcd")``
 of a (5, 5, 5, 5) tensor against a (4, 5) frame.  One case times the
@@ -20,7 +22,8 @@ per-call floor of the small operations an invariant runs most: an
 next three build the
 ambient curvature pack (read through Bach), the inverse metric and the
 Riemann tensor from the order-4 metric jets of ``t4-in-s7`` (n = 7) at one
-node of the Gauss-Bonnet angle grid.  Two cases time a cold start: ``import qgeo``
+node of the Gauss-Bonnet angle grid, and one more builds the monomial
+table of that node's order-4 chart displacements (7 source variables).  Two cases time a cold start: ``import qgeo``
 in a fresh ``python -B`` interpreter (interpreter start-up included), and
 the 11 jet spaces one Gauss-Bonnet node builds, with their product and
 derivative tables, from a cleared multi-index cache.  Two more time the
@@ -79,6 +82,7 @@ from qgeo.jets import (
     jet_einsum,
     jet_mul,
     jets_members,
+    monomial_table,
     space,
     variables,
 )
@@ -99,8 +103,21 @@ def chart():
 
 def test_polynomial_on_coordinates(benchmark, chart):
     xs = variables(chart.value[: SCENE.n], PACK_ORDER, param=True)
-    out = benchmark(SCENE.metric.fn, xs)
+    poly = SCENE.metric.fn
+
+    def forget():
+        poly._slots.clear()  # time the Taylor shift, not the kept jet
+        return (xs,), {}
+
+    out = benchmark.pedantic(poly, setup=forget, rounds=200, iterations=1)
     assert out.batch == (SCENE.n, SCENE.n)
+
+
+def test_polynomial_kept_jet(benchmark, chart):
+    xs = variables(chart.value[: SCENE.n], PACK_ORDER, param=True)
+    first = SCENE.metric.fn(xs)
+    out = benchmark(SCENE.metric.fn, xs)
+    assert out is first
 
 
 def test_upsilon_pulled_to_the_chart(benchmark, chart):
@@ -223,6 +240,15 @@ def test_jet_tables_of_a_gauss_bonnet_node(benchmark):
 
 #: the ambient tensors a Gauss-Bonnet node pulls back, of orders 4 down to 0
 GB_PULLS = ("g", "gamma", "weyl", "cotton", "bach")
+
+
+def test_monomial_table_of_a_gauss_bonnet_chart(benchmark):
+    X = NODE.patch.jets(NODE.point, PACK_ORDER)
+    disp = X.coeffs.copy()
+    disp[:, 0] = 0.0
+    x, msrc = Jets(X.space, disp), space(NODE.n, PACK_ORDER)
+    out = benchmark(monomial_table, x, msrc)
+    assert out.shape == (msrc.size, X.space.size)
 
 
 def test_pulls_through_a_fresh_gauss_bonnet_chart(benchmark, node_metric):

@@ -862,6 +862,59 @@ def test_deepest_strata_factor_is_zero_on_the_pack():
     assert mags[-1] == 0.0, mags
 
 
+def _engine_members(monkeypatch):
+    """The member count of every engine built (1 for a single factor)."""
+    members = []
+    init = cf._Engine.__init__
+    monkeypatch.setattr(cf._Engine, "__init__", lambda self, sc, ups: (
+        members.append(len(ups) if isinstance(ups, tuple) else 1)
+        or init(self, sc, ups)))
+    return members
+
+
+def test_a_factor_zero_on_the_pack_gets_no_member(monkeypatch):
+    # the depth-4 factor's pack jet is exactly zero, so the engines hold
+    # depths 0-2 and depth 3 with the generic factor; its row reads the
+    # exact zeros a member of its own gives
+    members = _engine_members(monkeypatch)
+    sc = scene(4, 5, 2)
+    out = cf.check_strata_vanishing(sc, seed=2)
+    assert members == [3, 2]
+    assert out["vacuous"] == [4]
+    row = out["vanishing"][4]
+    assert len(row) == 33 and all(v == 0.0 for v in row.values())
+    deepest = cf.transverse_vanishing_upsilon(sc, 4, seed=2 + 40)
+    eng = cf._Engine(sc, deepest)
+    built = {el.name: cf._gap(eng.nilpotent(el.evaluate, -4.0))
+             for el in cf.QUARTIC_STRATA}
+    assert np.array(list(built.values())).tobytes() == (
+        np.array(list(row.values())).tobytes())
+
+
+@pytest.mark.parametrize("value", [1e-300, np.nan])
+def test_only_an_exactly_zero_factor_is_left_out(monkeypatch, value):
+    # the zero test is exact: a generic factor whose one nonzero coefficient
+    # is 1e-300 is built, and a NaN one too (its pack then raises)
+    members = _engine_members(monkeypatch)
+    draw = cf.random_upsilon
+
+    def tiny(n, seed, degree=4):
+        if seed != 2 + 77:
+            return draw(n, seed=seed, degree=degree)
+        coeffs = np.zeros(len(jets._multi_indices(n, degree)))
+        coeffs[1] = value
+        return Polynomial(n, degree, coeffs)
+
+    monkeypatch.setattr(cf, "random_upsilon", tiny)
+    if np.isnan(value):
+        with pytest.raises(GeometryError, match="non-finite"):
+            cf.check_strata_vanishing(scene(4, 5, 2), seed=2)
+        return
+    out = cf.check_strata_vanishing(scene(4, 5, 2), seed=2)
+    assert members == [3, 2] and out["vacuous"] == [4]
+    assert all(np.isfinite(v) for v in out["generic"].values())
+
+
 def vanishes_through(upsilon, x_point, order: int) -> bool:
     """Whether every derivative of ``upsilon`` through total order ``order``
     vanishes at ``x_point``: its order-``order`` jet there is zero to within

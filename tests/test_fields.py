@@ -268,3 +268,93 @@ def test_sphere_radius_must_be_positive_and_finite(radius):
     message = f"sphere-chart radius must be positive and finite, got {radius!r}"
     with pytest.raises(GeometryError, match=re.escape(message)):
         equatorial_sphere(2, 4, radius=radius)
+
+
+# -- the kept jet of a polynomial on coordinate variables ----------------------
+
+
+def _count_shifts(monkeypatch):
+    """The ``(polynomial, point dtype, point bytes)`` of every Taylor shift."""
+    shifts = []
+    shifted = Polynomial._shifted
+    monkeypatch.setattr(Polynomial, "_shifted", lambda self, x0: (
+        shifts.append((self, x0.dtype.str, x0.tobytes())) or shifted(self, x0)))
+    return shifts
+
+
+def test_polynomial_shifts_once_per_space_and_point(monkeypatch):
+    shifts = _count_shifts(monkeypatch)
+    poly = random_polynomial(3, 4, seed=5)
+    plain, param = variables(POINT[:3], 4), variables(POINT[:3], 4, param=True)
+    first = poly(plain)
+    assert poly(plain) is first and poly(variables(POINT[:3], 4)) is first
+    assert len(shifts) == 1
+    # another space at the point, or another point, shifts again
+    poly(param)
+    poly(variables(POINT[:3] + 0.1, 4))
+    assert len(shifts) == 3
+    # the kept jet is the fresh evaluation's, byte for byte, and read-only
+    fresh = random_polynomial(3, 4, seed=5)(plain)
+    assert len(shifts) == 4
+    assert fresh.coeffs.tobytes() == first.coeffs.tobytes()
+    with pytest.raises(ValueError, match="read-only"):
+        poly(plain).coeffs[0, 0] = 1.0
+    # the slot keys the point's float type: a long double point of the
+    # same float64 value is another point
+    poly(variables(POINT[:3].astype(np.longdouble), 4))
+    assert len(shifts) == 6
+
+
+def test_composite_inputs_are_composed_per_call(monkeypatch):
+    # the composition is not kept, only the jet on coordinate variables
+    shifts = _count_shifts(monkeypatch)
+    pulls = []
+    call = Composer.__call__
+    monkeypatch.setattr(Composer, "__call__", lambda self, f: (
+        pulls.append(f) or call(self, f)))
+    poly = random_polynomial(5, 4)
+    first, second = poly(chart(4)), poly(chart(4))
+    assert len(pulls) == 2 and len(shifts) == 1
+    assert first is not second and first.coeffs.tobytes() == second.coeffs.tobytes()
+
+
+def test_kept_jets_are_not_part_of_the_value():
+    p, q = random_polynomial(3, 4, seed=2), random_polynomial(3, 4, seed=2)
+    p(variables(POINT[:3], 4))
+    assert p == q and hash(p) == hash(q)
+    assert {q: "pack"}[p] == "pack"
+
+
+def test_no_array_behind_polynomial_coefficients_can_be_made_writable():
+    # the stored hash and the kept jets stay those of the coefficients: every
+    # array in the ``.base`` chain of ``coeffs`` refuses the writeable flag
+    p = Polynomial(2, 2, np.linspace(-1.0, 1.0, 6).reshape(1, 6))
+    arrays, a = [], p.coeffs
+    while isinstance(a, np.ndarray):
+        arrays.append(a)
+        a = a.base
+    assert arrays
+    for a in arrays:
+        with pytest.raises(ValueError):
+            a.flags.writeable = True
+    assert p == Polynomial(2, 2, np.linspace(-1.0, 1.0, 6)[None])
+
+
+def test_chart_slot_keys_the_point_float_type(monkeypatch):
+    # two long double points that round to one float64 get two charts; a
+    # float64 point and an int point of one value share one
+    built = []
+    jets_of = ImmersedPatch.jets
+    monkeypatch.setattr(ImmersedPatch, "jets", lambda self, *a, **kw: (
+        built.append(a[0]) or jets_of(self, *a, **kw)))
+    sc = random_scene(2, 4, 0)
+    base = np.full(2, np.longdouble(1) / 3)
+    near = base + np.longdouble(2.0) ** -60
+    assert np.array_equal(base.astype(float), near.astype(float))
+    X, _ = sc.patch.chart(base)
+    Y, _ = sc.patch.chart(near)
+    assert len(built) == 2 and X.coeffs.dtype == np.longdouble
+    assert X.value[0] == base[0] and Y.value[0] == near[0]
+    sc.patch.chart(np.array([1, 0]))
+    sc.patch.chart(np.array([1.0, 0.0]))
+    assert len(built) == 3 and built[-1].dtype == float

@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 
 import qgeo.conformal as cf
 import qgeo.invariants as inv
-from qgeo.fields import GeometryError, conformally_rescaled
+from qgeo.fields import GeometryError, Polynomial, conformally_rescaled
 from qgeo.scenes import (
     affine_plane,
     equatorial_sphere,
@@ -592,6 +592,32 @@ def test_batteries_derive_nothing_twice_per_pack(monkeypatch, battery, seed):
     _BATTERIES[battery](random_scene(4, 5, seed), seed)
     assert seen and len(set(seen)) == len(seen), (
         f"{len(seen)} derivatives of {len(set(seen))} distinct tensors")
+
+
+@pytest.mark.parametrize("seed", [2, 17])
+def test_batteries_shift_each_polynomial_once_per_space_and_point(monkeypatch,
+                                                                  seed):
+    # one certification run: the base metric, the graph heights and every
+    # polynomial factor are re-centred once per jet space at a point, 16
+    # shifts in all (45 when each evaluation shifted)
+    shifts, spaces = [], []
+    call, shifted = Polynomial.__call__, Polynomial._shifted
+
+    def calling(self, xs):
+        spaces.append(xs[0].space)
+        try:
+            return call(self, xs)
+        finally:
+            spaces.pop()
+
+    monkeypatch.setattr(Polynomial, "__call__", calling)
+    monkeypatch.setattr(Polynomial, "_shifted", lambda self, x0: (
+        shifts.append((self, spaces[-1], x0.dtype.str, x0.tobytes()))
+        or shifted(self, x0)))
+    sc = random_scene(4, 5, seed)
+    for battery in _BATTERIES.values():
+        battery(sc, seed)
+    assert len(set(shifts)) == len(shifts) <= 16
 
 
 def test_gauss_bonnet_scalars_derive_nothing_twice(monkeypatch):

@@ -1004,3 +1004,84 @@ def test_incompatible_spaces_rejected():
     b, _ = variables([0.0, 0.0], 2)
     with pytest.raises(ValueError):
         a + b
+
+
+@pytest.mark.parametrize("point", [
+    np.array([np.longdouble(1) / 3, np.longdouble(2) / 7]),
+    np.array([1.0 / 3, 2.0 / 7]),
+    np.array([1, -2]),
+], ids=["longdouble", "float64", "int"])
+def test_variables_keep_the_point_float_type(point):
+    want = np.result_type(point, float)
+    for param in (False, True):
+        xs = variables(point, 3, param=param)
+        assert [x.coeffs.dtype for x in xs] == [want] * (2 + param)
+        assert [x.value for x in xs[:2]] == list(point.astype(want))
+        # the unit monomials are exact in any float type
+        assert xs[0].coeff((1, 0) + (0,) * param) == 1.0
+    assert variables([np.longdouble(1) / 3], 2)[0].value == np.longdouble(1) / 3
+
+
+# -- monomial tables skip only exact zeros -----------------------------------
+
+
+def full_pair_table(x, msrc):
+    """``monomial_table`` over every coefficient pair of each product: the
+    recurrence ``x^alpha = x^(alpha - e_j) * x_j`` by ``jet_mul``."""
+    mindex = msrc.mindex
+    table = np.zeros((msrc.size, x.space.size), x.coeffs.dtype)
+    table[0, 0] = 1.0
+    deg = mindex.sum(axis=1)
+    first = np.argmax(mindex > 0, axis=1)
+    prev = msrc.positions(mindex - np.eye(msrc.nvars, dtype=np.int64)[first])
+    for d in range(1, int(deg.max(initial=0)) + 1):
+        rows = np.nonzero(deg == d)[0]
+        table[rows] = jet_mul(Jets(x.space, table[prev[rows]]), x[first[rows]]).coeffs
+    return table
+
+
+def _table_scenes():
+    from qgeo.scenes import catalog, random_scene
+    out = [random_scene(k, n, 11) for k in range(2, 5) for n in range(4, 8) if k < n]
+    for name, build in catalog().items():
+        if name not in ("random", "affine-plane", "equatorial-sphere"):
+            out.append(build())
+    return out
+
+
+@pytest.mark.parametrize("param", [False, True], ids=["plain", "parameter"])
+def test_monomial_tables_equal_the_full_pair_tables(param):
+    # the displacements along every chart, at each order a Composer builds
+    # a table at, and a batch with constant terms (no pair is skipped)
+    for sc in _table_scenes():
+        X, _ = sc.patch.chart(sc.point, param=param)
+        disp = X.coeffs.copy()
+        disp[:, 0] = 0.0
+        for order in (PACK_ORDER, PACK_ORDER + 1):
+            x = Jets(X.space, disp).truncate(order)
+            msrc = space(sc.n + param, order, param)
+            got = jets.monomial_table(x, msrc)
+            assert got.tobytes() == full_pair_table(x, msrc).tobytes(), sc.name
+    x = Jets(space(3, 4), np.random.default_rng(5).normal(size=(2, 35)))
+    assert jets.monomial_table(x, space(2, 4)).tobytes() == (
+        full_pair_table(x, space(2, 4)).tobytes())
+
+
+def test_monomial_table_steps_skip_pairs_in_the_recipe(monkeypatch):
+    # the t4-in-s7 table at PACK_ORDER: degree step d keeps the pairs of an
+    # order-(d - 1) power and a displacement, at least of degrees d - 1 and
+    # 1, through the recipe of the one product of each step
+    from qgeo.scenes import t4_in_s7
+    sc = t4_in_s7()
+    X, _ = sc.patch.chart(sc.point)
+    disp = X.truncate(PACK_ORDER).coeffs.copy()
+    disp[:, 0] = 0.0
+    pairs = []
+    kernel = jets._product
+    monkeypatch.setattr(jets, "_product", lambda spc, *args: (
+        pairs.append(len(jets._recipe(spc, *args[:3], args[3].shape[:-1],
+                                      args[4].shape[:-1], *args[5:]).ii))
+        or kernel(spc, *args)))
+    jets.monomial_table(Jets(X.truncate(PACK_ORDER).space, disp), space(7, PACK_ORDER))
+    assert len(space(4, PACK_ORDER).mul_tables()[0]) == 495
+    assert pairs == [425, 356, 220, 80]
