@@ -108,8 +108,8 @@ class Polynomial:
     A polynomial is a value, equal (and of equal hash) to one of the same
     ``nvars``, ``degree``, coefficient shape and bytes: the conformal engine
     keys its parameter pack by (scene object, factor value).  ``coeffs`` is
-    a copy of the array passed over an immutable ``bytes`` buffer, so no
-    array reached from it can be made writable.
+    a view of a copy of the array passed, over an immutable ``bytes``
+    buffer, so no array reached from it can be made writable.
 
     The last jet on coordinate variables is kept per jet space, keyed by
     the point's dtype and bytes (as :meth:`ImmersedPatch.chart` keeps its
@@ -133,7 +133,7 @@ class Polynomial:
         self._hash = hash(self._key())
         self._slots = {}  # jet space -> (point key, jet)
 
-    coeffs = property(lambda self: self._coeffs)
+    coeffs = property(lambda self: self._coeffs.view())
 
     def _key(self) -> tuple:
         return self.nvars, self.degree, self._coeffs.shape, self._bytes

@@ -12,10 +12,11 @@ kept jet forgotten each round) and once as the kept jet a second call at
 the point returns, the conformal factor on the same variables pulled back
 along the chart (the route of the conformal batteries; the factor's jet
 is kept after the first round), a product on the (4+1)-variable order-5
-chart space, and one pullback of the metric jets along the chart.  Two cases time the per-call
-floor of the product kernel on the (4+1)-variable order-4 pack space: a
-scalar ``jet_mul`` and a frame projection ``jet_einsum("abcd,za->zbcd")``
-of a (5, 5, 5, 5) tensor against a (4, 5) frame.  One case times the
+chart space, and one pullback of the metric jets along the chart.  Two
+cases time the per-call floor of the product kernel on the (4+1)-variable
+order-4 pack space: a scalar ``jet_mul`` and a frame projection
+``jet_einsum("abcd,za->zbcd")`` of a (5, 5, 5, 5) tensor against a (4, 5)
+frame.  One case times the
 per-call floor of the small operations an invariant runs most: an
 ``ab,bc->ac`` product of (4, 4) jets at orders 0 and 1 and a same-space
 ``+`` at order 1, on plain and on three-member jets of four variables.  The
@@ -23,10 +24,11 @@ next three build the
 ambient curvature pack (read through Bach), the inverse metric and the
 Riemann tensor from the order-4 metric jets of ``t4-in-s7`` (n = 7) at one
 node of the Gauss-Bonnet angle grid, and one more builds the monomial
-table of that node's order-4 chart displacements (7 source variables).  Two cases time a cold start: ``import qgeo``
-in a fresh ``python -B`` interpreter (interpreter start-up included), and
-the 11 jet spaces one Gauss-Bonnet node builds, with their product and
-derivative tables, from a cleared multi-index cache.  Two more time the
+table of that node's order-4 chart displacements (7 source variables).
+Two cases time a cold start: ``import qgeo`` in a fresh ``python -B``
+interpreter (interpreter start-up included), and the 11 jet spaces one
+Gauss-Bonnet node builds, with their product and derivative tables, from
+a cleared multi-index cache.  Two more time the
 pullback and frame layers: the five pulls (``g``, ``gamma``, ``weyl``,
 ``cotton``, ``bach``) of the ``t4-in-s7`` node's ambient pack through a
 fresh chart ``Composer``, table builds included, and ``normal_coframe`` of

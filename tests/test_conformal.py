@@ -293,9 +293,10 @@ def test_batteries_at_one_point_share_two_charts(monkeypatch, pack_builds):
     # 2 of the invariance battery (parameter, one with members t = 0.1 and
     # -0.07), 1 of the tangential one (the parameter pack of its vanishing
     # factor: its random factor is the invariance battery's, whose
-    # parameter pack it reuses), 2 of the strata one (two parameter packs
-    # of three factors each) and 2 of the Q one (plain, one at t = 1 with
-    # a member per factor)
+    # parameter pack it reuses), 2 of the strata one (two parameter packs,
+    # of three and of two factors: the deepest factor is zero on the pack
+    # and gets no member) and 2 of the Q one (plain, one at t = 1 with a
+    # member per factor)
     charts, tables = [], []
     chart_jets, monomial_table = ImmersedPatch.jets, jets.monomial_table
     monkeypatch.setattr(ImmersedPatch, "jets", lambda self, *a, **kw: (

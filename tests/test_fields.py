@@ -27,6 +27,7 @@ from qgeo.fields import (
     Polynomial,
     conformally_rescaled,
     flat_metric,
+    sphere_chart_metric,
 )
 from qgeo.jets import Composer, constant, jet_mul, jets_stack, variables
 from qgeo.scenes import (
@@ -289,20 +290,18 @@ def test_polynomial_shifts_once_per_space_and_point(monkeypatch):
     first = poly(plain)
     assert poly(plain) is first and poly(variables(POINT[:3], 4)) is first
     assert len(shifts) == 1
-    # another space at the point, or another point, shifts again
+    with pytest.raises(ValueError, match="read-only"):
+        first.coeffs[0, 0] = 1.0
+    # the kept jet is a fresh evaluation's, byte for byte
+    fresh = random_polynomial(3, 4, seed=5)(plain)
+    assert fresh.coeffs.tobytes() == first.coeffs.tobytes()
+    assert len(shifts) == 2
+    # another space at the point, another point, or a long double point of
+    # the same float64 value shifts again
     poly(param)
     poly(variables(POINT[:3] + 0.1, 4))
-    assert len(shifts) == 3
-    # the kept jet is the fresh evaluation's, byte for byte, and read-only
-    fresh = random_polynomial(3, 4, seed=5)(plain)
-    assert len(shifts) == 4
-    assert fresh.coeffs.tobytes() == first.coeffs.tobytes()
-    with pytest.raises(ValueError, match="read-only"):
-        poly(plain).coeffs[0, 0] = 1.0
-    # the slot keys the point's float type: a long double point of the
-    # same float64 value is another point
     poly(variables(POINT[:3].astype(np.longdouble), 4))
-    assert len(shifts) == 6
+    assert len(shifts) == 5
 
 
 def test_composite_inputs_are_composed_per_call(monkeypatch):
@@ -338,6 +337,14 @@ def test_no_array_behind_polynomial_coefficients_can_be_made_writable():
         with pytest.raises(ValueError):
             a.flags.writeable = True
     assert p == Polynomial(2, 2, np.linspace(-1.0, 1.0, 6)[None])
+
+
+def test_metric_jets_keep_a_long_double_point():
+    # the positive-definiteness check runs in float64, the jets do not
+    point = np.full(3, np.longdouble(1) / 3)
+    G = sphere_chart_metric(3).jets(point, 2)
+    assert G.coeffs.dtype == np.longdouble
+    assert abs(G.value[0, 0] - 4 / (1 + 3 * point[0] ** 2) ** 2) < 1e-15
 
 
 def test_chart_slot_keys_the_point_float_type(monkeypatch):

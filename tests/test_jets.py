@@ -1052,7 +1052,7 @@ def _table_scenes():
 @pytest.mark.parametrize("param", [False, True], ids=["plain", "parameter"])
 def test_monomial_tables_equal_the_full_pair_tables(param):
     # the displacements along every chart, at each order a Composer builds
-    # a table at, and a batch with constant terms (no pair is skipped)
+    # a table at
     for sc in _table_scenes():
         X, _ = sc.patch.chart(sc.point, param=param)
         disp = X.coeffs.copy()
@@ -1062,9 +1062,15 @@ def test_monomial_tables_equal_the_full_pair_tables(param):
             msrc = space(sc.n + param, order, param)
             got = jets.monomial_table(x, msrc)
             assert got.tobytes() == full_pair_table(x, msrc).tobytes(), sc.name
-    x = Jets(space(3, 4), np.random.default_rng(5).normal(size=(2, 35)))
+    # constant terms (no pair skipped), and long double displacements
+    rng = np.random.default_rng(5)
+    x = Jets(space(3, 4), rng.normal(size=(2, 35)))
     assert jets.monomial_table(x, space(2, 4)).tobytes() == (
         full_pair_table(x, space(2, 4)).tobytes())
+    x = Jets(x.space, np.where(x.space.degree > 0, x.coeffs, 0.0) / np.longdouble(3))
+    got = jets.monomial_table(x, space(2, 4))
+    assert got.dtype == np.longdouble
+    assert got.tobytes() == full_pair_table(x, space(2, 4)).tobytes()
 
 
 def test_monomial_table_steps_skip_pairs_in_the_recipe(monkeypatch):
@@ -1077,11 +1083,9 @@ def test_monomial_table_steps_skip_pairs_in_the_recipe(monkeypatch):
     disp = X.truncate(PACK_ORDER).coeffs.copy()
     disp[:, 0] = 0.0
     pairs = []
-    kernel = jets._product
-    monkeypatch.setattr(jets, "_product", lambda spc, *args: (
-        pairs.append(len(jets._recipe(spc, *args[:3], args[3].shape[:-1],
-                                      args[4].shape[:-1], *args[5:]).ii))
-        or kernel(spc, *args)))
+    recipe = jets._recipe
+    monkeypatch.setattr(jets, "_recipe", lambda *args: (
+        pairs.append(len(recipe(*args).ii)) or recipe(*args)))
     jets.monomial_table(Jets(X.truncate(PACK_ORDER).space, disp), space(7, PACK_ORDER))
     assert len(space(4, PACK_ORDER).mul_tables()[0]) == 495
     assert pairs == [425, 356, 220, 80]
